@@ -9,7 +9,6 @@ from .autograd import Tensor, finite_difference_check, no_grad
 from .calibrate import (
     CalibrationResult,
     calibrate,
-    calibrated_predict,
     hoeffding_epsilon,
     select_threshold,
 )

@@ -4,6 +4,12 @@ Small tape-based engine, just enough for multilayer perceptrons and the
 coverage-penalized selective objective. Every operation records a backward
 closure on the participating tensors; ``Tensor.backward()`` walks the tape
 in reverse topological order and accumulates gradients into the leaves.
+
+The elementwise operations here are the general-purpose building blocks.
+The training path uses a few fused nodes instead (``layers`` and
+``losses``), each with a closed-form backward, and keeps a model's
+parameters in one ``Parameters`` buffer so an optimizer step is a single
+vectorized update.
 """
 
 from __future__ import annotations
@@ -14,19 +20,18 @@ import numpy as np
 
 __all__ = [
     "Tensor",
+    "Parameters",
     "ShapeError",
     "DomainError",
     "GradCheckError",
     "no_grad",
     "matmul",
     "relu",
-    "max0",
     "sigmoid",
     "exp",
     "log",
     "square",
     "sqrt",
-    "clamp_min",
     "zero_grads",
     "finite_difference_check",
 ]
@@ -44,9 +49,6 @@ class GradCheckError(RuntimeError):
     """The finite-difference oracle cannot be applied (e.g. non-deterministic fn)."""
 
 
-# When True, every op asserts its result is finite. Debug aid, off by default.
-DEBUG_NANS = False
-
 _grad_enabled = True
 
 
@@ -60,11 +62,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
-
-
-def _check_finite(data):
-    if DEBUG_NANS and not np.all(np.isfinite(data)):
-        raise FloatingPointError("non-finite values produced by an operation")
 
 
 class Tensor:
@@ -83,7 +80,6 @@ class Tensor:
     @staticmethod
     def _op(data, parents, backward):
         """Build a non-leaf tensor; skips tape recording when grads are off."""
-        _check_finite(data)
         out = Tensor(data)
         if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
@@ -103,9 +99,11 @@ class Tensor:
         return float(self.data)
 
     def _accum(self, g):
+        """Add ``g`` (already shaped like ``data``) into ``grad`` in place."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -158,15 +156,23 @@ class Tensor:
 
         def backward(g):
             self._accum(np.broadcast_to(_restore_dims(g, self.data.shape, axis, keepdims),
-                                        self.data.shape).copy())
+                                        self.data.shape))
 
         return Tensor._op(out_data, (self,), backward)
 
     def mean(self, axis=None, keepdims=False):
+        """Sum times 1/count, as one node."""
         _check_axis(self, axis)
         _check_nonempty(self, "mean")
-        count = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+        scale = 1.0 / (self.data.size if axis is None else self.data.shape[axis])
+        out_data = self.data.sum(axis=axis, keepdims=keepdims) * scale
+
+        def backward(g):
+            self._accum(np.broadcast_to(
+                _restore_dims(g * scale, self.data.shape, axis, keepdims),
+                self.data.shape))
+
+        return Tensor._op(out_data, (self,), backward)
 
     def max(self, axis=None, keepdims=False):
         _check_axis(self, axis)
@@ -304,9 +310,10 @@ def matmul(a, b):
     return Tensor._op(out_data, (a, b), backward)
 
 
-# When set (via watch_kink_margins), collects min |input| of every relu/max0
-# evaluation, so gradient checks can verify the function is differentiable at
-# the probe point (central differences are invalid across the kink).
+# When set (via watch_kink_margins), collects min |input| of every relu
+# evaluation, fused ones included, so gradient checks can verify the function
+# is differentiable at the probe point (central differences are invalid
+# across the kink).
 _kink_watch = None
 
 
@@ -321,16 +328,18 @@ def watch_kink_margins():
         _kink_watch = prev
 
 
+def note_kink_margin(pre):
+    """Report the relu pre-activations ``pre`` to an active
+    ``watch_kink_margins`` block; a no-op outside one."""
+    if _kink_watch is not None and pre.size:
+        _kink_watch.append(float(np.min(np.abs(pre))))
+
+
 def relu(x):
     x = _as_tensor(x)
-    if _kink_watch is not None and x.data.size:
-        _kink_watch.append(float(np.min(np.abs(x.data))))
+    note_kink_margin(x.data)
     return _unary(x, lambda d: np.maximum(d, 0.0),
                   lambda d, o, g: g * (d > 0.0))
-
-
-# Quadratic-penalty building block max(0, a); same kernel as relu.
-max0 = relu
 
 
 def sigmoid(x):
@@ -367,13 +376,69 @@ def sqrt(x):
     return _unary(x, np.sqrt, lambda d, o, g: g * 0.5 / o)
 
 
-def clamp_min(x, lo):
-    """max(x, lo) elementwise against a constant; gradient is 0 where clamped."""
-    return _unary(x, lambda d: np.maximum(d, lo),
-                  lambda d, o, g: g * (d > lo))
+class Parameters(tuple):
+    """Leaf tensors whose ``data`` and ``grad`` are views of two contiguous
+    float64 buffers, ``self.data`` and ``self.grad``, in member order.
+
+    Building one moves the members' values and gradients into the buffers;
+    from then on an in-place update of a buffer is an update of every
+    member, which lets an optimizer step be one vectorized operation. A
+    member whose ``data`` or ``grad`` a caller rebinds is copied back into
+    the buffers by ``sync``, which every optimizer step calls first.
+    """
+
+    def __init__(self, tensors):
+        self.data = np.concatenate(
+            [p.data.reshape(-1) for p in self] or [np.zeros(0)])
+        self.grad = np.zeros_like(self.data)
+        self._views = []
+        offset = 0
+        for p in self:
+            shape, end = p.data.shape, offset + p.data.size
+            view = (self.data[offset:end].reshape(shape),
+                    self.grad[offset:end].reshape(shape))
+            p.data = view[0]
+            if p.grad is not None:
+                view[1][...] = p.grad
+            p.grad = view[1]
+            self._views.append(view)
+            offset = end
+
+    def zero_grad(self):
+        """Zero the gradient buffer and re-attach every member's ``grad``."""
+        self.grad.fill(0.0)
+        for p, (_, grad) in zip(self, self._views):
+            p.grad = grad
+
+    def sync(self):
+        """Copy any rebound member ``data`` or ``grad`` (a ``None`` gradient
+        counts as zero) into the buffers and re-attach the member; returns
+        the ``(data, grad)`` buffers."""
+        for p, (data, grad) in zip(self, self._views):
+            if p.data is not data:
+                if np.shape(p.data) != data.shape:
+                    raise ShapeError(
+                        f"data shape {np.shape(p.data)} does not match "
+                        f"parameter shape {data.shape}")
+                data[...] = p.data
+                p.data = data
+            if p.grad is not grad:
+                g = 0.0 if p.grad is None else p.grad
+                if np.shape(g) not in ((), grad.shape):
+                    raise ShapeError(
+                        f"gradient shape {np.shape(g)} does not match "
+                        f"parameter shape {grad.shape}")
+                grad[...] = g
+                p.grad = grad
+        return self.data, self.grad
 
 
 def zero_grads(params):
+    """Reset gradients before a backward pass: a ``Parameters`` buffer is
+    zeroed in place, any other tensor's ``grad`` is dropped."""
+    if isinstance(params, Parameters):
+        params.zero_grad()
+        return
     for p in params:
         p.grad = None
 

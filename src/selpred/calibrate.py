@@ -26,7 +26,6 @@ __all__ = [
     "CalibrationResult",
     "select_threshold",
     "hoeffding_epsilon",
-    "calibrated_predict",
     "calibrate",
 ]
 
@@ -89,11 +88,6 @@ def hoeffding_epsilon(n, delta):
     if not 0.0 < delta < 2.0:
         raise DomainError(f"delta must be in (0, 2), got {delta}")
     return math.sqrt(math.log(2.0 / delta) / (2.0 * n))
-
-
-def calibrated_predict(model, tau, x):
-    """Threshold rule at tau: predict f(x) iff g(x) >= tau, else abstain."""
-    return model.predict(x, tau=tau)
 
 
 def calibrate(model, validation_inputs, target_coverage, delta=0.001):

@@ -155,7 +155,6 @@ def _train_config(cfg, seed, loss_cfg):
         seed=seed,
         shuffle=t.get("shuffle", True),
         loss=loss_cfg,
-        checkpoint_every=t.get("checkpoint_every", 0),
     )
 
 

@@ -49,11 +49,6 @@ class EvalReport:
     risk: float
     n_covered: int
     n_rejected: int
-    risk_stderr: float | None = None
-
-    @property
-    def n_total(self):
-        return self.n_covered + self.n_rejected
 
 
 def per_sample_loss(predictions, labels, task):

@@ -9,6 +9,11 @@ where phi_hat is the mean of the soft selection values and r_hat the
 coverage-normalized weighted mean task loss. The auxiliary head is trained
 with the plain (full-coverage) mean loss, and the two are mixed by a convex
 combination with weight alpha.
+
+The per-sample task losses, the selective loss and the combination are each
+one tape node with a closed-form backward; ``empirical_coverage``,
+``empirical_selective_risk`` and ``psi`` are the same quantities built from
+elementwise tape operations.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import DomainError, Tensor, clamp_min, log, max0, square
+from .autograd import Tensor, relu, square
 from .layers import ConfigurationError, ContractError
 
 __all__ = [
@@ -37,9 +42,10 @@ __all__ = [
 CROSS_ENTROPY = "cross-entropy"
 SQUARED = "squared"
 
-# Floor on predicted class probability inside the log, to keep cross-entropy
-# finite on saturated softmax outputs.
-_CE_CLAMP = 1e-12
+# Floor on a plain probability inside the log, so cross-entropy stays finite
+# when it is given probabilities that are exactly zero. Softmax outputs
+# carry their exact log-probabilities and need no floor.
+_CE_FLOOR = 1e-12
 
 
 class DegenerateCoverageError(ValueError):
@@ -82,39 +88,73 @@ class DataError(ValueError):
 
 
 def task_loss(kind, prediction, labels):
-    """Per-sample loss vector for the given task loss.
+    """Per-sample loss vector for the given task loss, as one node.
 
     Cross-entropy expects row-stochastic predictions and integer class
-    labels; squared loss expects a real vector prediction and real targets.
+    labels. On a ``softmax`` output it is log-softmax cross-entropy on the
+    logits, with gradient ``p - onehot``; on plain probabilities it is
+    ``-log(max(p_true, 1e-12))``. Squared loss expects a real prediction
+    (any shape with one value per sample) and real targets.
     """
     if kind == CROSS_ENTROPY:
-        labels = np.asarray(labels)
-        m, k = prediction.data.shape
-        if labels.shape != (m,):
-            raise DataError(f"expected {m} labels, got shape {labels.shape}")
-        idx = labels.astype(np.int64)
-        if np.any((idx < 0) | (idx >= k)):
-            raise DataError(f"class label out of range for {k} classes")
-        onehot = np.zeros((m, k))
-        onehot[np.arange(m), idx] = 1.0
-        true_prob = (prediction * Tensor(onehot)).sum(axis=1)
-        return -log(clamp_min(true_prob, _CE_CLAMP))
+        return _cross_entropy(prediction, labels)
     if kind == SQUARED:
-        pred = prediction.reshape(-1)
-        y = np.asarray(labels, dtype=np.float64).reshape(-1)
-        if pred.data.shape != y.shape:
-            raise DataError(
-                f"prediction shape {pred.data.shape} != target shape {y.shape}")
-        d = pred - Tensor(y)
-        return d * d
+        return _squared(prediction, labels)
     raise ConfigurationError(f"unknown task loss {kind!r}")
+
+
+def _cross_entropy(prediction, labels):
+    labels = np.asarray(labels)
+    m, k = prediction.data.shape
+    if labels.shape != (m,):
+        raise DataError(f"expected {m} labels, got shape {labels.shape}")
+    idx = labels.astype(np.int64)
+    if np.any((idx < 0) | (idx >= k)):
+        raise DataError(f"class label out of range for {k} classes")
+    rows = np.arange(m)
+    p = prediction.data
+    log_softmax = getattr(prediction, "log_softmax", None)
+    if log_softmax is not None:
+        logits, shifted, row_sums = log_softmax
+
+        def backward(g):
+            dz = p.copy()
+            dz[rows, idx] -= 1.0
+            dz *= g[:, None]
+            logits._accum(dz)
+
+        return Tensor._op(np.log(row_sums[:, 0]) - shifted[rows, idx],
+                          (logits,), backward)
+
+    true_prob = p[rows, idx]
+    floored = np.maximum(true_prob, _CE_FLOOR)
+
+    def backward(g):
+        dp = np.zeros_like(p)
+        dp[rows, idx] = np.where(true_prob > _CE_FLOOR, -g / floored, 0.0)
+        prediction._accum(dp)
+
+    return Tensor._op(-np.log(floored), (prediction,), backward)
+
+
+def _squared(prediction, labels):
+    y = np.asarray(labels, dtype=np.float64).reshape(-1)
+    shape = prediction.data.shape
+    if prediction.data.size != y.size:
+        raise DataError(f"prediction shape {shape} != target shape {y.shape}")
+    d = prediction.data.reshape(-1) - y
+
+    def backward(g):
+        prediction._accum((2.0 * g * d).reshape(shape))
+
+    return Tensor._op(d * d, (prediction,), backward)
 
 
 def psi(a):
     """Quadratic penalty max(0, a)^2; derivative 2*max(0, a)."""
     if not isinstance(a, Tensor):
         a = Tensor(a)
-    return square(max0(a))
+    return square(relu(a))
 
 
 def empirical_coverage(g_values):
@@ -137,11 +177,42 @@ def empirical_selective_risk(losses, g_values):
 
 
 def selective_loss(losses, g_values, config):
-    """r_hat + lambda * psi(c - phi_hat) over one batch."""
-    config.validate()
-    risk = empirical_selective_risk(losses, g_values)
-    shortfall = config.target_coverage - empirical_coverage(g_values)
-    return risk + config.penalty_weight * psi(shortfall)
+    """r_hat + lambda * psi(c - phi_hat) over one batch, as one node.
+
+    ``config`` is taken as valid (``train`` validates it once per call).
+    The result also carries the batch's ``coverage`` (phi_hat) and
+    ``risk`` (r_hat) as floats. With a = max(0, c - phi_hat) and m samples,
+    the gradients are dL/dl_i = g_i / (m phi_hat) and
+    dL/dg_i = (l_i - r_hat) / (m phi_hat) - 2 lambda a / m.
+    """
+    l, g = losses.data, g_values.data
+    if l.shape != g.shape:
+        raise ContractError(
+            f"losses {l.shape} and g {g.shape} must match")
+    if g.size == 0:
+        raise ContractError("empirical coverage of an empty batch is undefined")
+    inv_m = 1.0 / g.size
+    phi = float(g.sum() * inv_m)
+    if phi == 0.0:
+        raise DegenerateCoverageError(
+            "all selection values are zero; selective risk is undefined")
+    risk = float((l * g).sum() * inv_m / phi)
+    shortfall = max(config.target_coverage - phi, 0.0)
+    weight = config.penalty_weight
+
+    def backward(grad):
+        grad = float(grad)
+        per_sample = grad / phi * inv_m
+        if losses.requires_grad:
+            losses._accum(per_sample * g)
+        if g_values.requires_grad:
+            g_values._accum(per_sample * (l - risk)
+                            - 2.0 * weight * shortfall * inv_m * grad)
+
+    out = Tensor._op(risk + weight * (shortfall * shortfall),
+                     (losses, g_values), backward)
+    out.risk, out.coverage = risk, phi
+    return out
 
 
 def auxiliary_loss(h_losses):
@@ -152,7 +223,16 @@ def auxiliary_loss(h_losses):
 
 
 def total_loss(selective, auxiliary, alpha):
-    """Convex combination alpha * selective + (1 - alpha) * auxiliary."""
+    """Convex combination alpha * selective + (1 - alpha) * auxiliary, as
+    one node."""
     if not 0.0 <= alpha <= 1.0:
         raise ConfigurationError(f"alpha must be in [0,1], got {alpha}")
-    return alpha * selective + (1.0 - alpha) * auxiliary
+
+    def backward(g):
+        if selective.requires_grad:
+            selective._accum(alpha * g)
+        if auxiliary.requires_grad:
+            auxiliary._accum((1.0 - alpha) * g)
+
+    return Tensor._op(alpha * selective.data + (1.0 - alpha) * auxiliary.data,
+                      (selective, auxiliary), backward)

@@ -12,14 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import ShapeError, Tensor, no_grad, relu, sigmoid
+from .autograd import Parameters, ShapeError, Tensor, no_grad, relu, sigmoid
 from .layers import (
     EVAL,
-    TRAIN,
     BatchNormLayer,
     ConfigurationError,
     DenseLayer,
     DropoutLayer,
+    dense_bn_relu,
     softmax,
 )
 
@@ -80,6 +80,13 @@ class ArchitectureConfig:
         return ArchitectureConfig(**d)
 
 
+def _hidden(x, dense, bn, mode):
+    """dense -> [batchnorm] -> relu; one fused node when batchnorm is on."""
+    if bn is None:
+        return relu(dense(x))
+    return dense_bn_relu(x, dense, bn, mode)
+
+
 class _Block:
     """One hidden block: dense -> [batchnorm] -> relu -> [dropout]."""
 
@@ -90,10 +97,7 @@ class _Block:
                         if config.dropout_rate is not None else None)
 
     def __call__(self, x, mode, rng=None):
-        x = self.dense(x)
-        if self.bn is not None:
-            x = self.bn(x, TRAIN if mode == TRAIN else EVAL)
-        x = relu(x)
+        x = _hidden(x, self.dense, self.bn, mode)
         if self.dropout is not None:
             x = self.dropout(x, mode, rng)
         return x
@@ -112,7 +116,8 @@ class SelectiveNet:
     """Selective model (f, g) with auxiliary head h on a shared body.
 
     ``selective`` is False for the baseline twin, whose forward returns
-    ``(f_out, None, None)``.
+    ``(f_out, None, None)``. All parameters live in one ``Parameters``
+    buffer (``parameters()``), in declaration order.
     """
 
     def __init__(self, config, seed, selective=True):
@@ -143,6 +148,7 @@ class SelectiveNet:
                            if config.auxiliary_head else None)
         else:
             self.g_hidden = self.g_bn = self.g_out = self.h_head = None
+        self._params = Parameters(self._declared_parameters())
 
     # -- forward --------------------------------------------------------------
 
@@ -166,10 +172,7 @@ class SelectiveNet:
         if not self.selective:
             return f_out, None, None
 
-        g = self.g_hidden(rep)
-        if self.g_bn is not None:
-            g = self.g_bn(g, TRAIN if mode == TRAIN else EVAL)
-        g = relu(g)
+        g = _hidden(rep, self.g_hidden, self.g_bn, mode)
         g_out = sigmoid(self.g_out(g)).reshape(-1)
         h_out = self._head_output(self.h_head, rep) if self.h_head else None
         return f_out, g_out, h_out
@@ -211,6 +214,11 @@ class SelectiveNet:
     # -- parameter bookkeeping ------------------------------------------------
 
     def parameters(self):
+        """The model's ``Parameters``: every leaf, as views of one buffer.
+        The same object on every call."""
+        return self._params
+
+    def _declared_parameters(self):
         ps = []
         for block in self.body:
             ps += block.parameters()
@@ -233,7 +241,7 @@ class SelectiveNet:
         return stats
 
     def num_parameters(self):
-        return sum(p.data.size for p in self.parameters())
+        return self._params.data.size
 
 
 def build_model(config, seed):

@@ -1,19 +1,24 @@
 """Parameter update rules and the training loop.
 
 SGD with momentum (halving learning-rate schedule) and Adam with bias
-correction, both with coupled L2 weight decay. The training loop is
-deterministic given (seed, config, dataset): shuffling and dropout masks are
-drawn from a generator seeded by the config seed.
+correction. Neither adds weight decay to the gradient: SGD subtracts
+``lr * wd * theta`` beside the momentum buffer, and Adam applies decoupled
+decay (AdamW, Loshchilov & Hutter 2019) after its update. Both keep their
+state in flat arrays over the model's ``Parameters`` buffer, so a step is
+one vectorized update. The training loop is deterministic given (seed,
+config, dataset): shuffling and dropout masks are drawn from a generator
+seeded by the config seed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import zero_grads
-from .layers import ConfigurationError, ContractError, TRAIN
+from .autograd import Parameters, zero_grads
+from .layers import ConfigurationError, TRAIN
 from .losses import (
     DegenerateCoverageError,
     LossConfig,
@@ -53,8 +58,6 @@ class TrainConfig:
     seed: int = 0
     shuffle: bool = True
     loss: LossConfig = field(default_factory=LossConfig)
-    checkpoint_every: int = 0        # epochs; 0 disables
-    checkpoint_path: str | None = None
 
     def validate(self):
         if self.learning_rate <= 0:
@@ -78,56 +81,73 @@ class TrainHistory:
     selective_risk: list = field(default_factory=list)
 
 
+def _flat(params):
+    """``params`` as one ``Parameters`` buffer (a model's is used as is)."""
+    return params if isinstance(params, Parameters) else Parameters(params)
+
+
 class SGD:
-    """Momentum SGD: v <- mu*v + grad; theta <- theta - lr*(v + wd*theta)."""
+    """Momentum SGD with weight decay kept out of the momentum buffer:
+
+        v <- mu*v + grad;  theta <- theta - lr*(v + wd*theta)
+
+    A missing gradient counts as zero. One vectorized update per step over
+    the flat ``Parameters`` buffer.
+    """
 
     def __init__(self, params, lr, momentum=0.9, weight_decay=0.0):
-        self.params = list(params)
+        self.params = _flat(params)
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.velocity = [np.zeros_like(p.data) for p in self.params]
+        self.velocity = np.zeros_like(self.params.data)
 
     def step(self):
-        for p, v in zip(self.params, self.velocity):
-            grad = p.grad if p.grad is not None else 0.0
-            if np.shape(grad) not in ((), p.data.shape):
-                raise ContractError("gradient shape does not match parameter")
-            v *= self.momentum
-            v += grad
-            p.data -= self.lr * (v + self.weight_decay * p.data)
+        theta, grad = self.params.sync()
+        v = self.velocity
+        v *= self.momentum
+        v += grad
+        theta -= self.lr * (v + self.weight_decay * theta)
 
 
 class Adam:
-    """Adam with bias correction and coupled L2 weight decay."""
+    """Adam with bias correction, then decoupled weight decay (AdamW):
+
+        m <- b1*m + (1-b1)*grad;  v <- b2*v + (1-b2)*grad^2
+        theta <- theta - lr * (m/c1) / (sqrt(v/c2) + eps)
+        theta <- theta - lr*wd*theta
+
+    with c1 = 1 - b1^t and c2 = 1 - b2^t at step t. The decay acts on the
+    parameters after the Adam update and never enters m or v. A missing
+    gradient counts as zero. One vectorized update per step over the flat
+    ``Parameters`` buffer.
+    """
 
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8,
                  weight_decay=0.0):
-        self.params = list(params)
+        self.params = _flat(params)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.m = np.zeros_like(self.params.data)
+        self.v = np.zeros_like(self.params.data)
 
     def step(self):
         self.step_count += 1
         t = self.step_count
         c1 = 1.0 - self.beta1 ** t
         c2 = 1.0 - self.beta2 ** t
-        for p, m, v in zip(self.params, self.m, self.v):
-            grad = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            mhat = m / c1
-            vhat = v / c2
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
-            p.data -= self.lr * self.weight_decay * p.data
+        theta, grad = self.params.sync()
+        m, v = self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grad
+        v *= self.beta2
+        v += (1.0 - self.beta2) * grad * grad
+        theta -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        theta -= self.lr * self.weight_decay * theta
 
 
 def lr_schedule(epoch, config):
@@ -176,17 +196,21 @@ def train(model, features, labels, config):
 
     rng = np.random.default_rng(config.seed)
     lcfg = config.loss
+    kind = lcfg.task_loss
     history = TrainHistory()
 
     for epoch in range(config.epochs):
         opt.lr = lr_schedule(epoch, config)
         order = rng.permutation(m) if config.shuffle else np.arange(m)
-        sums = np.zeros(6)
-        count = 0
+        # batch-size weighted sums of total, selective and auxiliary loss,
+        # soft coverage, accepted count and selective risk
+        tot = sel_sum = aux_sum = soft = hard = risk = 0.0
         for b, idx in enumerate(_batches(order, config.batch_size, has_bn)):
-            xb, yb = features[idx], labels[idx]
-            f_out, g_out, h_out = model.forward(xb, mode=TRAIN, rng=rng)
-            losses = task_loss(lcfg.task_loss, f_out, yb)
+            yb = labels[idx]
+            n = len(idx)
+            f_out, g_out, h_out = model.forward(features[idx], mode=TRAIN,
+                                                rng=rng)
+            losses = task_loss(kind, f_out, yb)
             if model.selective:
                 try:
                     sel = selective_loss(losses, g_out, lcfg)
@@ -195,42 +219,36 @@ def train(model, features, labels, config):
                         f"selection head collapsed to zero at epoch {epoch}, "
                         f"batch {b}")
                 if h_out is not None:
-                    aux = auxiliary_loss(task_loss(lcfg.task_loss, h_out, yb))
+                    aux = auxiliary_loss(task_loss(kind, h_out, yb))
                     loss = total_loss(sel, aux, lcfg.alpha)
                 else:
-                    aux = sel
-                    loss = sel
-                soft_cov = float(g_out.data.mean())
-                hard_cov = float((g_out.data >= 0.5).mean())
-                risk = float((losses.data * g_out.data).mean()
-                             / max(soft_cov, 1e-300))
-                row = (float(loss.data), float(sel.data), float(aux.data),
-                       soft_cov, hard_cov, risk)
+                    aux = loss = sel
+                value, sel_v, aux_v = (float(loss.data), float(sel.data),
+                                       float(aux.data))
+                soft += n * sel.coverage
+                hard += np.count_nonzero(g_out.data >= 0.5)
+                risk += n * sel.risk
             else:
                 loss = losses.mean()
-                v = float(loss.data)
-                row = (v, v, v, 1.0, 1.0, v)
-            if not np.isfinite(float(loss.data)):
+                value = sel_v = aux_v = float(loss.data)
+                soft += n
+                hard += n
+                risk += n * value
+            if not math.isfinite(value):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {b}")
             zero_grads(params)
             loss.backward()
             opt.step()
-            n = len(idx)
-            sums += n * np.asarray(row)
-            count += n
-        avg = sums / count
-        history.total_loss.append(avg[0])
-        history.selective_loss.append(avg[1])
-        history.auxiliary_loss.append(avg[2])
-        history.soft_coverage.append(avg[3])
-        history.hard_coverage.append(avg[4])
-        history.selective_risk.append(avg[5])
-
-        if (config.checkpoint_every and config.checkpoint_path
-                and (epoch + 1) % config.checkpoint_every == 0):
-            from .persist import save_model
-            save_model(model, None, config.checkpoint_path)
+            tot += n * value
+            sel_sum += n * sel_v
+            aux_sum += n * aux_v
+        history.total_loss.append(tot / m)
+        history.selective_loss.append(sel_sum / m)
+        history.auxiliary_loss.append(aux_sum / m)
+        history.soft_coverage.append(soft / m)
+        history.hard_coverage.append(hard / m)
+        history.selective_risk.append(risk / m)
 
     model.target_coverage = lcfg.target_coverage if model.selective else 1.0
     return history

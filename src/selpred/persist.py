@@ -6,13 +6,19 @@ result), float64 little-endian parameter payload in declaration order
 followed by batchnorm running statistics, and an 8-byte checksum trailer
 (leading bytes of SHA-256 over everything before it). The binary payload
 makes round-trips bit-exact; the text header keeps files inspectable.
+
+A save writes a temporary file in the target's directory and then renames
+it over the target, so an interrupted save leaves any previous checkpoint
+intact.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -23,6 +29,8 @@ __all__ = ["save_model", "load_model", "IntegrityError", "VersionError"]
 
 _MAGIC = b"SPCKPT\x00"
 FORMAT_VERSION = 1
+_HEADER_KEYS = frozenset({"format_version", "architecture", "selective", "seed",
+                          "trained_coverage", "calibration", "array_sizes"})
 
 
 class IntegrityError(IOError):
@@ -47,7 +55,7 @@ def save_model(model, calibration, path, inference_only=False):
         src = {id(p) for p in model.h_head.parameters()}
         kept = [p.data for p in model.parameters() if id(p) not in src]
         for dst, val in zip(slim.parameters(), kept):
-            dst.data = val.copy()
+            dst.data[...] = val
         for dst, val in zip(slim.running_stats(), model.running_stats()):
             dst[...] = val
         slim.target_coverage = model.target_coverage
@@ -67,9 +75,36 @@ def save_model(model, calibration, path, inference_only=False):
     payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes()
                        for a in arrays)
     body = _MAGIC + struct.pack("<Q", len(header_bytes)) + header_bytes + payload
-    with open(path, "wb") as fh:
-        fh.write(body)
-        fh.write(hashlib.sha256(body).digest()[:8])
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(body)
+            fh.write(hashlib.sha256(body).digest()[:8])
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _read_header(path, raw):
+    """Decode and check the header: a version mismatch (or no version)
+    raises ``VersionError``, anything else malformed ``IntegrityError``."""
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise IntegrityError(f"{path}: header is not UTF-8 JSON") from exc
+    if not isinstance(header, dict):
+        raise IntegrityError(f"{path}: header is not a JSON object")
+    if header.get("format_version") != FORMAT_VERSION:
+        raise VersionError(
+            f"{path}: format version {header.get('format_version')} not "
+            f"supported (reader supports {FORMAT_VERSION})")
+    if set(header) != _HEADER_KEYS:
+        raise IntegrityError(
+            f"{path}: header keys missing {sorted(_HEADER_KEYS - set(header))}"
+            f", unknown {sorted(set(header) - _HEADER_KEYS)}")
+    return header
 
 
 def load_model(path):
@@ -88,15 +123,16 @@ def load_model(path):
     off = len(_MAGIC)
     (hlen,) = struct.unpack_from("<Q", body, off)
     off += 8
-    header = json.loads(body[off:off + hlen].decode("utf-8"))
+    header = _read_header(path, body[off:off + hlen])
     off += hlen
-    if header["format_version"] != FORMAT_VERSION:
-        raise VersionError(
-            f"{path}: format version {header['format_version']} not supported "
-            f"(reader supports {FORMAT_VERSION})")
-
-    config = ArchitectureConfig.from_dict(header["architecture"])
-    model = SelectiveNet(config, header["seed"], selective=header["selective"])
+    try:
+        config = ArchitectureConfig.from_dict(header["architecture"])
+        model = SelectiveNet(config, header["seed"],
+                             selective=header["selective"])
+        calib = (CalibrationResult.from_dict(header["calibration"])
+                 if header["calibration"] else None)
+    except (TypeError, ValueError, KeyError) as exc:
+        raise IntegrityError(f"{path}: invalid header: {exc!r}") from exc
     model.target_coverage = header["trained_coverage"]
     arrays = _model_arrays(model)
     sizes = header["array_sizes"]
@@ -109,6 +145,4 @@ def load_model(path):
         n = a.size * 8
         a[...] = np.frombuffer(body[off:off + n], dtype="<f8").reshape(a.shape)
         off += n
-    calib = (CalibrationResult.from_dict(header["calibration"])
-             if header["calibration"] else None)
     return model, calib

@@ -6,15 +6,16 @@ import pytest
 from selpred.autograd import (
     DomainError,
     GradCheckError,
+    Parameters,
     ShapeError,
     Tensor,
     finite_difference_check,
     log,
     matmul,
-    max0,
     relu,
     sigmoid,
     square,
+    zero_grads,
 )
 
 
@@ -51,8 +52,8 @@ class TestElementwise:
         assert relu(Tensor(3.0)).item() == 3.0
 
     def test_penalty_kernel_cases(self):
-        assert square(max0(Tensor(-0.2))).item() == 0.0
-        assert square(max0(Tensor(0.1))).item() == pytest.approx(0.01, abs=1e-15)
+        assert square(relu(Tensor(-0.2))).item() == 0.0
+        assert square(relu(Tensor(0.1))).item() == pytest.approx(0.01, abs=1e-15)
 
     def test_log_domain_error(self):
         with pytest.raises(DomainError):
@@ -125,6 +126,39 @@ class TestBackward:
             return (d * d).mean()
 
         assert finite_difference_check(fn, ws) < 1e-5
+
+
+class TestParameters:
+    def test_members_are_views_of_the_buffers(self):
+        a = Tensor([[1.0, 2.0]], requires_grad=True)
+        b = Tensor(3.0, requires_grad=True)
+        ps = Parameters([a, b])
+        np.testing.assert_array_equal(ps.data, [1.0, 2.0, 3.0])
+        ps.data += 1.0
+        np.testing.assert_array_equal(a.data, [[2.0, 3.0]])
+        assert b.data == 4.0
+        (a.sum() * b).backward()
+        np.testing.assert_array_equal(ps.grad, [4.0, 4.0, 5.0])
+        zero_grads(ps)
+        assert not ps.grad.any() and a.grad is not None
+
+    def test_sync_copies_rebound_members_back(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        ps = Parameters([a])
+        a.data = np.array([5.0, 6.0])
+        a.grad = None
+        data, grad = ps.sync()
+        np.testing.assert_array_equal(data, [5.0, 6.0])
+        np.testing.assert_array_equal(grad, [0.0, 0.0])
+        a.data += 1.0
+        np.testing.assert_array_equal(ps.data, [6.0, 7.0])
+
+    def test_sync_rejects_wrong_shapes(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        ps = Parameters([a])
+        a.grad = np.zeros(3)
+        with pytest.raises(ShapeError):
+            ps.sync()
 
 
 class TestFiniteDifferenceCheck:

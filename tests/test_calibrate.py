@@ -10,7 +10,6 @@ from selpred.layers import ContractError
 from selpred.calibrate import (
     CalibrationResult,
     calibrate,
-    calibrated_predict,
     hoeffding_epsilon,
     select_threshold,
 )
@@ -108,7 +107,7 @@ class TestCalibrate:
         cal = rng.normal(size=(300, 4))
         test = rng.normal(size=(100, 4))
         result = calibrate(toy_model, cal, 0.7)
-        _, accepted = calibrated_predict(toy_model, result.tau, test)
+        _, accepted = toy_model.predict(test, tau=result.tau)
         scores = toy_model.selection_scores(test)
         np.testing.assert_array_equal(accepted, scores >= result.tau)
 

@@ -1,0 +1,415 @@
+"""Fused tape nodes against finite differences and against the unfused tape
+composition of the same math.
+
+Each fused node (dense, batchnorm, the dense -> batchnorm -> relu block,
+softmax, both task losses, the selective loss and the loss combination) is
+checked twice: its gradients against central differences, and its values and
+gradients against the same function built from elementwise tape operations,
+to 1e-12 relative to the largest value compared.
+"""
+
+import numpy as np
+import pytest
+
+from selpred.autograd import (
+    Tensor,
+    exp,
+    finite_difference_check,
+    log,
+    matmul,
+    relu,
+    sigmoid,
+    sqrt,
+    watch_kink_margins,
+    zero_grads,
+)
+from selpred.layers import EVAL, TRAIN, BatchNormLayer, DenseLayer, dense_bn_relu, softmax
+from selpred.losses import (
+    CROSS_ENTROPY,
+    SQUARED,
+    LossConfig,
+    auxiliary_loss,
+    empirical_coverage,
+    empirical_selective_risk,
+    psi,
+    selective_loss,
+    task_loss,
+    total_loss,
+)
+from selpred.model import CLASSIFICATION, REGRESSION, ArchitectureConfig, build_model
+
+REL = 1e-12
+BATCHES = [2, 7]  # the smallest train-mode batch and a ragged one
+
+
+def assert_same(fused, reference):
+    """Equal to 1e-12 relative to the largest reference magnitude."""
+    fused, reference = np.asarray(fused), np.asarray(reference)
+    assert fused.shape == reference.shape
+    scale = max(float(np.max(np.abs(reference), initial=0.0)), 1e-300)
+    assert float(np.max(np.abs(fused - reference), initial=0.0)) <= REL * scale
+
+
+def leaves(rng, *shapes):
+    return [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+
+
+def grads_of(params, scalar_fn):
+    zero_grads(params)
+    out = scalar_fn()
+    out.backward()
+    return out.data.copy(), [p.grad.copy() for p in params]
+
+
+def compare(params, fused_fn, reference_fn):
+    """Fused and reference scalars and gradients agree; the scale of a
+    gradient is that of all gradients, since some are zero up to roundoff
+    (the bias in front of train-mode batchnorm)."""
+    v_f, g_f = grads_of(params, fused_fn)
+    v_r, g_r = grads_of(params, reference_fn)
+    assert_same(v_f, v_r)
+    scale = max(float(np.max(np.abs(g))) for g in g_r)
+    for a, b in zip(g_f, g_r):
+        assert float(np.max(np.abs(a - b))) <= REL * scale
+
+
+# -- unfused reference compositions -------------------------------------------
+
+
+def ref_dense(x, w, b):
+    return matmul(x, w) + b
+
+
+def ref_batchnorm(z, bn, mode):
+    if mode == TRAIN:
+        mean = z.mean(axis=0)
+        centered = z - mean
+        var = (centered * centered).mean(axis=0)
+        return centered / sqrt(var + bn.eps) * bn.scale + bn.shift
+    inv = 1.0 / np.sqrt(bn.running_var + bn.eps)
+    return (z - Tensor(bn.running_mean)) * Tensor(inv) * bn.scale + bn.shift
+
+
+def ref_softmax(z):
+    shifted = z - Tensor(z.data.max(axis=1, keepdims=True))
+    e = exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def ref_cross_entropy(z, labels):
+    """-log_softmax(z)[label] from elementwise operations."""
+    shifted = z - Tensor(z.data.max(axis=1, keepdims=True))
+    log_p = shifted - log(exp(shifted).sum(axis=1, keepdims=True))
+    onehot = np.zeros(z.data.shape)
+    onehot[np.arange(len(labels)), labels] = 1.0
+    return (log_p * Tensor(onehot)).sum(axis=1) * -1.0
+
+
+def ref_squared(pred, y):
+    d = pred - Tensor(y)
+    return d * d
+
+
+def ref_selective(losses, g, cfg):
+    risk = empirical_selective_risk(losses, g)
+    shortfall = cfg.target_coverage - empirical_coverage(g)
+    return risk + cfg.penalty_weight * psi(shortfall)
+
+
+def ref_total(sel, aux, alpha):
+    return alpha * sel + (1.0 - alpha) * aux
+
+
+def ref_forward(model, x, mode):
+    """The model's forward pass from unfused operations on its parameters."""
+    def hidden(h, dense, bn):
+        z = ref_dense(h, dense.weights, dense.bias)
+        return relu(ref_batchnorm(z, bn, mode) if bn is not None else z)
+
+    def head(layer, rep):
+        z = ref_dense(rep, layer.weights, layer.bias)
+        return z if model.config.task == CLASSIFICATION else z.reshape(-1)
+
+    rep = Tensor(x)
+    for block in model.body:
+        rep = hidden(rep, block.dense, block.bn)
+    g = hidden(rep, model.g_hidden, model.g_bn)
+    g = sigmoid(ref_dense(g, model.g_out.weights, model.g_out.bias)).reshape(-1)
+    return head(model.f_head, rep), g, head(model.h_head, rep)
+
+
+# -- dense --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", BATCHES)
+def test_dense_node(m):
+    rng = np.random.default_rng(m)
+    layer = DenseLayer(3, 4, rng)
+    layer.bias.data[...] = rng.normal(size=4)
+    (x,) = leaves(rng, (m, 3))
+    probe = Tensor(rng.normal(size=(m, 4)))
+    params = [x, layer.weights, layer.bias]
+    compare(params, lambda: (layer(x) * probe).sum(),
+            lambda: (ref_dense(x, layer.weights, layer.bias) * probe).sum())
+    assert finite_difference_check(
+        lambda: (layer(x) * probe).sum(), params) < 1e-7
+
+
+# -- batchnorm and the fused block ---------------------------------------------
+
+
+def _bn(rng, n):
+    bn = BatchNormLayer(n)
+    bn.scale.data[...] = rng.uniform(0.5, 1.5, n)
+    bn.shift.data[...] = rng.normal(size=n)
+    bn.running_mean = rng.normal(size=n)
+    bn.running_var = rng.uniform(0.5, 2.0, n)
+    return bn
+
+
+def _frozen_stats(bns, fn):
+    """``fn`` wrapped to put the running statistics of ``bns`` back after
+    each call, so repeated train-mode calls see the same state."""
+    def run():
+        saved = [(bn.running_mean, bn.running_var) for bn in bns]
+        try:
+            return fn()
+        finally:
+            for bn, (mean, var) in zip(bns, saved):
+                bn.running_mean, bn.running_var = mean, var
+    return run
+
+
+@pytest.mark.parametrize("mode", [TRAIN, EVAL])
+@pytest.mark.parametrize("m", BATCHES)
+def test_batchnorm_node(mode, m):
+    rng = np.random.default_rng(10 + m)
+    bn = _bn(rng, 3)
+    (z,) = leaves(rng, (m, 3))
+    probe = Tensor(rng.normal(size=(m, 3)))
+    params = [z, bn.scale, bn.shift]
+    fused = _frozen_stats([bn], lambda: (bn(z, mode) * probe).sum())
+    ref = _frozen_stats([bn], lambda: (ref_batchnorm(z, bn, mode) * probe).sum())
+    compare(params, fused, ref)
+    assert finite_difference_check(fused, params) < 1e-6
+
+
+def test_batchnorm_running_stats_match_reference():
+    rng = np.random.default_rng(3)
+    bn = _bn(rng, 4)
+    x = rng.normal(2.0, 3.0, size=(9, 4))
+    rm, rv = bn.running_mean.copy(), bn.running_var.copy()
+    bn(Tensor(x), TRAIN)
+    mean = Tensor(x).mean(axis=0).data
+    var = ((Tensor(x) - mean) * (Tensor(x) - mean)).mean(axis=0).data
+    np.testing.assert_array_equal(bn.running_mean,
+                                  0.9 * rm + (1.0 - 0.9) * mean)
+    np.testing.assert_array_equal(bn.running_var, 0.9 * rv + (1.0 - 0.9) * var)
+
+
+def _kink_safe_block(seed, m, mode):
+    """A block and input whose relu pre-activations stay 1e-3 away from 0,
+    so central differences are valid."""
+    for attempt in range(50):
+        rng = np.random.default_rng(1000 * seed + attempt)
+        dense = DenseLayer(3, 4, rng)
+        dense.bias.data[...] = rng.normal(size=4)
+        bn = _bn(rng, 4)
+        (x,) = leaves(rng, (m, 3))
+        with watch_kink_margins() as margins:
+            _frozen_stats([bn], lambda: dense_bn_relu(x, dense, bn, mode))()
+        if margins and min(margins) > 1e-3:
+            return dense, bn, x, rng
+    raise RuntimeError("no kink-safe draw")
+
+
+@pytest.mark.parametrize("mode", [TRAIN, EVAL])
+@pytest.mark.parametrize("m", BATCHES)
+def test_dense_bn_relu_node(mode, m):
+    dense, bn, x, rng = _kink_safe_block(m, m, mode)
+    probe = Tensor(rng.normal(size=(m, 4)))
+    params = [x, dense.weights, dense.bias, bn.scale, bn.shift]
+    fused = _frozen_stats(
+        [bn], lambda: (dense_bn_relu(x, dense, bn, mode) * probe).sum())
+    ref = _frozen_stats([bn], lambda: (relu(ref_batchnorm(
+        ref_dense(x, dense.weights, dense.bias), bn, mode)) * probe).sum())
+    compare(params, fused, ref)
+    assert finite_difference_check(fused, params) < 1e-6
+
+
+def test_dense_bn_relu_reports_kink_margin():
+    rng = np.random.default_rng(4)
+    dense, bn = DenseLayer(3, 4, rng), _bn(rng, 4)
+    x = Tensor(rng.normal(size=(5, 3)))
+    pre = bn.normalize(x.data @ dense.weights.data + dense.bias.data, EVAL)[0]
+    with watch_kink_margins() as margins:
+        dense_bn_relu(x, dense, bn, EVAL)
+    assert margins == [float(np.min(np.abs(pre)))]
+
+
+# -- softmax and the task losses ---------------------------------------------
+
+
+@pytest.mark.parametrize("m", BATCHES)
+def test_softmax_node(m):
+    rng = np.random.default_rng(20 + m)
+    (z,) = leaves(rng, (m, 4))
+    probe = Tensor(rng.normal(size=(m, 4)))
+    compare([z], lambda: (softmax(z) * probe).sum(),
+            lambda: (ref_softmax(z) * probe).sum())
+    assert finite_difference_check(
+        lambda: (softmax(z) * probe).sum(), [z]) < 1e-6
+
+
+@pytest.mark.parametrize("m", BATCHES)
+def test_cross_entropy_node(m):
+    rng = np.random.default_rng(30 + m)
+    (z,) = leaves(rng, (m, 4))
+    z.data *= 3.0
+    labels = rng.integers(0, 4, size=m)
+    probe = Tensor(rng.normal(size=m))
+
+    def fused():
+        return (task_loss(CROSS_ENTROPY, softmax(z), labels) * probe).sum()
+
+    compare([z], fused, lambda: (ref_cross_entropy(z, labels) * probe).sum())
+    assert finite_difference_check(fused, [z]) < 1e-6
+
+
+def test_cross_entropy_on_plain_probabilities():
+    rng = np.random.default_rng(5)
+    p = Tensor(rng.uniform(0.1, 1.0, size=(6, 3)), requires_grad=True)
+    labels = rng.integers(0, 3, size=6)
+    probe = Tensor(rng.normal(size=6))
+    onehot = np.zeros((6, 3))
+    onehot[np.arange(6), labels] = 1.0
+
+    def fused():
+        return (task_loss(CROSS_ENTROPY, p, labels) * probe).sum()
+
+    compare([p], fused,
+            lambda: ((log((p * Tensor(onehot)).sum(axis=1)) * -1.0)
+                     * probe).sum())
+    assert finite_difference_check(fused, [p]) < 1e-6
+
+
+@pytest.mark.parametrize("m", BATCHES)
+def test_squared_node(m):
+    rng = np.random.default_rng(40 + m)
+    (pred,) = leaves(rng, (m,))
+    y = rng.normal(size=m)
+    probe = Tensor(rng.normal(size=m))
+
+    def fused():
+        return (task_loss(SQUARED, pred, y) * probe).sum()
+
+    compare([pred], fused, lambda: (ref_squared(pred, y) * probe).sum())
+    assert finite_difference_check(fused, [pred]) < 1e-7
+
+
+# -- selective loss and combination -------------------------------------------
+
+
+@pytest.mark.parametrize("coverage", [0.3, 0.95])  # constraint met / violated
+@pytest.mark.parametrize("m", BATCHES)
+def test_selective_loss_node(coverage, m):
+    rng = np.random.default_rng(50 + m)
+    losses = Tensor(rng.uniform(0.0, 2.0, size=m), requires_grad=True)
+    raw = Tensor(rng.normal(size=m), requires_grad=True)
+    cfg = LossConfig(target_coverage=coverage, penalty_weight=32.0)
+    compare([losses, raw], lambda: selective_loss(losses, sigmoid(raw), cfg),
+            lambda: ref_selective(losses, sigmoid(raw), cfg))
+    assert finite_difference_check(
+        lambda: selective_loss(losses, sigmoid(raw), cfg), [losses, raw]) < 1e-6
+
+
+def test_selective_loss_reports_coverage_and_risk():
+    losses, g = Tensor([1.0, 0.0, 3.0]), Tensor([1.0, 0.5, 0.25])
+    out = selective_loss(losses, g, LossConfig(target_coverage=0.9))
+    assert out.coverage == empirical_coverage(g).item()
+    assert out.risk == empirical_selective_risk(losses, g).item()
+
+
+def test_total_loss_node():
+    sel, aux = Tensor(1.5, requires_grad=True), Tensor(-0.5, requires_grad=True)
+    compare([sel, aux], lambda: total_loss(sel, aux, 0.3),
+            lambda: ref_total(sel, aux, 0.3))
+
+
+# -- the whole training objective through the model ---------------------------
+
+
+def _model(task, seed):
+    arch = ArchitectureConfig(
+        input_dim=3, body_widths=[5], task=task,
+        n_classes=3 if task == CLASSIFICATION else 0, selection_hidden=4)
+    return build_model(arch, seed)
+
+
+def fused_objective(model, x, y, cfg):
+    f, g, h = model.forward(x, mode=TRAIN)
+    sel = selective_loss(task_loss(cfg.task_loss, f, y), g, cfg)
+    aux = auxiliary_loss(task_loss(cfg.task_loss, h, y))
+    return total_loss(sel, aux, cfg.alpha)
+
+
+def ref_objective(model, x, y, cfg):
+    f, g, h = ref_forward(model, x, TRAIN)
+    loss = ref_cross_entropy if cfg.task_loss == CROSS_ENTROPY else ref_squared
+    return ref_total(ref_selective(loss(f, y), g, cfg),
+                     auxiliary_loss(loss(h, y)), cfg.alpha)
+
+
+@pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+@pytest.mark.parametrize("m", BATCHES)
+def test_training_objective_matches_unfused_tape(task, m):
+    model = _model(task, seed=m)
+    rng = np.random.default_rng(60 + m)
+    x = rng.normal(size=(m, 3))
+    if task == CLASSIFICATION:
+        y = rng.integers(0, 3, size=m)
+        cfg = LossConfig(target_coverage=0.9, task_loss=CROSS_ENTROPY)
+    else:
+        y = rng.normal(size=m)
+        cfg = LossConfig(target_coverage=0.9, task_loss=SQUARED)
+    bns = [b.bn for b in model.body] + [model.g_bn]
+    compare(model.parameters(),
+            _frozen_stats(bns, lambda: fused_objective(model, x, y, cfg)),
+            _frozen_stats(bns, lambda: ref_objective(model, x, y, cfg)))
+
+
+@pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+def test_eval_forward_matches_unfused_tape(task):
+    model = _model(task, seed=9)
+    for bn in [b.bn for b in model.body] + [model.g_bn]:
+        bn.running_mean = np.full(bn.num_features, 0.1)
+        bn.running_var = np.full(bn.num_features, 1.7)
+    x = np.random.default_rng(9).normal(size=(7, 3))
+    f, g, h = model.forward(x)
+    rf, rg, rh = ref_forward(model, x, EVAL)
+    if task == CLASSIFICATION:
+        rf, rh = ref_softmax(rf), ref_softmax(rh)
+    for a, b in ((f, rf), (g, rg), (h, rh)):
+        assert_same(a.data, b.data)
+
+
+def tape_size(root):
+    """Distinct tensors reachable from ``root``, leaves included."""
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+def test_criterion_4_training_step_tape_is_small():
+    arch = ArchitectureConfig(input_dim=8, body_widths=[32],
+                              task=CLASSIFICATION, n_classes=4,
+                              selection_hidden=16, dropout_rate=0.0)
+    model = build_model(arch, 0)
+    rng = np.random.default_rng(0)
+    x, y = rng.normal(size=(256, 8)), rng.integers(0, 4, size=256)
+    cfg = LossConfig(target_coverage=0.8, task_loss=CROSS_ENTROPY)
+    assert tape_size(fused_objective(model, x, y, cfg)) <= 40

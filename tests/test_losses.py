@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from selpred.autograd import Tensor, finite_difference_check, sigmoid
-from selpred.layers import ConfigurationError, ContractError
+from selpred.layers import ConfigurationError, ContractError, softmax
 from selpred.losses import (
     CROSS_ENTROPY,
     SQUARED,
@@ -36,6 +36,15 @@ class TestTaskLoss:
         pred = Tensor([[0.0, 1.0]])
         out = task_loss(CROSS_ENTROPY, pred, [0])
         assert np.isfinite(out.data[0])
+
+    def test_cross_entropy_confidently_wrong_softmax(self):
+        # log-softmax: the loss is not capped at -log(1e-12) = 27.6 and the
+        # gradient does not vanish on a confidently wrong sample
+        logits = Tensor([[40.0, 0.0, 0.0]], requires_grad=True)
+        out = task_loss(CROSS_ENTROPY, softmax(logits), [1])
+        assert out.data[0] == pytest.approx(40.0, abs=1e-12)
+        out.sum().backward()
+        np.testing.assert_allclose(logits.grad, [[1.0, -1.0, 0.0]], atol=1e-12)
 
     def test_cross_entropy_label_out_of_range(self):
         with pytest.raises(DataError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from selpred.autograd import Tensor
+from selpred.autograd import Tensor, zero_grads
 from selpred.layers import ConfigurationError
 from selpred.losses import CROSS_ENTROPY, LossConfig
 from selpred.model import CLASSIFICATION, REGRESSION, ArchitectureConfig, build_model
@@ -41,7 +41,47 @@ class TestSGD:
         assert p.data[0] == pytest.approx(10.0 - 0.1 * 0.1 * 10.0, abs=1e-12)
 
 
+    def test_one_step_closed_form(self):
+        # two parameters in one flat buffer; decay outside the momentum buffer
+        a = Tensor([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)
+        b = Tensor([4.0], requires_grad=True)
+        opt = SGD([a, b], lr=0.1, momentum=0.9, weight_decay=0.01)
+        a0, b0 = a.data.copy(), b.data.copy()
+        ga, gb = np.array([[0.3, -0.1], [0.2, 0.0]]), np.array([-1.5])
+        a.grad, b.grad = ga, gb
+        opt.step()
+        np.testing.assert_array_equal(a.data, a0 - 0.1 * (ga + 0.01 * a0))
+        np.testing.assert_array_equal(b.data, b0 - 0.1 * (gb + 0.01 * b0))
+        np.testing.assert_array_equal(opt.velocity, np.concatenate(
+            [ga.reshape(-1), gb]))
+
+
 class TestAdam:
+    def test_one_step_closed_form(self):
+        # Adam update with bias correction, then decoupled decay (AdamW)
+        a = Tensor([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)
+        b = Tensor([4.0], requires_grad=True)
+        lr, b1, b2, eps, wd = 0.01, 0.9, 0.999, 1e-8, 0.1
+        opt = Adam([a, b], lr, b1, b2, eps, wd)
+        a0, b0 = a.data.copy(), b.data.copy()
+        ga, gb = np.array([[0.3, -0.1], [0.2, 0.0]]), np.array([-1.5])
+        a.grad, b.grad = ga, gb
+        opt.step()
+        for p, p0, g in ((a, a0, ga), (b, b0, gb)):
+            m, v = (1.0 - b1) * g, (1.0 - b2) * g * g
+            moved = p0 - lr * (m / (1.0 - b1)) / (np.sqrt(v / (1.0 - b2)) + eps)
+            np.testing.assert_array_equal(p.data, moved - lr * wd * moved)
+
+    def test_decay_is_decoupled(self):
+        # with a zero gradient only the decay acts, and it never enters m, v
+        p = Tensor([2.0, -4.0], requires_grad=True)
+        opt = Adam([p], lr=0.1, weight_decay=0.5)
+        p.grad = np.zeros(2)
+        opt.step()
+        np.testing.assert_array_equal(p.data, [2.0 - 0.05 * 2.0,
+                                               -4.0 - 0.05 * -4.0])
+        assert not opt.m.any() and not opt.v.any()
+
     def test_first_step_magnitude_is_lr(self):
         # bias correction makes the very first step exactly lr in magnitude
         # (up to eps), regardless of gradient scale
@@ -66,6 +106,24 @@ class TestAdam:
             p.grad = 2.0 * p.data
             opt.step()
         assert abs(p.data[0]) < 1e-3
+
+
+def test_model_buffer_survives_a_second_optimizer():
+    # an optimizer built from a plain list of the model's tensors moves
+    # them into its own buffer; the model's buffer copies their current
+    # values back before its next step
+    model = _toy_model()
+    params = model.parameters()
+    opt = SGD(params, lr=0.1, momentum=0.0)
+    SGD(list(params), lr=0.1)
+    w = model.f_head.weights
+    assert not np.shares_memory(w.data, params.data)
+    w.data[...] = 0.5
+    zero_grads(params)
+    w.grad[...] = 1.0
+    opt.step()
+    np.testing.assert_array_equal(w.data, 0.5 - 0.1 * 1.0)
+    assert np.shares_memory(w.data, params.data)
 
 
 class TestSchedule:

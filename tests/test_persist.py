@@ -108,3 +108,88 @@ def test_inference_only_drops_auxiliary_head(trained_model, tmp_path):
     np.testing.assert_array_equal(f.data, model.forward(x)[0].data)
     np.testing.assert_array_equal(g.data, model.forward(x)[1].data)
     assert h is None
+
+
+def test_failed_save_leaves_previous_checkpoint(trained_model, tmp_path,
+                                                monkeypatch):
+    import selpred.persist as persist
+    model, _ = trained_model
+    path = tmp_path / "ckpt.bin"
+    save_model(model, None, path)
+    before = path.read_bytes()
+
+    class DiskFull:
+        """A file that takes half of the first write, then fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+    real_open = open
+    monkeypatch.setattr(persist, "open",
+                        lambda *a, **kw: DiskFull(real_open(*a, **kw)),
+                        raising=False)
+    calib = CalibrationResult(tau=0.4, target_coverage=0.8, n_validation=100,
+                              delta=0.05, epsilon=0.1, achieved_coverage=0.81)
+    with pytest.raises(OSError):
+        save_model(model, calib, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin"]
+
+
+def _reframe(blob, edit):
+    """The checkpoint ``blob`` with its header passed through ``edit``,
+    re-framed with a valid length and checksum."""
+    import hashlib
+    import json
+    import struct
+    (hlen,) = struct.unpack_from("<Q", blob, 7)
+    header = json.loads(blob[15:15 + hlen])
+    raw = json.dumps(edit(header), sort_keys=True).encode()
+    body = blob[:7] + struct.pack("<Q", len(raw)) + raw + blob[15 + hlen:-8]
+    return body + hashlib.sha256(body).digest()[:8]
+
+
+def _without(key):
+    return lambda h: {k: v for k, v in h.items() if k != key}
+
+
+@pytest.mark.parametrize("edit, error", [
+    (_without("seed"), IntegrityError),
+    (_without("array_sizes"), IntegrityError),
+    (lambda h: {**h, "extra": 1}, IntegrityError),
+    (lambda h: {**h, "architecture": {**h["architecture"], "depth": 3}},
+     IntegrityError),
+    (lambda h: {**h, "architecture": {"input_dim": 4}}, IntegrityError),
+    (lambda h: {**h, "calibration": {"tau": 0.5}}, IntegrityError),
+    (lambda h: {**h, "seed": "zero"}, IntegrityError),
+    (lambda h: [h], IntegrityError),
+    (_without("format_version"), VersionError),
+], ids=["no-seed", "no-sizes", "unknown-key", "unknown-arch-key",
+        "short-arch", "short-calibration", "bad-seed", "not-an-object",
+        "no-version"])
+def test_malformed_header_with_valid_checksum(trained_model, tmp_path, edit,
+                                              error):
+    model, _ = trained_model
+    path = tmp_path / "ckpt.bin"
+    save_model(model, None, path)
+    path.write_bytes(_reframe(path.read_bytes(), edit))
+    with pytest.raises(error):
+        load_model(path)
+
+
+def test_unchanged_header_reframes_to_a_loadable_file(trained_model, tmp_path):
+    model, _ = trained_model
+    path = tmp_path / "ckpt.bin"
+    save_model(model, None, path)
+    blob = path.read_bytes()
+    assert _reframe(blob, lambda h: h) == blob
