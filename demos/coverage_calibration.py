@@ -3,8 +3,9 @@
 Training with the quadratic coverage penalty steers the selection head
 toward the target coverage, but the realized test coverage can still miss
 it. Re-thresholding the selection scores on a held-out split (nearest-rank
-percentile) repairs this, and Hoeffding's inequality bounds how far the test
-coverage can drift from the calibrated value.
+percentile) repairs this, and the DKW inequality (Massart's constant) bounds
+how far the population coverage can drift from the calibrated value; a
+finite test set adds its own sampling deviation.
 
 This script trains one model at target coverage 0.7, compares uncalibrated
 vs calibrated test coverage, and then verifies the bound empirically by
@@ -59,7 +60,7 @@ print(f"\nuncalibrated test coverage (tau=0.5): {uncal:.4f} "
       f"(off target by {abs(uncal - TARGET):.4f})")
 print(f"calibrated test coverage (tau={result.tau:.3f}):  {cal:.4f} "
       f"(off target by {abs(cal - TARGET):.4f})")
-print(f"guarantee: with prob >= 0.95, |test coverage - {TARGET}| <= "
+print(f"guarantee: with prob >= 0.95, population coverage >= {TARGET} - "
       f"{result.epsilon:.4f} for n={result.n_validation}")
 
 # empirical check of the bound on resampled validation/test pairs

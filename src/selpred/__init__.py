@@ -1,7 +1,7 @@
 """Selective prediction with an integrated reject option.
 
 End-to-end coverage-constrained training of a three-headed network,
-post-training coverage calibration with a Hoeffding guarantee, and
+post-training coverage calibration with a DKW coverage bound, and
 softmax-response / MC-dropout rejection baselines.
 """
 
@@ -15,7 +15,6 @@ from .calibrate import (
 from .data import Dataset, SplitSpec, load_csv, split, standardize, synth_classification
 from .evaluate import (
     EvalReport,
-    compare_report,
     cross_calibration_grid,
     mc_dropout_confidence,
     risk_coverage_curve,

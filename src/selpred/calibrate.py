@@ -1,15 +1,22 @@
-"""Post-training coverage calibration with a Hoeffding guarantee.
+"""Post-training coverage calibration with a distribution-free guarantee.
 
 The threshold tau is the nearest-rank 100(1-c) percentile of the selection
-scores on an independent (unlabeled) validation set; predicting whenever
-g(x) >= tau then achieves validation coverage >= c, the closest achievable
-from above when scores are distinct. Since {g(x) >= tau} is a Bernoulli
-event, the test coverage concentrates around the validation coverage:
-with probability at least 1-delta it lies within
+scores on an independent (unlabeled) validation set of n points. Accepting
+whenever g(x) >= tau gives validation coverage >= c: exactly the smallest
+count m with m/n >= c when scores are distinct, more when scores tie at tau.
+
+tau is chosen from the validation scores, so the Hoeffding bound for one
+fixed event does not apply to {g(x) >= tau}. The Dvoretzky-Kiefer-Wolfowitz
+inequality with Massart's constant bounds the empirical CDF of the scores
+uniformly over all thresholds, and so covers a data-chosen one: with
+probability at least 1-delta over the validation set, the population
+coverage P(g(X) >= tau) lies within
 
     epsilon = sqrt(ln(2/delta) / (2n))
 
-of the target.
+of the validation coverage, hence is at least c - epsilon. Coverage measured
+on a finite test set of size t deviates from the population coverage by a
+further Binomial(t, p)/t fluctuation of its own.
 """
 
 from __future__ import annotations
@@ -64,10 +71,11 @@ class CalibrationResult:
 def select_threshold(scores, target_coverage):
     """Nearest-rank percentile threshold over validation selection scores.
 
-    Sort ascending and take the value at 1-based rank
-    k = floor(n*(1-c)) + 1. With the accept rule ``score >= tau`` and
-    distinct scores this yields validation coverage (n-k+1)/n >= c, the
-    closest achievable from above.
+    Take m as the smallest count with m/n >= c, in the float arithmetic
+    that the achieved coverage is reported in, and return the m-th largest
+    score. With the accept rule ``score >= tau`` and distinct scores this
+    accepts exactly m points: validation coverage m/n >= c, the closest
+    achievable from above. Ties at tau accept more.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
@@ -75,14 +83,21 @@ def select_threshold(scores, target_coverage):
     if not 0.0 < target_coverage <= 1.0:
         raise DomainError(f"target coverage must be in (0,1], got {target_coverage}")
     n = scores.size
-    # tiny guard so e.g. 10*(1-0.8) = 1.9999... still floors to 2
-    k = int(math.floor(n * (1.0 - target_coverage) + 1e-9)) + 1
-    k = min(k, n)
-    return float(np.sort(scores)[k - 1])
+    # n*c is rounded, so step m onto the exact rule; at most one step each
+    m = min(n, math.ceil(n * target_coverage))
+    while m / n < target_coverage:
+        m += 1
+    while m > 1 and (m - 1) / n >= target_coverage:
+        m -= 1
+    return float(np.sort(scores)[n - m])
 
 
 def hoeffding_epsilon(n, delta):
-    """Closed-form two-sided coverage violation bound sqrt(ln(2/delta)/(2n))."""
+    """Two-sided coverage deviation bound sqrt(ln(2/delta)/(2n)).
+
+    DKW with Massart's constant: with probability >= 1-delta the empirical
+    CDF of n scores is within this of the population CDF at every threshold.
+    """
     if n < 1:
         raise DomainError(f"validation size must be >= 1, got {n}")
     if not 0.0 < delta < 2.0:
@@ -94,7 +109,7 @@ def calibrate(model, validation_inputs, target_coverage, delta=0.001):
     """Calibrate a trained selective model on unlabeled validation inputs.
 
     Computes eval-mode selection scores, picks the nearest-rank threshold,
-    and reports the Hoeffding violation bound for the validation size.
+    and reports the coverage deviation bound for the validation size.
     """
     validation_inputs = np.asarray(validation_inputs, dtype=np.float64)
     if validation_inputs.shape[0] == 0:

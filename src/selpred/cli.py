@@ -21,7 +21,7 @@ import yaml
 
 from .autograd import no_grad
 from .calibrate import calibrate
-from .data import Dataset, SplitSpec, load_csv, split, standardize, synth_classification
+from .data import SplitSpec, load_csv, split, standardize, synth_classification
 from .data import unstandardize_target
 from .evaluate import (
     MC_DROPOUT_CLASSIFICATION,
@@ -31,6 +31,7 @@ from .evaluate import (
     risk_coverage_curve,
     selective_metrics,
     sr_confidence,
+    # unused: bench/spans.py SITES wraps it until a benchmark change drops both
     threshold_for_coverage,
     write_csv,
 )
@@ -116,12 +117,16 @@ def prepare_splits(cfg, split_seed=None):
     return tr, ca, te, stats[3]
 
 
-def _architecture(cfg, input_dim, task, n_classes):
+def _architecture(cfg, tr, ca, te):
+    """Architecture for the splits' task; a classifier gets one output per
+    class index up to the largest label in any split."""
     a = cfg.get("architecture", {})
+    n_classes = (int(max(s.labels.max() for s in (tr, ca, te))) + 1
+                 if tr.task == CLASSIFICATION else 0)
     return ArchitectureConfig(
-        input_dim=input_dim,
+        input_dim=tr.n_features,
         body_widths=list(a.get("body_widths", [64])),
-        task=task,
+        task=tr.task,
         n_classes=n_classes,
         selection_hidden=a.get("selection_hidden", 16),
         batchnorm=a.get("batchnorm", True),
@@ -158,25 +163,14 @@ def _train_config(cfg, seed, loss_cfg):
     )
 
 
-def _dataset_task(cfg):
-    d = cfg.get("dataset", {})
-    if d.get("kind", "csv") == "synthetic":
-        return CLASSIFICATION, d["n_classes"]
-    return d.get("task", "regression"), d.get("n_classes", 0)
-
-
-def _predictions(model, test_ds, target_stats):
-    preds, _ = model.predict(test_ds.features, tau=-np.inf)
+def _predictions(model, test_ds, target_stats, tau=-np.inf):
+    """Predictions and labels in original units, and the accept mask at tau."""
+    preds, accepted = model.predict(test_ds.features, tau=tau)
     labels = test_ds.labels
     if test_ds.task != CLASSIFICATION:
         preds = unstandardize_target(preds, target_stats)
         labels = unstandardize_target(labels, target_stats)
-    return preds, labels
-
-
-def _mc_settings(task):
-    return (MC_DROPOUT_CLASSIFICATION if task == CLASSIFICATION
-            else MC_DROPOUT_REGRESSION)
+    return preds, labels, accepted
 
 
 # -- subcommands --------------------------------------------------------------
@@ -187,10 +181,8 @@ def cmd_train(args):
     seed = args.seed if args.seed is not None else cfg.get("seeds", [0])[0]
     out = _out_dir(args.out)
     tr, ca, te, tstats = prepare_splits(cfg)
-    task, n_classes = tr.task, (len(np.unique(tr.labels))
-                                if tr.task == CLASSIFICATION else 0)
-    arch = _architecture(cfg, tr.n_features, task, n_classes)
-    loss_cfg = _loss_config(cfg, task, coverage=args.coverage)
+    arch = _architecture(cfg, tr, ca, te)
+    loss_cfg = _loss_config(cfg, tr.task, coverage=args.coverage)
     tcfg = _train_config(cfg, seed, loss_cfg)
     model = build_model(arch, seed)
     history = train(model, tr.features, tr.labels, tcfg)
@@ -234,12 +226,7 @@ def cmd_evaluate(args):
     model, calib = load_model(args.model)
     _, _, te, tstats = prepare_splits(cfg)
     tau = args.tau if args.tau is not None else (calib.tau if calib else 0.5)
-    preds, labels = _predictions(model, te, tstats)
-    if model.selective:
-        mask = model.selection_scores(te.features) >= tau
-    else:
-        mask = np.ones(te.n_samples, dtype=bool)
-    rep = selective_metrics(preds, labels, mask, te.task)
+    rep = selective_metrics(*_predictions(model, te, tstats, tau), te.task)
     print(f"coverage={rep.coverage:.4f} risk={rep.risk:.6f} "
           f"covered={rep.n_covered} rejected={rep.n_rejected}")
     if args.out:
@@ -260,7 +247,8 @@ def _scores_for(model, features, kind, task, seed):
             f_out, _, _ = model.forward(features)
         return sr_confidence(f_out.data)
     if kind == "mcdropout":
-        mc = _mc_settings(task)
+        mc = (MC_DROPOUT_CLASSIFICATION if task == CLASSIFICATION
+              else MC_DROPOUT_REGRESSION)
         return mc_dropout_confidence(model, features, mc["passes"], mc["rate"],
                                      seed, task)
     raise ValueError(f"unknown score kind {kind!r}")
@@ -274,7 +262,7 @@ def cmd_curve(args):
     coverages = [float(c) for c in args.coverages.split(",")]
     cal_scores = _scores_for(model, ca.features, args.score, te.task, seed=0)
     test_scores = _scores_for(model, te.features, args.score, te.task, seed=1)
-    preds, labels = _predictions(model, te, tstats)
+    preds, labels, _ = _predictions(model, te, tstats)
     rows = risk_coverage_curve(cal_scores, test_scores, preds, labels,
                                coverages, te.task)
     write_csv(out / "curve.csv", _provenance(cfg, [model.seed]),
@@ -302,75 +290,68 @@ def cmd_grid(args):
     return 0
 
 
+# Score kind of each baseline and the prefixes of its compare.csv columns.
+_BASELINES = [("mcdropout", "mc_dropout", "mc"), ("sr", "sr", "sr")]
+
+
 def run_comparison(cfg, coverages, seeds):
     """Train per-coverage selective models plus one full-coverage baseline
-    per seed; returns rows for compare.csv (mean +- stderr over seeds)."""
-    task, _ = _dataset_task(cfg)
-    selnet = {c: [] for c in coverages}
-    mc = {c: [] for c in coverages}
-    sr = {c: [] for c in coverages}
+    per seed, all read off ``risk_coverage_curve``; returns ``(colnames,
+    rows)`` for compare.csv (mean +- stderr over seeds)."""
+    if not seeds:
+        raise ValueError("compare needs at least one seed")
+    risks = {}  # score kind -> one list of per-coverage risks per seed
     for seed in seeds:
         tr, ca, te, tstats = prepare_splits(cfg, split_seed=seed)
-        n_classes = (len(np.unique(np.concatenate([tr.labels, te.labels])))
-                     if tr.task == CLASSIFICATION else 0)
-        arch = _architecture(cfg, tr.n_features, tr.task, n_classes)
+        task = tr.task
+        baselines = _BASELINES if task == CLASSIFICATION else _BASELINES[:1]
+        arch = _architecture(cfg, tr, ca, te)
         if arch.dropout_rate is None:
             # MC-dropout needs dropout layers; rate 0 is inert during training
             arch.dropout_rate = 0.0
 
         base = build_baseline(arch, seed)
-        bcfg = _train_config(cfg, seed, _loss_config(cfg, tr.task, coverage=1.0))
+        bcfg = _train_config(cfg, seed, _loss_config(cfg, task, coverage=1.0))
         train(base, tr.features, tr.labels, bcfg)
-        bpreds, blabels = _predictions(base, te, tstats)
-        mcs = _mc_settings(tr.task)
-        mc_cal = mc_dropout_confidence(base, ca.features, mcs["passes"],
-                                       mcs["rate"], seed * 2 + 1, tr.task)
-        mc_test = mc_dropout_confidence(base, te.features, mcs["passes"],
-                                        mcs["rate"], seed * 2 + 2, tr.task)
-        if tr.task == CLASSIFICATION:
-            with no_grad():
-                sr_cal = sr_confidence(base.forward(ca.features)[0].data)
-                sr_test = sr_confidence(base.forward(te.features)[0].data)
+        bpreds, blabels, _ = _predictions(base, te, tstats)
+        for kind, _, _ in baselines:
+            curve = risk_coverage_curve(
+                _scores_for(base, ca.features, kind, task, seed * 2 + 1),
+                _scores_for(base, te.features, kind, task, seed * 2 + 2),
+                bpreds, blabels, coverages, task)
+            risks.setdefault(kind, []).append([r for _, _, r in curve])
 
+        selnet = []
         for c in coverages:
             model = build_model(arch, seed)
-            tcfg = _train_config(cfg, seed, _loss_config(cfg, tr.task, coverage=c))
+            tcfg = _train_config(cfg, seed, _loss_config(cfg, task, coverage=c))
             train(model, tr.features, tr.labels, tcfg)
-            result = calibrate(model, ca.features, c)
-            preds, labels = _predictions(model, te, tstats)
-            mask = model.selection_scores(te.features) >= result.tau
-            selnet[c].append(
-                selective_metrics(preds, labels, mask, tr.task).risk)
+            preds, labels, _ = _predictions(model, te, tstats)
+            [(_, _, risk)] = risk_coverage_curve(
+                _scores_for(model, ca.features, "g", task, seed),
+                _scores_for(model, te.features, "g", task, seed),
+                preds, labels, [c], task)
+            selnet.append(risk)
+        risks.setdefault("g", []).append(selnet)
 
-            for scores_cal, scores_test, sink in (
-                    [(mc_cal, mc_test, mc)]
-                    + ([(sr_cal, sr_test, sr)] if tr.task == CLASSIFICATION
-                       else [])):
-                if c == 1.0:
-                    bmask = np.ones(te.n_samples, dtype=bool)
-                else:
-                    tau = threshold_for_coverage(scores_cal, c)
-                    bmask = scores_test >= tau
-                sink[c].append(
-                    selective_metrics(bpreds, blabels, bmask, tr.task).risk)
-
-    def agg(values):
-        v = np.asarray(values, dtype=np.float64)
+    def agg(kind, j):
+        v = np.asarray([per_seed[j] for per_seed in risks[kind]])
         se = v.std(ddof=1) / np.sqrt(v.size) if v.size > 1 else 0.0
         return float(v.mean()), float(se)
 
+    colnames = ["coverage", "selnet_risk", "selnet_stderr"]
+    for _, prefix, short in baselines:
+        colnames += [f"{prefix}_risk", f"{prefix}_stderr", f"{short}_improvement"]
     rows = []
-    for c in coverages:
-        s_mean, s_se = agg(selnet[c])
-        m_mean, m_se = agg(mc[c])
-        row = [c, s_mean, s_se, m_mean, m_se,
-               None if m_mean == 0 else 100.0 * (m_mean - s_mean) / m_mean]
-        if task == CLASSIFICATION:
-            r_mean, r_se = agg(sr[c])
-            row += [r_mean, r_se,
-                    None if r_mean == 0 else 100.0 * (r_mean - s_mean) / r_mean]
+    for j, c in enumerate(coverages):
+        s_mean, s_se = agg("g", j)
+        row = [c, s_mean, s_se]
+        for kind, _, _ in baselines:
+            b_mean, b_se = agg(kind, j)
+            row += [b_mean, b_se,
+                    None if b_mean == 0 else 100.0 * (b_mean - s_mean) / b_mean]
         rows.append(row)
-    return rows
+    return colnames, rows
 
 
 def cmd_compare(args):
@@ -379,12 +360,7 @@ def cmd_compare(args):
     coverages = [float(c) for c in args.coverages.split(",")]
     seeds = ([int(s) for s in args.seeds.split(",")] if args.seeds
              else cfg.get("seeds", [0]))
-    task, _ = _dataset_task(cfg)
-    rows = run_comparison(cfg, coverages, seeds)
-    colnames = ["coverage", "selnet_risk", "selnet_stderr",
-                "mc_dropout_risk", "mc_dropout_stderr", "mc_improvement"]
-    if task == CLASSIFICATION:
-        colnames += ["sr_risk", "sr_stderr", "sr_improvement"]
+    colnames, rows = run_comparison(cfg, coverages, seeds)
     write_csv(out / "compare.csv", _provenance(cfg, seeds), colnames, rows)
     _write_effective_config(cfg, out)
     print(f"wrote {out/'compare.csv'} ({len(rows)} coverage rows, "

@@ -91,8 +91,9 @@ def load_csv(path, feature_columns, target_column, header=True,
              task=REGRESSION):
     """Parse a numeric CSV into a Dataset, validating the schema.
 
-    Columns are zero-based indices. Non-numeric cells raise ParseError
-    naming the offending row and column.
+    Columns are zero-based indices. Non-numeric cells, and classification
+    labels that are not integers >= 0, raise ParseError naming the
+    offending row and column.
     """
     rows = []
     with open(path, newline="") as fh:
@@ -121,6 +122,13 @@ def load_csv(path, feature_columns, target_column, header=True,
         targs.append(vals[-1])
     labels = np.asarray(targs)
     if task == CLASSIFICATION:
+        bad = np.flatnonzero(~(np.isfinite(labels) & (labels >= 0)
+                               & (labels == np.floor(labels))))
+        if bad.size:
+            r, row = rows[bad[0]]
+            raise ParseError(
+                f"{path}: class label {row[target_column]!r} at row {r}, "
+                f"column {target_column} is not an integer >= 0")
         labels = labels.astype(np.int64)
     return Dataset(np.asarray(feats), labels, task,
                    provenance={"source": str(path)})

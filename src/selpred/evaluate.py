@@ -29,7 +29,6 @@ __all__ = [
     "threshold_for_coverage",
     "risk_coverage_curve",
     "cross_calibration_grid",
-    "compare_report",
     "write_csv",
 ]
 
@@ -169,45 +168,18 @@ def cross_calibration_grid(models, cal_inputs, test_inputs, test_labels,
     """Matrix of selective risks: rows = training coverage, cols = calibration.
 
     Entry (i, j) is the risk of models[i] calibrated on ``cal_inputs`` to
-    coverage ``coverages[j]`` and evaluated on the test split.
+    coverage ``coverages[j]`` and evaluated on the test split: row i is
+    ``risk_coverage_curve`` of models[i]'s selection scores.
     """
     grid = np.empty((len(models), len(coverages)))
     for i, model in enumerate(models):
-        cal_scores = model.selection_scores(cal_inputs)
-        test_scores = model.selection_scores(test_inputs)
         preds, _ = model.predict(test_inputs, tau=-np.inf)
-        for j, c in enumerate(coverages):
-            tau = threshold_for_coverage(cal_scores, c)
-            mask = test_scores >= tau
-            rep = selective_metrics(preds, test_labels, mask,
-                                    model.config.task, target_coverage=c)
-            grid[i, j] = rep.risk
+        curve = risk_coverage_curve(model.selection_scores(cal_inputs),
+                                    model.selection_scores(test_inputs),
+                                    preds, test_labels, coverages,
+                                    model.config.task)
+        grid[i] = [risk for _, _, risk in curve]
     return grid
-
-
-def compare_report(coverages, selnet_risks, baseline_risks):
-    """Side-by-side risks with percent improvement over each baseline.
-
-    ``baseline_risks`` maps baseline name to a risk list on the same
-    coverage grid. Improvement is 100*(baseline - selnet)/baseline, or None
-    when the baseline risk is zero.
-    """
-    names = list(baseline_risks)
-    for name in names:
-        if len(baseline_risks[name]) != len(coverages):
-            raise ContractError(f"baseline {name!r} grid does not match coverages")
-    if len(selnet_risks) != len(coverages):
-        raise ContractError("selective risk grid does not match coverages")
-    rows = []
-    for i, c in enumerate(coverages):
-        row = {"coverage": c, "selnet_risk": selnet_risks[i]}
-        for name in names:
-            b = baseline_risks[name][i]
-            row[f"{name}_risk"] = b
-            row[f"{name}_improvement"] = (
-                None if b == 0.0 else 100.0 * (b - selnet_risks[i]) / b)
-        rows.append(row)
-    return rows
 
 
 def write_csv(path, comments, colnames, rows):

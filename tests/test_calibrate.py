@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from selpred.autograd import DomainError
 from selpred.layers import ContractError
@@ -40,6 +41,21 @@ class TestSelectThreshold:
             scores = rng.random(503)  # distinct w.p. 1
             tau = select_threshold(scores, c)
             assert (scores >= tau).mean() >= c
+
+    def test_target_just_above_a_rank_is_reached(self):
+        scores = np.arange(10.0)
+        c = 0.8 + 5e-11
+        assert (scores >= select_threshold(scores, c)).mean() >= c
+
+    @settings(max_examples=300, deadline=None)
+    @given(scores=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=1, max_size=300, unique=True),
+           c=st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    def test_smallest_count_reaching_target(self, scores, c):
+        scores = np.asarray(scores)
+        accepted = scores >= select_threshold(scores, c)
+        assert float(accepted.mean()) >= c
+        assert (accepted.sum() - 1) / scores.size < c
 
     def test_ties_still_reach_target(self):
         scores = np.array([0.5] * 6 + [0.9] * 4)

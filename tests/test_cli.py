@@ -5,6 +5,7 @@ import pytest
 import yaml
 
 from selpred.cli import main
+from selpred.persist import load_model
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +57,27 @@ class TestTrain:
         assert any(c.startswith("# seeds=") for c in comments)
         assert data[0].startswith("epoch,total_loss")
         assert len(data) == 1 + 15  # header + one row per epoch
+
+
+    def test_one_based_labels_get_an_output_per_index(self, tmp_path):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(90, 3))
+        labels = np.repeat([1, 2, 3], 30)
+        data = tmp_path / "data.csv"
+        data.write_text("a,b,c,y\n" + "".join(
+            f"{a},{b},{c},{y}\n" for (a, b, c), y in zip(x, labels)))
+        cfg = {"dataset": {"kind": "csv", "path": str(data),
+                           "feature_columns": [0, 1, 2], "target_column": 3,
+                           "task": "classification"},
+               "architecture": {"body_widths": [4], "selection_hidden": 4},
+               "train": {"epochs": 1, "batch_size": 32}}
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text(yaml.safe_dump(cfg))
+        rc = main(["train", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 0
+        model, _ = load_model(tmp_path / "run" / "model.ckpt")
+        assert model.forward(x[:2])[0].data.shape == (2, 4)
 
 
 class TestCalibrate:
@@ -128,6 +150,69 @@ class TestCompare:
         _, data = _read_csv(out1 / "compare.csv")
         assert data[0].split(",")[:2] == ["coverage", "selnet_risk"]
         assert len(data) == 3
+
+    def test_full_coverage_selnet_risk_is_full_test_risk(self, workdir,
+                                                         tmp_path):
+        _, base_cfg = workdir
+        # at seed 4 the lowest test score lies below every calibration score
+        cfg = yaml.safe_load(base_cfg.read_text())
+        cfg["split"]["seed"] = 4
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text(yaml.safe_dump(cfg))
+        rc = main(["compare", "--config", str(cfg_path),
+                   "--coverages", "1.0", "--seeds", "4",
+                   "--out", str(tmp_path / "compare")])
+        assert rc == 0
+        # the same model as compare's c = 1.0 one: split seed = seed, and
+        # dropout_rate 0.0 in the config; tau 0 accepts every test row
+        rc = main(["train", "--config", str(cfg_path), "--seed", "4",
+                   "--coverage", "1.0", "--out", str(tmp_path / "run")])
+        assert rc == 0
+        rc = main(["evaluate", "--model", str(tmp_path / "run" / "model.ckpt"),
+                   "--config", str(cfg_path), "--tau", "0",
+                   "--out", str(tmp_path / "run")])
+        assert rc == 0
+        _, cmp_data = _read_csv(tmp_path / "compare" / "compare.csv")
+        _, eval_data = _read_csv(tmp_path / "run" / "eval.csv")
+        compared = dict(zip(cmp_data[0].split(","), cmp_data[1].split(",")))
+        evaluated = dict(zip(eval_data[0].split(","), eval_data[1].split(",")))
+        assert float(evaluated["coverage"]) == 1.0
+        assert float(compared["selnet_risk"]) == float(evaluated["risk"])
+
+    def test_improvement_cells_follow_their_row(self, tmp_path):
+        # separable data, so some baseline risks are exactly 0
+        cfg = {"dataset": {"kind": "synthetic", "seed": 0, "m": 200,
+                           "n_classes": 2, "n_features": 5,
+                           "noise_fraction": 0.0},
+               "split": {"seed": 0, "stratified": True},
+               "architecture": {"body_widths": [8], "selection_hidden": 4,
+                                "dropout_rate": 0.0},
+               "train": {"epochs": 20, "batch_size": 64,
+                         "learning_rate": 2e-2}}
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text(yaml.safe_dump(cfg))
+        rc = main(["compare", "--config", str(cfg_path),
+                   "--coverages", "1.0,0.5", "--seeds", "0",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        _, data = _read_csv(tmp_path / "compare.csv")
+        header = data[0].split(",")
+        baseline_of = {"mc_improvement": "mc_dropout_risk",
+                       "sr_improvement": "sr_risk"}
+        assert {h for h in header if h.endswith("_improvement")} == \
+            set(baseline_of)
+        cells = []
+        for line in data[1:]:
+            row = dict(zip(header, line.split(",")))
+            selnet = float(row["selnet_risk"])
+            for col, base_col in baseline_of.items():
+                base = float(row[base_col])
+                cells.append(row[col])
+                if base == 0.0:
+                    assert row[col] == "n/a"
+                else:
+                    assert float(row[col]) == 100.0 * (base - selnet) / base
+        assert "n/a" in cells and any(c != "n/a" for c in cells)
 
 
 class TestExitCodes:

@@ -54,6 +54,13 @@ class TestLoadCsv:
         ds = load_csv(p, [0], 1, task=CLASSIFICATION)
         assert ds.labels.dtype == np.int64
 
+    @pytest.mark.parametrize("label", ["1.7", "-0.5", "-1", "nan", "inf"])
+    def test_classification_label_not_integer_at_least_zero(self, tmp_path,
+                                                            label):
+        p = self._write(tmp_path, f"a,y\n1.5,0\n2.5,{label}\n")
+        with pytest.raises(ParseError, match="row 2, column 1"):
+            load_csv(p, [0], 1, task=CLASSIFICATION)
+
 
 class TestDataset:
     def test_nan_features_rejected(self):

@@ -1,4 +1,4 @@
-"""Selective metrics, baselines, risk-coverage curves, comparison tables."""
+"""Selective metrics, baselines, risk-coverage curves, the coverage grid."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from selpred.evaluate import (
     MC_DROPOUT_CLASSIFICATION,
     UndefinedRiskError,
-    compare_report,
     cross_calibration_grid,
     mc_dropout_confidence,
     risk_coverage_curve,
@@ -171,23 +170,23 @@ class TestCrossCalibrationGrid:
         assert grid.shape == (1, 2)
         assert np.all(np.isfinite(grid))
 
-
-class TestCompareReport:
-    def test_improvement_arithmetic(self):
-        rows = compare_report([0.8], [1.0], {"sr": [2.0]})
-        assert rows[0]["sr_improvement"] == pytest.approx(50.0)
-
-    def test_zero_baseline_yields_none(self):
-        rows = compare_report([0.8], [0.0], {"sr": [0.0]})
-        assert rows[0]["sr_improvement"] is None
-
-    def test_negative_improvement(self):
-        rows = compare_report([0.8], [3.0], {"sr": [2.0]})
-        assert rows[0]["sr_improvement"] == pytest.approx(-50.0)
-
-    def test_grid_mismatch(self):
-        with pytest.raises(ContractError):
-            compare_report([0.8, 0.7], [1.0, 1.0], {"sr": [2.0]})
+    def test_full_coverage_accepts_scores_below_calibration(self):
+        cfg = ArchitectureConfig(input_dim=4, body_widths=[8],
+                                 task=CLASSIFICATION, n_classes=2,
+                                 selection_hidden=8)
+        model = build_model(cfg, 0)
+        test = np.random.default_rng(8).normal(size=(100, 4))
+        scores = model.selection_scores(test)
+        # calibration lacks the lowest-scored test row, which is misclassified
+        cal = test[scores > scores.min()]
+        preds, _ = model.predict(test, tau=-np.inf)
+        labels = preds.copy()
+        lowest = np.argmin(scores)
+        labels[lowest] = 1 - preds[lowest]
+        grid = cross_calibration_grid([model], cal, test, labels, [1.0])
+        full = selective_metrics(preds, labels, np.ones(100, bool),
+                                 CLASSIFICATION)
+        assert grid[0, 0] == full.risk == 1.0
 
 
 class TestWriteCsv:
