@@ -28,6 +28,7 @@ from .evaluate import (
     MC_DROPOUT_REGRESSION,
     cross_calibration_grid,
     mc_dropout_confidence,
+    percent_improvement,
     risk_coverage_curve,
     selective_metrics,
     sr_confidence,
@@ -348,8 +349,7 @@ def run_comparison(cfg, coverages, seeds):
         row = [c, s_mean, s_se]
         for kind, _, _ in baselines:
             b_mean, b_se = agg(kind, j)
-            row += [b_mean, b_se,
-                    None if b_mean == 0 else 100.0 * (b_mean - s_mean) / b_mean]
+            row += [b_mean, b_se, percent_improvement(b_mean, s_mean)]
         rows.append(row)
     return colnames, rows
 

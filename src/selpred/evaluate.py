@@ -29,6 +29,7 @@ __all__ = [
     "threshold_for_coverage",
     "risk_coverage_curve",
     "cross_calibration_grid",
+    "percent_improvement",
     "write_csv",
 ]
 
@@ -180,6 +181,13 @@ def cross_calibration_grid(models, cal_inputs, test_inputs, test_labels,
                                     model.config.task)
         grid[i] = [risk for _, _, risk in curve]
     return grid
+
+
+def percent_improvement(baseline_risk, selnet_risk):
+    """100*(baseline - selnet)/baseline, or None when the baseline risk is 0."""
+    if baseline_risk == 0:
+        return None
+    return 100.0 * (baseline_risk - selnet_risk) / baseline_risk
 
 
 def write_csv(path, comments, colnames, rows):

@@ -8,6 +8,7 @@ from selpred.evaluate import (
     UndefinedRiskError,
     cross_calibration_grid,
     mc_dropout_confidence,
+    percent_improvement,
     risk_coverage_curve,
     selective_metrics,
     sr_confidence,
@@ -187,6 +188,19 @@ class TestCrossCalibrationGrid:
         full = selective_metrics(preds, labels, np.ones(100, bool),
                                  CLASSIFICATION)
         assert grid[0, 0] == full.risk == 1.0
+
+
+class TestCompareReport:
+    """The improvement cells of compare.csv."""
+
+    def test_improvement_arithmetic(self):
+        assert percent_improvement(2.0, 1.0) == pytest.approx(50.0)
+
+    def test_zero_baseline_yields_none(self):
+        assert percent_improvement(0.0, 0.0) is None
+
+    def test_negative_improvement(self):
+        assert percent_improvement(2.0, 3.0) == pytest.approx(-50.0)
 
 
 class TestWriteCsv:
