@@ -8,8 +8,10 @@ how far the population coverage can drift from the calibrated value; a
 finite test set adds its own sampling deviation.
 
 This script trains one model at target coverage 0.7, compares uncalibrated
-vs calibrated test coverage, and then verifies the bound empirically by
-resampling validation/test pairs from the model's score pool.
+vs calibrated test coverage, and then checks the bound empirically: it
+draws validation sets i.i.d. from the model's score pool, whose empirical
+distribution then is the population, and counts the runs whose population
+coverage falls below target - epsilon, the event the guarantee bounds.
 
 Run:  python3 demos/coverage_calibration.py
 """
@@ -63,7 +65,8 @@ print(f"calibrated test coverage (tau={result.tau:.3f}):  {cal:.4f} "
 print(f"guarantee: with prob >= 0.95, population coverage >= {TARGET} - "
       f"{result.epsilon:.4f} for n={result.n_validation}")
 
-# empirical check of the bound on resampled validation/test pairs
+# empirical check of the bound: validation sets drawn i.i.d. from the pool,
+# population coverage measured on the whole pool
 pool = model.selection_scores(np.vstack([cal_ds.features, test_ds.features]))
 n = 500
 eps = hoeffding_epsilon(n, 0.05)
@@ -71,9 +74,9 @@ rng = np.random.default_rng(0)
 violations = 0
 trials = 200
 for _ in range(trials):
-    idx = rng.permutation(pool.size)
-    tau = select_threshold(pool[idx[:n]], TARGET)
-    if abs((pool[idx[n:2 * n]] >= tau).mean() - TARGET) > eps:
+    tau = select_threshold(rng.choice(pool, size=n), TARGET)
+    if (pool >= tau).mean() < TARGET - eps:
         violations += 1
-print(f"\nresampling check: {violations}/{trials} runs exceeded "
-      f"epsilon={eps:.4f} (bound allows a 0.05 rate)")
+print(f"\nresampling check: {violations}/{trials} runs had population "
+      f"coverage < {TARGET} - epsilon = {TARGET - eps:.4f} "
+      f"(n={n}; the bound allows a 0.05 rate)")

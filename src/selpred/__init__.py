@@ -17,6 +17,7 @@ from .evaluate import (
     EvalReport,
     cross_calibration_grid,
     mc_dropout_confidence,
+    predictions_and_scores,
     risk_coverage_curve,
     selective_metrics,
     sr_confidence,
@@ -32,7 +33,13 @@ from .losses import (
     task_loss,
     total_loss,
 )
-from .model import ArchitectureConfig, SelectiveNet, build_baseline, build_model
+from .model import (
+    ArchitectureConfig,
+    FrozenNet,
+    SelectiveNet,
+    build_baseline,
+    build_model,
+)
 from .optim import Adam, SGD, TrainConfig, TrainHistory, lr_schedule, train
 from .persist import load_model, save_model
 

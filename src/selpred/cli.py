@@ -19,16 +19,15 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .autograd import no_grad
 from .calibrate import calibrate
 from .data import SplitSpec, load_csv, split, standardize, synth_classification
-from .data import unstandardize_target
 from .evaluate import (
     MC_DROPOUT_CLASSIFICATION,
     MC_DROPOUT_REGRESSION,
     cross_calibration_grid,
     mc_dropout_confidence,
     percent_improvement,
+    predictions_and_scores,
     risk_coverage_curve,
     selective_metrics,
     sr_confidence,
@@ -164,16 +163,6 @@ def _train_config(cfg, seed, loss_cfg):
     )
 
 
-def _predictions(model, test_ds, target_stats, tau=-np.inf):
-    """Predictions and labels in original units, and the accept mask at tau."""
-    preds, accepted = model.predict(test_ds.features, tau=tau)
-    labels = test_ds.labels
-    if test_ds.task != CLASSIFICATION:
-        preds = unstandardize_target(preds, target_stats)
-        labels = unstandardize_target(labels, target_stats)
-    return preds, labels, accepted
-
-
 # -- subcommands --------------------------------------------------------------
 
 
@@ -227,7 +216,9 @@ def cmd_evaluate(args):
     model, calib = load_model(args.model)
     _, _, te, tstats = prepare_splits(cfg)
     tau = args.tau if args.tau is not None else (calib.tau if calib else 0.5)
-    rep = selective_metrics(*_predictions(model, te, tstats, tau), te.task)
+    preds, labels, accepted, _ = predictions_and_scores(
+        model, te.features, te.labels, tstats, tau)
+    rep = selective_metrics(preds, labels, accepted, te.task)
     print(f"coverage={rep.coverage:.4f} risk={rep.risk:.6f} "
           f"covered={rep.n_covered} rejected={rep.n_rejected}")
     if args.out:
@@ -244,9 +235,7 @@ def _scores_for(model, features, kind, task, seed):
     if kind == "sr":
         if task != CLASSIFICATION:
             raise ValueError("softmax-response scores need a classification task")
-        with no_grad():
-            f_out, _, _ = model.forward(features)
-        return sr_confidence(f_out.data)
+        return sr_confidence(model.freeze().probabilities(features))
     if kind == "mcdropout":
         mc = (MC_DROPOUT_CLASSIFICATION if task == CLASSIFICATION
               else MC_DROPOUT_REGRESSION)
@@ -263,7 +252,8 @@ def cmd_curve(args):
     coverages = [float(c) for c in args.coverages.split(",")]
     cal_scores = _scores_for(model, ca.features, args.score, te.task, seed=0)
     test_scores = _scores_for(model, te.features, args.score, te.task, seed=1)
-    preds, labels, _ = _predictions(model, te, tstats)
+    preds, labels, _, _ = predictions_and_scores(model, te.features,
+                                                 te.labels, tstats)
     rows = risk_coverage_curve(cal_scores, test_scores, preds, labels,
                                coverages, te.task)
     write_csv(out / "curve.csv", _provenance(cfg, [model.seed]),
@@ -280,7 +270,7 @@ def cmd_grid(args):
     _, ca, te, tstats = prepare_splits(cfg)
     coverages = [float(c) for c in args.coverages.split(",")]
     grid = cross_calibration_grid(models, ca.features, te.features, te.labels,
-                                  coverages)
+                                  coverages, tstats)
     colnames = ["train_coverage"] + [f"calib_{c}" for c in coverages]
     rows = [[m.target_coverage] + list(grid[i])
             for i, m in enumerate(models)]
@@ -314,7 +304,8 @@ def run_comparison(cfg, coverages, seeds):
         base = build_baseline(arch, seed)
         bcfg = _train_config(cfg, seed, _loss_config(cfg, task, coverage=1.0))
         train(base, tr.features, tr.labels, bcfg)
-        bpreds, blabels, _ = _predictions(base, te, tstats)
+        bpreds, blabels, _, _ = predictions_and_scores(base, te.features,
+                                                       te.labels, tstats)
         for kind, _, _ in baselines:
             curve = risk_coverage_curve(
                 _scores_for(base, ca.features, kind, task, seed * 2 + 1),
@@ -327,11 +318,11 @@ def run_comparison(cfg, coverages, seeds):
             model = build_model(arch, seed)
             tcfg = _train_config(cfg, seed, _loss_config(cfg, task, coverage=c))
             train(model, tr.features, tr.labels, tcfg)
-            preds, labels, _ = _predictions(model, te, tstats)
+            preds, labels, _, test_scores = predictions_and_scores(
+                model, te.features, te.labels, tstats)
             [(_, _, risk)] = risk_coverage_curve(
                 _scores_for(model, ca.features, "g", task, seed),
-                _scores_for(model, te.features, "g", task, seed),
-                preds, labels, [c], task)
+                test_scores, preds, labels, [c], task)
             selnet.append(risk)
         risks.setdefault("g", []).append(selnet)
 

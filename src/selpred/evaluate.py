@@ -17,6 +17,7 @@ import numpy as np
 
 from .autograd import no_grad
 from .calibrate import select_threshold
+from .data import unstandardize_target
 from .layers import ConfigurationError, ContractError, FORCED_ACTIVE
 from .model import CLASSIFICATION, REGRESSION
 
@@ -24,6 +25,7 @@ __all__ = [
     "EvalReport",
     "UndefinedRiskError",
     "selective_metrics",
+    "predictions_and_scores",
     "sr_confidence",
     "mc_dropout_confidence",
     "threshold_for_coverage",
@@ -84,6 +86,23 @@ def selective_metrics(predictions, labels, accept_mask, task,
         n_covered=n_cov,
         n_rejected=n - n_cov,
     )
+
+
+def predictions_and_scores(model, inputs, labels, target_stats=None,
+                           tau=-np.inf):
+    """One frozen forward over labelled rows: ``(predictions, labels,
+    accepted, g)``.
+
+    Regression predictions and labels are mapped back to original units
+    with ``target_stats`` (the (mean, std) of a standardized target, or
+    None); ``accepted`` is the mask g(x) >= tau and g the selection scores
+    (None, and every row accepted, for the baseline twin).
+    """
+    preds, accepted, g = model.freeze()(inputs, tau)
+    if model.config.task != CLASSIFICATION:
+        preds = unstandardize_target(preds, target_stats)
+        labels = unstandardize_target(labels, target_stats)
+    return preds, labels, accepted, g
 
 
 def sr_confidence(softmax_output):
@@ -165,19 +184,21 @@ def risk_coverage_curve(cal_scores, test_scores, predictions, labels,
 
 
 def cross_calibration_grid(models, cal_inputs, test_inputs, test_labels,
-                           coverages):
+                           coverages, target_stats=None):
     """Matrix of selective risks: rows = training coverage, cols = calibration.
 
     Entry (i, j) is the risk of models[i] calibrated on ``cal_inputs`` to
     coverage ``coverages[j]`` and evaluated on the test split: row i is
-    ``risk_coverage_curve`` of models[i]'s selection scores.
+    ``risk_coverage_curve`` of models[i]'s selection scores. Regression
+    risks are in the target's original units when ``target_stats`` is given
+    (see ``predictions_and_scores``).
     """
     grid = np.empty((len(models), len(coverages)))
     for i, model in enumerate(models):
-        preds, _ = model.predict(test_inputs, tau=-np.inf)
+        preds, labels, _, test_scores = predictions_and_scores(
+            model, test_inputs, test_labels, target_stats)
         curve = risk_coverage_curve(model.selection_scores(cal_inputs),
-                                    model.selection_scores(test_inputs),
-                                    preds, test_labels, coverages,
+                                    test_scores, preds, labels, coverages,
                                     model.config.task)
         grid[i] = [risk for _, _, risk in curve]
     return grid

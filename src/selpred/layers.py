@@ -11,6 +11,8 @@ dense -> batchnorm -> relu into one node.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .autograd import DomainError, ShapeError, Tensor, note_kink_margin, relu, sigmoid
@@ -23,6 +25,7 @@ __all__ = [
     "DropoutLayer",
     "dense_bn_relu",
     "softmax",
+    "softmax_rows",
     "relu",
     "sigmoid",
     "TRAIN",
@@ -249,10 +252,7 @@ def softmax(logits):
             f"softmax expects (batch, classes>=2), got {logits.data.shape}")
     if not np.all(np.isfinite(logits.data)):
         raise DomainError("softmax requires finite logits")
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    p = np.exp(shifted)
-    row_sums = p.sum(axis=1, keepdims=True)
-    p /= row_sums
+    p, shifted, row_sums = softmax_rows(logits.data)
 
     def backward(g):
         logits._accum(p * (g - (g * p).sum(axis=1, keepdims=True)))
@@ -260,3 +260,19 @@ def softmax(logits):
     out = Tensor._op(p, (logits,), backward)
     out.log_softmax = (logits, shifted, row_sums)
     return out
+
+
+def softmax_rows(logits):
+    """Row softmax of the 2-D array ``logits``; returns ``(p, shifted,
+    row_sums)`` with ``shifted`` the logits minus each row's max and
+    ``p = exp(shifted) / row_sums``.
+
+    The row max is an elementwise ``np.maximum`` fold over the columns:
+    the same values as ``logits.max(axis=1)``, several times faster for the
+    few columns of a class-logit matrix.
+    """
+    shifted = logits - functools.reduce(np.maximum, logits.T)[:, None]
+    p = np.exp(shifted)
+    row_sums = p.sum(axis=1, keepdims=True)
+    p /= row_sums
+    return p, shifted, row_sums

@@ -4,6 +4,10 @@ A shared main body feeds a prediction head f, a selection head g (single
 sigmoid unit) and an auxiliary head h that mirrors f and is used only during
 training. The baseline variant keeps the body and f only and is what the
 softmax-response and MC-dropout baselines are built on.
+
+``SelectiveNet.forward`` runs the autograd engine and serves training and
+MC-dropout. Eval-mode inference (``predict``, ``selection_scores``) runs on
+``SelectiveNet.freeze()``, the same network folded into plain arrays.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import Parameters, ShapeError, Tensor, no_grad, relu, sigmoid
+from .autograd import DomainError, Parameters, ShapeError, Tensor, relu, sigmoid
 from .layers import (
     EVAL,
     BatchNormLayer,
@@ -21,9 +25,11 @@ from .layers import (
     DropoutLayer,
     dense_bn_relu,
     softmax,
+    softmax_rows,
 )
 
-__all__ = ["ArchitectureConfig", "SelectiveNet", "build_model", "build_baseline"]
+__all__ = ["ArchitectureConfig", "FrozenNet", "SelectiveNet", "build_model",
+           "build_baseline"]
 
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
@@ -149,6 +155,7 @@ class SelectiveNet:
         else:
             self.g_hidden = self.g_bn = self.g_out = self.h_head = None
         self._params = Parameters(self._declared_parameters())
+        self._frozen = None  # (key, FrozenNet) of the last freeze()
 
     # -- forward --------------------------------------------------------------
 
@@ -185,13 +192,25 @@ class SelectiveNet:
 
     # -- inference ------------------------------------------------------------
 
+    def freeze(self):
+        """The eval-mode network as a ``FrozenNet``, cached on the instance.
+
+        The cache key is the exact bytes of the parameter buffer and of the
+        batchnorm running statistics, so training, ``load_model`` and any
+        in-place edit of a parameter rebuild the frozen net on the next call.
+        A member whose ``data`` was rebound is first copied into the buffer.
+        """
+        data, _ = self._params.sync()
+        key = (data.tobytes(), *(a.tobytes() for a in self.running_stats()))
+        if self._frozen is None or self._frozen[0] != key:
+            self._frozen = (key, FrozenNet(self))
+        return self._frozen[1]
+
     def selection_scores(self, x):
-        """Eval-mode g(x) values as a plain array (no tape)."""
+        """Eval-mode g(x) values as a plain array."""
         if not self.selective:
             raise ConfigurationError("baseline model has no selection head")
-        with no_grad():
-            _, g_out, _ = self.forward(x, mode=EVAL)
-        return g_out.data
+        return self.freeze().heads(x)[1]
 
     def predict(self, x, tau=0.5):
         """Predict-or-abstain at threshold tau (accept iff g(x) >= tau).
@@ -199,16 +218,7 @@ class SelectiveNet:
         Returns ``(predictions, accepted)``: class indices or regression
         values, and a boolean accept mask. Baseline models accept everything.
         """
-        with no_grad():
-            f_out, g_out, _ = self.forward(x, mode=EVAL)
-        if self.config.task == CLASSIFICATION:
-            preds = np.argmax(f_out.data, axis=1)
-        else:
-            preds = f_out.data
-        if g_out is None:
-            accepted = np.ones(preds.shape[0], dtype=bool)
-        else:
-            accepted = g_out.data >= tau
+        preds, accepted, _ = self.freeze()(x, tau)
         return preds, accepted
 
     # -- parameter bookkeeping ------------------------------------------------
@@ -242,6 +252,86 @@ class SelectiveNet:
 
     def num_parameters(self):
         return self._params.data.size
+
+
+def _folded(dense, bn):
+    """``(W, b)`` of ``dense`` followed by eval-mode ``bn`` (if any) as one
+    affine map: with s = scale / sqrt(running_var + eps), W*s and
+    (b - running_mean)*s + shift (Ioffe & Szegedy 2015). New arrays."""
+    w, b = dense.weights.data, dense.bias.data
+    if bn is None:
+        return w.copy(), b.copy()
+    s = bn.scale.data / np.sqrt(bn.running_var + bn.eps)
+    return w * s, (b - bn.running_mean) * s + bn.shift.data
+
+
+class FrozenNet:
+    """Eval-mode SelectiveNet over plain numpy arrays: no ``Tensor``, no tape.
+
+    Each body block is relu(x @ W + b) with its batchnorm folded into W and
+    b; dropout is the identity in eval mode and h is used only in training,
+    so neither appears. f and g's batchnorm-folded first layer are one
+    matrix, so a single matmul on the representation gives both. The arrays
+    are a snapshot: later edits of the model do not reach them.
+    """
+
+    def __init__(self, model):
+        cfg = model.config
+        self.input_dim = cfg.input_dim
+        self.classification = cfg.task == CLASSIFICATION
+        self.body = [_folded(block.dense, block.bn) for block in model.body]
+        w, b = _folded(model.f_head, None)
+        self.n_f = w.shape[1]
+        self.g_w = self.g_b = None
+        if model.selective:
+            gw, gb = _folded(model.g_hidden, model.g_bn)
+            w, b = np.hstack([w, gw]), np.concatenate([b, gb])
+            self.g_w = model.g_out.weights.data[:, 0].copy()
+            self.g_b = float(model.g_out.bias.data[0])
+        self.head_w, self.head_b = w, b
+
+    def heads(self, x):
+        """``(f, g)`` for the rows of ``x``: class logits (batch, classes) or
+        regression outputs (batch,), and g(x) in [0, 1] (None for the
+        baseline twin)."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.input_dim:
+            raise ShapeError(
+                f"expected input (batch, {self.input_dim}), got {x.shape}")
+        for w, b in self.body:
+            x = x @ w
+            x += b
+            np.maximum(x, 0.0, out=x)
+        z = x @ self.head_w
+        z += self.head_b
+        if self.classification:
+            f = z[:, :self.n_f]
+            if not np.isfinite(f).all():
+                raise DomainError("softmax requires finite logits")
+        else:
+            f = np.ascontiguousarray(z[:, 0])  # not a view that keeps z alive
+        if self.g_w is None:
+            return f, None
+        t = np.maximum(z[:, self.n_f:], 0.0) @ self.g_w
+        t += self.g_b
+        # sigmoid in the form of autograd.sigmoid: 1/(1+e^-t) or e^t/(1+e^t)
+        e = np.exp(-np.abs(t))
+        return f, np.where(t >= 0.0, 1.0, e) / (1.0 + e)
+
+    def __call__(self, x, tau=-np.inf):
+        """``(predictions, accepted, g)``: class indices (argmax of the
+        logits) or regression values, the mask g(x) >= tau (all True for the
+        baseline twin) and g(x) (None for the twin)."""
+        f, g = self.heads(x)
+        preds = f.argmax(axis=1) if self.classification else f
+        accepted = np.ones(len(preds), dtype=bool) if g is None else g >= tau
+        return preds, accepted, g
+
+    def probabilities(self, x):
+        """Softmax class probabilities of f (classification only)."""
+        if not self.classification:
+            raise ConfigurationError("class probabilities need a classifier")
+        return softmax_rows(self.heads(x)[0])[0]
 
 
 def build_model(config, seed):

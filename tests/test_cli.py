@@ -135,6 +135,31 @@ class TestGrid:
         assert data[0] == "train_coverage,calib_0.9,calib_0.7"
         assert len(data) == 2
 
+    def test_regression_risk_in_original_units(self, tmp_path):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(200, 3))
+        y = 40.0 + 15.0 * x[:, 0] + rng.normal(size=200)
+        data = tmp_path / "data.csv"
+        data.write_text("a,b,c,y\n" + "".join(
+            f"{a},{b},{c},{t}\n" for (a, b, c), t in zip(x, y)))
+        cfg = {"dataset": {"kind": "csv", "path": str(data),
+                           "feature_columns": [0, 1, 2], "target_column": 3,
+                           "standardize_target": True},
+               "architecture": {"body_widths": [8], "selection_hidden": 4},
+               "train": {"epochs": 3, "batch_size": 32}}
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text(yaml.safe_dump(cfg))
+        ckpt = str(tmp_path / "run" / "model.ckpt")
+        for argv in (["train", "--out", str(tmp_path / "run")],
+                     ["curve", "--model", ckpt, "--coverages", "1.0",
+                      "--out", str(tmp_path / "curve")],
+                     ["grid", "--models", ckpt, "--coverages", "1.0",
+                      "--out", str(tmp_path / "grid")]):
+            assert main(argv + ["--config", str(cfg_path)]) == 0
+        _, curve = _read_csv(tmp_path / "curve" / "curve.csv")
+        _, grid = _read_csv(tmp_path / "grid" / "grid.csv")
+        assert float(grid[1].split(",")[1]) == float(curve[1].split(",")[2])
+
 
 class TestCompare:
     def test_byte_identical_reruns(self, workdir, tmp_path):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from selpred.data import (
     Dataset,
@@ -167,6 +168,33 @@ class TestSplit:
         a = split(ds, SplitSpec(seed=5))[0]
         b = split(ds, SplitSpec(seed=5))[0]
         np.testing.assert_array_equal(a.features, b.features)
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.integers(3, 400), n_classes=st.integers(2, 5),
+           cuts=st.lists(st.integers(1, 19), min_size=2, max_size=2,
+                         unique=True),
+           stratified=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_disjoint_complete_and_seed_deterministic(
+            self, m, n_classes, cuts, stratified, seed):
+        """Fractions in steps of 1/20, cut at ``cuts``; column 0 of the
+        features is a row id and the label is a function of it."""
+        a, b = sorted(cuts)
+        spec = SplitSpec(a / 20, (b - a) / 20, 1.0 - a / 20 - (b - a) / 20,
+                         seed=seed, stratified=stratified)
+        ids = np.arange(m)
+        feats = np.column_stack([ids, np.random.default_rng(seed).normal(
+            size=m)])
+        ds = Dataset(feats, ids % n_classes, CLASSIFICATION)
+        try:
+            parts = split(ds, spec)
+        except ConfigurationError:
+            return  # a split that would leave a part empty is refused
+        got = [p.features[:, 0].astype(np.int64) for p in parts]
+        assert sorted(np.concatenate(got)) == list(range(m))
+        for p in parts:
+            np.testing.assert_array_equal(p.labels, p.features[:, 0] % n_classes)
+        for p, q in zip(parts, split(ds, spec)):
+            np.testing.assert_array_equal(p.features, q.features)
 
     def test_stratified_preserves_class_ratios(self):
         ds = synth_classification(1, 1200, 3, 4, 0.0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from selpred import layers
 from selpred.autograd import ShapeError, Tensor
 from selpred.layers import (
     EVAL,
@@ -15,6 +16,9 @@ from selpred.layers import (
     DropoutLayer,
     softmax,
 )
+from selpred.losses import CROSS_ENTROPY, LossConfig
+from selpred.model import CLASSIFICATION, ArchitectureConfig, build_model
+from selpred.optim import TrainConfig, train
 
 
 class TestDense:
@@ -152,3 +156,32 @@ class TestSoftmax:
     def test_single_class_rejected(self):
         with pytest.raises(ShapeError):
             softmax(Tensor(np.zeros((3, 1))))
+
+    def test_row_max_fold_trains_bit_identically(self, monkeypatch):
+        def max_shift_softmax_rows(logits):
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            p = np.exp(shifted)
+            row_sums = p.sum(axis=1, keepdims=True)
+            p /= row_sums
+            return p, shifted, row_sums
+
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(300, 6))
+        y = rng.integers(0, 4, size=300)
+        arch = ArchitectureConfig(input_dim=6, body_widths=[16],
+                                  task=CLASSIFICATION, n_classes=4,
+                                  selection_hidden=8)
+        cfg = TrainConfig(epochs=1, batch_size=64, seed=0,
+                          loss=LossConfig(task_loss=CROSS_ENTROPY))
+        runs = []
+        for reference in (False, True):
+            if reference:
+                monkeypatch.setattr(layers, "softmax_rows",
+                                    max_shift_softmax_rows)
+            model = build_model(arch, seed=0)
+            runs.append((train(model, x, y, cfg), model.parameters().data))
+        (history, params), (ref_history, ref_params) = runs
+        assert np.array_equal(params, ref_params)
+        for name in vars(ref_history):
+            assert np.array_equal(getattr(history, name),
+                                  getattr(ref_history, name)), name

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from selpred.autograd import Tensor, zero_grads
 from selpred.layers import ConfigurationError
@@ -160,6 +161,20 @@ class TestBatching:
     def test_partition_is_exact(self):
         out = _batches(np.arange(23), 5, need_min2=True)
         np.testing.assert_array_equal(np.concatenate(out), np.arange(23))
+
+    @settings(max_examples=200, deadline=None)
+    @given(batch_size=st.integers(1, 64), full=st.integers(0, 5),
+           rest=st.integers(0, 63), need_min2=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @example(batch_size=4, full=1, rest=1, need_min2=True, seed=0)
+    def test_every_index_once_and_no_singleton_under_batchnorm(
+            self, batch_size, full, rest, need_min2, seed):
+        m = max(1, full * batch_size + rest % batch_size)
+        indices = np.random.default_rng(seed).permutation(m)
+        out = _batches(indices, batch_size, need_min2)
+        np.testing.assert_array_equal(np.concatenate(out), indices)
+        if need_min2 and m >= 2 and batch_size >= 2:  # as train() enforces
+            assert min(len(b) for b in out) >= 2
 
 
 def _toy_dataset(seed=0, m=128):

@@ -1,10 +1,20 @@
 """Checkpoint round trips, integrity checking, and the inference-only variant."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from selpred.calibrate import CalibrationResult
-from selpred.model import CLASSIFICATION, ArchitectureConfig, build_model
+from selpred.model import (
+    CLASSIFICATION,
+    REGRESSION,
+    ArchitectureConfig,
+    SelectiveNet,
+    build_model,
+)
 from selpred.optim import TrainConfig, train
 from selpred.persist import FORMAT_VERSION, IntegrityError, VersionError, load_model, save_model
 from selpred.losses import CROSS_ENTROPY, LossConfig
@@ -42,6 +52,41 @@ def test_round_trip_is_bit_exact(trained_model, tmp_path):
                                   loaded.forward(x)[0].data)
     np.testing.assert_array_equal(model.selection_scores(x),
                                   loaded.selection_scores(x))
+
+
+@settings(max_examples=40, deadline=None)
+@given(task=st.sampled_from([CLASSIFICATION, REGRESSION]),
+       body=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+       selection_hidden=st.integers(1, 8), batchnorm=st.booleans(),
+       dropout_rate=st.sampled_from([None, 0.0, 0.3]),
+       auxiliary_head=st.booleans(), selective=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_round_trip_property(task, body, selection_hidden, batchnorm,
+                             dropout_rate, auxiliary_head, selective, seed):
+    """Any architecture with any parameter and running-statistic values
+    loads back bit for bit, and so do its frozen outputs."""
+    cfg = ArchitectureConfig(
+        input_dim=3, body_widths=body, task=task,
+        n_classes=3 if task == CLASSIFICATION else 0,
+        selection_hidden=selection_hidden, batchnorm=batchnorm,
+        dropout_rate=dropout_rate, auxiliary_head=auxiliary_head)
+    model = SelectiveNet(cfg, seed % 1000, selective=selective)
+    rng = np.random.default_rng(seed)
+    model.parameters().data[...] = rng.normal(size=model.num_parameters())
+    for a in model.running_stats():
+        a[...] = rng.uniform(0.1, 2.0, a.shape)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ckpt.bin"
+        save_model(model, None, path)
+        loaded, _ = load_model(path)
+    np.testing.assert_array_equal(loaded.parameters().data,
+                                  model.parameters().data)
+    for a, b in zip(model.running_stats(), loaded.running_stats(),
+                    strict=True):
+        np.testing.assert_array_equal(a, b)
+    x = rng.normal(size=(5, 3))
+    for a, b in zip(model.freeze().heads(x), loaded.freeze().heads(x)):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_save_without_calibration(trained_model, tmp_path):
