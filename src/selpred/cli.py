@@ -35,6 +35,7 @@ from .evaluate import (
     threshold_for_coverage,
     write_csv,
 )
+from .layers import softmax_rows
 from .losses import LossConfig
 from .model import CLASSIFICATION, ArchitectureConfig, build_baseline, build_model
 from .optim import TrainConfig, train
@@ -251,9 +252,10 @@ def cmd_curve(args):
     _, ca, te, tstats = prepare_splits(cfg)
     coverages = [float(c) for c in args.coverages.split(",")]
     cal_scores = _scores_for(model, ca.features, args.score, te.task, seed=0)
-    test_scores = _scores_for(model, te.features, args.score, te.task, seed=1)
-    preds, labels, _, _ = predictions_and_scores(model, te.features,
+    preds, labels, _, g = predictions_and_scores(model, te.features,
                                                  te.labels, tstats)
+    test_scores = (g if args.score == "g" else
+                   _scores_for(model, te.features, args.score, te.task, seed=1))
     rows = risk_coverage_curve(cal_scores, test_scores, preds, labels,
                                coverages, te.task)
     write_csv(out / "curve.csv", _provenance(cfg, [model.seed]),
@@ -304,11 +306,18 @@ def run_comparison(cfg, coverages, seeds):
         base = build_baseline(arch, seed)
         bcfg = _train_config(cfg, seed, _loss_config(cfg, task, coverage=1.0))
         train(base, tr.features, tr.labels, bcfg)
-        bpreds, blabels, _, _ = predictions_and_scores(base, te.features,
-                                                       te.labels, tstats)
+        if task == CLASSIFICATION:
+            # the twin's test predictions and SR scores from one frozen forward
+            logits = base.freeze().heads(te.features)[0]
+            bpreds, blabels = logits.argmax(axis=1), te.labels
+            test_sr = sr_confidence(softmax_rows(logits)[0])
+        else:
+            bpreds, blabels, _, _ = predictions_and_scores(
+                base, te.features, te.labels, tstats)
         for kind, _, _ in baselines:
             curve = risk_coverage_curve(
                 _scores_for(base, ca.features, kind, task, seed * 2 + 1),
+                test_sr if kind == "sr" else
                 _scores_for(base, te.features, kind, task, seed * 2 + 2),
                 bpreds, blabels, coverages, task)
             risks.setdefault(kind, []).append([r for _, _, r in curve])

@@ -160,7 +160,9 @@ def standardize(dataset, stats=None, include_target=False):
                 raise ConfigurationError("constant regression target")
         stats = (mean, std, keep, tstats)
     mean, std, keep, tstats = stats
-    feats = (dataset.features[:, keep] - mean[keep]) / std[keep]
+    feats = dataset.features[:, keep]  # a copy: standardized in place
+    feats -= mean[keep]
+    feats /= std[keep]
     labels = dataset.labels
     if tstats is not None:
         labels = (labels.astype(np.float64) - tstats[0]) / tstats[1]
@@ -201,12 +203,16 @@ def synth_classification(seed, m, n_classes, n_features, noise_fraction):
 
     n_noise = int(round(m * noise_fraction))
     n_clean = m - n_noise
+    # one feature array, filled in place: the clean rows, then the noise rows
+    features = np.empty((m, n_features))
+    clean_x = features[:n_clean]
     clean_labels = rng.integers(0, n_classes, size=n_clean)
-    clean_x = centers[clean_labels] + 0.8 * rng.normal(size=(n_clean, n_features))
+    rng.standard_normal(out=clean_x)
+    clean_x *= 0.8
+    clean_x += centers[clean_labels]
     noise_labels = rng.integers(0, n_classes, size=n_noise)
-    noise_x = 1.0 * rng.normal(size=(n_noise, n_features))
+    rng.standard_normal(out=features[n_clean:])
 
-    features = np.concatenate([clean_x, noise_x])
     labels = np.concatenate([clean_labels, noise_labels])
     noise_mask = np.zeros(m, dtype=bool)
     noise_mask[n_clean:] = True

@@ -5,7 +5,9 @@ MSE, both computed only over accepted samples and normalized by the hard
 empirical coverage. The two baselines score confidence per sample (higher =
 more confident): softmax response uses the maximum softmax activation, and
 MC-dropout uses negative variance statistics over repeated stochastic
-forward passes with dropout forced active.
+forward passes with dropout active. Every score here is computed on the
+model's frozen, batchnorm-folded arrays (``SelectiveNet.freeze``), never on
+the training tape.
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import no_grad
 from .calibrate import select_threshold
 from .data import unstandardize_target
-from .layers import ConfigurationError, ContractError, FORCED_ACTIVE
+from .layers import ConfigurationError, ContractError
 from .model import CLASSIFICATION, REGRESSION
 
 __all__ = [
@@ -116,31 +117,26 @@ def sr_confidence(softmax_output):
 def mc_dropout_confidence(model, inputs, passes, rate, seed, task):
     """Negative-variance confidence from repeated dropout-active passes.
 
-    Classification: variance across passes of the probability assigned to
-    the consensus class (argmax of the mean prediction). Regression:
-    variance of the scalar output. Deterministic given the seed; identical
-    passes (e.g. rate 0) yield exactly zero variance.
+    Each pass runs the frozen (batchnorm-folded) body with inverted dropout
+    at ``rate`` after every hidden block and computes f only, one pass at a
+    time; the model itself, its ``DropoutLayer`` rates included, is not
+    touched. Classification: variance across passes of the probability
+    assigned to the consensus class (argmax of the mean prediction).
+    Regression: variance of the scalar output. Deterministic given the seed;
+    identical passes (e.g. rate 0) yield exactly zero variance.
     """
     if passes < 2:
         raise ContractError("MC-dropout needs at least 2 passes")
-    dropouts = [blk.dropout for blk in model.body if blk.dropout is not None]
-    if not dropouts:
+    if all(blk.dropout is None for blk in model.body):
         raise ConfigurationError(
             "model has no dropout layers; build it with a dropout_rate")
-    saved = [d.rate for d in dropouts]
-    for d in dropouts:
-        d.rate = rate
-    try:
-        rng = np.random.default_rng(seed)
-        outs = []
-        with no_grad():
-            for _ in range(passes):
-                f_out, _, _ = model.forward(inputs, mode=FORCED_ACTIVE, rng=rng)
-                outs.append(f_out.data.copy())
-    finally:
-        for d, r in zip(dropouts, saved):
-            d.rate = r
-    outs = np.stack(outs)  # (passes, m, k) or (passes, m)
+    frozen = model.freeze()
+    rng = np.random.default_rng(seed)
+    first = frozen.dropout_f(inputs, rate, rng)
+    outs = np.empty((passes,) + first.shape)  # (passes, m, k) or (passes, m)
+    outs[0] = first
+    for p in range(1, passes):
+        outs[p] = frozen.dropout_f(inputs, rate, rng)
     identical = np.all(outs == outs[0], axis=0)
     if task == CLASSIFICATION:
         consensus = outs.mean(axis=0).argmax(axis=1)

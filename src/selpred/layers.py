@@ -6,7 +6,9 @@ optimizer and by checkpoint serialization.
 
 Dense, batchnorm and softmax are each one tape node with a closed-form
 backward, and ``dense_bn_relu`` fuses a whole hidden block
-dense -> batchnorm -> relu into one node.
+dense -> batchnorm -> relu into one node. These layers serve training; every
+eval path runs on ``SelectiveNet.freeze()`` instead, so dropout has two modes:
+active in ``TRAIN``, the identity otherwise.
 """
 
 from __future__ import annotations
@@ -30,12 +32,10 @@ __all__ = [
     "sigmoid",
     "TRAIN",
     "EVAL",
-    "FORCED_ACTIVE",
 ]
 
 TRAIN = "train"
 EVAL = "eval"
-FORCED_ACTIVE = "forced_active"
 
 
 class ConfigurationError(ValueError):
@@ -201,7 +201,11 @@ class BatchNormLayer:
 
 
 class DropoutLayer:
-    """Inverted dropout: survivors scaled by 1/(1-p) so eval is exact identity."""
+    """Inverted dropout: survivors scaled by 1/(1-p) so eval is exact identity.
+
+    Active in ``TRAIN`` mode only. MC-dropout draws the same masks,
+    ``(rng.random(shape) >= rate) / (1 - rate)``, on the frozen arrays
+    (``FrozenNet.dropout_f``)."""
 
     def __init__(self, rate):
         if not 0.0 <= rate < 1.0:
@@ -209,7 +213,7 @@ class DropoutLayer:
         self.rate = rate
 
     def __call__(self, x, mode, rng=None):
-        if mode not in (TRAIN, FORCED_ACTIVE) or self.rate == 0.0:
+        if mode != TRAIN or self.rate == 0.0:
             return x
         if rng is None:
             raise ContractError("active dropout requires an rng")

@@ -5,9 +5,10 @@ sigmoid unit) and an auxiliary head h that mirrors f and is used only during
 training. The baseline variant keeps the body and f only and is what the
 softmax-response and MC-dropout baselines are built on.
 
-``SelectiveNet.forward`` runs the autograd engine and serves training and
-MC-dropout. Eval-mode inference (``predict``, ``selection_scores``) runs on
-``SelectiveNet.freeze()``, the same network folded into plain arrays.
+``SelectiveNet.forward`` runs the autograd engine and serves training only.
+Every eval path (``predict``, ``selection_scores``, softmax response and
+MC-dropout) runs on ``SelectiveNet.freeze()``, the same network folded into
+plain arrays, ``BLOCK_ROWS`` rows at a time.
 """
 
 from __future__ import annotations
@@ -29,10 +30,14 @@ from .layers import (
 )
 
 __all__ = ["ArchitectureConfig", "FrozenNet", "SelectiveNet", "build_model",
-           "build_baseline"]
+           "build_baseline", "BLOCK_ROWS"]
 
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
+
+# Rows per block of a frozen forward: a larger input is evaluated block by
+# block into preallocated outputs, so its working set stays that of one block.
+BLOCK_ROWS = 8192
 
 
 @dataclass
@@ -270,9 +275,10 @@ class FrozenNet:
 
     Each body block is relu(x @ W + b) with its batchnorm folded into W and
     b; dropout is the identity in eval mode and h is used only in training,
-    so neither appears. f and g's batchnorm-folded first layer are one
-    matrix, so a single matmul on the representation gives both. The arrays
-    are a snapshot: later edits of the model do not reach them.
+    so neither appears (``dropout_f`` applies dropout for MC-dropout). f and
+    g's batchnorm-folded first layer are one matrix, so a single matmul on
+    the representation gives both. The arrays are a snapshot: later edits of
+    the model do not reach them.
     """
 
     def __init__(self, model):
@@ -293,11 +299,14 @@ class FrozenNet:
     def heads(self, x):
         """``(f, g)`` for the rows of ``x``: class logits (batch, classes) or
         regression outputs (batch,), and g(x) in [0, 1] (None for the
-        baseline twin)."""
+        baseline twin). More than ``BLOCK_ROWS`` rows are evaluated block by
+        block, each block with the same checks."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ShapeError(
                 f"expected input (batch, {self.input_dim}), got {x.shape}")
+        if x.shape[0] > BLOCK_ROWS:
+            return self._blocked_heads(x)
         for w, b in self.body:
             x = x @ w
             x += b
@@ -317,6 +326,41 @@ class FrozenNet:
         # sigmoid in the form of autograd.sigmoid: 1/(1+e^-t) or e^t/(1+e^t)
         e = np.exp(-np.abs(t))
         return f, np.where(t >= 0.0, 1.0, e) / (1.0 + e)
+
+    def _blocked_heads(self, x):
+        """``heads`` of each ``BLOCK_ROWS`` rows of ``x``, concatenated."""
+        n = x.shape[0]
+        f = np.empty((n, self.n_f) if self.classification else n)
+        g = None if self.g_w is None else np.empty(n)
+        for start in range(0, n, BLOCK_ROWS):
+            rows = slice(start, start + BLOCK_ROWS)
+            f[rows], g_rows = self.heads(x[rows])
+            if g is not None:
+                g[rows] = g_rows
+        return f, g
+
+    def dropout_f(self, x, rate, rng):
+        """f for the rows of ``x`` with inverted dropout at ``rate`` after
+        every body block: class probabilities (softmax) or regression
+        outputs. The masks are drawn block after block from ``rng`` as
+        ``DropoutLayer`` draws them in train mode, none at rate 0."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.input_dim:
+            raise ShapeError(
+                f"expected input (batch, {self.input_dim}), got {x.shape}")
+        for w, b in self.body:
+            x = x @ w
+            x += b
+            np.maximum(x, 0.0, out=x)
+            if rate != 0.0:
+                x *= (rng.random(x.shape) >= rate) / (1.0 - rate)
+        z = x @ self.head_w[:, :self.n_f]
+        z += self.head_b[:self.n_f]
+        if not self.classification:
+            return z[:, 0]
+        if not np.isfinite(z).all():
+            raise DomainError("softmax requires finite logits")
+        return softmax_rows(z)[0]
 
     def __call__(self, x, tau=-np.inf):
         """``(predictions, accepted, g)``: class indices (argmax of the

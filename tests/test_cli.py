@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import yaml
 
-from selpred.cli import main
+from selpred.cli import main, prepare_splits
+from selpred.model import FrozenNet
 from selpred.persist import load_model
 
 
@@ -41,6 +42,26 @@ def _read_csv(path):
     comments = [l for l in lines if l.startswith("# ")]
     data = [l for l in lines if not l.startswith("# ")]
     return comments, data
+
+
+def _count_heads_per_split(monkeypatch, cfg_path, argv, split_seed=None):
+    """Run ``main(argv)`` and count ``FrozenNet.heads`` calls by the split
+    (of ``prepare_splits`` on the config) whose rows they evaluate."""
+    cfg = yaml.safe_load(cfg_path.read_text())
+    tr, ca, te, _ = prepare_splits(cfg, split_seed)
+    names = {s.features.tobytes(): name
+             for name, s in (("train", tr), ("cal", ca), ("test", te))}
+    counts = {}
+    heads = FrozenNet.heads
+
+    def counting_heads(self, x):
+        name = names.get(np.asarray(x).tobytes(), "other")
+        counts[name] = counts.get(name, 0) + 1
+        return heads(self, x)
+
+    monkeypatch.setattr(FrozenNet, "heads", counting_heads)
+    assert main(argv) == 0
+    return counts
 
 
 class TestTrain:
@@ -124,6 +145,16 @@ class TestCurve:
         assert float(first[0]) == 1.0 and float(first[1]) == 1.0
 
 
+    def test_one_frozen_forward_per_split(self, workdir, tmp_path,
+                                          monkeypatch):
+        root, cfg_path = workdir
+        counts = _count_heads_per_split(monkeypatch, cfg_path, [
+            "curve", "--model", str(root / "run" / "model.ckpt"),
+            "--config", str(cfg_path), "--coverages", "1.0,0.8",
+            "--score", "g", "--out", str(tmp_path)])
+        assert counts == {"cal": 1, "test": 1}
+
+
 class TestGrid:
     def test_single_model_grid(self, workdir, tmp_path):
         root, cfg_path = workdir
@@ -203,6 +234,17 @@ class TestCompare:
         evaluated = dict(zip(eval_data[0].split(","), eval_data[1].split(",")))
         assert float(evaluated["coverage"]) == 1.0
         assert float(compared["selnet_risk"]) == float(evaluated["risk"])
+
+    def test_one_frozen_forward_per_model_and_split(self, workdir, tmp_path,
+                                                    monkeypatch):
+        """Two SelectiveNets and the twin: each model evaluates the
+        calibration and the test rows once (MC-dropout runs its own
+        passes, not ``heads``)."""
+        _, cfg_path = workdir
+        counts = _count_heads_per_split(monkeypatch, cfg_path, [
+            "compare", "--config", str(cfg_path), "--coverages", "1.0,0.8",
+            "--seeds", "0", "--out", str(tmp_path)], split_seed=0)
+        assert counts == {"cal": 3, "test": 3}
 
     def test_improvement_cells_follow_their_row(self, tmp_path):
         # separable data, so some baseline risks are exactly 0

@@ -1,5 +1,8 @@
 """CSV ingestion, standardization, synthetic data, and splitting."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -110,7 +113,75 @@ class TestStandardize:
         np.testing.assert_allclose(back, ds.labels, atol=1e-10)
 
 
+    @settings(max_examples=50, deadline=None)
+    @given(m=st.integers(1, 60), d=st.integers(1, 6),
+           constant=st.integers(-1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_in_place_equals_expression(self, m, d, constant, seed):
+        """Bit-identical to ``(features[:, keep] - mean[keep]) / std[keep]``,
+        with train stats and with a held-out split's; column ``constant``
+        (if any) has zero variance."""
+        rng = np.random.default_rng(seed)
+        feats = rng.normal(rng.normal(0.0, 50.0), rng.uniform(0.1, 30.0),
+                           size=(m, d))
+        if 0 <= constant < d:
+            feats[:, constant] = 2.5
+        held_out = Dataset(rng.normal(size=(7, d)), np.zeros(7), REGRESSION)
+        ds = Dataset(feats, np.zeros(m), REGRESSION)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            out, stats = standardize(ds)
+        mean, std, keep, _ = stats
+        for src, got in ((ds, out), (held_out, standardize(held_out, stats)[0])):
+            want = (src.features[:, keep] - mean[keep]) / std[keep]
+            np.testing.assert_array_equal(got.features, want)
+
+    def test_peak_memory_is_the_output(self):
+        """Standardizing 1e5 x 8 rows with given stats allocates the output
+        and less than 1 MB besides."""
+        ds = synth_classification(0, 100_000, 4, 8, 0.2)
+        _, stats = standardize(ds)
+        tracemalloc.start()
+        try:
+            out, _ = standardize(ds, stats=stats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.features.nbytes + 2**20, (
+            f"peak {peak / 1e6:.1f} MB for {out.features.nbytes / 1e6:.1f} MB "
+            "of output")
+
+
+def _synth_by_expression(seed, m, n_classes, n_features, noise_fraction):
+    """``synth_classification``'s features and labels written as the
+    expressions of the generative model, with full-size temporaries."""
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(size=(n_classes, n_features))
+    centers *= 4.0 / np.linalg.norm(centers, axis=1, keepdims=True)
+    n_noise = int(round(m * noise_fraction))
+    n_clean = m - n_noise
+    clean_labels = rng.integers(0, n_classes, size=n_clean)
+    clean_x = centers[clean_labels] + 0.8 * rng.normal(size=(n_clean, n_features))
+    noise_labels = rng.integers(0, n_classes, size=n_noise)
+    noise_x = 1.0 * rng.normal(size=(n_noise, n_features))
+    order = rng.permutation(m)
+    return (np.concatenate([clean_x, noise_x])[order],
+            np.concatenate([clean_labels, noise_labels])[order])
+
+
 class TestSynthClassification:
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 300),
+           n_classes=st.integers(2, 6), n_features=st.integers(1, 8),
+           noise_fraction=st.floats(0.0, 0.49))
+    def test_in_place_equals_expression(self, seed, m, n_classes, n_features,
+                                        noise_fraction):
+        ds = synth_classification(seed, m, n_classes, n_features,
+                                  noise_fraction)
+        feats, labels = _synth_by_expression(seed, m, n_classes, n_features,
+                                             noise_fraction)
+        np.testing.assert_array_equal(ds.features, feats)
+        np.testing.assert_array_equal(ds.labels, labels)
+
     def test_seed_determinism(self):
         a = synth_classification(0, 100, 3, 5, 0.2)
         b = synth_classification(0, 100, 3, 5, 0.2)

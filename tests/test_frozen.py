@@ -2,16 +2,26 @@
 
 ``SelectiveNet.freeze()`` folds batchnorm into the dense layers and fuses f
 with g's first layer, so its outputs differ from ``forward(x, EVAL)`` only
-by rounding; predictions and accept masks must not differ at all.
+by rounding; predictions and accept masks must not differ at all. Inputs of
+more than ``BLOCK_ROWS`` rows are evaluated block by block, and MC-dropout
+runs its passes on the same frozen arrays.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from selpred.autograd import DomainError, ShapeError, Tensor, no_grad
-from selpred.layers import EVAL, ConfigurationError
+from selpred.evaluate import (
+    MC_DROPOUT_CLASSIFICATION,
+    MC_DROPOUT_REGRESSION,
+    mc_dropout_confidence,
+)
+from selpred.layers import EVAL, TRAIN, ConfigurationError, DropoutLayer
 from selpred.losses import CROSS_ENTROPY, SQUARED, LossConfig
 from selpred.model import (
+    BLOCK_ROWS,
     CLASSIFICATION,
     REGRESSION,
     ArchitectureConfig,
@@ -220,3 +230,131 @@ class TestErrors:
         base = build_baseline(_config(REGRESSION), seed=0)
         with pytest.raises(ConfigurationError):
             base.selection_scores(_inputs(2))
+
+
+class TestRowBlocks:
+    """Inputs around and beyond one block of ``BLOCK_ROWS`` rows."""
+
+    SIZES = [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3]
+
+    @staticmethod
+    def _model(task, baseline=False):
+        build = build_baseline if baseline else build_model
+        return _perturbed(build(_config(task, dropout_rate=0.0), seed=9))
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("baseline", [False, True], ids=["selnet", "twin"])
+    @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+    def test_matches_tape(self, task, baseline, n):
+        _check_agreement(self._model(task, baseline), _inputs(n, seed=n))
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("baseline", [False, True], ids=["selnet", "twin"])
+    @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+    def test_equals_per_block_calls(self, task, baseline, n):
+        frozen = self._model(task, baseline).freeze()
+        x = _inputs(n, seed=n)
+        f, g = frozen.heads(x)
+        blocks = [frozen.heads(x[i:i + BLOCK_ROWS])
+                  for i in range(0, n, BLOCK_ROWS)]
+        np.testing.assert_array_equal(
+            f, np.concatenate([fb for fb, _ in blocks]))
+        if baseline:
+            assert g is None
+        else:
+            np.testing.assert_array_equal(
+                g, np.concatenate([gb for _, gb in blocks]))
+
+    def test_non_finite_row_in_last_block(self):
+        model = self._model(CLASSIFICATION)
+        x = _inputs(2 * BLOCK_ROWS + 3)
+        x[-1, 2] = np.nan
+        with pytest.raises(DomainError):
+            model.predict(x)
+        with pytest.raises(DomainError):
+            model.freeze().heads(x)
+
+    def test_bulk_predict_memory(self):
+        """A 1e5-row predict on the criterion-4 architecture keeps a
+        working set of a few blocks, not every layer for every row."""
+        cfg = ArchitectureConfig(input_dim=8, body_widths=[32],
+                                 task=CLASSIFICATION, n_classes=4,
+                                 selection_hidden=16, dropout_rate=0.0)
+        model = build_model(cfg, seed=0)
+        x = _inputs(100_000)
+        tracemalloc.start()
+        try:
+            model.predict(x, tau=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, f"predict peaked at {peak / 1e6:.1f} MB"
+
+
+def _mc_oracle(model, x, passes, rate, seed, task):
+    """MC-dropout scores composed from the tape: each pass runs the
+    eval-mode body blocks, each followed by ``DropoutLayer(rate)`` in train
+    mode, then the f head; the scores follow the method's definition."""
+    dropout = DropoutLayer(rate)
+    rng = np.random.default_rng(seed)
+    outs = []
+    with no_grad():
+        for _ in range(passes):
+            rep = Tensor(x)
+            for block in model.body:
+                rep = dropout(block(rep, EVAL), TRAIN, rng)
+            outs.append(model._head_output(model.f_head, rep).data)
+    outs = np.stack(outs)
+    identical = np.all(outs == outs[0], axis=0)
+    if task == CLASSIFICATION:
+        consensus = outs.mean(axis=0).argmax(axis=1)
+        var = outs[:, np.arange(outs.shape[1]), consensus].var(axis=0)
+        var[np.all(identical, axis=1)] = 0.0
+    else:
+        var = outs.var(axis=0)
+        var[identical] = 0.0
+    return -var
+
+
+class TestMCDropoutOnFrozen:
+    @pytest.mark.parametrize("reference_rate", [False, True],
+                             ids=["rate0", "reference_rate"])
+    @pytest.mark.parametrize("body", [(32,), (16, 8)])
+    @pytest.mark.parametrize("baseline", [False, True], ids=["selnet", "twin"])
+    @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+    def test_matches_tape_oracle(self, task, baseline, body, reference_rate):
+        """At rate 0 and at the task's reported rate (0.5 / 0.05)."""
+        settings = (MC_DROPOUT_CLASSIFICATION if task == CLASSIFICATION
+                    else MC_DROPOUT_REGRESSION)
+        rate = settings["rate"] if reference_rate else 0.0
+        build = build_baseline if baseline else build_model
+        model = build(_config(task, body=body, dropout_rate=0.25), seed=10)
+        for mean, var in zip(*[iter(model.running_stats())] * 2):
+            mean += 0.1  # a batchnorm fold that is not the identity
+            var *= 2.0
+        x = _inputs(150, seed=11)
+        got = mc_dropout_confidence(model, x, 30, rate, 12, task)
+        want = _mc_oracle(model, x, 30, rate, 12, task)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+        if rate == 0.0:
+            assert np.all(got == 0.0)
+
+    def test_model_dropout_rate_unchanged(self):
+        model = build_baseline(_config(CLASSIFICATION, body=(16, 8),
+                                       dropout_rate=0.25), seed=0)
+        mc_dropout_confidence(model, _inputs(20), 5, 0.5, 0, CLASSIFICATION)
+        assert [b.dropout.rate for b in model.body] == [0.25, 0.25]
+
+    def test_zero_rate_draws_no_mask(self):
+        model = build_baseline(_config(REGRESSION, dropout_rate=0.0), seed=0)
+        rng = np.random.default_rng(3)
+        model.freeze().dropout_f(_inputs(20), 0.0, rng)
+        assert rng.random() == np.random.default_rng(3).random()
+
+    def test_non_finite_logits(self):
+        model = build_baseline(_config(CLASSIFICATION, dropout_rate=0.0),
+                               seed=0)
+        x = _inputs(5)
+        x[3, 0] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(DomainError):
+            mc_dropout_confidence(model, x, 2, 0.5, 0, CLASSIFICATION)

@@ -7,7 +7,6 @@ from selpred import layers
 from selpred.autograd import ShapeError, Tensor
 from selpred.layers import (
     EVAL,
-    FORCED_ACTIVE,
     TRAIN,
     BatchNormLayer,
     ConfigurationError,
@@ -109,8 +108,8 @@ class TestDropout:
 
     def test_forced_active_reproducible(self):
         x = Tensor(np.ones((4, 4)))
-        a = DropoutLayer(0.5)(x, FORCED_ACTIVE, np.random.default_rng(11)).data
-        b = DropoutLayer(0.5)(x, FORCED_ACTIVE, np.random.default_rng(11)).data
+        a = DropoutLayer(0.5)(x, TRAIN, np.random.default_rng(11)).data
+        b = DropoutLayer(0.5)(x, TRAIN, np.random.default_rng(11)).data
         np.testing.assert_array_equal(a, b)
         assert np.any(a == 0.0)
 
