@@ -25,13 +25,10 @@ __all__ = [
     "DomainError",
     "GradCheckError",
     "no_grad",
-    "matmul",
     "relu",
     "sigmoid",
-    "exp",
-    "log",
+    "stable_sigmoid",
     "square",
-    "sqrt",
     "zero_grads",
     "finite_difference_check",
 ]
@@ -81,10 +78,13 @@ class Tensor:
     def _op(data, parents, backward):
         """Build a non-leaf tensor; skips tape recording when grads are off."""
         out = Tensor(data)
-        if _grad_enabled and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward = backward
+        if _grad_enabled:
+            for p in parents:
+                if p.requires_grad:
+                    out.requires_grad = True
+                    out._parents = tuple(parents)
+                    out._backward = backward
+                    break
         return out
 
     @property
@@ -129,15 +129,6 @@ class Tensor:
                        lambda a, b, g: (g / b.data,
                                         -g * a.data / (b.data * b.data)))
 
-    def __rtruediv__(self, other):
-        return _as_tensor(other) / self
-
-    def __neg__(self):
-        return self * -1.0
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def reshape(self, *shape):
         old = self.data.shape
         out_data = self.data.reshape(*shape)
@@ -168,24 +159,12 @@ class Tensor:
         out_data = self.data.sum(axis=axis, keepdims=keepdims) * scale
 
         def backward(g):
-            self._accum(np.broadcast_to(
-                _restore_dims(g * scale, self.data.shape, axis, keepdims),
-                self.data.shape))
-
-        return Tensor._op(out_data, (self,), backward)
-
-    def max(self, axis=None, keepdims=False):
-        _check_axis(self, axis)
-        _check_nonempty(self, "max")
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-
-        def backward(g):
-            full = _restore_dims(g, self.data.shape, axis, keepdims)
-            peak = _restore_dims(out_data, self.data.shape, axis, keepdims)
-            mask = (self.data == peak)
-            ties = mask.sum(axis=axis, keepdims=True) if axis is not None \
-                else mask.sum()
-            self._accum(mask * full / ties)
+            if axis is None:
+                self._accum(np.full(self.data.shape, g * scale))
+            else:
+                self._accum(np.broadcast_to(
+                    _restore_dims(g * scale, self.data.shape, axis, keepdims),
+                    self.data.shape))
 
         return Tensor._op(out_data, (self,), backward)
 
@@ -205,6 +184,9 @@ class Tensor:
                 "backward already ran from this tensor; re-run the forward pass")
         self._consumed = True
 
+        # Reverse topological order of the nodes that have a backward rule.
+        # Leaves only receive gradients, so they are never pushed; skipping
+        # them leaves the order of every other node unchanged.
         topo = []
         seen = set()
         stack = [(self, False)]
@@ -213,12 +195,12 @@ class Tensor:
             if expanded:
                 topo.append(node)
                 continue
-            if id(node) in seen:
+            if node in seen:
                 continue
-            seen.add(id(node))
+            seen.add(node)
             stack.append((node, True))
             for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
+                if p._backward is not None and p not in seen:
                     stack.append((p, False))
 
         self.grad = np.ones_like(self.data)
@@ -293,23 +275,6 @@ def _restore_dims(g, shape, axis, keepdims):
 # -- named operations ---------------------------------------------------------
 
 
-def matmul(a, b):
-    """2-D matrix product with dA = g @ B.T and dB = A.T @ g."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(
-            f"matmul requires (m,k) x (k,n), got {a.data.shape} and {b.data.shape}")
-    out_data = a.data @ b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accum(g @ b.data.T)
-        if b.requires_grad:
-            b._accum(a.data.T @ g)
-
-    return Tensor._op(out_data, (a, b), backward)
-
-
 # When set (via watch_kink_margins), collects min |input| of every relu
 # evaluation, fused ones included, so gradient checks can verify the function
 # is differentiable at the probe point (central differences are invalid
@@ -342,38 +307,20 @@ def relu(x):
                   lambda d, o, g: g * (d > 0.0))
 
 
+def stable_sigmoid(t):
+    """Logistic function of the array ``t`` without overflow: with
+    e = exp(-|t|), 1/(1+e) where t >= 0 and e/(1+e) elsewhere, which are
+    1/(1+e^-t) and e^t/(1+e^t)."""
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0.0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(x):
-    def fwd(d):
-        out = np.empty_like(d)
-        pos = d >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-        ez = np.exp(d[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
-
-    return _unary(x, fwd, lambda d, o, g: g * o * (1.0 - o))
-
-
-def exp(x):
-    return _unary(x, np.exp, lambda d, o, g: g * o)
-
-
-def log(x):
-    x = _as_tensor(x)
-    if np.any(x.data <= 0.0):
-        raise DomainError("log requires strictly positive input")
-    return _unary(x, np.log, lambda d, o, g: g / d)
+    return _unary(x, stable_sigmoid, lambda d, o, g: g * o * (1.0 - o))
 
 
 def square(x):
     return _unary(x, np.square, lambda d, o, g: g * 2.0 * d)
-
-
-def sqrt(x):
-    x = _as_tensor(x)
-    if np.any(x.data < 0.0):
-        raise DomainError("sqrt requires non-negative input")
-    return _unary(x, np.sqrt, lambda d, o, g: g * 0.5 / o)
 
 
 class Parameters(tuple):

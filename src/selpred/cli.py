@@ -245,6 +245,14 @@ def _scores_for(model, features, kind, task, seed):
     raise ValueError(f"unknown score kind {kind!r}")
 
 
+def _sr_predictions(model, ds):
+    """``(predictions, labels, SR scores)`` of a classifier on the labelled
+    split ``ds``, from one frozen forward."""
+    logits = model.freeze().heads(ds.features)[0]
+    return (logits.argmax(axis=1), ds.labels,
+            sr_confidence(softmax_rows(logits)[0]))
+
+
 def cmd_curve(args):
     cfg = _load_config(args.config)
     out = _out_dir(args.out)
@@ -252,10 +260,13 @@ def cmd_curve(args):
     _, ca, te, tstats = prepare_splits(cfg)
     coverages = [float(c) for c in args.coverages.split(",")]
     cal_scores = _scores_for(model, ca.features, args.score, te.task, seed=0)
-    preds, labels, _, g = predictions_and_scores(model, te.features,
-                                                 te.labels, tstats)
-    test_scores = (g if args.score == "g" else
-                   _scores_for(model, te.features, args.score, te.task, seed=1))
+    if args.score == "sr":
+        preds, labels, test_scores = _sr_predictions(model, te)
+    else:
+        preds, labels, _, g = predictions_and_scores(model, te.features,
+                                                     te.labels, tstats)
+        test_scores = (g if args.score == "g" else _scores_for(
+            model, te.features, args.score, te.task, seed=1))
     rows = risk_coverage_curve(cal_scores, test_scores, preds, labels,
                                coverages, te.task)
     write_csv(out / "curve.csv", _provenance(cfg, [model.seed]),
@@ -307,10 +318,7 @@ def run_comparison(cfg, coverages, seeds):
         bcfg = _train_config(cfg, seed, _loss_config(cfg, task, coverage=1.0))
         train(base, tr.features, tr.labels, bcfg)
         if task == CLASSIFICATION:
-            # the twin's test predictions and SR scores from one frozen forward
-            logits = base.freeze().heads(te.features)[0]
-            bpreds, blabels = logits.argmax(axis=1), te.labels
-            test_sr = sr_confidence(softmax_rows(logits)[0])
+            bpreds, blabels, test_sr = _sr_predictions(base, te)
         else:
             bpreds, blabels, _, _ = predictions_and_scores(
                 base, te.features, te.labels, tstats)

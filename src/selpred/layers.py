@@ -5,10 +5,11 @@ Layers carry their parameters as ``Tensor`` leaves and expose a
 optimizer and by checkpoint serialization.
 
 Dense, batchnorm and softmax are each one tape node with a closed-form
-backward, and ``dense_bn_relu`` fuses a whole hidden block
-dense -> batchnorm -> relu into one node. These layers serve training; every
-eval path runs on ``SelectiveNet.freeze()`` instead, so dropout has two modes:
-active in ``TRAIN``, the identity otherwise.
+backward, ``dense_bn_relu`` fuses a whole hidden block
+dense -> batchnorm -> relu into one node, and ``dense_sigmoid`` fuses g's
+one-unit output dense -> sigmoid -> flatten into one. These layers serve
+training; every eval path runs on ``SelectiveNet.freeze()`` instead, so
+dropout has two modes: active in ``TRAIN``, the identity otherwise.
 """
 
 from __future__ import annotations
@@ -17,7 +18,15 @@ import functools
 
 import numpy as np
 
-from .autograd import DomainError, ShapeError, Tensor, note_kink_margin, relu, sigmoid
+from .autograd import (
+    DomainError,
+    ShapeError,
+    Tensor,
+    note_kink_margin,
+    relu,
+    sigmoid,
+    stable_sigmoid,
+)
 
 __all__ = [
     "ConfigurationError",
@@ -26,6 +35,7 @@ __all__ = [
     "BatchNormLayer",
     "DropoutLayer",
     "dense_bn_relu",
+    "dense_sigmoid",
     "softmax",
     "softmax_rows",
     "relu",
@@ -101,7 +111,16 @@ def _column_sums(a):
     """``a.sum(axis=0)`` of a 2-D array as one matrix-vector product, several
     times faster on a batch of narrow rows (the rounding differs in the last
     bits)."""
-    return np.ones(a.shape[0]) @ a
+    return _ones(a.shape[0]) @ a
+
+
+@functools.lru_cache(maxsize=8)
+def _ones(n):
+    """A read-only vector of ``n`` ones, shared by every call with ``n``
+    (a training run sees a few batch sizes)."""
+    ones = np.ones(n)
+    ones.flags.writeable = False
+    return ones
 
 
 class BatchNormLayer:
@@ -241,6 +260,20 @@ def dense_bn_relu(x, dense, bn, mode):
 
     return Tensor._op(out, (x, dense.weights, dense.bias, bn.scale, bn.shift),
                       backward)
+
+
+def dense_sigmoid(x, dense):
+    """sigmoid(dense(x)).reshape(-1) for a one-unit ``dense``, as one node.
+
+    The forward values and the gradients are those of the three nodes in
+    turn: dL/dz = g * s * (1 - s) on the (batch, 1) sigmoid output s.
+    """
+    s = stable_sigmoid(dense.affine(x))
+
+    def backward(g):
+        dense.backprop(x, g[:, None] * s * (1.0 - s))
+
+    return Tensor._op(s.reshape(-1), (x, dense.weights, dense.bias), backward)
 
 
 def softmax(logits):

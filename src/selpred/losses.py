@@ -108,8 +108,8 @@ def _cross_entropy(prediction, labels):
     m, k = prediction.data.shape
     if labels.shape != (m,):
         raise DataError(f"expected {m} labels, got shape {labels.shape}")
-    idx = labels.astype(np.int64)
-    if np.any((idx < 0) | (idx >= k)):
+    idx = labels.astype(np.int64, copy=False)
+    if m and (idx.min() < 0 or idx.max() >= k):
         raise DataError(f"class label out of range for {k} classes")
     rows = np.arange(m)
     p = prediction.data

@@ -17,7 +17,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import DomainError, Parameters, ShapeError, Tensor, relu, sigmoid
+from .autograd import (
+    DomainError,
+    Parameters,
+    ShapeError,
+    Tensor,
+    relu,
+    # unused: bench/spans.py SITES wraps it until a benchmark change drops both
+    sigmoid,
+    stable_sigmoid,
+)
 from .layers import (
     EVAL,
     BatchNormLayer,
@@ -25,6 +34,7 @@ from .layers import (
     DenseLayer,
     DropoutLayer,
     dense_bn_relu,
+    dense_sigmoid,
     softmax,
     softmax_rows,
 )
@@ -185,7 +195,7 @@ class SelectiveNet:
             return f_out, None, None
 
         g = _hidden(rep, self.g_hidden, self.g_bn, mode)
-        g_out = sigmoid(self.g_out(g)).reshape(-1)
+        g_out = dense_sigmoid(g, self.g_out)
         h_out = self._head_output(self.h_head, rep) if self.h_head else None
         return f_out, g_out, h_out
 
@@ -323,9 +333,7 @@ class FrozenNet:
             return f, None
         t = np.maximum(z[:, self.n_f:], 0.0) @ self.g_w
         t += self.g_b
-        # sigmoid in the form of autograd.sigmoid: 1/(1+e^-t) or e^t/(1+e^t)
-        e = np.exp(-np.abs(t))
-        return f, np.where(t >= 0.0, 1.0, e) / (1.0 + e)
+        return f, stable_sigmoid(t)
 
     def _blocked_heads(self, x):
         """``heads`` of each ``BLOCK_ROWS`` rows of ``x``, concatenated."""

@@ -134,20 +134,35 @@ class Adam:
         self.step_count = 0
         self.m = np.zeros_like(self.params.data)
         self.v = np.zeros_like(self.params.data)
+        # scratch for the step's temporaries
+        self._a = np.empty_like(self.params.data)
+        self._b = np.empty_like(self.params.data)
 
     def step(self):
+        """One update, in place: the operations and their order are those of
+        the formulas above, so the result is the same to the last bit."""
         self.step_count += 1
         t = self.step_count
         c1 = 1.0 - self.beta1 ** t
         c2 = 1.0 - self.beta2 ** t
         theta, grad = self.params.sync()
-        m, v = self.m, self.v
+        m, v, a, b = self.m, self.v, self._a, self._b
         m *= self.beta1
-        m += (1.0 - self.beta1) * grad
+        np.multiply(grad, 1.0 - self.beta1, out=a)
+        m += a
         v *= self.beta2
-        v += (1.0 - self.beta2) * grad * grad
-        theta -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
-        theta -= self.lr * self.weight_decay * theta
+        np.multiply(grad, 1.0 - self.beta2, out=a)
+        a *= grad
+        v += a
+        np.divide(m, c1, out=a)  # lr * (m/c1) / (sqrt(v/c2) + eps)
+        a *= self.lr
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        theta -= a
+        np.multiply(theta, self.lr * self.weight_decay, out=a)
+        theta -= a
 
 
 def lr_schedule(epoch, config):
@@ -160,13 +175,13 @@ def lr_schedule(epoch, config):
 
 
 def _batches(indices, batch_size, need_min2):
-    """Contiguous slices of ``indices``; a trailing slice of one sample is
-    merged into the previous batch when batchnorm needs batch >= 2."""
-    out = [indices[i:i + batch_size] for i in range(0, len(indices), batch_size)]
-    if need_min2 and len(out) > 1 and len(out[-1]) < 2:
-        out[-2] = np.concatenate([out[-2], out[-1]])
-        out.pop()
-    return out
+    """Contiguous slices of ``indices`` (an array or a ``range``); a trailing
+    slice of one sample is merged into the previous batch when batchnorm
+    needs batch >= 2."""
+    starts = list(range(0, len(indices), batch_size))
+    if need_min2 and len(starts) > 1 and len(indices) - starts[-1] < 2:
+        starts.pop()
+    return [indices[a:b] for a, b in zip(starts, starts[1:] + [len(indices)])]
 
 
 def train(model, features, labels, config):
@@ -182,6 +197,11 @@ def train(model, features, labels, config):
     m = features.shape[0]
     if m == 0:
         raise ConfigurationError("training set is empty")
+    labels = np.asarray(labels)
+    if labels.shape != (m,):
+        raise ConfigurationError(
+            f"expected {m} labels for {m} feature rows, "
+            f"got shape {labels.shape}")
     has_bn = model.config.batchnorm
     if has_bn and config.batch_size < 2 and m > 1:
         raise ConfigurationError("batch size must be >= 2 with batchnorm")
@@ -199,17 +219,20 @@ def train(model, features, labels, config):
     kind = lcfg.task_loss
     history = TrainHistory()
 
+    batches = _batches(range(m), config.batch_size, has_bn)
     for epoch in range(config.epochs):
         opt.lr = lr_schedule(epoch, config)
         order = rng.permutation(m) if config.shuffle else np.arange(m)
+        # the epoch's rows in batch order, so each batch is a slice of them
+        xs, ys = features[order], labels[order]
         # batch-size weighted sums of total, selective and auxiliary loss,
         # soft coverage, accepted count and selective risk
         tot = sel_sum = aux_sum = soft = hard = risk = 0.0
-        for b, idx in enumerate(_batches(order, config.batch_size, has_bn)):
-            yb = labels[idx]
-            n = len(idx)
-            f_out, g_out, h_out = model.forward(features[idx], mode=TRAIN,
-                                                rng=rng)
+        for b, rows in enumerate(batches):
+            yb = ys[rows.start:rows.stop]
+            n = len(rows)
+            f_out, g_out, h_out = model.forward(xs[rows.start:rows.stop],
+                                                mode=TRAIN, rng=rng)
             losses = task_loss(kind, f_out, yb)
             if model.selective:
                 try:

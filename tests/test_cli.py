@@ -154,6 +154,16 @@ class TestCurve:
             "--score", "g", "--out", str(tmp_path)])
         assert counts == {"cal": 1, "test": 1}
 
+    def test_one_frozen_forward_per_split_with_sr_scores(
+            self, workdir, tmp_path, monkeypatch):
+        """The test predictions and their SR scores share one forward."""
+        root, cfg_path = workdir
+        counts = _count_heads_per_split(monkeypatch, cfg_path, [
+            "curve", "--model", str(root / "run" / "model.ckpt"),
+            "--config", str(cfg_path), "--coverages", "1.0,0.8",
+            "--score", "sr", "--out", str(tmp_path)])
+        assert counts == {"cal": 1, "test": 1}
+
 
 class TestGrid:
     def test_single_model_grid(self, workdir, tmp_path):

@@ -6,24 +6,38 @@ softmax, both task losses, the selective loss and the loss combination) is
 checked twice: its gradients against central differences, and its values and
 gradients against the same function built from elementwise tape operations,
 to 1e-12 relative to the largest value compared.
+
+The g-output node (dense -> sigmoid -> flatten) and the training loop are
+held to the bit: ``train()`` must give exactly the parameters, running
+statistics and history of a plain reference loop built from unfused parts.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 
+from oracles import exp, log, matmul, sqrt
+from selpred import optim
 from selpred.autograd import (
     Tensor,
-    exp,
     finite_difference_check,
-    log,
-    matmul,
     relu,
     sigmoid,
-    sqrt,
+    stable_sigmoid,
     watch_kink_margins,
     zero_grads,
 )
-from selpred.layers import EVAL, TRAIN, BatchNormLayer, DenseLayer, dense_bn_relu, softmax
+from selpred.data import SplitSpec, split, standardize, synth_classification
+from selpred.layers import (
+    EVAL,
+    TRAIN,
+    BatchNormLayer,
+    DenseLayer,
+    dense_bn_relu,
+    dense_sigmoid,
+    softmax,
+)
 from selpred.losses import (
     CROSS_ENTROPY,
     SQUARED,
@@ -36,7 +50,15 @@ from selpred.losses import (
     task_loss,
     total_loss,
 )
-from selpred.model import CLASSIFICATION, REGRESSION, ArchitectureConfig, build_model
+from selpred.model import (
+    CLASSIFICATION,
+    REGRESSION,
+    ArchitectureConfig,
+    _hidden,
+    build_baseline,
+    build_model,
+)
+from selpred.optim import TrainConfig, TrainHistory, _batches, train
 
 REL = 1e-12
 BATCHES = [2, 7]  # the smallest train-mode batch and a ragged one
@@ -412,4 +434,181 @@ def test_criterion_4_training_step_tape_is_small():
     rng = np.random.default_rng(0)
     x, y = rng.normal(size=(256, 8)), rng.integers(0, 4, size=256)
     cfg = LossConfig(target_coverage=0.8, task_loss=CROSS_ENTROPY)
-    assert tape_size(fused_objective(model, x, y, cfg)) <= 40
+    assert tape_size(fused_objective(model, x, y, cfg)) == 25
+
+
+# -- the g-output node and the sigmoid it shares with FrozenNet ---------------
+
+
+def two_branch_sigmoid(t):
+    """1/(1+e^-t) where t >= 0 and e^t/(1+e^t) elsewhere, on masked parts."""
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    ez = np.exp(t[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_stable_sigmoid_equals_two_branch_form_bit_for_bit():
+    t = np.array([720.0, -720.0, 800.0, -800.0, 0.0, -0.0, 1e-300, -1e-300,
+                  np.inf, -np.inf, np.nan])
+    with warnings.catch_warnings(), np.errstate(over="raise"):
+        warnings.simplefilter("error")
+        got = stable_sigmoid(t)
+    ref = two_branch_sigmoid(t)
+    number = ~np.isnan(t)
+    # the bytes, so the sign of a zero counts too
+    assert got[number].tobytes() == ref[number].tobytes()
+    assert np.isnan(got[~number]).all() and np.isnan(ref[~number]).all()
+
+
+@pytest.mark.parametrize("m", BATCHES)
+def test_dense_sigmoid_node_equals_its_three_nodes_exactly(m):
+    rng = np.random.default_rng(70 + m)
+    layer = DenseLayer(4, 1, rng, init="glorot")
+    layer.bias.data[...] = 0.3
+    (x,) = leaves(rng, (m, 4))
+    x.data *= 4.0  # logits of both signs
+    probe = Tensor(rng.normal(size=m))
+    params = [x, layer.weights, layer.bias]
+    fused = dense_sigmoid(x, layer)
+    ref = sigmoid(layer(x)).reshape(-1)
+    assert fused.data.tobytes() == ref.data.tobytes()
+    v_f, g_f = grads_of(
+        params, lambda: (dense_sigmoid(x, layer) * probe).sum())
+    v_r, g_r = grads_of(
+        params, lambda: (sigmoid(layer(x)).reshape(-1) * probe).sum())
+    assert v_f.tobytes() == v_r.tobytes()
+    for a, b in zip(g_f, g_r):
+        assert a.tobytes() == b.tobytes()
+
+
+# -- train() against a plain reference loop, bit for bit ----------------------
+
+
+def ref_train_forward(model, x, rng):
+    """``forward(x, TRAIN)`` with g's output as three nodes."""
+    rep = Tensor(x)
+    for block in model.body:
+        rep = block(rep, TRAIN, rng)
+    f = model._head_output(model.f_head, rep)
+    if not model.selective:
+        return f, None, None
+    g = _hidden(rep, model.g_hidden, model.g_bn, TRAIN)
+    g = sigmoid(model.g_out(g)).reshape(-1)
+    return f, g, model._head_output(model.h_head, rep)
+
+
+def ref_adam_step(params, state, lr, cfg):
+    """Adam then decoupled decay, each formula one allocating expression."""
+    state["t"] += 1
+    c1 = 1.0 - cfg.adam_beta1 ** state["t"]
+    c2 = 1.0 - cfg.adam_beta2 ** state["t"]
+    theta, grad = params.sync()
+    m, v = state["m"], state["v"]
+    m *= cfg.adam_beta1
+    m += (1.0 - cfg.adam_beta1) * grad
+    v *= cfg.adam_beta2
+    v += (1.0 - cfg.adam_beta2) * grad * grad
+    theta -= lr * (m / c1) / (np.sqrt(v / c2) + cfg.adam_eps)
+    theta -= lr * cfg.weight_decay * theta
+
+
+def ref_train(model, features, labels, config):
+    """Adam training with a row gather per batch; returns a TrainHistory."""
+    params = model.parameters()
+    state = {"t": 0, "m": np.zeros_like(params.data),
+             "v": np.zeros_like(params.data)}
+    lcfg, kind, m = config.loss, config.loss.task_loss, len(features)
+    rng = np.random.default_rng(config.seed)
+    history = TrainHistory()
+    for _ in range(config.epochs):
+        sums = np.zeros(6)  # total, selective, auxiliary, soft, hard, risk
+        for idx in _batches(rng.permutation(m), config.batch_size,
+                            model.config.batchnorm):
+            yb, n = labels[idx], len(idx)
+            f, g, h = ref_train_forward(model, features[idx], rng)
+            losses = task_loss(kind, f, yb)
+            if model.selective:
+                sel = selective_loss(losses, g, lcfg)
+                aux = auxiliary_loss(task_loss(kind, h, yb))
+                loss = total_loss(sel, aux, lcfg.alpha)
+                sums += [n * float(loss.data), n * float(sel.data),
+                         n * float(aux.data), n * sel.coverage,
+                         np.count_nonzero(g.data >= 0.5), n * sel.risk]
+            else:
+                loss = losses.mean()
+                value = float(loss.data)
+                sums += [n * value, n * value, n * value, n, n, n * value]
+            zero_grads(params)
+            loss.backward()
+            ref_adam_step(params, state, config.learning_rate, config)
+        for name, total in zip(("total_loss", "selective_loss",
+                                "auxiliary_loss", "soft_coverage",
+                                "hard_coverage", "selective_risk"), sums):
+            getattr(history, name).append(total / m)
+    return history
+
+
+def _criterion_4_data():
+    ds = synth_classification(0, 6000, 4, 8, 0.2)
+    tr, _, _ = split(ds, SplitSpec(seed=0, stratified=True))
+    return standardize(tr)[0]
+
+
+def _bit_case(name):
+    """(build, features, labels, TrainConfig) of one locked configuration."""
+    cls = dict(input_dim=8, body_widths=[32], task=CLASSIFICATION,
+               n_classes=4, selection_hidden=16, dropout_rate=0.0)
+    reg = dict(input_dim=8, body_widths=[64], dropout_rate=0.1)
+    if name in ("criterion 4", "twin"):
+        tr = _criterion_4_data()
+        cfg = TrainConfig(epochs=3, batch_size=256, learning_rate=2e-3,
+                          seed=0, loss=LossConfig(
+                              target_coverage=0.8 if name != "twin" else 1.0,
+                              task_loss=CROSS_ENTROPY))
+        build = build_model if name == "criterion 4" else build_baseline
+        return (lambda: build(ArchitectureConfig(**cls), 0),
+                tr.features, tr.labels, cfg)
+    rng = np.random.default_rng(3)
+    rows = 618 if name == "regression, dropout" else 513  # 256 + 256 + 1
+    x = rng.normal(size=(rows, 8))
+    y = x @ rng.normal(size=8) + 0.3 * rng.normal(size=rows)
+    return (lambda: build_model(ArchitectureConfig(**reg), 2), x, y,
+            TrainConfig(epochs=3, batch_size=256, seed=2))
+
+
+@pytest.mark.parametrize("name", ["criterion 4", "twin", "regression, dropout",
+                                  "last batch of one row"])
+def test_train_equals_reference_loop_bit_for_bit(name):
+    build, x, y, cfg = _bit_case(name)
+    model, ref = build(), build()
+    history = train(model, x, y, cfg)
+    ref_history = ref_train(ref, x, y, cfg)
+    assert np.array_equal(model.parameters().data, ref.parameters().data)
+    for a, b in zip(model.running_stats(), ref.running_stats()):
+        assert np.array_equal(a, b)
+    for field in history.__dataclass_fields__:
+        assert np.array_equal(getattr(history, field),
+                              getattr(ref_history, field)), field
+
+
+def test_train_zeroes_grads_once_per_batch_right_before_backward(monkeypatch):
+    """The benchmark's step clock stamps each step at ``optim.zero_grads``."""
+    events = []
+    zero, backward = optim.zero_grads, Tensor.backward
+
+    def counting_zero(params):
+        events.append("zero_grads")
+        return zero(params)
+
+    def counting_backward(self):
+        events.append("backward")
+        return backward(self)
+
+    monkeypatch.setattr(optim, "zero_grads", counting_zero)
+    monkeypatch.setattr(Tensor, "backward", counting_backward)
+    build, x, y, cfg = _bit_case("last batch of one row")
+    train(build(), x, y, cfg)
+    assert events == ["zero_grads", "backward"] * (2 * cfg.epochs)

@@ -243,6 +243,23 @@ class TestTrainLoop:
         with pytest.raises(ConfigurationError):
             train(_toy_model(), np.zeros((0, 4)), np.zeros(0), _toy_train_config())
 
+    def test_more_labels_than_rows_rejected(self):
+        x, y = _toy_dataset(m=300)
+        with pytest.raises(ConfigurationError, match="300 labels"):
+            train(_toy_model(), x, np.concatenate([y, y[:100]]),
+                  _toy_train_config(epochs=1))
+
+    def test_fewer_labels_than_rows_rejected(self):
+        x, y = _toy_dataset(m=300)
+        with pytest.raises(ConfigurationError, match=r"shape \(200,\)"):
+            train(_toy_model(), x, y[:200], _toy_train_config(epochs=1))
+
+    def test_label_list_trains_as_its_array(self):
+        x, y = _toy_dataset(m=300)
+        cfg = _toy_train_config(epochs=2)
+        from_list = train(_toy_model(), x, y.tolist(), cfg)
+        assert from_list == train(_toy_model(), x, y, cfg)
+
     def test_batch_size_one_with_batchnorm_rejected(self):
         x, y = _toy_dataset()
         with pytest.raises(ConfigurationError):
