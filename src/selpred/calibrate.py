@@ -75,13 +75,17 @@ def select_threshold(scores, target_coverage):
     that the achieved coverage is reported in, and return the m-th largest
     score. With the accept rule ``score >= tau`` and distinct scores this
     accepts exactly m points: validation coverage m/n >= c, the closest
-    achievable from above. Ties at tau accept more.
+    achievable from above. Ties at tau accept more. Non-finite scores
+    raise ``DomainError``: a NaN is never accepted, so it would break the
+    m/n >= c rule.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise ContractError("threshold selection needs a nonempty score set")
     if not 0.0 < target_coverage <= 1.0:
         raise DomainError(f"target coverage must be in (0,1], got {target_coverage}")
+    if not np.isfinite(scores).all():
+        raise DomainError("selection scores must be finite")
     n = scores.size
     # n*c is rounded, so step m onto the exact rule; at most one step each
     m = min(n, math.ceil(n * target_coverage))

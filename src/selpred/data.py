@@ -91,9 +91,9 @@ def load_csv(path, feature_columns, target_column, header=True,
              task=REGRESSION):
     """Parse a numeric CSV into a Dataset, validating the schema.
 
-    Columns are zero-based indices. Non-numeric cells, and classification
-    labels that are not integers >= 0, raise ParseError naming the
-    offending row and column.
+    Columns are zero-based indices. Non-numeric and non-finite (``nan``,
+    ``inf``) cells, and classification labels that are not integers >= 0,
+    raise ParseError naming the offending row and column.
     """
     rows = []
     with open(path, newline="") as fh:
@@ -107,7 +107,7 @@ def load_csv(path, feature_columns, target_column, header=True,
     if not rows:
         raise ParseError(f"{path}: no data rows")
     needed = list(feature_columns) + [target_column]
-    feats, targs = [], []
+    cells = []
     for r, row in rows:
         if max(needed) >= len(row):
             raise ParseError(f"{path}: row {r} has only {len(row)} columns")
@@ -118,9 +118,9 @@ def load_csv(path, feature_columns, target_column, header=True,
             except ValueError:
                 raise ParseError(
                     f"{path}: non-numeric cell {row[c]!r} at row {r}, column {c}")
-        feats.append(vals[:-1])
-        targs.append(vals[-1])
-    labels = np.asarray(targs)
+        cells.append(vals)
+    cells = np.asarray(cells)
+    feats, labels = cells[:, :-1].copy(), cells[:, -1].copy()
     if task == CLASSIFICATION:
         bad = np.flatnonzero(~(np.isfinite(labels) & (labels >= 0)
                                & (labels == np.floor(labels))))
@@ -130,8 +130,12 @@ def load_csv(path, feature_columns, target_column, header=True,
                 f"{path}: class label {row[target_column]!r} at row {r}, "
                 f"column {target_column} is not an integer >= 0")
         labels = labels.astype(np.int64)
-    return Dataset(np.asarray(feats), labels, task,
-                   provenance={"source": str(path)})
+    bad = np.argwhere(~np.isfinite(cells))
+    if bad.size:
+        (r, row), c = rows[bad[0, 0]], needed[bad[0, 1]]
+        raise ParseError(
+            f"{path}: non-finite cell {row[c]!r} at row {r}, column {c}")
+    return Dataset(feats, labels, task, provenance={"source": str(path)})
 
 
 def standardize(dataset, stats=None, include_target=False):

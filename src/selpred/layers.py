@@ -7,7 +7,9 @@ optimizer and by checkpoint serialization.
 Dense, batchnorm and softmax are each one tape node with a closed-form
 backward, ``dense_bn_relu`` fuses a whole hidden block
 dense -> batchnorm -> relu into one node, and ``dense_sigmoid`` fuses g's
-one-unit output dense -> sigmoid -> flatten into one. These layers serve
+one-unit output dense -> sigmoid -> flatten into one. In train mode the
+block folds batchnorm's per-feature vectors into width-sized vectors and
+the (in, width) weights, saving passes over the batch. These layers serve
 training; every eval path runs on ``SelectiveNet.freeze()`` instead, so
 dropout has two modes: active in ``TRAIN``, the identity otherwise.
 """
@@ -83,25 +85,29 @@ class DenseLayer:
         return Tensor._op(self.affine(x), (x, self.weights, self.bias),
                           lambda g: self.backprop(x, g))
 
-    def affine(self, x):
-        """x @ W + b for the tensor ``x``, as a new array."""
+    def affine(self, x, bias=True):
+        """x @ W + b (x @ W without ``bias``) for the tensor ``x``, new."""
         if x.data.ndim != 2 or x.data.shape[1] != self.in_dim:
             raise ShapeError(
                 f"dense layer expects (batch, {self.in_dim}), got {x.data.shape}")
         z = x.data @ self.weights.data
-        z += self.bias.data
+        if bias:
+            z += self.bias.data
         return z
 
     def backprop(self, x, g):
-        """Accumulate dW = x.T @ g, db = sum_rows(g) and dx = g @ W.T, given
-        g = dL/d(x @ W + b)."""
+        """Accumulate dW = x.T @ g, db = sum_rows(g) and dx = g @ W.T (as
+        g * W[:, 0] for one unit, else g @ a contiguous copy of W.T, which
+        is faster), given g = dL/d(x @ W + b)."""
         w, b = self.weights, self.bias
         if w.requires_grad:
             w._accum(x.data.T @ g)
         if b.requires_grad:
             b._accum(_column_sums(g))
         if x.requires_grad:
-            x._accum(g @ w.data.T)
+            w = w.data
+            x._accum(g * w[:, 0] if w.shape[1] == 1
+                     else g @ np.ascontiguousarray(w.T))
 
     def parameters(self):
         return [self.weights, self.bias]
@@ -157,54 +163,68 @@ class BatchNormLayer:
         return Tensor._op(y, (x, self.scale, self.shift), backward)
 
     def normalize(self, x, mode):
-        """Batchnorm of the array ``x``, which it overwrites with the
-        normalized values; returns ``(y, grad)``.
-
-        Train mode normalizes by the biased batch moments and updates the
-        running statistics; any other mode uses the running statistics.
-        ``grad(gy)`` maps gy = dL/dy to ``(dL/dx, dL/dscale, dL/dshift)``
-        with dL/dscale = sum_rows(gy * x_hat) and dL/dshift = sum_rows(gy);
-        in train mode dL/dx is the closed form (Ioffe & Szegedy 2015)
-        ``scale / std * (gy - mean_rows(gy) - x_hat * mean_rows(gy * x_hat))``.
-        """
-        if x.ndim != 2 or x.shape[1] != self.num_features:
-            raise ShapeError(
-                f"batchnorm expects {self.num_features} features, got {x.shape}")
-        scale = self.scale.data
+        """``(y, grad)`` of batchnorm on the array ``x``, which it overwrites:
+        ``train_normalize`` in train mode, else by the running statistics.
+        ``grad(gy)`` maps dL/dy to ``(dL/dx, dL/dscale, dL/dshift)``."""
         if mode == TRAIN:
-            m = x.shape[0]
-            if m < 2:
-                raise ContractError("train-mode batchnorm requires batch >= 2")
-            inv_m = 1.0 / m
-            mean = _column_sums(x) * inv_m
-            x_hat = x
-            x_hat -= mean
-            var = _column_sums(x_hat * x_hat) * inv_m
-            std = np.sqrt(var + self.eps)
-            x_hat /= std
-            self.running_mean = (self.momentum * self.running_mean
-                                 + (1.0 - self.momentum) * mean)
-            self.running_var = (self.momentum * self.running_var
-                                + (1.0 - self.momentum) * var)
+            y, backprop = self.train_normalize(x)
 
             def grad(gy):
-                gshift = _column_sums(gy)
-                gscale = _column_sums(gy * x_hat)
-                gx = gy - (gshift * inv_m + x_hat * (gscale * inv_m))
-                gx *= scale / std
-                return gx, gscale, gshift
-        else:
-            inv = 1.0 / np.sqrt(self.running_var + self.eps)
-            x_hat = x
-            x_hat -= self.running_mean
-            x_hat *= inv
+                d, r, a, gscale, gshift = backprop(gy)
+                return (d - r) * a, gscale, gshift
+            return y, grad
+        self._check_features(x)
+        scale = self.scale.data
+        inv = 1.0 / np.sqrt(self.running_var + self.eps)
+        x_hat = x
+        x_hat -= self.running_mean
+        x_hat *= inv
 
-            def grad(gy):
-                return (gy * (scale * inv), _column_sums(gy * x_hat),
-                        _column_sums(gy))
+        def grad(gy):
+            return (gy * (scale * inv), _column_sums(gy * x_hat),
+                    _column_sums(gy))
         y = x_hat * scale
         y += self.shift.data
         return y, grad
+
+    def train_normalize(self, z, offset=0.0):
+        """``(y, backprop)`` of train-mode batchnorm on the array ``z``, which
+        it centers in place to zc: y = zc * a + shift, a = scale / std by the
+        biased batch moments. The running mean gets the batch mean plus
+        ``offset`` (a bias in front, which y cancels). ``backprop(gy)`` gives
+        ``(d, r, a, dL/dscale, dL/dshift)``: dL/dz = a * (d - r), with
+        d = gy - zc * dL/dscale / (m std) and r = dL/dshift / m."""
+        self._check_features(z)
+        m = z.shape[0]
+        if m < 2:
+            raise ContractError("train-mode batchnorm requires batch >= 2")
+        inv_m = 1.0 / m
+        mean = _column_sums(z) * inv_m
+        z -= mean
+        var = _column_sums(z * z) * inv_m
+        inv_std = 1.0 / np.sqrt(var + self.eps)
+        mean += offset
+        self.running_mean = (self.momentum * self.running_mean
+                             + (1.0 - self.momentum) * mean)
+        self.running_var = (self.momentum * self.running_var
+                            + (1.0 - self.momentum) * var)
+        a = self.scale.data * inv_std
+        y = z * a
+        y += self.shift.data
+
+        def backprop(gy):
+            gshift = _column_sums(gy)
+            gscale = _column_sums(gy * z) * inv_std
+            d = z * (gscale * inv_std * inv_m)
+            np.subtract(gy, d, out=d)
+            return d, gshift * inv_m, a, gscale, gshift
+
+        return y, backprop
+
+    def _check_features(self, x):
+        if x.ndim != 2 or x.shape[1] != self.num_features:
+            raise ShapeError(f"batchnorm expects {self.num_features} "
+                             f"features, got {x.shape}")
 
     def _accum(self, gscale, gshift):
         if self.scale.requires_grad:
@@ -248,15 +268,35 @@ def dense_bn_relu(x, dense, bn, mode):
 
     The forward values are those of the three layers applied in turn, and
     the relu pre-activations are reported to ``watch_kink_margins``.
-    """
-    out, bn_grad = bn.normalize(dense.affine(x), mode)
+
+    Train mode normalizes x @ W (the batch mean cancels the bias) and folds
+    ``train_normalize``'s a and r into small arrays: dW = (x.T @ d - xr) * a
+    with xr = colsum(x) (x) r, db = (colsum(d) - m r) * a, dx = (d - r) @
+    (W * a).T."""
+    if mode != TRAIN:
+        out, bn_grad = bn.normalize(dense.affine(x), mode)
+
+        def backward(g):
+            gz, gscale, gshift = bn_grad(g * (out > 0.0))
+            dense.backprop(x, gz)
+            bn._accum(gscale, gshift)
+    else:
+        out, bn_backprop = bn.train_normalize(dense.affine(x, bias=False),
+                                              dense.bias.data)
+
+        def backward(g):
+            d, r, a, gscale, gshift = bn_backprop(g * (out > 0.0))
+            w, b = dense.weights, dense.bias
+            if w.requires_grad:
+                xr = _column_sums(x.data)[:, None] * r
+                w._accum((x.data.T @ d - xr) * a)
+            if b.requires_grad:
+                b._accum((_column_sums(d) - gshift) * a)
+            if x.requires_grad:
+                x._accum((d - r) @ np.ascontiguousarray((w.data * a).T))
+            bn._accum(gscale, gshift)
     note_kink_margin(out)
     np.maximum(out, 0.0, out=out)
-
-    def backward(g):
-        gz, gscale, gshift = bn_grad(g * (out > 0.0))
-        dense.backprop(x, gz)
-        bn._accum(gscale, gshift)
 
     return Tensor._op(out, (x, dense.weights, dense.bias, bn.scale, bn.shift),
                       backward)
@@ -287,7 +327,7 @@ def softmax(logits):
     if logits.data.ndim != 2 or logits.data.shape[1] < 2:
         raise ShapeError(
             f"softmax expects (batch, classes>=2), got {logits.data.shape}")
-    if not np.all(np.isfinite(logits.data)):
+    if not np.isfinite(logits.data).all():
         raise DomainError("softmax requires finite logits")
     p, shifted, row_sums = softmax_rows(logits.data)
 

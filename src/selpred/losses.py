@@ -119,7 +119,7 @@ def _cross_entropy(prediction, labels):
 
         def backward(g):
             dz = p.copy()
-            dz[rows, idx] -= 1.0
+            dz.ravel()[rows * k + idx] -= 1.0
             dz *= g[:, None]
             logits._accum(dz)
 

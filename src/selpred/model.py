@@ -323,10 +323,10 @@ class FrozenNet:
             np.maximum(x, 0.0, out=x)
         z = x @ self.head_w
         z += self.head_b
+        if not np.isfinite(z).all():
+            raise DomainError("head outputs are not finite")
         if self.classification:
             f = z[:, :self.n_f]
-            if not np.isfinite(f).all():
-                raise DomainError("softmax requires finite logits")
         else:
             f = np.ascontiguousarray(z[:, 0])  # not a view that keeps z alive
         if self.g_w is None:
@@ -364,11 +364,9 @@ class FrozenNet:
                 x *= (rng.random(x.shape) >= rate) / (1.0 - rate)
         z = x @ self.head_w[:, :self.n_f]
         z += self.head_b[:self.n_f]
-        if not self.classification:
-            return z[:, 0]
         if not np.isfinite(z).all():
-            raise DomainError("softmax requires finite logits")
-        return softmax_rows(z)[0]
+            raise DomainError("head outputs are not finite")
+        return softmax_rows(z)[0] if self.classification else z[:, 0]
 
     def __call__(self, x, tau=-np.inf):
         """``(predictions, accepted, g)``: class indices (argmax of the

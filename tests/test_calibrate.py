@@ -47,7 +47,7 @@ class TestSelectThreshold:
         c = 0.8 + 5e-11
         assert (scores >= select_threshold(scores, c)).mean() >= c
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(scores=st.lists(st.floats(allow_nan=False, allow_infinity=False),
                            min_size=1, max_size=300, unique=True),
            c=st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
@@ -69,6 +69,13 @@ class TestSelectThreshold:
             select_threshold(np.array([0.5]), 0.0)
         with pytest.raises(DomainError):
             select_threshold(np.array([0.5]), 1.2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        scores = np.linspace(0.0, 1.0, 10)
+        scores[4] = bad
+        with pytest.raises(DomainError):
+            select_threshold(scores, 0.8)
 
     def test_coverage_monotone_in_tau(self):
         rng = np.random.default_rng(2)

@@ -65,6 +65,18 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="row 2, column 1"):
             load_csv(p, [0], 1, task=CLASSIFICATION)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_target_rejected(self, tmp_path, cell):
+        p = self._write(tmp_path, f"a,y\n1,2\n3,{cell}\n4,5\n6,7\n")
+        with pytest.raises(ParseError, match="row 2, column 1"):
+            load_csv(p, [0], 1)
+
+    @pytest.mark.parametrize("task", [REGRESSION, CLASSIFICATION])
+    def test_non_finite_feature_rejected(self, tmp_path, task):
+        p = self._write(tmp_path, "a,b,y\n1,2,0\n3,4,1\n5,inf,0\n")
+        with pytest.raises(ParseError, match="row 3, column 1"):
+            load_csv(p, [0, 1], 2, task=task)
+
 
 class TestDataset:
     def test_nan_features_rejected(self):
@@ -113,7 +125,7 @@ class TestStandardize:
         np.testing.assert_allclose(back, ds.labels, atol=1e-10)
 
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(m=st.integers(1, 60), d=st.integers(1, 6),
            constant=st.integers(-1, 5), seed=st.integers(0, 2**32 - 1))
     def test_in_place_equals_expression(self, m, d, constant, seed):
@@ -169,7 +181,7 @@ def _synth_by_expression(seed, m, n_classes, n_features, noise_fraction):
 
 
 class TestSynthClassification:
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 300),
            n_classes=st.integers(2, 6), n_features=st.integers(1, 8),
            noise_fraction=st.floats(0.0, 0.49))
@@ -240,7 +252,7 @@ class TestSplit:
         b = split(ds, SplitSpec(seed=5))[0]
         np.testing.assert_array_equal(a.features, b.features)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(m=st.integers(3, 400), n_classes=st.integers(2, 5),
            cuts=st.lists(st.integers(1, 19), min_size=2, max_size=2,
                          unique=True),

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from selpred.autograd import DomainError, ShapeError, Tensor, no_grad
+from selpred.calibrate import calibrate
 from selpred.evaluate import (
     MC_DROPOUT_CLASSIFICATION,
     MC_DROPOUT_REGRESSION,
@@ -221,6 +222,19 @@ class TestErrors:
         with pytest.raises(DomainError):
             model.predict(_inputs(3))
 
+    @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+    def test_non_finite_rows_raise_for_either_task(self, task):
+        """A NaN or inf input row raises for a regression model as for a
+        classifier: no NaN predictions, and no threshold from NaN scores."""
+        model = build_model(_config(task), seed=0)
+        x = _inputs(10)
+        x[2, 1], x[6, 4] = np.nan, np.inf
+        with np.errstate(invalid="ignore"):
+            for serve in (model.predict, model.selection_scores,
+                          lambda rows: calibrate(model, rows, 0.8)):
+                with pytest.raises(DomainError):
+                    serve(x)
+
     def test_probabilities_need_a_classifier(self):
         model = build_model(_config(REGRESSION), seed=0)
         with pytest.raises(ConfigurationError):
@@ -350,6 +364,13 @@ class TestMCDropoutOnFrozen:
         rng = np.random.default_rng(3)
         model.freeze().dropout_f(_inputs(20), 0.0, rng)
         assert rng.random() == np.random.default_rng(3).random()
+
+    def test_non_finite_regression_outputs(self):
+        model = build_baseline(_config(REGRESSION, dropout_rate=0.0), seed=0)
+        x = _inputs(5)
+        x[3, 0] = np.nan
+        with pytest.raises(DomainError):
+            mc_dropout_confidence(model, x, 2, 0.5, 0, REGRESSION)
 
     def test_non_finite_logits(self):
         model = build_baseline(_config(CLASSIFICATION, dropout_rate=0.0),

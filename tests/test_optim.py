@@ -162,7 +162,7 @@ class TestBatching:
         out = _batches(np.arange(23), 5, need_min2=True)
         np.testing.assert_array_equal(np.concatenate(out), np.arange(23))
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(batch_size=st.integers(1, 64), full=st.integers(0, 5),
            rest=st.integers(0, 63), need_min2=st.booleans(),
            seed=st.integers(0, 2**32 - 1))

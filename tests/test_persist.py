@@ -54,7 +54,7 @@ def test_round_trip_is_bit_exact(trained_model, tmp_path):
                                   loaded.selection_scores(x))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(task=st.sampled_from([CLASSIFICATION, REGRESSION]),
        body=st.lists(st.integers(1, 12), min_size=1, max_size=3),
        selection_hidden=st.integers(1, 8), batchnorm=st.booleans(),
