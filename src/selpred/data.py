@@ -91,10 +91,21 @@ def load_csv(path, feature_columns, target_column, header=True,
              task=REGRESSION):
     """Parse a numeric CSV into a Dataset, validating the schema.
 
-    Columns are zero-based indices. Non-numeric and non-finite (``nan``,
-    ``inf``) cells, and classification labels that are not integers >= 0,
-    raise ParseError naming the offending row and column.
+    Columns are zero-based indices. A negative target column, or a feature
+    column that is negative, repeated or the target column, raises
+    ConfigurationError. Non-numeric and non-finite (``nan``, ``inf``)
+    cells, and classification labels that are not integers >= 0, raise
+    ParseError naming the offending row and column.
     """
+    if target_column < 0:
+        raise ConfigurationError(f"target column {target_column} is negative")
+    seen = set()
+    for c in feature_columns:
+        if c < 0 or c in seen or c == target_column:
+            why = ("is negative" if c < 0 else "is repeated" if c in seen
+                   else "is the target column")
+            raise ConfigurationError(f"feature column {c} {why}")
+        seen.add(c)
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

@@ -4,14 +4,18 @@ Layers carry their parameters as ``Tensor`` leaves and expose a
 ``parameters()`` list in declaration order; the order is relied upon by the
 optimizer and by checkpoint serialization.
 
+These layers build the training graph only: batchnorm normalizes by the
+batch moments and updates its running statistics, and dropout is active
+whenever its rate is above 0. Eval mode has one implementation,
+``SelectiveNet.freeze()``, which folds the running statistics into the dense
+weights. ``TRAIN`` and ``EVAL`` name the modes of ``SelectiveNet.forward``.
+
 Dense, batchnorm and softmax are each one tape node with a closed-form
 backward, ``dense_bn_relu`` fuses a whole hidden block
 dense -> batchnorm -> relu into one node, and ``dense_sigmoid`` fuses g's
-one-unit output dense -> sigmoid -> flatten into one. In train mode the
-block folds batchnorm's per-feature vectors into width-sized vectors and
-the (in, width) weights, saving passes over the batch. These layers serve
-training; every eval path runs on ``SelectiveNet.freeze()`` instead, so
-dropout has two modes: active in ``TRAIN``, the identity otherwise.
+one-unit output dense -> sigmoid -> flatten into one. The block folds
+batchnorm's per-feature vectors into width-sized vectors and the
+(in, width) weights, saving passes over the batch.
 """
 
 from __future__ import annotations
@@ -132,9 +136,9 @@ def _ones(n):
 class BatchNormLayer:
     """Per-feature batch normalization with running statistics.
 
-    Train mode normalizes by batch mean/variance (biased) and updates the
-    running statistics with momentum; eval mode uses only the running
-    statistics and is stateless.
+    Normalizes by the batch mean and (biased) variance and updates the
+    running statistics with momentum. ``FrozenNet`` folds the running
+    statistics into the dense layer in front for eval mode.
     """
 
     def __init__(self, num_features, momentum=0.9, eps=1e-5):
@@ -150,46 +154,21 @@ class BatchNormLayer:
         self.running_mean = np.zeros(num_features)
         self.running_var = np.ones(num_features)
 
-    def __call__(self, x, mode):
-        """Normalize ``x`` as one node (see ``normalize``)."""
-        y, grad = self.normalize(x.data.copy(), mode)
+    def __call__(self, x):
+        """Normalize ``x`` as one node (see ``train_normalize``)."""
+        y, backprop = self.train_normalize(x.data.copy())
 
         def backward(gy):
-            gx, gscale, gshift = grad(gy)
+            d, r, a, gscale, gshift = backprop(gy)
             if x.requires_grad:
-                x._accum(gx)
+                x._accum((d - r) * a)
             self._accum(gscale, gshift)
 
         return Tensor._op(y, (x, self.scale, self.shift), backward)
 
-    def normalize(self, x, mode):
-        """``(y, grad)`` of batchnorm on the array ``x``, which it overwrites:
-        ``train_normalize`` in train mode, else by the running statistics.
-        ``grad(gy)`` maps dL/dy to ``(dL/dx, dL/dscale, dL/dshift)``."""
-        if mode == TRAIN:
-            y, backprop = self.train_normalize(x)
-
-            def grad(gy):
-                d, r, a, gscale, gshift = backprop(gy)
-                return (d - r) * a, gscale, gshift
-            return y, grad
-        self._check_features(x)
-        scale = self.scale.data
-        inv = 1.0 / np.sqrt(self.running_var + self.eps)
-        x_hat = x
-        x_hat -= self.running_mean
-        x_hat *= inv
-
-        def grad(gy):
-            return (gy * (scale * inv), _column_sums(gy * x_hat),
-                    _column_sums(gy))
-        y = x_hat * scale
-        y += self.shift.data
-        return y, grad
-
     def train_normalize(self, z, offset=0.0):
-        """``(y, backprop)`` of train-mode batchnorm on the array ``z``, which
-        it centers in place to zc: y = zc * a + shift, a = scale / std by the
+        """``(y, backprop)`` of batchnorm on the array ``z``, which it
+        centers in place to zc: y = zc * a + shift, a = scale / std by the
         biased batch moments. The running mean gets the batch mean plus
         ``offset`` (a bias in front, which y cancels). ``backprop(gy)`` gives
         ``(d, r, a, dL/dscale, dL/dshift)``: dL/dz = a * (d - r), with
@@ -197,7 +176,7 @@ class BatchNormLayer:
         self._check_features(z)
         m = z.shape[0]
         if m < 2:
-            raise ContractError("train-mode batchnorm requires batch >= 2")
+            raise ContractError("batchnorm requires batch >= 2")
         inv_m = 1.0 / m
         mean = _column_sums(z) * inv_m
         z -= mean
@@ -240,9 +219,10 @@ class BatchNormLayer:
 
 
 class DropoutLayer:
-    """Inverted dropout: survivors scaled by 1/(1-p) so eval is exact identity.
+    """Inverted dropout: survivors scaled by 1/(1-p), so the expected output
+    is the input and eval mode (``FrozenNet``) has no dropout at all.
 
-    Active in ``TRAIN`` mode only. MC-dropout draws the same masks,
+    Active whenever the rate is above 0. MC-dropout draws the same masks,
     ``(rng.random(shape) >= rate) / (1 - rate)``, on the frozen arrays
     (``FrozenNet.dropout_f``)."""
 
@@ -251,8 +231,8 @@ class DropoutLayer:
             raise ConfigurationError(f"dropout rate must be in [0,1), got {rate}")
         self.rate = rate
 
-    def __call__(self, x, mode, rng=None):
-        if mode != TRAIN or self.rate == 0.0:
+    def __call__(self, x, rng=None):
+        if self.rate == 0.0:
             return x
         if rng is None:
             raise ContractError("active dropout requires an rng")
@@ -263,38 +243,30 @@ class DropoutLayer:
         return []
 
 
-def dense_bn_relu(x, dense, bn, mode):
-    """relu(bn(dense(x), mode)) as one node with closed-form backward.
+def dense_bn_relu(x, dense, bn):
+    """relu(bn(dense(x))) as one node with closed-form backward.
 
     The forward values are those of the three layers applied in turn, and
     the relu pre-activations are reported to ``watch_kink_margins``.
 
-    Train mode normalizes x @ W (the batch mean cancels the bias) and folds
+    The block normalizes x @ W (the batch mean cancels the bias) and folds
     ``train_normalize``'s a and r into small arrays: dW = (x.T @ d - xr) * a
     with xr = colsum(x) (x) r, db = (colsum(d) - m r) * a, dx = (d - r) @
     (W * a).T."""
-    if mode != TRAIN:
-        out, bn_grad = bn.normalize(dense.affine(x), mode)
+    out, bn_backprop = bn.train_normalize(dense.affine(x, bias=False),
+                                          dense.bias.data)
 
-        def backward(g):
-            gz, gscale, gshift = bn_grad(g * (out > 0.0))
-            dense.backprop(x, gz)
-            bn._accum(gscale, gshift)
-    else:
-        out, bn_backprop = bn.train_normalize(dense.affine(x, bias=False),
-                                              dense.bias.data)
-
-        def backward(g):
-            d, r, a, gscale, gshift = bn_backprop(g * (out > 0.0))
-            w, b = dense.weights, dense.bias
-            if w.requires_grad:
-                xr = _column_sums(x.data)[:, None] * r
-                w._accum((x.data.T @ d - xr) * a)
-            if b.requires_grad:
-                b._accum((_column_sums(d) - gshift) * a)
-            if x.requires_grad:
-                x._accum((d - r) @ np.ascontiguousarray((w.data * a).T))
-            bn._accum(gscale, gshift)
+    def backward(g):
+        d, r, a, gscale, gshift = bn_backprop(g * (out > 0.0))
+        w, b = dense.weights, dense.bias
+        if w.requires_grad:
+            xr = _column_sums(x.data)[:, None] * r
+            w._accum((x.data.T @ d - xr) * a)
+        if b.requires_grad:
+            b._accum((_column_sums(d) - gshift) * a)
+        if x.requires_grad:
+            x._accum((d - r) @ np.ascontiguousarray((w.data * a).T))
+        bn._accum(gscale, gshift)
     note_kink_margin(out)
     np.maximum(out, 0.0, out=out)
 

@@ -5,10 +5,11 @@ sigmoid unit) and an auxiliary head h that mirrors f and is used only during
 training. The baseline variant keeps the body and f only and is what the
 softmax-response and MC-dropout baselines are built on.
 
-``SelectiveNet.forward`` runs the autograd engine and serves training only.
-Every eval path (``predict``, ``selection_scores``, softmax response and
-MC-dropout) runs on ``SelectiveNet.freeze()``, the same network folded into
-plain arrays, ``BLOCK_ROWS`` rows at a time.
+The autograd engine serves training only: ``SelectiveNet.forward`` in
+``TRAIN`` mode builds the training graph. Every eval path (``forward`` in
+any other mode, ``predict``, ``selection_scores``, softmax response and
+MC-dropout) runs on ``SelectiveNet.freeze()``, the same network with its
+batchnorm folded into plain arrays, ``BLOCK_ROWS`` rows at a time.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .autograd import (
 )
 from .layers import (
     EVAL,
+    TRAIN,
     BatchNormLayer,
     ConfigurationError,
     DenseLayer,
@@ -101,11 +103,11 @@ class ArchitectureConfig:
         return ArchitectureConfig(**d)
 
 
-def _hidden(x, dense, bn, mode):
+def _hidden(x, dense, bn):
     """dense -> [batchnorm] -> relu; one fused node when batchnorm is on."""
     if bn is None:
         return relu(dense(x))
-    return dense_bn_relu(x, dense, bn, mode)
+    return dense_bn_relu(x, dense, bn)
 
 
 class _Block:
@@ -117,10 +119,10 @@ class _Block:
         self.dropout = (DropoutLayer(config.dropout_rate)
                         if config.dropout_rate is not None else None)
 
-    def __call__(self, x, mode, rng=None):
-        x = _hidden(x, self.dense, self.bn, mode)
+    def __call__(self, x, rng=None):
+        x = _hidden(x, self.dense, self.bn)
         if self.dropout is not None:
-            x = self.dropout(x, mode, rng)
+            x = self.dropout(x, rng)
         return x
 
     def parameters(self):
@@ -175,12 +177,22 @@ class SelectiveNet:
     # -- forward --------------------------------------------------------------
 
     def forward(self, x, mode=EVAL, rng=None):
-        """Shared body pass feeding all heads.
+        """``(f_out, g_out, h_out)`` for the rows of ``x``.
 
-        Returns ``(f_out, g_out, h_out)``; g_out is a [0,1] vector of length
-        batch, h_out shares f's output form. For the baseline twin, g_out and
-        h_out are None.
+        In ``TRAIN`` mode the shared body feeds all heads on the autograd
+        tape, with batch-statistics batchnorm and active dropout (``rng``
+        draws the masks): f_out holds class probabilities or regression
+        outputs, g_out is a [0,1] vector of length batch and h_out shares
+        f's form. Any other mode evaluates the frozen net once
+        (``freeze().heads``): f_out and g_out are constant tensors off the
+        tape, and h_out, used only in training, is None. For the baseline
+        twin, g_out and h_out are None.
         """
+        if mode != TRAIN:
+            f, g = self.freeze().heads(x)
+            if self.config.task == CLASSIFICATION:
+                f = softmax_rows(f)[0]
+            return Tensor(f), None if g is None else Tensor(g), None
         if not isinstance(x, Tensor):
             x = Tensor(x)
         if x.data.ndim != 2 or x.data.shape[1] != self.config.input_dim:
@@ -188,13 +200,13 @@ class SelectiveNet:
                 f"expected input (batch, {self.config.input_dim}), got {x.data.shape}")
         rep = x
         for block in self.body:
-            rep = block(rep, mode, rng)
+            rep = block(rep, rng)
 
         f_out = self._head_output(self.f_head, rep)
         if not self.selective:
             return f_out, None, None
 
-        g = _hidden(rep, self.g_hidden, self.g_bn, mode)
+        g = _hidden(rep, self.g_hidden, self.g_bn)
         g_out = dense_sigmoid(g, self.g_out)
         h_out = self._head_output(self.h_head, rep) if self.h_head else None
         return f_out, g_out, h_out
@@ -351,7 +363,7 @@ class FrozenNet:
         """f for the rows of ``x`` with inverted dropout at ``rate`` after
         every body block: class probabilities (softmax) or regression
         outputs. The masks are drawn block after block from ``rng`` as
-        ``DropoutLayer`` draws them in train mode, none at rate 0."""
+        ``DropoutLayer`` draws them, none at rate 0."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ShapeError(

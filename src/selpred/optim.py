@@ -52,9 +52,6 @@ class TrainConfig:
     weight_decay: float = 1e-4
     momentum: float = 0.9            # sgd only
     lr_halving_period: int = 25      # sgd only; 0 disables
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     shuffle: bool = True
     loss: LossConfig = field(default_factory=LossConfig)
@@ -208,8 +205,8 @@ def train(model, features, labels, config):
 
     params = model.parameters()
     if config.optimizer == "adam":
-        opt = Adam(params, config.learning_rate, config.adam_beta1,
-                   config.adam_beta2, config.adam_eps, config.weight_decay)
+        opt = Adam(params, config.learning_rate,
+                   weight_decay=config.weight_decay)
     else:
         opt = SGD(params, config.learning_rate, config.momentum,
                   config.weight_decay)

@@ -45,22 +45,8 @@ def _model_arrays(model):
     return [p.data for p in model.parameters()] + model.running_stats()
 
 
-def save_model(model, calibration, path, inference_only=False):
-    """Write a checkpoint; optionally drop the training-only auxiliary head."""
-    if inference_only and model.h_head is not None:
-        slim = SelectiveNet(
-            ArchitectureConfig(**{**model.config.to_dict(),
-                                  "auxiliary_head": False}),
-            model.seed, selective=model.selective)
-        src = {id(p) for p in model.h_head.parameters()}
-        kept = [p.data for p in model.parameters() if id(p) not in src]
-        for dst, val in zip(slim.parameters(), kept):
-            dst.data[...] = val
-        for dst, val in zip(slim.running_stats(), model.running_stats()):
-            dst[...] = val
-        slim.target_coverage = model.target_coverage
-        model = slim
-
+def save_model(model, calibration, path):
+    """Write a checkpoint of ``model`` and its calibration (or None)."""
     arrays = _model_arrays(model)
     header = {
         "format_version": FORMAT_VERSION,

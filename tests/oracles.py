@@ -1,8 +1,10 @@
-"""Unfused tape operations that only the tests use.
+"""Unfused tape operations and compositions that only the tests use.
 
 They serve as oracles: the tests build the same functions as the fused
 nodes of ``selpred`` from these elementwise operations, and check the
 engine's backward rules on them against central differences.
+``ref_forward`` composes a whole model from them, in train mode for the
+fused training graph and in eval mode for the frozen inference path.
 """
 
 import numpy as np
@@ -16,7 +18,11 @@ from selpred.autograd import (
     _check_nonempty,
     _restore_dims,
     _unary,
+    relu,
+    sigmoid,
 )
+from selpred.layers import TRAIN
+from selpred.model import CLASSIFICATION
 
 
 def matmul(a, b):
@@ -69,3 +75,54 @@ def tensor_max(x, axis=None, keepdims=False):
         x._accum(mask * full / ties)
 
     return Tensor._op(out_data, (x,), backward)
+
+
+def ref_dense(x, w, b):
+    return matmul(x, w) + b
+
+
+def ref_batchnorm(z, bn, mode):
+    """Batchnorm of ``z`` by the biased batch moments in ``TRAIN`` mode,
+    else by ``bn``'s running statistics; the running statistics are read,
+    never updated."""
+    if mode == TRAIN:
+        mean = z.mean(axis=0)
+        centered = z - mean
+        var = (centered * centered).mean(axis=0)
+        return centered / sqrt(var + bn.eps) * bn.scale + bn.shift
+    inv = 1.0 / np.sqrt(bn.running_var + bn.eps)
+    return (z - Tensor(bn.running_mean)) * Tensor(inv) * bn.scale + bn.shift
+
+
+def ref_softmax(z):
+    shifted = z - Tensor(z.data.max(axis=1, keepdims=True))
+    e = exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def ref_forward(model, x, mode, dropout=None):
+    """``(f, g, h)`` of ``model`` on the rows of ``x``, from unfused
+    operations on its parameters: f and h as class logits or regression
+    outputs, g as selection scores in [0, 1]. g and h are None where the
+    model has no such head (the baseline twin, a model without h).
+    ``dropout``, if given, maps the output of each body block."""
+    def hidden(rep, dense, bn):
+        z = ref_dense(rep, dense.weights, dense.bias)
+        return relu(ref_batchnorm(z, bn, mode) if bn is not None else z)
+
+    def head(layer, rep):
+        if layer is None:
+            return None
+        z = ref_dense(rep, layer.weights, layer.bias)
+        return z if model.config.task == CLASSIFICATION else z.reshape(-1)
+
+    rep = Tensor(x)
+    for block in model.body:
+        rep = hidden(rep, block.dense, block.bn)
+        if dropout is not None:
+            rep = dropout(rep)
+    if not model.selective:
+        return head(model.f_head, rep), None, None
+    g = hidden(rep, model.g_hidden, model.g_bn)
+    g = sigmoid(ref_dense(g, model.g_out.weights, model.g_out.bias)).reshape(-1)
+    return head(model.f_head, rep), g, head(model.h_head, rep)

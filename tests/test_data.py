@@ -71,6 +71,20 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="row 2, column 1"):
             load_csv(p, [0], 1)
 
+    @pytest.mark.parametrize("features, target, message", [
+        ([0, -1], 2, "feature column -1 is negative"),
+        ([0, 0], 2, "feature column 0 is repeated"),
+        ([0, 2], 2, "feature column 2 is the target column"),
+        ([0, 1], -1, "target column -1 is negative"),
+    ], ids=["negative", "repeated", "target", "negative_target"])
+    def test_bad_column_choice_rejected(self, tmp_path, features, target,
+                                        message):
+        """A negative index would pick a column from the end, so each of
+        these would feed the target, or one column twice, to the model."""
+        p = self._write(tmp_path, "a,b,y\n1,2,3\n4,5,6\n")
+        with pytest.raises(ConfigurationError, match=message):
+            load_csv(p, features, target)
+
     @pytest.mark.parametrize("task", [REGRESSION, CLASSIFICATION])
     def test_non_finite_feature_rejected(self, tmp_path, task):
         p = self._write(tmp_path, "a,b,y\n1,2,0\n3,4,1\n5,inf,0\n")

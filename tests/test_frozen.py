@@ -1,10 +1,11 @@
-"""The frozen inference path against the tape's eval-mode forward.
+"""The frozen inference path against the unfused eval-mode oracle.
 
 ``SelectiveNet.freeze()`` folds batchnorm into the dense layers and fuses f
-with g's first layer, so its outputs differ from ``forward(x, EVAL)`` only
-by rounding; predictions and accept masks must not differ at all. Inputs of
-more than ``BLOCK_ROWS`` rows are evaluated block by block, and MC-dropout
-runs its passes on the same frozen arrays.
+with g's first layer, so its outputs differ from ``ref_forward(model, x,
+EVAL)`` (``tests/oracles.py``) only by rounding; predictions and accept
+masks must not differ at all. ``forward`` in eval mode returns the frozen
+outputs themselves. Inputs of more than ``BLOCK_ROWS`` rows are evaluated
+block by block, and MC-dropout runs its passes on the same frozen arrays.
 """
 
 import tracemalloc
@@ -12,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import ref_forward, ref_softmax
 from selpred.autograd import DomainError, ShapeError, Tensor, no_grad
 from selpred.calibrate import calibrate
 from selpred.evaluate import (
@@ -19,7 +21,7 @@ from selpred.evaluate import (
     MC_DROPOUT_REGRESSION,
     mc_dropout_confidence,
 )
-from selpred.layers import EVAL, TRAIN, ConfigurationError, DropoutLayer
+from selpred.layers import EVAL, ConfigurationError, DropoutLayer
 from selpred.losses import CROSS_ENTROPY, SQUARED, LossConfig
 from selpred.model import (
     BLOCK_ROWS,
@@ -30,7 +32,6 @@ from selpred.model import (
     build_model,
 )
 from selpred.optim import TrainConfig, train
-from selpred.persist import load_model, save_model
 
 RTOL = 1e-12
 
@@ -62,30 +63,39 @@ def _rel_err(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
-def _check_agreement(model, x):
-    """Frozen f, g, predictions and accept masks against the tape."""
+def _oracle(model, x):
+    """Eval-mode f (class probabilities or regression outputs) and g (None
+    for the twin) from the unfused oracle, as plain arrays."""
     with no_grad():
-        f_tape, g_tape, _ = model.forward(x, EVAL)
+        f, g, _ = ref_forward(model, x, EVAL)
+        if model.config.task == CLASSIFICATION:
+            f = ref_softmax(f)
+    return f.data, None if g is None else g.data
+
+
+def _check_agreement(model, x):
+    """Frozen f, g, predictions and accept masks against the oracle."""
+    f_ref, g_ref = _oracle(model, x)
     frozen = model.freeze()
     f, g = frozen.heads(x)
     if model.config.task == CLASSIFICATION:
-        assert _rel_err(frozen.probabilities(x), f_tape.data) <= RTOL
-        expected = np.argmax(f_tape.data, axis=1)
+        assert _rel_err(frozen.probabilities(x), f_ref) <= RTOL
+        expected = np.argmax(f_ref, axis=1)
     else:
-        assert _rel_err(f, f_tape.data) <= RTOL
-        expected = f_tape.data
-    if g_tape is None:
+        assert _rel_err(f, f_ref) <= RTOL
+        expected = f_ref
+    if g_ref is None:
         assert g is None
         preds, accepted = model.predict(x, tau=0.99)
         assert accepted.all()
     else:
-        assert _rel_err(g, g_tape.data) <= RTOL
+        assert _rel_err(g, g_ref) <= RTOL
         np.testing.assert_array_equal(model.selection_scores(x), g)
-        # a threshold halfway between two tape scores: no row sits on it
-        s = np.sort(g_tape.data)
+        # a threshold halfway between two oracle scores: no row sits on it
+        s = np.sort(g_ref)
         tau = 0.5 * (s[len(s) // 2 - 1] + s[len(s) // 2])
         preds, accepted = model.predict(x, tau=tau)
-        np.testing.assert_array_equal(accepted, g_tape.data >= tau)
+        np.testing.assert_array_equal(accepted, g_ref >= tau)
     if model.config.task == CLASSIFICATION:
         np.testing.assert_array_equal(preds, expected)
     else:
@@ -108,22 +118,18 @@ def test_baseline_twin_matches_tape(task):
 
 
 @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
-def test_inference_only_checkpoint_matches_tape(task, tmp_path):
-    model = _perturbed(build_model(_config(task), seed=4))
-    x = _inputs()
-    save_model(model, None, tmp_path / "slim.ckpt", inference_only=True)
-    slim, _ = load_model(tmp_path / "slim.ckpt")
-    assert slim.h_head is None
-    _check_agreement(slim, x)
-    full, slim_out = model.freeze().heads(x), slim.freeze().heads(x)
-    for a, b in zip(full, slim_out):
-        np.testing.assert_array_equal(a, b)
+def test_model_without_auxiliary_head_matches_oracle(task):
+    cfg = _config(task)
+    cfg.auxiliary_head = False
+    model = _perturbed(build_model(cfg, seed=4))
+    assert model.h_head is None
+    _check_agreement(model, _inputs())
 
 
 @pytest.mark.parametrize("g_bias", [-720.0, 720.0])
 def test_saturated_selection_matches_tape(g_bias):
     """Selection logits far beyond exp's range: the stable sigmoid gives
-    the tape's tiny or unit scores, without overflow."""
+    the oracle's tiny or unit scores, without overflow."""
     model = _perturbed(build_model(_config(CLASSIFICATION), seed=8))
     model.g_out.bias.data[...] = g_bias
     with np.errstate(over="raise"):
@@ -138,6 +144,32 @@ def test_trained_model_matches_tape():
     train(model, x, y, TrainConfig(epochs=5, batch_size=64, seed=0,
                                    loss=LossConfig(task_loss=CROSS_ENTROPY)))
     _check_agreement(model, _inputs(seed=5))
+
+
+@pytest.mark.parametrize("baseline", [False, True], ids=["selnet", "twin"])
+@pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+def test_eval_forward_is_the_frozen_net(task, baseline):
+    """With grad enabled, eval-mode ``forward`` returns the frozen net's f
+    and g bit for bit as constants off the tape, no h, and leaves the
+    running statistics alone."""
+    build = build_baseline if baseline else build_model
+    model = _perturbed(build(_config(task, dropout_rate=0.25), seed=5))
+    x = _inputs(64)
+    stats = [a.copy() for a in model.running_stats()]
+    f, g, h = model.forward(x)
+    frozen = model.freeze()
+    want_f = (frozen.probabilities(x) if task == CLASSIFICATION
+              else frozen.heads(x)[0])
+    assert f.data.tobytes() == want_f.tobytes()
+    if baseline:
+        assert g is None
+    else:
+        assert g.data.tobytes() == model.selection_scores(x).tobytes()
+        assert not g._parents and not g.requires_grad
+    assert h is None
+    assert not f._parents and not f.requires_grad
+    for before, after in zip(stats, model.running_stats()):
+        np.testing.assert_array_equal(before, after)
 
 
 class TestCacheInvalidation:
@@ -197,7 +229,7 @@ def test_n1_predict_allocates_no_tensor(monkeypatch):
     model.selection_scores(x)
     assert not allocated
     model.forward(x)
-    assert allocated  # the counter does see tape allocations
+    assert allocated  # the counter does see eval forward's output tensors
 
 
 class TestErrors:
@@ -306,18 +338,18 @@ class TestRowBlocks:
 
 
 def _mc_oracle(model, x, passes, rate, seed, task):
-    """MC-dropout scores composed from the tape: each pass runs the
-    eval-mode body blocks, each followed by ``DropoutLayer(rate)`` in train
-    mode, then the f head; the scores follow the method's definition."""
+    """MC-dropout scores composed from the unfused oracle: each pass runs
+    the eval-mode body blocks, each followed by ``DropoutLayer(rate)``, then
+    the f head; the scores follow the method's definition."""
     dropout = DropoutLayer(rate)
     rng = np.random.default_rng(seed)
     outs = []
     with no_grad():
         for _ in range(passes):
-            rep = Tensor(x)
-            for block in model.body:
-                rep = dropout(block(rep, EVAL), TRAIN, rng)
-            outs.append(model._head_output(model.f_head, rep).data)
+            f = ref_forward(model, x, EVAL, lambda rep: dropout(rep, rng))[0]
+            if task == CLASSIFICATION:
+                f = ref_softmax(f)
+            outs.append(f.data)
     outs = np.stack(outs)
     identical = np.all(outs == outs[0], axis=0)
     if task == CLASSIFICATION:

@@ -18,7 +18,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import exp, log, matmul, sqrt
+from oracles import (
+    exp,
+    log,
+    ref_batchnorm,
+    ref_dense,
+    ref_forward,
+    ref_softmax,
+)
 from selpred import optim
 from selpred.autograd import (
     Tensor,
@@ -59,7 +66,7 @@ from selpred.model import (
     build_baseline,
     build_model,
 )
-from selpred.optim import TrainConfig, TrainHistory, _batches, train
+from selpred.optim import Adam, TrainConfig, TrainHistory, _batches, train
 
 REL = 1e-12
 BATCHES = [2, 7]  # the smallest train-mode batch and a ragged one
@@ -99,26 +106,6 @@ def compare(params, fused_fn, reference_fn):
 # -- unfused reference compositions -------------------------------------------
 
 
-def ref_dense(x, w, b):
-    return matmul(x, w) + b
-
-
-def ref_batchnorm(z, bn, mode):
-    if mode == TRAIN:
-        mean = z.mean(axis=0)
-        centered = z - mean
-        var = (centered * centered).mean(axis=0)
-        return centered / sqrt(var + bn.eps) * bn.scale + bn.shift
-    inv = 1.0 / np.sqrt(bn.running_var + bn.eps)
-    return (z - Tensor(bn.running_mean)) * Tensor(inv) * bn.scale + bn.shift
-
-
-def ref_softmax(z):
-    shifted = z - Tensor(z.data.max(axis=1, keepdims=True))
-    e = exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def ref_cross_entropy(z, labels):
     """-log_softmax(z)[label] from elementwise operations."""
     shifted = z - Tensor(z.data.max(axis=1, keepdims=True))
@@ -141,24 +128,6 @@ def ref_selective(losses, g, cfg):
 
 def ref_total(sel, aux, alpha):
     return alpha * sel + (1.0 - alpha) * aux
-
-
-def ref_forward(model, x, mode):
-    """The model's forward pass from unfused operations on its parameters."""
-    def hidden(h, dense, bn):
-        z = ref_dense(h, dense.weights, dense.bias)
-        return relu(ref_batchnorm(z, bn, mode) if bn is not None else z)
-
-    def head(layer, rep):
-        z = ref_dense(rep, layer.weights, layer.bias)
-        return z if model.config.task == CLASSIFICATION else z.reshape(-1)
-
-    rep = Tensor(x)
-    for block in model.body:
-        rep = hidden(rep, block.dense, block.bn)
-    g = hidden(rep, model.g_hidden, model.g_bn)
-    g = sigmoid(ref_dense(g, model.g_out.weights, model.g_out.bias)).reshape(-1)
-    return head(model.f_head, rep), g, head(model.h_head, rep)
 
 
 # -- dense --------------------------------------------------------------------
@@ -203,16 +172,15 @@ def _frozen_stats(bns, fn):
     return run
 
 
-@pytest.mark.parametrize("mode", [TRAIN, EVAL])
-@pytest.mark.parametrize("m", BATCHES)
-def test_batchnorm_node(mode, m):
+@pytest.mark.parametrize("m", BATCHES, ids=[f"{m}-train" for m in BATCHES])
+def test_batchnorm_node(m):
     rng = np.random.default_rng(10 + m)
     bn = _bn(rng, 3)
     (z,) = leaves(rng, (m, 3))
     probe = Tensor(rng.normal(size=(m, 3)))
     params = [z, bn.scale, bn.shift]
-    fused = _frozen_stats([bn], lambda: (bn(z, mode) * probe).sum())
-    ref = _frozen_stats([bn], lambda: (ref_batchnorm(z, bn, mode) * probe).sum())
+    fused = _frozen_stats([bn], lambda: (bn(z) * probe).sum())
+    ref = _frozen_stats([bn], lambda: (ref_batchnorm(z, bn, TRAIN) * probe).sum())
     compare(params, fused, ref)
     assert finite_difference_check(fused, params) < 1e-6
 
@@ -222,7 +190,7 @@ def test_batchnorm_running_stats_match_reference():
     bn = _bn(rng, 4)
     x = rng.normal(2.0, 3.0, size=(9, 4))
     rm, rv = bn.running_mean.copy(), bn.running_var.copy()
-    bn(Tensor(x), TRAIN)
+    bn(Tensor(x))
     mean = Tensor(x).mean(axis=0).data
     var = ((Tensor(x) - mean) * (Tensor(x) - mean)).mean(axis=0).data
     np.testing.assert_array_equal(bn.running_mean,
@@ -230,7 +198,7 @@ def test_batchnorm_running_stats_match_reference():
     np.testing.assert_array_equal(bn.running_var, 0.9 * rv + (1.0 - 0.9) * var)
 
 
-def _kink_safe_block(seed, m, mode):
+def _kink_safe_block(seed, m):
     """A block and input whose relu pre-activations stay 1e-3 away from 0,
     so central differences are valid."""
     for attempt in range(50):
@@ -240,22 +208,21 @@ def _kink_safe_block(seed, m, mode):
         bn = _bn(rng, 4)
         (x,) = leaves(rng, (m, 3))
         with watch_kink_margins() as margins:
-            _frozen_stats([bn], lambda: dense_bn_relu(x, dense, bn, mode))()
+            _frozen_stats([bn], lambda: dense_bn_relu(x, dense, bn))()
         if margins and min(margins) > 1e-3:
             return dense, bn, x, rng
     raise RuntimeError("no kink-safe draw")
 
 
-@pytest.mark.parametrize("mode", [TRAIN, EVAL])
-@pytest.mark.parametrize("m", BATCHES)
-def test_dense_bn_relu_node(mode, m):
-    dense, bn, x, rng = _kink_safe_block(m, m, mode)
+@pytest.mark.parametrize("m", BATCHES, ids=[f"{m}-train" for m in BATCHES])
+def test_dense_bn_relu_node(m):
+    dense, bn, x, rng = _kink_safe_block(m, m)
     probe = Tensor(rng.normal(size=(m, 4)))
     params = [x, dense.weights, dense.bias, bn.scale, bn.shift]
     fused = _frozen_stats(
-        [bn], lambda: (dense_bn_relu(x, dense, bn, mode) * probe).sum())
+        [bn], lambda: (dense_bn_relu(x, dense, bn) * probe).sum())
     ref = _frozen_stats([bn], lambda: (relu(ref_batchnorm(
-        ref_dense(x, dense.weights, dense.bias), bn, mode)) * probe).sum())
+        ref_dense(x, dense.weights, dense.bias), bn, TRAIN)) * probe).sum())
     compare(params, fused, ref)
     assert finite_difference_check(fused, params) < 1e-6
 
@@ -278,7 +245,7 @@ def _train_block_case(rng, in_dim, width, m, offset, constant_column):
 def _train_block_outputs(dense, bn, x):
     """(fused, reference) outputs of one train-mode block, as functions
     that leave the running statistics as they found them."""
-    return (_frozen_stats([bn], lambda: dense_bn_relu(x, dense, bn, TRAIN)),
+    return (_frozen_stats([bn], lambda: dense_bn_relu(x, dense, bn)),
             _frozen_stats([bn], lambda: relu(ref_batchnorm(
                 ref_dense(x, dense.weights, dense.bias), bn, TRAIN))))
 
@@ -331,9 +298,9 @@ def test_dense_bn_relu_reports_kink_margin():
     rng = np.random.default_rng(4)
     dense, bn = DenseLayer(3, 4, rng), _bn(rng, 4)
     x = Tensor(rng.normal(size=(5, 3)))
-    pre = bn.normalize(x.data @ dense.weights.data + dense.bias.data, EVAL)[0]
+    pre = bn.train_normalize(x.data @ dense.weights.data, dense.bias.data)[0]
     with watch_kink_margins() as margins:
-        dense_bn_relu(x, dense, bn, EVAL)
+        dense_bn_relu(x, dense, bn)
     assert margins == [float(np.min(np.abs(pre)))]
 
 
@@ -476,11 +443,12 @@ def test_eval_forward_matches_unfused_tape(task):
         bn.running_var = np.full(bn.num_features, 1.7)
     x = np.random.default_rng(9).normal(size=(7, 3))
     f, g, h = model.forward(x)
-    rf, rg, rh = ref_forward(model, x, EVAL)
+    rf, rg, _ = ref_forward(model, x, EVAL)
     if task == CLASSIFICATION:
-        rf, rh = ref_softmax(rf), ref_softmax(rh)
-    for a, b in ((f, rf), (g, rg), (h, rh)):
+        rf = ref_softmax(rf)
+    for a, b in ((f, rf), (g, rg)):
         assert_same(a.data, b.data)
+    assert h is None
 
 
 def tape_size(root):
@@ -559,27 +527,32 @@ def ref_train_forward(model, x, rng):
     """``forward(x, TRAIN)`` with g's output as three nodes."""
     rep = Tensor(x)
     for block in model.body:
-        rep = block(rep, TRAIN, rng)
+        rep = block(rep, rng)
     f = model._head_output(model.f_head, rep)
     if not model.selective:
         return f, None, None
-    g = _hidden(rep, model.g_hidden, model.g_bn, TRAIN)
+    g = _hidden(rep, model.g_hidden, model.g_bn)
     g = sigmoid(model.g_out(g)).reshape(-1)
     return f, g, model._head_output(model.h_head, rep)
 
 
+ADAM_DEFAULTS = Adam([], 1.0)
+
+
 def ref_adam_step(params, state, lr, cfg):
-    """Adam then decoupled decay, each formula one allocating expression."""
+    """Adam at ``Adam``'s default betas and eps, as ``train()`` builds it,
+    then decoupled decay, each formula one allocating expression."""
+    b1, b2, eps = ADAM_DEFAULTS.beta1, ADAM_DEFAULTS.beta2, ADAM_DEFAULTS.eps
     state["t"] += 1
-    c1 = 1.0 - cfg.adam_beta1 ** state["t"]
-    c2 = 1.0 - cfg.adam_beta2 ** state["t"]
+    c1 = 1.0 - b1 ** state["t"]
+    c2 = 1.0 - b2 ** state["t"]
     theta, grad = params.sync()
     m, v = state["m"], state["v"]
-    m *= cfg.adam_beta1
-    m += (1.0 - cfg.adam_beta1) * grad
-    v *= cfg.adam_beta2
-    v += (1.0 - cfg.adam_beta2) * grad * grad
-    theta -= lr * (m / c1) / (np.sqrt(v / c2) + cfg.adam_eps)
+    m *= b1
+    m += (1.0 - b1) * grad
+    v *= b2
+    v += (1.0 - b2) * grad * grad
+    theta -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
     theta -= lr * cfg.weight_decay * theta
 
 

@@ -6,8 +6,6 @@ import pytest
 from selpred import layers
 from selpred.autograd import ShapeError, Tensor
 from selpred.layers import (
-    EVAL,
-    TRAIN,
     BatchNormLayer,
     ConfigurationError,
     ContractError,
@@ -54,14 +52,14 @@ class TestDense:
 class TestBatchNorm:
     def test_hand_two_point_batch(self):
         bn = BatchNormLayer(1, eps=1e-12)
-        out = bn(Tensor([[1.0], [3.0]]), TRAIN)
+        out = bn(Tensor([[1.0], [3.0]]))
         np.testing.assert_allclose(out.data, [[-1.0], [1.0]], atol=1e-5)
 
     def test_train_output_moments(self):
         rng = np.random.default_rng(3)
         bn = BatchNormLayer(4)
         x = Tensor(rng.normal(3.0, 2.0, size=(64, 4)))
-        y = bn(x, TRAIN).data
+        y = bn(x).data
         np.testing.assert_allclose(y.mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(y.std(axis=0), 1.0, atol=1e-3)
 
@@ -71,24 +69,14 @@ class TestBatchNorm:
         bn = BatchNormLayer(2, momentum=0.5)
         x = Tensor(rng.normal(size=(32, 2)))
         for _ in range(60):
-            bn(x, TRAIN)
+            bn(x)
         np.testing.assert_allclose(bn.running_mean, x.data.mean(axis=0), atol=1e-9)
         np.testing.assert_allclose(bn.running_var, x.data.var(axis=0), atol=1e-9)
-
-    def test_eval_is_stateless(self):
-        bn = BatchNormLayer(2)
-        x = Tensor(np.random.default_rng(5).normal(size=(8, 2)))
-        before = (bn.running_mean.copy(), bn.running_var.copy())
-        a = bn(x, EVAL).data
-        b = bn(x, EVAL).data
-        np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(bn.running_mean, before[0])
-        np.testing.assert_array_equal(bn.running_var, before[1])
 
     def test_train_batch_of_one_rejected(self):
         bn = BatchNormLayer(2)
         with pytest.raises(ContractError):
-            bn(Tensor(np.zeros((1, 2))), TRAIN)
+            bn(Tensor(np.zeros((1, 2))))
 
     def test_bad_momentum(self):
         with pytest.raises(ConfigurationError):
@@ -98,18 +86,13 @@ class TestBatchNorm:
 class TestDropout:
     def test_rate_zero_identity(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))
-        out = DropoutLayer(0.0)(x, TRAIN, np.random.default_rng(0))
+        out = DropoutLayer(0.0)(x, np.random.default_rng(0))
         np.testing.assert_array_equal(out.data, x.data)
-
-    def test_eval_identity_any_rate(self):
-        x = Tensor(np.arange(6.0).reshape(2, 3))
-        out = DropoutLayer(0.9)(x, EVAL)
-        assert out is x
 
     def test_forced_active_reproducible(self):
         x = Tensor(np.ones((4, 4)))
-        a = DropoutLayer(0.5)(x, TRAIN, np.random.default_rng(11)).data
-        b = DropoutLayer(0.5)(x, TRAIN, np.random.default_rng(11)).data
+        a = DropoutLayer(0.5)(x, np.random.default_rng(11)).data
+        b = DropoutLayer(0.5)(x, np.random.default_rng(11)).data
         np.testing.assert_array_equal(a, b)
         assert np.any(a == 0.0)
 
@@ -119,12 +102,12 @@ class TestDropout:
 
     def test_missing_rng_rejected(self):
         with pytest.raises(ContractError):
-            DropoutLayer(0.5)(Tensor(np.ones((2, 2))), TRAIN)
+            DropoutLayer(0.5)(Tensor(np.ones((2, 2))))
 
     def test_inverted_scaling_preserves_expectation(self):
         rng = np.random.default_rng(12)
         x = Tensor(np.ones((200, 500)))
-        out = DropoutLayer(0.3)(x, TRAIN, rng).data
+        out = DropoutLayer(0.3)(x, rng).data
         assert out.mean() == pytest.approx(1.0, abs=0.01)
         # survivors are scaled by 1/(1-p)
         np.testing.assert_allclose(np.unique(out), [0.0, 1.0 / 0.7], atol=1e-12)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from selpred.autograd import ShapeError
-from selpred.layers import ConfigurationError
+from selpred.layers import TRAIN, ConfigurationError
 from selpred.model import (
     CLASSIFICATION,
     REGRESSION,
@@ -79,14 +79,21 @@ class TestForward:
         np.testing.assert_allclose(f.data.sum(axis=1), 1.0, atol=1e-12)
         assert g.data.shape == (5,)
         assert np.all((g.data >= 0.0) & (g.data <= 1.0))
-        assert h.data.shape == (5, 4)
+        assert h is None  # h serves training only
 
     def test_output_shapes_regression(self):
         model = build_model(regression_config(), seed=0)
         f, g, h = model.forward(np.zeros((3, 8)))
         assert f.data.shape == (3,)
         assert g.data.shape == (3,)
-        assert h.data.shape == (3,)
+        assert h is None
+
+    def test_train_mode_h_mirrors_f(self):
+        model = build_model(classification_config(dropout_rate=0.5), seed=0)
+        x = np.random.default_rng(0).normal(size=(5, 8))
+        f, g, h = model.forward(x, mode=TRAIN, rng=np.random.default_rng(1))
+        assert f.data.shape == h.data.shape == (5, 4)
+        assert g.data.shape == (5,)
 
     def test_eval_deterministic(self):
         model = build_model(classification_config(dropout_rate=0.5), seed=0)

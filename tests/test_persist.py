@@ -142,19 +142,6 @@ def test_unsupported_version(trained_model, tmp_path):
         load_model(path)
 
 
-def test_inference_only_drops_auxiliary_head(trained_model, tmp_path):
-    model, x = trained_model
-    path = tmp_path / "slim.bin"
-    save_model(model, None, path, inference_only=True)
-    loaded, _ = load_model(path)
-    assert loaded.h_head is None
-    assert loaded.num_parameters() < model.num_parameters()
-    f, g, h = loaded.forward(x)
-    np.testing.assert_array_equal(f.data, model.forward(x)[0].data)
-    np.testing.assert_array_equal(g.data, model.forward(x)[1].data)
-    assert h is None
-
-
 def test_failed_save_leaves_previous_checkpoint(trained_model, tmp_path,
                                                 monkeypatch):
     import selpred.persist as persist
