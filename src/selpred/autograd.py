@@ -98,10 +98,17 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def _accum(self, g):
-        """Add ``g`` (already shaped like ``data``) into ``grad`` in place."""
+    def _accum(self, g, owned=False):
+        """Add ``g`` (already shaped like ``data``) into ``grad`` in place.
+
+        A first gradient is copied, since ``g`` may be shared with another
+        tensor (the elementwise ops send one ``g`` to both operands) or be a
+        view of one (``reshape``, ``broadcast_to``). A node that allocated
+        the float64 array ``g`` for this call alone and keeps no reference
+        to it passes ``owned=True``: the array becomes ``grad`` without the
+        copy, and later gradients are added into it."""
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
+            self.grad = g if owned else np.array(g, dtype=np.float64)
         else:
             self.grad += g
 
@@ -160,7 +167,7 @@ class Tensor:
 
         def backward(g):
             if axis is None:
-                self._accum(np.full(self.data.shape, g * scale))
+                self._accum(np.full(self.data.shape, g * scale), owned=True)
             else:
                 self._accum(np.broadcast_to(
                     _restore_dims(g * scale, self.data.shape, axis, keepdims),
@@ -310,9 +317,13 @@ def relu(x):
 def stable_sigmoid(t):
     """Logistic function of the array ``t`` without overflow: with
     e = exp(-|t|), 1/(1+e) where t >= 0 and e/(1+e) elsewhere, which are
-    1/(1+e^-t) and e^t/(1+e^t)."""
+    1/(1+e^-t) and e^t/(1+e^t).
+
+    The numerator is max(e, t >= 0): 1 where t >= 0, since e <= 1, and e
+    elsewhere, since e >= 0; NaN stays NaN. It is the same array as
+    ``np.where(t >= 0, 1, e)`` from a cheaper call."""
     e = np.exp(-np.abs(t))
-    return np.where(t >= 0.0, 1.0, e) / (1.0 + e)
+    return np.maximum(e, t >= 0.0) / (1.0 + e)
 
 
 def sigmoid(x):

@@ -35,7 +35,7 @@ from .evaluate import (
     threshold_for_coverage,
     write_csv,
 )
-from .layers import softmax_rows
+from .layers import ConfigurationError, softmax_rows
 from .losses import LossConfig
 from .model import CLASSIFICATION, ArchitectureConfig, build_baseline, build_model
 from .optim import TrainConfig, train
@@ -81,15 +81,25 @@ def _provenance(cfg, seeds):
 
 def _load_dataset(cfg):
     d = cfg.get("dataset", {})
+    if not isinstance(d, dict):
+        raise ConfigurationError("config field dataset must be a mapping")
+
+    def required(key):
+        if key not in d:
+            raise ConfigurationError(f"config field dataset.{key} is missing")
+        return d[key]
+
     kind = d.get("kind", "csv")
     if kind == "csv":
-        return load_csv(d["path"], d["feature_columns"], d["target_column"],
+        return load_csv(required("path"), required("feature_columns"),
+                        required("target_column"),
                         header=d.get("header", True),
                         task=d.get("task", "regression"))
     if kind == "synthetic":
         return synth_classification(
-            seed=d.get("seed", 0), m=d["m"], n_classes=d["n_classes"],
-            n_features=d["n_features"],
+            seed=d.get("seed", 0), m=required("m"),
+            n_classes=required("n_classes"),
+            n_features=required("n_features"),
             noise_fraction=d.get("noise_fraction", 0.0))
     raise ValueError(f"unknown dataset kind {kind!r}")
 

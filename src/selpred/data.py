@@ -91,12 +91,21 @@ def load_csv(path, feature_columns, target_column, header=True,
              task=REGRESSION):
     """Parse a numeric CSV into a Dataset, validating the schema.
 
-    Columns are zero-based indices. A negative target column, or a feature
-    column that is negative, repeated or the target column, raises
-    ConfigurationError. Non-numeric and non-finite (``nan``, ``inf``)
-    cells, and classification labels that are not integers >= 0, raise
-    ParseError naming the offending row and column.
+    Columns are zero-based indices, each an ``int`` or numpy integer (not a
+    bool). A column that is not such an index, a negative target column, or
+    a feature column that is negative, repeated or the target column,
+    raises ConfigurationError naming the field. Non-numeric and non-finite
+    (``nan``, ``inf``) cells, and classification labels that are not
+    integers >= 0, raise ParseError naming the offending row and column.
     """
+    target_column = _column_index(target_column, "target_column")
+    if (isinstance(feature_columns, (str, bytes, dict))
+            or not np.iterable(feature_columns)):
+        raise ConfigurationError(
+            f"feature_columns must be a list of column indices, "
+            f"got {feature_columns!r}")
+    feature_columns = [_column_index(c, "feature_columns")
+                       for c in feature_columns]
     if target_column < 0:
         raise ConfigurationError(f"target column {target_column} is negative")
     seen = set()
@@ -147,6 +156,17 @@ def load_csv(path, feature_columns, target_column, header=True,
         raise ParseError(
             f"{path}: non-finite cell {row[c]!r} at row {r}, column {c}")
     return Dataset(feats, labels, task, provenance={"source": str(path)})
+
+
+def _column_index(value, field):
+    """``value`` as an ``int`` column index; ConfigurationError naming
+    ``field`` unless it is an ``int`` or numpy integer. A bool is rejected,
+    though Python counts it as an int, since ``true`` would read as 1."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(
+            value, (int, np.integer)):
+        raise ConfigurationError(
+            f"{field}: {value!r} is not an integer column index")
+    return int(value)
 
 
 def standardize(dataset, stats=None, include_target=False):

@@ -94,34 +94,37 @@ class DenseLayer:
         if x.data.ndim != 2 or x.data.shape[1] != self.in_dim:
             raise ShapeError(
                 f"dense layer expects (batch, {self.in_dim}), got {x.data.shape}")
-        z = x.data @ self.weights.data
+        z = x.data.dot(self.weights.data)
         if bias:
             z += self.bias.data
         return z
 
     def backprop(self, x, g):
-        """Accumulate dW = x.T @ g, db = sum_rows(g) and dx = g @ W.T (as
-        g * W[:, 0] for one unit, else g @ a contiguous copy of W.T, which
-        is faster), given g = dL/d(x @ W + b)."""
+        """Accumulate dW = x.T @ g, db = sum_rows(g) and dx = g @ W.T, given
+        g = dL/d(x @ W + b).
+
+        Each product is an ``ndarray.dot`` call, the same BLAS call as ``@``
+        at less fixed cost. dx multiplies by a contiguous copy of W.T, which
+        is faster; for one unit W.T is already contiguous, and the k = 1
+        product gives the same bytes as g * W[:, 0] in a fraction of its
+        time. dx is handed to ``x`` without a copy."""
         w, b = self.weights, self.bias
         if w.requires_grad:
-            w._accum(x.data.T @ g)
+            w._accum(x.data.T.dot(g))
         if b.requires_grad:
             b._accum(_column_sums(g))
         if x.requires_grad:
-            w = w.data
-            x._accum(g * w[:, 0] if w.shape[1] == 1
-                     else g @ np.ascontiguousarray(w.T))
+            x._accum(g.dot(np.ascontiguousarray(w.data.T)), owned=True)
 
     def parameters(self):
         return [self.weights, self.bias]
 
 
 def _column_sums(a):
-    """``a.sum(axis=0)`` of a 2-D array as one matrix-vector product, several
-    times faster on a batch of narrow rows (the rounding differs in the last
-    bits)."""
-    return _ones(a.shape[0]) @ a
+    """``a.sum(axis=0)`` of a 2-D array as one matrix-vector product
+    (``ndarray.dot``), several times faster on a batch of narrow rows (the
+    rounding differs in the last bits)."""
+    return _ones(a.shape[0]).dot(a)
 
 
 @functools.lru_cache(maxsize=8)
@@ -161,7 +164,7 @@ class BatchNormLayer:
         def backward(gy):
             d, r, a, gscale, gshift = backprop(gy)
             if x.requires_grad:
-                x._accum((d - r) * a)
+                x._accum((d - r) * a, owned=True)
             self._accum(gscale, gshift)
 
         return Tensor._op(y, (x, self.scale, self.shift), backward)
@@ -261,11 +264,12 @@ def dense_bn_relu(x, dense, bn):
         w, b = dense.weights, dense.bias
         if w.requires_grad:
             xr = _column_sums(x.data)[:, None] * r
-            w._accum((x.data.T @ d - xr) * a)
+            w._accum((x.data.T.dot(d) - xr) * a)
         if b.requires_grad:
             b._accum((_column_sums(d) - gshift) * a)
         if x.requires_grad:
-            x._accum((d - r) @ np.ascontiguousarray((w.data * a).T))
+            x._accum((d - r).dot(np.ascontiguousarray((w.data * a).T)),
+                     owned=True)
         bn._accum(gscale, gshift)
     note_kink_margin(out)
     np.maximum(out, 0.0, out=out)
@@ -316,12 +320,30 @@ def softmax_rows(logits):
     row_sums)`` with ``shifted`` the logits minus each row's max and
     ``p = exp(shifted) / row_sums``.
 
-    The row max is an elementwise ``np.maximum`` fold over the columns:
-    the same values as ``logits.max(axis=1)``, several times faster for the
-    few columns of a class-logit matrix.
+    The row max and the row sums are those of ``max(axis=1)`` and
+    ``sum(axis=1)``, bit for bit (see ``_row_reduce``).
     """
-    shifted = logits - functools.reduce(np.maximum, logits.T)[:, None]
+    shifted = logits - _row_reduce(np.maximum, logits)
     p = np.exp(shifted)
-    row_sums = p.sum(axis=1, keepdims=True)
+    row_sums = _row_reduce(np.add, p)
     p /= row_sums
     return p, shifted, row_sums
+
+
+# Rows narrower than this are reduced by a column fold. numpy adds a row of
+# fewer than 8 values left to right, as the fold does; from 8 values on it
+# sums in blocks, and one call per column would cost more than it saves.
+_FOLD_COLUMNS = 8
+
+
+def _row_reduce(ufunc, a):
+    """``ufunc.reduce(a, axis=1, keepdims=True)`` of the 2-D array ``a``.
+
+    Below ``_FOLD_COLUMNS`` columns it is an elementwise fold over the
+    columns, ((a0 op a1) op a2) ..., with the same bits as the reduction
+    for ``np.maximum`` and ``np.add`` and several times faster on the few
+    columns of a class-logit matrix.
+    """
+    if a.shape[1] < _FOLD_COLUMNS:
+        return functools.reduce(ufunc, a.T)[:, None]
+    return ufunc.reduce(a, axis=1, keepdims=True)

@@ -121,7 +121,7 @@ def _cross_entropy(prediction, labels):
             dz = p.copy()
             dz.ravel()[rows * k + idx] -= 1.0
             dz *= g[:, None]
-            logits._accum(dz)
+            logits._accum(dz, owned=True)
 
         return Tensor._op(np.log(row_sums[:, 0]) - shifted[rows, idx],
                           (logits,), backward)
@@ -132,7 +132,7 @@ def _cross_entropy(prediction, labels):
     def backward(g):
         dp = np.zeros_like(p)
         dp[rows, idx] = np.where(true_prob > _CE_FLOOR, -g / floored, 0.0)
-        prediction._accum(dp)
+        prediction._accum(dp, owned=True)
 
     return Tensor._op(-np.log(floored), (prediction,), backward)
 
@@ -145,7 +145,7 @@ def _squared(prediction, labels):
     d = prediction.data.reshape(-1) - y
 
     def backward(g):
-        prediction._accum((2.0 * g * d).reshape(shape))
+        prediction._accum((2.0 * g * d).reshape(shape), owned=True)
 
     return Tensor._op(d * d, (prediction,), backward)
 
@@ -204,10 +204,11 @@ def selective_loss(losses, g_values, config):
         grad = float(grad)
         per_sample = grad / phi * inv_m
         if losses.requires_grad:
-            losses._accum(per_sample * g)
+            losses._accum(per_sample * g, owned=True)
         if g_values.requires_grad:
             g_values._accum(per_sample * (l - risk)
-                            - 2.0 * weight * shortfall * inv_m * grad)
+                            - 2.0 * weight * shortfall * inv_m * grad,
+                            owned=True)
 
     out = Tensor._op(risk + weight * (shortfall * shortfall),
                      (losses, g_values), backward)

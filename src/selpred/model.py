@@ -330,10 +330,10 @@ class FrozenNet:
         if x.shape[0] > BLOCK_ROWS:
             return self._blocked_heads(x)
         for w, b in self.body:
-            x = x @ w
+            x = x.dot(w)
             x += b
             np.maximum(x, 0.0, out=x)
-        z = x @ self.head_w
+        z = x.dot(self.head_w)
         z += self.head_b
         if not np.isfinite(z).all():
             raise DomainError("head outputs are not finite")
@@ -343,7 +343,7 @@ class FrozenNet:
             f = np.ascontiguousarray(z[:, 0])  # not a view that keeps z alive
         if self.g_w is None:
             return f, None
-        t = np.maximum(z[:, self.n_f:], 0.0) @ self.g_w
+        t = np.maximum(z[:, self.n_f:], 0.0).dot(self.g_w)
         t += self.g_b
         return f, stable_sigmoid(t)
 
@@ -369,12 +369,12 @@ class FrozenNet:
             raise ShapeError(
                 f"expected input (batch, {self.input_dim}), got {x.shape}")
         for w, b in self.body:
-            x = x @ w
+            x = x.dot(w)
             x += b
             np.maximum(x, 0.0, out=x)
             if rate != 0.0:
                 x *= (rng.random(x.shape) >= rate) / (1.0 - rate)
-        z = x @ self.head_w[:, :self.n_f]
+        z = x.dot(self.head_w[:, :self.n_f])
         z += self.head_b[:self.n_f]
         if not np.isfinite(z).all():
             raise DomainError("head outputs are not finite")

@@ -5,6 +5,7 @@ import pytest
 import yaml
 
 from selpred.cli import main, prepare_splits
+from selpred.layers import ConfigurationError
 from selpred.model import FrozenNet
 from selpred.persist import load_model
 
@@ -290,6 +291,31 @@ class TestCompare:
                 else:
                     assert float(row[col]) == 100.0 * (base - selnet) / base
         assert "n/a" in cells and any(c != "n/a" for c in cells)
+
+
+class TestDatasetConfig:
+    CSV = {"kind": "csv", "path": "data.csv", "feature_columns": [0, 1],
+           "target_column": 2}
+    SYNTHETIC = {"kind": "synthetic", "m": 60, "n_classes": 3,
+                 "n_features": 4}
+
+    @pytest.mark.parametrize("dataset, field", [
+        (CSV, "path"), (CSV, "feature_columns"), (CSV, "target_column"),
+        (SYNTHETIC, "m"), (SYNTHETIC, "n_classes"), (SYNTHETIC, "n_features"),
+    ])
+    def test_missing_field_is_named(self, tmp_path, capsys, dataset, field):
+        dataset = {k: v for k, v in dataset.items() if k != field}
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text(yaml.safe_dump({"dataset": dataset}))
+        rc = main(["train", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"error: config field dataset.{field} is missing" in err
+
+    def test_dataset_must_be_a_mapping(self):
+        with pytest.raises(ConfigurationError, match="must be a mapping"):
+            prepare_splits({"dataset": [self.CSV]})
 
 
 class TestExitCodes:

@@ -85,6 +85,30 @@ class TestLoadCsv:
         with pytest.raises(ConfigurationError, match=message):
             load_csv(p, features, target)
 
+    @pytest.mark.parametrize("features, target, message", [
+        ([0.0, 1], 2, "feature_columns: 0.0 is not an integer"),
+        (["0", 1], 2, "feature_columns: '0' is not an integer"),
+        ([True, 1], 2, "feature_columns: True is not an integer"),
+        ([0, 1], True, "target_column: True is not an integer"),
+        ([0, 1], 2.0, "target_column: 2.0 is not an integer"),
+        (0, 2, "feature_columns must be a list"),
+        ("01", 2, "feature_columns must be a list"),
+    ], ids=["float", "string", "bool", "bool_target", "float_target",
+            "scalar", "string_list"])
+    def test_non_integer_column_rejected(self, tmp_path, features, target,
+                                         message):
+        """A config may hold any YAML value here; a bool would otherwise
+        read as column 1."""
+        p = self._write(tmp_path, "a,b,y\n1,2,3\n4,5,6\n")
+        with pytest.raises(ConfigurationError, match=message):
+            load_csv(p, features, target)
+
+    def test_numpy_integer_columns_accepted(self, tmp_path):
+        p = self._write(tmp_path, "a,b,y\n1,2,3\n4,5,6\n")
+        ds = load_csv(p, np.array([1, 0]), np.int32(2))
+        np.testing.assert_array_equal(ds.features, [[2.0, 1.0], [5.0, 4.0]])
+        np.testing.assert_array_equal(ds.labels, [3.0, 6.0])
+
     @pytest.mark.parametrize("task", [REGRESSION, CLASSIFICATION])
     def test_non_finite_feature_rejected(self, tmp_path, task):
         p = self._write(tmp_path, "a,b,y\n1,2,0\n3,4,1\n5,inf,0\n")

@@ -14,14 +14,20 @@ import numpy as np
 import pytest
 
 from oracles import ref_forward, ref_softmax
-from selpred.autograd import DomainError, ShapeError, Tensor, no_grad
+from selpred.autograd import (
+    DomainError,
+    ShapeError,
+    Tensor,
+    no_grad,
+    stable_sigmoid,
+)
 from selpred.calibrate import calibrate
 from selpred.evaluate import (
     MC_DROPOUT_CLASSIFICATION,
     MC_DROPOUT_REGRESSION,
     mc_dropout_confidence,
 )
-from selpred.layers import EVAL, ConfigurationError, DropoutLayer
+from selpred.layers import EVAL, ConfigurationError, DropoutLayer, softmax_rows
 from selpred.losses import CROSS_ENTROPY, SQUARED, LossConfig
 from selpred.model import (
     BLOCK_ROWS,
@@ -360,6 +366,43 @@ def _mc_oracle(model, x, passes, rate, seed, task):
         var = outs.var(axis=0)
         var[identical] = 0.0
     return -var
+
+
+def _matmul_heads(net, x):
+    """``FrozenNet.heads`` written with ``@`` and allocating expressions:
+    the same arithmetic."""
+    for w, b in net.body:
+        x = np.maximum(x @ w + b, 0.0)
+    z = x @ net.head_w + net.head_b
+    f = z[:, :net.n_f] if net.classification else z[:, 0]
+    if net.g_w is None:
+        return f, None
+    return f, stable_sigmoid(np.maximum(z[:, net.n_f:], 0.0) @ net.g_w
+                             + net.g_b)
+
+
+def _matmul_dropout_f(net, x, rate, rng):
+    """``FrozenNet.dropout_f`` at a rate above 0, written the same way."""
+    for w, b in net.body:
+        x = np.maximum(x @ w + b, 0.0)
+        x = x * ((rng.random(x.shape) >= rate) / (1.0 - rate))
+    z = x @ net.head_w[:, :net.n_f] + net.head_b[:net.n_f]
+    return softmax_rows(z)[0] if net.classification else z[:, 0]
+
+
+@pytest.mark.parametrize("n", [1, 64, 1199])
+@pytest.mark.parametrize("task, body", [(CLASSIFICATION, (32,)),
+                                        (REGRESSION, (64,))])
+def test_frozen_products_give_the_bytes_of_matmul(task, body, n):
+    """The benchmark's serving shapes: n=1 and n=64 predict and the
+    1199-row calibration split, on the criterion-4 and compare_reg models."""
+    model = _perturbed(build_model(_config(task, body=body), seed=4))
+    net, x = model.freeze(), _inputs(n, seed=n)
+    for got, want in zip(net.heads(x), _matmul_heads(net, x)):
+        assert got.tobytes() == want.tobytes()
+    got = net.dropout_f(x, 0.5, np.random.default_rng(5))
+    want = _matmul_dropout_f(net, x, 0.5, np.random.default_rng(5))
+    assert got.tobytes() == want.tobytes()
 
 
 class TestMCDropoutOnFrozen:

@@ -294,6 +294,47 @@ def test_dense_backprop_dx_equals_matmul_with_transpose(out_dim):
     assert_same(x.grad, g @ layer.weights.data.T)
 
 
+# (rows, in, out) of every dense product in the benchmark's training steps:
+# the criterion-4 model (body [32], 4 classes) and the compare_reg model
+# (body [64], regression), each with g of 16, at a full and a ragged batch.
+TRAIN_PRODUCT_SHAPES = [
+    (rows, n_in, n_out)
+    for rows in (256, 106)
+    for n_in, n_out in ((8, 32), (32, 4), (32, 16), (16, 1),
+                        (8, 64), (64, 1), (64, 16))]
+
+
+@pytest.mark.parametrize("rows, n_in, n_out", TRAIN_PRODUCT_SHAPES)
+def test_dense_products_give_the_bytes_of_matmul(rows, n_in, n_out):
+    """``ndarray.dot`` on the operand layouts of ``DenseLayer`` (which the
+    fused block's dW and dx share) gives the bytes of ``@``."""
+    rng = np.random.default_rng(rows + n_in + n_out)
+    layer = DenseLayer(n_in, n_out, rng)
+    layer.bias.data[...] = rng.normal(size=n_out)
+    (x,) = leaves(rng, (rows, n_in))
+    g = rng.normal(size=(rows, n_out))
+    w, b = layer.weights.data, layer.bias.data
+    assert layer.affine(x).tobytes() == (x.data @ w + b).tobytes()
+    zero_grads([x, layer.weights, layer.bias])
+    layer.backprop(x, g)
+    assert layer.weights.grad.tobytes() == (x.data.T @ g).tobytes()
+    assert layer.bias.grad.tobytes() == (np.ones(rows) @ g).tobytes()
+    assert x.grad.tobytes() == (g @ np.ascontiguousarray(w.T)).tobytes()
+
+
+@pytest.mark.parametrize("in_dim", [1, 16, 64])
+def test_one_unit_dx_gives_the_bytes_of_the_broadcast_product(in_dim):
+    """For one unit, dx = g @ W.T is a k = 1 product: each entry is one
+    multiplication, g * W[:, 0]."""
+    rng = np.random.default_rng(in_dim)
+    layer = DenseLayer(in_dim, 1, rng, init="glorot")
+    (x,) = leaves(rng, (256, in_dim))
+    g = rng.normal(size=(256, 1))
+    zero_grads([x])
+    layer.backprop(x, g)
+    assert x.grad.tobytes() == (g * layer.weights.data[:, 0]).tobytes()
+
+
 def test_dense_bn_relu_reports_kink_margin():
     rng = np.random.default_rng(4)
     dense, bn = DenseLayer(3, 4, rng), _bn(rng, 4)
@@ -451,15 +492,15 @@ def test_eval_forward_matches_unfused_tape(task):
     assert h is None
 
 
-def tape_size(root):
+def tape_tensors(root):
     """Distinct tensors reachable from ``root``, leaves included."""
-    seen, stack = set(), [root]
+    seen, stack = {}, [root]
     while stack:
         node = stack.pop()
         if id(node) not in seen:
-            seen.add(id(node))
+            seen[id(node)] = node
             stack.extend(node._parents)
-    return len(seen)
+    return list(seen.values())
 
 
 def test_criterion_4_training_step_tape_is_small():
@@ -470,7 +511,47 @@ def test_criterion_4_training_step_tape_is_small():
     rng = np.random.default_rng(0)
     x, y = rng.normal(size=(256, 8)), rng.integers(0, 4, size=256)
     cfg = LossConfig(target_coverage=0.8, task_loss=CROSS_ENTROPY)
-    assert tape_size(fused_objective(model, x, y, cfg)) == 25
+    assert len(tape_tensors(fused_objective(model, x, y, cfg))) == 25
+
+
+def test_compare_reg_training_step_tape_is_small():
+    """The benchmark's compare models: body [64], squared loss; f and h
+    each add a reshape to one value per row."""
+    model = build_model(ArchitectureConfig(input_dim=8, body_widths=[64],
+                                           dropout_rate=0.0), 0)
+    rng = np.random.default_rng(0)
+    x, y = rng.normal(size=(256, 8)), rng.normal(size=256)
+    cfg = LossConfig(target_coverage=0.8, task_loss=SQUARED)
+    assert len(tape_tensors(fused_objective(model, x, y, cfg))) == 27
+
+
+@pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+def test_backward_gradients_share_no_memory(task):
+    """Nodes hand their own arrays to ``_accum`` without a copy; no two
+    gradients of a training step may end up one array. The parameters'
+    gradients are disjoint views of one buffer, so they pass too."""
+    if task == CLASSIFICATION:  # the criterion-4 step
+        arch = ArchitectureConfig(input_dim=8, body_widths=[32],
+                                  task=CLASSIFICATION, n_classes=4,
+                                  selection_hidden=16, dropout_rate=0.0)
+        cfg = LossConfig(target_coverage=0.8, task_loss=CROSS_ENTROPY)
+    else:  # the compare_reg step
+        arch = ArchitectureConfig(input_dim=8, body_widths=[64],
+                                  dropout_rate=0.0)
+        cfg = LossConfig(target_coverage=0.8, task_loss=SQUARED)
+    model = build_model(arch, 0)
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(256, 8))
+    y = (rng.integers(0, 4, size=256) if task == CLASSIFICATION
+         else rng.normal(size=256))
+    zero_grads(model.parameters())
+    loss = fused_objective(model, x, y, cfg)
+    loss.backward()
+    grads = [t.grad for t in tape_tensors(loss) if t.grad is not None]
+    assert len(grads) > len(model.parameters())
+    for i, a in enumerate(grads):
+        for b in grads[:i]:
+            assert not np.shares_memory(a, b)
 
 
 # -- the g-output node and the sigmoid it shares with FrozenNet ---------------
@@ -488,7 +569,7 @@ def two_branch_sigmoid(t):
 
 def test_stable_sigmoid_equals_two_branch_form_bit_for_bit():
     t = np.array([720.0, -720.0, 800.0, -800.0, 0.0, -0.0, 1e-300, -1e-300,
-                  np.inf, -np.inf, np.nan])
+                  np.inf, -np.inf, np.nan, *np.linspace(-40.0, 40.0, 801)])
     with warnings.catch_warnings(), np.errstate(over="raise"):
         warnings.simplefilter("error")
         got = stable_sigmoid(t)

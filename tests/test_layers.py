@@ -113,6 +113,15 @@ class TestDropout:
         np.testing.assert_allclose(np.unique(out), [0.0, 1.0 / 0.7], atol=1e-12)
 
 
+def max_shift_softmax_rows(logits):
+    """``softmax_rows`` by numpy's row reductions."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    p = np.exp(shifted)
+    row_sums = p.sum(axis=1, keepdims=True)
+    p /= row_sums
+    return p, shifted, row_sums
+
+
 class TestSoftmax:
     def test_uniform_logits(self):
         out = softmax(Tensor([[2.0, 2.0, 2.0]]))
@@ -139,14 +148,18 @@ class TestSoftmax:
         with pytest.raises(ShapeError):
             softmax(Tensor(np.zeros((3, 1))))
 
-    def test_row_max_fold_trains_bit_identically(self, monkeypatch):
-        def max_shift_softmax_rows(logits):
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            p = np.exp(shifted)
-            row_sums = p.sum(axis=1, keepdims=True)
-            p /= row_sums
-            return p, shifted, row_sums
+    @pytest.mark.parametrize("rows", [1, 256])
+    @pytest.mark.parametrize("k", [*range(2, 13), 100])
+    def test_rows_equal_max_and_sum_bytes(self, k, rows):
+        """The column folds below 8 columns and the reductions from 8 up
+        give the bytes of ``max(axis=1)`` and ``sum(axis=1)``."""
+        logits = np.random.default_rng(k).normal(size=(rows, k)) * 4.0
+        for got, want in zip(layers.softmax_rows(logits),
+                             max_shift_softmax_rows(logits)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
+    def test_row_max_fold_trains_bit_identically(self, monkeypatch):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(300, 6))
         y = rng.integers(0, 4, size=300)
