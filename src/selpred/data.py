@@ -98,13 +98,13 @@ def load_csv(path, feature_columns, target_column, header=True,
     (``nan``, ``inf``) cells, and classification labels that are not
     integers >= 0, raise ParseError naming the offending row and column.
     """
-    target_column = _column_index(target_column, "target_column")
+    target_column = _integer(target_column, "target_column")
     if (isinstance(feature_columns, (str, bytes, dict))
             or not np.iterable(feature_columns)):
         raise ConfigurationError(
             f"feature_columns must be a list of column indices, "
             f"got {feature_columns!r}")
-    feature_columns = [_column_index(c, "feature_columns")
+    feature_columns = [_integer(c, "feature_columns")
                        for c in feature_columns]
     if target_column < 0:
         raise ConfigurationError(f"target column {target_column} is negative")
@@ -158,14 +158,13 @@ def load_csv(path, feature_columns, target_column, header=True,
     return Dataset(feats, labels, task, provenance={"source": str(path)})
 
 
-def _column_index(value, field):
-    """``value`` as an ``int`` column index; ConfigurationError naming
-    ``field`` unless it is an ``int`` or numpy integer. A bool is rejected,
-    though Python counts it as an int, since ``true`` would read as 1."""
+def _integer(value, field):
+    """``value`` as an ``int``; ConfigurationError naming ``field`` unless
+    it is an ``int`` or numpy integer. A bool is rejected, though Python
+    counts it as an int, since ``true`` would read as 1."""
     if isinstance(value, (bool, np.bool_)) or not isinstance(
             value, (int, np.integer)):
-        raise ConfigurationError(
-            f"{field}: {value!r} is not an integer column index")
+        raise ConfigurationError(f"{field}: {value!r} is not an integer")
     return int(value)
 
 
@@ -226,7 +225,13 @@ def synth_classification(seed, m, n_classes, n_features, noise_fraction):
     with uniformly random labels; these points are inherently ambiguous and
     are the natural rejection targets. Their membership is recorded in
     ``provenance["noise_mask"]`` for diagnostics only.
+
+    ``m``, ``n_classes`` and ``n_features`` must each be an ``int`` or numpy
+    integer; anything else raises ConfigurationError naming the field.
     """
+    for field, value in (("m", m), ("n_classes", n_classes),
+                         ("n_features", n_features)):
+        _integer(value, field)
     if not 0.0 <= noise_fraction < 0.5:
         raise ConfigurationError(
             f"noise fraction must be in [0, 0.5), got {noise_fraction}")

@@ -13,9 +13,13 @@ weights. ``TRAIN`` and ``EVAL`` name the modes of ``SelectiveNet.forward``.
 Dense, batchnorm and softmax are each one tape node with a closed-form
 backward, ``dense_bn_relu`` fuses a whole hidden block
 dense -> batchnorm -> relu into one node, and ``dense_sigmoid`` fuses g's
-one-unit output dense -> sigmoid -> flatten into one. The block folds
-batchnorm's per-feature vectors into width-sized vectors and the
-(in, width) weights, saving passes over the batch.
+one-unit output dense -> sigmoid -> flatten into one. The block takes
+batchnorm's batch moments and its gradients in the narrower of its two
+spaces: a widening block (in < width) from x's mean and covariance, any
+other from z = x @ W through ``BatchNormLayer.train_normalize``. Either way
+batchnorm's per-feature vectors fold into the (in, width) weights, saving
+passes over the batch, and the dense bias, which batchnorm cancels, gets a
+gradient of exactly 0.
 """
 
 from __future__ import annotations
@@ -91,13 +95,16 @@ class DenseLayer:
 
     def affine(self, x, bias=True):
         """x @ W + b (x @ W without ``bias``) for the tensor ``x``, new."""
-        if x.data.ndim != 2 or x.data.shape[1] != self.in_dim:
-            raise ShapeError(
-                f"dense layer expects (batch, {self.in_dim}), got {x.data.shape}")
+        self._check_input(x)
         z = x.data.dot(self.weights.data)
         if bias:
             z += self.bias.data
         return z
+
+    def _check_input(self, x):
+        if x.data.ndim != 2 or x.data.shape[1] != self.in_dim:
+            raise ShapeError(
+                f"dense layer expects (batch, {self.in_dim}), got {x.data.shape}")
 
     def backprop(self, x, g):
         """Accumulate dW = x.T @ g, db = sum_rows(g) and dx = g @ W.T, given
@@ -176,20 +183,11 @@ class BatchNormLayer:
         ``offset`` (a bias in front, which y cancels). ``backprop(gy)`` gives
         ``(d, r, a, dL/dscale, dL/dshift)``: dL/dz = a * (d - r), with
         d = gy - zc * dL/dscale / (m std) and r = dL/dshift / m."""
-        self._check_features(z)
-        m = z.shape[0]
-        if m < 2:
-            raise ContractError("batchnorm requires batch >= 2")
-        inv_m = 1.0 / m
+        inv_m = self._inv_batch(z.shape)
         mean = _column_sums(z) * inv_m
         z -= mean
         var = _column_sums(z * z) * inv_m
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        mean += offset
-        self.running_mean = (self.momentum * self.running_mean
-                             + (1.0 - self.momentum) * mean)
-        self.running_var = (self.momentum * self.running_var
-                            + (1.0 - self.momentum) * var)
+        inv_std = self._train_moments(mean + offset, var)
         a = self.scale.data * inv_std
         y = z * a
         y += self.shift.data
@@ -203,10 +201,23 @@ class BatchNormLayer:
 
         return y, backprop
 
-    def _check_features(self, x):
-        if x.ndim != 2 or x.shape[1] != self.num_features:
+    def _inv_batch(self, shape):
+        """1 / m for a train-mode batch of ``shape`` (m, num_features)."""
+        if len(shape) != 2 or shape[1] != self.num_features:
             raise ShapeError(f"batchnorm expects {self.num_features} "
-                             f"features, got {x.shape}")
+                             f"features, got {shape}")
+        if shape[0] < 2:
+            raise ContractError("batchnorm requires batch >= 2")
+        return 1.0 / shape[0]
+
+    def _train_moments(self, mean, var):
+        """Fold a batch's mean and biased variance into the running
+        statistics; returns 1 / std = 1 / sqrt(var + eps)."""
+        self.running_mean = (self.momentum * self.running_mean
+                             + (1.0 - self.momentum) * mean)
+        self.running_var = (self.momentum * self.running_var
+                            + (1.0 - self.momentum) * var)
+        return 1.0 / np.sqrt(var + self.eps)
 
     def _accum(self, gscale, gshift):
         if self.scale.requires_grad:
@@ -252,30 +263,90 @@ def dense_bn_relu(x, dense, bn):
     The forward values are those of the three layers applied in turn, and
     the relu pre-activations are reported to ``watch_kink_margins``.
 
-    The block normalizes x @ W (the batch mean cancels the bias) and folds
-    ``train_normalize``'s a and r into small arrays: dW = (x.T @ d - xr) * a
-    with xr = colsum(x) (x) r, db = (colsum(d) - m r) * a, dx = (d - r) @
-    (W * a).T."""
-    out, bn_backprop = bn.train_normalize(dense.affine(x, bias=False),
-                                          dense.bias.data)
+    Batchnorm cancels the dense bias: it only reaches the running mean, and
+    its gradient is exactly 0. The batch moments and the gradients are taken
+    in the narrower of the block's two spaces. A widening block
+    (``in_dim < out_dim``) works on x, from its centered copy xc and
+    covariance C (``_input_space_block``); any other block normalizes
+    z = x @ W with ``train_normalize`` (``_output_space_block``)."""
+    if dense.in_dim < dense.out_dim:
+        out, backprop = _input_space_block(x, dense, bn)
+    else:
+        out, backprop = _output_space_block(x, dense, bn)
+    note_kink_margin(out)
+    np.maximum(out, 0.0, out=out)
 
     def backward(g):
-        d, r, a, gscale, gshift = bn_backprop(g * (out > 0.0))
-        w, b = dense.weights, dense.bias
+        backprop(g * (out > 0.0))
+        if dense.bias.requires_grad:
+            dense.bias._accum(np.zeros(dense.out_dim), owned=True)
+
+    return Tensor._op(out, (x, dense.weights, dense.bias, bn.scale, bn.shift),
+                      backward)
+
+
+def _output_space_block(x, dense, bn):
+    """``(pre, backprop)`` of the block by z = x @ W: ``train_normalize``'s
+    a and r go to small arrays, dW = (x.T @ d - colsum(x) (x) r) * a and
+    dx = (d - r) @ (W * a).T. ``backprop(gy)`` takes gy = dL/d(relu input)."""
+    pre, bn_backprop = bn.train_normalize(dense.affine(x, bias=False),
+                                          dense.bias.data)
+
+    def backprop(gy):
+        d, r, a, gscale, gshift = bn_backprop(gy)
+        w = dense.weights
         if w.requires_grad:
             xr = _column_sums(x.data)[:, None] * r
             w._accum((x.data.T.dot(d) - xr) * a)
-        if b.requires_grad:
-            b._accum((_column_sums(d) - gshift) * a)
         if x.requires_grad:
             x._accum((d - r).dot(np.ascontiguousarray((w.data * a).T)),
                      owned=True)
         bn._accum(gscale, gshift)
-    note_kink_margin(out)
-    np.maximum(out, 0.0, out=out)
 
-    return Tensor._op(out, (x, dense.weights, dense.bias, bn.scale, bn.shift),
-                      backward)
+    return pre, backprop
+
+
+def _input_space_block(x, dense, bn):
+    """``(pre, backprop)`` of the block from x's batch moments, for a block
+    wider than its input; m rows, mu = colsum(x) / m, xc = x - mu and
+    C = xc.T @ xc / m.
+
+    z's batch mean is mu @ W and its variance colsum(C W * W), so
+    pre = xc @ (W * a) + shift with a = scale / std. With gy = dL/dpre and
+    P = xc.T @ gy, the one batch-wide product of the backward,
+    dL/dscale = colsum(P * W) / std, c = dL/dscale / (m std) and
+    r = dL/dshift / m: dW = (P - m C W * c) * a and
+    dx = gy @ (W a).T - xc @ ((W c) (W a).T) - r @ (W a).T."""
+    dense._check_input(x)
+    w, xd = dense.weights.data, x.data
+    inv_m = bn._inv_batch((xd.shape[0], dense.out_dim))
+    mu = _column_sums(xd) * inv_m
+    xc = xd - mu
+    xtx_w = xc.T.dot(xc).dot(w)  # m C W
+    # C's roundoff can take a zero variance below 0, as for two collinear
+    # columns whose weights cancel
+    var = np.maximum(_column_sums(xtx_w * w) * inv_m, 0.0)
+    inv_std = bn._train_moments(mu.dot(w) + dense.bias.data, var)
+    a = bn.scale.data * inv_std
+    wa = w * a
+    pre = xc.dot(wa)
+    pre += bn.shift.data
+
+    def backprop(gy):
+        gshift = _column_sums(gy)
+        p = xc.T.dot(gy)
+        gscale = _column_sums(p * w) * inv_std
+        c = gscale * (inv_std * inv_m)
+        if dense.weights.requires_grad:
+            dense.weights._accum((p - xtx_w * c) * a, owned=True)
+        if x.requires_grad:
+            wa_t = np.ascontiguousarray(wa.T)
+            dx = gy.dot(wa_t)
+            dx -= xc.dot((w * c).dot(wa_t)) + (gshift * inv_m).dot(wa_t)
+            x._accum(dx, owned=True)
+        bn._accum(gscale, gshift)
+
+    return pre, backprop
 
 
 def dense_sigmoid(x, dense):

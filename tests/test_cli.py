@@ -313,6 +313,15 @@ class TestDatasetConfig:
         err = capsys.readouterr().err
         assert f"error: config field dataset.{field} is missing" in err
 
+    def test_non_integer_synthetic_field_is_named(self, tmp_path, capsys):
+        dataset = dict(self.SYNTHETIC, m="600")
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text(yaml.safe_dump({"dataset": dataset}))
+        rc = main(["train", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert "error: m: '600' is not an integer" in capsys.readouterr().err
+
     def test_dataset_must_be_a_mapping(self):
         with pytest.raises(ConfigurationError, match="must be a mapping"):
             prepare_splits({"dataset": [self.CSV]})

@@ -265,6 +265,26 @@ class TestSynthClassification:
         with pytest.raises(ConfigurationError):
             synth_classification(0, 100, 2, 3, 0.5)
 
+    SIZES = {"m": 100, "n_classes": 3, "n_features": 4}
+
+    @pytest.mark.parametrize("bad", [True, 3.0, "3"],
+                             ids=["bool", "float", "string"])
+    @pytest.mark.parametrize("field", list(SIZES))
+    def test_non_integer_size_names_the_field(self, field, bad):
+        """A config's ``m: "600"`` or ``n_classes: 3.0`` would otherwise
+        fail deep inside numpy, and ``true`` would read as 1."""
+        sizes = dict(self.SIZES, **{field: bad})
+        with pytest.raises(ConfigurationError,
+                           match=f"^{field}: {bad!r} is not an integer$"):
+            synth_classification(0, noise_fraction=0.2, **sizes)
+
+    def test_numpy_integer_sizes_accepted(self):
+        sizes = {k: np.int64(v) for k, v in self.SIZES.items()}
+        ds = synth_classification(0, noise_fraction=0.2, **sizes)
+        ref = synth_classification(0, noise_fraction=0.2, **self.SIZES)
+        np.testing.assert_array_equal(ds.features, ref.features)
+        np.testing.assert_array_equal(ds.labels, ref.labels)
+
 
 class TestSplit:
     def test_sizes_floor_then_remainder(self):

@@ -42,6 +42,7 @@ from selpred.layers import (
     TRAIN,
     BatchNormLayer,
     DenseLayer,
+    _input_space_block,
     dense_bn_relu,
     dense_sigmoid,
     softmax,
@@ -267,20 +268,110 @@ def test_train_block_matches_unfused_tape(in_dim, width, m, offset,
             lambda: (ref() * probe).sum())
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_train_block_far_from_zero(seed):
-    """Inputs 1e3 away from zero cancel in the batch mean and in the
-    colsum(x) (x) r term of dW; the fold stays within 1e-9 of the unfused
-    tape, no worse than the batch-wide form it replaced."""
-    dense, bn, x, probe, params = _train_block_case(
-        np.random.default_rng(seed), 8, 32, 256, 1e3, False)
+def _assert_block_close(case, rel):
+    """Outputs, a probed scalar and its gradients of the fused block within
+    ``rel`` of the unfused tape."""
+    dense, bn, x, probe, params = case
     fused, ref = _train_block_outputs(dense, bn, x)
+    out_f, out_r = fused().data, ref().data
+    assert np.max(np.abs(out_f - out_r)) <= rel * np.max(np.abs(out_r))
     v_f, g_f = grads_of(params, lambda: (fused() * probe).sum())
     v_r, g_r = grads_of(params, lambda: (ref() * probe).sum())
-    assert abs(v_f - v_r) <= 1e-9 * abs(v_r)
+    assert abs(v_f - v_r) <= rel * abs(v_r)
     scale = max(float(np.max(np.abs(g))) for g in g_r)
     for a, b in zip(g_f, g_r):
-        assert float(np.max(np.abs(a - b))) <= 1e-9 * scale
+        assert float(np.max(np.abs(a - b))) <= rel * scale
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_train_block_far_from_zero(seed):
+    """Inputs 1e3 away from zero cancel in the batch mean, which the
+    widening 8 -> 32 block takes in the input space; it stays within 1e-9 of
+    the unfused tape, no worse than the batch-wide form it replaced."""
+    _assert_block_close(_train_block_case(
+        np.random.default_rng(seed), 8, 32, 256, 1e3, False), 1e-9)
+
+
+@pytest.mark.parametrize("offset, rel", [(0.0, REL), (1e3, 1e-9)],
+                         ids=["centered", "offset 1e3"])
+@pytest.mark.parametrize("in_dim, width", [(8, 32), (8, 64), (64, 16)])
+def test_train_block_at_benchmark_shapes(in_dim, width, offset, rel):
+    """The benchmark models' hidden blocks at a full batch: both bodies
+    widen (input space), g's hidden block narrows (z space)."""
+    _assert_block_close(_train_block_case(
+        np.random.default_rng(in_dim + width), in_dim, width, 256, offset,
+        False), rel)
+
+
+def _degenerate_input(kind, rng, dense):
+    """A (256, in) batch with a zero-variance direction: a constant column,
+    two equal columns, one column three times another with weight rows
+    that cancel (every unit's exact batch variance is 0, and C W * W
+    rounds either side of it), or one row repeated."""
+    x = rng.normal(size=(256, dense.in_dim)) + 3.0
+    if kind == "constant column":
+        x[:, 0] = 0.1
+    elif kind == "two equal columns":
+        x[:, 1] = x[:, 0]
+    elif kind == "cancelling columns":
+        x[:, 1] = 3.0 * x[:, 0]
+        dense.weights.data[1] = -dense.weights.data[0] / 3.0
+        dense.weights.data[2:] = 0.0
+    else:  # all rows equal
+        x[:] = x[0]
+    return Tensor(x, requires_grad=True)
+
+
+@pytest.mark.parametrize("kind", ["constant column", "two equal columns",
+                                  "cancelling columns", "all rows equal"])
+@pytest.mark.parametrize("in_dim, width", [(8, 32), (64, 16)])
+def test_train_block_degenerate_inputs_stay_finite(in_dim, width, kind):
+    """A zero batch variance, which roundoff may take a hair below 0, still
+    gives finite outputs, gradients and running statistics, and a running
+    variance >= 0 (from a running variance of 0)."""
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        dense = DenseLayer(in_dim, width, rng)
+        bn = _bn(rng, width)
+        bn.running_var = np.zeros(width)
+        x = _degenerate_input(kind, rng, dense)
+        params = [x, dense.weights, dense.bias, bn.scale, bn.shift]
+        zero_grads(params)
+        out = dense_bn_relu(x, dense, bn)
+        (out * Tensor(rng.normal(size=out.data.shape))).sum().backward()
+        for a in [out.data, bn.running_mean, bn.running_var,
+                  *(p.grad for p in params)]:
+            assert np.isfinite(a).all()
+        assert (bn.running_var >= 0.0).all()
+
+
+def test_widening_block_with_input_gradient_matches_unfused_tape():
+    """Body [16, 64] on 8 inputs: the second block widens from a hidden
+    representation, so its dx term runs; g's block narrows 64 -> 16."""
+    model = build_model(ArchitectureConfig(input_dim=8, body_widths=[16, 64],
+                                           dropout_rate=0.0), 4)
+    rng = np.random.default_rng(4)
+    x, y = rng.normal(size=(256, 8)), rng.normal(size=256)
+    cfg = LossConfig(target_coverage=0.8, task_loss=SQUARED)
+    bns = [b.bn for b in model.body] + [model.g_bn]
+    compare(model.parameters(),
+            _frozen_stats(bns, lambda: fused_objective(model, x, y, cfg)),
+            _frozen_stats(bns, lambda: ref_objective(model, x, y, cfg)))
+
+
+@pytest.mark.parametrize("in_dim, width", [(3, 4), (4, 3)])
+def test_dense_bn_relu_bias_gradient_is_exactly_zero(in_dim, width):
+    """Train-mode batchnorm cancels the bias in front of it, so its
+    gradient is exactly 0 on both paths, not roundoff."""
+    rng = np.random.default_rng(in_dim)
+    dense, bn = DenseLayer(in_dim, width, rng), _bn(rng, width)
+    dense.bias.data[...] = rng.normal(size=width)
+    (x,) = leaves(rng, (9, in_dim))
+    zero_grads([x, dense.weights, dense.bias, bn.scale, bn.shift])
+    out = dense_bn_relu(x, dense, bn)
+    (out * Tensor(rng.normal(size=(9, width)))).sum().backward()
+    assert (dense.bias.grad == 0.0).all()
+    assert (dense.weights.grad != 0.0).any()
 
 
 @pytest.mark.parametrize("out_dim", [1, 4, 32])
@@ -336,13 +427,22 @@ def test_one_unit_dx_gives_the_bytes_of_the_broadcast_product(in_dim):
 
 
 def test_dense_bn_relu_reports_kink_margin():
-    rng = np.random.default_rng(4)
-    dense, bn = DenseLayer(3, 4, rng), _bn(rng, 4)
-    x = Tensor(rng.normal(size=(5, 3)))
-    pre = bn.train_normalize(x.data @ dense.weights.data, dense.bias.data)[0]
-    with watch_kink_margins() as margins:
-        dense_bn_relu(x, dense, bn)
-    assert margins == [float(np.min(np.abs(pre)))]
+    """The margin is min |pre| of the path the block takes, to the byte: a
+    widening block's pre-activations come from x's moments, a narrowing
+    block's from ``train_normalize`` on x @ W. The relu of those same
+    pre-activations is the block's output."""
+    for in_dim, width, pre_of in (
+            (3, 4, lambda x, dense, bn: _input_space_block(x, dense, bn)[0]),
+            (4, 3, lambda x, dense, bn: bn.train_normalize(
+                x.data @ dense.weights.data, dense.bias.data)[0])):
+        rng = np.random.default_rng(4)
+        dense, bn = DenseLayer(in_dim, width, rng), _bn(rng, width)
+        x = Tensor(rng.normal(size=(5, in_dim)))
+        pre = _frozen_stats([bn], lambda: pre_of(x, dense, bn))()
+        with watch_kink_margins() as margins:
+            out = dense_bn_relu(x, dense, bn)
+        assert margins == [float(np.min(np.abs(pre)))]
+        assert out.data.tobytes() == np.maximum(pre, 0.0).tobytes()
 
 
 # -- softmax and the task losses ---------------------------------------------
