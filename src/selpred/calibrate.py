@@ -46,27 +46,6 @@ class CalibrationResult:
     epsilon: float
     achieved_coverage: float
 
-    def to_dict(self):
-        return {
-            "tau": self.tau,
-            "target_coverage": self.target_coverage,
-            "n_validation": self.n_validation,
-            "delta": self.delta,
-            "epsilon": self.epsilon,
-            "achieved_coverage": self.achieved_coverage,
-        }
-
-    @staticmethod
-    def from_dict(d):
-        return CalibrationResult(
-            tau=d["tau"],
-            target_coverage=d["target_coverage"],
-            n_validation=d["n_validation"],
-            delta=d["delta"],
-            epsilon=d["epsilon"],
-            achieved_coverage=d["achieved_coverage"],
-        )
-
 
 def select_threshold(scores, target_coverage):
     """Nearest-rank percentile threshold over validation selection scores.

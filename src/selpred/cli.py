@@ -1,9 +1,13 @@
 """Command-line entry point: train / calibrate / evaluate / curve / grid / compare.
 
-Configuration lives in a YAML file (see README for the schema); command-line
-flags override file values, and the merged effective config is written next
-to the outputs for reproducibility. All tabular outputs are CSV with a
-'#'-prefixed provenance header (config hash, seeds, format version).
+Configuration lives in a YAML file (see README for the schema). Its
+``split``, ``architecture``, ``loss`` and ``train`` sections read into the
+dataclasses that own their defaults, and ``dataset`` into the key table of
+its ``kind``; a key that a section does not take raises ConfigurationError
+naming ``section.key``. The resolved config, every default filled in, is
+written next to the outputs as effective_config.yaml; command-line flags
+override it for the run only. All tabular outputs are CSV with a
+'#'-prefixed provenance header (config file hash, seeds, format version).
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -14,6 +18,7 @@ import argparse
 import hashlib
 import os
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,21 +40,91 @@ from .evaluate import (
     threshold_for_coverage,
     write_csv,
 )
-from .layers import ConfigurationError, softmax_rows
-from .losses import LossConfig
-from .model import CLASSIFICATION, ArchitectureConfig, build_baseline, build_model
+from .layers import ConfigurationError, _integer, softmax_rows
+from .losses import CROSS_ENTROPY, SQUARED, LossConfig
+from .model import (CLASSIFICATION, REGRESSION, ArchitectureConfig,
+                    build_baseline, build_model)
 from .optim import TrainConfig, train
 from .persist import load_model, save_model
 
 FORMAT_VERSION = 1
 
+_TOP_LEVEL = ("dataset", "split", "architecture", "loss", "train", "seeds")
+
+_REQUIRED = object()  # marks a dataset key that has no default
+
+# The keys of each dataset kind, with their defaults.
+_DATASET_KEYS = {
+    "csv": {"path": _REQUIRED, "feature_columns": _REQUIRED,
+            "target_column": _REQUIRED, "header": True, "task": REGRESSION,
+            "standardize_target": True},
+    "synthetic": {"seed": 0, "m": _REQUIRED, "n_classes": _REQUIRED,
+                  "n_features": _REQUIRED, "noise_fraction": 0.0},
+}
+
 
 def _load_config(path):
+    """``(cfg, conf)``: the file's mapping, which the provenance hash
+    covers, and its ``_resolve``d form."""
     with open(path) as fh:
         cfg = yaml.safe_load(fh) or {}
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: config root must be a mapping")
-    return cfg
+    return cfg, _resolve(cfg)
+
+
+def _section(cfg, name, defaults):
+    """Section ``name`` of ``cfg`` laid over ``defaults``. A key that
+    ``defaults`` lacks, or a ``_REQUIRED`` one that the section lacks,
+    raises ConfigurationError naming ``name.key``."""
+    given = cfg.get(name, {})
+    for key in given:
+        if key not in defaults:
+            raise ConfigurationError(f"unknown config key {name}.{key}")
+    resolved = {**defaults, **given}
+    for key, value in resolved.items():
+        if value is _REQUIRED:
+            raise ConfigurationError(f"config field {name}.{key} is missing")
+    return resolved
+
+
+def _defaults(cls, *derived):
+    """The field defaults of dataclass ``cls``, less the ``derived`` fields
+    that the CLI works out itself."""
+    return {f.name: f.default if f.default_factory is MISSING
+            else f.default_factory()
+            for f in fields(cls) if f.name not in derived}
+
+
+def _resolve(cfg):
+    """``cfg`` with every default filled in; a resolved config resolves to
+    itself. Every key is checked, so a misspelled one fails here."""
+    for key, value in cfg.items():
+        if key not in _TOP_LEVEL:
+            raise ConfigurationError(f"unknown config key {key}")
+        if key != "seeds" and not isinstance(value, dict):
+            raise ConfigurationError(f"config field {key} must be a mapping")
+    kind = cfg.get("dataset", {}).get("kind", "csv")
+    if kind not in _DATASET_KEYS:
+        raise ValueError(f"unknown dataset kind {kind!r}")
+    dataset = _section(cfg, "dataset", {"kind": kind, **_DATASET_KEYS[kind]})
+    # the task loss defaults by task; synthetic data is classification
+    task = dataset.get("task", CLASSIFICATION)
+    loss = dict(_defaults(LossConfig), task_loss=(
+        CROSS_ENTROPY if task == CLASSIFICATION else SQUARED))
+    seeds = cfg.get("seeds", [0])
+    if not isinstance(seeds, list) or not seeds:
+        raise ConfigurationError(
+            f"seeds must be a non-empty list of integers, got {seeds!r}")
+    return {
+        "dataset": dataset,
+        "split": _section(cfg, "split", _defaults(SplitSpec)),
+        "architecture": _section(cfg, "architecture", _defaults(
+            ArchitectureConfig, "input_dim", "task", "n_classes")),
+        "loss": _section(cfg, "loss", loss),
+        "train": _section(cfg, "train", _defaults(TrainConfig, "seed", "loss")),
+        "seeds": [_integer(s, "seeds") for s in seeds],
+    }
 
 
 def _config_hash(cfg):
@@ -66,9 +141,9 @@ def _out_dir(path_str):
     return p
 
 
-def _write_effective_config(cfg, out_dir, name="effective_config.yaml"):
+def _write_effective_config(conf, out_dir, name="effective_config.yaml"):
     with open(out_dir / name, "w") as fh:
-        yaml.safe_dump(cfg, fh, sort_keys=True)
+        yaml.safe_dump(conf, fh, sort_keys=True)
 
 
 def _provenance(cfg, seeds):
@@ -79,112 +154,65 @@ def _provenance(cfg, seeds):
     ]
 
 
-def _load_dataset(cfg):
-    d = cfg.get("dataset", {})
-    if not isinstance(d, dict):
-        raise ConfigurationError("config field dataset must be a mapping")
-
-    def required(key):
-        if key not in d:
-            raise ConfigurationError(f"config field dataset.{key} is missing")
-        return d[key]
-
-    kind = d.get("kind", "csv")
-    if kind == "csv":
-        return load_csv(required("path"), required("feature_columns"),
-                        required("target_column"),
-                        header=d.get("header", True),
-                        task=d.get("task", "regression"))
-    if kind == "synthetic":
-        return synth_classification(
-            seed=d.get("seed", 0), m=required("m"),
-            n_classes=required("n_classes"),
-            n_features=required("n_features"),
-            noise_fraction=d.get("noise_fraction", 0.0))
-    raise ValueError(f"unknown dataset kind {kind!r}")
-
-
 def prepare_splits(cfg, split_seed=None):
-    """Load, split, and standardize per the config.
+    """Load, split, and standardize per the config (as read or resolved);
+    ``split_seed``, when given, overrides ``split.seed``.
 
     Returns ``(train_ds, cal_ds, test_ds, target_stats)``: features are
     z-scored with train-split statistics, regression targets standardized
     when ``dataset.standardize_target`` is set, and ``target_stats`` holds
     the inverse transform for reporting in original units.
     """
-    ds = _load_dataset(cfg)
-    s = cfg.get("split", {})
-    spec = SplitSpec(
-        train=s.get("train", 0.6), calibration=s.get("calibration", 0.2),
-        test=s.get("test", 0.2),
-        seed=split_seed if split_seed is not None else s.get("seed", 0),
-        stratified=s.get("stratified", False))
+    conf = _resolve(cfg)
+    d = conf["dataset"]
+    if d["kind"] == "csv":
+        ds = load_csv(d["path"], d["feature_columns"], d["target_column"],
+                      header=d["header"], task=d["task"])
+    else:
+        ds = synth_classification(d["seed"], d["m"], d["n_classes"],
+                                  d["n_features"], d["noise_fraction"])
+    spec = SplitSpec(**conf["split"])
+    if split_seed is not None:
+        spec.seed = split_seed
     tr, ca, te = split(ds, spec)
-    include_target = (ds.task != CLASSIFICATION
-                      and cfg.get("dataset", {}).get("standardize_target", True))
+    # synthetic data is classification, so only csv data reaches the key
+    include_target = ds.task != CLASSIFICATION and d["standardize_target"]
     tr, stats = standardize(tr, include_target=include_target)
     ca, _ = standardize(ca, stats=stats)
     te, _ = standardize(te, stats=stats)
     return tr, ca, te, stats[3]
 
 
-def _architecture(cfg, tr, ca, te):
+def _architecture(conf, tr, ca, te):
     """Architecture for the splits' task; a classifier gets one output per
     class index up to the largest label in any split."""
-    a = cfg.get("architecture", {})
     n_classes = (int(max(s.labels.max() for s in (tr, ca, te))) + 1
                  if tr.task == CLASSIFICATION else 0)
-    return ArchitectureConfig(
-        input_dim=tr.n_features,
-        body_widths=list(a.get("body_widths", [64])),
-        task=tr.task,
-        n_classes=n_classes,
-        selection_hidden=a.get("selection_hidden", 16),
-        batchnorm=a.get("batchnorm", True),
-        dropout_rate=a.get("dropout_rate"),
-        auxiliary_head=a.get("auxiliary_head", True),
-    )
+    return ArchitectureConfig(**conf["architecture"], input_dim=tr.n_features,
+                              task=tr.task, n_classes=n_classes)
 
 
-def _loss_config(cfg, task, coverage=None):
-    ls = cfg.get("loss", {})
-    return LossConfig(
-        target_coverage=coverage if coverage is not None
-        else ls.get("target_coverage", 0.8),
-        penalty_weight=ls.get("penalty_weight", 32.0),
-        alpha=ls.get("alpha", 0.5),
-        task_loss=ls.get("task_loss",
-                         "cross-entropy" if task == CLASSIFICATION else "squared"),
-    )
+def _loss_config(conf, coverage):
+    loss_cfg = LossConfig(**conf["loss"])
+    if coverage is not None:
+        loss_cfg.target_coverage = coverage
+    return loss_cfg
 
 
-def _train_config(cfg, seed, loss_cfg):
-    t = cfg.get("train", {})
-    return TrainConfig(
-        optimizer=t.get("optimizer", "adam"),
-        learning_rate=t.get("learning_rate", 5e-4),
-        epochs=t.get("epochs", 800),
-        batch_size=t.get("batch_size", 256),
-        weight_decay=t.get("weight_decay", 1e-4),
-        momentum=t.get("momentum", 0.9),
-        lr_halving_period=t.get("lr_halving_period", 25),
-        seed=seed,
-        shuffle=t.get("shuffle", True),
-        loss=loss_cfg,
-    )
+def _train_config(conf, seed, loss_cfg):
+    return TrainConfig(**conf["train"], seed=seed, loss=loss_cfg)
 
 
 # -- subcommands --------------------------------------------------------------
 
 
 def cmd_train(args):
-    cfg = _load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.get("seeds", [0])[0]
+    cfg, conf = _load_config(args.config)
+    seed = args.seed if args.seed is not None else conf["seeds"][0]
     out = _out_dir(args.out)
-    tr, ca, te, tstats = prepare_splits(cfg)
-    arch = _architecture(cfg, tr, ca, te)
-    loss_cfg = _loss_config(cfg, tr.task, coverage=args.coverage)
-    tcfg = _train_config(cfg, seed, loss_cfg)
+    tr, ca, te, tstats = prepare_splits(conf)
+    arch = _architecture(conf, tr, ca, te)
+    tcfg = _train_config(conf, seed, _loss_config(conf, args.coverage))
     model = build_model(arch, seed)
     history = train(model, tr.features, tr.labels, tcfg)
     save_model(model, None, out / "model.ckpt")
@@ -197,17 +225,17 @@ def cmd_train(args):
     write_csv(out / "history.csv", comments,
               ["epoch", "total_loss", "selective_loss", "auxiliary_loss",
                "soft_coverage", "hard_coverage", "selective_risk"], rows)
-    _write_effective_config(cfg, out)
+    _write_effective_config(conf, out)
     print(f"trained {tcfg.epochs} epochs; final loss "
           f"{history.total_loss[-1]:.6f}; checkpoint at {out/'model.ckpt'}")
     return 0
 
 
 def cmd_calibrate(args):
-    cfg = _load_config(args.config)
+    cfg, conf = _load_config(args.config)
     out = _out_dir(args.out)
     model, _ = load_model(args.model)
-    _, ca, _, _ = prepare_splits(cfg)
+    _, ca, _, _ = prepare_splits(conf)
     result = calibrate(model, ca.features, args.coverage, delta=args.delta)
     save_model(model, result, out / "model_calibrated.ckpt")
     comments = _provenance(cfg, [model.seed])
@@ -216,16 +244,16 @@ def cmd_calibrate(args):
                "achieved_coverage"],
               [(result.tau, result.target_coverage, result.n_validation,
                 result.delta, result.epsilon, result.achieved_coverage)])
-    _write_effective_config(cfg, out)
+    _write_effective_config(conf, out)
     print(f"tau={result.tau:.6f} achieved validation coverage "
           f"{result.achieved_coverage:.4f} (epsilon={result.epsilon:.6f})")
     return 0
 
 
 def cmd_evaluate(args):
-    cfg = _load_config(args.config)
+    cfg, conf = _load_config(args.config)
     model, calib = load_model(args.model)
-    _, _, te, tstats = prepare_splits(cfg)
+    _, _, te, tstats = prepare_splits(conf)
     tau = args.tau if args.tau is not None else (calib.tau if calib else 0.5)
     preds, labels, accepted, _ = predictions_and_scores(
         model, te.features, te.labels, tstats, tau)
@@ -264,10 +292,10 @@ def _sr_predictions(model, ds):
 
 
 def cmd_curve(args):
-    cfg = _load_config(args.config)
+    cfg, conf = _load_config(args.config)
     out = _out_dir(args.out)
     model, _ = load_model(args.model)
-    _, ca, te, tstats = prepare_splits(cfg)
+    _, ca, te, tstats = prepare_splits(conf)
     coverages = [float(c) for c in args.coverages.split(",")]
     cal_scores = _scores_for(model, ca.features, args.score, te.task, seed=0)
     if args.score == "sr":
@@ -281,16 +309,16 @@ def cmd_curve(args):
                                coverages, te.task)
     write_csv(out / "curve.csv", _provenance(cfg, [model.seed]),
               ["target_coverage", "achieved_coverage", "risk"], rows)
-    _write_effective_config(cfg, out)
+    _write_effective_config(conf, out)
     print(f"wrote {out/'curve.csv'} ({len(rows)} points, score={args.score})")
     return 0
 
 
 def cmd_grid(args):
-    cfg = _load_config(args.config)
+    cfg, conf = _load_config(args.config)
     out = _out_dir(args.out)
     models = [load_model(p)[0] for p in args.models.split(",")]
-    _, ca, te, tstats = prepare_splits(cfg)
+    _, ca, te, tstats = prepare_splits(conf)
     coverages = [float(c) for c in args.coverages.split(",")]
     grid = cross_calibration_grid(models, ca.features, te.features, te.labels,
                                   coverages, tstats)
@@ -299,7 +327,7 @@ def cmd_grid(args):
             for i, m in enumerate(models)]
     write_csv(out / "grid.csv",
               _provenance(cfg, [m.seed for m in models]), colnames, rows)
-    _write_effective_config(cfg, out)
+    _write_effective_config(conf, out)
     print(f"wrote {out/'grid.csv'} ({grid.shape[0]}x{grid.shape[1]})")
     return 0
 
@@ -308,24 +336,25 @@ def cmd_grid(args):
 _BASELINES = [("mcdropout", "mc_dropout", "mc"), ("sr", "sr", "sr")]
 
 
-def run_comparison(cfg, coverages, seeds):
+def run_comparison(conf, coverages, seeds):
     """Train per-coverage selective models plus one full-coverage baseline
     per seed, all read off ``risk_coverage_curve``; returns ``(colnames,
-    rows)`` for compare.csv (mean +- stderr over seeds)."""
+    rows)`` for compare.csv (mean +- stderr over seeds). ``conf`` is a
+    resolved config; each seed also seeds its split."""
     if not seeds:
         raise ValueError("compare needs at least one seed")
     risks = {}  # score kind -> one list of per-coverage risks per seed
     for seed in seeds:
-        tr, ca, te, tstats = prepare_splits(cfg, split_seed=seed)
+        tr, ca, te, tstats = prepare_splits(conf, split_seed=seed)
         task = tr.task
         baselines = _BASELINES if task == CLASSIFICATION else _BASELINES[:1]
-        arch = _architecture(cfg, tr, ca, te)
+        arch = _architecture(conf, tr, ca, te)
         if arch.dropout_rate is None:
             # MC-dropout needs dropout layers; rate 0 is inert during training
             arch.dropout_rate = 0.0
 
         base = build_baseline(arch, seed)
-        bcfg = _train_config(cfg, seed, _loss_config(cfg, task, coverage=1.0))
+        bcfg = _train_config(conf, seed, _loss_config(conf, 1.0))
         train(base, tr.features, tr.labels, bcfg)
         if task == CLASSIFICATION:
             bpreds, blabels, test_sr = _sr_predictions(base, te)
@@ -343,7 +372,7 @@ def run_comparison(cfg, coverages, seeds):
         selnet = []
         for c in coverages:
             model = build_model(arch, seed)
-            tcfg = _train_config(cfg, seed, _loss_config(cfg, task, coverage=c))
+            tcfg = _train_config(conf, seed, _loss_config(conf, c))
             train(model, tr.features, tr.labels, tcfg)
             preds, labels, _, test_scores = predictions_and_scores(
                 model, te.features, te.labels, tstats)
@@ -373,14 +402,14 @@ def run_comparison(cfg, coverages, seeds):
 
 
 def cmd_compare(args):
-    cfg = _load_config(args.config)
+    cfg, conf = _load_config(args.config)
     out = _out_dir(args.out)
     coverages = [float(c) for c in args.coverages.split(",")]
     seeds = ([int(s) for s in args.seeds.split(",")] if args.seeds
-             else cfg.get("seeds", [0]))
-    colnames, rows = run_comparison(cfg, coverages, seeds)
+             else conf["seeds"])
+    colnames, rows = run_comparison(conf, coverages, seeds)
     write_csv(out / "compare.csv", _provenance(cfg, seeds), colnames, rows)
-    _write_effective_config(cfg, out)
+    _write_effective_config(conf, out)
     print(f"wrote {out/'compare.csv'} ({len(rows)} coverage rows, "
           f"{len(seeds)} seeds)")
     return 0

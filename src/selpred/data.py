@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layers import ConfigurationError
+from .layers import ConfigurationError, _integer
 from .model import CLASSIFICATION, REGRESSION
 
 __all__ = [
@@ -158,16 +158,6 @@ def load_csv(path, feature_columns, target_column, header=True,
     return Dataset(feats, labels, task, provenance={"source": str(path)})
 
 
-def _integer(value, field):
-    """``value`` as an ``int``; ConfigurationError naming ``field`` unless
-    it is an ``int`` or numpy integer. A bool is rejected, though Python
-    counts it as an int, since ``true`` would read as 1."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(
-            value, (int, np.integer)):
-        raise ConfigurationError(f"{field}: {value!r} is not an integer")
-    return int(value)
-
-
 def standardize(dataset, stats=None, include_target=False):
     """Per-feature z-score normalization; fitted stats are recorded.
 
@@ -194,7 +184,9 @@ def standardize(dataset, stats=None, include_target=False):
                 raise ConfigurationError("constant regression target")
         stats = (mean, std, keep, tstats)
     mean, std, keep, tstats = stats
-    feats = dataset.features[:, keep]  # a copy: standardized in place
+    # a copy: standardized in place
+    feats = (dataset.features.copy() if keep.all()
+             else dataset.features[:, keep])
     feats -= mean[keep]
     feats /= std[keep]
     labels = dataset.labels
@@ -226,17 +218,17 @@ def synth_classification(seed, m, n_classes, n_features, noise_fraction):
     are the natural rejection targets. Their membership is recorded in
     ``provenance["noise_mask"]`` for diagnostics only.
 
-    ``m``, ``n_classes`` and ``n_features`` must each be an ``int`` or numpy
-    integer; anything else raises ConfigurationError naming the field.
+    ``m`` and ``n_features`` must each be an ``int`` or numpy integer of at
+    least 1, and ``n_classes`` one of at least 2; anything else raises
+    ConfigurationError naming the field.
     """
-    for field, value in (("m", m), ("n_classes", n_classes),
-                         ("n_features", n_features)):
-        _integer(value, field)
+    for field, value, least in (("m", m, 1), ("n_classes", n_classes, 2),
+                                ("n_features", n_features, 1)):
+        if _integer(value, field) < least:
+            raise ConfigurationError(f"{field} must be >= {least}, got {value}")
     if not 0.0 <= noise_fraction < 0.5:
         raise ConfigurationError(
             f"noise fraction must be in [0, 0.5), got {noise_fraction}")
-    if n_classes < 2:
-        raise ConfigurationError("need at least 2 classes")
     rng = np.random.default_rng(seed)
     centers = rng.normal(size=(n_classes, n_features))
     centers *= 4.0 / np.linalg.norm(centers, axis=1, keepdims=True)
@@ -249,7 +241,7 @@ def synth_classification(seed, m, n_classes, n_features, noise_fraction):
     clean_labels = rng.integers(0, n_classes, size=n_clean)
     rng.standard_normal(out=clean_x)
     clean_x *= 0.8
-    clean_x += centers[clean_labels]
+    clean_x += np.take(centers, clean_labels, axis=0)
     noise_labels = rng.integers(0, n_classes, size=n_noise)
     rng.standard_normal(out=features[n_clean:])
 
@@ -258,7 +250,7 @@ def synth_classification(seed, m, n_classes, n_features, noise_fraction):
     noise_mask[n_clean:] = True
     order = rng.permutation(m)
     return Dataset(
-        features[order], labels[order], CLASSIFICATION,
+        np.take(features, order, axis=0), labels[order], CLASSIFICATION,
         provenance={
             "generator": {
                 "name": "synth_classification",

@@ -62,6 +62,16 @@ class ConfigurationError(ValueError):
     """Invalid layer or model configuration."""
 
 
+def _integer(value, field):
+    """``value`` as an ``int``; ConfigurationError naming ``field`` unless
+    it is an ``int`` or numpy integer. A bool is rejected, though Python
+    counts it as an int, since ``true`` would read as 1."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(
+            value, (int, np.integer)):
+        raise ConfigurationError(f"{field}: {value!r} is not an integer")
+    return int(value)
+
+
 class ContractError(ValueError):
     """A call violates a layer's usage contract."""
 

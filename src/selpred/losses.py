@@ -70,18 +70,6 @@ class LossConfig:
         if self.task_loss not in (CROSS_ENTROPY, SQUARED):
             raise ConfigurationError(f"unknown task loss {self.task_loss!r}")
 
-    def to_dict(self):
-        return {
-            "target_coverage": self.target_coverage,
-            "penalty_weight": self.penalty_weight,
-            "alpha": self.alpha,
-            "task_loss": self.task_loss,
-        }
-
-    @staticmethod
-    def from_dict(d):
-        return LossConfig(**d)
-
 
 class DataError(ValueError):
     """Labels inconsistent with the prediction shape."""

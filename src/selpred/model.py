@@ -39,6 +39,7 @@ from .layers import (
     dense_sigmoid,
     softmax,
     softmax_rows,
+    _integer,
 )
 
 __all__ = ["ArchitectureConfig", "FrozenNet", "SelectiveNet", "build_model",
@@ -74,33 +75,20 @@ class ArchitectureConfig:
         return self.n_classes if self.task == CLASSIFICATION else 1
 
     def validate(self):
-        if self.input_dim < 1:
+        if _integer(self.input_dim, "input_dim") < 1:
             raise ConfigurationError("input_dim must be positive")
-        if not self.body_widths or any(w < 1 for w in self.body_widths):
+        if (not isinstance(self.body_widths, (list, tuple))
+                or not self.body_widths
+                or any(_integer(w, "body_widths") < 1
+                       for w in self.body_widths)):
             raise ConfigurationError(f"invalid body widths {self.body_widths}")
-        if self.selection_hidden < 1:
+        if _integer(self.selection_hidden, "selection_hidden") < 1:
             raise ConfigurationError("selection_hidden must be positive")
         if self.task == CLASSIFICATION:
             if self.n_classes < 2:
                 raise ConfigurationError("classification needs n_classes >= 2")
         elif self.task != REGRESSION:
             raise ConfigurationError(f"unknown task {self.task!r}")
-
-    def to_dict(self):
-        return {
-            "input_dim": self.input_dim,
-            "body_widths": list(self.body_widths),
-            "task": self.task,
-            "n_classes": self.n_classes,
-            "selection_hidden": self.selection_hidden,
-            "batchnorm": self.batchnorm,
-            "dropout_rate": self.dropout_rate,
-            "auxiliary_head": self.auxiliary_head,
-        }
-
-    @staticmethod
-    def from_dict(d):
-        return ArchitectureConfig(**d)
 
 
 def _hidden(x, dense, bn):

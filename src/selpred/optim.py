@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autograd import Parameters, zero_grads
-from .layers import ConfigurationError, TRAIN
+from .layers import TRAIN, ConfigurationError, _integer
 from .losses import (
     DegenerateCoverageError,
     LossConfig,
@@ -59,8 +59,11 @@ class TrainConfig:
     def validate(self):
         if self.learning_rate <= 0:
             raise ConfigurationError("learning rate must be positive")
-        if self.epochs < 1 or self.batch_size < 1:
+        if (_integer(self.epochs, "epochs") < 1
+                or _integer(self.batch_size, "batch_size") < 1):
             raise ConfigurationError("epochs and batch size must be >= 1")
+        if _integer(self.lr_halving_period, "lr_halving_period") < 0:
+            raise ConfigurationError("lr_halving_period must be >= 0")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
         self.loss.validate()
@@ -221,7 +224,7 @@ def train(model, features, labels, config):
         opt.lr = lr_schedule(epoch, config)
         order = rng.permutation(m) if config.shuffle else np.arange(m)
         # the epoch's rows in batch order, so each batch is a slice of them
-        xs, ys = features[order], labels[order]
+        xs, ys = np.take(features, order, axis=0), labels[order]
         # batch-size weighted sums of total, selective and auxiliary loss,
         # soft coverage, accepted count and selective risk
         tot = sel_sum = aux_sum = soft = hard = risk = 0.0

@@ -18,6 +18,7 @@ import hashlib
 import json
 import os
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -50,11 +51,11 @@ def save_model(model, calibration, path):
     arrays = _model_arrays(model)
     header = {
         "format_version": FORMAT_VERSION,
-        "architecture": model.config.to_dict(),
+        "architecture": asdict(model.config),
         "selective": model.selective,
         "seed": model.seed,
         "trained_coverage": model.target_coverage,
-        "calibration": calibration.to_dict() if calibration else None,
+        "calibration": asdict(calibration) if calibration else None,
         "array_sizes": [int(a.size) for a in arrays],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -112,10 +113,10 @@ def load_model(path):
     header = _read_header(path, body[off:off + hlen])
     off += hlen
     try:
-        config = ArchitectureConfig.from_dict(header["architecture"])
+        config = ArchitectureConfig(**header["architecture"])
         model = SelectiveNet(config, header["seed"],
                              selective=header["selective"])
-        calib = (CalibrationResult.from_dict(header["calibration"])
+        calib = (CalibrationResult(**header["calibration"])
                  if header["calibration"] else None)
     except (TypeError, ValueError, KeyError) as exc:
         raise IntegrityError(f"{path}: invalid header: {exc!r}") from exc

@@ -1,6 +1,7 @@
 """Threshold selection, the Hoeffding bound, and the calibration wrapper."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -141,4 +142,4 @@ class TestCalibrate:
     def test_round_trip_dict(self):
         r = CalibrationResult(tau=0.4, target_coverage=0.8, n_validation=100,
                               delta=0.05, epsilon=0.1, achieved_coverage=0.81)
-        assert CalibrationResult.from_dict(r.to_dict()) == r
+        assert CalibrationResult(**asdict(r)) == r

@@ -1,12 +1,17 @@
 """End-to-end command-line workflows on a small synthetic problem."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 import yaml
 
 from selpred.cli import main, prepare_splits
+from selpred.data import SplitSpec
 from selpred.layers import ConfigurationError
-from selpred.model import FrozenNet
+from selpred.losses import LossConfig
+from selpred.model import ArchitectureConfig, FrozenNet
+from selpred.optim import TrainConfig
 from selpred.persist import load_model
 
 
@@ -313,6 +318,21 @@ class TestDatasetConfig:
         err = capsys.readouterr().err
         assert f"error: config field dataset.{field} is missing" in err
 
+    @pytest.mark.parametrize("dataset, key", [
+        (CSV, "m"), (CSV, "noise_fraction"), (SYNTHETIC, "path"),
+        (SYNTHETIC, "standardize_target"),
+    ])
+    def test_key_of_the_other_kind_is_named(self, tmp_path, capsys, dataset,
+                                            key):
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text(yaml.safe_dump(
+            {"dataset": dict(dataset, **{key: 1})}))
+        rc = main(["train", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert (capsys.readouterr().err
+                == f"error: unknown config key dataset.{key}\n")
+
     def test_non_integer_synthetic_field_is_named(self, tmp_path, capsys):
         dataset = dict(self.SYNTHETIC, m="600")
         cfg_path = tmp_path / "config.yaml"
@@ -325,6 +345,94 @@ class TestDatasetConfig:
     def test_dataset_must_be_a_mapping(self):
         with pytest.raises(ConfigurationError, match="must be a mapping"):
             prepare_splits({"dataset": [self.CSV]})
+
+
+class TestConfigSchema:
+    """Each section reads into the dataclass that owns its defaults, and a
+    key that its section does not take fails the run, naming the key."""
+
+    SYNTHETIC = TestDatasetConfig.SYNTHETIC
+
+    def _train(self, tmp_path, cfg):
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text(yaml.safe_dump(cfg))
+        return main(["train", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run")])
+
+    @pytest.mark.parametrize("section, key", [
+        ("split", "seeed"), ("architecture", "body_width"),
+        ("architecture", "input_dim"), ("loss", "target_coverag"),
+        ("train", "learning_rat"), ("train", "seed"), ("train", "loss"),
+        (None, "trian"),
+    ], ids=["split", "architecture", "architecture-derived", "loss",
+            "train", "train-derived-seed", "train-derived-loss", "top-level"])
+    def test_unknown_key_is_named(self, tmp_path, capsys, section, key):
+        cfg = {"dataset": self.SYNTHETIC, "train": {"epochs": 1}}
+        if section is None:
+            cfg[key] = 1
+        else:
+            cfg[section] = dict(cfg.get(section, {}), **{key: 1})
+        assert self._train(tmp_path, cfg) == 1
+        name = key if section is None else f"{section}.{key}"
+        assert (f"error: unknown config key {name}\n"
+                == capsys.readouterr().err)
+
+    def test_misspelled_config_fails_on_its_first_unknown_key(self, tmp_path,
+                                                              capsys):
+        cfg = {"dataset": self.SYNTHETIC,
+               "train": {"learning_rat": 0.5, "batchsize": 7},
+               "architecture": {"body_width": [8]},
+               "loss": {"target_coverag": 0.5}}
+        assert self._train(tmp_path, cfg) == 1
+        assert (capsys.readouterr().err
+                == "error: unknown config key architecture.body_width\n")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("seeds, message", [
+        (0, "seeds must be a non-empty list of integers, got 0"),
+        ([], "seeds must be a non-empty list of integers, got []"),
+        ([0, True], "seeds: True is not an integer"),
+        ([0, 1.0], "seeds: 1.0 is not an integer"),
+        ([0, "1"], "seeds: '1' is not an integer"),
+    ], ids=["scalar", "empty", "bool", "float", "string"])
+    def test_seeds_are_a_list_of_integers(self, tmp_path, capsys, seeds,
+                                          message):
+        cfg = {"dataset": self.SYNTHETIC, "seeds": seeds}
+        assert self._train(tmp_path, cfg) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_effective_config_holds_the_resolved_defaults(self, tmp_path):
+        cfg = {"dataset": self.SYNTHETIC, "train": {"epochs": 1}}
+        assert self._train(tmp_path, cfg) == 0
+        eff = yaml.safe_load(
+            (tmp_path / "run" / "effective_config.yaml").read_text())
+        assert eff["train"]["learning_rate"] == 0.0005
+        train_fields = asdict(TrainConfig(epochs=1))
+        del train_fields["seed"], train_fields["loss"]
+        arch_fields = asdict(ArchitectureConfig(input_dim=4))
+        for derived in ("input_dim", "task", "n_classes"):
+            del arch_fields[derived]
+        assert eff == {
+            "dataset": dict(self.SYNTHETIC, seed=0, noise_fraction=0.0),
+            "split": asdict(SplitSpec()),
+            "architecture": arch_fields,
+            "loss": asdict(LossConfig(task_loss="cross-entropy")),
+            "train": train_fields,
+            "seeds": [0],
+        }
+
+    def test_compare_reruns_from_its_effective_config(self, workdir,
+                                                      tmp_path):
+        _, cfg_path = workdir
+        argv = ["compare", "--coverages", "1.0,0.8", "--seeds", "0"]
+        assert main(argv + ["--config", str(cfg_path),
+                            "--out", str(tmp_path / "a")]) == 0
+        effective = tmp_path / "a" / "effective_config.yaml"
+        assert main(argv + ["--config", str(effective),
+                            "--out", str(tmp_path / "b")]) == 0
+        _, first = _read_csv(tmp_path / "a" / "compare.csv")
+        _, again = _read_csv(tmp_path / "b" / "compare.csv")
+        assert again == first
 
 
 class TestExitCodes:

@@ -278,6 +278,16 @@ class TestSynthClassification:
                            match=f"^{field}: {bad!r} is not an integer$"):
             synth_classification(0, noise_fraction=0.2, **sizes)
 
+    @pytest.mark.parametrize("field", ["m", "n_features"])
+    @pytest.mark.parametrize("bad", [0, -5])
+    def test_non_positive_size_names_the_field(self, field, bad):
+        """``n_features=0`` would otherwise give a (m, 0) dataset after a
+        divide-by-zero warning, and ``m=-5`` fail inside numpy."""
+        sizes = dict(self.SIZES, **{field: bad})
+        with pytest.raises(ConfigurationError,
+                           match=f"^{field} must be >= 1, got {bad}$"):
+            synth_classification(0, noise_fraction=0.2, **sizes)
+
     def test_numpy_integer_sizes_accepted(self):
         sizes = {k: np.int64(v) for k, v in self.SIZES.items()}
         ds = synth_classification(0, noise_fraction=0.2, **sizes)

@@ -1,5 +1,7 @@
 """Three-headed model construction, forward contracts, baseline twin."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,22 @@ class TestConstruction:
             build_model(regression_config(body_widths=[]), seed=0)
         with pytest.raises(ConfigurationError):
             build_model(regression_config(task="ranking"), seed=0)
+
+    @pytest.mark.parametrize("bad", [True, 8.0, "8"],
+                             ids=["bool", "float", "string"])
+    @pytest.mark.parametrize("field, value", [
+        ("input_dim", lambda bad: bad),
+        ("selection_hidden", lambda bad: bad),
+        ("body_widths", lambda bad: [16, bad]),
+    ], ids=["input_dim", "selection_hidden", "body_widths"])
+    def test_non_integer_width_is_named(self, field, value, bad):
+        with pytest.raises(ConfigurationError,
+                           match=f"^{field}: {bad!r} is not an integer$"):
+            build_model(regression_config(**{field: value(bad)}), seed=0)
+
+    def test_body_widths_must_be_a_list(self):
+        with pytest.raises(ConfigurationError, match="invalid body widths"):
+            build_model(regression_config(body_widths=8), seed=0)
 
 
 class TestForward:
@@ -155,5 +173,5 @@ class TestPredict:
 class TestConfigRoundTrip:
     def test_to_from_dict(self):
         cfg = classification_config(dropout_rate=0.25, batchnorm=False)
-        again = ArchitectureConfig.from_dict(cfg.to_dict())
+        again = ArchitectureConfig(**asdict(cfg))
         assert again == cfg

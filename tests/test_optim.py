@@ -19,6 +19,23 @@ from selpred.optim import (
 )
 
 
+class TestTrainConfigValidation:
+    @pytest.mark.parametrize("bad", [True, 3.0, "3"],
+                             ids=["bool", "float", "string"])
+    @pytest.mark.parametrize("field",
+                             ["epochs", "batch_size", "lr_halving_period"])
+    def test_non_integer_field_is_named(self, field, bad):
+        """``epochs: true`` would otherwise train 1 epoch, and
+        ``batch_size: "64"`` fail on comparing a str with an int."""
+        with pytest.raises(ConfigurationError,
+                           match=f"^{field}: {bad!r} is not an integer$"):
+            TrainConfig(**{field: bad}).validate()
+
+    def test_negative_halving_period_rejected(self):
+        with pytest.raises(ConfigurationError, match="lr_halving_period"):
+            TrainConfig(lr_halving_period=-1).validate()
+
+
 class TestSGD:
     def test_first_step_is_plain_gradient(self):
         p = Tensor([1.0], requires_grad=True)

@@ -1,6 +1,9 @@
 """Checkpoint round trips, integrity checking, and the inference-only variant."""
 
+import json
+import struct
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -34,10 +37,14 @@ def trained_model():
     return model, x
 
 
+CALIBRATION = CalibrationResult(tau=0.4, target_coverage=0.8,
+                                n_validation=100, delta=0.05, epsilon=0.1,
+                                achieved_coverage=0.81)
+
+
 def test_round_trip_is_bit_exact(trained_model, tmp_path):
     model, x = trained_model
-    calib = CalibrationResult(tau=0.4, target_coverage=0.8, n_validation=100,
-                              delta=0.05, epsilon=0.1, achieved_coverage=0.81)
+    calib = CALIBRATION
     path = tmp_path / "ckpt.bin"
     save_model(model, calib, path)
     loaded, calib2 = load_model(path)
@@ -87,6 +94,32 @@ def test_round_trip_property(task, body, selection_hidden, batchnorm,
     x = rng.normal(size=(5, 3))
     for a, b in zip(model.freeze().heads(x), loaded.freeze().heads(x)):
         np.testing.assert_array_equal(a, b)
+
+
+def test_header_is_the_expected_json(trained_model, tmp_path):
+    """The header pins every architecture and calibration field; its
+    bytes are the sorted-key JSON of this literal."""
+    model, _ = trained_model
+    path = tmp_path / "ckpt.bin"
+    save_model(model, CALIBRATION, path)
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack_from("<Q", blob, 7)
+    expected = {
+        "format_version": 1,
+        "architecture": {"input_dim": 4, "body_widths": [8],
+                         "task": "classification", "n_classes": 2,
+                         "selection_hidden": 8, "batchnorm": True,
+                         "dropout_rate": None, "auxiliary_head": True},
+        "selective": True,
+        "seed": 0,
+        "trained_coverage": 0.8,
+        "calibration": {"tau": 0.4, "target_coverage": 0.8,
+                        "n_validation": 100, "delta": 0.05, "epsilon": 0.1,
+                        "achieved_coverage": 0.81},
+        "array_sizes": [32, 8, 8, 8, 16, 2, 64, 8, 8, 8, 8, 1, 16, 2, 8, 8,
+                        8, 8],
+    }
+    assert blob[15:15 + hlen] == json.dumps(expected, sort_keys=True).encode()
 
 
 def test_save_without_calibration(trained_model, tmp_path):
@@ -182,8 +215,6 @@ def _reframe(blob, edit):
     """The checkpoint ``blob`` with its header passed through ``edit``,
     re-framed with a valid length and checksum."""
     import hashlib
-    import json
-    import struct
     (hlen,) = struct.unpack_from("<Q", blob, 7)
     header = json.loads(blob[15:15 + hlen])
     raw = json.dumps(edit(header), sort_keys=True).encode()
@@ -203,11 +234,14 @@ def _without(key):
      IntegrityError),
     (lambda h: {**h, "architecture": {"input_dim": 4}}, IntegrityError),
     (lambda h: {**h, "calibration": {"tau": 0.5}}, IntegrityError),
+    (lambda h: {**h, "calibration": {**asdict(CALIBRATION), "tau_hat": 0.5}},
+     IntegrityError),
     (lambda h: {**h, "seed": "zero"}, IntegrityError),
     (lambda h: [h], IntegrityError),
     (_without("format_version"), VersionError),
 ], ids=["no-seed", "no-sizes", "unknown-key", "unknown-arch-key",
-        "short-arch", "short-calibration", "bad-seed", "not-an-object",
+        "short-arch", "short-calibration", "unknown-calibration-key",
+        "bad-seed", "not-an-object",
         "no-version"])
 def test_malformed_header_with_valid_checksum(trained_model, tmp_path, edit,
                                               error):
