@@ -25,7 +25,8 @@ import numpy as np
 import yaml
 
 from .calibrate import calibrate
-from .data import SplitSpec, load_csv, split, standardize, synth_classification
+from .data import (SplitSpec, load_csv, split, standardize,
+                   synth_classification, unstandardize_target)
 from .evaluate import (
     MC_DROPOUT_CLASSIFICATION,
     MC_DROPOUT_REGRESSION,
@@ -40,7 +41,7 @@ from .evaluate import (
     threshold_for_coverage,
     write_csv,
 )
-from .layers import ConfigurationError, _integer, softmax_rows
+from .layers import ConfigurationError, _boolean, _integer, softmax_rows
 from .losses import CROSS_ENTROPY, SQUARED, LossConfig
 from .model import (CLASSIFICATION, REGRESSION, ArchitectureConfig,
                     build_baseline, build_model)
@@ -166,18 +167,20 @@ def prepare_splits(cfg, split_seed=None):
     conf = _resolve(cfg)
     d = conf["dataset"]
     if d["kind"] == "csv":
+        include_target = _boolean(d["standardize_target"],
+                                  "standardize_target")
         ds = load_csv(d["path"], d["feature_columns"], d["target_column"],
                       header=d["header"], task=d["task"])
-    else:
+    else:  # synthetic data is classification
+        include_target = False
         ds = synth_classification(d["seed"], d["m"], d["n_classes"],
                                   d["n_features"], d["noise_fraction"])
     spec = SplitSpec(**conf["split"])
     if split_seed is not None:
         spec.seed = split_seed
     tr, ca, te = split(ds, spec)
-    # synthetic data is classification, so only csv data reaches the key
-    include_target = ds.task != CLASSIFICATION and d["standardize_target"]
-    tr, stats = standardize(tr, include_target=include_target)
+    tr, stats = standardize(
+        tr, include_target=include_target and ds.task != CLASSIFICATION)
     ca, _ = standardize(ca, stats=stats)
     te, _ = standardize(te, stats=stats)
     return tr, ca, te, stats[3]
@@ -268,27 +271,40 @@ def cmd_evaluate(args):
     return 0
 
 
-def _scores_for(model, features, kind, task, seed):
-    if kind == "g":
-        return model.selection_scores(features)
-    if kind == "sr":
-        if task != CLASSIFICATION:
-            raise ValueError("softmax-response scores need a classification task")
-        return sr_confidence(model.freeze().probabilities(features))
-    if kind == "mcdropout":
-        mc = (MC_DROPOUT_CLASSIFICATION if task == CLASSIFICATION
-              else MC_DROPOUT_REGRESSION)
-        return mc_dropout_confidence(model, features, mc["passes"], mc["rate"],
-                                     seed, task)
-    raise ValueError(f"unknown score kind {kind!r}")
+def _curves(model, ca, te, tstats, kinds, coverages, mc_seeds=(0, 1)):
+    """``{kind: risk_coverage_curve rows}`` of ``model`` for each score kind
+    in ``kinds`` (``g``, ``sr``, ``mcdropout``), with thresholds fit on the
+    calibration split ``ca`` and risks read on the test split ``te``. One
+    frozen forward per split serves the predictions, g and SR scores, and
+    none runs on ``ca`` for MC-dropout alone, which makes its own passes
+    seeded ``mc_seeds`` = (calibration, test)."""
+    task = te.task
+    for kind in kinds:
+        if (kind == "sr" and task != CLASSIFICATION
+                or kind == "g" and not model.selective):
+            raise ValueError(
+                f"score kind {kind!r} does not apply to this {task} model")
+    frozen = model.freeze()
+    mc = (MC_DROPOUT_CLASSIFICATION if task == CLASSIFICATION
+          else MC_DROPOUT_REGRESSION)
 
+    def scores(kind, ds, heads, mc_seed):
+        if kind == "mcdropout":
+            return mc_dropout_confidence(model, ds.features, mc["passes"],
+                                         mc["rate"], mc_seed, task)
+        f, g = heads
+        return g if kind == "g" else sr_confidence(softmax_rows(f)[0])
 
-def _sr_predictions(model, ds):
-    """``(predictions, labels, SR scores)`` of a classifier on the labelled
-    split ``ds``, from one frozen forward."""
-    logits = model.freeze().heads(ds.features)[0]
-    return (logits.argmax(axis=1), ds.labels,
-            sr_confidence(softmax_rows(logits)[0]))
+    cal = frozen.heads(ca.features) if set(kinds) - {"mcdropout"} else None
+    test = frozen.heads(te.features)
+    if task == CLASSIFICATION:
+        preds, labels = test[0].argmax(axis=1), te.labels
+    else:
+        preds, labels = (unstandardize_target(v, tstats)
+                         for v in (test[0], te.labels))
+    return {kind: risk_coverage_curve(
+        scores(kind, ca, cal, mc_seeds[0]), scores(kind, te, test, mc_seeds[1]),
+        preds, labels, coverages, task) for kind in kinds}
 
 
 def cmd_curve(args):
@@ -297,16 +313,7 @@ def cmd_curve(args):
     model, _ = load_model(args.model)
     _, ca, te, tstats = prepare_splits(conf)
     coverages = [float(c) for c in args.coverages.split(",")]
-    cal_scores = _scores_for(model, ca.features, args.score, te.task, seed=0)
-    if args.score == "sr":
-        preds, labels, test_scores = _sr_predictions(model, te)
-    else:
-        preds, labels, _, g = predictions_and_scores(model, te.features,
-                                                     te.labels, tstats)
-        test_scores = (g if args.score == "g" else _scores_for(
-            model, te.features, args.score, te.task, seed=1))
-    rows = risk_coverage_curve(cal_scores, test_scores, preds, labels,
-                               coverages, te.task)
+    rows = _curves(model, ca, te, tstats, [args.score], coverages)[args.score]
     write_csv(out / "curve.csv", _provenance(cfg, [model.seed]),
               ["target_coverage", "achieved_coverage", "risk"], rows)
     _write_effective_config(conf, out)
@@ -349,36 +356,20 @@ def run_comparison(conf, coverages, seeds):
         task = tr.task
         baselines = _BASELINES if task == CLASSIFICATION else _BASELINES[:1]
         arch = _architecture(conf, tr, ca, te)
-        if arch.dropout_rate is None:
-            # MC-dropout needs dropout layers; rate 0 is inert during training
-            arch.dropout_rate = 0.0
-
         base = build_baseline(arch, seed)
-        bcfg = _train_config(conf, seed, _loss_config(conf, 1.0))
-        train(base, tr.features, tr.labels, bcfg)
-        if task == CLASSIFICATION:
-            bpreds, blabels, test_sr = _sr_predictions(base, te)
-        else:
-            bpreds, blabels, _, _ = predictions_and_scores(
-                base, te.features, te.labels, tstats)
-        for kind, _, _ in baselines:
-            curve = risk_coverage_curve(
-                _scores_for(base, ca.features, kind, task, seed * 2 + 1),
-                test_sr if kind == "sr" else
-                _scores_for(base, te.features, kind, task, seed * 2 + 2),
-                bpreds, blabels, coverages, task)
+        train(base, tr.features, tr.labels,
+              _train_config(conf, seed, _loss_config(conf, 1.0)))
+        curves = _curves(base, ca, te, tstats, [k for k, _, _ in baselines],
+                         coverages, (seed * 2 + 1, seed * 2 + 2))
+        for kind, curve in curves.items():
             risks.setdefault(kind, []).append([r for _, _, r in curve])
 
         selnet = []
         for c in coverages:
             model = build_model(arch, seed)
-            tcfg = _train_config(conf, seed, _loss_config(conf, c))
-            train(model, tr.features, tr.labels, tcfg)
-            preds, labels, _, test_scores = predictions_and_scores(
-                model, te.features, te.labels, tstats)
-            [(_, _, risk)] = risk_coverage_curve(
-                _scores_for(model, ca.features, "g", task, seed),
-                test_scores, preds, labels, [c], task)
+            train(model, tr.features, tr.labels,
+                  _train_config(conf, seed, _loss_config(conf, c)))
+            [(_, _, risk)] = _curves(model, ca, te, tstats, ["g"], [c])["g"]
             selnet.append(risk)
         risks.setdefault("g", []).append(selnet)
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layers import ConfigurationError, _integer
+from .layers import ConfigurationError, _boolean, _integer, _real
 from .model import CLASSIFICATION, REGRESSION
 
 __all__ = [
@@ -28,18 +28,11 @@ class ParseError(ValueError):
 
 @dataclass
 class Dataset:
-    """Labeled sample collection with normalization and provenance metadata.
-
-    ``feature_stats`` and ``target_stats`` are (mean, std) pairs recorded
-    whenever standardization was applied, so predictions can be reported in
-    original units.
-    """
+    """Labeled sample collection with provenance metadata."""
 
     features: np.ndarray
     labels: np.ndarray
     task: str
-    feature_stats: tuple | None = None
-    target_stats: tuple | None = None
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -68,7 +61,7 @@ class Dataset:
         if "noise_mask" in prov:
             prov["noise_mask"] = prov["noise_mask"][indices]
         return Dataset(self.features[indices], self.labels[indices], self.task,
-                       self.feature_stats, self.target_stats, prov)
+                       prov)
 
 
 @dataclass
@@ -80,7 +73,9 @@ class SplitSpec:
     stratified: bool = False
 
     def validate(self):
-        fracs = (self.train, self.calibration, self.test)
+        fracs = tuple(_real(getattr(self, name), name)
+                      for name in ("train", "calibration", "test"))
+        _boolean(self.stratified, "stratified")
         if any(f <= 0.0 for f in fracs):
             raise ConfigurationError("every split fraction must be positive")
         if abs(sum(fracs) - 1.0) > 1e-9:
@@ -92,13 +87,15 @@ def load_csv(path, feature_columns, target_column, header=True,
     """Parse a numeric CSV into a Dataset, validating the schema.
 
     Columns are zero-based indices, each an ``int`` or numpy integer (not a
-    bool). A column that is not such an index, a negative target column, or
-    a feature column that is negative, repeated or the target column,
-    raises ConfigurationError naming the field. Non-numeric and non-finite
-    (``nan``, ``inf``) cells, and classification labels that are not
-    integers >= 0, raise ParseError naming the offending row and column.
+    bool). A column that is not such an index, a negative target column, a
+    feature column that is negative, repeated or the target column, or a
+    ``header`` that is not a bool raises ConfigurationError naming the
+    field. Non-numeric and non-finite (``nan``, ``inf``) cells, and
+    classification labels that are not integers >= 0, raise ParseError
+    naming the offending row and column.
     """
     target_column = _integer(target_column, "target_column")
+    _boolean(header, "header")
     if (isinstance(feature_columns, (str, bytes, dict))
             or not np.iterable(feature_columns)):
         raise ConfigurationError(
@@ -159,12 +156,13 @@ def load_csv(path, feature_columns, target_column, header=True,
 
 
 def standardize(dataset, stats=None, include_target=False):
-    """Per-feature z-score normalization; fitted stats are recorded.
+    """Per-feature z-score normalization: ``(standardized dataset, stats)``.
 
-    Pass the train split's stats to transform calibration/test without
-    leakage. Zero-variance features are dropped with a warning (noted in
-    provenance). With ``include_target`` (regression only) targets are
-    standardized too and the inverse transform kept in ``target_stats``.
+    ``stats`` is ``(mean, std, keep, target_stats)``; pass the train split's
+    to transform calibration/test without leakage. Zero-variance features
+    are dropped with a warning (noted in provenance). With
+    ``include_target`` (regression only) targets are standardized too and
+    ``target_stats`` holds the inverse transform, else it is None.
     """
     if stats is None:
         mean = dataset.features.mean(axis=0)
@@ -195,10 +193,7 @@ def standardize(dataset, stats=None, include_target=False):
     prov = dict(dataset.provenance)
     if not np.all(keep):
         prov["dropped_features"] = np.flatnonzero(~keep).tolist()
-    out = Dataset(feats, labels, dataset.task,
-                  feature_stats=(mean, std, keep), target_stats=tstats,
-                  provenance=prov)
-    return out, stats
+    return Dataset(feats, labels, dataset.task, prov), stats
 
 
 def unstandardize_target(values, target_stats):
@@ -226,7 +221,7 @@ def synth_classification(seed, m, n_classes, n_features, noise_fraction):
                                 ("n_features", n_features, 1)):
         if _integer(value, field) < least:
             raise ConfigurationError(f"{field} must be >= {least}, got {value}")
-    if not 0.0 <= noise_fraction < 0.5:
+    if not 0.0 <= _real(noise_fraction, "noise_fraction") < 0.5:
         raise ConfigurationError(
             f"noise fraction must be in [0, 0.5), got {noise_fraction}")
     rng = np.random.default_rng(seed)

@@ -19,8 +19,8 @@ import numpy as np
 
 from .calibrate import select_threshold
 from .data import unstandardize_target
-from .layers import ConfigurationError, ContractError
-from .model import CLASSIFICATION, REGRESSION
+from .layers import ContractError
+from .model import CLASSIFICATION
 
 __all__ = [
     "EvalReport",
@@ -119,17 +119,14 @@ def mc_dropout_confidence(model, inputs, passes, rate, seed, task):
 
     Each pass runs the frozen (batchnorm-folded) body with inverted dropout
     at ``rate`` after every hidden block and computes f only, one pass at a
-    time; the model itself, its ``DropoutLayer`` rates included, is not
-    touched. Classification: variance across passes of the probability
-    assigned to the consensus class (argmax of the mean prediction).
+    time; the model needs no dropout layers, and its rates are not touched.
+    Classification: variance across passes of the probability assigned to
+    the consensus class (argmax of the mean prediction).
     Regression: variance of the scalar output. Deterministic given the seed;
     identical passes (e.g. rate 0) yield exactly zero variance.
     """
     if passes < 2:
         raise ContractError("MC-dropout needs at least 2 passes")
-    if all(blk.dropout is None for blk in model.body):
-        raise ConfigurationError(
-            "model has no dropout layers; build it with a dropout_rate")
     frozen = model.freeze()
     rng = np.random.default_rng(seed)
     first = frozen.dropout_f(inputs, rate, rng)

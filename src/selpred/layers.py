@@ -33,8 +33,6 @@ from .autograd import (
     ShapeError,
     Tensor,
     note_kink_margin,
-    relu,
-    sigmoid,
     stable_sigmoid,
 )
 
@@ -48,8 +46,6 @@ __all__ = [
     "dense_sigmoid",
     "softmax",
     "softmax_rows",
-    "relu",
-    "sigmoid",
     "TRAIN",
     "EVAL",
 ]
@@ -70,6 +66,24 @@ def _integer(value, field):
             value, (int, np.integer)):
         raise ConfigurationError(f"{field}: {value!r} is not an integer")
     return int(value)
+
+
+def _real(value, field):
+    """``value`` as a ``float``; ConfigurationError naming ``field`` unless
+    it is an int or a float (numpy's included). A bool or a string is
+    rejected."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise ConfigurationError(f"{field}: {value!r} is not a real number")
+    return float(value)
+
+
+def _boolean(value, field):
+    """``value``; ConfigurationError naming ``field`` unless it is a bool,
+    since any non-empty string, ``"false"`` included, would read as true."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ConfigurationError(f"{field}: {value!r} is not a boolean")
+    return value
 
 
 class ContractError(ValueError):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import Tensor, relu, square
-from .layers import ConfigurationError, ContractError
+from .layers import ConfigurationError, ContractError, _real
 
 __all__ = [
     "CROSS_ENTROPY",
@@ -60,12 +60,12 @@ class LossConfig:
     task_loss: str = SQUARED
 
     def validate(self):
-        if not 0.0 < self.target_coverage <= 1.0:
+        if not 0.0 < _real(self.target_coverage, "target_coverage") <= 1.0:
             raise ConfigurationError(
                 f"target coverage must be in (0,1], got {self.target_coverage}")
-        if self.penalty_weight < 0.0:
+        if _real(self.penalty_weight, "penalty_weight") < 0.0:
             raise ConfigurationError("penalty weight must be >= 0")
-        if not 0.0 <= self.alpha <= 1.0:
+        if not 0.0 <= _real(self.alpha, "alpha") <= 1.0:
             raise ConfigurationError(f"alpha must be in [0,1], got {self.alpha}")
         if self.task_loss not in (CROSS_ENTROPY, SQUARED):
             raise ConfigurationError(f"unknown task loss {self.task_loss!r}")

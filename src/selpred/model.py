@@ -39,7 +39,9 @@ from .layers import (
     dense_sigmoid,
     softmax,
     softmax_rows,
+    _boolean,
     _integer,
+    _real,
 )
 
 __all__ = ["ArchitectureConfig", "FrozenNet", "SelectiveNet", "build_model",
@@ -58,8 +60,10 @@ class ArchitectureConfig:
     """Widths and switches defining the network.
 
     ``dropout_rate=None`` means no dropout layers at all; a numeric rate
-    (including 0.0) places a dropout layer after every hidden activation,
-    which the MC-dropout baseline requires.
+    places a dropout layer after every hidden activation. Rate 0.0 layers
+    are the identity, so ``None`` and ``0.0`` both train without dropout.
+    The MC-dropout baseline needs neither: it applies its own rate to the
+    frozen body.
     """
 
     input_dim: int
@@ -84,6 +88,10 @@ class ArchitectureConfig:
             raise ConfigurationError(f"invalid body widths {self.body_widths}")
         if _integer(self.selection_hidden, "selection_hidden") < 1:
             raise ConfigurationError("selection_hidden must be positive")
+        if self.dropout_rate is not None:
+            _real(self.dropout_rate, "dropout_rate")
+        for name in ("batchnorm", "auxiliary_head"):
+            _boolean(getattr(self, name), name)
         if self.task == CLASSIFICATION:
             if self.n_classes < 2:
                 raise ConfigurationError("classification needs n_classes >= 2")
@@ -305,6 +313,7 @@ class FrozenNet:
             self.g_w = model.g_out.weights.data[:, 0].copy()
             self.g_b = float(model.g_out.bias.data[0])
         self.head_w, self.head_b = w, b
+        self.f_w, self.f_b = w[:, :self.n_f], b[:self.n_f]  # views
 
     def heads(self, x):
         """``(f, g)`` for the rows of ``x``: class logits (batch, classes) or
@@ -312,19 +321,10 @@ class FrozenNet:
         baseline twin). More than ``BLOCK_ROWS`` rows are evaluated block by
         block, each block with the same checks."""
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.input_dim:
-            raise ShapeError(
-                f"expected input (batch, {self.input_dim}), got {x.shape}")
-        if x.shape[0] > BLOCK_ROWS:
+        if (x.ndim == 2 and x.shape[0] > BLOCK_ROWS
+                and x.shape[1] == self.input_dim):
             return self._blocked_heads(x)
-        for w, b in self.body:
-            x = x.dot(w)
-            x += b
-            np.maximum(x, 0.0, out=x)
-        z = x.dot(self.head_w)
-        z += self.head_b
-        if not np.isfinite(z).all():
-            raise DomainError("head outputs are not finite")
+        z = self._pass(x, self.head_w, self.head_b)
         if self.classification:
             f = z[:, :self.n_f]
         else:
@@ -334,6 +334,27 @@ class FrozenNet:
         t = np.maximum(z[:, self.n_f:], 0.0).dot(self.g_w)
         t += self.g_b
         return f, stable_sigmoid(t)
+
+    def _pass(self, x, head_w, head_b, rate=0.0, rng=None):
+        """``rep @ head_w + head_b`` for the rows of ``x``, with rep the
+        output of the folded body blocks, each followed by inverted dropout
+        at ``rate``. The masks are drawn block after block from ``rng`` as
+        ``DropoutLayer`` draws them, none at rate 0."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.input_dim:
+            raise ShapeError(
+                f"expected input (batch, {self.input_dim}), got {x.shape}")
+        for w, b in self.body:
+            x = x.dot(w)
+            x += b
+            np.maximum(x, 0.0, out=x)
+            if rate != 0.0:
+                x *= (rng.random(x.shape) >= rate) / (1.0 - rate)
+        z = x.dot(head_w)
+        z += head_b
+        if not np.isfinite(z).all():
+            raise DomainError("head outputs are not finite")
+        return z
 
     def _blocked_heads(self, x):
         """``heads`` of each ``BLOCK_ROWS`` rows of ``x``, concatenated."""
@@ -350,22 +371,8 @@ class FrozenNet:
     def dropout_f(self, x, rate, rng):
         """f for the rows of ``x`` with inverted dropout at ``rate`` after
         every body block: class probabilities (softmax) or regression
-        outputs. The masks are drawn block after block from ``rng`` as
-        ``DropoutLayer`` draws them, none at rate 0."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.input_dim:
-            raise ShapeError(
-                f"expected input (batch, {self.input_dim}), got {x.shape}")
-        for w, b in self.body:
-            x = x.dot(w)
-            x += b
-            np.maximum(x, 0.0, out=x)
-            if rate != 0.0:
-                x *= (rng.random(x.shape) >= rate) / (1.0 - rate)
-        z = x.dot(self.head_w[:, :self.n_f])
-        z += self.head_b[:self.n_f]
-        if not np.isfinite(z).all():
-            raise DomainError("head outputs are not finite")
+        outputs, from f's head columns only."""
+        z = self._pass(x, self.f_w, self.f_b, rate, rng)
         return softmax_rows(z)[0] if self.classification else z[:, 0]
 
     def __call__(self, x, tau=-np.inf):
@@ -376,12 +383,6 @@ class FrozenNet:
         preds = f.argmax(axis=1) if self.classification else f
         accepted = np.ones(len(preds), dtype=bool) if g is None else g >= tau
         return preds, accepted, g
-
-    def probabilities(self, x):
-        """Softmax class probabilities of f (classification only)."""
-        if not self.classification:
-            raise ConfigurationError("class probabilities need a classifier")
-        return softmax_rows(self.heads(x)[0])[0]
 
 
 def build_model(config, seed):

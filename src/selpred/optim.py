@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autograd import Parameters, zero_grads
-from .layers import TRAIN, ConfigurationError, _integer
+from .layers import TRAIN, ConfigurationError, _boolean, _integer, _real
 from .losses import (
     DegenerateCoverageError,
     LossConfig,
@@ -57,8 +57,11 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
 
     def validate(self):
-        if self.learning_rate <= 0:
+        if _real(self.learning_rate, "learning_rate") <= 0:
             raise ConfigurationError("learning rate must be positive")
+        for name in ("weight_decay", "momentum"):
+            _real(getattr(self, name), name)
+        _boolean(self.shuffle, "shuffle")
         if (_integer(self.epochs, "epochs") < 1
                 or _integer(self.batch_size, "batch_size") < 1):
             raise ConfigurationError("epochs and batch size must be >= 1")

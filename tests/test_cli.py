@@ -50,6 +50,25 @@ def _read_csv(path):
     return comments, data
 
 
+def _regression_config(tmp_path):
+    """A small csv regression config whose target is in original units
+    far from 0 (mean 40), standardized for training."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(200, 3))
+    y = 40.0 + 15.0 * x[:, 0] + rng.normal(size=200)
+    data = tmp_path / "data.csv"
+    data.write_text("a,b,c,y\n" + "".join(
+        f"{a},{b},{c},{t}\n" for (a, b, c), t in zip(x, y)))
+    cfg = {"dataset": {"kind": "csv", "path": str(data),
+                       "feature_columns": [0, 1, 2], "target_column": 3,
+                       "standardize_target": True},
+           "architecture": {"body_widths": [8], "selection_hidden": 4},
+           "train": {"epochs": 3, "batch_size": 32}}
+    cfg_path = tmp_path / "config.yaml"
+    cfg_path.write_text(yaml.safe_dump(cfg))
+    return cfg_path
+
+
 def _count_heads_per_split(monkeypatch, cfg_path, argv, split_seed=None):
     """Run ``main(argv)`` and count ``FrozenNet.heads`` calls by the split
     (of ``prepare_splits`` on the config) whose rows they evaluate."""
@@ -170,6 +189,37 @@ class TestCurve:
             "--score", "sr", "--out", str(tmp_path)])
         assert counts == {"cal": 1, "test": 1}
 
+    def test_mcdropout_without_dropout_layers(self, workdir, tmp_path):
+        """MC-dropout applies its own rate to the frozen body, so a model
+        trained with no dropout layers (dropout_rate unset) gets scores."""
+        _, base_cfg = workdir
+        cfg = yaml.safe_load(base_cfg.read_text())
+        del cfg["architecture"]["dropout_rate"]
+        cfg["train"]["epochs"] = 2
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text(yaml.safe_dump(cfg))
+        assert main(["train", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run")]) == 0
+        model, _ = load_model(tmp_path / "run" / "model.ckpt")
+        assert all(block.dropout is None for block in model.body)
+        assert main(["curve", "--model", str(tmp_path / "run" / "model.ckpt"),
+                     "--config", str(cfg_path), "--coverages", "1.0,0.8",
+                     "--score", "mcdropout", "--out", str(tmp_path)]) == 0
+        _, data = _read_csv(tmp_path / "curve.csv")
+        assert len(data) == 3
+
+    def test_sr_on_regression_names_the_score_kind(self, tmp_path, capsys):
+        cfg_path = _regression_config(tmp_path)
+        ckpt = str(tmp_path / "run" / "model.ckpt")
+        assert main(["train", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run")]) == 0
+        assert main(["curve", "--model", ckpt, "--config", str(cfg_path),
+                     "--coverages", "1.0,0.8", "--score", "sr",
+                     "--out", str(tmp_path / "curve")]) == 1
+        assert ("error: score kind 'sr' does not apply to this regression "
+                "model\n") == capsys.readouterr().err
+        assert not (tmp_path / "curve" / "curve.csv").exists()
+
 
 class TestGrid:
     def test_single_model_grid(self, workdir, tmp_path):
@@ -183,19 +233,7 @@ class TestGrid:
         assert len(data) == 2
 
     def test_regression_risk_in_original_units(self, tmp_path):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(200, 3))
-        y = 40.0 + 15.0 * x[:, 0] + rng.normal(size=200)
-        data = tmp_path / "data.csv"
-        data.write_text("a,b,c,y\n" + "".join(
-            f"{a},{b},{c},{t}\n" for (a, b, c), t in zip(x, y)))
-        cfg = {"dataset": {"kind": "csv", "path": str(data),
-                           "feature_columns": [0, 1, 2], "target_column": 3,
-                           "standardize_target": True},
-               "architecture": {"body_widths": [8], "selection_hidden": 4},
-               "train": {"epochs": 3, "batch_size": 32}}
-        cfg_path = tmp_path / "config.yaml"
-        cfg_path.write_text(yaml.safe_dump(cfg))
+        cfg_path = _regression_config(tmp_path)
         ckpt = str(tmp_path / "run" / "model.ckpt")
         for argv in (["train", "--out", str(tmp_path / "run")],
                      ["curve", "--model", ckpt, "--coverages", "1.0",
@@ -261,6 +299,17 @@ class TestCompare:
             "compare", "--config", str(cfg_path), "--coverages", "1.0,0.8",
             "--seeds", "0", "--out", str(tmp_path)], split_seed=0)
         assert counts == {"cal": 3, "test": 3}
+
+    def test_regression_twin_calibrates_without_a_forward(self, tmp_path,
+                                                          monkeypatch):
+        """A regression twin has only MC-dropout scores, which make their
+        own passes: the calibration rows see one forward per SelectiveNet
+        and the test rows one per model."""
+        cfg_path = _regression_config(tmp_path)
+        counts = _count_heads_per_split(monkeypatch, cfg_path, [
+            "compare", "--config", str(cfg_path), "--coverages", "1.0,0.8",
+            "--seeds", "0", "--out", str(tmp_path / "out")], split_seed=0)
+        assert counts == {"cal": 2, "test": 3}
 
     def test_improvement_cells_follow_their_row(self, tmp_path):
         # separable data, so some baseline risks are exactly 0
@@ -400,6 +449,39 @@ class TestConfigSchema:
         cfg = {"dataset": self.SYNTHETIC, "seeds": seeds}
         assert self._train(tmp_path, cfg) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("section, key", [
+        ("architecture", "batchnorm"), ("architecture", "auxiliary_head"),
+        ("train", "shuffle"), ("split", "stratified"), ("dataset", "header"),
+        ("dataset", "standardize_target"),
+    ])
+    def test_non_boolean_switch_is_named(self, tmp_path, capsys, section,
+                                         key):
+        """A quoted "false" would read as true; it fails instead."""
+        dataset = (TestDatasetConfig.CSV if section == "dataset"
+                   else self.SYNTHETIC)
+        cfg = {"dataset": dataset, "train": {"epochs": 1}}
+        cfg[section] = dict(cfg.get(section, {}), **{key: "false"})
+        assert self._train(tmp_path, cfg) == 1
+        assert (capsys.readouterr().err
+                == f"error: {key}: 'false' is not a boolean\n")
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("train", "learning_rate", "1e-3"), ("train", "weight_decay", "0"),
+        ("train", "momentum", "0.9"), ("loss", "target_coverage", "0.5"),
+        ("loss", "penalty_weight", "32"), ("loss", "alpha", "0.5"),
+        ("loss", "alpha", True), ("split", "train", "0.6"),
+        ("split", "calibration", "0.2"), ("split", "test", "0.2"),
+        ("architecture", "dropout_rate", "0.1"),
+        ("dataset", "noise_fraction", "0.1"),
+    ])
+    def test_non_real_number_is_named(self, tmp_path, capsys, section, key,
+                                      value):
+        cfg = {"dataset": self.SYNTHETIC, "train": {"epochs": 1}}
+        cfg[section] = dict(cfg.get(section, {}), **{key: value})
+        assert self._train(tmp_path, cfg) == 1
+        assert (capsys.readouterr().err
+                == f"error: {key}: {value!r} is not a real number\n")
 
     def test_effective_config_holds_the_resolved_defaults(self, tmp_path):
         cfg = {"dataset": self.SYNTHETIC, "train": {"epochs": 1}}

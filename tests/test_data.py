@@ -158,8 +158,8 @@ class TestStandardize:
         rng = np.random.default_rng(2)
         ds = Dataset(rng.normal(size=(50, 2)), rng.normal(30.0, 15.0, size=50),
                      REGRESSION)
-        out, _ = standardize(ds, include_target=True)
-        back = unstandardize_target(out.labels, out.target_stats)
+        out, stats = standardize(ds, include_target=True)
+        back = unstandardize_target(out.labels, stats[3])
         np.testing.assert_allclose(back, ds.labels, atol=1e-10)
 
 

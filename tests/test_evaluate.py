@@ -15,7 +15,7 @@ from selpred.evaluate import (
     threshold_for_coverage,
     write_csv,
 )
-from selpred.layers import ConfigurationError, ContractError
+from selpred.layers import ContractError
 from selpred.model import CLASSIFICATION, REGRESSION, ArchitectureConfig, build_model
 
 
@@ -98,13 +98,22 @@ class TestMCDropout:
                               seed=0, task=CLASSIFICATION)
         assert all(b.dropout.rate == 0.0 for b in dropout_model.body)
 
-    def test_needs_dropout_layers(self):
-        cfg = ArchitectureConfig(input_dim=5, body_widths=[8],
-                                 task=CLASSIFICATION, n_classes=2)
-        model = build_model(cfg, 0)
-        with pytest.raises(ConfigurationError):
-            mc_dropout_confidence(model, np.zeros((3, 5)), passes=5,
-                                  rate=0.5, seed=0, task=CLASSIFICATION)
+    @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+    def test_needs_no_dropout_layers(self, task):
+        """The passes run on the frozen body at the call's rate, so a model
+        built without dropout layers scores as its rate-0 twin does."""
+        x = np.random.default_rng(3).normal(size=(40, 5))
+        scores = []
+        for rate in (None, 0.0):
+            cfg = ArchitectureConfig(
+                input_dim=5, body_widths=[8, 6], task=task,
+                n_classes=3 if task == CLASSIFICATION else 0,
+                dropout_rate=rate)
+            model = build_model(cfg, 4)
+            scores.append(mc_dropout_confidence(model, x, passes=6, rate=0.5,
+                                                seed=2, task=task))
+        assert scores[0].tobytes() == scores[1].tobytes()
+        assert np.any(scores[0] < 0.0)
 
     def test_needs_two_passes(self, dropout_model):
         with pytest.raises(ContractError):

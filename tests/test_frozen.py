@@ -85,7 +85,7 @@ def _check_agreement(model, x):
     frozen = model.freeze()
     f, g = frozen.heads(x)
     if model.config.task == CLASSIFICATION:
-        assert _rel_err(frozen.probabilities(x), f_ref) <= RTOL
+        assert _rel_err(softmax_rows(f)[0], f_ref) <= RTOL
         expected = np.argmax(f_ref, axis=1)
     else:
         assert _rel_err(f, f_ref) <= RTOL
@@ -164,7 +164,7 @@ def test_eval_forward_is_the_frozen_net(task, baseline):
     stats = [a.copy() for a in model.running_stats()]
     f, g, h = model.forward(x)
     frozen = model.freeze()
-    want_f = (frozen.probabilities(x) if task == CLASSIFICATION
+    want_f = (softmax_rows(frozen.heads(x)[0])[0] if task == CLASSIFICATION
               else frozen.heads(x)[0])
     assert f.data.tobytes() == want_f.tobytes()
     if baseline:
@@ -273,11 +273,6 @@ class TestErrors:
                 with pytest.raises(DomainError):
                     serve(x)
 
-    def test_probabilities_need_a_classifier(self):
-        model = build_model(_config(REGRESSION), seed=0)
-        with pytest.raises(ConfigurationError):
-            model.freeze().probabilities(_inputs(2))
-
     def test_baseline_has_no_selection_scores(self):
         base = build_baseline(_config(REGRESSION), seed=0)
         with pytest.raises(ConfigurationError):
@@ -316,6 +311,11 @@ class TestRowBlocks:
         else:
             np.testing.assert_array_equal(
                 g, np.concatenate([gb for _, gb in blocks]))
+
+    def test_wrong_width_names_the_whole_input(self):
+        x = np.zeros((BLOCK_ROWS + 1, 9))
+        with pytest.raises(ShapeError, match=rf"got \({BLOCK_ROWS + 1}, 9\)"):
+            self._model(CLASSIFICATION).freeze().heads(x)
 
     def test_non_finite_row_in_last_block(self):
         model = self._model(CLASSIFICATION)
