@@ -8,8 +8,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layers import ConfigurationError, _boolean, _integer, _real
-from .model import CLASSIFICATION, REGRESSION
+from .layers import (
+    ConfigurationError,
+    _boolean,
+    _column_sums,
+    _integer,
+    _real,
+)
+from .model import BLOCK_ROWS, CLASSIFICATION, REGRESSION
 
 __all__ = [
     "Dataset",
@@ -57,11 +63,19 @@ class Dataset:
         return self.features.shape[1]
 
     def subset(self, indices):
+        """The rows at ``indices``: integer row indices (an array or a list)
+        or a boolean mask over the rows."""
+        rows = np.asarray(indices)
+        if rows.dtype == bool:
+            if rows.shape != (self.n_samples,):
+                raise IndexError(f"boolean mask of shape {rows.shape} for "
+                                 f"{self.n_samples} rows")
+            rows = np.flatnonzero(rows)
         prov = dict(self.provenance)
         if "noise_mask" in prov:
-            prov["noise_mask"] = prov["noise_mask"][indices]
-        return Dataset(self.features[indices], self.labels[indices], self.task,
-                       prov)
+            prov["noise_mask"] = np.take(prov["noise_mask"], rows)
+        return Dataset(np.take(self.features, rows, axis=0),
+                       np.take(self.labels, rows), self.task, prov)
 
 
 @dataclass
@@ -76,6 +90,8 @@ class SplitSpec:
         fracs = tuple(_real(getattr(self, name), name)
                       for name in ("train", "calibration", "test"))
         _boolean(self.stratified, "stratified")
+        if _integer(self.seed, "seed") < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if any(f <= 0.0 for f in fracs):
             raise ConfigurationError("every split fraction must be positive")
         if abs(sum(fracs) - 1.0) > 1e-9:
@@ -159,14 +175,16 @@ def standardize(dataset, stats=None, include_target=False):
     """Per-feature z-score normalization: ``(standardized dataset, stats)``.
 
     ``stats`` is ``(mean, std, keep, target_stats)``; pass the train split's
-    to transform calibration/test without leakage. Zero-variance features
-    are dropped with a warning (noted in provenance). With
+    to transform calibration/test without leakage. Without ``stats`` the
+    moments are fitted by ``_feature_moments``, and features of exactly
+    zero variance, which an exactly constant column has, are dropped with a
+    warning (noted in provenance). The output is
+    ``(features[:, keep] - mean[keep]) / std[keep]``. With
     ``include_target`` (regression only) targets are standardized too and
     ``target_stats`` holds the inverse transform, else it is None.
     """
     if stats is None:
-        mean = dataset.features.mean(axis=0)
-        std = dataset.features.std(axis=0)
+        mean, std = _feature_moments(dataset.features)
         keep = std > 0.0
         if not np.all(keep):
             warnings.warn(
@@ -182,11 +200,13 @@ def standardize(dataset, stats=None, include_target=False):
                 raise ConfigurationError("constant regression target")
         stats = (mean, std, keep, tstats)
     mean, std, keep, tstats = stats
-    # a copy: standardized in place
-    feats = (dataset.features.copy() if keep.all()
-             else dataset.features[:, keep])
-    feats -= mean[keep]
-    feats /= std[keep]
+    if keep.all():
+        feats = dataset.features - mean
+        feats /= std
+    else:
+        feats = dataset.features[:, keep]
+        feats -= mean[keep]
+        feats /= std[keep]
     labels = dataset.labels
     if tstats is not None:
         labels = (labels.astype(np.float64) - tstats[0]) / tstats[1]
@@ -194,6 +214,25 @@ def standardize(dataset, stats=None, include_target=False):
     if not np.all(keep):
         prov["dropped_features"] = np.flatnonzero(~keep).tolist()
     return Dataset(feats, labels, dataset.task, prov), stats
+
+
+def _feature_moments(x):
+    """Column means and (population) standard deviations of ``x``, from
+    column sums taken as matrix-vector products (``_column_sums``).
+
+    The data are first shifted by their first row (Chan, Golub & LeVeque
+    1983): ``mean = x[0] + colsum(x - x[0]) / m``, and the variance is the
+    mean square of the shifted data centred once more. An exactly constant
+    column is all zeros after the shift, so its variance is exactly 0
+    whatever its value. The result agrees with ``x.mean(axis=0)`` and
+    ``x.std(axis=0)`` to rounding. One features-sized temporary is used.
+    """
+    inv_m = 1.0 / x.shape[0]
+    d = x - x[0]
+    shift = _column_sums(d) * inv_m
+    d -= shift
+    d *= d
+    return x[0] + shift, np.sqrt(_column_sums(d) * inv_m)
 
 
 def unstandardize_target(values, target_stats):
@@ -213,11 +252,12 @@ def synth_classification(seed, m, n_classes, n_features, noise_fraction):
     are the natural rejection targets. Their membership is recorded in
     ``provenance["noise_mask"]`` for diagnostics only.
 
-    ``m`` and ``n_features`` must each be an ``int`` or numpy integer of at
-    least 1, and ``n_classes`` one of at least 2; anything else raises
-    ConfigurationError naming the field.
+    ``seed`` must be an ``int`` or numpy integer of at least 0, ``m`` and
+    ``n_features`` each one of at least 1, and ``n_classes`` one of at least
+    2; anything else raises ConfigurationError naming the field.
     """
-    for field, value, least in (("m", m, 1), ("n_classes", n_classes, 2),
+    for field, value, least in (("seed", seed, 0), ("m", m, 1),
+                                ("n_classes", n_classes, 2),
                                 ("n_features", n_features, 1)):
         if _integer(value, field) < least:
             raise ConfigurationError(f"{field} must be >= {least}, got {value}")
@@ -236,7 +276,11 @@ def synth_classification(seed, m, n_classes, n_features, noise_fraction):
     clean_labels = rng.integers(0, n_classes, size=n_clean)
     rng.standard_normal(out=clean_x)
     clean_x *= 0.8
-    clean_x += np.take(centers, clean_labels, axis=0)
+    # the class centers, gathered BLOCK_ROWS rows at a time: no full-size
+    # temporary
+    for start in range(0, n_clean, BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        clean_x[rows] += np.take(centers, clean_labels[rows], axis=0)
     noise_labels = rng.integers(0, n_classes, size=n_noise)
     rng.standard_normal(out=features[n_clean:])
 
@@ -245,14 +289,15 @@ def synth_classification(seed, m, n_classes, n_features, noise_fraction):
     noise_mask[n_clean:] = True
     order = rng.permutation(m)
     return Dataset(
-        np.take(features, order, axis=0), labels[order], CLASSIFICATION,
+        np.take(features, order, axis=0), np.take(labels, order),
+        CLASSIFICATION,
         provenance={
             "generator": {
                 "name": "synth_classification",
                 "seed": seed, "m": m, "n_classes": n_classes,
                 "n_features": n_features, "noise_fraction": noise_fraction,
             },
-            "noise_mask": noise_mask[order],
+            "noise_mask": np.take(noise_mask, order),
         })
 
 
@@ -276,9 +321,9 @@ def split(dataset, spec):
         if dataset.task != CLASSIFICATION:
             raise ConfigurationError("stratified splits need a classification task")
         tr, ca, te = [], [], []
-        for cls in np.unique(dataset.labels):
+        for cls in _classes(dataset.labels):
             idx = np.flatnonzero(dataset.labels == cls)
-            idx = idx[rng.permutation(idx.size)]
+            idx = np.take(idx, rng.permutation(idx.size))
             k1 = int(np.floor(idx.size * spec.train + 1e-9))
             k2 = int(np.floor(idx.size * spec.calibration + 1e-9))
             tr.append(idx[:k1])
@@ -290,3 +335,17 @@ def split(dataset, spec):
         parts = [order[:n_train], order[n_train:n_train + n_cal],
                  order[n_train + n_cal:]]
     return tuple(dataset.subset(p) for p in parts)
+
+
+def _classes(labels):
+    """``np.unique(labels)`` of integer labels, from one ``np.bincount``
+    over ``labels - labels.min()`` instead of a sort. Labels that are not
+    integers, that do not fit an int64, or whose range is as wide as their
+    count go to ``np.unique``, so the counts never outgrow the labels."""
+    if labels.dtype.kind not in "iu":
+        return np.unique(labels)
+    lo, hi = int(labels.min()), int(labels.max())
+    if hi - lo >= labels.size or hi > np.iinfo(np.int64).max:
+        return np.unique(labels)
+    counts = np.bincount(labels.astype(np.int64, copy=False) - lo)
+    return (np.flatnonzero(counts) + lo).astype(labels.dtype)

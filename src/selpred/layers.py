@@ -25,6 +25,7 @@ gradient of exactly 0.
 from __future__ import annotations
 
 import functools
+import sys
 
 import numpy as np
 
@@ -70,11 +71,13 @@ def _integer(value, field):
 
 def _real(value, field):
     """``value`` as a ``float``; ConfigurationError naming ``field`` unless
-    it is an int or a float (numpy's included). A bool or a string is
-    rejected."""
+    it is a finite int or float (numpy's included). A bool, a string, an
+    infinity, a NaN or an int too large for a float is rejected."""
     if isinstance(value, (bool, np.bool_)) or not isinstance(
             value, (int, float, np.integer, np.floating)):
         raise ConfigurationError(f"{field}: {value!r} is not a real number")
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigurationError(f"{field}: {value!r} is not finite")
     return float(value)
 
 

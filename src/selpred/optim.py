@@ -59,8 +59,12 @@ class TrainConfig:
     def validate(self):
         if _real(self.learning_rate, "learning_rate") <= 0:
             raise ConfigurationError("learning rate must be positive")
-        for name in ("weight_decay", "momentum"):
-            _real(getattr(self, name), name)
+        if _real(self.weight_decay, "weight_decay") < 0:
+            raise ConfigurationError(
+                f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0 <= _real(self.momentum, "momentum") < 1:
+            raise ConfigurationError(
+                f"momentum must be in [0, 1), got {self.momentum}")
         _boolean(self.shuffle, "shuffle")
         if (_integer(self.epochs, "epochs") < 1
                 or _integer(self.batch_size, "batch_size") < 1):

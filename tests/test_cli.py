@@ -483,6 +483,33 @@ class TestConfigSchema:
         assert (capsys.readouterr().err
                 == f"error: {key}: {value!r} is not a real number\n")
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("train", "learning_rate", float("inf"),
+         "learning_rate: inf is not finite"),
+        ("train", "learning_rate", float("nan"),
+         "learning_rate: nan is not finite"),
+        ("train", "weight_decay", -50.0,
+         "weight_decay must be >= 0, got -50.0"),
+        ("train", "momentum", 1.0, "momentum must be in [0, 1), got 1.0"),
+        ("loss", "penalty_weight", float("inf"),
+         "penalty_weight: inf is not finite"),
+        ("split", "seed", "1", "seed: '1' is not an integer"),
+        ("split", "seed", -1, "seed must be >= 0, got -1"),
+        ("dataset", "seed", "7", "seed: '7' is not an integer"),
+        ("dataset", "seed", -7, "seed must be >= 0, got -7"),
+    ], ids=["lr-inf", "lr-nan", "weight-decay", "momentum", "penalty-inf",
+            "split-seed-string", "split-seed-negative",
+            "dataset-seed-string", "dataset-seed-negative"])
+    def test_bad_number_is_named(self, tmp_path, capsys, section, key, value,
+                                 message):
+        """``learning_rate: .inf`` would otherwise exit 0 with a NaN
+        checkpoint, and a string seed fail inside numpy's SeedSequence."""
+        cfg = {"dataset": self.SYNTHETIC, "train": {"epochs": 1}}
+        cfg[section] = dict(cfg.get(section, {}), **{key: value})
+        assert self._train(tmp_path, cfg) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "run" / "model.ckpt").exists()
+
     def test_effective_config_holds_the_resolved_defaults(self, tmp_path):
         cfg = {"dataset": self.SYNTHETIC, "train": {"epochs": 1}}
         assert self._train(tmp_path, cfg) == 0

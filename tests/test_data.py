@@ -1,5 +1,6 @@
 """CSV ingestion, standardization, synthetic data, and splitting."""
 
+import hashlib
 import tracemalloc
 import warnings
 
@@ -11,6 +12,7 @@ from selpred.data import (
     Dataset,
     ParseError,
     SplitSpec,
+    _classes,
     load_csv,
     split,
     standardize,
@@ -163,27 +165,62 @@ class TestStandardize:
         np.testing.assert_allclose(back, ds.labels, atol=1e-10)
 
 
+    @pytest.mark.parametrize("m, value", [(10, 0.1), (618, 1 / 3)],
+                             ids=["10x0.1", "618x1/3"])
+    def test_constant_column_with_inexact_sum_dropped(self, m, value):
+        """Summing these columns rounds: ``std(axis=0)`` gives 1.4e-17 for
+        ten rows of 0.1, and the column would come out all 1.0. An exactly
+        constant column has exactly zero variance, whatever its value."""
+        feats = np.column_stack([np.full(m, value), np.arange(m, dtype=float)])
+        ds = Dataset(feats, np.zeros(m), REGRESSION)
+        with pytest.warns(UserWarning, match="dropping 1 zero-variance"):
+            out, (mean, std, keep, _) = standardize(ds)
+        assert out.provenance["dropped_features"] == [0]
+        assert mean[0] == value and std[0] == 0.0
+        np.testing.assert_array_equal(keep, [False, True])
+
     @settings(max_examples=50)
     @given(m=st.integers(1, 60), d=st.integers(1, 6),
-           constant=st.integers(-1, 5), seed=st.integers(0, 2**32 - 1))
-    def test_in_place_equals_expression(self, m, d, constant, seed):
+           constant=st.integers(-1, 5),
+           value=st.floats(-1e6, 1e6, allow_subnormal=False),
+           seed=st.integers(0, 2**32 - 1))
+    def test_in_place_equals_expression(self, m, d, constant, value, seed):
         """Bit-identical to ``(features[:, keep] - mean[keep]) / std[keep]``,
         with train stats and with a held-out split's; column ``constant``
-        (if any) has zero variance."""
+        (if any) holds ``value`` in every row and is dropped."""
         rng = np.random.default_rng(seed)
         feats = rng.normal(rng.normal(0.0, 50.0), rng.uniform(0.1, 30.0),
                            size=(m, d))
         if 0 <= constant < d:
-            feats[:, constant] = 2.5
+            feats[:, constant] = value
         held_out = Dataset(rng.normal(size=(7, d)), np.zeros(7), REGRESSION)
         ds = Dataset(feats, np.zeros(m), REGRESSION)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             out, stats = standardize(ds)
         mean, std, keep, _ = stats
+        if 0 <= constant < d:
+            assert not keep[constant] and mean[constant] == value
         for src, got in ((ds, out), (held_out, standardize(held_out, stats)[0])):
             want = (src.features[:, keep] - mean[keep]) / std[keep]
             np.testing.assert_array_equal(got.features, want)
+
+    @settings(max_examples=50)
+    @given(m=st.integers(2, 500), d=st.integers(1, 8),
+           offset=st.floats(-100.0, 100.0), scale=st.floats(0.1, 30.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_fitted_moments_match_numpy(self, m, d, offset, scale, seed):
+        """The fitted mean and std are within 1e-12 (relative) of
+        ``np.mean`` and ``np.std``; the mean relative to its column's
+        magnitude plus spread, since it may lie near 0."""
+        feats = np.random.default_rng(seed).normal(offset, scale, size=(m, d))
+        ds = Dataset(feats, np.zeros(m), REGRESSION)
+        _, (mean, std, keep, _) = standardize(ds)
+        want_mean, want_std = np.mean(feats, axis=0), np.std(feats, axis=0)
+        assert keep.all()
+        assert np.all(np.abs(mean - want_mean)
+                      <= 1e-12 * (np.abs(want_mean) + want_std))
+        np.testing.assert_allclose(std, want_std, rtol=1e-12, atol=0)
 
     def test_peak_memory_is_the_output(self):
         """Standardizing 1e5 x 8 rows with given stats allocates the output
@@ -197,6 +234,22 @@ class TestStandardize:
         finally:
             tracemalloc.stop()
         assert peak <= out.features.nbytes + 2**20, (
+            f"peak {peak / 1e6:.1f} MB for {out.features.nbytes / 1e6:.1f} MB "
+            "of output")
+
+    def test_fitting_peak_memory_is_the_output_and_one_temporary(self):
+        """Fitting the moments of 1e5 x 8 rows and standardizing them
+        allocates the output, one features-sized temporary and less than
+        1 MB besides."""
+        ds = synth_classification(0, 100_000, 4, 8, 0.2)
+        tracemalloc.start()
+        try:
+            out, _ = standardize(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = out.features.nbytes + ds.features.nbytes + 2**20
+        assert peak <= bound, (
             f"peak {peak / 1e6:.1f} MB for {out.features.nbytes / 1e6:.1f} MB "
             "of output")
 
@@ -288,6 +341,18 @@ class TestSynthClassification:
                            match=f"^{field} must be >= 1, got {bad}$"):
             synth_classification(0, noise_fraction=0.2, **sizes)
 
+    @pytest.mark.parametrize("bad, message", [
+        ("7", "seed: '7' is not an integer"),
+        (7.0, "seed: 7.0 is not an integer"),
+        (True, "seed: True is not an integer"),
+        (-1, "seed must be >= 0, got -1"),
+    ], ids=["string", "float", "bool", "negative"])
+    def test_bad_seed_names_the_field(self, bad, message):
+        """A string seed would otherwise fail inside numpy's SeedSequence,
+        without naming the field."""
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            synth_classification(bad, noise_fraction=0.2, **self.SIZES)
+
     def test_numpy_integer_sizes_accepted(self):
         sizes = {k: np.int64(v) for k, v in self.SIZES.items()}
         ds = synth_classification(0, noise_fraction=0.2, **sizes)
@@ -364,7 +429,136 @@ class TestSplit:
         with pytest.raises(ConfigurationError):
             SplitSpec(0.5, 0.2, 0.2).validate()
 
+    @pytest.mark.parametrize("bad, message", [
+        ("1", "seed: '1' is not an integer"),
+        (1.0, "seed: 1.0 is not an integer"),
+        (-1, "seed must be >= 0, got -1"),
+    ], ids=["string", "float", "negative"])
+    def test_bad_seed_names_the_field(self, bad, message):
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            SplitSpec(seed=bad).validate()
+
+    @settings(max_examples=100)
+    @given(labels=st.lists(st.integers(-300, 300), min_size=1, max_size=60),
+           dtype=st.sampled_from([np.int8, np.int16, np.int64, np.uint8,
+                                  np.uint64]))
+    def test_classes_equal_unique(self, labels, dtype):
+        """The class list, from ``np.bincount``, is ``np.unique``'s: the
+        same classes in the same order and dtype, negative labels and
+        labels spread wider than their count included."""
+        info = np.iinfo(dtype)
+        labels = np.array([v for v in labels if info.min <= v <= info.max]
+                          or [0], dtype=dtype)
+        got, want = _classes(labels), np.unique(labels)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    def test_classes_of_extreme_labels(self):
+        for labels in (np.array([np.iinfo(np.int64).min, 0, 5]),
+                       np.array([2**64 - 1, 2**64 - 2, 2**64 - 1], np.uint64),
+                       np.array([1.5, 0.5, 1.5])):
+            np.testing.assert_array_equal(_classes(labels), np.unique(labels))
+
     def test_tiny_dataset_rejected(self):
         ds = Dataset(np.zeros((2, 1)), np.zeros(2), REGRESSION)
         with pytest.raises(ConfigurationError):
             split(ds, SplitSpec(seed=0))
+
+
+class TestSubset:
+    def test_mask_indices_and_list_give_the_same_dataset(self):
+        ds = synth_classification(4, 50, 3, 4, 0.3)
+        mask = np.arange(50) % 3 == 1
+        rows_of = np.flatnonzero(mask)
+        want = ds.subset(rows_of)
+        for rows in (mask, rows_of, rows_of.tolist()):
+            got = ds.subset(rows)
+            np.testing.assert_array_equal(got.features, want.features)
+            np.testing.assert_array_equal(got.labels, want.labels)
+            np.testing.assert_array_equal(got.provenance["noise_mask"],
+                                          want.provenance["noise_mask"])
+            assert got.provenance["generator"] == ds.provenance["generator"]
+        np.testing.assert_array_equal(want.features, ds.features[mask])
+        np.testing.assert_array_equal(want.labels, ds.labels[mask])
+
+    def test_mask_of_the_wrong_length_rejected(self):
+        ds = synth_classification(4, 50, 3, 4, 0.3)
+        with pytest.raises(IndexError):
+            ds.subset(np.ones(49, dtype=bool))
+
+
+def _digest(a):
+    """sha256 of an array's dtype, shape and bytes."""
+    a = np.ascontiguousarray(a)
+    return hashlib.sha256(f"{a.dtype.str} {a.shape}".encode()
+                          + a.tobytes()).hexdigest()
+
+
+class TestPinnedBytes:
+    """Digests taken before ``data.py`` gathered rows with ``np.take``, added
+    the class centers in row blocks and listed the classes with
+    ``np.bincount`` (numpy 2.4): the generator, the partitions and the
+    transform with given stats keep those bytes."""
+
+    SYNTH = {  # (seed, m): features, labels, noise_mask
+        (0, 6000): (
+            "31e883c2cdaa9cff4655aa511cc940e3b12740c4df7be35f6fc9237ef5bfe31e",
+            "d97f1bc3ee27954b02af0b17fd347d4869b6afc3dbaa51e668c93c641f8c1beb",
+            "240e2b86eb42a800183dd345a3abca6a228d9fba49dc82192ff5ff12ac804f77",
+        ),
+        (0, 100_000): (
+            "6aec3bed4c61fa4d56be6e774a13bfc4eaa28507da242ddfb3a13b95c47d01f3",
+            "5fdb5fc32d25e49aa640fb4ab8f9e205b808800058199c8c5e8092242bf4fb47",
+            "c60bdf94221bc7abf7b6b66f5cc9552bce2734a2e6f3baf48a83cc37c6658c67",
+        ),
+        (7, 6000): (
+            "27bda5bc38eeb66bed383920999b32d77e45936550587b9553a43e475582cd91",
+            "660cc4a2de091a2c8b53ffb9937b257f982c1a79ef0fe03288651a23c67e1434",
+            "ab1aeaeefe141340e150f19db180b8c2e12c74cdecd577179e3288e4663d5c92",
+        ),
+        (7, 100_000): (
+            "f9403ada2a18d3175ac6e5e87f04016261c75bbe3ec356afca83c7ab3f737546",
+            "26c7bdf00d83a246c0f19d155e4334262e7d10c3cf823b81c8776aad0d0c165d",
+            "b261657ca076bcb9bc417103554ce6796ee0b21bd6781b6571ba64701aa8f413",
+        ),
+    }
+    SPLIT = {  # stratified: the row ids of train, calibration, test
+        False: (
+            "c903c47af1d1181d792a3714c9bbb56a938fc3bdb52a67fa17611c04996871ca",
+            "dcd3866567518a2b0ceeb090276ab8b546619f96a5e790cf21242a9cfb264a61",
+            "e9cafe610ba139324383add09ab6de27968d4b7a50162b2bfe0ad94d00606ed4",
+        ),
+        True: (
+            "e7e21f4c56ed78375b6b86061eedac27eec81d7dad431d8ac7b591fd34073ece",
+            "1174d753f48cc00ad8fb171ab340a3642f1db503f8d3ba002f075760058fd7dd",
+            "e3635cc4e027fd5d725b0133612932832839787a34cedaf1dae5601e256ee494",
+        ),
+    }
+    GIVEN = {  # kept columns: features standardized with fixed stats
+        8: "526490bf6c8922d6d2be835986c6d509c817484e10e3cdd0e13348d8d2b31491",
+        5: "90732ee680f001ef54f867b2659d7ccea364944ca310d2914447f1f8e7b8654a",
+    }
+
+    @pytest.mark.parametrize("seed, m", list(SYNTH))
+    def test_synth_classification(self, seed, m):
+        ds = synth_classification(seed, m, 4, 8, 0.2)
+        got = tuple(_digest(a) for a in (ds.features, ds.labels,
+                                         ds.provenance["noise_mask"]))
+        assert got == self.SYNTH[seed, m]
+
+    @pytest.mark.parametrize("stratified", list(SPLIT))
+    def test_split(self, stratified):
+        labels = synth_classification(3, 6000, 4, 8, 0.2).labels
+        ids = Dataset(np.arange(6000.0)[:, None], labels, CLASSIFICATION)
+        parts = split(ids, SplitSpec(seed=11, stratified=stratified))
+        got = tuple(_digest(p.features[:, 0].astype(np.int64)) for p in parts)
+        assert got == self.SPLIT[stratified]
+
+    @pytest.mark.parametrize("n_keep", list(GIVEN))
+    def test_given_stats_transform(self, n_keep):
+        ds = synth_classification(3, 6000, 4, 8, 0.2)
+        keep = np.ones(8, dtype=bool) if n_keep == 8 else np.arange(8) % 3 != 0
+        stats = (np.linspace(-1.0, 1.0, 8), np.linspace(0.5, 2.0, 8), keep,
+                 None)
+        out, _ = standardize(ds, stats=stats)
+        assert _digest(out.features) == self.GIVEN[n_keep]

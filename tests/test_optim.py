@@ -35,6 +35,35 @@ class TestTrainConfigValidation:
         with pytest.raises(ConfigurationError, match="lr_halving_period"):
             TrainConfig(lr_halving_period=-1).validate()
 
+    @pytest.mark.parametrize("field", ["learning_rate", "weight_decay",
+                                       "momentum"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan],
+                             ids=["inf", "-inf", "nan"])
+    def test_non_finite_field_is_named(self, field, bad):
+        """An infinite learning rate would otherwise train to NaN
+        parameters and save them."""
+        with pytest.raises(ConfigurationError,
+                           match=f"^{field}: {bad!r} is not finite$"):
+            TrainConfig(**{field: bad}).validate()
+
+    @pytest.mark.parametrize("field, bad, message", [
+        ("weight_decay", -50.0, r"weight_decay must be >= 0, got -50.0"),
+        ("momentum", 1.0, r"momentum must be in \[0, 1\), got 1.0"),
+        ("momentum", -0.1, r"momentum must be in \[0, 1\), got -0.1"),
+    ], ids=["weight-decay-negative", "momentum-one", "momentum-negative"])
+    def test_out_of_range_field_is_named(self, field, bad, message):
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            TrainConfig(**{field: bad}).validate()
+
+    def test_int_too_large_for_a_float_is_named(self):
+        with pytest.raises(ConfigurationError,
+                           match="^learning_rate: 1000+ is not finite$"):
+            TrainConfig(learning_rate=10**400).validate()
+
+    def test_range_ends_accepted(self):
+        TrainConfig(weight_decay=0.0, momentum=0.0).validate()
+        TrainConfig(momentum=0.999).validate()
+
 
 class TestSGD:
     def test_first_step_is_plain_gradient(self):
