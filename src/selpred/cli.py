@@ -4,10 +4,11 @@ Configuration lives in a YAML file (see README for the schema). Its
 ``split``, ``architecture``, ``loss`` and ``train`` sections read into the
 dataclasses that own their defaults, and ``dataset`` into the key table of
 its ``kind``; a key that a section does not take raises ConfigurationError
-naming ``section.key``. The resolved config, every default filled in, is
-written next to the outputs as effective_config.yaml; command-line flags
-override it for the run only. All tabular outputs are CSV with a
-'#'-prefixed provenance header (config file hash, seeds, format version).
+naming ``section.key``. The resolved config, every default filled in and
+``train --seed``/``--coverage`` and ``compare --seeds`` applied, is
+written next to the outputs as effective_config.yaml: it records what ran.
+All tabular outputs are CSV with a '#'-prefixed provenance header (config
+file hash, seeds, format version).
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -64,14 +65,21 @@ _DATASET_KEYS = {
 }
 
 
-def _load_config(path):
+def _load_config(path, seeds=None, coverage=None):
     """``(cfg, conf)``: the file's mapping, which the provenance hash
-    covers, and its ``_resolve``d form."""
+    covers, and its ``_resolve``d form with the command-line ``seeds`` and
+    ``coverage``, when given, in place of ``seeds`` and
+    ``loss.target_coverage``."""
     with open(path) as fh:
         cfg = yaml.safe_load(fh) or {}
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: config root must be a mapping")
-    return cfg, _resolve(cfg)
+    conf = _resolve(cfg)
+    if seeds is not None:
+        conf["seeds"] = seeds
+    if coverage is not None:
+        conf["loss"]["target_coverage"] = coverage
+    return cfg, conf
 
 
 def _section(cfg, name, defaults):
@@ -142,8 +150,8 @@ def _out_dir(path_str):
     return p
 
 
-def _write_effective_config(conf, out_dir, name="effective_config.yaml"):
-    with open(out_dir / name, "w") as fh:
+def _write_effective_config(conf, out_dir):
+    with open(out_dir / "effective_config.yaml", "w") as fh:
         yaml.safe_dump(conf, fh, sort_keys=True)
 
 
@@ -195,27 +203,24 @@ def _architecture(conf, tr, ca, te):
                               task=tr.task, n_classes=n_classes)
 
 
-def _loss_config(conf, coverage):
-    loss_cfg = LossConfig(**conf["loss"])
-    if coverage is not None:
-        loss_cfg.target_coverage = coverage
-    return loss_cfg
-
-
-def _train_config(conf, seed, loss_cfg):
-    return TrainConfig(**conf["train"], seed=seed, loss=loss_cfg)
+def _train_config(conf, seed, coverage):
+    """The run's ``TrainConfig``: ``seed``, and the loss section at target
+    coverage ``coverage``."""
+    loss = LossConfig(**{**conf["loss"], "target_coverage": coverage})
+    return TrainConfig(**conf["train"], seed=seed, loss=loss)
 
 
 # -- subcommands --------------------------------------------------------------
 
 
 def cmd_train(args):
-    cfg, conf = _load_config(args.config)
-    seed = args.seed if args.seed is not None else conf["seeds"][0]
+    seeds = None if args.seed is None else [args.seed]
+    cfg, conf = _load_config(args.config, seeds, args.coverage)
+    seed = conf["seeds"][0]
     out = _out_dir(args.out)
     tr, ca, te, tstats = prepare_splits(conf)
     arch = _architecture(conf, tr, ca, te)
-    tcfg = _train_config(conf, seed, _loss_config(conf, args.coverage))
+    tcfg = _train_config(conf, seed, conf["loss"]["target_coverage"])
     model = build_model(arch, seed)
     history = train(model, tr.features, tr.labels, tcfg)
     save_model(model, None, out / "model.ckpt")
@@ -358,7 +363,7 @@ def run_comparison(conf, coverages, seeds):
         arch = _architecture(conf, tr, ca, te)
         base = build_baseline(arch, seed)
         train(base, tr.features, tr.labels,
-              _train_config(conf, seed, _loss_config(conf, 1.0)))
+              _train_config(conf, seed, 1.0))
         curves = _curves(base, ca, te, tstats, [k for k, _, _ in baselines],
                          coverages, (seed * 2 + 1, seed * 2 + 2))
         for kind, curve in curves.items():
@@ -368,7 +373,7 @@ def run_comparison(conf, coverages, seeds):
         for c in coverages:
             model = build_model(arch, seed)
             train(model, tr.features, tr.labels,
-                  _train_config(conf, seed, _loss_config(conf, c)))
+                  _train_config(conf, seed, c))
             [(_, _, risk)] = _curves(model, ca, te, tstats, ["g"], [c])["g"]
             selnet.append(risk)
         risks.setdefault("g", []).append(selnet)
@@ -393,11 +398,11 @@ def run_comparison(conf, coverages, seeds):
 
 
 def cmd_compare(args):
-    cfg, conf = _load_config(args.config)
+    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else None
+    cfg, conf = _load_config(args.config, seeds)
+    seeds = conf["seeds"]
     out = _out_dir(args.out)
     coverages = [float(c) for c in args.coverages.split(",")]
-    seeds = ([int(s) for s in args.seeds.split(",")] if args.seeds
-             else conf["seeds"])
     colnames, rows = run_comparison(conf, coverages, seeds)
     write_csv(out / "compare.csv", _provenance(cfg, seeds), colnames, rows)
     _write_effective_config(conf, out)

@@ -47,7 +47,6 @@ class UndefinedRiskError(ValueError):
 
 @dataclass
 class EvalReport:
-    target_coverage: float
     coverage: float
     risk: float
     n_covered: int
@@ -65,8 +64,7 @@ def per_sample_loss(predictions, labels, task):
     return (predictions.astype(np.float64) - labels.astype(np.float64)) ** 2
 
 
-def selective_metrics(predictions, labels, accept_mask, task,
-                      target_coverage=None):
+def selective_metrics(predictions, labels, accept_mask, task):
     """Hard-mask selective risk and coverage over an evaluation set."""
     accept_mask = np.asarray(accept_mask, dtype=bool)
     losses = per_sample_loss(predictions, labels, task)
@@ -80,8 +78,6 @@ def selective_metrics(predictions, labels, accept_mask, task,
     if task == CLASSIFICATION:
         risk *= 100.0
     return EvalReport(
-        target_coverage=target_coverage if target_coverage is not None
-        else n_cov / n,
         coverage=n_cov / n,
         risk=risk,
         n_covered=n_cov,
@@ -170,8 +166,7 @@ def risk_coverage_curve(cal_scores, test_scores, predictions, labels,
         else:
             tau = threshold_for_coverage(cal_scores, c)
             mask = test_scores >= tau
-        rep = selective_metrics(predictions, labels, mask, task,
-                                target_coverage=c)
+        rep = selective_metrics(predictions, labels, mask, task)
         rows.append((c, rep.coverage, rep.risk))
     return rows
 

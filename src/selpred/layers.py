@@ -173,19 +173,16 @@ def _ones(n):
 class BatchNormLayer:
     """Per-feature batch normalization with running statistics.
 
-    Normalizes by the batch mean and (biased) variance and updates the
-    running statistics with momentum. ``FrozenNet`` folds the running
-    statistics into the dense layer in front for eval mode.
+    Normalizes by the batch mean and (biased) variance plus ``eps`` and
+    updates the running statistics with ``momentum``. ``FrozenNet`` folds the
+    running statistics into the dense layer in front for eval mode.
     """
 
-    def __init__(self, num_features, momentum=0.9, eps=1e-5):
-        if not 0.0 < momentum < 1.0:
-            raise ConfigurationError(f"momentum must be in (0,1), got {momentum}")
-        if eps <= 0.0:
-            raise ConfigurationError(f"eps must be positive, got {eps}")
+    momentum = 0.9
+    eps = 1e-5
+
+    def __init__(self, num_features):
         self.num_features = num_features
-        self.momentum = momentum
-        self.eps = eps
         self.scale = Tensor(np.ones(num_features), requires_grad=True)
         self.shift = Tensor(np.zeros(num_features), requires_grad=True)
         self.running_mean = np.zeros(num_features)

@@ -99,24 +99,21 @@ class ArchitectureConfig:
             raise ConfigurationError(f"unknown task {self.task!r}")
 
 
-def _hidden(x, dense, bn):
-    """dense -> [batchnorm] -> relu; one fused node when batchnorm is on."""
-    if bn is None:
-        return relu(dense(x))
-    return dense_bn_relu(x, dense, bn)
-
-
 class _Block:
-    """One hidden block: dense -> [batchnorm] -> relu -> [dropout]."""
+    """One hidden block: dense -> [batchnorm] -> relu -> [dropout]. The
+    dense, batchnorm and relu are one fused node when batchnorm is on."""
 
-    def __init__(self, in_dim, out_dim, config, rng):
+    def __init__(self, in_dim, out_dim, batchnorm, dropout_rate, rng):
         self.dense = DenseLayer(in_dim, out_dim, rng, init="he")
-        self.bn = BatchNormLayer(out_dim) if config.batchnorm else None
-        self.dropout = (DropoutLayer(config.dropout_rate)
-                        if config.dropout_rate is not None else None)
+        self.bn = BatchNormLayer(out_dim) if batchnorm else None
+        self.dropout = (DropoutLayer(dropout_rate)
+                        if dropout_rate is not None else None)
 
     def __call__(self, x, rng=None):
-        x = _hidden(x, self.dense, self.bn)
+        if self.bn is None:
+            x = relu(self.dense(x))
+        else:
+            x = dense_bn_relu(x, self.dense, self.bn)
         if self.dropout is not None:
             x = self.dropout(x, rng)
         return x
@@ -126,9 +123,6 @@ class _Block:
         if self.bn is not None:
             ps += self.bn.parameters()
         return ps
-
-    def running_stats(self):
-        return self.bn.running_stats() if self.bn is not None else []
 
 
 class SelectiveNet:
@@ -150,7 +144,8 @@ class SelectiveNet:
         self.body = []
         width = config.input_dim
         for w in config.body_widths:
-            self.body.append(_Block(width, w, config, rng))
+            self.body.append(_Block(width, w, config.batchnorm,
+                                    config.dropout_rate, rng))
             width = w
         self.rep_dim = width
 
@@ -159,15 +154,21 @@ class SelectiveNet:
         self.f_head = DenseLayer(width, out_dim, rng, init=f_init)
 
         if selective:
-            self.g_hidden = DenseLayer(width, config.selection_hidden, rng, init="he")
-            self.g_bn = (BatchNormLayer(config.selection_hidden)
-                         if config.batchnorm else None)
+            self.g_block = _Block(width, config.selection_hidden,
+                                  config.batchnorm, None, rng)
             self.g_out = DenseLayer(config.selection_hidden, 1, rng, init="glorot")
             self.h_head = (DenseLayer(width, out_dim, rng, init=f_init)
                            if config.auxiliary_head else None)
         else:
-            self.g_hidden = self.g_bn = self.g_out = self.h_head = None
-        self._params = Parameters(self._declared_parameters())
+            self.g_block = self.g_out = self.h_head = None
+        # every layer in declaration order, absent heads skipped
+        layers = [layer for layer in (*self.body, self.f_head, self.g_block,
+                                      self.g_out, self.h_head)
+                  if layer is not None]
+        self._params = Parameters(
+            [p for layer in layers for p in layer.parameters()])
+        self._bns = [layer.bn for layer in layers
+                     if isinstance(layer, _Block) and layer.bn is not None]
         self._frozen = None  # (key, FrozenNet) of the last freeze()
 
     # -- forward --------------------------------------------------------------
@@ -202,8 +203,7 @@ class SelectiveNet:
         if not self.selective:
             return f_out, None, None
 
-        g = _hidden(rep, self.g_hidden, self.g_bn)
-        g_out = dense_sigmoid(g, self.g_out)
+        g_out = dense_sigmoid(self.g_block(rep), self.g_out)
         h_out = self._head_output(self.h_head, rep) if self.h_head else None
         return f_out, g_out, h_out
 
@@ -251,26 +251,11 @@ class SelectiveNet:
         The same object on every call."""
         return self._params
 
-    def _declared_parameters(self):
-        ps = []
-        for block in self.body:
-            ps += block.parameters()
-        ps += self.f_head.parameters()
-        if self.selective:
-            ps += self.g_hidden.parameters()
-            if self.g_bn is not None:
-                ps += self.g_bn.parameters()
-            ps += self.g_out.parameters()
-            if self.h_head is not None:
-                ps += self.h_head.parameters()
-        return ps
-
     def running_stats(self):
+        """The batchnorm running statistics, in declaration order."""
         stats = []
-        for block in self.body:
-            stats += block.running_stats()
-        if self.selective and self.g_bn is not None:
-            stats += self.g_bn.running_stats()
+        for bn in self._bns:
+            stats += bn.running_stats()
         return stats
 
     def num_parameters(self):
@@ -294,8 +279,8 @@ class FrozenNet:
     Each body block is relu(x @ W + b) with its batchnorm folded into W and
     b; dropout is the identity in eval mode and h is used only in training,
     so neither appears (``dropout_f`` applies dropout for MC-dropout). f and
-    g's batchnorm-folded first layer are one matrix, so a single matmul on
-    the representation gives both. The arrays are a snapshot: later edits of
+    g's block, folded like a body block, are one matrix, so a single matmul
+    on the representation gives both. The arrays are a snapshot: later edits of
     the model do not reach them.
     """
 
@@ -308,7 +293,7 @@ class FrozenNet:
         self.n_f = w.shape[1]
         self.g_w = self.g_b = None
         if model.selective:
-            gw, gb = _folded(model.g_hidden, model.g_bn)
+            gw, gb = _folded(model.g_block.dense, model.g_block.bn)
             w, b = np.hstack([w, gw]), np.concatenate([b, gb])
             self.g_w = model.g_out.weights.data[:, 0].copy()
             self.g_b = float(model.g_out.bias.data[0])

@@ -124,19 +124,19 @@ class Adam:
         theta <- theta - lr * (m/c1) / (sqrt(v/c2) + eps)
         theta <- theta - lr*wd*theta
 
-    with c1 = 1 - b1^t and c2 = 1 - b2^t at step t. The decay acts on the
-    parameters after the Adam update and never enters m or v. A missing
-    gradient counts as zero. One vectorized update per step over the flat
-    ``Parameters`` buffer.
+    with b1 = ``beta1``, b2 = ``beta2``, c1 = 1 - b1^t and c2 = 1 - b2^t at
+    step t. The decay acts on the parameters after the Adam update and never
+    enters m or v. A missing gradient counts as zero. One vectorized update
+    per step over the flat ``Parameters`` buffer.
     """
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8,
-                 weight_decay=0.0):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params, lr, weight_decay=0.0):
         self.params = _flat(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self.m = np.zeros_like(self.params.data)

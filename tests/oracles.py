@@ -123,6 +123,6 @@ def ref_forward(model, x, mode, dropout=None):
             rep = dropout(rep)
     if not model.selective:
         return head(model.f_head, rep), None, None
-    g = hidden(rep, model.g_hidden, model.g_bn)
+    g = hidden(rep, model.g_block.dense, model.g_block.bn)
     g = sigmoid(ref_dense(g, model.g_out.weights, model.g_out.bias)).reshape(-1)
     return head(model.f_head, rep), g, head(model.h_head, rep)

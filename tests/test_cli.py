@@ -544,6 +544,34 @@ class TestConfigSchema:
         assert again == first
 
 
+    def test_train_reruns_from_its_effective_config(self, workdir, tmp_path):
+        """``--seed`` and ``--coverage`` land in effective_config.yaml, so a
+        flagless run on it trains the same checkpoint, byte for byte."""
+        _, cfg_path = workdir
+        assert main(["train", "--config", str(cfg_path), "--seed", "3",
+                     "--coverage", "0.7", "--out", str(tmp_path / "a")]) == 0
+        effective = tmp_path / "a" / "effective_config.yaml"
+        eff = yaml.safe_load(effective.read_text())
+        assert eff["seeds"] == [3]
+        assert eff["loss"]["target_coverage"] == 0.7
+        assert main(["train", "--config", str(effective),
+                     "--out", str(tmp_path / "b")]) == 0
+        first = (tmp_path / "a" / "model.ckpt").read_bytes()
+        assert (tmp_path / "b" / "model.ckpt").read_bytes() == first
+
+    def test_compare_seeds_flag_is_recorded(self, tmp_path):
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text(yaml.safe_dump(
+            {"dataset": self.SYNTHETIC, "train": {"epochs": 1},
+             "seeds": [5]}))
+        assert main(["compare", "--config", str(cfg_path), "--coverages",
+                     "1.0", "--seeds", "2,4", "--out", str(tmp_path)]) == 0
+        eff = yaml.safe_load((tmp_path / "effective_config.yaml").read_text())
+        assert eff["seeds"] == [2, 4]
+        comments, _ = _read_csv(tmp_path / "compare.csv")
+        assert "# seeds=2,4" in comments
+
+
 class TestExitCodes:
     def test_usage_error_is_two(self, capsys):
         with pytest.raises(SystemExit) as e:

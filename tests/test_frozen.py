@@ -187,7 +187,7 @@ class TestCacheInvalidation:
         assert model.freeze() is model.freeze()
 
     @pytest.mark.parametrize("edit", [
-        lambda m: m.g_hidden.weights.data.__iadd__(1.0),
+        lambda m: m.g_block.dense.weights.data.__iadd__(1.0),
         lambda m: m.f_head.bias.data.__iadd__(2.0),
         lambda m: m.body[0].bn.running_mean.__iadd__(0.5),
         lambda m: setattr(m.f_head.bias, "data", m.f_head.bias.data + 2.0),

@@ -63,7 +63,6 @@ from selpred.model import (
     CLASSIFICATION,
     REGRESSION,
     ArchitectureConfig,
-    _hidden,
     build_baseline,
     build_model,
 )
@@ -353,7 +352,7 @@ def test_widening_block_with_input_gradient_matches_unfused_tape():
     rng = np.random.default_rng(4)
     x, y = rng.normal(size=(256, 8)), rng.normal(size=256)
     cfg = LossConfig(target_coverage=0.8, task_loss=SQUARED)
-    bns = [b.bn for b in model.body] + [model.g_bn]
+    bns = [b.bn for b in model.body] + [model.g_block.bn]
     compare(model.parameters(),
             _frozen_stats(bns, lambda: fused_objective(model, x, y, cfg)),
             _frozen_stats(bns, lambda: ref_objective(model, x, y, cfg)))
@@ -570,7 +569,7 @@ def test_training_objective_matches_unfused_tape(task, m):
     else:
         y = rng.normal(size=m)
         cfg = LossConfig(target_coverage=0.9, task_loss=SQUARED)
-    bns = [b.bn for b in model.body] + [model.g_bn]
+    bns = [b.bn for b in model.body] + [model.g_block.bn]
     compare(model.parameters(),
             _frozen_stats(bns, lambda: fused_objective(model, x, y, cfg)),
             _frozen_stats(bns, lambda: ref_objective(model, x, y, cfg)))
@@ -579,7 +578,7 @@ def test_training_objective_matches_unfused_tape(task, m):
 @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
 def test_eval_forward_matches_unfused_tape(task):
     model = _model(task, seed=9)
-    for bn in [b.bn for b in model.body] + [model.g_bn]:
+    for bn in [b.bn for b in model.body] + [model.g_block.bn]:
         bn.running_mean = np.full(bn.num_features, 0.1)
         bn.running_var = np.full(bn.num_features, 1.7)
     x = np.random.default_rng(9).normal(size=(7, 3))
@@ -712,8 +711,7 @@ def ref_train_forward(model, x, rng):
     f = model._head_output(model.f_head, rep)
     if not model.selective:
         return f, None, None
-    g = _hidden(rep, model.g_hidden, model.g_bn)
-    g = sigmoid(model.g_out(g)).reshape(-1)
+    g = sigmoid(model.g_out(model.g_block(rep))).reshape(-1)
     return f, g, model._head_output(model.h_head, rep)
 
 

@@ -51,7 +51,8 @@ class TestDense:
 
 class TestBatchNorm:
     def test_hand_two_point_batch(self):
-        bn = BatchNormLayer(1, eps=1e-12)
+        # eps = 1e-5 moves the outputs to +-1/sqrt(1 + 1e-5), inside atol
+        bn = BatchNormLayer(1)
         out = bn(Tensor([[1.0], [3.0]]))
         np.testing.assert_allclose(out.data, [[-1.0], [1.0]], atol=1e-5)
 
@@ -64,11 +65,12 @@ class TestBatchNorm:
         np.testing.assert_allclose(y.std(axis=0), 1.0, atol=1e-3)
 
     def test_running_stats_fixed_point(self):
-        # feeding the same batch forever converges running stats to its moments
+        # feeding the same batch forever converges running stats to its
+        # moments; the gap shrinks by momentum = 0.9 per step, 0.9^250 < 1e-11
         rng = np.random.default_rng(4)
-        bn = BatchNormLayer(2, momentum=0.5)
+        bn = BatchNormLayer(2)
         x = Tensor(rng.normal(size=(32, 2)))
-        for _ in range(60):
+        for _ in range(250):
             bn(x)
         np.testing.assert_allclose(bn.running_mean, x.data.mean(axis=0), atol=1e-9)
         np.testing.assert_allclose(bn.running_var, x.data.var(axis=0), atol=1e-9)
@@ -77,10 +79,6 @@ class TestBatchNorm:
         bn = BatchNormLayer(2)
         with pytest.raises(ContractError):
             bn(Tensor(np.zeros((1, 2))))
-
-    def test_bad_momentum(self):
-        with pytest.raises(ConfigurationError):
-            BatchNormLayer(2, momentum=1.0)
 
 
 class TestDropout:

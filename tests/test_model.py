@@ -129,7 +129,7 @@ class TestForward:
         model = build_model(regression_config(), seed=5)
         x = np.random.default_rng(2).normal(size=(4, 8))
         f_before = model.forward(x)[0].data.copy()
-        model.g_hidden.weights.data += 1.0
+        model.g_block.dense.weights.data += 1.0
         model.g_out.bias.data += 2.0
         f_after, g_after, _ = model.forward(x)
         np.testing.assert_array_equal(f_before, f_after.data)

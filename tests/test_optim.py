@@ -109,7 +109,7 @@ class TestAdam:
         a = Tensor([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)
         b = Tensor([4.0], requires_grad=True)
         lr, b1, b2, eps, wd = 0.01, 0.9, 0.999, 1e-8, 0.1
-        opt = Adam([a, b], lr, b1, b2, eps, wd)
+        opt = Adam([a, b], lr, weight_decay=wd)
         a0, b0 = a.data.copy(), b.data.copy()
         ga, gb = np.array([[0.3, -0.1], [0.2, 0.0]]), np.array([-1.5])
         a.grad, b.grad = ga, gb

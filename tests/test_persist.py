@@ -16,6 +16,7 @@ from selpred.model import (
     REGRESSION,
     ArchitectureConfig,
     SelectiveNet,
+    build_baseline,
     build_model,
 )
 from selpred.optim import TrainConfig, train
@@ -259,3 +260,43 @@ def test_unchanged_header_reframes_to_a_loadable_file(trained_model, tmp_path):
     save_model(model, None, path)
     blob = path.read_bytes()
     assert _reframe(blob, lambda h: h) == blob
+
+
+# sha256 of ``save_model(build(config, seed=7), None, path)``, recorded
+# before g's hidden layer became a body block. Untrained models keep the
+# digests free of BLAS rounding, so they pin the initialization draw order,
+# the parameter order and the checkpoint layout.
+PINNED_ARCHITECTURES = {
+    "cls-32-dropout": dict(input_dim=8, body_widths=[32], task=CLASSIFICATION,
+                           n_classes=4, dropout_rate=0.5),
+    "reg-64-16-plain": dict(input_dim=8, body_widths=[64, 16],
+                            task=REGRESSION, batchnorm=False,
+                            auxiliary_head=False),
+    "defaults": dict(input_dim=5, task=CLASSIFICATION, n_classes=3),
+}
+PINNED_DIGESTS = {
+    ("cls-32-dropout", "model"):
+        "08491289f6a8cc92321d3aeb7f056ae4f4fe862b373104d39440d3a4c4e3bbc7",
+    ("cls-32-dropout", "baseline"):
+        "868e8b1d52a36dabb39515730e1081ca8ac18444bf13712a38113cd9d1793e5e",
+    ("reg-64-16-plain", "model"):
+        "d0f31c29b90bb5a6341cace0a372748882b24fe3859465dfcab5f7fb7f9feaa4",
+    ("reg-64-16-plain", "baseline"):
+        "c6a8c3068185e3ada149ac0e24ca2a69c2f420f7b2622957688bced9a25819bd",
+    ("defaults", "model"):
+        "8ae77c7178d34b10d8c3978f46e1654d792931d3bc0a9edc9fc0a0c2baf2d2ec",
+    ("defaults", "baseline"):
+        "62c868ef14132d01fb4c2fb824c4ddb1d021f5001c44ee20343a516446d6456d",
+}
+
+
+@pytest.mark.parametrize("arch, kind", sorted(PINNED_DIGESTS),
+                         ids=lambda v: v)
+def test_untrained_checkpoint_bytes_are_pinned(arch, kind, tmp_path):
+    import hashlib
+    build = build_model if kind == "model" else build_baseline
+    path = tmp_path / "ckpt.bin"
+    save_model(build(ArchitectureConfig(**PINNED_ARCHITECTURES[arch]), seed=7),
+               None, path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == PINNED_DIGESTS[arch, kind]
