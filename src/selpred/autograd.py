@@ -20,6 +20,7 @@ import numpy as np
 
 __all__ = [
     "Tensor",
+    "Parameter",
     "Parameters",
     "ShapeError",
     "DomainError",
@@ -107,10 +108,11 @@ class Tensor:
         the float64 array ``g`` for this call alone and keeps no reference
         to it passes ``owned=True``: the array becomes ``grad`` without the
         copy, and later gradients are added into it."""
-        if self.grad is None:
+        grad = self.grad  # added through a local: no attribute store
+        if grad is None:
             self.grad = g if owned else np.array(g, dtype=np.float64)
         else:
-            self.grad += g
+            grad += g
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -321,8 +323,10 @@ def stable_sigmoid(t):
 
     The numerator is max(e, t >= 0): 1 where t >= 0, since e <= 1, and e
     elsewhere, since e >= 0; NaN stays NaN. It is the same array as
-    ``np.where(t >= 0, 1, e)`` from a cheaper call."""
-    e = np.exp(-np.abs(t))
+    ``np.where(t >= 0, 1, e)`` from a cheaper call. ``copysign(t, -1)`` is
+    -|t| in one ufunc, bit for bit (signed zeros, infinities and NaNs
+    included)."""
+    e = np.exp(np.copysign(t, -1.0))
     return np.maximum(e, t >= 0.0) / (1.0 + e)
 
 
@@ -340,46 +344,66 @@ class Parameters(tuple):
 
     Building one moves the members' values and gradients into the buffers;
     from then on an in-place update of a buffer is an update of every
-    member, which lets an optimizer step be one vectorized operation. A
-    member whose ``data`` or ``grad`` a caller rebinds is copied back into
-    the buffers by ``sync``, which every optimizer step calls first.
+    member, which lets an optimizer step be one vectorized operation.
+
+    State is write-through: each member is a ``Parameter`` (a plain
+    ``Tensor`` is switched to one) whose ``data`` stays its view, and
+    assigning an array to it copies the values into the view (ShapeError on
+    a shape mismatch), so the buffer always holds every member's value. A
+    second ``Parameters`` built over some of the same members takes them
+    over into its own buffer and sets this one's ``_home.taken_over``
+    flag; ``sync`` then moves them back. A rebound ``grad`` is copied back
+    by ``sync``, which every optimizer step calls first.
     """
 
     def __init__(self, tensors):
         self.data = np.concatenate(
             [p.data.reshape(-1) for p in self] or [np.zeros(0)])
         self.grad = np.zeros_like(self.data)
+        self._home = _Home()
         self._views = []
         offset = 0
         for p in self:
             shape, end = p.data.shape, offset + p.data.size
             view = (self.data[offset:end].reshape(shape),
                     self.grad[offset:end].reshape(shape))
-            p.data = view[0]
             if p.grad is not None:
                 view[1][...] = p.grad
+            self._attach(p, view[0])
             p.grad = view[1]
             self._views.append(view)
             offset = end
 
+    def _attach(self, p, data):
+        """Make ``data``, a view of the buffer, member ``p``'s home, and
+        flag the ``Parameters`` that held it before, if any."""
+        if not isinstance(p, Parameter):
+            p.__class__ = Parameter
+        elif p._home is not None:
+            p._home.taken_over = True
+        object.__setattr__(p, "data", data)
+        object.__setattr__(p, "_home", self._home)
+
     def zero_grad(self):
-        """Zero the gradient buffer and re-attach every member's ``grad``."""
+        """Zero the gradient buffer and re-attach any rebound ``grad``."""
         self.grad.fill(0.0)
         for p, (_, grad) in zip(self, self._views):
-            p.grad = grad
+            if p.grad is not grad:
+                p.grad = grad
 
     def sync(self):
-        """Copy any rebound member ``data`` or ``grad`` (a ``None`` gradient
-        counts as zero) into the buffers and re-attach the member; returns
-        the ``(data, grad)`` buffers."""
-        for p, (data, grad) in zip(self, self._views):
-            if p.data is not data:
-                if np.shape(p.data) != data.shape:
-                    raise ShapeError(
-                        f"data shape {np.shape(p.data)} does not match "
-                        f"parameter shape {data.shape}")
-                data[...] = p.data
-                p.data = data
+        """Move back any member another ``Parameters`` took over, then copy
+        any rebound member ``grad`` (a ``None`` gradient counts as zero)
+        into the gradient buffer and re-attach it; returns the
+        ``(data, grad)`` buffers."""
+        home = self._home
+        if home.taken_over:
+            home.taken_over = False
+            for p, (data, _) in zip(self, self._views):
+                if p._home is not home:
+                    data[...] = p.data
+                    self._attach(p, data)
+        for p, (_, grad) in zip(self, self._views):
             if p.grad is not grad:
                 g = 0.0 if p.grad is None else p.grad
                 if np.shape(g) not in ((), grad.shape):
@@ -389,6 +413,43 @@ class Parameters(tuple):
                 grad[...] = g
                 p.grad = grad
         return self.data, self.grad
+
+
+class _Home:
+    """The flag that a ``Parameters`` shares with its members, set when a
+    second ``Parameters`` takes one of them over. Members hold it rather
+    than the ``Parameters``, so no reference cycle keeps the buffers of a
+    dropped model alive until the cyclic garbage collector runs."""
+
+    taken_over = False
+
+
+class Parameter(Tensor):
+    """A trainable leaf. Once a ``Parameters`` buffer holds it, assigning
+    to ``data`` copies into its view of the buffer instead of rebinding it.
+    Training stores no attribute on a parameter, so the hook costs a step
+    nothing. Layers build their leaves as this class; a plain ``Tensor``
+    put into a ``Parameters`` is switched to it, and CPython then reads its
+    attributes more slowly."""
+
+    _home = None  # the flag of the Parameters that holds it
+
+    def __setattr__(self, name, value):
+        if name == "data" and self._home is not None:
+            write_through(self.data, value, name)
+        else:
+            object.__setattr__(self, name, value)
+
+
+def write_through(array, value, name):
+    """Copy ``value`` into ``array`` unless it is ``array`` itself: an
+    assignment to the attribute ``name`` that keeps its array. ShapeError
+    on a shape mismatch."""
+    if value is not array:
+        if np.shape(value) != array.shape:
+            raise ShapeError(f"{name} shape {np.shape(value)} does not "
+                             f"match {array.shape}")
+        array[...] = value
 
 
 def zero_grads(params):

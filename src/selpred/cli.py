@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import os
 import sys
 from dataclasses import MISSING, fields
@@ -44,8 +45,8 @@ from .evaluate import (
 )
 from .layers import ConfigurationError, _boolean, _integer, softmax_rows
 from .losses import CROSS_ENTROPY, SQUARED, LossConfig
-from .model import (CLASSIFICATION, REGRESSION, ArchitectureConfig,
-                    build_baseline, build_model)
+from .model import (CLASSIFICATION, ArchitectureConfig, build_baseline,
+                    build_model)
 from .optim import TrainConfig, train
 from .persist import load_model, save_model
 
@@ -55,11 +56,17 @@ _TOP_LEVEL = ("dataset", "split", "architecture", "loss", "train", "seeds")
 
 _REQUIRED = object()  # marks a dataset key that has no default
 
+
+def _signature_defaults(fn):
+    """The parameters of ``fn`` with their defaults, ``_REQUIRED`` for one
+    that has none."""
+    return {name: _REQUIRED if p.default is p.empty else p.default
+            for name, p in inspect.signature(fn).parameters.items()}
+
+
 # The keys of each dataset kind, with their defaults.
 _DATASET_KEYS = {
-    "csv": {"path": _REQUIRED, "feature_columns": _REQUIRED,
-            "target_column": _REQUIRED, "header": True, "task": REGRESSION,
-            "standardize_target": True},
+    "csv": {**_signature_defaults(load_csv), "standardize_target": True},
     "synthetic": {"seed": 0, "m": _REQUIRED, "n_classes": _REQUIRED,
                   "n_features": _REQUIRED, "noise_fraction": 0.0},
 }
@@ -76,7 +83,7 @@ def _load_config(path, seeds=None, coverage=None):
         raise ValueError(f"{path}: config root must be a mapping")
     conf = _resolve(cfg)
     if seeds is not None:
-        conf["seeds"] = seeds
+        conf["seeds"] = _seeds(seeds)
     if coverage is not None:
         conf["loss"]["target_coverage"] = coverage
     return cfg, conf
@@ -121,10 +128,7 @@ def _resolve(cfg):
     task = dataset.get("task", CLASSIFICATION)
     loss = dict(_defaults(LossConfig), task_loss=(
         CROSS_ENTROPY if task == CLASSIFICATION else SQUARED))
-    seeds = cfg.get("seeds", [0])
-    if not isinstance(seeds, list) or not seeds:
-        raise ConfigurationError(
-            f"seeds must be a non-empty list of integers, got {seeds!r}")
+    seeds = _seeds(cfg.get("seeds", [0]))
     return {
         "dataset": dataset,
         "split": _section(cfg, "split", _defaults(SplitSpec)),
@@ -132,8 +136,21 @@ def _resolve(cfg):
             ArchitectureConfig, "input_dim", "task", "n_classes")),
         "loss": _section(cfg, "loss", loss),
         "train": _section(cfg, "train", _defaults(TrainConfig, "seed", "loss")),
-        "seeds": [_integer(s, "seeds") for s in seeds],
+        "seeds": seeds,
     }
+
+
+def _seeds(seeds):
+    """``seeds``, from the config or the command line, checked to be a
+    non-empty list of integers >= 0; ConfigurationError naming ``seeds``
+    otherwise."""
+    if not isinstance(seeds, list) or not seeds:
+        raise ConfigurationError(
+            f"seeds must be a non-empty list of integers, got {seeds!r}")
+    seeds = [_integer(s, "seeds") for s in seeds]
+    if min(seeds) < 0:
+        raise ConfigurationError(f"seeds must be >= 0, got {min(seeds)}")
+    return seeds
 
 
 def _config_hash(cfg):

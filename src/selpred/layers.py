@@ -1,6 +1,6 @@
 """Stateful network layers: dense, batch normalization, dropout, softmax.
 
-Layers carry their parameters as ``Tensor`` leaves and expose a
+Layers carry their parameters as ``Parameter`` leaves and expose a
 ``parameters()`` list in declaration order; the order is relied upon by the
 optimizer and by checkpoint serialization.
 
@@ -31,10 +31,12 @@ import numpy as np
 
 from .autograd import (
     DomainError,
+    Parameter,
     ShapeError,
     Tensor,
     note_kink_margin,
     stable_sigmoid,
+    write_through,
 )
 
 __all__ = [
@@ -111,9 +113,9 @@ class DenseLayer:
             raise ConfigurationError(f"unknown init {init!r}")
         self.in_dim = in_dim
         self.out_dim = out_dim
-        self.weights = Tensor(rng.uniform(-limit, limit, (in_dim, out_dim)),
-                              requires_grad=True)
-        self.bias = Tensor(np.zeros(out_dim), requires_grad=True)
+        self.weights = Parameter(
+            rng.uniform(-limit, limit, (in_dim, out_dim)), requires_grad=True)
+        self.bias = Parameter(np.zeros(out_dim), requires_grad=True)
 
     def __call__(self, x):
         """x @ W + b as one node."""
@@ -176,6 +178,11 @@ class BatchNormLayer:
     Normalizes by the batch mean and (biased) variance plus ``eps`` and
     updates the running statistics with ``momentum``. ``FrozenNet`` folds the
     running statistics into the dense layer in front for eval mode.
+
+    The running statistics are updated in place and are write-through:
+    assigning an array to ``running_mean`` or ``running_var`` copies its
+    values into the array already there (ShapeError on a shape mismatch),
+    so a buffer that holds them as views (``keep_stats_in``) stays current.
     """
 
     momentum = 0.9
@@ -183,10 +190,24 @@ class BatchNormLayer:
 
     def __init__(self, num_features):
         self.num_features = num_features
-        self.scale = Tensor(np.ones(num_features), requires_grad=True)
-        self.shift = Tensor(np.zeros(num_features), requires_grad=True)
+        self.scale = Parameter(np.ones(num_features), requires_grad=True)
+        self.shift = Parameter(np.zeros(num_features), requires_grad=True)
         self.running_mean = np.zeros(num_features)
         self.running_var = np.ones(num_features)
+
+    def __setattr__(self, name, value):
+        if name in ("running_mean", "running_var") and name in self.__dict__:
+            write_through(self.__dict__[name], value, name)
+        else:
+            object.__setattr__(self, name, value)
+
+    def keep_stats_in(self, buffer):
+        """Move the running statistics into ``buffer``, a float64 vector of
+        2 * num_features: ``running_mean`` and ``running_var`` become views
+        of its two halves."""
+        n = self.num_features
+        buffer[:n], buffer[n:] = self.running_mean, self.running_var
+        self.__dict__.update(running_mean=buffer[:n], running_var=buffer[n:])
 
     def __call__(self, x):
         """Normalize ``x`` as one node (see ``train_normalize``)."""
@@ -236,11 +257,15 @@ class BatchNormLayer:
 
     def _train_moments(self, mean, var):
         """Fold a batch's mean and biased variance into the running
-        statistics; returns 1 / std = 1 / sqrt(var + eps)."""
-        self.running_mean = (self.momentum * self.running_mean
-                             + (1.0 - self.momentum) * mean)
-        self.running_var = (self.momentum * self.running_var
-                            + (1.0 - self.momentum) * var)
+        statistics, in place: stat * momentum + (1 - momentum) * batch, the
+        same products and sum as a new array would take. Returns
+        1 / std = 1 / sqrt(var + eps)."""
+        m, running_mean, running_var = (self.momentum, self.running_mean,
+                                        self.running_var)
+        running_mean *= m
+        running_mean += (1.0 - m) * mean
+        running_var *= m
+        running_var += (1.0 - m) * var
         return 1.0 / np.sqrt(var + self.eps)
 
     def _accum(self, gscale, gshift):

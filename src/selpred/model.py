@@ -130,7 +130,11 @@ class SelectiveNet:
 
     ``selective`` is False for the baseline twin, whose forward returns
     ``(f_out, None, None)``. All parameters live in one ``Parameters``
-    buffer (``parameters()``), in declaration order.
+    buffer (``parameters()``), in declaration order, and all batchnorm
+    running statistics in one more, ``stats``, whose views are each
+    batchnorm's ``running_mean`` and ``running_var`` in ``running_stats()``
+    order. Both are write-through, so the two buffers are the model's whole
+    state.
     """
 
     def __init__(self, config, seed, selective=True):
@@ -169,6 +173,12 @@ class SelectiveNet:
             [p for layer in layers for p in layer.parameters()])
         self._bns = [layer.bn for layer in layers
                      if isinstance(layer, _Block) and layer.bn is not None]
+        self.stats = np.empty(2 * sum(bn.num_features for bn in self._bns))
+        offset = 0
+        for bn in self._bns:
+            end = offset + 2 * bn.num_features
+            bn.keep_stats_in(self.stats[offset:end])
+            offset = end
         self._frozen = None  # (key, FrozenNet) of the last freeze()
 
     # -- forward --------------------------------------------------------------
@@ -219,12 +229,14 @@ class SelectiveNet:
         """The eval-mode network as a ``FrozenNet``, cached on the instance.
 
         The cache key is the exact bytes of the parameter buffer and of the
-        batchnorm running statistics, so training, ``load_model`` and any
-        in-place edit of a parameter rebuild the frozen net on the next call.
-        A member whose ``data`` was rebound is first copied into the buffer.
+        running statistics buffer, one bytes compare per call. Every write
+        to the model's state lands in those buffers (a rebound ``data`` or
+        running statistic is copied in at assignment), so training,
+        ``load_model`` and any edit of a parameter or a statistic rebuild
+        the frozen net on the next call (see ``state``).
         """
-        data, _ = self._params.sync()
-        key = (data.tobytes(), *(a.tobytes() for a in self.running_stats()))
+        data, stats = self.state()
+        key = data.tobytes() + stats.tobytes()
         if self._frozen is None or self._frozen[0] != key:
             self._frozen = (key, FrozenNet(self))
         return self._frozen[1]
@@ -250,6 +262,15 @@ class SelectiveNet:
         """The model's ``Parameters``: every leaf, as views of one buffer.
         The same object on every call."""
         return self._params
+
+    def state(self):
+        """``(parameters, statistics)``: the model's two state buffers, the
+        ``Parameters`` buffer and ``stats``. Members that a second
+        ``Parameters`` has taken over are moved back first."""
+        params = self._params
+        if params._home.taken_over:
+            params.sync()
+        return params.data, self.stats
 
     def running_stats(self):
         """The batchnorm running statistics, in declaration order."""

@@ -2,10 +2,12 @@
 
 Layout: magic, 8-byte little-endian header length, UTF-8 JSON header
 (format version, architecture, task, trained coverage, optional calibration
-result), float64 little-endian parameter payload in declaration order
-followed by batchnorm running statistics, and an 8-byte checksum trailer
-(leading bytes of SHA-256 over everything before it). The binary payload
-makes round-trips bit-exact; the text header keeps files inspectable.
+result), float64 little-endian payload and an 8-byte checksum trailer
+(leading bytes of SHA-256 over everything before it). The payload is the
+model's two state buffers (``SelectiveNet.state``): every parameter in
+declaration order, then every batchnorm running statistic. The binary
+payload makes round-trips bit-exact; the text header keeps files
+inspectable.
 
 A save writes a temporary file in the target's directory and then renames
 it over the target, so an interrupted save leaves any previous checkpoint
@@ -42,13 +44,17 @@ class VersionError(IOError):
     """Checkpoint format version is not supported by this reader."""
 
 
-def _model_arrays(model):
-    return [p.data for p in model.parameters()] + model.running_stats()
+def _state(model):
+    """``(buffers, sizes)``: the model's two state buffers and the size of
+    every array they hold, in payload order."""
+    sizes = [p.data.size for p in model.parameters()] + [
+        a.size for a in model.running_stats()]
+    return model.state(), sizes
 
 
 def save_model(model, calibration, path):
     """Write a checkpoint of ``model`` and its calibration (or None)."""
-    arrays = _model_arrays(model)
+    buffers, sizes = _state(model)
     header = {
         "format_version": FORMAT_VERSION,
         "architecture": asdict(model.config),
@@ -56,11 +62,10 @@ def save_model(model, calibration, path):
         "seed": model.seed,
         "trained_coverage": model.target_coverage,
         "calibration": asdict(calibration) if calibration else None,
-        "array_sizes": [int(a.size) for a in arrays],
+        "array_sizes": sizes,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes()
-                       for a in arrays)
+    payload = b"".join(b.astype("<f8", copy=False).tobytes() for b in buffers)
     body = _MAGIC + struct.pack("<Q", len(header_bytes)) + header_bytes + payload
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -121,15 +126,13 @@ def load_model(path):
     except (TypeError, ValueError, KeyError) as exc:
         raise IntegrityError(f"{path}: invalid header: {exc!r}") from exc
     model.target_coverage = header["trained_coverage"]
-    arrays = _model_arrays(model)
-    sizes = header["array_sizes"]
-    if sizes != [int(a.size) for a in arrays]:
+    buffers, sizes = _state(model)
+    if header["array_sizes"] != sizes:
         raise IntegrityError(f"{path}: payload layout does not match architecture")
-    expected = 8 * sum(sizes)
-    if len(body) - off != expected:
+    if len(body) - off != 8 * sum(sizes):
         raise IntegrityError(f"{path}: payload truncated")
-    for a in arrays:
-        n = a.size * 8
-        a[...] = np.frombuffer(body[off:off + n], dtype="<f8").reshape(a.shape)
+    for b in buffers:
+        n = b.size * 8
+        b[...] = np.frombuffer(body[off:off + n], dtype="<f8")
         off += n
     return model, calib

@@ -77,6 +77,13 @@ def tensor_max(x, axis=None, keepdims=False):
     return Tensor._op(out_data, (x,), backward)
 
 
+def abs_sigmoid(t):
+    """``stable_sigmoid`` in its exp(-|t|) form, which the one-ufunc
+    exp(copysign(t, -1)) form must match bit for bit."""
+    e = np.exp(-np.abs(t))
+    return np.maximum(e, t >= 0.0) / (1.0 + e)
+
+
 def ref_dense(x, w, b):
     return matmul(x, w) + b
 

@@ -1,5 +1,8 @@
 """Tensor engine: forward values, backward rules, finite-difference oracle."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -151,6 +154,31 @@ class TestParameters:
         np.testing.assert_array_equal(grad, [0.0, 0.0])
         a.data += 1.0
         np.testing.assert_array_equal(ps.data, [6.0, 7.0])
+
+    def test_data_assignment_writes_through(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        ps = Parameters([a])
+        view = a.data
+        a.data = np.array([5.0, 6.0])
+        assert a.data is view
+        np.testing.assert_array_equal(ps.data, [5.0, 6.0])
+        with pytest.raises(ShapeError):
+            a.data = np.zeros(3)
+        np.testing.assert_array_equal(ps.data, [5.0, 6.0])
+
+    def test_members_do_not_keep_their_parameters_alive(self):
+        """A dropped buffer and its members are freed at once, not left to
+        the cyclic garbage collector."""
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        ps = Parameters([a])
+        Parameters([a])  # takes a over and is dropped at once
+        member = weakref.ref(a)
+        gc.disable()
+        try:
+            del a, ps
+            assert member() is None
+        finally:
+            gc.enable()
 
     def test_sync_rejects_wrong_shapes(self):
         a = Tensor([1.0, 2.0], requires_grad=True)

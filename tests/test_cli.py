@@ -443,12 +443,29 @@ class TestConfigSchema:
         ([0, True], "seeds: True is not an integer"),
         ([0, 1.0], "seeds: 1.0 is not an integer"),
         ([0, "1"], "seeds: '1' is not an integer"),
-    ], ids=["scalar", "empty", "bool", "float", "string"])
+        ([-1], "seeds must be >= 0, got -1"),
+    ], ids=["scalar", "empty", "bool", "float", "string", "negative"])
     def test_seeds_are_a_list_of_integers(self, tmp_path, capsys, seeds,
                                           message):
         cfg = {"dataset": self.SYNTHETIC, "seeds": seeds}
         assert self._train(tmp_path, cfg) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--seed", "-1"], "seeds must be >= 0, got -1"),
+        (["compare", "--coverages", "1.0", "--seeds=0,-2"],
+         "seeds must be >= 0, got -2"),
+    ], ids=["train-seed", "compare-seeds"])
+    def test_negative_seed_flag_is_named(self, tmp_path, capsys, argv,
+                                         message):
+        """A seed flag goes through the config's check before any work."""
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text(yaml.safe_dump({"dataset": self.SYNTHETIC}))
+        out = tmp_path / "run"
+        assert main(argv + ["--config", str(cfg_path),
+                            "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("section, key", [
         ("architecture", "batchnorm"), ("architecture", "auxiliary_head"),

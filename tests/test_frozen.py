@@ -16,6 +16,7 @@ import pytest
 from oracles import ref_forward, ref_softmax
 from selpred.autograd import (
     DomainError,
+    Parameters,
     ShapeError,
     Tensor,
     no_grad,
@@ -34,10 +35,11 @@ from selpred.model import (
     CLASSIFICATION,
     REGRESSION,
     ArchitectureConfig,
+    SelectiveNet,
     build_baseline,
     build_model,
 )
-from selpred.optim import TrainConfig, train
+from selpred.optim import SGD, TrainConfig, train
 
 RTOL = 1e-12
 
@@ -178,6 +180,14 @@ def test_eval_forward_is_the_frozen_net(task, baseline):
         np.testing.assert_array_equal(before, after)
 
 
+def _step_a_second_optimizer(model):
+    """One SGD step over a second buffer built from the model's tensors,
+    which takes them over from the model's own."""
+    opt = SGD(list(model.parameters()), lr=0.1, momentum=0.0)
+    opt.params.grad[...] = 1.0
+    opt.step()
+
+
 class TestCacheInvalidation:
     def _model(self):
         return _perturbed(build_model(_config(REGRESSION), seed=6))
@@ -193,8 +203,9 @@ class TestCacheInvalidation:
         lambda m: setattr(m.f_head.bias, "data", m.f_head.bias.data + 2.0),
         lambda m: setattr(m.body[0].bn, "running_var",
                           m.body[0].bn.running_var * 2.0),
+        _step_a_second_optimizer,
     ], ids=["g_weights", "f_bias", "running_mean", "rebound_bias",
-            "rebound_running_var"])
+            "rebound_running_var", "second_optimizer"])
     def test_edit_after_predict_changes_next_predict(self, edit):
         model = self._model()
         x = _inputs(20)
@@ -217,6 +228,28 @@ class TestCacheInvalidation:
         assert not np.array_equal(before_f, model.predict(x)[0])
         assert not np.array_equal(before_g, model.selection_scores(x))
         _check_agreement(model, _inputs())
+
+
+def test_unchanged_model_freezes_without_a_walk(monkeypatch):
+    """Once frozen, an unchanged model's freeze() is one compare of the
+    two state buffers: no member walk (``sync``), no statistics list."""
+    model = _perturbed(build_model(_config(CLASSIFICATION), seed=7))
+    frozen = model.freeze()
+    calls = []
+    for owner, name in ((Parameters, "sync"),
+                        (SelectiveNet, "running_stats")):
+        original = getattr(owner, name)
+
+        def counting(self, *args, _original=original, _name=name):
+            calls.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(owner, name, counting)
+    x = _inputs(1)
+    model.predict(x, tau=0.5)
+    model.selection_scores(x)
+    assert model.freeze() is frozen
+    assert not calls
 
 
 def test_n1_predict_allocates_no_tensor(monkeypatch):

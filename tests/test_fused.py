@@ -16,9 +16,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
+    abs_sigmoid,
     exp,
     log,
     ref_batchnorm,
@@ -161,15 +162,26 @@ def _bn(rng, n):
 
 def _frozen_stats(bns, fn):
     """``fn`` wrapped to put the running statistics of ``bns`` back after
-    each call, so repeated train-mode calls see the same state."""
+    each call, so repeated train-mode calls see the same state. The
+    statistics are updated in place, so the saved values are copies."""
     def run():
-        saved = [(bn.running_mean, bn.running_var) for bn in bns]
+        saved = [(bn.running_mean.copy(), bn.running_var.copy())
+                 for bn in bns]
         try:
             return fn()
         finally:
             for bn, (mean, var) in zip(bns, saved):
                 bn.running_mean, bn.running_var = mean, var
     return run
+
+
+def test_frozen_stats_puts_the_statistics_back():
+    rng = np.random.default_rng(2)
+    bn = _bn(rng, 3)
+    before = [bn.running_mean.copy(), bn.running_var.copy()]
+    _frozen_stats([bn], lambda: bn(Tensor(rng.normal(size=(5, 3)))))()
+    for want, got in zip(before, bn.running_stats()):
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("m", BATCHES, ids=[f"{m}-train" for m in BATCHES])
@@ -677,6 +689,17 @@ def test_stable_sigmoid_equals_two_branch_form_bit_for_bit():
     # the bytes, so the sign of a zero counts too
     assert got[number].tobytes() == ref[number].tobytes()
     assert np.isnan(got[~number]).all() and np.isnan(ref[~number]).all()
+
+
+@settings(max_examples=300)
+@given(t=st.lists(st.floats(), min_size=1, max_size=64))
+@example(t=[0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+            745.2, -745.2])
+def test_stable_sigmoid_equals_its_abs_form_bit_for_bit(t):
+    """exp(copysign(t, -1)) is exp(-|t|), NaN payloads and signed zeros
+    included, so the whole output has the same bytes."""
+    t = np.array(t)
+    assert stable_sigmoid(t).tobytes() == abs_sigmoid(t).tobytes()
 
 
 @pytest.mark.parametrize("m", BATCHES)

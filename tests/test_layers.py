@@ -75,6 +75,21 @@ class TestBatchNorm:
         np.testing.assert_allclose(bn.running_mean, x.data.mean(axis=0), atol=1e-9)
         np.testing.assert_allclose(bn.running_var, x.data.var(axis=0), atol=1e-9)
 
+    def test_running_stat_assignment_writes_through(self):
+        """A model's statistics are views of its ``stats`` buffer, and an
+        assignment copies into them; a wrong shape fails at assignment."""
+        model = build_model(ArchitectureConfig(input_dim=3, body_widths=[2]),
+                            seed=0)
+        bn = model.body[0].bn
+        var = bn.running_var
+        bn.running_var = np.full(2, 4.0)
+        assert bn.running_var is var and np.shares_memory(var, model.stats)
+        np.testing.assert_array_equal(
+            model.stats, np.concatenate(model.running_stats()))
+        with pytest.raises(ShapeError):
+            bn.running_var = np.ones(3)
+        np.testing.assert_array_equal(bn.running_var, [4.0, 4.0])
+
     def test_train_batch_of_one_rejected(self):
         bn = BatchNormLayer(2)
         with pytest.raises(ContractError):

@@ -262,6 +262,37 @@ def test_unchanged_header_reframes_to_a_loadable_file(trained_model, tmp_path):
     assert _reframe(blob, lambda h: h) == blob
 
 
+def _array_by_array_checkpoint(model, calibration):
+    """The checkpoint bytes of ``model`` written one array at a time,
+    every parameter's ``data`` and then ``running_stats()``: the payload
+    that the model's two state buffers must reproduce."""
+    import hashlib
+    arrays = [p.data for p in model.parameters()] + model.running_stats()
+    header = json.dumps({
+        "format_version": FORMAT_VERSION,
+        "architecture": asdict(model.config),
+        "selective": model.selective,
+        "seed": model.seed,
+        "trained_coverage": model.target_coverage,
+        "calibration": asdict(calibration) if calibration else None,
+        "array_sizes": [int(a.size) for a in arrays],
+    }, sort_keys=True).encode("utf-8")
+    body = (b"SPCKPT\x00" + struct.pack("<Q", len(header)) + header
+            + b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes()
+                       for a in arrays))
+    return body + hashlib.sha256(body).digest()[:8]
+
+
+@pytest.mark.parametrize("calibration", [None, CALIBRATION],
+                         ids=["uncalibrated", "calibrated"])
+def test_payload_is_every_array_in_order(trained_model, tmp_path,
+                                         calibration):
+    model, _ = trained_model
+    path = tmp_path / "ckpt.bin"
+    save_model(model, calibration, path)
+    assert path.read_bytes() == _array_by_array_checkpoint(model, calibration)
+
+
 # sha256 of ``save_model(build(config, seed=7), None, path)``, recorded
 # before g's hidden layer became a body block. Untrained models keep the
 # digests free of BLAS rounding, so they pin the initialization draw order,
