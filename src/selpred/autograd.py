@@ -316,8 +316,13 @@ def relu(x):
                   lambda d, o, g: g * (d > 0.0))
 
 
+# 0-d float64 constants of ``stable_sigmoid`` and the frozen net's relu:
+# numpy dispatches them faster than Python floats.
+_MINUS_ONE, _ZERO, _ONE = np.array(-1.0), np.array(0.0), np.array(1.0)
+
+
 def stable_sigmoid(t):
-    """Logistic function of the array ``t`` without overflow: with
+    """Logistic function of the float64 array ``t`` without overflow: with
     e = exp(-|t|), 1/(1+e) where t >= 0 and e/(1+e) elsewhere, which are
     1/(1+e^-t) and e^t/(1+e^t).
 
@@ -325,9 +330,14 @@ def stable_sigmoid(t):
     elsewhere, since e >= 0; NaN stays NaN. It is the same array as
     ``np.where(t >= 0, 1, e)`` from a cheaper call. ``copysign(t, -1)`` is
     -|t| in one ufunc, bit for bit (signed zeros, infinities and NaNs
-    included)."""
-    e = np.exp(np.copysign(t, -1.0))
-    return np.maximum(e, t >= 0.0) / (1.0 + e)
+    included).
+
+    The constants -1, 0 and 1 are 0-d float64 arrays, so under numpy's
+    promotion rules (NEP 50) a float32 ``t`` gives a float64 result, where
+    Python float constants kept float32. Every caller in ``selpred`` passes
+    float64."""
+    e = np.exp(np.copysign(t, _MINUS_ONE))
+    return np.maximum(e, t >= _ZERO) / (_ONE + e)
 
 
 def sigmoid(x):
@@ -370,7 +380,7 @@ class Parameters(tuple):
             if p.grad is not None:
                 view[1][...] = p.grad
             self._attach(p, view[0])
-            p.grad = view[1]
+            object.__setattr__(p, "grad", view[1])
             self._views.append(view)
             offset = end
 
@@ -430,9 +440,21 @@ class Parameter(Tensor):
     Training stores no attribute on a parameter, so the hook costs a step
     nothing. Layers build their leaves as this class; a plain ``Tensor``
     put into a ``Parameters`` is switched to it, and CPython then reads its
-    attributes more slowly."""
+    attributes more slowly. Building a leaf and putting it into a
+    ``Parameters`` run the hook no time."""
 
     _home = None  # the flag of the Parameters that holds it
+
+    def __init__(self, data, requires_grad=False):
+        # Tensor.__init__'s stores, in its order, past the hook: until a
+        # Parameters holds the leaf there is nothing to write through.
+        store = object.__setattr__
+        store(self, "data", np.asarray(data, dtype=np.float64))
+        store(self, "requires_grad", bool(requires_grad))
+        store(self, "grad", None)
+        store(self, "_parents", ())
+        store(self, "_backward", None)
+        store(self, "_consumed", False)
 
     def __setattr__(self, name, value):
         if name == "data" and self._home is not None:

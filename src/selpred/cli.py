@@ -153,6 +153,32 @@ def _seeds(seeds):
     return seeds
 
 
+def _flag_list(flag, text, kind):
+    """The comma-separated values of the command-line ``flag``, each read
+    by ``kind`` (``int`` or ``float``); ConfigurationError naming the flag
+    and the first value ``kind`` cannot read."""
+    values = []
+    for v in text.split(","):
+        try:
+            values.append(kind(v))
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ConfigurationError(f"{flag}: {v!r} is not {what}") from None
+    return values
+
+
+def _coverages(text):
+    """The ``--coverages`` flag of ``curve``, ``grid`` and ``compare``:
+    finite coverages in (0, 1], ConfigurationError naming the flag
+    otherwise."""
+    coverages = _flag_list("--coverages", text, float)
+    for c in coverages:
+        if not 0.0 < c <= 1.0:  # NaN fails too
+            raise ConfigurationError(
+                f"--coverages must lie in (0, 1], got {c}")
+    return coverages
+
+
 def _config_hash(cfg):
     blob = yaml.safe_dump(cfg, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
@@ -330,11 +356,11 @@ def _curves(model, ca, te, tstats, kinds, coverages, mc_seeds=(0, 1)):
 
 
 def cmd_curve(args):
+    coverages = _coverages(args.coverages)
     cfg, conf = _load_config(args.config)
     out = _out_dir(args.out)
     model, _ = load_model(args.model)
     _, ca, te, tstats = prepare_splits(conf)
-    coverages = [float(c) for c in args.coverages.split(",")]
     rows = _curves(model, ca, te, tstats, [args.score], coverages)[args.score]
     write_csv(out / "curve.csv", _provenance(cfg, [model.seed]),
               ["target_coverage", "achieved_coverage", "risk"], rows)
@@ -344,11 +370,11 @@ def cmd_curve(args):
 
 
 def cmd_grid(args):
+    coverages = _coverages(args.coverages)
     cfg, conf = _load_config(args.config)
     out = _out_dir(args.out)
     models = [load_model(p)[0] for p in args.models.split(",")]
     _, ca, te, tstats = prepare_splits(conf)
-    coverages = [float(c) for c in args.coverages.split(",")]
     grid = cross_calibration_grid(models, ca.features, te.features, te.labels,
                                   coverages, tstats)
     colnames = ["train_coverage"] + [f"calib_{c}" for c in coverages]
@@ -415,11 +441,11 @@ def run_comparison(conf, coverages, seeds):
 
 
 def cmd_compare(args):
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else None
+    coverages = _coverages(args.coverages)
+    seeds = _flag_list("--seeds", args.seeds, int) if args.seeds else None
     cfg, conf = _load_config(args.config, seeds)
     seeds = conf["seeds"]
     out = _out_dir(args.out)
-    coverages = [float(c) for c in args.coverages.split(",")]
     colnames, rows = run_comparison(conf, coverages, seeds)
     write_csv(out / "compare.csv", _provenance(cfg, seeds), colnames, rows)
     _write_effective_config(conf, out)

@@ -23,6 +23,7 @@ from .autograd import (
     Parameters,
     ShapeError,
     Tensor,
+    _ZERO,
     relu,
     # unused: bench/spans.py SITES wraps it until a benchmark change drops both
     sigmoid,
@@ -286,12 +287,13 @@ class SelectiveNet:
 def _folded(dense, bn):
     """``(W, b)`` of ``dense`` followed by eval-mode ``bn`` (if any) as one
     affine map: with s = scale / sqrt(running_var + eps), W*s and
-    (b - running_mean)*s + shift (Ioffe & Szegedy 2015). New arrays."""
+    (b - running_mean)*s + shift (Ioffe & Szegedy 2015). New arrays, b a
+    (1, out) row."""
     w, b = dense.weights.data, dense.bias.data
     if bn is None:
-        return w.copy(), b.copy()
+        return w.copy(), b.reshape(1, -1).copy()
     s = bn.scale.data / np.sqrt(bn.running_var + bn.eps)
-    return w * s, (b - bn.running_mean) * s + bn.shift.data
+    return w * s, ((b - bn.running_mean) * s + bn.shift.data).reshape(1, -1)
 
 
 class FrozenNet:
@@ -303,6 +305,11 @@ class FrozenNet:
     g's block, folded like a body block, are one matrix, so a single matmul
     on the representation gives both. The arrays are a snapshot: later edits of
     the model do not reach them.
+
+    Every bias is stored in the form that numpy adds fastest to a one-row
+    query: each folded bias as a (1, width) row, so ``(1, k) += (1, k)``
+    takes the same-shape path rather than broadcasting, and g's output bias
+    as a 0-d float64 array rather than a Python float, as is the relu's 0.
     """
 
     def __init__(self, model):
@@ -315,20 +322,28 @@ class FrozenNet:
         self.g_w = self.g_b = None
         if model.selective:
             gw, gb = _folded(model.g_block.dense, model.g_block.bn)
-            w, b = np.hstack([w, gw]), np.concatenate([b, gb])
+            w, b = np.hstack([w, gw]), np.hstack([b, gb])
             self.g_w = model.g_out.weights.data[:, 0].copy()
-            self.g_b = float(model.g_out.bias.data[0])
+            self.g_b = np.array(model.g_out.bias.data[0])  # 0-d float64
         self.head_w, self.head_b = w, b
-        self.f_w, self.f_b = w[:, :self.n_f], b[:self.n_f]  # views
+        self.f_w, self.f_b = w[:, :self.n_f], b[:, :self.n_f]  # views
+
+    def _checked(self, x):
+        """``x`` as a float64 array of shape (batch, input_dim);
+        ShapeError otherwise."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.input_dim:
+            raise ShapeError(
+                f"expected input (batch, {self.input_dim}), got {x.shape}")
+        return x
 
     def heads(self, x):
         """``(f, g)`` for the rows of ``x``: class logits (batch, classes) or
         regression outputs (batch,), and g(x) in [0, 1] (None for the
         baseline twin). More than ``BLOCK_ROWS`` rows are evaluated block by
         block, each block with the same checks."""
-        x = np.asarray(x, dtype=np.float64)
-        if (x.ndim == 2 and x.shape[0] > BLOCK_ROWS
-                and x.shape[1] == self.input_dim):
+        x = self._checked(x)
+        if x.shape[0] > BLOCK_ROWS:
             return self._blocked_heads(x)
         z = self._pass(x, self.head_w, self.head_b)
         if self.classification:
@@ -337,23 +352,19 @@ class FrozenNet:
             f = np.ascontiguousarray(z[:, 0])  # not a view that keeps z alive
         if self.g_w is None:
             return f, None
-        t = np.maximum(z[:, self.n_f:], 0.0).dot(self.g_w)
+        t = np.maximum(z[:, self.n_f:], _ZERO).dot(self.g_w)
         t += self.g_b
         return f, stable_sigmoid(t)
 
     def _pass(self, x, head_w, head_b, rate=0.0, rng=None):
-        """``rep @ head_w + head_b`` for the rows of ``x``, with rep the
-        output of the folded body blocks, each followed by inverted dropout
-        at ``rate``. The masks are drawn block after block from ``rng`` as
-        ``DropoutLayer`` draws them, none at rate 0."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.input_dim:
-            raise ShapeError(
-                f"expected input (batch, {self.input_dim}), got {x.shape}")
+        """``rep @ head_w + head_b`` for the rows of the checked ``x``, with
+        rep the output of the folded body blocks, each followed by inverted
+        dropout at ``rate``. The masks are drawn block after block from
+        ``rng`` as ``DropoutLayer`` draws them, none at rate 0."""
         for w, b in self.body:
             x = x.dot(w)
             x += b
-            np.maximum(x, 0.0, out=x)
+            np.maximum(x, _ZERO, out=x)
             if rate != 0.0:
                 x *= (rng.random(x.shape) >= rate) / (1.0 - rate)
         z = x.dot(head_w)
@@ -378,7 +389,7 @@ class FrozenNet:
         """f for the rows of ``x`` with inverted dropout at ``rate`` after
         every body block: class probabilities (softmax) or regression
         outputs, from f's head columns only."""
-        z = self._pass(x, self.f_w, self.f_b, rate, rng)
+        z = self._pass(self._checked(x), self.f_w, self.f_b, rate, rng)
         return softmax_rows(z)[0] if self.classification else z[:, 0]
 
     def __call__(self, x, tau=-np.inf):

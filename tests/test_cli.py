@@ -467,6 +467,32 @@ class TestConfigSchema:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["compare", "--coverages", "0.9,abc"],
+         "--coverages: 'abc' is not a number"),
+        (["compare", "--coverages", "1.0", "--seeds", "1,,2"],
+         "--seeds: '' is not an integer"),
+        (["compare", "--coverages", "0.9,1.5"],
+         "--coverages must lie in (0, 1], got 1.5"),
+        (["compare", "--coverages", "nan"],
+         "--coverages must lie in (0, 1], got nan"),
+        (["curve", "--model", "absent.ckpt", "--coverages", "0.0,0.5"],
+         "--coverages must lie in (0, 1], got 0.0"),
+        (["grid", "--models", "absent.ckpt", "--coverages", "1,inf"],
+         "--coverages must lie in (0, 1], got inf"),
+    ], ids=["compare-not-a-number", "compare-empty-seed", "compare-above-one",
+            "compare-nan", "curve-zero", "grid-infinite"])
+    def test_bad_list_flag_is_named(self, tmp_path, capsys, argv, message):
+        """A list flag is checked before any config, checkpoint or data is
+        read: the curve and grid checkpoints named here do not exist."""
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text(yaml.safe_dump({"dataset": self.SYNTHETIC}))
+        out = tmp_path / "run"
+        assert main(argv + ["--config", str(cfg_path),
+                            "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("section, key", [
         ("architecture", "batchnorm"), ("architecture", "auxiliary_head"),
         ("train", "shuffle"), ("split", "stratified"), ("dataset", "header"),

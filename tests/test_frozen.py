@@ -125,6 +125,19 @@ def test_baseline_twin_matches_tape(task):
     _check_agreement(base, _inputs())
 
 
+@pytest.mark.parametrize("body", [(32,), (16, 8)])
+def test_biases_are_rows_and_g_bias_is_0d(body):
+    """Each folded bias is a (1, width) row, so a one-row query adds it on
+    numpy's same-shape path; f's bias is a view of the head's row, and g's
+    output bias is a 0-d float64 array."""
+    net = build_model(_config(CLASSIFICATION, body=body), seed=0).freeze()
+    assert [b.shape for _, b in net.body] == [(1, w) for w in body]
+    assert net.head_b.shape == (1, 4 + 16) and net.f_b.shape == (1, 4)
+    assert np.shares_memory(net.f_b, net.head_b)
+    assert type(net.g_b) is np.ndarray and net.g_b.shape == ()
+    assert net.g_b.dtype == np.float64
+
+
 @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
 def test_model_without_auxiliary_head_matches_oracle(task):
     cfg = _config(task)
@@ -419,23 +432,64 @@ def _matmul_dropout_f(net, x, rate, rng):
     for w, b in net.body:
         x = np.maximum(x @ w + b, 0.0)
         x = x * ((rng.random(x.shape) >= rate) / (1.0 - rate))
-    z = x @ net.head_w[:, :net.n_f] + net.head_b[:net.n_f]
+    z = x @ net.head_w[:, :net.n_f] + net.f_b
     return softmax_rows(z)[0] if net.classification else z[:, 0]
 
 
-@pytest.mark.parametrize("n", [1, 64, 1199])
-@pytest.mark.parametrize("task, body", [(CLASSIFICATION, (32,)),
-                                        (REGRESSION, (64,))])
-def test_frozen_products_give_the_bytes_of_matmul(task, body, n):
-    """The benchmark's serving shapes: n=1 and n=64 predict and the
-    1199-row calibration split, on the criterion-4 and compare_reg models."""
-    model = _perturbed(build_model(_config(task, body=body), seed=4))
+# The benchmark's serving shapes: n=1 and n=64 predict and the 1199-row
+# calibration split, on the criterion-4 and compare_reg architectures.
+SERVING_ROWS = pytest.mark.parametrize("n", [1, 64, 1199])
+SERVING_NETS = pytest.mark.parametrize("task, body", [(CLASSIFICATION, (32,)),
+                                                      (REGRESSION, (64,))])
+
+
+def _assert_matmul_bytes(model, n):
     net, x = model.freeze(), _inputs(n, seed=n)
-    for got, want in zip(net.heads(x), _matmul_heads(net, x)):
-        assert got.tobytes() == want.tobytes()
+    got, want = net.heads(x), _matmul_heads(net, x)
+    assert got[0].tobytes() == want[0].tobytes()
+    if model.selective:
+        assert got[1].tobytes() == want[1].tobytes()
+    else:
+        assert got[1] is None and want[1] is None
     got = net.dropout_f(x, 0.5, np.random.default_rng(5))
     want = _matmul_dropout_f(net, x, 0.5, np.random.default_rng(5))
     assert got.tobytes() == want.tobytes()
+
+
+@SERVING_ROWS
+@SERVING_NETS
+def test_frozen_products_give_the_bytes_of_matmul(task, body, n):
+    """At the serving shapes, on the selective models."""
+    _assert_matmul_bytes(
+        _perturbed(build_model(_config(task, body=body), seed=4)), n)
+
+
+@SERVING_ROWS
+@SERVING_NETS
+def test_twin_frozen_products_give_the_bytes_of_matmul(task, body, n):
+    """At the serving shapes, on the twins, on which serving runs
+    MC-dropout."""
+    _assert_matmul_bytes(
+        _perturbed(build_baseline(_config(task, body=body), seed=4)), n)
+
+
+@SERVING_NETS
+def test_batch_sizes_agree_to_rounding(task, body):
+    """f and g of one-row and 64-row calls lie within 1e-12 of the same
+    rows of one 1199-row call, relative to the largest output of the call
+    (an output near 0 carries the rounding of its larger terms), with the
+    same class predictions. They are not the same bytes: BLAS picks
+    another kernel for one row."""
+    net = _perturbed(build_model(_config(task, body=body), seed=4)).freeze()
+    x = _inputs(1199, seed=1199)
+    whole = net.heads(x)
+    for rows in (1, 64):
+        parts = [net.heads(x[i:i + rows]) for i in range(0, len(x), rows)]
+        f, g = (np.concatenate(out) for out in zip(*parts))
+        for got, want in zip((f, g), whole):
+            assert _rel_err(got, want) <= 1e-12
+        if task == CLASSIFICATION:
+            assert np.array_equal(f.argmax(axis=1), whole[0].argmax(axis=1))
 
 
 class TestMCDropoutOnFrozen:

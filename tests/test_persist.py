@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from selpred.autograd import Parameter
 from selpred.calibrate import CalibrationResult
 from selpred.model import (
     CLASSIFICATION,
@@ -225,6 +226,32 @@ def _reframe(blob, edit):
 
 def _without(key):
     return lambda h: {k: v for k, v in h.items() if k != key}
+
+
+def test_build_and_load_run_no_parameter_hook(tmp_path, monkeypatch):
+    """Building a criterion-4 model and its twin and loading a checkpoint
+    store every ``Parameter`` attribute past ``Parameter.__setattr__``; an
+    assignment to a loaded leaf's ``data`` still runs it."""
+    cfg = ArchitectureConfig(input_dim=8, body_widths=[32],
+                             task=CLASSIFICATION, n_classes=4,
+                             selection_hidden=16)
+    path = tmp_path / "ckpt.bin"
+    save_model(build_model(cfg, seed=0), None, path)
+    calls = []
+    hook = Parameter.__setattr__
+
+    def counted(self, name, value):
+        calls.append(name)
+        hook(self, name, value)
+
+    monkeypatch.setattr(Parameter, "__setattr__", counted)
+    build_model(cfg, seed=1)
+    build_baseline(cfg, seed=1)
+    loaded, _ = load_model(path)
+    assert calls == []
+    loaded.f_head.bias.data = np.ones(4)
+    assert calls == ["data"]
+    np.testing.assert_array_equal(loaded.f_head.bias.data, np.ones(4))
 
 
 @pytest.mark.parametrize("edit, error", [
