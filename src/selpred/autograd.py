@@ -356,94 +356,54 @@ class Parameters(tuple):
     from then on an in-place update of a buffer is an update of every
     member, which lets an optimizer step be one vectorized operation.
 
-    State is write-through: each member is a ``Parameter`` (a plain
-    ``Tensor`` is switched to one) whose ``data`` stays its view, and
-    assigning an array to it copies the values into the view (ShapeError on
-    a shape mismatch), so the buffer always holds every member's value. A
-    second ``Parameters`` built over some of the same members takes them
-    over into its own buffer and sets this one's ``_home.taken_over``
-    flag; ``sync`` then moves them back. A rebound ``grad`` is copied back
-    by ``sync``, which every optimizer step calls first.
+    Each member becomes a held ``Parameter`` (a plain ``Tensor`` is switched
+    to one) whose ``data`` and ``grad`` stay its views for good: assigning
+    to either copies into the view, so the two buffers always hold every
+    member's state. A tensor is held by one ``Parameters`` at most: one
+    that another already holds, or one listed twice, raises ValueError
+    before any member is touched, as does a ``grad`` whose shape is not its
+    tensor's (ShapeError).
     """
 
     def __init__(self, tensors):
+        if len({id(p) for p in self}) != len(self):
+            raise ValueError("a tensor is listed twice")
+        for p in self:
+            if isinstance(p, Parameter) and p._held:
+                raise ValueError("a tensor is already held by a Parameters")
+            if p.grad is not None and np.shape(p.grad) != p.data.shape:
+                raise ShapeError(f"grad shape {np.shape(p.grad)} does not "
+                                 f"match {p.data.shape}")
         self.data = np.concatenate(
             [p.data.reshape(-1) for p in self] or [np.zeros(0)])
         self.grad = np.zeros_like(self.data)
-        self._home = _Home()
-        self._views = []
+        store = object.__setattr__
         offset = 0
         for p in self:
             shape, end = p.data.shape, offset + p.data.size
-            view = (self.data[offset:end].reshape(shape),
-                    self.grad[offset:end].reshape(shape))
+            grad = self.grad[offset:end].reshape(shape)
             if p.grad is not None:
-                view[1][...] = p.grad
-            self._attach(p, view[0])
-            object.__setattr__(p, "grad", view[1])
-            self._views.append(view)
+                grad[...] = p.grad
+            if not isinstance(p, Parameter):
+                p.__class__ = Parameter
+            store(p, "data", self.data[offset:end].reshape(shape))
+            store(p, "grad", grad)
+            store(p, "_held", True)
             offset = end
-
-    def _attach(self, p, data):
-        """Make ``data``, a view of the buffer, member ``p``'s home, and
-        flag the ``Parameters`` that held it before, if any."""
-        if not isinstance(p, Parameter):
-            p.__class__ = Parameter
-        elif p._home is not None:
-            p._home.taken_over = True
-        object.__setattr__(p, "data", data)
-        object.__setattr__(p, "_home", self._home)
-
-    def zero_grad(self):
-        """Zero the gradient buffer and re-attach any rebound ``grad``."""
-        self.grad.fill(0.0)
-        for p, (_, grad) in zip(self, self._views):
-            if p.grad is not grad:
-                p.grad = grad
-
-    def sync(self):
-        """Move back any member another ``Parameters`` took over, then copy
-        any rebound member ``grad`` (a ``None`` gradient counts as zero)
-        into the gradient buffer and re-attach it; returns the
-        ``(data, grad)`` buffers."""
-        home = self._home
-        if home.taken_over:
-            home.taken_over = False
-            for p, (data, _) in zip(self, self._views):
-                if p._home is not home:
-                    data[...] = p.data
-                    self._attach(p, data)
-        for p, (_, grad) in zip(self, self._views):
-            if p.grad is not grad:
-                g = 0.0 if p.grad is None else p.grad
-                if np.shape(g) not in ((), grad.shape):
-                    raise ShapeError(
-                        f"gradient shape {np.shape(g)} does not match "
-                        f"parameter shape {grad.shape}")
-                grad[...] = g
-                p.grad = grad
-        return self.data, self.grad
-
-
-class _Home:
-    """The flag that a ``Parameters`` shares with its members, set when a
-    second ``Parameters`` takes one of them over. Members hold it rather
-    than the ``Parameters``, so no reference cycle keeps the buffers of a
-    dropped model alive until the cyclic garbage collector runs."""
-
-    taken_over = False
 
 
 class Parameter(Tensor):
-    """A trainable leaf. Once a ``Parameters`` buffer holds it, assigning
-    to ``data`` copies into its view of the buffer instead of rebinding it.
-    Training stores no attribute on a parameter, so the hook costs a step
-    nothing. Layers build their leaves as this class; a plain ``Tensor``
-    put into a ``Parameters`` is switched to it, and CPython then reads its
-    attributes more slowly. Building a leaf and putting it into a
-    ``Parameters`` run the hook no time."""
+    """A trainable leaf. Once a ``Parameters`` holds it, its ``data`` and
+    ``grad`` are views of the buffers, and an assignment to either copies
+    into the view instead of rebinding it: an array is copied (ShapeError
+    on a shape mismatch), and ``grad = None`` zeroes the view. Training
+    stores no attribute on a parameter, so the hook costs a step nothing.
+    Layers build their leaves as this class; a plain ``Tensor`` put into a
+    ``Parameters`` is switched to it, and CPython then reads its attributes
+    more slowly. Building a leaf and putting it into a ``Parameters`` run
+    the hook no time."""
 
-    _home = None  # the flag of the Parameters that holds it
+    _held = False  # set once a Parameters holds it
 
     def __init__(self, data, requires_grad=False):
         # Tensor.__init__'s stores, in its order, past the hook: until a
@@ -457,10 +417,12 @@ class Parameter(Tensor):
         store(self, "_consumed", False)
 
     def __setattr__(self, name, value):
-        if name == "data" and self._home is not None:
-            write_through(self.data, value, name)
-        else:
+        if not (self._held and name in ("data", "grad")):
             object.__setattr__(self, name, value)
+        elif value is None and name == "grad":
+            self.grad.fill(0.0)
+        else:
+            write_through(getattr(self, name), value, name)
 
 
 def write_through(array, value, name):
@@ -476,9 +438,10 @@ def write_through(array, value, name):
 
 def zero_grads(params):
     """Reset gradients before a backward pass: a ``Parameters`` buffer is
-    zeroed in place, any other tensor's ``grad`` is dropped."""
+    zeroed in place. Any other list has each ``grad`` set to None, which
+    zeroes a held parameter's view and drops any other tensor's array."""
     if isinstance(params, Parameters):
-        params.zero_grad()
+        params.grad.fill(0.0)
         return
     for p in params:
         p.grad = None

@@ -131,11 +131,13 @@ class SelectiveNet:
 
     ``selective`` is False for the baseline twin, whose forward returns
     ``(f_out, None, None)``. All parameters live in one ``Parameters``
-    buffer (``parameters()``), in declaration order, and all batchnorm
-    running statistics in one more, ``stats``, whose views are each
+    (``parameters()``), in declaration order, and all batchnorm running
+    statistics in one more buffer, ``stats``, whose views are each
     batchnorm's ``running_mean`` and ``running_var`` in ``running_stats()``
     order. Both are write-through, so the two buffers are the model's whole
-    state.
+    state. The ``Parameters`` holds its leaves for good: an optimizer is
+    built on it (``SGD(model.parameters(), ...)``), and a second
+    ``Parameters`` over the same leaves raises ValueError.
     """
 
     def __init__(self, config, seed, selective=True):
@@ -231,10 +233,11 @@ class SelectiveNet:
 
         The cache key is the exact bytes of the parameter buffer and of the
         running statistics buffer, one bytes compare per call. Every write
-        to the model's state lands in those buffers (a rebound ``data`` or
-        running statistic is copied in at assignment), so training,
-        ``load_model`` and any edit of a parameter or a statistic rebuild
-        the frozen net on the next call (see ``state``).
+        to the model's state lands in those buffers, in place or by
+        assignment (an array assigned to a parameter's ``data`` or to a
+        running statistic is copied in), so training, ``load_model`` and
+        any edit of a parameter or a statistic rebuild the frozen net on
+        the next call (see ``state``).
         """
         data, stats = self.state()
         key = data.tobytes() + stats.tobytes()
@@ -266,12 +269,8 @@ class SelectiveNet:
 
     def state(self):
         """``(parameters, statistics)``: the model's two state buffers, the
-        ``Parameters`` buffer and ``stats``. Members that a second
-        ``Parameters`` has taken over are moved back first."""
-        params = self._params
-        if params._home.taken_over:
-            params.sync()
-        return params.data, self.stats
+        ``Parameters`` buffer and ``stats``."""
+        return self._params.data, self.stats
 
     def running_stats(self):
         """The batchnorm running statistics, in declaration order."""

@@ -98,8 +98,10 @@ class SGD:
 
         v <- mu*v + grad;  theta <- theta - lr*(v + wd*theta)
 
-    A missing gradient counts as zero. One vectorized update per step over
-    the flat ``Parameters`` buffer.
+    One vectorized update per step over the flat ``Parameters`` buffers,
+    read as ``params.data`` and ``params.grad``; a gradient that was never
+    set, or set to None, is zero there. ``params`` is a model's
+    ``Parameters`` or a list of tensors that no ``Parameters`` holds yet.
     """
 
     def __init__(self, params, lr, momentum=0.9, weight_decay=0.0):
@@ -110,7 +112,7 @@ class SGD:
         self.velocity = np.zeros_like(self.params.data)
 
     def step(self):
-        theta, grad = self.params.sync()
+        theta, grad = self.params.data, self.params.grad
         v = self.velocity
         v *= self.momentum
         v += grad
@@ -126,8 +128,7 @@ class Adam:
 
     with b1 = ``beta1``, b2 = ``beta2``, c1 = 1 - b1^t and c2 = 1 - b2^t at
     step t. The decay acts on the parameters after the Adam update and never
-    enters m or v. A missing gradient counts as zero. One vectorized update
-    per step over the flat ``Parameters`` buffer.
+    enters m or v. ``params`` and the update are as for ``SGD``.
     """
 
     beta1 = 0.9
@@ -152,7 +153,7 @@ class Adam:
         t = self.step_count
         c1 = 1.0 - self.beta1 ** t
         c2 = 1.0 - self.beta2 ** t
-        theta, grad = self.params.sync()
+        theta, grad = self.params.data, self.params.grad
         m, v, a, b = self.m, self.v, self._a, self._b
         m *= self.beta1
         np.multiply(grad, 1.0 - self.beta1, out=a)

@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibrate import CalibrationResult
+from .layers import ConfigurationError, _boolean, _integer, _real
 from .model import ArchitectureConfig, SelectiveNet
 
 __all__ = ["save_model", "load_model", "IntegrityError", "VersionError"]
@@ -99,11 +100,33 @@ def _read_header(path, raw):
     return header
 
 
+def _fraction(value, field):
+    """ConfigurationError unless ``value`` is a real in (0, 1]."""
+    if not 0 < _real(value, field) <= 1:
+        raise ConfigurationError(f"{field} must lie in (0, 1], got {value}")
+
+
+def _calibration(fields):
+    """``CalibrationResult(**fields)``; ConfigurationError unless
+    ``n_validation`` is an int >= 1, ``target_coverage`` lies in (0, 1]
+    and every other field is a finite real."""
+    calib = CalibrationResult(**fields)
+    _fraction(calib.target_coverage, "target_coverage")
+    if _integer(calib.n_validation, "n_validation") < 1:
+        raise ConfigurationError(
+            f"n_validation must be >= 1, got {calib.n_validation}")
+    for name in ("tau", "delta", "epsilon", "achieved_coverage"):
+        _real(getattr(calib, name), name)
+    return calib
+
+
 def load_model(path):
     """Read a checkpoint; returns ``(model, calibration_or_None)``.
 
-    Fails loudly: wrong magic or version, or any corrupted byte, raises
-    before any model state is built.
+    Fails loudly: wrong magic or version, any corrupted byte, or a header
+    field of the wrong type or range (a seed that is not an int >= 0, a
+    coverage outside (0, 1], a non-finite calibration value) raises before
+    any model state is read.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -119,13 +142,18 @@ def load_model(path):
     off += hlen
     try:
         config = ArchitectureConfig(**header["architecture"])
-        model = SelectiveNet(config, header["seed"],
-                             selective=header["selective"])
-        calib = (CalibrationResult(**header["calibration"])
+        if _integer(header["seed"], "seed") < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {header['seed']}")
+        model = SelectiveNet(config, header["seed"], selective=_boolean(
+            header["selective"], "selective"))
+        coverage = header["trained_coverage"]
+        if coverage is not None:
+            _fraction(coverage, "trained_coverage")
+        calib = (_calibration(header["calibration"])
                  if header["calibration"] else None)
     except (TypeError, ValueError, KeyError) as exc:
         raise IntegrityError(f"{path}: invalid header: {exc!r}") from exc
-    model.target_coverage = header["trained_coverage"]
+    model.target_coverage = coverage
     buffers, sizes = _state(model)
     if header["array_sizes"] != sizes:
         raise IntegrityError(f"{path}: payload layout does not match architecture")

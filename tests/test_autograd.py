@@ -144,34 +144,41 @@ class TestParameters:
         zero_grads(ps)
         assert not ps.grad.any() and a.grad is not None
 
-    def test_sync_copies_rebound_members_back(self):
+    def test_assignments_write_into_the_buffers(self):
         a = Tensor([1.0, 2.0], requires_grad=True)
         ps = Parameters([a])
         a.data = np.array([5.0, 6.0])
         a.grad = None
-        data, grad = ps.sync()
-        np.testing.assert_array_equal(data, [5.0, 6.0])
-        np.testing.assert_array_equal(grad, [0.0, 0.0])
+        np.testing.assert_array_equal(ps.data, [5.0, 6.0])
+        np.testing.assert_array_equal(ps.grad, [0.0, 0.0])
         a.data += 1.0
         np.testing.assert_array_equal(ps.data, [6.0, 7.0])
 
     def test_data_assignment_writes_through(self):
         a = Tensor([1.0, 2.0], requires_grad=True)
         ps = Parameters([a])
-        view = a.data
+        view, grad = a.data, a.grad
         a.data = np.array([5.0, 6.0])
         assert a.data is view
         np.testing.assert_array_equal(ps.data, [5.0, 6.0])
         with pytest.raises(ShapeError):
             a.data = np.zeros(3)
         np.testing.assert_array_equal(ps.data, [5.0, 6.0])
+        a.grad = np.array([3.0, 4.0])
+        assert a.grad is grad
+        np.testing.assert_array_equal(ps.grad, [3.0, 4.0])
+        with pytest.raises(ShapeError):
+            a.grad = np.zeros(3)
+        np.testing.assert_array_equal(ps.grad, [3.0, 4.0])
+        a.grad = None
+        assert a.grad is grad
+        np.testing.assert_array_equal(ps.grad, [0.0, 0.0])
 
     def test_members_do_not_keep_their_parameters_alive(self):
         """A dropped buffer and its members are freed at once, not left to
         the cyclic garbage collector."""
         a = Tensor([1.0, 2.0], requires_grad=True)
         ps = Parameters([a])
-        Parameters([a])  # takes a over and is dropped at once
         member = weakref.ref(a)
         gc.disable()
         try:
@@ -180,12 +187,19 @@ class TestParameters:
         finally:
             gc.enable()
 
-    def test_sync_rejects_wrong_shapes(self):
+    def test_grad_assignment_rejects_wrong_shapes(self):
         a = Tensor([1.0, 2.0], requires_grad=True)
         ps = Parameters([a])
-        a.grad = np.zeros(3)
         with pytest.raises(ShapeError):
-            ps.sync()
+            a.grad = np.zeros(3)
+        np.testing.assert_array_equal(ps.grad, [0.0, 0.0])
+        # a wrong-shaped grad is refused before any member is taken
+        b, c = Tensor([1.0, 2.0]), Tensor([3.0])
+        c.grad = np.zeros(2)
+        with pytest.raises(ShapeError):
+            Parameters([b, c])
+        assert type(b) is Tensor and type(c) is Tensor
+        Parameters([b])
 
 
 class TestFiniteDifferenceCheck:

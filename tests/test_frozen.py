@@ -16,7 +16,6 @@ import pytest
 from oracles import ref_forward, ref_softmax
 from selpred.autograd import (
     DomainError,
-    Parameters,
     ShapeError,
     Tensor,
     no_grad,
@@ -39,7 +38,7 @@ from selpred.model import (
     build_baseline,
     build_model,
 )
-from selpred.optim import SGD, TrainConfig, train
+from selpred.optim import TrainConfig, train
 
 RTOL = 1e-12
 
@@ -193,14 +192,6 @@ def test_eval_forward_is_the_frozen_net(task, baseline):
         np.testing.assert_array_equal(before, after)
 
 
-def _step_a_second_optimizer(model):
-    """One SGD step over a second buffer built from the model's tensors,
-    which takes them over from the model's own."""
-    opt = SGD(list(model.parameters()), lr=0.1, momentum=0.0)
-    opt.params.grad[...] = 1.0
-    opt.step()
-
-
 class TestCacheInvalidation:
     def _model(self):
         return _perturbed(build_model(_config(REGRESSION), seed=6))
@@ -216,9 +207,8 @@ class TestCacheInvalidation:
         lambda m: setattr(m.f_head.bias, "data", m.f_head.bias.data + 2.0),
         lambda m: setattr(m.body[0].bn, "running_var",
                           m.body[0].bn.running_var * 2.0),
-        _step_a_second_optimizer,
     ], ids=["g_weights", "f_bias", "running_mean", "rebound_bias",
-            "rebound_running_var", "second_optimizer"])
+            "rebound_running_var"])
     def test_edit_after_predict_changes_next_predict(self, edit):
         model = self._model()
         x = _inputs(20)
@@ -245,19 +235,17 @@ class TestCacheInvalidation:
 
 def test_unchanged_model_freezes_without_a_walk(monkeypatch):
     """Once frozen, an unchanged model's freeze() is one compare of the
-    two state buffers: no member walk (``sync``), no statistics list."""
+    two state buffers: no statistics list."""
     model = _perturbed(build_model(_config(CLASSIFICATION), seed=7))
     frozen = model.freeze()
     calls = []
-    for owner, name in ((Parameters, "sync"),
-                        (SelectiveNet, "running_stats")):
-        original = getattr(owner, name)
+    original = SelectiveNet.running_stats
 
-        def counting(self, *args, _original=original, _name=name):
-            calls.append(_name)
-            return _original(self, *args)
+    def counting(self):
+        calls.append("running_stats")
+        return original(self)
 
-        monkeypatch.setattr(owner, name, counting)
+    monkeypatch.setattr(SelectiveNet, "running_stats", counting)
     x = _inputs(1)
     model.predict(x, tau=0.5)
     model.selection_scores(x)

@@ -748,7 +748,7 @@ def ref_adam_step(params, state, lr, cfg):
     state["t"] += 1
     c1 = 1.0 - b1 ** state["t"]
     c2 = 1.0 - b2 ** state["t"]
-    theta, grad = params.sync()
+    theta, grad = params.data, params.grad
     m, v = state["m"], state["v"]
     m *= b1
     m += (1.0 - b1) * grad

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from selpred.autograd import Tensor, zero_grads
+from selpred.autograd import Parameters, Tensor, zero_grads
 from selpred.layers import ConfigurationError
 from selpred.losses import CROSS_ENTROPY, LossConfig
 from selpred.model import CLASSIFICATION, REGRESSION, ArchitectureConfig, build_model
@@ -156,21 +156,32 @@ class TestAdam:
 
 
 def test_model_buffer_survives_a_second_optimizer():
-    # an optimizer built from a plain list of the model's tensors moves
-    # them into its own buffer; the model's buffer copies their current
-    # values back before its next step
+    """A second buffer over the model's leaves is refused before any leaf
+    is touched: an optimizer built from a plain list of them, a leaf listed
+    twice, or a held leaf beside a free one, which stays a plain tensor."""
     model = _toy_model()
     params = model.parameters()
-    opt = SGD(params, lr=0.1, momentum=0.0)
-    SGD(list(params), lr=0.1)
+    params.grad[...] = np.arange(params.grad.size)
+    data, grad = params.data.copy(), params.grad.copy()
+    views = [(p.data, p.grad) for p in params]
     w = model.f_head.weights
-    assert not np.shares_memory(w.data, params.data)
-    w.data[...] = 0.5
-    zero_grads(params)
-    w.grad[...] = 1.0
-    opt.step()
-    np.testing.assert_array_equal(w.data, 0.5 - 0.1 * 1.0)
-    assert np.shares_memory(w.data, params.data)
+    free = Tensor([1.0, 2.0], requires_grad=True)
+    for build in (lambda: SGD(list(params), lr=0.1),
+                  lambda: Parameters([w, w]),
+                  lambda: Parameters([free, free]),
+                  lambda: Parameters([free, w])):
+        with pytest.raises(ValueError):
+            build()
+        np.testing.assert_array_equal(params.data, data)
+        np.testing.assert_array_equal(params.grad, grad)
+        for p, (d, g) in zip(params, views):
+            assert p.data is d and p.grad is g
+        assert type(free) is Tensor and free.grad is None
+    # a plain list's reset zeroes the views and keeps them
+    zero_grads(list(params))
+    assert not params.grad.any()
+    for p, (_, g) in zip(params, views):
+        assert p.grad is g and np.shares_memory(p.grad, params.grad)
 
 
 class TestSchedule:

@@ -229,9 +229,10 @@ def _without(key):
 
 
 def test_build_and_load_run_no_parameter_hook(tmp_path, monkeypatch):
-    """Building a criterion-4 model and its twin and loading a checkpoint
-    store every ``Parameter`` attribute past ``Parameter.__setattr__``; an
-    assignment to a loaded leaf's ``data`` still runs it."""
+    """Building a criterion-4 model and its twin, loading a checkpoint and
+    an epoch of ``train()`` store every ``Parameter`` attribute past
+    ``Parameter.__setattr__``; an assignment to a loaded leaf's ``data``
+    still runs it."""
     cfg = ArchitectureConfig(input_dim=8, body_widths=[32],
                              task=CLASSIFICATION, n_classes=4,
                              selection_hidden=16)
@@ -245,9 +246,13 @@ def test_build_and_load_run_no_parameter_hook(tmp_path, monkeypatch):
         hook(self, name, value)
 
     monkeypatch.setattr(Parameter, "__setattr__", counted)
-    build_model(cfg, seed=1)
+    model = build_model(cfg, seed=1)
     build_baseline(cfg, seed=1)
     loaded, _ = load_model(path)
+    rng = np.random.default_rng(0)
+    train(model, rng.normal(size=(96, 8)), rng.integers(0, 4, size=96),
+          TrainConfig(epochs=1, batch_size=32, seed=0,
+                      loss=LossConfig(task_loss=CROSS_ENTROPY)))
     assert calls == []
     loaded.f_head.bias.data = np.ones(4)
     assert calls == ["data"]
@@ -267,10 +272,29 @@ def test_build_and_load_run_no_parameter_hook(tmp_path, monkeypatch):
     (lambda h: {**h, "seed": "zero"}, IntegrityError),
     (lambda h: [h], IntegrityError),
     (_without("format_version"), VersionError),
+    (lambda h: {**h, "seed": True}, IntegrityError),
+    (lambda h: {**h, "seed": -1}, IntegrityError),
+    (lambda h: {**h, "selective": "yes"}, IntegrityError),
+    (lambda h: {**h, "trained_coverage": "abc"}, IntegrityError),
+    (lambda h: {**h, "trained_coverage": 7.0}, IntegrityError),
+    (lambda h: {**h, "trained_coverage": 0.0}, IntegrityError),
+    (lambda h: {**h, "calibration": {**asdict(CALIBRATION), "tau": "x"}},
+     IntegrityError),
+    (lambda h: {**h, "calibration": {**asdict(CALIBRATION),
+                                     "target_coverage": 1.5}},
+     IntegrityError),
+    (lambda h: {**h, "calibration": {**asdict(CALIBRATION),
+                                     "n_validation": 0}}, IntegrityError),
+    (lambda h: {**h, "calibration": {**asdict(CALIBRATION),
+                                     "epsilon": float("nan")}},
+     IntegrityError),
 ], ids=["no-seed", "no-sizes", "unknown-key", "unknown-arch-key",
         "short-arch", "short-calibration", "unknown-calibration-key",
         "bad-seed", "not-an-object",
-        "no-version"])
+        "no-version", "bool-seed", "negative-seed", "string-selective",
+        "string-coverage", "coverage-above-one", "zero-coverage",
+        "string-tau", "calibration-coverage-above-one", "no-validation-rows",
+        "nan-epsilon"])
 def test_malformed_header_with_valid_checksum(trained_model, tmp_path, edit,
                                               error):
     model, _ = trained_model
