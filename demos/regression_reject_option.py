@@ -20,10 +20,7 @@ from selpred import (
     TrainConfig,
     build_baseline,
     build_model,
-    calibrate,
-    mc_dropout_confidence,
-    risk_coverage_curve,
-    selective_metrics,
+    risk_coverage_curves,
     split,
     standardize,
     train,
@@ -54,26 +51,19 @@ for c in (1.0, 0.9, 0.8, 0.7, 0.6):
     train(model, train_ds.features, train_ds.labels,
           TrainConfig(epochs=80, batch_size=256, learning_rate=2e-3,
                       seed=SEED, loss=LossConfig(target_coverage=c)))
-    preds, _ = model.predict(test_ds.features, tau=-np.inf)
-    if c == 1.0:
-        mask = np.ones(test_ds.n_samples, dtype=bool)
-    else:
-        result = calibrate(model, cal_ds.features, c)
-        mask = model.selection_scores(test_ds.features) >= result.tau
-    rep = selective_metrics(preds, test_ds.labels, mask, REGRESSION)
-    print(f"  {c:.1f}     {rep.risk:8.4f}   (achieved coverage {rep.coverage:.3f})")
+    [(_, cov, risk)] = risk_coverage_curves(
+        model, cal_ds.features, test_ds.features, test_ds.labels, ["g"],
+        [c])["g"]
+    print(f"  {c:.1f}     {risk:8.4f}   (achieved coverage {cov:.3f})")
 
 print("\nMC-dropout baseline (full-coverage twin, negative predictive variance):")
 base = build_baseline(arch, SEED)
 train(base, train_ds.features, train_ds.labels,
       TrainConfig(epochs=80, batch_size=256, learning_rate=2e-3, seed=SEED,
                   loss=LossConfig(target_coverage=1.0)))
-preds, _ = base.predict(test_ds.features)
-mc_cal = mc_dropout_confidence(base, cal_ds.features, passes=200, rate=0.05,
-                               seed=1, task=REGRESSION)
-mc_test = mc_dropout_confidence(base, test_ds.features, passes=200, rate=0.05,
-                                seed=2, task=REGRESSION)
-rows = risk_coverage_curve(mc_cal, mc_test, preds, test_ds.labels,
-                           [1.0, 0.9, 0.8, 0.7, 0.6], REGRESSION)
-for c, cov, risk in rows:
+# MC-dropout at the regression setting: 200 passes at rate 0.05, seeds 1, 2
+rows = risk_coverage_curves(base, cal_ds.features, test_ds.features,
+                            test_ds.labels, ["mcdropout"],
+                            [1.0, 0.9, 0.8, 0.7, 0.6], mc_seeds=(1, 2))
+for c, cov, risk in rows["mcdropout"]:
     print(f"  {c:.1f}     {risk:8.4f}   (achieved coverage {cov:.3f})")

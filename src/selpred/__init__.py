@@ -17,8 +17,8 @@ from .evaluate import (
     EvalReport,
     cross_calibration_grid,
     mc_dropout_confidence,
-    predictions_and_scores,
     risk_coverage_curve,
+    risk_coverage_curves,
     selective_metrics,
     sr_confidence,
     threshold_for_coverage,

@@ -92,8 +92,12 @@ def calibrate(model, validation_inputs, target_coverage, delta=0.001):
     """Calibrate a trained selective model on unlabeled validation inputs.
 
     Computes eval-mode selection scores, picks the nearest-rank threshold,
-    and reports the coverage deviation bound for the validation size.
+    and reports the coverage deviation bound for the validation size. The
+    bound holds with probability >= 1 - delta, so ``delta`` must lie in
+    (0, 1); DomainError otherwise.
     """
+    if not 0.0 < delta < 1.0:  # NaN fails too
+        raise DomainError(f"delta must be in (0, 1), got {delta}")
     validation_inputs = np.asarray(validation_inputs, dtype=np.float64)
     if validation_inputs.shape[0] == 0:
         raise ContractError("calibration needs a nonempty validation set")

@@ -30,20 +30,17 @@ from .calibrate import calibrate
 from .data import (SplitSpec, load_csv, split, standardize,
                    synth_classification, unstandardize_target)
 from .evaluate import (
-    MC_DROPOUT_CLASSIFICATION,
-    MC_DROPOUT_REGRESSION,
     cross_calibration_grid,
-    mc_dropout_confidence,
     percent_improvement,
-    predictions_and_scores,
-    risk_coverage_curve,
+    risk_coverage_curves,
     selective_metrics,
-    sr_confidence,
-    # unused: bench/spans.py SITES wraps it until a benchmark change drops both
-    threshold_for_coverage,
     write_csv,
+    # unused: kept for bench/spans.py SITES until a benchmark change drops them
+    mc_dropout_confidence,
+    sr_confidence,
+    threshold_for_coverage,
 )
-from .layers import ConfigurationError, _boolean, _integer, softmax_rows
+from .layers import ConfigurationError, _boolean, _integer
 from .losses import CROSS_ENTROPY, SQUARED, LossConfig
 from .model import (CLASSIFICATION, ArchitectureConfig, build_baseline,
                     build_model)
@@ -302,12 +299,17 @@ def cmd_calibrate(args):
 
 
 def cmd_evaluate(args):
+    if args.tau is not None and np.isnan(args.tau):
+        raise ConfigurationError("--tau must be a number, got nan")
     cfg, conf = _load_config(args.config)
     model, calib = load_model(args.model)
     _, _, te, tstats = prepare_splits(conf)
     tau = args.tau if args.tau is not None else (calib.tau if calib else 0.5)
-    preds, labels, accepted, _ = predictions_and_scores(
-        model, te.features, te.labels, tstats, tau)
+    preds, accepted = model.predict(te.features, tau)
+    labels = te.labels
+    if te.task != CLASSIFICATION:
+        preds, labels = (unstandardize_target(v, tstats)
+                         for v in (preds, labels))
     rep = selective_metrics(preds, labels, accepted, te.task)
     print(f"coverage={rep.coverage:.4f} risk={rep.risk:.6f} "
           f"covered={rep.n_covered} rejected={rep.n_rejected}")
@@ -319,49 +321,14 @@ def cmd_evaluate(args):
     return 0
 
 
-def _curves(model, ca, te, tstats, kinds, coverages, mc_seeds=(0, 1)):
-    """``{kind: risk_coverage_curve rows}`` of ``model`` for each score kind
-    in ``kinds`` (``g``, ``sr``, ``mcdropout``), with thresholds fit on the
-    calibration split ``ca`` and risks read on the test split ``te``. One
-    frozen forward per split serves the predictions, g and SR scores, and
-    none runs on ``ca`` for MC-dropout alone, which makes its own passes
-    seeded ``mc_seeds`` = (calibration, test)."""
-    task = te.task
-    for kind in kinds:
-        if (kind == "sr" and task != CLASSIFICATION
-                or kind == "g" and not model.selective):
-            raise ValueError(
-                f"score kind {kind!r} does not apply to this {task} model")
-    frozen = model.freeze()
-    mc = (MC_DROPOUT_CLASSIFICATION if task == CLASSIFICATION
-          else MC_DROPOUT_REGRESSION)
-
-    def scores(kind, ds, heads, mc_seed):
-        if kind == "mcdropout":
-            return mc_dropout_confidence(model, ds.features, mc["passes"],
-                                         mc["rate"], mc_seed, task)
-        f, g = heads
-        return g if kind == "g" else sr_confidence(softmax_rows(f)[0])
-
-    cal = frozen.heads(ca.features) if set(kinds) - {"mcdropout"} else None
-    test = frozen.heads(te.features)
-    if task == CLASSIFICATION:
-        preds, labels = test[0].argmax(axis=1), te.labels
-    else:
-        preds, labels = (unstandardize_target(v, tstats)
-                         for v in (test[0], te.labels))
-    return {kind: risk_coverage_curve(
-        scores(kind, ca, cal, mc_seeds[0]), scores(kind, te, test, mc_seeds[1]),
-        preds, labels, coverages, task) for kind in kinds}
-
-
 def cmd_curve(args):
     coverages = _coverages(args.coverages)
     cfg, conf = _load_config(args.config)
     out = _out_dir(args.out)
     model, _ = load_model(args.model)
     _, ca, te, tstats = prepare_splits(conf)
-    rows = _curves(model, ca, te, tstats, [args.score], coverages)[args.score]
+    rows = risk_coverage_curves(model, ca.features, te.features, te.labels,
+                                [args.score], coverages, tstats)[args.score]
     write_csv(out / "curve.csv", _provenance(cfg, [model.seed]),
               ["target_coverage", "achieved_coverage", "risk"], rows)
     _write_effective_config(conf, out)
@@ -393,7 +360,7 @@ _BASELINES = [("mcdropout", "mc_dropout", "mc"), ("sr", "sr", "sr")]
 
 def run_comparison(conf, coverages, seeds):
     """Train per-coverage selective models plus one full-coverage baseline
-    per seed, all read off ``risk_coverage_curve``; returns ``(colnames,
+    per seed, all read off ``risk_coverage_curves``; returns ``(colnames,
     rows)`` for compare.csv (mean +- stderr over seeds). ``conf`` is a
     resolved config; each seed also seeds its split."""
     if not seeds:
@@ -407,8 +374,10 @@ def run_comparison(conf, coverages, seeds):
         base = build_baseline(arch, seed)
         train(base, tr.features, tr.labels,
               _train_config(conf, seed, 1.0))
-        curves = _curves(base, ca, te, tstats, [k for k, _, _ in baselines],
-                         coverages, (seed * 2 + 1, seed * 2 + 2))
+        curves = risk_coverage_curves(
+            base, ca.features, te.features, te.labels,
+            [k for k, _, _ in baselines], coverages, tstats,
+            (seed * 2 + 1, seed * 2 + 2))
         for kind, curve in curves.items():
             risks.setdefault(kind, []).append([r for _, _, r in curve])
 
@@ -417,7 +386,9 @@ def run_comparison(conf, coverages, seeds):
             model = build_model(arch, seed)
             train(model, tr.features, tr.labels,
                   _train_config(conf, seed, c))
-            [(_, _, risk)] = _curves(model, ca, te, tstats, ["g"], [c])["g"]
+            [(_, _, risk)] = risk_coverage_curves(
+                model, ca.features, te.features, te.labels, ["g"], [c],
+                tstats)["g"]
             selnet.append(risk)
         risks.setdefault("g", []).append(selnet)
 

@@ -7,7 +7,8 @@ more confident): softmax response uses the maximum softmax activation, and
 MC-dropout uses negative variance statistics over repeated stochastic
 forward passes with dropout active. Every score here is computed on the
 model's frozen, batchnorm-folded arrays (``SelectiveNet.freeze``), never on
-the training tape.
+the training tape. ``risk_coverage_curves`` is the one path from a model to
+its risk-coverage curves: the CLI and ``cross_calibration_grid`` use it.
 """
 
 from __future__ import annotations
@@ -19,18 +20,18 @@ import numpy as np
 
 from .calibrate import select_threshold
 from .data import unstandardize_target
-from .layers import ContractError
+from .layers import ContractError, softmax_rows
 from .model import CLASSIFICATION
 
 __all__ = [
     "EvalReport",
     "UndefinedRiskError",
     "selective_metrics",
-    "predictions_and_scores",
     "sr_confidence",
     "mc_dropout_confidence",
     "threshold_for_coverage",
     "risk_coverage_curve",
+    "risk_coverage_curves",
     "cross_calibration_grid",
     "percent_improvement",
     "write_csv",
@@ -83,23 +84,6 @@ def selective_metrics(predictions, labels, accept_mask, task):
         n_covered=n_cov,
         n_rejected=n - n_cov,
     )
-
-
-def predictions_and_scores(model, inputs, labels, target_stats=None,
-                           tau=-np.inf):
-    """One frozen forward over labelled rows: ``(predictions, labels,
-    accepted, g)``.
-
-    Regression predictions and labels are mapped back to original units
-    with ``target_stats`` (the (mean, std) of a standardized target, or
-    None); ``accepted`` is the mask g(x) >= tau and g the selection scores
-    (None, and every row accepted, for the baseline twin).
-    """
-    preds, accepted, g = model.freeze()(inputs, tau)
-    if model.config.task != CLASSIFICATION:
-        preds = unstandardize_target(preds, target_stats)
-        labels = unstandardize_target(labels, target_stats)
-    return preds, labels, accepted, g
 
 
 def sr_confidence(softmax_output):
@@ -171,23 +155,59 @@ def risk_coverage_curve(cal_scores, test_scores, predictions, labels,
     return rows
 
 
+def risk_coverage_curves(model, cal_inputs, test_inputs, test_labels, kinds,
+                         coverages, target_stats=None, mc_seeds=(0, 1)):
+    """``{kind: risk_coverage_curve rows}`` of ``model`` for each score kind
+    in ``kinds`` (``g``, ``sr``, ``mcdropout``): thresholds fit on
+    ``cal_inputs``, risks read on the labelled test rows, regression ones in
+    original units by ``target_stats`` (see ``unstandardize_target``). One
+    frozen forward per split serves the predictions and the g and SR scores;
+    MC-dropout makes its own passes, seeded ``mc_seeds`` = (calibration,
+    test), so it alone runs no forward on ``cal_inputs``."""
+    task = model.config.task
+    for kind in kinds:
+        if (kind == "sr" and task != CLASSIFICATION
+                or kind == "g" and not model.selective):
+            raise ValueError(
+                f"score kind {kind!r} does not apply to this {task} model")
+    frozen = model.freeze()
+    mc = (MC_DROPOUT_CLASSIFICATION if task == CLASSIFICATION
+          else MC_DROPOUT_REGRESSION)
+
+    def scores(kind, inputs, heads, mc_seed):
+        if kind == "mcdropout":
+            return mc_dropout_confidence(model, inputs, mc["passes"],
+                                         mc["rate"], mc_seed, task)
+        f, g = heads
+        return g if kind == "g" else sr_confidence(softmax_rows(f)[0])
+
+    cal = frozen.heads(cal_inputs) if set(kinds) - {"mcdropout"} else None
+    test = frozen.heads(test_inputs)
+    if task == CLASSIFICATION:
+        preds, labels = test[0].argmax(axis=1), test_labels
+    else:
+        preds, labels = (unstandardize_target(v, target_stats)
+                         for v in (test[0], test_labels))
+    return {kind: risk_coverage_curve(
+        scores(kind, cal_inputs, cal, mc_seeds[0]),
+        scores(kind, test_inputs, test, mc_seeds[1]),
+        preds, labels, coverages, task) for kind in kinds}
+
+
 def cross_calibration_grid(models, cal_inputs, test_inputs, test_labels,
                            coverages, target_stats=None):
     """Matrix of selective risks: rows = training coverage, cols = calibration.
 
     Entry (i, j) is the risk of models[i] calibrated on ``cal_inputs`` to
-    coverage ``coverages[j]`` and evaluated on the test split: row i is
-    ``risk_coverage_curve`` of models[i]'s selection scores. Regression
-    risks are in the target's original units when ``target_stats`` is given
-    (see ``predictions_and_scores``).
+    coverage ``coverages[j]`` and evaluated on the test split: row i is the
+    ``g`` curve of ``risk_coverage_curves`` for models[i], in the target's
+    original units when ``target_stats`` is given.
     """
     grid = np.empty((len(models), len(coverages)))
     for i, model in enumerate(models):
-        preds, labels, _, test_scores = predictions_and_scores(
-            model, test_inputs, test_labels, target_stats)
-        curve = risk_coverage_curve(model.selection_scores(cal_inputs),
-                                    test_scores, preds, labels, coverages,
-                                    model.config.task)
+        curve = risk_coverage_curves(model, cal_inputs, test_inputs,
+                                     test_labels, ["g"], coverages,
+                                     target_stats)["g"]
         grid[i] = [risk for _, _, risk in curve]
     return grid
 

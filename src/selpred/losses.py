@@ -91,14 +91,32 @@ def task_loss(kind, prediction, labels):
     raise ConfigurationError(f"unknown task loss {kind!r}")
 
 
+def _class_indices(labels, n_classes):
+    """The 1-D ``labels`` as int64 class indices; DataError naming the first
+    label that is not an integer in [0, n_classes). An integral float
+    passes, as ``load_csv`` reads a class column; a bool or a string never
+    does."""
+    labels = np.asarray(labels)
+    kind = labels.dtype.kind
+    if kind in "iu" and (labels.size == 0 or labels.min() >= 0
+                         and labels.max() < n_classes):
+        return labels.astype(np.int64, copy=False)
+    if kind in "iuf":
+        ok = (labels >= 0) & (labels < n_classes) & (labels == np.floor(labels))
+    else:
+        ok = np.zeros(labels.shape, dtype=bool)
+    if ok.all():
+        return labels.astype(np.int64)
+    raise DataError(f"class label {labels[np.argmin(ok)].item()!r} is not "
+                    f"an integer in [0, {n_classes})")
+
+
 def _cross_entropy(prediction, labels):
     labels = np.asarray(labels)
     m, k = prediction.data.shape
     if labels.shape != (m,):
         raise DataError(f"expected {m} labels, got shape {labels.shape}")
-    idx = labels.astype(np.int64, copy=False)
-    if m and (idx.min() < 0 or idx.max() >= k):
-        raise DataError(f"class label out of range for {k} classes")
+    idx = _class_indices(labels, k)
     rows = np.arange(m)
     p = prediction.data
     log_softmax = getattr(prediction, "log_softmax", None)

@@ -257,8 +257,7 @@ class SelectiveNet:
         Returns ``(predictions, accepted)``: class indices or regression
         values, and a boolean accept mask. Baseline models accept everything.
         """
-        preds, accepted, _ = self.freeze()(x, tau)
-        return preds, accepted
+        return self.freeze()(x, tau)
 
     # -- parameter bookkeeping ------------------------------------------------
 
@@ -392,13 +391,13 @@ class FrozenNet:
         return softmax_rows(z)[0] if self.classification else z[:, 0]
 
     def __call__(self, x, tau=-np.inf):
-        """``(predictions, accepted, g)``: class indices (argmax of the
-        logits) or regression values, the mask g(x) >= tau (all True for the
-        baseline twin) and g(x) (None for the twin)."""
+        """``(predictions, accepted)``: class indices (argmax of the logits)
+        or regression values, and the mask g(x) >= tau (all True for the
+        baseline twin)."""
         f, g = self.heads(x)
         preds = f.argmax(axis=1) if self.classification else f
         accepted = np.ones(len(preds), dtype=bool) if g is None else g >= tau
-        return preds, accepted, g
+        return preds, accepted
 
 
 def build_model(config, seed):

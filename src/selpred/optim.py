@@ -20,13 +20,17 @@ import numpy as np
 from .autograd import Parameters, zero_grads
 from .layers import TRAIN, ConfigurationError, _boolean, _integer, _real
 from .losses import (
+    CROSS_ENTROPY,
+    SQUARED,
     DegenerateCoverageError,
     LossConfig,
+    _class_indices,
     auxiliary_loss,
     selective_loss,
     task_loss,
     total_loss,
 )
+from .model import CLASSIFICATION
 
 __all__ = [
     "TrainConfig",
@@ -198,7 +202,10 @@ def train(model, features, labels, config):
     For a selective model this is alpha*L(f,g) + (1-alpha)*Lh per batch; the
     baseline twin is trained on the plain mean task loss. Returns a
     ``TrainHistory``; the model is updated in place and its
-    ``target_coverage`` is stamped from the loss config.
+    ``target_coverage`` is stamped from the loss config. Before the first
+    update, class labels are checked to be integers in [0, n_classes)
+    (integral floats pass) and the task loss to fit the task: cross-entropy
+    for classification, squared loss for regression.
     """
     config.validate()
     features = np.asarray(features, dtype=np.float64)
@@ -210,7 +217,14 @@ def train(model, features, labels, config):
         raise ConfigurationError(
             f"expected {m} labels for {m} feature rows, "
             f"got shape {labels.shape}")
-    has_bn = model.config.batchnorm
+    arch = model.config
+    kind = config.loss.task_loss
+    if kind != (CROSS_ENTROPY if arch.task == CLASSIFICATION else SQUARED):
+        raise ConfigurationError(
+            f"task_loss {kind!r} does not apply to a {arch.task} model")
+    if arch.task == CLASSIFICATION:
+        labels = _class_indices(labels, arch.n_classes)
+    has_bn = arch.batchnorm
     if has_bn and config.batch_size < 2 and m > 1:
         raise ConfigurationError("batch size must be >= 2 with batchnorm")
 
@@ -224,7 +238,6 @@ def train(model, features, labels, config):
 
     rng = np.random.default_rng(config.seed)
     lcfg = config.loss
-    kind = lcfg.task_loss
     history = TrainHistory()
 
     batches = _batches(range(m), config.batch_size, has_bn)

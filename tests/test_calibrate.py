@@ -135,6 +135,16 @@ class TestCalibrate:
         scores = toy_model.selection_scores(test)
         np.testing.assert_array_equal(accepted, scores >= result.tau)
 
+    @pytest.mark.parametrize("delta", [1.0, 1.5, 0.0, np.nan])
+    def test_delta_outside_zero_one_rejected(self, toy_model, delta):
+        """A bound that holds with probability >= 1 - delta promises
+        nothing at delta >= 1 (``hoeffding_epsilon`` itself takes delta
+        up to 2)."""
+        x = np.random.default_rng(3).normal(size=(400, 4))
+        with pytest.raises(DomainError,
+                           match=rf"^delta must be in \(0, 1\), got {delta}$"):
+            calibrate(toy_model, x, 0.8, delta=delta)
+
     def test_empty_validation_rejected(self, toy_model):
         with pytest.raises(ContractError):
             calibrate(toy_model, np.zeros((0, 4)), 0.8)

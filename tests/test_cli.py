@@ -137,6 +137,19 @@ class TestCalibrate:
         assert float(row["achieved_coverage"]) >= 0.8
         assert 0.0 <= float(row["tau"]) <= 1.0
 
+    @pytest.mark.parametrize("delta", ["1", "1.5"])
+    def test_delta_outside_zero_one_rejected(self, workdir, tmp_path, capsys,
+                                             delta):
+        root, cfg_path = workdir
+        rc = main(["calibrate", "--model", str(root / "run" / "model.ckpt"),
+                   "--config", str(cfg_path), "--coverage", "0.8",
+                   "--delta", delta, "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: delta must be in (0, 1), got {float(delta)}\n")
+        assert not (tmp_path / "calibration.csv").exists()
+        assert not (tmp_path / "model_calibrated.ckpt").exists()
+
 
 class TestEvaluate:
     def test_calibrated_evaluation(self, workdir, tmp_path, capsys):
@@ -155,6 +168,27 @@ class TestEvaluate:
                    "--config", str(cfg_path), "--tau", "0"])
         assert rc == 0
         assert "coverage=1.0000" in capsys.readouterr().out
+
+    def test_nan_tau_rejected_before_any_file_is_read(self, tmp_path,
+                                                      capsys):
+        rc = main(["evaluate", "--model", str(tmp_path / "missing.ckpt"),
+                   "--config", str(tmp_path / "missing.yaml"),
+                   "--tau", "nan", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: --tau must be a number, got nan\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_infinite_taus_stay_valid(self, workdir, capsys):
+        root, cfg_path = workdir
+        argv = ["evaluate", "--model", str(root / "run" / "model.ckpt"),
+                "--config", str(cfg_path)]
+        assert main(argv + ["--tau=-inf"]) == 0
+        assert "coverage=1.0000" in capsys.readouterr().out
+        # +inf accepts nothing, so the risk, not the flag, is refused
+        assert main(argv + ["--tau", "inf"]) == 1
+        assert capsys.readouterr().err == (
+            "error: no accepted samples; selective risk undefined\n")
 
 
 class TestCurve:
@@ -232,18 +266,44 @@ class TestGrid:
         assert data[0] == "train_coverage,calib_0.9,calib_0.7"
         assert len(data) == 2
 
+    @staticmethod
+    def _grid_row_and_curve_risks(cfg_path, ckpt, out):
+        """The grid row of ``ckpt`` and the ``curve --score g`` risks at the
+        same coverages, each as written to its CSV."""
+        coverages = "1.0,0.9,0.8,0.6"
+        for argv in (["curve", "--model", ckpt, "--score", "g",
+                      "--out", str(out / "curve")],
+                     ["grid", "--models", ckpt, "--out", str(out / "grid")]):
+            assert main(argv + ["--coverages", coverages,
+                                "--config", str(cfg_path)]) == 0
+        _, curve = _read_csv(out / "curve" / "curve.csv")
+        _, grid = _read_csv(out / "grid" / "grid.csv")
+        return (grid[1].split(",")[1:],
+                [row.split(",")[2] for row in curve[1:]])
+
     def test_regression_risk_in_original_units(self, tmp_path):
         cfg_path = _regression_config(tmp_path)
         ckpt = str(tmp_path / "run" / "model.ckpt")
-        for argv in (["train", "--out", str(tmp_path / "run")],
-                     ["curve", "--model", ckpt, "--coverages", "1.0",
-                      "--out", str(tmp_path / "curve")],
-                     ["grid", "--models", ckpt, "--coverages", "1.0",
-                      "--out", str(tmp_path / "grid")]):
-            assert main(argv + ["--config", str(cfg_path)]) == 0
-        _, curve = _read_csv(tmp_path / "curve" / "curve.csv")
-        _, grid = _read_csv(tmp_path / "grid" / "grid.csv")
-        assert float(grid[1].split(",")[1]) == float(curve[1].split(",")[2])
+        assert main(["train", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run")]) == 0
+        row, curve = self._grid_row_and_curve_risks(cfg_path, ckpt, tmp_path)
+        assert row == curve and len(row) == 4
+
+    def test_classification_row_equals_the_g_curve(self, workdir, tmp_path):
+        root, cfg_path = workdir
+        row, curve = self._grid_row_and_curve_risks(
+            cfg_path, str(root / "run" / "model.ckpt"), tmp_path)
+        assert row == curve and len(row) == 4
+
+    def test_one_frozen_forward_per_model_and_split(self, workdir, tmp_path,
+                                                    monkeypatch):
+        root, cfg_path = workdir
+        models = ",".join(str(root / "run" / name) for name in
+                          ("model.ckpt", "model_calibrated.ckpt"))
+        counts = _count_heads_per_split(monkeypatch, cfg_path, [
+            "grid", "--models", models, "--config", str(cfg_path),
+            "--coverages", "1.0,0.8,0.6", "--out", str(tmp_path)])
+        assert counts == {"cal": 2, "test": 2}
 
 
 class TestCompare:

@@ -50,6 +50,24 @@ class TestTaskLoss:
         with pytest.raises(DataError):
             task_loss(CROSS_ENTROPY, Tensor([[0.5, 0.5]]), [2])
 
+    @pytest.mark.parametrize("labels, first", [
+        ([0.0, 1.7], "1.7"), ([0, -1], "-1"), ([0.0, np.nan], "nan"),
+        (["1", "0"], "'1'"), ([True, False], "True"),
+    ], ids=["fraction", "negative", "nan", "string", "bool"])
+    def test_cross_entropy_label_that_is_not_a_class_index(self, labels,
+                                                           first):
+        """A fractional label would be truncated by ``astype(int64)``, and
+        a string or a bool read as its integer."""
+        with pytest.raises(DataError, match=rf"^class label {first} is not "
+                                            r"an integer in \[0, 2\)$"):
+            task_loss(CROSS_ENTROPY, Tensor([[0.5, 0.5], [0.5, 0.5]]), labels)
+
+    def test_cross_entropy_integral_float_labels_are_indices(self):
+        pred = Tensor([[0.25, 0.75], [0.5, 0.5]])
+        np.testing.assert_array_equal(
+            task_loss(CROSS_ENTROPY, pred, [1.0, 0.0]).data,
+            task_loss(CROSS_ENTROPY, pred, [1, 0]).data)
+
     def test_squared_hand(self):
         out = task_loss(SQUARED, Tensor([3.0]), [1.0])
         assert out.data[0] == pytest.approx(4.0, abs=1e-15)

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from selpred.autograd import Parameters, Tensor, zero_grads
 from selpred.layers import ConfigurationError
-from selpred.losses import CROSS_ENTROPY, LossConfig
+from selpred.losses import CROSS_ENTROPY, SQUARED, DataError, LossConfig
 from selpred.model import CLASSIFICATION, REGRESSION, ArchitectureConfig, build_model
 from selpred.optim import (
     SGD,
@@ -305,6 +305,61 @@ class TestTrainLoop:
         with pytest.raises(ConfigurationError, match="300 labels"):
             train(_toy_model(), x, np.concatenate([y, y[:100]]),
                   _toy_train_config(epochs=1))
+
+    @pytest.mark.parametrize("bad, first", [
+        (7, "7"), (1.7, "1.7"), (-1, "-1"), (np.nan, "nan")],
+        ids=["out-of-range", "fraction", "negative", "nan"])
+    def test_bad_label_in_last_batch_rejected_before_any_update(self, bad,
+                                                                first):
+        """The last batch's label would otherwise fail only after every
+        earlier batch had changed the parameters (or, for 1.7, train as
+        class 1)."""
+        x, y = _toy_dataset(m=300)
+        y = np.append(y[:-1], bad)  # int64 but for the float labels
+        model = _toy_model()
+        before = [a.tobytes() for a in model.state()]
+        with pytest.raises(DataError, match=rf"^class label {first} is not "
+                                            r"an integer in \[0, 2\)$"):
+            train(model, x, y, _toy_train_config(epochs=1, shuffle=False))
+        assert [a.tobytes() for a in model.state()] == before
+
+    @pytest.mark.parametrize("labels", [
+        lambda y: y.astype(str), lambda y: y.astype(bool)],
+        ids=["string", "bool"])
+    def test_non_numeric_labels_rejected(self, labels):
+        x, y = _toy_dataset(m=300)
+        with pytest.raises(DataError, match="^class label .* is not an "
+                                            "integer"):
+            train(_toy_model(), x, labels(y), _toy_train_config(epochs=1))
+
+    def test_integral_float_labels_train_as_their_integers(self):
+        x, y = _toy_dataset(m=300)
+        cfg = _toy_train_config(epochs=2)
+        as_ints = _toy_model()
+        as_floats = _toy_model()
+        assert (train(as_floats, x, y.astype(np.float64), cfg)
+                == train(as_ints, x, y, cfg))
+        assert (as_floats.state()[0].tobytes()
+                == as_ints.state()[0].tobytes())
+
+    def test_cross_entropy_on_a_regression_model_rejected(self):
+        x, y = _toy_dataset(m=300)
+        model = build_model(ArchitectureConfig(
+            input_dim=4, body_widths=[8], task=REGRESSION,
+            selection_hidden=4), 0)
+        with pytest.raises(ConfigurationError,
+                           match="^task_loss 'cross-entropy' does not apply "
+                                 "to a regression model$"):
+            train(model, x, y.astype(np.float64), _toy_train_config(epochs=1))
+
+    def test_squared_loss_on_a_classifier_rejected(self):
+        x, y = _toy_dataset(m=300)
+        cfg = _toy_train_config(epochs=1,
+                                loss=LossConfig(task_loss=SQUARED))
+        with pytest.raises(ConfigurationError,
+                           match="^task_loss 'squared' does not apply to a "
+                                 "classification model$"):
+            train(_toy_model(), x, y, cfg)
 
     def test_fewer_labels_than_rows_rejected(self):
         x, y = _toy_dataset(m=300)
