@@ -349,31 +349,34 @@ def square(x):
 
 
 class Parameters(tuple):
-    """Leaf tensors whose ``data`` and ``grad`` are views of two contiguous
-    float64 buffers, ``self.data`` and ``self.grad``, in member order.
+    """``Parameter`` leaves whose ``data`` and ``grad`` are views of two
+    contiguous float64 buffers, ``self.data`` and ``self.grad``, in member
+    order.
 
     Building one moves the members' values and gradients into the buffers;
     from then on an in-place update of a buffer is an update of every
     member, which lets an optimizer step be one vectorized operation.
 
-    Each member becomes a held ``Parameter`` (a plain ``Tensor`` is switched
-    to one) whose ``data`` and ``grad`` stay its views for good: assigning
-    to either copies into the view, so the two buffers always hold every
-    member's state. A tensor is held by one ``Parameters`` at most: one
-    that another already holds, or one listed twice, raises ValueError
-    before any member is touched, as does a ``grad`` whose shape is not its
-    tensor's (ShapeError).
+    A held member's ``data`` and ``grad`` stay its views for good:
+    assigning to either copies into the view, so the two buffers always
+    hold every member's state. Each member must be a ``Parameter``
+    (TypeError), held by no other ``Parameters`` and listed once
+    (ValueError), with no ``grad`` or one of its tensor's shape
+    (ShapeError); a violation raises before any member is touched.
     """
 
     def __init__(self, tensors):
-        if len({id(p) for p in self}) != len(self):
-            raise ValueError("a tensor is listed twice")
         for p in self:
-            if isinstance(p, Parameter) and p._held:
+            if not isinstance(p, Parameter):
+                raise TypeError(f"a Parameters holds Parameter leaves, "
+                                f"got {type(p).__name__}")
+            if p._held:
                 raise ValueError("a tensor is already held by a Parameters")
             if p.grad is not None and np.shape(p.grad) != p.data.shape:
                 raise ShapeError(f"grad shape {np.shape(p.grad)} does not "
                                  f"match {p.data.shape}")
+        if len({id(p) for p in self}) != len(self):
+            raise ValueError("a tensor is listed twice")
         self.data = np.concatenate(
             [p.data.reshape(-1) for p in self] or [np.zeros(0)])
         self.grad = np.zeros_like(self.data)
@@ -384,8 +387,6 @@ class Parameters(tuple):
             grad = self.grad[offset:end].reshape(shape)
             if p.grad is not None:
                 grad[...] = p.grad
-            if not isinstance(p, Parameter):
-                p.__class__ = Parameter
             store(p, "data", self.data[offset:end].reshape(shape))
             store(p, "grad", grad)
             store(p, "_held", True)
@@ -398,10 +399,8 @@ class Parameter(Tensor):
     into the view instead of rebinding it: an array is copied (ShapeError
     on a shape mismatch), and ``grad = None`` zeroes the view. Training
     stores no attribute on a parameter, so the hook costs a step nothing.
-    Layers build their leaves as this class; a plain ``Tensor`` put into a
-    ``Parameters`` is switched to it, and CPython then reads its attributes
-    more slowly. Building a leaf and putting it into a ``Parameters`` run
-    the hook no time."""
+    Building a leaf and putting it into a ``Parameters`` run the hook no
+    time."""
 
     _held = False  # set once a Parameters holds it
 

@@ -19,6 +19,7 @@ import argparse
 import hashlib
 import inspect
 import os
+import re
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -428,6 +429,13 @@ def cmd_compare(args):
 # -- entry point --------------------------------------------------------------
 
 
+# argparse reads an argument that starts with "-" as an option unless it
+# looks like a negative number, by default a plain decimal; this widens the
+# test to every negative float literal, so "--tau -inf" and "--delta -1e-3"
+# reach their flags' checks.
+_NEGATIVE_NUMBER = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="selpred",
@@ -480,6 +488,8 @@ def build_parser():
     m.add_argument("--seeds")
     m.add_argument("--out", required=True)
     m.set_defaults(func=cmd_compare)
+    for sp in (t, c, e):  # the subcommands with float flags
+        sp._negative_number_matcher = _NEGATIVE_NUMBER
     return p
 
 

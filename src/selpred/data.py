@@ -15,7 +15,7 @@ from .layers import (
     _integer,
     _real,
 )
-from .model import BLOCK_ROWS, CLASSIFICATION, REGRESSION
+from .model import CLASSIFICATION, REGRESSION
 
 __all__ = [
     "Dataset",
@@ -276,11 +276,7 @@ def synth_classification(seed, m, n_classes, n_features, noise_fraction):
     clean_labels = rng.integers(0, n_classes, size=n_clean)
     rng.standard_normal(out=clean_x)
     clean_x *= 0.8
-    # the class centers, gathered BLOCK_ROWS rows at a time: no full-size
-    # temporary
-    for start in range(0, n_clean, BLOCK_ROWS):
-        rows = slice(start, start + BLOCK_ROWS)
-        clean_x[rows] += np.take(centers, clean_labels[rows], axis=0)
+    clean_x += np.take(centers, clean_labels, axis=0)
     noise_labels = rng.integers(0, n_classes, size=n_noise)
     rng.standard_normal(out=features[n_clean:])
 

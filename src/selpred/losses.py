@@ -42,12 +42,6 @@ __all__ = [
 CROSS_ENTROPY = "cross-entropy"
 SQUARED = "squared"
 
-# Floor on a plain probability inside the log, so cross-entropy stays finite
-# when it is given probabilities that are exactly zero. Softmax outputs
-# carry their exact log-probabilities and need no floor.
-_CE_FLOOR = 1e-12
-
-
 class DegenerateCoverageError(ValueError):
     """All selection values are zero: the selective risk is undefined."""
 
@@ -78,11 +72,10 @@ class DataError(ValueError):
 def task_loss(kind, prediction, labels):
     """Per-sample loss vector for the given task loss, as one node.
 
-    Cross-entropy expects row-stochastic predictions and integer class
-    labels. On a ``softmax`` output it is log-softmax cross-entropy on the
-    logits, with gradient ``p - onehot``; on plain probabilities it is
-    ``-log(max(p_true, 1e-12))``. Squared loss expects a real prediction
-    (any shape with one value per sample) and real targets.
+    Cross-entropy takes a ``softmax`` output (ContractError for anything
+    else) and integer class labels; it is log-softmax cross-entropy on the
+    logits, with gradient ``p - onehot``. Squared loss expects a real
+    prediction (any shape with one value per sample) and real targets.
     """
     if kind == CROSS_ENTROPY:
         return _cross_entropy(prediction, labels)
@@ -112,6 +105,9 @@ def _class_indices(labels, n_classes):
 
 
 def _cross_entropy(prediction, labels):
+    log_softmax = getattr(prediction, "log_softmax", None)
+    if log_softmax is None:
+        raise ContractError("cross-entropy takes a softmax output")
     labels = np.asarray(labels)
     m, k = prediction.data.shape
     if labels.shape != (m,):
@@ -119,28 +115,16 @@ def _cross_entropy(prediction, labels):
     idx = _class_indices(labels, k)
     rows = np.arange(m)
     p = prediction.data
-    log_softmax = getattr(prediction, "log_softmax", None)
-    if log_softmax is not None:
-        logits, shifted, row_sums = log_softmax
-
-        def backward(g):
-            dz = p.copy()
-            dz.ravel()[rows * k + idx] -= 1.0
-            dz *= g[:, None]
-            logits._accum(dz, owned=True)
-
-        return Tensor._op(np.log(row_sums[:, 0]) - shifted[rows, idx],
-                          (logits,), backward)
-
-    true_prob = p[rows, idx]
-    floored = np.maximum(true_prob, _CE_FLOOR)
+    logits, shifted, row_sums = log_softmax
 
     def backward(g):
-        dp = np.zeros_like(p)
-        dp[rows, idx] = np.where(true_prob > _CE_FLOOR, -g / floored, 0.0)
-        prediction._accum(dp, owned=True)
+        dz = p.copy()
+        dz.ravel()[rows * k + idx] -= 1.0
+        dz *= g[:, None]
+        logits._accum(dz, owned=True)
 
-    return Tensor._op(-np.log(floored), (prediction,), backward)
+    return Tensor._op(np.log(row_sums[:, 0]) - shifted[rows, idx],
+                      (logits,), backward)
 
 
 def _squared(prediction, labels):

@@ -60,10 +60,9 @@ BLOCK_ROWS = 8192
 class ArchitectureConfig:
     """Widths and switches defining the network.
 
-    ``dropout_rate=None`` means no dropout layers at all; a numeric rate
-    places a dropout layer after every hidden activation. Rate 0.0 layers
-    are the identity, so ``None`` and ``0.0`` both train without dropout.
-    The MC-dropout baseline needs neither: it applies its own rate to the
+    A ``dropout_rate`` above 0 places a dropout layer after every body
+    block's activation; ``None`` and ``0.0`` build no dropout layer at all.
+    The MC-dropout baseline needs none: it applies its own rate to the
     frozen body.
     """
 
@@ -89,8 +88,10 @@ class ArchitectureConfig:
             raise ConfigurationError(f"invalid body widths {self.body_widths}")
         if _integer(self.selection_hidden, "selection_hidden") < 1:
             raise ConfigurationError("selection_hidden must be positive")
-        if self.dropout_rate is not None:
-            _real(self.dropout_rate, "dropout_rate")
+        if (self.dropout_rate is not None
+                and not 0.0 <= _real(self.dropout_rate, "dropout_rate") < 1.0):
+            raise ConfigurationError(
+                f"dropout rate must be in [0,1), got {self.dropout_rate}")
         for name in ("batchnorm", "auxiliary_head"):
             _boolean(getattr(self, name), name)
         if self.task == CLASSIFICATION:
@@ -102,13 +103,13 @@ class ArchitectureConfig:
 
 class _Block:
     """One hidden block: dense -> [batchnorm] -> relu -> [dropout]. The
-    dense, batchnorm and relu are one fused node when batchnorm is on."""
+    dense, batchnorm and relu are one fused node when batchnorm is on; the
+    dropout layer exists only for a rate above 0."""
 
     def __init__(self, in_dim, out_dim, batchnorm, dropout_rate, rng):
         self.dense = DenseLayer(in_dim, out_dim, rng, init="he")
         self.bn = BatchNormLayer(out_dim) if batchnorm else None
-        self.dropout = (DropoutLayer(dropout_rate)
-                        if dropout_rate is not None else None)
+        self.dropout = DropoutLayer(dropout_rate) if dropout_rate else None
 
     def __call__(self, x, rng=None):
         if self.bn is None:

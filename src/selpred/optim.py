@@ -92,9 +92,12 @@ class TrainHistory:
     selective_risk: list = field(default_factory=list)
 
 
-def _flat(params):
-    """``params`` as one ``Parameters`` buffer (a model's is used as is)."""
-    return params if isinstance(params, Parameters) else Parameters(params)
+def _checked(params):
+    """``params`` if it is a ``Parameters``, else TypeError."""
+    if not isinstance(params, Parameters):
+        raise TypeError(f"an optimizer takes a Parameters (say "
+                        f"model.parameters()), got {type(params).__name__}")
+    return params
 
 
 class SGD:
@@ -104,12 +107,12 @@ class SGD:
 
     One vectorized update per step over the flat ``Parameters`` buffers,
     read as ``params.data`` and ``params.grad``; a gradient that was never
-    set, or set to None, is zero there. ``params`` is a model's
-    ``Parameters`` or a list of tensors that no ``Parameters`` holds yet.
+    set, or set to None, is zero there. ``params`` is a ``Parameters``,
+    such as ``model.parameters()``; anything else raises TypeError.
     """
 
     def __init__(self, params, lr, momentum=0.9, weight_decay=0.0):
-        self.params = _flat(params)
+        self.params = _checked(params)
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
@@ -140,7 +143,7 @@ class Adam:
     eps = 1e-8
 
     def __init__(self, params, lr, weight_decay=0.0):
-        self.params = _flat(params)
+        self.params = _checked(params)
         self.lr = lr
         self.weight_decay = weight_decay
         self.step_count = 0

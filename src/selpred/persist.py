@@ -9,9 +9,10 @@ declaration order, then every batchnorm running statistic. The binary
 payload makes round-trips bit-exact; the text header keeps files
 inspectable.
 
-A save writes a temporary file in the target's directory and then renames
-it over the target, so an interrupted save leaves any previous checkpoint
-intact.
+A save writes a temporary file in the target's directory, fsyncs it,
+renames it over the target and fsyncs the directory, so an interrupted
+save, or a crash after it, leaves either the previous checkpoint or the
+new one whole.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ def _state(model):
 
 
 def save_model(model, calibration, path):
-    """Write a checkpoint of ``model`` and its calibration (or None)."""
+    """Write a checkpoint of ``model`` and its calibration (or None),
+    durably: the file and then its directory entry are fsynced."""
     buffers, sizes = _state(model)
     header = {
         "format_version": FORMAT_VERSION,
@@ -74,7 +76,14 @@ def save_model(model, calibration, path):
         with open(tmp, "wb") as fh:
             fh.write(body)
             fh.write(hashlib.sha256(body).digest()[:8])
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
+        directory = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

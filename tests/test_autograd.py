@@ -9,6 +9,7 @@ import pytest
 from selpred.autograd import (
     DomainError,
     GradCheckError,
+    Parameter,
     Parameters,
     ShapeError,
     Tensor,
@@ -132,8 +133,8 @@ class TestBackward:
 
 class TestParameters:
     def test_members_are_views_of_the_buffers(self):
-        a = Tensor([[1.0, 2.0]], requires_grad=True)
-        b = Tensor(3.0, requires_grad=True)
+        a = Parameter([[1.0, 2.0]], requires_grad=True)
+        b = Parameter(3.0, requires_grad=True)
         ps = Parameters([a, b])
         np.testing.assert_array_equal(ps.data, [1.0, 2.0, 3.0])
         ps.data += 1.0
@@ -145,7 +146,7 @@ class TestParameters:
         assert not ps.grad.any() and a.grad is not None
 
     def test_assignments_write_into_the_buffers(self):
-        a = Tensor([1.0, 2.0], requires_grad=True)
+        a = Parameter([1.0, 2.0], requires_grad=True)
         ps = Parameters([a])
         a.data = np.array([5.0, 6.0])
         a.grad = None
@@ -155,7 +156,7 @@ class TestParameters:
         np.testing.assert_array_equal(ps.data, [6.0, 7.0])
 
     def test_data_assignment_writes_through(self):
-        a = Tensor([1.0, 2.0], requires_grad=True)
+        a = Parameter([1.0, 2.0], requires_grad=True)
         ps = Parameters([a])
         view, grad = a.data, a.grad
         a.data = np.array([5.0, 6.0])
@@ -177,7 +178,7 @@ class TestParameters:
     def test_members_do_not_keep_their_parameters_alive(self):
         """A dropped buffer and its members are freed at once, not left to
         the cyclic garbage collector."""
-        a = Tensor([1.0, 2.0], requires_grad=True)
+        a = Parameter([1.0, 2.0], requires_grad=True)
         ps = Parameters([a])
         member = weakref.ref(a)
         gc.disable()
@@ -188,18 +189,35 @@ class TestParameters:
             gc.enable()
 
     def test_grad_assignment_rejects_wrong_shapes(self):
-        a = Tensor([1.0, 2.0], requires_grad=True)
+        a = Parameter([1.0, 2.0], requires_grad=True)
         ps = Parameters([a])
         with pytest.raises(ShapeError):
             a.grad = np.zeros(3)
         np.testing.assert_array_equal(ps.grad, [0.0, 0.0])
         # a wrong-shaped grad is refused before any member is taken
-        b, c = Tensor([1.0, 2.0]), Tensor([3.0])
+        b, c = Parameter([1.0, 2.0]), Parameter([3.0])
         c.grad = np.zeros(2)
+        data = b.data
         with pytest.raises(ShapeError):
             Parameters([b, c])
-        assert type(b) is Tensor and type(c) is Tensor
+        assert b.data is data and not b._held and not c._held
         Parameters([b])
+
+    def test_plain_tensor_rejected_before_any_member_is_touched(self):
+        """Only ``Parameter`` leaves are held: a plain tensor raises
+        TypeError and keeps its class and attributes, and so does every
+        other member."""
+        a = Parameter([1.0, 2.0], requires_grad=True)
+        t = Tensor([3.0], requires_grad=True)
+        t.grad = np.array([4.0])
+        data, attrs = a.data, dict(vars(t))
+        for members in ([t], [a, t]):
+            with pytest.raises(TypeError):
+                Parameters(members)
+            assert type(t) is Tensor and vars(t).keys() == attrs.keys()
+            assert all(getattr(t, k) is v for k, v in attrs.items())
+            assert a.data is data and a.grad is None and not a._held
+        Parameters([a])
 
 
 class TestFiniteDifferenceCheck:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from selpred.cli import main, prepare_splits
+from selpred.cli import build_parser, main, prepare_splits
 from selpred.data import SplitSpec
 from selpred.layers import ConfigurationError
 from selpred.losses import LossConfig
@@ -137,7 +137,7 @@ class TestCalibrate:
         assert float(row["achieved_coverage"]) >= 0.8
         assert 0.0 <= float(row["tau"]) <= 1.0
 
-    @pytest.mark.parametrize("delta", ["1", "1.5"])
+    @pytest.mark.parametrize("delta", ["1", "1.5", "-1e-3"])
     def test_delta_outside_zero_one_rejected(self, workdir, tmp_path, capsys,
                                              delta):
         root, cfg_path = workdir
@@ -184,6 +184,9 @@ class TestEvaluate:
         argv = ["evaluate", "--model", str(root / "run" / "model.ckpt"),
                 "--config", str(cfg_path)]
         assert main(argv + ["--tau=-inf"]) == 0
+        assert "coverage=1.0000" in capsys.readouterr().out
+        # the value as its own argument, though it starts with a dash
+        assert main(argv + ["--tau", "-inf"]) == 0
         assert "coverage=1.0000" in capsys.readouterr().out
         # +inf accepts nothing, so the risk, not the flag, is refused
         assert main(argv + ["--tau", "inf"]) == 1
@@ -680,6 +683,22 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as e:
             main(["train", "--no-such-flag"])
         assert e.value.code == 2
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["train", "--config", "c", "--out", "o", "--coverage"], "coverage"),
+        (["calibrate", "--model", "m", "--config", "c", "--out", "o",
+          "--coverage", "0.8", "--delta"], "delta"),
+        (["calibrate", "--model", "m", "--config", "c", "--out", "o",
+          "--coverage"], "coverage"),
+        (["evaluate", "--model", "m", "--config", "c", "--tau"], "tau"),
+    ], ids=["train-coverage", "calibrate-delta", "calibrate-coverage",
+            "evaluate-tau"])
+    @pytest.mark.parametrize("value", ["-inf", "-1e-3", "-0.5"])
+    def test_float_flag_takes_a_leading_dash_value(self, argv, flag, value):
+        """A dash-led float literal parses as the flag's value, not as an
+        unknown option; the command's own checks then judge it."""
+        got = getattr(build_parser().parse_args(argv + [value]), flag)
+        np.testing.assert_equal(got, float(value))
 
     def test_runtime_failure_is_one(self, tmp_path, capsys):
         missing = tmp_path / "nope.yaml"

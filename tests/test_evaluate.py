@@ -92,11 +92,15 @@ class TestMCDropout:
         np.testing.assert_array_equal(a, b)
         assert np.any(a < 0.0)
 
-    def test_rate_restored_after_call(self, dropout_model):
+    def test_rate_restored_after_call(self):
+        cfg = ArchitectureConfig(input_dim=5, body_widths=[12],
+                                 task=CLASSIFICATION, n_classes=3,
+                                 selection_hidden=8, dropout_rate=0.25)
+        model = build_model(cfg, seed=0)
         x = np.zeros((4, 5))
-        mc_dropout_confidence(dropout_model, x, passes=5, rate=0.5,
+        mc_dropout_confidence(model, x, passes=5, rate=0.5,
                               seed=0, task=CLASSIFICATION)
-        assert all(b.dropout.rate == 0.0 for b in dropout_model.body)
+        assert all(b.dropout.rate == 0.25 for b in model.body)
 
     @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
     def test_needs_no_dropout_layers(self, task):

@@ -29,6 +29,7 @@ from oracles import (
 )
 from selpred import optim
 from selpred.autograd import (
+    Parameters,
     Tensor,
     finite_difference_check,
     relu,
@@ -485,23 +486,6 @@ def test_cross_entropy_node(m):
     assert finite_difference_check(fused, [z]) < 1e-6
 
 
-def test_cross_entropy_on_plain_probabilities():
-    rng = np.random.default_rng(5)
-    p = Tensor(rng.uniform(0.1, 1.0, size=(6, 3)), requires_grad=True)
-    labels = rng.integers(0, 3, size=6)
-    probe = Tensor(rng.normal(size=6))
-    onehot = np.zeros((6, 3))
-    onehot[np.arange(6), labels] = 1.0
-
-    def fused():
-        return (task_loss(CROSS_ENTROPY, p, labels) * probe).sum()
-
-    compare([p], fused,
-            lambda: ((log((p * Tensor(onehot)).sum(axis=1)) * -1.0)
-                     * probe).sum())
-    assert finite_difference_check(fused, [p]) < 1e-6
-
-
 @pytest.mark.parametrize("m", BATCHES)
 def test_squared_node(m):
     rng = np.random.default_rng(40 + m)
@@ -738,7 +722,7 @@ def ref_train_forward(model, x, rng):
     return f, g, model._head_output(model.h_head, rep)
 
 
-ADAM_DEFAULTS = Adam([], 1.0)
+ADAM_DEFAULTS = Adam(Parameters([]), 1.0)
 
 
 def ref_adam_step(params, state, lr, cfg):

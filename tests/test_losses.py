@@ -23,32 +23,32 @@ from selpred.losses import (
 
 class TestTaskLoss:
     def test_cross_entropy_certain_correct(self):
-        pred = Tensor([[1.0, 0.0]])
+        pred = softmax(Tensor([[40.0, 0.0]]))
         out = task_loss(CROSS_ENTROPY, pred, [0])
         assert out.data[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_cross_entropy_uniform_ten_classes(self):
-        pred = Tensor(np.full((1, 10), 0.1))
+        pred = softmax(Tensor(np.zeros((1, 10))))
         out = task_loss(CROSS_ENTROPY, pred, [3])
         assert out.data[0] == pytest.approx(np.log(10.0), abs=1e-12)
 
-    def test_cross_entropy_clamps_zero_probability(self):
-        pred = Tensor([[0.0, 1.0]])
-        out = task_loss(CROSS_ENTROPY, pred, [0])
-        assert np.isfinite(out.data[0])
-
     def test_cross_entropy_confidently_wrong_softmax(self):
-        # log-softmax: the loss is not capped at -log(1e-12) = 27.6 and the
-        # gradient does not vanish on a confidently wrong sample
+        # log-softmax: the loss is not capped and the gradient does not
+        # vanish on a confidently wrong sample
         logits = Tensor([[40.0, 0.0, 0.0]], requires_grad=True)
         out = task_loss(CROSS_ENTROPY, softmax(logits), [1])
         assert out.data[0] == pytest.approx(40.0, abs=1e-12)
         out.sum().backward()
         np.testing.assert_allclose(logits.grad, [[1.0, -1.0, 0.0]], atol=1e-12)
 
+    def test_cross_entropy_takes_only_a_softmax_output(self):
+        probs = np.array([[0.25, 0.75], [0.5, 0.5]])
+        with pytest.raises(ContractError, match="softmax output"):
+            task_loss(CROSS_ENTROPY, Tensor(probs), [1, 0])
+
     def test_cross_entropy_label_out_of_range(self):
         with pytest.raises(DataError):
-            task_loss(CROSS_ENTROPY, Tensor([[0.5, 0.5]]), [2])
+            task_loss(CROSS_ENTROPY, softmax(Tensor(np.zeros((1, 2)))), [2])
 
     @pytest.mark.parametrize("labels, first", [
         ([0.0, 1.7], "1.7"), ([0, -1], "-1"), ([0.0, np.nan], "nan"),
@@ -60,10 +60,11 @@ class TestTaskLoss:
         a string or a bool read as its integer."""
         with pytest.raises(DataError, match=rf"^class label {first} is not "
                                             r"an integer in \[0, 2\)$"):
-            task_loss(CROSS_ENTROPY, Tensor([[0.5, 0.5], [0.5, 0.5]]), labels)
+            task_loss(CROSS_ENTROPY, softmax(Tensor(np.zeros((2, 2)))),
+                      labels)
 
     def test_cross_entropy_integral_float_labels_are_indices(self):
-        pred = Tensor([[0.25, 0.75], [0.5, 0.5]])
+        pred = softmax(Tensor(np.log([[0.25, 0.75], [0.5, 0.5]])))
         np.testing.assert_array_equal(
             task_loss(CROSS_ENTROPY, pred, [1.0, 0.0]).data,
             task_loss(CROSS_ENTROPY, pred, [1, 0]).data)

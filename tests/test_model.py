@@ -7,6 +7,7 @@ import pytest
 
 from selpred.autograd import ShapeError
 from selpred.layers import TRAIN, ConfigurationError
+from selpred.losses import CROSS_ENTROPY, SQUARED, LossConfig
 from selpred.model import (
     CLASSIFICATION,
     REGRESSION,
@@ -14,6 +15,7 @@ from selpred.model import (
     build_baseline,
     build_model,
 )
+from selpred.optim import TrainConfig, train
 
 
 def regression_config(**kw):
@@ -86,6 +88,37 @@ class TestConstruction:
     def test_body_widths_must_be_a_list(self):
         with pytest.raises(ConfigurationError, match="invalid body widths"):
             build_model(regression_config(body_widths=8), seed=0)
+
+    @pytest.mark.parametrize("rate", [-0.1, 1.0, 1.5])
+    def test_dropout_rate_out_of_range_rejected(self, rate):
+        with pytest.raises(ConfigurationError,
+                           match=rf"^dropout rate must be in \[0,1\), "
+                                 rf"got {rate}$"):
+            build_model(regression_config(dropout_rate=rate), seed=0)
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("config", [classification_config,
+                                        regression_config])
+    def test_zero_dropout_rate_builds_no_dropout_layer(self, config,
+                                                       optimizer):
+        """``dropout_rate`` 0.0 and None build the same layers, so they
+        train to the same state, byte for byte."""
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(40, 8))
+        y = (rng.integers(0, 4, size=40) if config is classification_config
+             else rng.normal(size=40))
+        states = []
+        for rate in (None, 0.0):
+            model = build_model(config(dropout_rate=rate), seed=2)
+            assert all(block.dropout is None
+                       for block in (*model.body, model.g_block))
+            train(model, x, y, TrainConfig(
+                optimizer=optimizer, epochs=3, batch_size=16,
+                learning_rate=1e-2, loss=LossConfig(task_loss=(
+                    CROSS_ENTROPY if config is classification_config
+                    else SQUARED))))
+            states.append(b"".join(a.tobytes() for a in model.state()))
+        assert states[0] == states[1]
 
 
 class TestForward:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from selpred.autograd import Parameters, Tensor, zero_grads
+from selpred.autograd import Parameter, Parameters, zero_grads
 from selpred.layers import ConfigurationError
 from selpred.losses import CROSS_ENTROPY, SQUARED, DataError, LossConfig
 from selpred.model import CLASSIFICATION, REGRESSION, ArchitectureConfig, build_model
@@ -67,14 +67,14 @@ class TestTrainConfigValidation:
 
 class TestSGD:
     def test_first_step_is_plain_gradient(self):
-        p = Tensor([1.0], requires_grad=True)
+        p = Parameter([1.0], requires_grad=True)
         p.grad = np.array([2.0])
-        SGD([p], lr=0.1, momentum=0.9).step()
+        SGD(Parameters([p]), lr=0.1, momentum=0.9).step()
         assert p.data[0] == pytest.approx(0.8, abs=1e-15)
 
     def test_momentum_accumulates(self):
-        p = Tensor([0.0], requires_grad=True)
-        opt = SGD([p], lr=1.0, momentum=0.5)
+        p = Parameter([0.0], requires_grad=True)
+        opt = SGD(Parameters([p]), lr=1.0, momentum=0.5)
         p.grad = np.array([1.0])
         opt.step()  # v=1, p=-1
         p.grad = np.array([1.0])
@@ -82,17 +82,17 @@ class TestSGD:
         assert p.data[0] == pytest.approx(-2.5, abs=1e-12)
 
     def test_weight_decay_pulls_toward_zero(self):
-        p = Tensor([10.0], requires_grad=True)
+        p = Parameter([10.0], requires_grad=True)
         p.grad = np.array([0.0])
-        SGD([p], lr=0.1, momentum=0.0, weight_decay=0.1).step()
+        SGD(Parameters([p]), lr=0.1, momentum=0.0, weight_decay=0.1).step()
         assert p.data[0] == pytest.approx(10.0 - 0.1 * 0.1 * 10.0, abs=1e-12)
 
 
     def test_one_step_closed_form(self):
         # two parameters in one flat buffer; decay outside the momentum buffer
-        a = Tensor([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)
-        b = Tensor([4.0], requires_grad=True)
-        opt = SGD([a, b], lr=0.1, momentum=0.9, weight_decay=0.01)
+        a = Parameter([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)
+        b = Parameter([4.0], requires_grad=True)
+        opt = SGD(Parameters([a, b]), lr=0.1, momentum=0.9, weight_decay=0.01)
         a0, b0 = a.data.copy(), b.data.copy()
         ga, gb = np.array([[0.3, -0.1], [0.2, 0.0]]), np.array([-1.5])
         a.grad, b.grad = ga, gb
@@ -103,13 +103,20 @@ class TestSGD:
             [ga.reshape(-1), gb]))
 
 
+    def test_takes_only_a_parameters(self):
+        p = Parameter([1.0], requires_grad=True)
+        with pytest.raises(TypeError):
+            SGD([p], lr=0.1)
+        assert not p._held
+
+
 class TestAdam:
     def test_one_step_closed_form(self):
         # Adam update with bias correction, then decoupled decay (AdamW)
-        a = Tensor([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)
-        b = Tensor([4.0], requires_grad=True)
+        a = Parameter([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)
+        b = Parameter([4.0], requires_grad=True)
         lr, b1, b2, eps, wd = 0.01, 0.9, 0.999, 1e-8, 0.1
-        opt = Adam([a, b], lr, weight_decay=wd)
+        opt = Adam(Parameters([a, b]), lr, weight_decay=wd)
         a0, b0 = a.data.copy(), b.data.copy()
         ga, gb = np.array([[0.3, -0.1], [0.2, 0.0]]), np.array([-1.5])
         a.grad, b.grad = ga, gb
@@ -121,8 +128,8 @@ class TestAdam:
 
     def test_decay_is_decoupled(self):
         # with a zero gradient only the decay acts, and it never enters m, v
-        p = Tensor([2.0, -4.0], requires_grad=True)
-        opt = Adam([p], lr=0.1, weight_decay=0.5)
+        p = Parameter([2.0, -4.0], requires_grad=True)
+        opt = Adam(Parameters([p]), lr=0.1, weight_decay=0.5)
         p.grad = np.zeros(2)
         opt.step()
         np.testing.assert_array_equal(p.data, [2.0 - 0.05 * 2.0,
@@ -133,50 +140,60 @@ class TestAdam:
         # bias correction makes the very first step exactly lr in magnitude
         # (up to eps), regardless of gradient scale
         for g in (1e-4, 1.0, 1e4):
-            p = Tensor([0.0], requires_grad=True)
-            opt = Adam([p], lr=0.01)
+            p = Parameter([0.0], requires_grad=True)
+            opt = Adam(Parameters([p]), lr=0.01)
             p.grad = np.array([g])
             opt.step()
             assert p.data[0] == pytest.approx(-0.01, rel=1e-3)
 
     def test_zero_gradient_is_stationary_without_decay(self):
-        p = Tensor([3.0], requires_grad=True)
-        opt = Adam([p], lr=0.1, weight_decay=0.0)
+        p = Parameter([3.0], requires_grad=True)
+        opt = Adam(Parameters([p]), lr=0.1, weight_decay=0.0)
         p.grad = np.array([0.0])
         opt.step()
         assert p.data[0] == 3.0
 
     def test_converges_on_quadratic(self):
-        p = Tensor([5.0], requires_grad=True)
-        opt = Adam([p], lr=0.1)
+        p = Parameter([5.0], requires_grad=True)
+        opt = Adam(Parameters([p]), lr=0.1)
         for _ in range(500):
             p.grad = 2.0 * p.data
             opt.step()
         assert abs(p.data[0]) < 1e-3
 
+    def test_takes_only_a_parameters(self):
+        p = Parameter([1.0], requires_grad=True)
+        with pytest.raises(TypeError):
+            Adam([p], lr=0.1)
+        assert not p._held
+
 
 def test_model_buffer_survives_a_second_optimizer():
     """A second buffer over the model's leaves is refused before any leaf
-    is touched: an optimizer built from a plain list of them, a leaf listed
-    twice, or a held leaf beside a free one, which stays a plain tensor."""
+    is touched: an optimizer given a plain list of them, one given a new
+    ``Parameters`` of them, a leaf listed twice, or a held leaf beside a
+    free one, which stays free."""
     model = _toy_model()
     params = model.parameters()
     params.grad[...] = np.arange(params.grad.size)
     data, grad = params.data.copy(), params.grad.copy()
     views = [(p.data, p.grad) for p in params]
     w = model.f_head.weights
-    free = Tensor([1.0, 2.0], requires_grad=True)
-    for build in (lambda: SGD(list(params), lr=0.1),
-                  lambda: Parameters([w, w]),
-                  lambda: Parameters([free, free]),
-                  lambda: Parameters([free, w])):
-        with pytest.raises(ValueError):
+    free = Parameter([1.0, 2.0], requires_grad=True)
+    free_data = free.data
+    for error, build in ((TypeError, lambda: SGD(list(params), lr=0.1)),
+                         (ValueError,
+                          lambda: SGD(Parameters(list(params)), lr=0.1)),
+                         (ValueError, lambda: Parameters([w, w])),
+                         (ValueError, lambda: Parameters([free, free])),
+                         (ValueError, lambda: Parameters([free, w]))):
+        with pytest.raises(error):
             build()
         np.testing.assert_array_equal(params.data, data)
         np.testing.assert_array_equal(params.grad, grad)
         for p, (d, g) in zip(params, views):
             assert p.data is d and p.grad is g
-        assert type(free) is Tensor and free.grad is None
+        assert not free._held and free.data is free_data and free.grad is None
     # a plain list's reset zeroes the views and keeps them
     zero_grads(list(params))
     assert not params.grad.any()

@@ -1,6 +1,8 @@
 """Checkpoint round trips, integrity checking, and the inference-only variant."""
 
 import json
+import os
+import stat
 import struct
 import tempfile
 from dataclasses import asdict
@@ -211,6 +213,36 @@ def test_failed_save_leaves_previous_checkpoint(trained_model, tmp_path,
         save_model(model, calib, path)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin"]
+
+
+def test_save_syncs_the_file_before_the_rename_and_the_directory_after(
+        trained_model, tmp_path, monkeypatch):
+    """The checkpoint's bytes reach the disk before the rename makes them
+    the target, and the rename itself is synced through the directory."""
+    model, _ = trained_model
+    path = tmp_path / "ckpt.bin"
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        st = os.fstat(fd)
+        calls.append(("fsync", stat.S_ISDIR(st.st_mode), st.st_ino,
+                      st.st_size))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append(("replace", os.stat(src).st_ino, Path(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    save_model(model, CALIBRATION, path)
+    file_ino, size = path.stat().st_ino, path.stat().st_size
+    assert calls == [("fsync", False, file_ino, size),
+                     ("replace", file_ino, path),
+                     ("fsync", True, tmp_path.stat().st_ino,
+                      tmp_path.stat().st_size)]
+    assert load_model(path)[1] == CALIBRATION
 
 
 def _reframe(blob, edit):
