@@ -32,8 +32,8 @@ from selpred import (
     synth_classification,
     train,
 )
+from selpred.checks import CLASSIFICATION
 from selpred.losses import CROSS_ENTROPY
-from selpred.model import CLASSIFICATION
 
 SEED = 1
 TARGET = 0.7

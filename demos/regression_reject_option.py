@@ -25,7 +25,7 @@ from selpred import (
     standardize,
     train,
 )
-from selpred.model import REGRESSION
+from selpred.checks import REGRESSION
 
 SEED = 0
 rng = np.random.default_rng(SEED)

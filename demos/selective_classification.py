@@ -25,8 +25,8 @@ from selpred import (
     synth_classification,
     train,
 )
+from selpred.checks import CLASSIFICATION
 from selpred.losses import CROSS_ENTROPY
-from selpred.model import CLASSIFICATION
 
 SEED = 0
 TARGET_COVERAGE = 0.8

@@ -18,12 +18,12 @@ import contextlib
 
 import numpy as np
 
+from .checks import DomainError, ShapeError
+
 __all__ = [
     "Tensor",
     "Parameter",
     "Parameters",
-    "ShapeError",
-    "DomainError",
     "GradCheckError",
     "no_grad",
     "relu",
@@ -33,14 +33,6 @@ __all__ = [
     "zero_grads",
     "finite_difference_check",
 ]
-
-
-class ShapeError(ValueError):
-    """Operand shapes violate an operation's contract."""
-
-
-class DomainError(ValueError):
-    """Operand values lie outside an operation's domain."""
 
 
 class GradCheckError(RuntimeError):

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import DomainError
-from .layers import ContractError
+from .checks import ContractError, DomainError
 
 __all__ = [
     "CalibrationResult",

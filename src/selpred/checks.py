@@ -1,0 +1,86 @@
+"""The errors several modules share, the checks of a settings field, and
+the task names.
+
+Nothing here imports from ``selpred``, so every module can import it. An
+error class lives here when more than one module raises or catches it; one
+that a single module raises stays next to its raiser.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+__all__ = ["CLASSIFICATION", "REGRESSION", "ConfigurationError",
+           "ContractError", "DegenerateCoverageError", "DomainError",
+           "ShapeError", "integer", "real", "boolean", "fraction"]
+
+CLASSIFICATION = "classification"
+REGRESSION = "regression"
+
+
+class ConfigurationError(ValueError):
+    """An invalid setting: a config file field, a checkpoint header field,
+    a command-line flag or a library argument."""
+
+
+class ContractError(ValueError):
+    """A call violates a layer's usage contract."""
+
+
+class ShapeError(ValueError):
+    """Operand shapes violate an operation's contract."""
+
+
+class DomainError(ValueError):
+    """Operand values lie outside an operation's domain."""
+
+
+class DegenerateCoverageError(ValueError):
+    """All selection values are zero: the selective risk is undefined."""
+
+
+def integer(value, field, least=None):
+    """``value`` as an ``int``; ConfigurationError naming ``field`` unless
+    it is an ``int`` or numpy integer of at least ``least`` (when given).
+    A bool is rejected, though Python counts it as an int, since ``true``
+    would read as 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{field}: {value!r} is not an integer")
+    if least is not None and value < least:
+        raise ConfigurationError(f"{field} must be >= {least}, got {value}")
+    return int(value)
+
+
+def real(value, field):
+    """``value`` as a ``float``; ConfigurationError naming ``field`` unless
+    it is a finite int or float (numpy's included). A bool, a string, an
+    infinity, a NaN or an int too large for a float is rejected."""
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise ConfigurationError(f"{field}: {value!r} is not a real number")
+    try:
+        x = float(value)
+    except OverflowError:  # an int beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigurationError(f"{field}: {value!r} is not finite")
+    return x
+
+
+def boolean(value, field):
+    """``value``; ConfigurationError naming ``field`` unless it is a bool,
+    since any non-empty string, ``"false"`` included, would read as true."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ConfigurationError(f"{field}: {value!r} is not a boolean")
+    return value
+
+
+def fraction(value, field):
+    """``value`` as a ``float``; ConfigurationError naming ``field`` unless
+    it is a real in (0, 1]."""
+    x = real(value, field)
+    if not 0 < x <= 1:
+        raise ConfigurationError(f"{field} must lie in (0, 1], got {value}")
+    return x

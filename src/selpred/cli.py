@@ -28,6 +28,7 @@ import numpy as np
 import yaml
 
 from .calibrate import calibrate
+from .checks import CLASSIFICATION, ConfigurationError, boolean, integer
 from .data import (SplitSpec, load_csv, split, standardize,
                    synth_classification, unstandardize_target)
 from .evaluate import (
@@ -41,10 +42,8 @@ from .evaluate import (
     sr_confidence,
     threshold_for_coverage,
 )
-from .layers import ConfigurationError, _boolean, _integer
 from .losses import CROSS_ENTROPY, SQUARED, LossConfig
-from .model import (CLASSIFICATION, ArchitectureConfig, build_baseline,
-                    build_model)
+from .model import ArchitectureConfig, build_baseline, build_model
 from .optim import TrainConfig, train
 from .persist import load_model, save_model
 
@@ -78,7 +77,7 @@ def _load_config(path, seeds=None, coverage=None):
     with open(path) as fh:
         cfg = yaml.safe_load(fh) or {}
     if not isinstance(cfg, dict):
-        raise ValueError(f"{path}: config root must be a mapping")
+        raise ConfigurationError(f"{path}: config root must be a mapping")
     conf = _resolve(cfg)
     if seeds is not None:
         conf["seeds"] = _seeds(seeds)
@@ -120,7 +119,7 @@ def _resolve(cfg):
             raise ConfigurationError(f"config field {key} must be a mapping")
     kind = cfg.get("dataset", {}).get("kind", "csv")
     if kind not in _DATASET_KEYS:
-        raise ValueError(f"unknown dataset kind {kind!r}")
+        raise ConfigurationError(f"unknown dataset kind {kind!r}")
     dataset = _section(cfg, "dataset", {"kind": kind, **_DATASET_KEYS[kind]})
     # the task loss defaults by task; synthetic data is classification
     task = dataset.get("task", CLASSIFICATION)
@@ -145,10 +144,7 @@ def _seeds(seeds):
     if not isinstance(seeds, list) or not seeds:
         raise ConfigurationError(
             f"seeds must be a non-empty list of integers, got {seeds!r}")
-    seeds = [_integer(s, "seeds") for s in seeds]
-    if min(seeds) < 0:
-        raise ConfigurationError(f"seeds must be >= 0, got {min(seeds)}")
-    return seeds
+    return [integer(s, "seeds", least=0) for s in seeds]
 
 
 def _flag_list(flag, text, kind):
@@ -216,8 +212,8 @@ def prepare_splits(cfg, split_seed=None):
     conf = _resolve(cfg)
     d = conf["dataset"]
     if d["kind"] == "csv":
-        include_target = _boolean(d["standardize_target"],
-                                  "standardize_target")
+        include_target = boolean(d["standardize_target"],
+                                 "standardize_target")
         ds = load_csv(d["path"], d["feature_columns"], d["target_column"],
                       header=d["header"], task=d["task"])
     else:  # synthetic data is classification
@@ -365,7 +361,7 @@ def run_comparison(conf, coverages, seeds):
     rows)`` for compare.csv (mean +- stderr over seeds). ``conf`` is a
     resolved config; each seed also seeds its split."""
     if not seeds:
-        raise ValueError("compare needs at least one seed")
+        raise ConfigurationError("compare needs at least one seed")
     risks = {}  # score kind -> one list of per-coverage risks per seed
     for seed in seeds:
         tr, ca, te, tstats = prepare_splits(conf, split_seed=seed)

@@ -8,14 +8,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layers import (
-    ConfigurationError,
-    _boolean,
-    _column_sums,
-    _integer,
-    _real,
-)
-from .model import CLASSIFICATION, REGRESSION
+from .checks import (CLASSIFICATION, REGRESSION, ConfigurationError,
+                     boolean, integer, real)
+from .layers import _column_sums
 
 __all__ = [
     "Dataset",
@@ -87,11 +82,10 @@ class SplitSpec:
     stratified: bool = False
 
     def validate(self):
-        fracs = tuple(_real(getattr(self, name), name)
+        fracs = tuple(real(getattr(self, name), name)
                       for name in ("train", "calibration", "test"))
-        _boolean(self.stratified, "stratified")
-        if _integer(self.seed, "seed") < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        boolean(self.stratified, "stratified")
+        integer(self.seed, "seed", least=0)
         if any(f <= 0.0 for f in fracs):
             raise ConfigurationError("every split fraction must be positive")
         if abs(sum(fracs) - 1.0) > 1e-9:
@@ -110,14 +104,14 @@ def load_csv(path, feature_columns, target_column, header=True,
     classification labels that are not integers >= 0, raise ParseError
     naming the offending row and column.
     """
-    target_column = _integer(target_column, "target_column")
-    _boolean(header, "header")
+    target_column = integer(target_column, "target_column")
+    boolean(header, "header")
     if (isinstance(feature_columns, (str, bytes, dict))
             or not np.iterable(feature_columns)):
         raise ConfigurationError(
             f"feature_columns must be a list of column indices, "
             f"got {feature_columns!r}")
-    feature_columns = [_integer(c, "feature_columns")
+    feature_columns = [integer(c, "feature_columns")
                        for c in feature_columns]
     if target_column < 0:
         raise ConfigurationError(f"target column {target_column} is negative")
@@ -259,9 +253,8 @@ def synth_classification(seed, m, n_classes, n_features, noise_fraction):
     for field, value, least in (("seed", seed, 0), ("m", m, 1),
                                 ("n_classes", n_classes, 2),
                                 ("n_features", n_features, 1)):
-        if _integer(value, field) < least:
-            raise ConfigurationError(f"{field} must be >= {least}, got {value}")
-    if not 0.0 <= _real(noise_fraction, "noise_fraction") < 0.5:
+        integer(value, field, least=least)
+    if not 0.0 <= real(noise_fraction, "noise_fraction") < 0.5:
         raise ConfigurationError(
             f"noise fraction must be in [0, 0.5), got {noise_fraction}")
     rng = np.random.default_rng(seed)

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibrate import select_threshold
+from .checks import CLASSIFICATION, ContractError
 from .data import unstandardize_target
-from .layers import ContractError, softmax_rows
-from .model import CLASSIFICATION
+from .layers import softmax_rows
 
 __all__ = [
     "EvalReport",

@@ -25,23 +25,19 @@ gradient of exactly 0.
 from __future__ import annotations
 
 import functools
-import sys
 
 import numpy as np
 
 from .autograd import (
-    DomainError,
     Parameter,
-    ShapeError,
     Tensor,
     note_kink_margin,
     stable_sigmoid,
     write_through,
 )
+from .checks import ConfigurationError, ContractError, DomainError, ShapeError
 
 __all__ = [
-    "ConfigurationError",
-    "ContractError",
     "DenseLayer",
     "BatchNormLayer",
     "DropoutLayer",
@@ -55,44 +51,6 @@ __all__ = [
 
 TRAIN = "train"
 EVAL = "eval"
-
-
-class ConfigurationError(ValueError):
-    """Invalid layer or model configuration."""
-
-
-def _integer(value, field):
-    """``value`` as an ``int``; ConfigurationError naming ``field`` unless
-    it is an ``int`` or numpy integer. A bool is rejected, though Python
-    counts it as an int, since ``true`` would read as 1."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(
-            value, (int, np.integer)):
-        raise ConfigurationError(f"{field}: {value!r} is not an integer")
-    return int(value)
-
-
-def _real(value, field):
-    """``value`` as a ``float``; ConfigurationError naming ``field`` unless
-    it is a finite int or float (numpy's included). A bool, a string, an
-    infinity, a NaN or an int too large for a float is rejected."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(
-            value, (int, float, np.integer, np.floating)):
-        raise ConfigurationError(f"{field}: {value!r} is not a real number")
-    if not abs(value) <= sys.float_info.max:
-        raise ConfigurationError(f"{field}: {value!r} is not finite")
-    return float(value)
-
-
-def _boolean(value, field):
-    """``value``; ConfigurationError naming ``field`` unless it is a bool,
-    since any non-empty string, ``"false"`` included, would read as true."""
-    if not isinstance(value, (bool, np.bool_)):
-        raise ConfigurationError(f"{field}: {value!r} is not a boolean")
-    return value
-
-
-class ContractError(ValueError):
-    """A call violates a layer's usage contract."""
 
 
 class DenseLayer:

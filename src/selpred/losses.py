@@ -23,13 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import Tensor, relu, square
-from .layers import ConfigurationError, ContractError, _real
+from .checks import (ConfigurationError, ContractError,
+                     DegenerateCoverageError, fraction, real)
 
 __all__ = [
     "CROSS_ENTROPY",
     "SQUARED",
     "LossConfig",
-    "DegenerateCoverageError",
     "task_loss",
     "psi",
     "empirical_coverage",
@@ -42,10 +42,6 @@ __all__ = [
 CROSS_ENTROPY = "cross-entropy"
 SQUARED = "squared"
 
-class DegenerateCoverageError(ValueError):
-    """All selection values are zero: the selective risk is undefined."""
-
-
 @dataclass
 class LossConfig:
     target_coverage: float = 0.8
@@ -54,12 +50,10 @@ class LossConfig:
     task_loss: str = SQUARED
 
     def validate(self):
-        if not 0.0 < _real(self.target_coverage, "target_coverage") <= 1.0:
-            raise ConfigurationError(
-                f"target coverage must be in (0,1], got {self.target_coverage}")
-        if _real(self.penalty_weight, "penalty_weight") < 0.0:
+        fraction(self.target_coverage, "target_coverage")
+        if real(self.penalty_weight, "penalty_weight") < 0.0:
             raise ConfigurationError("penalty weight must be >= 0")
-        if not 0.0 <= _real(self.alpha, "alpha") <= 1.0:
+        if not 0.0 <= real(self.alpha, "alpha") <= 1.0:
             raise ConfigurationError(f"alpha must be in [0,1], got {self.alpha}")
         if self.task_loss not in (CROSS_ENTROPY, SQUARED):
             raise ConfigurationError(f"unknown task loss {self.task_loss!r}")

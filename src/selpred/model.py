@@ -19,9 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autograd import (
-    DomainError,
     Parameters,
-    ShapeError,
     Tensor,
     _ZERO,
     relu,
@@ -29,27 +27,22 @@ from .autograd import (
     sigmoid,
     stable_sigmoid,
 )
+from .checks import (CLASSIFICATION, REGRESSION, ConfigurationError,
+                     DomainError, ShapeError, boolean, integer, real)
 from .layers import (
     EVAL,
     TRAIN,
     BatchNormLayer,
-    ConfigurationError,
     DenseLayer,
     DropoutLayer,
     dense_bn_relu,
     dense_sigmoid,
     softmax,
     softmax_rows,
-    _boolean,
-    _integer,
-    _real,
 )
 
 __all__ = ["ArchitectureConfig", "FrozenNet", "SelectiveNet", "build_model",
            "build_baseline", "BLOCK_ROWS"]
-
-CLASSIFICATION = "classification"
-REGRESSION = "regression"
 
 # Rows per block of a frozen forward: a larger input is evaluated block by
 # block into preallocated outputs, so its working set stays that of one block.
@@ -79,24 +72,21 @@ class ArchitectureConfig:
         return self.n_classes if self.task == CLASSIFICATION else 1
 
     def validate(self):
-        if _integer(self.input_dim, "input_dim") < 1:
-            raise ConfigurationError("input_dim must be positive")
+        integer(self.input_dim, "input_dim", least=1)
         if (not isinstance(self.body_widths, (list, tuple))
                 or not self.body_widths
-                or any(_integer(w, "body_widths") < 1
+                or any(integer(w, "body_widths") < 1
                        for w in self.body_widths)):
             raise ConfigurationError(f"invalid body widths {self.body_widths}")
-        if _integer(self.selection_hidden, "selection_hidden") < 1:
-            raise ConfigurationError("selection_hidden must be positive")
+        integer(self.selection_hidden, "selection_hidden", least=1)
         if (self.dropout_rate is not None
-                and not 0.0 <= _real(self.dropout_rate, "dropout_rate") < 1.0):
+                and not 0.0 <= real(self.dropout_rate, "dropout_rate") < 1.0):
             raise ConfigurationError(
                 f"dropout rate must be in [0,1), got {self.dropout_rate}")
         for name in ("batchnorm", "auxiliary_head"):
-            _boolean(getattr(self, name), name)
+            boolean(getattr(self, name), name)
         if self.task == CLASSIFICATION:
-            if self.n_classes < 2:
-                raise ConfigurationError("classification needs n_classes >= 2")
+            integer(self.n_classes, "n_classes", least=2)
         elif self.task != REGRESSION:
             raise ConfigurationError(f"unknown task {self.task!r}")
 

@@ -18,11 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autograd import Parameters, zero_grads
-from .layers import TRAIN, ConfigurationError, _boolean, _integer, _real
+from .checks import (CLASSIFICATION, ConfigurationError,
+                     DegenerateCoverageError, boolean, integer, real)
+from .layers import TRAIN
 from .losses import (
     CROSS_ENTROPY,
     SQUARED,
-    DegenerateCoverageError,
     LossConfig,
     _class_indices,
     auxiliary_loss,
@@ -30,7 +31,6 @@ from .losses import (
     task_loss,
     total_loss,
 )
-from .model import CLASSIFICATION
 
 __all__ = [
     "TrainConfig",
@@ -61,20 +61,18 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
 
     def validate(self):
-        if _real(self.learning_rate, "learning_rate") <= 0:
+        if real(self.learning_rate, "learning_rate") <= 0:
             raise ConfigurationError("learning rate must be positive")
-        if _real(self.weight_decay, "weight_decay") < 0:
+        if real(self.weight_decay, "weight_decay") < 0:
             raise ConfigurationError(
                 f"weight_decay must be >= 0, got {self.weight_decay}")
-        if not 0 <= _real(self.momentum, "momentum") < 1:
+        if not 0 <= real(self.momentum, "momentum") < 1:
             raise ConfigurationError(
                 f"momentum must be in [0, 1), got {self.momentum}")
-        _boolean(self.shuffle, "shuffle")
-        if (_integer(self.epochs, "epochs") < 1
-                or _integer(self.batch_size, "batch_size") < 1):
-            raise ConfigurationError("epochs and batch size must be >= 1")
-        if _integer(self.lr_halving_period, "lr_halving_period") < 0:
-            raise ConfigurationError("lr_halving_period must be >= 0")
+        boolean(self.shuffle, "shuffle")
+        integer(self.epochs, "epochs", least=1)
+        integer(self.batch_size, "batch_size", least=1)
+        integer(self.lr_halving_period, "lr_halving_period", least=0)
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
         self.loss.validate()

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibrate import CalibrationResult
-from .layers import ConfigurationError, _boolean, _integer, _real
+from .checks import boolean, fraction, integer, real
 from .model import ArchitectureConfig, SelectiveNet
 
 __all__ = ["save_model", "load_model", "IntegrityError", "VersionError"]
@@ -109,23 +109,15 @@ def _read_header(path, raw):
     return header
 
 
-def _fraction(value, field):
-    """ConfigurationError unless ``value`` is a real in (0, 1]."""
-    if not 0 < _real(value, field) <= 1:
-        raise ConfigurationError(f"{field} must lie in (0, 1], got {value}")
-
-
 def _calibration(fields):
     """``CalibrationResult(**fields)``; ConfigurationError unless
     ``n_validation`` is an int >= 1, ``target_coverage`` lies in (0, 1]
     and every other field is a finite real."""
     calib = CalibrationResult(**fields)
-    _fraction(calib.target_coverage, "target_coverage")
-    if _integer(calib.n_validation, "n_validation") < 1:
-        raise ConfigurationError(
-            f"n_validation must be >= 1, got {calib.n_validation}")
+    fraction(calib.target_coverage, "target_coverage")
+    integer(calib.n_validation, "n_validation", least=1)
     for name in ("tau", "delta", "epsilon", "achieved_coverage"):
-        _real(getattr(calib, name), name)
+        real(getattr(calib, name), name)
     return calib
 
 
@@ -151,13 +143,12 @@ def load_model(path):
     off += hlen
     try:
         config = ArchitectureConfig(**header["architecture"])
-        if _integer(header["seed"], "seed") < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {header['seed']}")
-        model = SelectiveNet(config, header["seed"], selective=_boolean(
+        integer(header["seed"], "seed", least=0)
+        model = SelectiveNet(config, header["seed"], selective=boolean(
             header["selective"], "selective"))
         coverage = header["trained_coverage"]
         if coverage is not None:
-            _fraction(coverage, "trained_coverage")
+            fraction(coverage, "trained_coverage")
         calib = (_calibration(header["calibration"])
                  if header["calibration"] else None)
     except (TypeError, ValueError, KeyError) as exc:

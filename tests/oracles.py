@@ -10,8 +10,6 @@ fused training graph and in eval mode for the frozen inference path.
 import numpy as np
 
 from selpred.autograd import (
-    DomainError,
-    ShapeError,
     Tensor,
     _as_tensor,
     _check_axis,
@@ -21,8 +19,8 @@ from selpred.autograd import (
     relu,
     sigmoid,
 )
+from selpred.checks import CLASSIFICATION, DomainError, ShapeError
 from selpred.layers import TRAIN
-from selpred.model import CLASSIFICATION
 
 
 def matmul(a, b):

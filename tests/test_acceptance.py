@@ -16,6 +16,7 @@ import pytest
 
 from selpred.autograd import finite_difference_check, no_grad, watch_kink_margins
 from selpred.calibrate import calibrate, hoeffding_epsilon
+from selpred.checks import CLASSIFICATION, REGRESSION
 from selpred.cli import main as cli_main
 from selpred.data import SplitSpec, load_csv, split, standardize, synth_classification, unstandardize_target
 from selpred.evaluate import (
@@ -39,8 +40,6 @@ from selpred.losses import (
     total_loss,
 )
 from selpred.model import (
-    CLASSIFICATION,
-    REGRESSION,
     ArchitectureConfig,
     build_baseline,
     build_model,

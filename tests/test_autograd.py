@@ -7,11 +7,9 @@ import numpy as np
 import pytest
 
 from selpred.autograd import (
-    DomainError,
     GradCheckError,
     Parameter,
     Parameters,
-    ShapeError,
     Tensor,
     finite_difference_check,
     relu,
@@ -19,6 +17,7 @@ from selpred.autograd import (
     square,
     zero_grads,
 )
+from selpred.checks import DomainError, ShapeError
 from oracles import log, matmul, tensor_max
 
 

@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from selpred.autograd import DomainError
-from selpred.layers import ContractError
 from selpred.calibrate import (
     CalibrationResult,
     calibrate,
     hoeffding_epsilon,
     select_threshold,
 )
-from selpred.model import CLASSIFICATION, ArchitectureConfig, build_model
+from selpred.checks import CLASSIFICATION, ContractError, DomainError
+from selpred.model import ArchitectureConfig, build_model
 
 
 class TestSelectThreshold:

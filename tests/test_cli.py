@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 import yaml
 
-from selpred.cli import build_parser, main, prepare_splits
+from selpred.checks import ConfigurationError
+from selpred.cli import (_resolve, build_parser, main, prepare_splits,
+                         run_comparison)
 from selpred.data import SplitSpec
-from selpred.layers import ConfigurationError
 from selpred.losses import LossConfig
 from selpred.model import ArchitectureConfig, FrozenNet
 from selpred.optim import TrainConfig
@@ -324,6 +325,13 @@ class TestCompare:
         assert data[0].split(",")[:2] == ["coverage", "selnet_risk"]
         assert len(data) == 3
 
+    def test_no_seeds_is_a_configuration_error(self, workdir):
+        _, cfg_path = workdir
+        conf = _resolve(yaml.safe_load(cfg_path.read_text()))
+        with pytest.raises(ConfigurationError,
+                           match="^compare needs at least one seed$"):
+            run_comparison(conf, [0.5], [])
+
     def test_full_coverage_selnet_risk_is_full_test_risk(self, workdir,
                                                          tmp_path):
         _, base_cfg = workdir
@@ -458,6 +466,11 @@ class TestDatasetConfig:
         with pytest.raises(ConfigurationError, match="must be a mapping"):
             prepare_splits({"dataset": [self.CSV]})
 
+    def test_unknown_kind_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError,
+                           match="^unknown dataset kind 'parquet'$"):
+            prepare_splits({"dataset": {"kind": "parquet"}})
+
 
 class TestConfigSchema:
     """Each section reads into the dataclass that owns its defaults, and a
@@ -488,6 +501,21 @@ class TestConfigSchema:
         name = key if section is None else f"{section}.{key}"
         assert (f"error: unknown config key {name}\n"
                 == capsys.readouterr().err)
+
+    @pytest.mark.parametrize("text, message", [
+        ("- dataset\n", "{path}: config root must be a mapping"),
+        ("dataset: {kind: parquet}\n", "unknown dataset kind 'parquet'"),
+    ], ids=["root-not-a-mapping", "unknown-dataset-kind"])
+    def test_malformed_config_is_named(self, tmp_path, capsys, text,
+                                       message):
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text(text)
+        rc = main(["train", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert (capsys.readouterr().err
+                == f"error: {message.format(path=cfg_path)}\n")
+        assert not (tmp_path / "run").exists()
 
     def test_misspelled_config_fails_on_its_first_unknown_key(self, tmp_path,
                                                               capsys):

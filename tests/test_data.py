@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from selpred.checks import CLASSIFICATION, REGRESSION, ConfigurationError
 from selpred.data import (
     Dataset,
     ParseError,
@@ -19,8 +20,6 @@ from selpred.data import (
     synth_classification,
     unstandardize_target,
 )
-from selpred.layers import ConfigurationError
-from selpred.model import CLASSIFICATION, REGRESSION
 
 
 class TestLoadCsv:

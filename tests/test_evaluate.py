@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from selpred.checks import CLASSIFICATION, REGRESSION, ContractError
 from selpred.evaluate import (
     MC_DROPOUT_CLASSIFICATION,
     UndefinedRiskError,
@@ -15,8 +16,7 @@ from selpred.evaluate import (
     threshold_for_coverage,
     write_csv,
 )
-from selpred.layers import ContractError
-from selpred.model import CLASSIFICATION, REGRESSION, ArchitectureConfig, build_model
+from selpred.model import ArchitectureConfig, build_model
 
 
 class TestSelectiveMetrics:

@@ -15,24 +15,27 @@ import pytest
 
 from oracles import ref_forward, ref_softmax
 from selpred.autograd import (
-    DomainError,
-    ShapeError,
     Tensor,
     no_grad,
     stable_sigmoid,
 )
 from selpred.calibrate import calibrate
+from selpred.checks import (
+    CLASSIFICATION,
+    REGRESSION,
+    ConfigurationError,
+    DomainError,
+    ShapeError,
+)
 from selpred.evaluate import (
     MC_DROPOUT_CLASSIFICATION,
     MC_DROPOUT_REGRESSION,
     mc_dropout_confidence,
 )
-from selpred.layers import EVAL, ConfigurationError, DropoutLayer, softmax_rows
+from selpred.layers import EVAL, DropoutLayer, softmax_rows
 from selpred.losses import CROSS_ENTROPY, SQUARED, LossConfig
 from selpred.model import (
     BLOCK_ROWS,
-    CLASSIFICATION,
-    REGRESSION,
     ArchitectureConfig,
     SelectiveNet,
     build_baseline,

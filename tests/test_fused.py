@@ -38,6 +38,7 @@ from selpred.autograd import (
     watch_kink_margins,
     zero_grads,
 )
+from selpred.checks import CLASSIFICATION, REGRESSION
 from selpred.data import SplitSpec, split, standardize, synth_classification
 from selpred.layers import (
     EVAL,
@@ -62,8 +63,6 @@ from selpred.losses import (
     total_loss,
 )
 from selpred.model import (
-    CLASSIFICATION,
-    REGRESSION,
     ArchitectureConfig,
     build_baseline,
     build_model,

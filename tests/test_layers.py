@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 
 from selpred import layers
-from selpred.autograd import ShapeError, Tensor
-from selpred.layers import (
-    BatchNormLayer,
+from selpred.autograd import Tensor
+from selpred.checks import (
+    CLASSIFICATION,
     ConfigurationError,
     ContractError,
+    ShapeError,
+)
+from selpred.layers import (
+    BatchNormLayer,
     DenseLayer,
     DropoutLayer,
     softmax,
 )
 from selpred.losses import CROSS_ENTROPY, LossConfig
-from selpred.model import CLASSIFICATION, ArchitectureConfig, build_model
+from selpred.model import ArchitectureConfig, build_model
 from selpred.optim import TrainConfig, train
 
 

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from selpred.autograd import Tensor, finite_difference_check, sigmoid
-from selpred.layers import ConfigurationError, ContractError, softmax
+from selpred.checks import (
+    ConfigurationError,
+    ContractError,
+    DegenerateCoverageError,
+)
+from selpred.layers import softmax
 from selpred.losses import (
     CROSS_ENTROPY,
     SQUARED,
     DataError,
-    DegenerateCoverageError,
     LossConfig,
     auxiliary_loss,
     empirical_coverage,

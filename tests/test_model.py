@@ -5,12 +5,15 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from selpred.autograd import ShapeError
-from selpred.layers import TRAIN, ConfigurationError
-from selpred.losses import CROSS_ENTROPY, SQUARED, LossConfig
-from selpred.model import (
+from selpred.checks import (
     CLASSIFICATION,
     REGRESSION,
+    ConfigurationError,
+    ShapeError,
+)
+from selpred.layers import TRAIN
+from selpred.losses import CROSS_ENTROPY, SQUARED, LossConfig
+from selpred.model import (
     ArchitectureConfig,
     build_baseline,
     build_model,
@@ -73,17 +76,22 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             build_model(regression_config(task="ranking"), seed=0)
 
-    @pytest.mark.parametrize("bad", [True, 8.0, "8"],
-                             ids=["bool", "float", "string"])
-    @pytest.mark.parametrize("field, value", [
-        ("input_dim", lambda bad: bad),
-        ("selection_hidden", lambda bad: bad),
-        ("body_widths", lambda bad: [16, bad]),
-    ], ids=["input_dim", "selection_hidden", "body_widths"])
-    def test_non_integer_width_is_named(self, field, value, bad):
+    @pytest.mark.parametrize("kind", ["bool", "float", "string"])
+    @pytest.mark.parametrize("field, good, config", [
+        ("input_dim", 8, lambda bad: regression_config(input_dim=bad)),
+        ("selection_hidden", 8,
+         lambda bad: regression_config(selection_hidden=bad)),
+        ("body_widths", 8,
+         lambda bad: regression_config(body_widths=[16, bad])),
+        ("n_classes", 3, lambda bad: classification_config(n_classes=bad)),
+    ], ids=["input_dim", "selection_hidden", "body_widths", "n_classes"])
+    def test_non_integer_width_is_named(self, field, good, config, kind):
+        """A float or string class count would otherwise pass ``validate``
+        and fail in ``build_model`` with a TypeError naming no field."""
+        bad = {"bool": True, "float": float(good), "string": str(good)}[kind]
         with pytest.raises(ConfigurationError,
                            match=f"^{field}: {bad!r} is not an integer$"):
-            build_model(regression_config(**{field: value(bad)}), seed=0)
+            build_model(config(bad), seed=0)
 
     def test_body_widths_must_be_a_list(self):
         with pytest.raises(ConfigurationError, match="invalid body widths"):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from selpred.autograd import Parameter, Parameters, zero_grads
-from selpred.layers import ConfigurationError
+from selpred.checks import CLASSIFICATION, REGRESSION, ConfigurationError
 from selpred.losses import CROSS_ENTROPY, SQUARED, DataError, LossConfig
-from selpred.model import CLASSIFICATION, REGRESSION, ArchitectureConfig, build_model
+from selpred.model import ArchitectureConfig, build_model
 from selpred.optim import (
     SGD,
     Adam,

@@ -14,9 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from selpred.autograd import Parameter
 from selpred.calibrate import CalibrationResult
+from selpred.checks import CLASSIFICATION, REGRESSION
 from selpred.model import (
-    CLASSIFICATION,
-    REGRESSION,
     ArchitectureConfig,
     SelectiveNet,
     build_baseline,
