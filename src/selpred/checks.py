@@ -70,11 +70,12 @@ def real(value, field):
 
 
 def boolean(value, field):
-    """``value``; ConfigurationError naming ``field`` unless it is a bool,
-    since any non-empty string, ``"false"`` included, would read as true."""
+    """``value`` as a ``bool``; ConfigurationError naming ``field`` unless it
+    is a bool or numpy bool, since any non-empty string, ``"false"``
+    included, would read as true."""
     if not isinstance(value, (bool, np.bool_)):
         raise ConfigurationError(f"{field}: {value!r} is not a boolean")
-    return value
+    return bool(value)
 
 
 def fraction(value, field):

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import inspect
-import os
 import re
 import sys
 from dataclasses import MISSING, fields
@@ -44,7 +43,7 @@ from .evaluate import (
 )
 from .losses import CROSS_ENTROPY, SQUARED, LossConfig
 from .model import ArchitectureConfig, build_baseline, build_model
-from .optim import TrainConfig, train
+from .optim import TrainConfig, TrainHistory, train
 from .persist import load_model, save_model
 
 FORMAT_VERSION = 1
@@ -173,35 +172,28 @@ def _coverages(text):
     return coverages
 
 
-def _config_hash(cfg):
-    blob = yaml.safe_dump(cfg, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
+def _out_dir(path):
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
-def _out_dir(path_str):
-    root = os.environ.get("SELPRED_OUT_ROOT")
-    p = Path(path_str)
-    if root and not p.is_absolute():
-        p = Path(root) / p
-    p.mkdir(parents=True, exist_ok=True)
-    return p
-
-
-def _write_effective_config(conf, out_dir):
-    with open(out_dir / "effective_config.yaml", "w") as fh:
+def _write_outputs(out, name, cfg, conf, seeds, colnames, rows):
+    """Write ``out/name``, a CSV of ``colnames`` and ``rows`` under its
+    provenance lines (hash of the file's mapping ``cfg``, ``seeds``, format
+    version), then ``out/effective_config.yaml``, the resolved ``conf``."""
+    config_hash = hashlib.sha256(
+        yaml.safe_dump(cfg, sort_keys=True).encode()).hexdigest()[:12]
+    write_csv(out / name, [f"config_hash={config_hash}",
+                           f"seeds={','.join(str(s) for s in seeds)}",
+                           f"format_version={FORMAT_VERSION}"],
+              colnames, rows)
+    with open(out / "effective_config.yaml", "w") as fh:
         yaml.safe_dump(conf, fh, sort_keys=True)
 
 
-def _provenance(cfg, seeds):
-    return [
-        f"config_hash={_config_hash(cfg)}",
-        f"seeds={','.join(str(s) for s in seeds)}",
-        f"format_version={FORMAT_VERSION}",
-    ]
-
-
-def prepare_splits(cfg, split_seed=None):
-    """Load, split, and standardize per the config (as read or resolved);
+def prepare_splits(conf, split_seed=None):
+    """Load, split, and standardize per the resolved config ``conf``;
     ``split_seed``, when given, overrides ``split.seed``.
 
     Returns ``(train_ds, cal_ds, test_ds, target_stats)``: features are
@@ -209,7 +201,6 @@ def prepare_splits(cfg, split_seed=None):
     when ``dataset.standardize_target`` is set, and ``target_stats`` holds
     the inverse transform for reporting in original units.
     """
-    conf = _resolve(cfg)
     d = conf["dataset"]
     if d["kind"] == "csv":
         include_target = boolean(d["standardize_target"],
@@ -220,10 +211,9 @@ def prepare_splits(cfg, split_seed=None):
         include_target = False
         ds = synth_classification(d["seed"], d["m"], d["n_classes"],
                                   d["n_features"], d["noise_fraction"])
-    spec = SplitSpec(**conf["split"])
-    if split_seed is not None:
-        spec.seed = split_seed
-    tr, ca, te = split(ds, spec)
+    if split_seed is None:
+        split_seed = conf["split"]["seed"]
+    tr, ca, te = split(ds, SplitSpec(**{**conf["split"], "seed": split_seed}))
     tr, stats = standardize(
         tr, include_target=include_target and ds.task != CLASSIFICATION)
     ca, _ = standardize(ca, stats=stats)
@@ -261,16 +251,10 @@ def cmd_train(args):
     model = build_model(arch, seed)
     history = train(model, tr.features, tr.labels, tcfg)
     save_model(model, None, out / "model.ckpt")
-
-    comments = _provenance(cfg, [seed])
-    rows = [(e, history.total_loss[e], history.selective_loss[e],
-             history.auxiliary_loss[e], history.soft_coverage[e],
-             history.hard_coverage[e], history.selective_risk[e])
-            for e in range(len(history.total_loss))]
-    write_csv(out / "history.csv", comments,
-              ["epoch", "total_loss", "selective_loss", "auxiliary_loss",
-               "soft_coverage", "hard_coverage", "selective_risk"], rows)
-    _write_effective_config(conf, out)
+    names = [f.name for f in fields(TrainHistory)]
+    columns = [getattr(history, name) for name in names]
+    _write_outputs(out, "history.csv", cfg, conf, [seed], ["epoch"] + names,
+                   [(e, *row) for e, row in enumerate(zip(*columns))])
     print(f"trained {tcfg.epochs} epochs; final loss "
           f"{history.total_loss[-1]:.6f}; checkpoint at {out/'model.ckpt'}")
     return 0
@@ -283,13 +267,11 @@ def cmd_calibrate(args):
     _, ca, _, _ = prepare_splits(conf)
     result = calibrate(model, ca.features, args.coverage, delta=args.delta)
     save_model(model, result, out / "model_calibrated.ckpt")
-    comments = _provenance(cfg, [model.seed])
-    write_csv(out / "calibration.csv", comments,
-              ["tau", "target_coverage", "n_validation", "delta", "epsilon",
-               "achieved_coverage"],
-              [(result.tau, result.target_coverage, result.n_validation,
-                result.delta, result.epsilon, result.achieved_coverage)])
-    _write_effective_config(conf, out)
+    _write_outputs(out, "calibration.csv", cfg, conf, [model.seed],
+                   ["tau", "target_coverage", "n_validation", "delta",
+                    "epsilon", "achieved_coverage"],
+                   [(result.tau, result.target_coverage, result.n_validation,
+                     result.delta, result.epsilon, result.achieved_coverage)])
     print(f"tau={result.tau:.6f} achieved validation coverage "
           f"{result.achieved_coverage:.4f} (epsilon={result.epsilon:.6f})")
     return 0
@@ -311,10 +293,10 @@ def cmd_evaluate(args):
     print(f"coverage={rep.coverage:.4f} risk={rep.risk:.6f} "
           f"covered={rep.n_covered} rejected={rep.n_rejected}")
     if args.out:
-        out = _out_dir(args.out)
-        write_csv(out / "eval.csv", _provenance(cfg, [model.seed]),
-                  ["tau", "coverage", "risk", "n_covered", "n_rejected"],
-                  [(tau, rep.coverage, rep.risk, rep.n_covered, rep.n_rejected)])
+        _write_outputs(_out_dir(args.out), "eval.csv", cfg, conf, [model.seed],
+                       ["tau", "coverage", "risk", "n_covered", "n_rejected"],
+                       [(tau, rep.coverage, rep.risk, rep.n_covered,
+                         rep.n_rejected)])
     return 0
 
 
@@ -326,9 +308,8 @@ def cmd_curve(args):
     _, ca, te, tstats = prepare_splits(conf)
     rows = risk_coverage_curves(model, ca.features, te.features, te.labels,
                                 [args.score], coverages, tstats)[args.score]
-    write_csv(out / "curve.csv", _provenance(cfg, [model.seed]),
-              ["target_coverage", "achieved_coverage", "risk"], rows)
-    _write_effective_config(conf, out)
+    _write_outputs(out, "curve.csv", cfg, conf, [model.seed],
+                   ["target_coverage", "achieved_coverage", "risk"], rows)
     print(f"wrote {out/'curve.csv'} ({len(rows)} points, score={args.score})")
     return 0
 
@@ -344,9 +325,8 @@ def cmd_grid(args):
     colnames = ["train_coverage"] + [f"calib_{c}" for c in coverages]
     rows = [[m.target_coverage] + list(grid[i])
             for i, m in enumerate(models)]
-    write_csv(out / "grid.csv",
-              _provenance(cfg, [m.seed for m in models]), colnames, rows)
-    _write_effective_config(conf, out)
+    _write_outputs(out, "grid.csv", cfg, conf, [m.seed for m in models],
+                   colnames, rows)
     print(f"wrote {out/'grid.csv'} ({grid.shape[0]}x{grid.shape[1]})")
     return 0
 
@@ -355,15 +335,13 @@ def cmd_grid(args):
 _BASELINES = [("mcdropout", "mc_dropout", "mc"), ("sr", "sr", "sr")]
 
 
-def run_comparison(conf, coverages, seeds):
+def run_comparison(conf, coverages):
     """Train per-coverage selective models plus one full-coverage baseline
-    per seed, all read off ``risk_coverage_curves``; returns ``(colnames,
-    rows)`` for compare.csv (mean +- stderr over seeds). ``conf`` is a
-    resolved config; each seed also seeds its split."""
-    if not seeds:
-        raise ConfigurationError("compare needs at least one seed")
+    for each of the resolved config's ``seeds``, all read off
+    ``risk_coverage_curves``; returns ``(colnames, rows)`` for compare.csv
+    (mean +- stderr over seeds). Each seed also seeds its split."""
     risks = {}  # score kind -> one list of per-coverage risks per seed
-    for seed in seeds:
+    for seed in conf["seeds"]:
         tr, ca, te, tstats = prepare_splits(conf, split_seed=seed)
         task = tr.task
         baselines = _BASELINES if task == CLASSIFICATION else _BASELINES[:1]
@@ -412,13 +390,12 @@ def cmd_compare(args):
     coverages = _coverages(args.coverages)
     seeds = _flag_list("--seeds", args.seeds, int) if args.seeds else None
     cfg, conf = _load_config(args.config, seeds)
-    seeds = conf["seeds"]
     out = _out_dir(args.out)
-    colnames, rows = run_comparison(conf, coverages, seeds)
-    write_csv(out / "compare.csv", _provenance(cfg, seeds), colnames, rows)
-    _write_effective_config(conf, out)
+    colnames, rows = run_comparison(conf, coverages)
+    _write_outputs(out, "compare.csv", cfg, conf, conf["seeds"], colnames,
+                   rows)
     print(f"wrote {out/'compare.csv'} ({len(rows)} coverage rows, "
-          f"{len(seeds)} seeds)")
+          f"{len(conf['seeds'])} seeds)")
     return 0
 
 

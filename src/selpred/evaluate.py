@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibrate import select_threshold
-from .checks import CLASSIFICATION, ContractError
+from .checks import CLASSIFICATION, ConfigurationError, ContractError
 from .data import unstandardize_target
 from .layers import softmax_rows
 
@@ -103,8 +103,12 @@ def mc_dropout_confidence(model, inputs, passes, rate, seed, task):
     Classification: variance across passes of the probability assigned to
     the consensus class (argmax of the mean prediction).
     Regression: variance of the scalar output. Deterministic given the seed;
-    identical passes (e.g. rate 0) yield exactly zero variance.
+    identical passes (e.g. rate 0) yield exactly zero variance. ``task``
+    must be the model's; ConfigurationError naming both otherwise.
     """
+    if task != model.config.task:
+        raise ConfigurationError(f"MC-dropout for a {task} task on a "
+                                 f"{model.config.task} model")
     if passes < 2:
         raise ContractError("MC-dropout needs at least 2 passes")
     frozen = model.freeze()
@@ -168,7 +172,7 @@ def risk_coverage_curves(model, cal_inputs, test_inputs, test_labels, kinds,
     for kind in kinds:
         if (kind == "sr" and task != CLASSIFICATION
                 or kind == "g" and not model.selective):
-            raise ValueError(
+            raise ConfigurationError(
                 f"score kind {kind!r} does not apply to this {task} model")
     frozen = model.freeze()
     mc = (MC_DROPOUT_CLASSIFICATION if task == CLASSIFICATION

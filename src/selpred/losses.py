@@ -50,7 +50,9 @@ class LossConfig:
     task_loss: str = SQUARED
 
     def validate(self):
-        fraction(self.target_coverage, "target_coverage")
+        # stored plain: training stamps it on the model, which saves it
+        self.target_coverage = fraction(self.target_coverage,
+                                        "target_coverage")
         if real(self.penalty_weight, "penalty_weight") < 0.0:
             raise ConfigurationError("penalty weight must be >= 0")
         if not 0.0 <= real(self.alpha, "alpha") <= 1.0:

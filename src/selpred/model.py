@@ -7,7 +7,7 @@ softmax-response and MC-dropout baselines are built on.
 
 The autograd engine serves training only: ``SelectiveNet.forward`` in
 ``TRAIN`` mode builds the training graph. Every eval path (``forward`` in
-any other mode, ``predict``, ``selection_scores``, softmax response and
+``EVAL`` mode, ``predict``, ``selection_scores``, softmax response and
 MC-dropout) runs on ``SelectiveNet.freeze()``, the same network with its
 batchnorm folded into plain arrays, ``BLOCK_ROWS`` rows at a time.
 """
@@ -72,23 +72,28 @@ class ArchitectureConfig:
         return self.n_classes if self.task == CLASSIFICATION else 1
 
     def validate(self):
-        integer(self.input_dim, "input_dim", least=1)
+        """Check every field, keeping each as the plain Python value its
+        check returns, so a numpy scalar setting saves as JSON."""
+        self.input_dim = integer(self.input_dim, "input_dim", least=1)
         if (not isinstance(self.body_widths, (list, tuple))
                 or not self.body_widths
                 or any(integer(w, "body_widths") < 1
                        for w in self.body_widths)):
             raise ConfigurationError(f"invalid body widths {self.body_widths}")
-        integer(self.selection_hidden, "selection_hidden", least=1)
-        if (self.dropout_rate is not None
-                and not 0.0 <= real(self.dropout_rate, "dropout_rate") < 1.0):
-            raise ConfigurationError(
-                f"dropout rate must be in [0,1), got {self.dropout_rate}")
+        self.body_widths = [int(w) for w in self.body_widths]
+        self.selection_hidden = integer(self.selection_hidden,
+                                        "selection_hidden", least=1)
+        if self.dropout_rate is not None:
+            self.dropout_rate = real(self.dropout_rate, "dropout_rate")
+            if not 0.0 <= self.dropout_rate < 1.0:
+                raise ConfigurationError(
+                    f"dropout rate must be in [0,1), got {self.dropout_rate}")
         for name in ("batchnorm", "auxiliary_head"):
-            boolean(getattr(self, name), name)
-        if self.task == CLASSIFICATION:
-            integer(self.n_classes, "n_classes", least=2)
-        elif self.task != REGRESSION:
+            setattr(self, name, boolean(getattr(self, name), name))
+        if self.task not in (CLASSIFICATION, REGRESSION):
             raise ConfigurationError(f"unknown task {self.task!r}")
+        self.n_classes = integer(self.n_classes, "n_classes", least=(
+            2 if self.task == CLASSIFICATION else 0))
 
 
 class _Block:
@@ -132,9 +137,9 @@ class SelectiveNet:
     """
 
     def __init__(self, config, seed, selective=True):
+        self.seed = integer(seed, "seed", least=0)
         config.validate()
         self.config = config
-        self.seed = seed
         self.selective = selective
         self.target_coverage = None  # set by training
         rng = np.random.default_rng(seed)
@@ -184,12 +189,15 @@ class SelectiveNet:
         tape, with batch-statistics batchnorm and active dropout (``rng``
         draws the masks): f_out holds class probabilities or regression
         outputs, g_out is a [0,1] vector of length batch and h_out shares
-        f's form. Any other mode evaluates the frozen net once
+        f's form. ``EVAL`` mode evaluates the frozen net once
         (``freeze().heads``): f_out and g_out are constant tensors off the
-        tape, and h_out, used only in training, is None. For the baseline
-        twin, g_out and h_out are None.
+        tape, and h_out, used only in training, is None. Any other mode
+        raises ConfigurationError. For the baseline twin, g_out and h_out
+        are None.
         """
         if mode != TRAIN:
+            if mode != EVAL:
+                raise ConfigurationError(f"unknown forward mode {mode!r}")
             f, g = self.freeze().heads(x)
             if self.config.task == CLASSIFICATION:
                 f = softmax_rows(f)[0]

@@ -143,7 +143,6 @@ def load_model(path):
     off += hlen
     try:
         config = ArchitectureConfig(**header["architecture"])
-        integer(header["seed"], "seed", least=0)
         model = SelectiveNet(config, header["seed"], selective=boolean(
             header["selective"], "selective"))
         coverage = header["trained_coverage"]

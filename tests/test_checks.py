@@ -91,7 +91,7 @@ def test_fraction_accepts_exactly_zero_to_one(value, field):
 @given(VALUES, FIELDS)
 def test_boolean_accepts_only_bools(value, field):
     if isinstance(value, (bool, np.bool_)):
-        assert boolean(value, field) is value
+        assert boolean(value, field) is bool(value)  # a plain bool
     else:
         assert (_message(boolean, value, field)
                 == f"{field}: {value!r} is not a boolean")

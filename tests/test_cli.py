@@ -7,8 +7,7 @@ import pytest
 import yaml
 
 from selpred.checks import ConfigurationError
-from selpred.cli import (_resolve, build_parser, main, prepare_splits,
-                         run_comparison)
+from selpred.cli import _resolve, build_parser, main, prepare_splits
 from selpred.data import SplitSpec
 from selpred.losses import LossConfig
 from selpred.model import ArchitectureConfig, FrozenNet
@@ -72,9 +71,10 @@ def _regression_config(tmp_path):
 
 def _count_heads_per_split(monkeypatch, cfg_path, argv, split_seed=None):
     """Run ``main(argv)`` and count ``FrozenNet.heads`` calls by the split
-    (of ``prepare_splits`` on the config) whose rows they evaluate."""
-    cfg = yaml.safe_load(cfg_path.read_text())
-    tr, ca, te, _ = prepare_splits(cfg, split_seed)
+    (of ``prepare_splits`` on the resolved config) whose rows they
+    evaluate."""
+    conf = _resolve(yaml.safe_load(cfg_path.read_text()))
+    tr, ca, te, _ = prepare_splits(conf, split_seed)
     names = {s.features.tobytes(): name
              for name, s in (("train", tr), ("cal", ca), ("test", te))}
     counts = {}
@@ -326,11 +326,13 @@ class TestCompare:
         assert len(data) == 3
 
     def test_no_seeds_is_a_configuration_error(self, workdir):
+        """A resolved config, the only input of ``run_comparison``, holds
+        at least one seed."""
         _, cfg_path = workdir
-        conf = _resolve(yaml.safe_load(cfg_path.read_text()))
-        with pytest.raises(ConfigurationError,
-                           match="^compare needs at least one seed$"):
-            run_comparison(conf, [0.5], [])
+        cfg = yaml.safe_load(cfg_path.read_text())
+        with pytest.raises(ConfigurationError, match=(
+                r"^seeds must be a non-empty list of integers, got \[\]$")):
+            _resolve(dict(cfg, seeds=[]))
 
     def test_full_coverage_selnet_risk_is_full_test_risk(self, workdir,
                                                          tmp_path):
@@ -464,12 +466,12 @@ class TestDatasetConfig:
 
     def test_dataset_must_be_a_mapping(self):
         with pytest.raises(ConfigurationError, match="must be a mapping"):
-            prepare_splits({"dataset": [self.CSV]})
+            _resolve({"dataset": [self.CSV]})
 
     def test_unknown_kind_is_a_configuration_error(self):
         with pytest.raises(ConfigurationError,
                            match="^unknown dataset kind 'parquet'$"):
-            prepare_splits({"dataset": {"kind": "parquet"}})
+            _resolve({"dataset": {"kind": "parquet"}})
 
 
 class TestConfigSchema:
@@ -704,6 +706,25 @@ class TestConfigSchema:
         assert eff["seeds"] == [2, 4]
         comments, _ = _read_csv(tmp_path / "compare.csv")
         assert "# seeds=2,4" in comments
+
+
+@pytest.mark.parametrize("argv", [
+    ["train"],
+    ["calibrate", "--model", "{run}/model.ckpt", "--coverage", "0.8"],
+    ["evaluate", "--model", "{run}/model_calibrated.ckpt"],
+    ["curve", "--model", "{run}/model.ckpt", "--coverages", "1.0,0.8"],
+    ["grid", "--models", "{run}/model.ckpt", "--coverages", "1.0,0.8"],
+    ["compare", "--coverages", "1.0"],
+], ids=lambda argv: argv[0])
+def test_every_command_writes_its_resolved_config(workdir, tmp_path, argv):
+    """Each command that writes files writes effective_config.yaml next to
+    them: its config with every default filled in."""
+    root, cfg_path = workdir
+    argv = [a.format(run=root / "run") for a in argv]
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(cfg_path), "--out", str(out)]) == 0
+    eff = yaml.safe_load((out / "effective_config.yaml").read_text())
+    assert eff == _resolve(yaml.safe_load(cfg_path.read_text()))
 
 
 class TestExitCodes:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from selpred.checks import CLASSIFICATION, REGRESSION, ContractError
+from selpred.checks import (CLASSIFICATION, REGRESSION, ConfigurationError,
+                            ContractError)
 from selpred.evaluate import (
     MC_DROPOUT_CLASSIFICATION,
     UndefinedRiskError,
@@ -11,12 +12,13 @@ from selpred.evaluate import (
     mc_dropout_confidence,
     percent_improvement,
     risk_coverage_curve,
+    risk_coverage_curves,
     selective_metrics,
     sr_confidence,
     threshold_for_coverage,
     write_csv,
 )
-from selpred.model import ArchitectureConfig, build_model
+from selpred.model import ArchitectureConfig, build_baseline, build_model
 
 
 class TestSelectiveMetrics:
@@ -119,6 +121,15 @@ class TestMCDropout:
         assert scores[0].tobytes() == scores[1].tobytes()
         assert np.any(scores[0] < 0.0)
 
+    def test_task_must_be_the_models(self, dropout_model):
+        """A classifier scored as a regression would return one variance
+        per class, not one per row."""
+        with pytest.raises(ConfigurationError, match=(
+                "^MC-dropout for a regression task on a classification "
+                "model$")):
+            mc_dropout_confidence(dropout_model, np.zeros((3, 5)), passes=2,
+                                  rate=0.5, seed=0, task=REGRESSION)
+
     def test_needs_two_passes(self, dropout_model):
         with pytest.raises(ContractError):
             mc_dropout_confidence(dropout_model, np.zeros((3, 5)), passes=1,
@@ -163,6 +174,20 @@ class TestRiskCoverageCurve:
         cal, test, preds, labels = self._setup()
         with pytest.raises(ContractError):
             risk_coverage_curve(cal, test, preds, labels, [0.0], CLASSIFICATION)
+
+    @pytest.mark.parametrize("task, build, kind", [
+        (REGRESSION, build_model, "sr"), (CLASSIFICATION, build_baseline, "g"),
+    ], ids=["sr-on-regression", "g-on-baseline"])
+    def test_score_kind_that_does_not_fit_is_named(self, task, build, kind):
+        cfg = ArchitectureConfig(
+            input_dim=4, body_widths=[8], task=task,
+            n_classes=2 if task == CLASSIFICATION else 0)
+        x = np.zeros((5, 4))
+        with pytest.raises(ConfigurationError, match=(
+                f"^score kind '{kind}' does not apply to this {task} "
+                "model$")):
+            risk_coverage_curves(build(cfg, 0), x, x, np.zeros(5), [kind],
+                                 [1.0])
 
     def test_threshold_delegates_to_calibration_rule(self):
         from selpred.calibrate import select_threshold

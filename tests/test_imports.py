@@ -1,8 +1,8 @@
 """Import hygiene of ``src/selpred``, read from each module's source.
 
 ``checks`` sits at the bottom of the import graph, every name a module
-imports from ``selpred`` is used there, and loading a CSV does not import
-the network.
+imports from ``selpred`` is used there, loading a CSV does not import the
+network, and no setting comes from the environment.
 """
 
 import ast
@@ -67,3 +67,18 @@ def test_every_imported_name_is_used(name):
 def test_data_does_not_import_the_model():
     sources = {module for module, _ in _selpred_imports(_tree("data"))}
     assert not sources & {"model", "selpred.model"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_module_reads_the_environment(path):
+    """Every setting is a config field or a flag: no ``os.environ`` or
+    ``os.getenv``, by attribute or by a ``from os import``."""
+    tree = ast.parse(path.read_text())
+    names = {"environ", "getenv"}
+    reads = [n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+             and isinstance(n.value, ast.Name) and n.value.id == "os"
+             and n.attr in names]
+    reads += [a.name for n in ast.walk(tree)
+              if isinstance(n, ast.ImportFrom) and n.module == "os"
+              for a in n.names if a.name in names]
+    assert reads == []

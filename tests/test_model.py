@@ -166,6 +166,12 @@ class TestForward:
         with pytest.raises(ShapeError):
             model.forward(np.zeros((4, 9)))
 
+    def test_unknown_mode_is_refused(self):
+        model = build_model(regression_config(), seed=0)
+        with pytest.raises(ConfigurationError,
+                           match="^unknown forward mode 'bogus'$"):
+            model.forward(np.zeros((2, 8)), mode="bogus")
+
     def test_g_head_perturbation_leaves_f_unchanged(self):
         model = build_model(regression_config(), seed=5)
         x = np.random.default_rng(2).normal(size=(4, 8))

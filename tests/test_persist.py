@@ -403,6 +403,46 @@ PINNED_DIGESTS = {
 }
 
 
+PLAIN_ARCHITECTURE = dict(input_dim=4, body_widths=[8], task=CLASSIFICATION,
+                          n_classes=3, selection_hidden=8, dropout_rate=0.25,
+                          batchnorm=True)
+
+
+NUMPY_SETTINGS = {
+    "seed": {"seed": np.int64(7)},
+    "input_dim": {"input_dim": np.int64(4)},
+    "body_widths": {"body_widths": [np.int64(8)]},
+    "selection_hidden": {"selection_hidden": np.int64(8)},
+    "n_classes": {"n_classes": np.int64(3)},
+    "regression-n_classes": {"task": REGRESSION, "n_classes": np.int64(0)},
+    "dropout_rate": {"dropout_rate": np.float32(0.25)},
+    "batchnorm": {"batchnorm": np.bool_(True)},
+    "auxiliary_head": {"auxiliary_head": np.bool_(True)},
+    "target_coverage": {"target_coverage": np.float32(0.5)},
+}
+
+
+@pytest.mark.parametrize("changes", NUMPY_SETTINGS.values(),
+                         ids=NUMPY_SETTINGS)
+def test_numpy_scalar_settings_save_as_their_plain_values(changes, tmp_path):
+    """A setting given as a numpy scalar saves the same bytes as its plain
+    Python value (0.25 and 0.5 are exact in float32). The target coverage
+    reaches the checkpoint through one epoch of training."""
+    def saved(seed=7, target_coverage=None, **changed):
+        arch = ArchitectureConfig(**{**PLAIN_ARCHITECTURE, **changed})
+        model = build_model(arch, seed)
+        if target_coverage is not None:
+            x = np.random.default_rng(0).normal(size=(32, 4))
+            train(model, x, np.arange(32) % 3, TrainConfig(
+                epochs=1, batch_size=16, seed=0, loss=LossConfig(
+                    task_loss=CROSS_ENTROPY, target_coverage=target_coverage)))
+        save_model(model, None, tmp_path / "ckpt.bin")
+        return (tmp_path / "ckpt.bin").read_bytes()
+
+    plain = {key: np.asarray(value).tolist() for key, value in changes.items()}
+    assert saved(**changes) == saved(**plain)
+
+
 @pytest.mark.parametrize("arch, kind", sorted(PINNED_DIGESTS),
                          ids=lambda v: v)
 def test_untrained_checkpoint_bytes_are_pinned(arch, kind, tmp_path):
