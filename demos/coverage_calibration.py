@@ -27,8 +27,7 @@ from selpred import (
     calibrate,
     hoeffding_epsilon,
     select_threshold,
-    split,
-    standardize,
+    standardized_splits,
     synth_classification,
     train,
 )
@@ -40,10 +39,8 @@ TARGET = 0.7
 
 dataset = synth_classification(seed=SEED, m=6000, n_classes=4, n_features=8,
                                noise_fraction=0.2)
-train_ds, cal_ds, test_ds = split(dataset, SplitSpec(seed=SEED, stratified=True))
-train_ds, stats = standardize(train_ds)
-cal_ds, _ = standardize(cal_ds, stats=stats)
-test_ds, _ = standardize(test_ds, stats=stats)
+train_ds, cal_ds, test_ds, _ = standardized_splits(
+    dataset, SplitSpec(seed=SEED, stratified=True))
 
 model = build_model(
     ArchitectureConfig(input_dim=8, body_widths=[32], task=CLASSIFICATION,

@@ -21,8 +21,7 @@ from selpred import (
     build_baseline,
     build_model,
     risk_coverage_curves,
-    split,
-    standardize,
+    standardized_splits,
     train,
 )
 from selpred.checks import REGRESSION
@@ -38,10 +37,8 @@ sigma = np.where(x[:, 0] > 0.5, 1.6, 0.2)
 y = clean + sigma * rng.normal(size=m)
 dataset = Dataset(x, y, REGRESSION)
 
-train_ds, cal_ds, test_ds = split(dataset, SplitSpec(seed=SEED))
-train_ds, stats = standardize(train_ds)
-cal_ds, _ = standardize(cal_ds, stats=stats)
-test_ds, _ = standardize(test_ds, stats=stats)
+train_ds, cal_ds, test_ds, _ = standardized_splits(
+    dataset, SplitSpec(seed=SEED))
 
 arch = ArchitectureConfig(input_dim=4, body_widths=[64], task=REGRESSION,
                           selection_hidden=16, dropout_rate=0.05)

@@ -20,8 +20,7 @@ from selpred import (
     build_model,
     calibrate,
     selective_metrics,
-    split,
-    standardize,
+    standardized_splits,
     synth_classification,
     train,
 )
@@ -33,10 +32,8 @@ TARGET_COVERAGE = 0.8
 
 dataset = synth_classification(seed=SEED, m=6000, n_classes=4, n_features=8,
                                noise_fraction=0.2)
-train_ds, cal_ds, test_ds = split(dataset, SplitSpec(seed=SEED, stratified=True))
-train_ds, stats = standardize(train_ds)
-cal_ds, _ = standardize(cal_ds, stats=stats)
-test_ds, _ = standardize(test_ds, stats=stats)
+train_ds, cal_ds, test_ds, _ = standardized_splits(
+    dataset, SplitSpec(seed=SEED, stratified=True))
 
 arch = ArchitectureConfig(input_dim=8, body_widths=[32], task=CLASSIFICATION,
                           n_classes=4, selection_hidden=16)

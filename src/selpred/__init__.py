@@ -12,7 +12,8 @@ from .calibrate import (
     hoeffding_epsilon,
     select_threshold,
 )
-from .data import Dataset, SplitSpec, load_csv, split, standardize, synth_classification
+from .data import (Dataset, SplitSpec, load_csv, split, standardize,
+                   standardized_splits, synth_classification)
 from .evaluate import (
     EvalReport,
     cross_calibration_grid,

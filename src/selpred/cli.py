@@ -28,8 +28,9 @@ import yaml
 
 from .calibrate import calibrate
 from .checks import CLASSIFICATION, ConfigurationError, boolean, integer
-from .data import (SplitSpec, load_csv, split, standardize,
-                   synth_classification, unstandardize_target)
+from .data import (SplitSpec, load_csv, standardized_splits,
+                   synth_classification, unstandardize_target,
+                   split, standardize)  # unused: kept for bench/spans.py SITES
 from .evaluate import (
     cross_calibration_grid,
     percent_improvement,
@@ -172,16 +173,14 @@ def _coverages(text):
     return coverages
 
 
-def _out_dir(path):
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write_outputs(out, name, cfg, conf, seeds, colnames, rows):
     """Write ``out/name``, a CSV of ``colnames`` and ``rows`` under its
     provenance lines (hash of the file's mapping ``cfg``, ``seeds``, format
-    version), then ``out/effective_config.yaml``, the resolved ``conf``."""
+    version), then ``out/effective_config.yaml``, the resolved ``conf``.
+    This makes ``out`` when missing, so each command calls it once its
+    results are computed, before it saves any checkpoint: a failed run
+    leaves no directory behind."""
+    out.mkdir(parents=True, exist_ok=True)
     config_hash = hashlib.sha256(
         yaml.safe_dump(cfg, sort_keys=True).encode()).hexdigest()[:12]
     write_csv(out / name, [f"config_hash={config_hash}",
@@ -196,10 +195,9 @@ def prepare_splits(conf, split_seed=None):
     """Load, split, and standardize per the resolved config ``conf``;
     ``split_seed``, when given, overrides ``split.seed``.
 
-    Returns ``(train_ds, cal_ds, test_ds, target_stats)``: features are
-    z-scored with train-split statistics, regression targets standardized
-    when ``dataset.standardize_target`` is set, and ``target_stats`` holds
-    the inverse transform for reporting in original units.
+    Returns ``standardized_splits`` of the loaded data, ``(train_ds,
+    cal_ds, test_ds, target_stats)``, with regression targets standardized
+    when ``dataset.standardize_target`` is set.
     """
     d = conf["dataset"]
     if d["kind"] == "csv":
@@ -213,12 +211,9 @@ def prepare_splits(conf, split_seed=None):
                                   d["n_features"], d["noise_fraction"])
     if split_seed is None:
         split_seed = conf["split"]["seed"]
-    tr, ca, te = split(ds, SplitSpec(**{**conf["split"], "seed": split_seed}))
-    tr, stats = standardize(
-        tr, include_target=include_target and ds.task != CLASSIFICATION)
-    ca, _ = standardize(ca, stats=stats)
-    te, _ = standardize(te, stats=stats)
-    return tr, ca, te, stats[3]
+    return standardized_splits(
+        ds, SplitSpec(**{**conf["split"], "seed": split_seed}),
+        include_target and ds.task != CLASSIFICATION)
 
 
 def _architecture(conf, tr, ca, te):
@@ -244,17 +239,17 @@ def cmd_train(args):
     seeds = None if args.seed is None else [args.seed]
     cfg, conf = _load_config(args.config, seeds, args.coverage)
     seed = conf["seeds"][0]
-    out = _out_dir(args.out)
+    out = Path(args.out)
     tr, ca, te, tstats = prepare_splits(conf)
     arch = _architecture(conf, tr, ca, te)
     tcfg = _train_config(conf, seed, conf["loss"]["target_coverage"])
     model = build_model(arch, seed)
     history = train(model, tr.features, tr.labels, tcfg)
-    save_model(model, None, out / "model.ckpt")
     names = [f.name for f in fields(TrainHistory)]
     columns = [getattr(history, name) for name in names]
     _write_outputs(out, "history.csv", cfg, conf, [seed], ["epoch"] + names,
                    [(e, *row) for e, row in enumerate(zip(*columns))])
+    save_model(model, None, out / "model.ckpt")
     print(f"trained {tcfg.epochs} epochs; final loss "
           f"{history.total_loss[-1]:.6f}; checkpoint at {out/'model.ckpt'}")
     return 0
@@ -262,16 +257,16 @@ def cmd_train(args):
 
 def cmd_calibrate(args):
     cfg, conf = _load_config(args.config)
-    out = _out_dir(args.out)
+    out = Path(args.out)
     model, _ = load_model(args.model)
     _, ca, _, _ = prepare_splits(conf)
     result = calibrate(model, ca.features, args.coverage, delta=args.delta)
-    save_model(model, result, out / "model_calibrated.ckpt")
     _write_outputs(out, "calibration.csv", cfg, conf, [model.seed],
                    ["tau", "target_coverage", "n_validation", "delta",
                     "epsilon", "achieved_coverage"],
                    [(result.tau, result.target_coverage, result.n_validation,
                      result.delta, result.epsilon, result.achieved_coverage)])
+    save_model(model, result, out / "model_calibrated.ckpt")
     print(f"tau={result.tau:.6f} achieved validation coverage "
           f"{result.achieved_coverage:.4f} (epsilon={result.epsilon:.6f})")
     return 0
@@ -293,7 +288,7 @@ def cmd_evaluate(args):
     print(f"coverage={rep.coverage:.4f} risk={rep.risk:.6f} "
           f"covered={rep.n_covered} rejected={rep.n_rejected}")
     if args.out:
-        _write_outputs(_out_dir(args.out), "eval.csv", cfg, conf, [model.seed],
+        _write_outputs(Path(args.out), "eval.csv", cfg, conf, [model.seed],
                        ["tau", "coverage", "risk", "n_covered", "n_rejected"],
                        [(tau, rep.coverage, rep.risk, rep.n_covered,
                          rep.n_rejected)])
@@ -303,7 +298,7 @@ def cmd_evaluate(args):
 def cmd_curve(args):
     coverages = _coverages(args.coverages)
     cfg, conf = _load_config(args.config)
-    out = _out_dir(args.out)
+    out = Path(args.out)
     model, _ = load_model(args.model)
     _, ca, te, tstats = prepare_splits(conf)
     rows = risk_coverage_curves(model, ca.features, te.features, te.labels,
@@ -317,13 +312,13 @@ def cmd_curve(args):
 def cmd_grid(args):
     coverages = _coverages(args.coverages)
     cfg, conf = _load_config(args.config)
-    out = _out_dir(args.out)
+    out = Path(args.out)
     models = [load_model(p)[0] for p in args.models.split(",")]
     _, ca, te, tstats = prepare_splits(conf)
     grid = cross_calibration_grid(models, ca.features, te.features, te.labels,
                                   coverages, tstats)
     colnames = ["train_coverage"] + [f"calib_{c}" for c in coverages]
-    rows = [[m.target_coverage] + list(grid[i])
+    rows = [[m.trained_coverage] + list(grid[i])
             for i, m in enumerate(models)]
     _write_outputs(out, "grid.csv", cfg, conf, [m.seed for m in models],
                    colnames, rows)
@@ -390,7 +385,7 @@ def cmd_compare(args):
     coverages = _coverages(args.coverages)
     seeds = _flag_list("--seeds", args.seeds, int) if args.seeds else None
     cfg, conf = _load_config(args.config, seeds)
-    out = _out_dir(args.out)
+    out = Path(args.out)
     colnames, rows = run_comparison(conf, coverages)
     _write_outputs(out, "compare.csv", cfg, conf, conf["seeds"], colnames,
                    rows)

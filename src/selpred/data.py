@@ -18,6 +18,7 @@ __all__ = [
     "ParseError",
     "load_csv",
     "standardize",
+    "standardized_splits",
     "synth_classification",
     "split",
 ]
@@ -324,6 +325,19 @@ def split(dataset, spec):
         parts = [order[:n_train], order[n_train:n_train + n_cal],
                  order[n_train + n_cal:]]
     return tuple(dataset.subset(p) for p in parts)
+
+
+def standardized_splits(dataset, spec, standardize_target=False):
+    """``(train, calibration, test, target_stats)``: ``split(dataset,
+    spec)``, each part standardized by statistics fitted on the train part
+    alone, so no held-out row reaches them. With ``standardize_target``
+    (regression only) targets are standardized too and ``target_stats``
+    holds the inverse transform, else it is None."""
+    train, calibration, test = split(dataset, spec)
+    train, stats = standardize(train, include_target=standardize_target)
+    calibration, _ = standardize(calibration, stats=stats)
+    test, _ = standardize(test, stats=stats)
+    return train, calibration, test, stats[3]
 
 
 def _classes(labels):

@@ -141,7 +141,7 @@ class SelectiveNet:
         config.validate()
         self.config = config
         self.selective = selective
-        self.target_coverage = None  # set by training
+        self.trained_coverage = None  # set by training
         rng = np.random.default_rng(seed)
 
         self.body = []

@@ -203,7 +203,7 @@ def train(model, features, labels, config):
     For a selective model this is alpha*L(f,g) + (1-alpha)*Lh per batch; the
     baseline twin is trained on the plain mean task loss. Returns a
     ``TrainHistory``; the model is updated in place and its
-    ``target_coverage`` is stamped from the loss config. Before the first
+    ``trained_coverage`` is stamped from the loss config. Before the first
     update, class labels are checked to be integers in [0, n_classes)
     (integral floats pass) and the task loss to fit the task: cross-entropy
     for classification, squared loss for regression.
@@ -295,5 +295,5 @@ def train(model, features, labels, config):
         history.hard_coverage.append(hard / m)
         history.selective_risk.append(risk / m)
 
-    model.target_coverage = lcfg.target_coverage if model.selective else 1.0
+    model.trained_coverage = lcfg.target_coverage if model.selective else 1.0
     return history

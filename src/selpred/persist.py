@@ -63,7 +63,7 @@ def save_model(model, calibration, path):
         "architecture": asdict(model.config),
         "selective": model.selective,
         "seed": model.seed,
-        "trained_coverage": model.target_coverage,
+        "trained_coverage": model.trained_coverage,
         "calibration": asdict(calibration) if calibration else None,
         "array_sizes": sizes,
     }
@@ -152,7 +152,7 @@ def load_model(path):
                  if header["calibration"] else None)
     except (TypeError, ValueError, KeyError) as exc:
         raise IntegrityError(f"{path}: invalid header: {exc!r}") from exc
-    model.target_coverage = coverage
+    model.trained_coverage = coverage
     buffers, sizes = _state(model)
     if header["array_sizes"] != sizes:
         raise IntegrityError(f"{path}: payload layout does not match architecture")

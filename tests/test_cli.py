@@ -755,6 +755,33 @@ class TestExitCodes:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["curve-sr-on-regression",
+                                      "train-zero-epochs"])
+    def test_runtime_failure_leaves_no_out_directory(self, tmp_path, capsys,
+                                                     case):
+        """A command that fails after its flags and config are read creates
+        no ``--out`` directory, nor any missing parent of it."""
+        cfg_path = _regression_config(tmp_path)
+        if case == "train-zero-epochs":
+            cfg = yaml.safe_load(cfg_path.read_text())
+            cfg["train"]["epochs"] = 0
+            cfg_path.write_text(yaml.safe_dump(cfg))
+            argv = ["train", "--config", str(cfg_path)]
+            message = "epochs must be >= 1, got 0"
+        else:
+            run = tmp_path / "run"
+            assert main(["train", "--config", str(cfg_path),
+                         "--out", str(run)]) == 0
+            argv = ["curve", "--model", str(run / "model.ckpt"),
+                    "--config", str(cfg_path), "--coverages", "1.0,0.8",
+                    "--score", "sr"]
+            message = "score kind 'sr' does not apply to this regression model"
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out / "nested")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_corrupt_checkpoint_is_one(self, workdir, tmp_path, capsys):
         _, cfg_path = workdir
         bad = tmp_path / "bad.ckpt"

@@ -17,6 +17,7 @@ from selpred.data import (
     load_csv,
     split,
     standardize,
+    standardized_splits,
     synth_classification,
     unstandardize_target,
 )
@@ -462,6 +463,99 @@ class TestSplit:
         ds = Dataset(np.zeros((2, 1)), np.zeros(2), REGRESSION)
         with pytest.raises(ConfigurationError):
             split(ds, SplitSpec(seed=0))
+
+
+class TestStandardizedSplits:
+    """``standardized_splits`` is ``split`` and then ``standardize`` fitted
+    on the train part and applied to each part, byte for byte."""
+
+    @staticmethod
+    def _dataset(task, m, seed, constant=False):
+        """Synthetic classes (with a noise mask) or a regression target far
+        from 0; column 0 is constant when ``constant``."""
+        if task == CLASSIFICATION:
+            ds = synth_classification(seed, m, 3, 4, 0.2)
+        else:
+            rng = np.random.default_rng(seed)
+            x = rng.normal(5.0, 3.0, size=(m, 4))
+            ds = Dataset(x, 40.0 + 15.0 * x[:, 1] + rng.normal(size=m),
+                         REGRESSION)
+        if constant:
+            ds.features[:, 0] = 2.5
+        return ds
+
+    @staticmethod
+    def _assert_same(a, b):
+        assert a.task == b.task
+        for x, y in ((a.features, b.features), (a.labels, b.labels)):
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes()
+        assert a.provenance.keys() == b.provenance.keys()
+        for key, value in a.provenance.items():
+            np.testing.assert_array_equal(value, b.provenance[key])
+
+    @settings(max_examples=60, deadline=None)
+    @given(task=st.sampled_from([CLASSIFICATION, REGRESSION]),
+           flag=st.booleans(), m=st.integers(30, 400),
+           seed=st.integers(0, 2**32 - 1), constant=st.booleans())
+    def test_is_split_then_three_standardize_calls(self, task, flag, m, seed,
+                                                   constant):
+        """``flag`` is ``stratified`` for classification and
+        ``standardize_target`` for regression."""
+        ds = self._dataset(task, m, seed, constant)
+        stratified = flag and task == CLASSIFICATION
+        target = flag and task == REGRESSION
+        spec = SplitSpec(seed=seed % 1000, stratified=stratified)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            *got, got_tstats = standardized_splits(ds, spec, target)
+            tr, ca, te = split(ds, spec)
+            tr, stats = standardize(tr, include_target=target)
+            want = [tr, standardize(ca, stats=stats)[0],
+                    standardize(te, stats=stats)[0]]
+        for a, b in zip(got, want):
+            self._assert_same(a, b)
+        assert got_tstats == stats[3]
+        assert (got_tstats is None) == (not target)
+        if constant:
+            assert all(p.provenance["dropped_features"] == [0] for p in got)
+
+    def test_default_leaves_the_target(self):
+        ds = self._dataset(REGRESSION, 100, 0)
+        tr, _, _, tstats = standardized_splits(ds, SplitSpec(seed=1))
+        assert tstats is None
+        assert abs(tr.labels.mean()) > 10.0
+
+    @pytest.mark.parametrize("task, stratified, target", [
+        (CLASSIFICATION, False, False), (CLASSIFICATION, True, False),
+        (REGRESSION, False, False), (REGRESSION, False, True),
+    ], ids=["cls", "cls-stratified", "reg", "reg-target"])
+    def test_held_out_rows_do_not_reach_the_fit(self, task, stratified,
+                                                target):
+        """Changing every calibration and test row leaves the train part,
+        ``target_stats`` and the fitted statistics, by which the held-out
+        parts are transformed, as they were."""
+        spec = SplitSpec(seed=4, stratified=stratified)
+        ds = self._dataset(task, 300, 2)
+        ids = Dataset(np.arange(300.0)[:, None], ds.labels, task)
+        held_out = np.concatenate([p.features[:, 0].astype(np.int64)
+                                   for p in split(ids, spec)[1:]])
+        changed = Dataset(ds.features.copy(), ds.labels.copy(), task,
+                          dict(ds.provenance))
+        rng = np.random.default_rng(9)
+        changed.features[held_out] = rng.normal(
+            500.0, 1000.0, size=(held_out.size, ds.n_features))
+        if task == REGRESSION:
+            changed.labels[held_out] = rng.normal(-300.0, 80.0,
+                                                  size=held_out.size)
+        a = standardized_splits(ds, spec, target)
+        b = standardized_splits(changed, spec, target)
+        self._assert_same(a[0], b[0])
+        assert a[3] == b[3]
+        _, stats = standardize(split(ds, spec)[0], include_target=target)
+        for got, before, raw in zip(b[1:3], a[1:3], split(changed, spec)[1:]):
+            assert not np.array_equal(got.features, before.features)
+            self._assert_same(got, standardize(raw, stats=stats)[0])
 
 
 class TestSubset:

@@ -310,6 +310,31 @@ class TestErrors:
                 with pytest.raises(DomainError):
                     serve(x)
 
+    @pytest.mark.parametrize("n", [1, 64, BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+    def test_each_non_finite_head_column_raises(self, task, value, n):
+        """A non-finite bias in any one column of the folded head, f's
+        (``f_head.bias``) or g's block's (``g_block.bn.shift``), raises
+        from every serve path, for one row, one batch and more rows than
+        one block."""
+        model = _perturbed(build_model(_config(task), seed=0))
+        x = _inputs(n)
+        columns = [(bias, j) for bias in (model.f_head.bias.data,
+                                          model.g_block.bn.shift.data)
+                   for j in range(bias.size)]
+        assert len(columns) == model.freeze().head_w.shape[1]
+        for bias, j in columns:
+            kept = bias[j]
+            bias[j] = value
+            for serve in (model.predict, model.selection_scores,
+                          lambda rows: calibrate(model, rows, 0.8)):
+                with pytest.raises(DomainError):
+                    serve(x)
+            bias[j] = kept
+            model.predict(x[:1])  # the column alone made it fail
+
     def test_baseline_has_no_selection_scores(self):
         base = build_baseline(_config(REGRESSION), seed=0)
         with pytest.raises(ConfigurationError):

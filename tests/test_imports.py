@@ -2,7 +2,8 @@
 
 ``checks`` sits at the bottom of the import graph, every name a module
 imports from ``selpred`` is used there, loading a CSV does not import the
-network, and no setting comes from the environment.
+network, no setting comes from the environment, and only ``data`` splits
+and standardizes a dataset.
 """
 
 import ast
@@ -14,10 +15,12 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "selpred"
 SPANS = ROOT / "bench" / "spans.py"
+DEMOS = ROOT / "demos"
 
 # The imports kept only so that the benchmark's span recorder can wrap them.
 BENCH_ONLY = {("cli", "mc_dropout_confidence"), ("cli", "sr_confidence"),
-              ("cli", "threshold_for_coverage"), ("model", "sigmoid")}
+              ("cli", "threshold_for_coverage"), ("model", "sigmoid"),
+              ("cli", "split"), ("cli", "standardize")}
 
 
 def _tree(name):
@@ -82,3 +85,28 @@ def test_no_module_reads_the_environment(path):
               if isinstance(n, ast.ImportFrom) and n.module == "os"
               for a in n.names if a.name in names]
     assert reads == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) + sorted(DEMOS.glob("*.py"))
+             if p != SRC / "data.py"],
+    ids=lambda p: f"{p.parent.name}/{p.stem}")
+def test_only_data_splits_and_standardizes(path):
+    """The train-only fit of the standardization is applied in one place,
+    ``data.standardized_splits``: no other module and no demo calls
+    ``split`` or ``standardize``, by name or as an attribute of a name it
+    imports from ``selpred``."""
+    tree = ast.parse(path.read_text())
+    names = {"split", "standardize"}
+    imported = {name for _, name in _selpred_imports(tree)}
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name) and f.id in names:
+            calls.append(f.id)
+        elif (isinstance(f, ast.Attribute) and f.attr in names
+              and isinstance(f.value, ast.Name) and f.value.id in imported):
+            calls.append(f"{f.value.id}.{f.attr}")
+    assert calls == []

@@ -291,7 +291,9 @@ class TestTrainLoop:
         x, y = _toy_dataset()
         model = _toy_model()
         train(model, x, y, _toy_train_config())
-        assert model.target_coverage == 0.8
+        assert model.trained_coverage == 0.8
+        # target_coverage names only the loss config's and calibration's
+        assert not hasattr(model, "target_coverage")
 
     def test_soft_coverage_tracks_target(self):
         x, y = _toy_dataset(m=512)
@@ -402,7 +404,7 @@ class TestTrainLoop:
         model = build_baseline(cfg, 0)
         h = train(model, x, y, _toy_train_config())
         assert all(v == 1.0 for v in h.soft_coverage)
-        assert model.target_coverage == 1.0
+        assert model.trained_coverage == 1.0
 
     def test_regression_squared_loss_path(self):
         rng = np.random.default_rng(2)

@@ -52,7 +52,7 @@ def test_round_trip_is_bit_exact(trained_model, tmp_path):
     save_model(model, calib, path)
     loaded, calib2 = load_model(path)
     assert calib2 == calib
-    assert loaded.target_coverage == model.target_coverage
+    assert loaded.trained_coverage == model.trained_coverage
     for a, b in zip(model.parameters(), loaded.parameters()):
         np.testing.assert_array_equal(a.data, b.data)
     for a, b in zip(model.running_stats(), loaded.running_stats()):
@@ -355,7 +355,7 @@ def _array_by_array_checkpoint(model, calibration):
         "architecture": asdict(model.config),
         "selective": model.selective,
         "seed": model.seed,
-        "trained_coverage": model.target_coverage,
+        "trained_coverage": model.trained_coverage,
         "calibration": asdict(calibration) if calibration else None,
         "array_sizes": [int(a.size) for a in arrays],
     }, sort_keys=True).encode("utf-8")
