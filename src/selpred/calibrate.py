@@ -62,6 +62,8 @@ def select_threshold(scores, target_coverage):
         raise ContractError("threshold selection needs a nonempty score set")
     if not 0.0 < target_coverage <= 1.0:
         raise DomainError(f"target coverage must be in (0,1], got {target_coverage}")
+    # float64, as m/n is: numpy would compare m/n with a float32 c in float32
+    target_coverage = float(target_coverage)
     if not np.isfinite(scores).all():
         raise DomainError("selection scores must be finite")
     n = scores.size
@@ -97,15 +99,16 @@ def calibrate(model, validation_inputs, target_coverage, delta=0.001):
     """
     if not 0.0 < delta < 1.0:  # NaN fails too
         raise DomainError(f"delta must be in (0, 1), got {delta}")
+    delta = float(delta)
     validation_inputs = np.asarray(validation_inputs, dtype=np.float64)
     if validation_inputs.shape[0] == 0:
         raise ContractError("calibration needs a nonempty validation set")
     scores = model.selection_scores(validation_inputs)
     tau = select_threshold(scores, target_coverage)
     n = scores.size
-    return CalibrationResult(
+    return CalibrationResult(  # plain floats, so a checkpoint saves them
         tau=tau,
-        target_coverage=target_coverage,
+        target_coverage=float(target_coverage),
         n_validation=n,
         delta=delta,
         epsilon=hoeffding_epsilon(n, delta),

@@ -2,9 +2,9 @@
 
 Configuration lives in a YAML file (see README for the schema). Its
 ``split``, ``architecture``, ``loss`` and ``train`` sections read into the
-dataclasses that own their defaults, and ``dataset`` into the key table of
-its ``kind``; a key that a section does not take raises ConfigurationError
-naming ``section.key``. The resolved config, every default filled in and
+dataclasses that own their defaults, and ``dataset`` into its ``kind``'s
+loader arguments; a bad key or value raises ConfigurationError before any
+data is read. The resolved config, every default filled in and
 ``train --seed``/``--coverage`` and ``compare --seeds`` applied, is
 written next to the outputs as effective_config.yaml: it records what ran.
 All tabular outputs are CSV with a '#'-prefixed provenance header (config
@@ -27,7 +27,8 @@ import numpy as np
 import yaml
 
 from .calibrate import calibrate
-from .checks import CLASSIFICATION, ConfigurationError, boolean, integer
+from .checks import (CLASSIFICATION, ConfigurationError, boolean, fraction,
+                     integer)
 from .data import (SplitSpec, load_csv, standardized_splits,
                    synth_classification, unstandardize_target,
                    split, standardize)  # unused: kept for bench/spans.py SITES
@@ -61,11 +62,11 @@ def _signature_defaults(fn):
             for name, p in inspect.signature(fn).parameters.items()}
 
 
-# The keys of each dataset kind, with their defaults.
+# The keys of each dataset kind, with their defaults: its loader's arguments.
 _DATASET_KEYS = {
     "csv": {**_signature_defaults(load_csv), "standardize_target": True},
-    "synthetic": {"seed": 0, "m": _REQUIRED, "n_classes": _REQUIRED,
-                  "n_features": _REQUIRED, "noise_fraction": 0.0},
+    "synthetic": {**_signature_defaults(synth_classification), "seed": 0,
+                  "noise_fraction": 0.0},
 }
 
 
@@ -82,7 +83,7 @@ def _load_config(path, seeds=None, coverage=None):
     if seeds is not None:
         conf["seeds"] = _seeds(seeds)
     if coverage is not None:
-        conf["loss"]["target_coverage"] = coverage
+        conf["loss"]["target_coverage"] = fraction(coverage, "--coverage")
     return cfg, conf
 
 
@@ -110,8 +111,8 @@ def _defaults(cls, *derived):
 
 
 def _resolve(cfg):
-    """``cfg`` with every default filled in; a resolved config resolves to
-    itself. Every key is checked, so a misspelled one fails here."""
+    """``cfg`` with its defaults filled in and each key, and each value but
+    the loader arguments, checked; a resolved config resolves to itself."""
     for key, value in cfg.items():
         if key not in _TOP_LEVEL:
             raise ConfigurationError(f"unknown config key {key}")
@@ -125,16 +126,22 @@ def _resolve(cfg):
     task = dataset.get("task", CLASSIFICATION)
     loss = dict(_defaults(LossConfig), task_loss=(
         CROSS_ENTROPY if task == CLASSIFICATION else SQUARED))
-    seeds = _seeds(cfg.get("seeds", [0]))
-    return {
+    conf = {
         "dataset": dataset,
         "split": _section(cfg, "split", _defaults(SplitSpec)),
         "architecture": _section(cfg, "architecture", _defaults(
             ArchitectureConfig, "input_dim", "task", "n_classes")),
         "loss": _section(cfg, "loss", loss),
         "train": _section(cfg, "train", _defaults(TrainConfig, "seed", "loss")),
-        "seeds": seeds,
+        "seeds": _seeds(cfg.get("seeds", [0])),
     }
+    if kind == "csv":
+        boolean(dataset["standardize_target"], "standardize_target")
+    SplitSpec(**conf["split"]).validate()
+    _train_config(conf, 0).validate()
+    # input_dim, task and n_classes come from the data: stand-ins until read
+    ArchitectureConfig(**conf["architecture"], input_dim=1).validate()
+    return conf
 
 
 def _seeds(seeds):
@@ -191,29 +198,22 @@ def _write_outputs(out, name, cfg, conf, seeds, colnames, rows):
         yaml.safe_dump(conf, fh, sort_keys=True)
 
 
-def prepare_splits(conf, split_seed=None):
-    """Load, split, and standardize per the resolved config ``conf``;
-    ``split_seed``, when given, overrides ``split.seed``.
-
-    Returns ``standardized_splits`` of the loaded data, ``(train_ds,
-    cal_ds, test_ds, target_stats)``, with regression targets standardized
-    when ``dataset.standardize_target`` is set.
+def prepare_splits(conf, split_seeds=None):
+    """Load the resolved config ``conf``'s dataset once, calling its kind's
+    loader with the section's other keys, and return one
+    ``standardized_splits`` tuple ``(train_ds, cal_ds, test_ds,
+    target_stats)`` per seed of ``split_seeds`` (default ``[split.seed]``),
+    with regression targets standardized when ``standardize_target`` is set.
     """
-    d = conf["dataset"]
-    if d["kind"] == "csv":
-        include_target = boolean(d["standardize_target"],
-                                 "standardize_target")
-        ds = load_csv(d["path"], d["feature_columns"], d["target_column"],
-                      header=d["header"], task=d["task"])
-    else:  # synthetic data is classification
-        include_target = False
-        ds = synth_classification(d["seed"], d["m"], d["n_classes"],
-                                  d["n_features"], d["noise_fraction"])
-    if split_seed is None:
-        split_seed = conf["split"]["seed"]
-    return standardized_splits(
-        ds, SplitSpec(**{**conf["split"], "seed": split_seed}),
-        include_target and ds.task != CLASSIFICATION)
+    args = dict(conf["dataset"])
+    kind = args.pop("kind")
+    standardize_target = args.pop("standardize_target", False)
+    # looked up at call time, so a wrapper set on this module sees the call
+    ds = (load_csv if kind == "csv" else synth_classification)(**args)
+    return [standardized_splits(
+                ds, SplitSpec(**{**conf["split"], "seed": seed}),
+                standardize_target and ds.task != CLASSIFICATION)
+            for seed in split_seeds or [conf["split"]["seed"]]]
 
 
 def _architecture(conf, tr, ca, te):
@@ -225,11 +225,10 @@ def _architecture(conf, tr, ca, te):
                               task=tr.task, n_classes=n_classes)
 
 
-def _train_config(conf, seed, coverage):
-    """The run's ``TrainConfig``: ``seed``, and the loss section at target
-    coverage ``coverage``."""
-    loss = LossConfig(**{**conf["loss"], "target_coverage": coverage})
-    return TrainConfig(**conf["train"], seed=seed, loss=loss)
+def _train_config(conf, seed, **loss):
+    """The run's ``TrainConfig`` at ``seed``; ``loss`` overrides its keys."""
+    return TrainConfig(**conf["train"], seed=seed,
+                       loss=LossConfig(**{**conf["loss"], **loss}))
 
 
 # -- subcommands --------------------------------------------------------------
@@ -240,9 +239,9 @@ def cmd_train(args):
     cfg, conf = _load_config(args.config, seeds, args.coverage)
     seed = conf["seeds"][0]
     out = Path(args.out)
-    tr, ca, te, tstats = prepare_splits(conf)
+    [(tr, ca, te, tstats)] = prepare_splits(conf)
     arch = _architecture(conf, tr, ca, te)
-    tcfg = _train_config(conf, seed, conf["loss"]["target_coverage"])
+    tcfg = _train_config(conf, seed)
     model = build_model(arch, seed)
     history = train(model, tr.features, tr.labels, tcfg)
     names = [f.name for f in fields(TrainHistory)]
@@ -259,7 +258,7 @@ def cmd_calibrate(args):
     cfg, conf = _load_config(args.config)
     out = Path(args.out)
     model, _ = load_model(args.model)
-    _, ca, _, _ = prepare_splits(conf)
+    [(_, ca, _, _)] = prepare_splits(conf)
     result = calibrate(model, ca.features, args.coverage, delta=args.delta)
     _write_outputs(out, "calibration.csv", cfg, conf, [model.seed],
                    ["tau", "target_coverage", "n_validation", "delta",
@@ -277,7 +276,7 @@ def cmd_evaluate(args):
         raise ConfigurationError("--tau must be a number, got nan")
     cfg, conf = _load_config(args.config)
     model, calib = load_model(args.model)
-    _, _, te, tstats = prepare_splits(conf)
+    [(_, _, te, tstats)] = prepare_splits(conf)
     tau = args.tau if args.tau is not None else (calib.tau if calib else 0.5)
     preds, accepted = model.predict(te.features, tau)
     labels = te.labels
@@ -300,7 +299,7 @@ def cmd_curve(args):
     cfg, conf = _load_config(args.config)
     out = Path(args.out)
     model, _ = load_model(args.model)
-    _, ca, te, tstats = prepare_splits(conf)
+    [(_, ca, te, tstats)] = prepare_splits(conf)
     rows = risk_coverage_curves(model, ca.features, te.features, te.labels,
                                 [args.score], coverages, tstats)[args.score]
     _write_outputs(out, "curve.csv", cfg, conf, [model.seed],
@@ -314,7 +313,7 @@ def cmd_grid(args):
     cfg, conf = _load_config(args.config)
     out = Path(args.out)
     models = [load_model(p)[0] for p in args.models.split(",")]
-    _, ca, te, tstats = prepare_splits(conf)
+    [(_, ca, te, tstats)] = prepare_splits(conf)
     grid = cross_calibration_grid(models, ca.features, te.features, te.labels,
                                   coverages, tstats)
     colnames = ["train_coverage"] + [f"calib_{c}" for c in coverages]
@@ -334,16 +333,16 @@ def run_comparison(conf, coverages):
     """Train per-coverage selective models plus one full-coverage baseline
     for each of the resolved config's ``seeds``, all read off
     ``risk_coverage_curves``; returns ``(colnames, rows)`` for compare.csv
-    (mean +- stderr over seeds). Each seed also seeds its split."""
+    (mean +- stderr over seeds). Each seed also seeds its split of the one
+    read of the dataset, in place of ``split.seed``."""
     risks = {}  # score kind -> one list of per-coverage risks per seed
-    for seed in conf["seeds"]:
-        tr, ca, te, tstats = prepare_splits(conf, split_seed=seed)
-        task = tr.task
-        baselines = _BASELINES if task == CLASSIFICATION else _BASELINES[:1]
+    seeds = conf["seeds"]
+    for seed, (tr, ca, te, tstats) in zip(seeds, prepare_splits(conf, seeds)):
+        baselines = _BASELINES if tr.task == CLASSIFICATION else _BASELINES[:1]
         arch = _architecture(conf, tr, ca, te)
         base = build_baseline(arch, seed)
         train(base, tr.features, tr.labels,
-              _train_config(conf, seed, 1.0))
+              _train_config(conf, seed, target_coverage=1.0))
         curves = risk_coverage_curves(
             base, ca.features, te.features, te.labels,
             [k for k, _, _ in baselines], coverages, tstats,
@@ -355,7 +354,7 @@ def run_comparison(conf, coverages):
         for c in coverages:
             model = build_model(arch, seed)
             train(model, tr.features, tr.labels,
-                  _train_config(conf, seed, c))
+                  _train_config(conf, seed, target_coverage=c))
             [(_, _, risk)] = risk_coverage_curves(
                 model, ca.features, te.features, te.labels, ["g"], [c],
                 tstats)["g"]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibrate import select_threshold
-from .checks import CLASSIFICATION, ConfigurationError, ContractError
+from .checks import CLASSIFICATION, ConfigurationError, ContractError, real
 from .data import unstandardize_target
 from .layers import softmax_rows
 
@@ -104,11 +104,14 @@ def mc_dropout_confidence(model, inputs, passes, rate, seed, task):
     the consensus class (argmax of the mean prediction).
     Regression: variance of the scalar output. Deterministic given the seed;
     identical passes (e.g. rate 0) yield exactly zero variance. ``task``
-    must be the model's; ConfigurationError naming both otherwise.
+    must be the model's, and ``rate`` a real in [0, 1); ConfigurationError
+    naming them otherwise.
     """
     if task != model.config.task:
         raise ConfigurationError(f"MC-dropout for a {task} task on a "
                                  f"{model.config.task} model")
+    if not 0.0 <= real(rate, "rate") < 1.0:
+        raise ConfigurationError(f"rate must be in [0, 1), got {rate}")
     if passes < 2:
         raise ContractError("MC-dropout needs at least 2 passes")
     frozen = model.freeze()

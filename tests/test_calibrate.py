@@ -15,6 +15,7 @@ from selpred.calibrate import (
 )
 from selpred.checks import CLASSIFICATION, ContractError, DomainError
 from selpred.model import ArchitectureConfig, build_model
+from selpred.persist import save_model
 
 
 class TestSelectThreshold:
@@ -143,6 +144,30 @@ class TestCalibrate:
         with pytest.raises(DomainError,
                            match=rf"^delta must be in \(0, 1\), got {delta}$"):
             calibrate(toy_model, x, 0.8, delta=delta)
+
+    @pytest.mark.parametrize("target, delta", [
+        (np.float32(0.8), 0.05), (0.8, np.float32(0.05)),
+        (np.float32(0.7), np.float32(0.01)), (np.float64(0.8), 0.05),
+    ], ids=["float32-target", "float32-delta", "float32-both", "float64"])
+    def test_numpy_scalars_calibrate_as_their_plain_values(
+            self, toy_model, tmp_path, target, delta):
+        """A numpy scalar target or delta gives the result, and the
+        checkpoint bytes, of its plain float: in float32 the rank rule
+        would reach a coverage below the target it records."""
+        x = np.random.default_rng(3).normal(size=(400, 4))
+
+        def saved(c, d):
+            result = calibrate(toy_model, x, c, delta=d)
+            save_model(toy_model, result, tmp_path / "ckpt.bin")
+            return result, (tmp_path / "ckpt.bin").read_bytes()
+
+        result, data = saved(target, delta)
+        plain, plain_data = saved(float(target), float(delta))
+        assert data == plain_data
+        assert result == plain
+        assert type(result.target_coverage) is float
+        assert type(result.delta) is float
+        assert result.achieved_coverage >= result.target_coverage
 
     def test_empty_validation_rejected(self, toy_model):
         with pytest.raises(ContractError):

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 import yaml
 
+from selpred import cli
 from selpred.checks import ConfigurationError
 from selpred.cli import _resolve, build_parser, main, prepare_splits
-from selpred.data import SplitSpec
+from selpred.data import (SplitSpec, load_csv, standardized_splits,
+                          synth_classification)
 from selpred.losses import LossConfig
 from selpred.model import ArchitectureConfig, FrozenNet
 from selpred.optim import TrainConfig
@@ -69,12 +71,24 @@ def _regression_config(tmp_path):
     return cfg_path
 
 
-def _count_heads_per_split(monkeypatch, cfg_path, argv, split_seed=None):
+def _count_reads(monkeypatch):
+    """Wrap ``cli``'s two loaders; returns the calls of each by kind."""
+    calls = {"csv": 0, "synthetic": 0}
+    for kind, name in (("csv", "load_csv"),
+                       ("synthetic", "synth_classification")):
+        def counting(*args, _kind=kind, _loader=getattr(cli, name), **kw):
+            calls[_kind] += 1
+            return _loader(*args, **kw)
+        monkeypatch.setattr(cli, name, counting)
+    return calls
+
+
+def _count_heads_per_split(monkeypatch, cfg_path, argv, split_seeds=None):
     """Run ``main(argv)`` and count ``FrozenNet.heads`` calls by the split
-    (of ``prepare_splits`` on the resolved config) whose rows they
-    evaluate."""
+    (of ``prepare_splits`` on the resolved config, at its one split seed)
+    whose rows they evaluate."""
     conf = _resolve(yaml.safe_load(cfg_path.read_text()))
-    tr, ca, te, _ = prepare_splits(conf, split_seed)
+    [(tr, ca, te, _)] = prepare_splits(conf, split_seeds)
     names = {s.features.tobytes(): name
              for name, s in (("train", tr), ("cal", ca), ("test", te))}
     counts = {}
@@ -370,7 +384,7 @@ class TestCompare:
         _, cfg_path = workdir
         counts = _count_heads_per_split(monkeypatch, cfg_path, [
             "compare", "--config", str(cfg_path), "--coverages", "1.0,0.8",
-            "--seeds", "0", "--out", str(tmp_path)], split_seed=0)
+            "--seeds", "0", "--out", str(tmp_path)], split_seeds=[0])
         assert counts == {"cal": 3, "test": 3}
 
     def test_regression_twin_calibrates_without_a_forward(self, tmp_path,
@@ -381,7 +395,7 @@ class TestCompare:
         cfg_path = _regression_config(tmp_path)
         counts = _count_heads_per_split(monkeypatch, cfg_path, [
             "compare", "--config", str(cfg_path), "--coverages", "1.0,0.8",
-            "--seeds", "0", "--out", str(tmp_path / "out")], split_seed=0)
+            "--seeds", "0", "--out", str(tmp_path / "out")], split_seeds=[0])
         assert counts == {"cal": 2, "test": 3}
 
     def test_improvement_cells_follow_their_row(self, tmp_path):
@@ -418,6 +432,59 @@ class TestCompare:
                 else:
                     assert float(row[col]) == 100.0 * (base - selnet) / base
         assert "n/a" in cells and any(c != "n/a" for c in cells)
+
+
+class TestDataStep:
+    """Each command reads its dataset once, through its kind's loader, and
+    splits that one read at every seed it needs."""
+
+    def _configs(self, workdir, tmp_path):
+        _, cfg_path = workdir
+        return {"synthetic": cfg_path, "csv": _regression_config(tmp_path)}
+
+    @pytest.mark.parametrize("split_seeds", [None, [0], [0, 1, 2]])
+    @pytest.mark.parametrize("kind", ["csv", "synthetic"])
+    def test_one_loader_call(self, workdir, tmp_path, monkeypatch, kind,
+                             split_seeds):
+        conf = _resolve(yaml.safe_load(
+            self._configs(workdir, tmp_path)[kind].read_text()))
+        calls = _count_reads(monkeypatch)
+        splits = prepare_splits(conf, split_seeds)
+        assert calls == {"csv": 0, "synthetic": 0, kind: 1}
+        assert len(splits) == len(split_seeds or [0])
+
+    @pytest.mark.parametrize("kind", ["csv", "synthetic"])
+    def test_each_split_is_the_step_at_its_seed(self, workdir, tmp_path,
+                                                kind):
+        """Split ``i`` is ``standardized_splits`` of one read at seed
+        ``i``, byte for byte; the default seed is ``split.seed``."""
+        conf = _resolve(yaml.safe_load(
+            self._configs(workdir, tmp_path)[kind].read_text()))
+        args = dict(conf["dataset"])
+        del args["kind"]
+        target = args.pop("standardize_target", False)
+        loader = load_csv if kind == "csv" else synth_classification
+        ds = loader(**args)
+        seeds = [2, 0, 5]
+        got = prepare_splits(conf, seeds) + prepare_splits(conf)
+        for seed, parts in zip(seeds + [conf["split"]["seed"]], got):
+            want = standardized_splits(
+                ds, SplitSpec(**{**conf["split"], "seed": seed}), target)
+            for a, b in zip(parts[:3], want[:3]):
+                assert a.task == b.task
+                assert a.features.tobytes() == b.features.tobytes()
+                assert a.labels.tobytes() == b.labels.tobytes()
+                assert a.labels.dtype == b.labels.dtype
+            assert repr(parts[3]) == repr(want[3])
+        assert (kind == "csv") == (got[0][3] is not None)
+
+    def test_compare_reads_the_csv_once(self, tmp_path, monkeypatch):
+        cfg_path = _regression_config(tmp_path)
+        calls = _count_reads(monkeypatch)
+        assert main(["compare", "--config", str(cfg_path), "--coverages",
+                     "1.0", "--seeds", "0,1,2",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert calls == {"csv": 1, "synthetic": 0}
 
 
 class TestDatasetConfig:
@@ -645,6 +712,61 @@ class TestConfigSchema:
         assert self._train(tmp_path, cfg) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "run" / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("train", "epochs", 0, "epochs must be >= 1, got 0"),
+        ("train", "learning_rate", -1, "learning rate must be positive"),
+        ("loss", "alpha", 7, "alpha must be in [0,1], got 7"),
+        ("loss", "task_loss", "hinge", "unknown task loss 'hinge'"),
+        ("architecture", "body_widths", [], "invalid body widths []"),
+        ("architecture", "dropout_rate", 1.5,
+         "dropout rate must be in [0,1), got 1.5"),
+        ("split", "train", 0.9,
+         "split fractions must sum to 1, got (0.9, 0.2, 0.2)"),
+    ], ids=["epochs", "learning-rate", "alpha", "task-loss", "body-widths",
+            "dropout-rate", "split-sum"])
+    @pytest.mark.parametrize("argv", [
+        ["train"],
+        ["calibrate", "--model", "{run}/model.ckpt", "--coverage", "0.8"],
+        ["evaluate", "--model", "{run}/model_calibrated.ckpt"],
+        ["curve", "--model", "{run}/model.ckpt", "--coverages", "1.0,0.8"],
+        ["grid", "--models", "{run}/model.ckpt", "--coverages", "1.0,0.8"],
+        ["compare", "--coverages", "1.0"],
+    ], ids=lambda argv: argv[0])
+    def test_bad_value_fails_before_any_read(self, workdir, tmp_path, capsys,
+                                             monkeypatch, argv, section, key,
+                                             value, message):
+        """The whole config is checked when it resolves, also the sections
+        a command does not use: no data is read and no file written."""
+        root, cfg_path = workdir
+        cfg = yaml.safe_load(cfg_path.read_text())
+        cfg[section] = dict(cfg[section], **{key: value})
+        bad = tmp_path / "config.yaml"
+        bad.write_text(yaml.safe_dump(cfg))
+        calls = _count_reads(monkeypatch)
+        out = tmp_path / "out"
+        argv = [a.format(run=root / "run") for a in argv]
+        assert main(argv + ["--config", str(bad), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert calls == {"csv": 0, "synthetic": 0}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value, message", [
+        ("1.5", "--coverage must lie in (0, 1], got 1.5"),
+        ("0", "--coverage must lie in (0, 1], got 0.0"),
+        ("nan", "--coverage: nan is not finite"),
+        ("-inf", "--coverage: -inf is not finite"),
+    ], ids=["above-one", "zero", "nan", "minus-inf"])
+    def test_train_coverage_flag_is_named_before_any_read(
+            self, tmp_path, capsys, monkeypatch, value, message):
+        cfg_path = _regression_config(tmp_path)
+        calls = _count_reads(monkeypatch)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg_path), "--coverage", value,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert calls == {"csv": 0, "synthetic": 0}
+        assert not out.exists()
 
     def test_effective_config_holds_the_resolved_defaults(self, tmp_path):
         cfg = {"dataset": self.SYNTHETIC, "train": {"epochs": 1}}

@@ -130,6 +130,21 @@ class TestMCDropout:
             mc_dropout_confidence(dropout_model, np.zeros((3, 5)), passes=2,
                                   rate=0.5, seed=0, task=REGRESSION)
 
+    @pytest.mark.parametrize("rate, message", [
+        (-0.5, r"^rate must be in \[0, 1\), got -0.5$"),
+        (1.5, r"^rate must be in \[0, 1\), got 1.5$"),
+        (1.0, r"^rate must be in \[0, 1\), got 1.0$"),
+        (np.nan, "^rate: nan is not finite$"),
+        ("0.5", "^rate: '0.5' is not a real number$"),
+    ], ids=["negative", "above-one", "one", "nan", "string"])
+    def test_rate_outside_zero_one_is_named(self, dropout_model, rate,
+                                            message):
+        """Below 0 or above 1 every pass would keep nothing or everything
+        and the scores read all zero; at 1 every unit drops."""
+        with pytest.raises(ConfigurationError, match=message):
+            mc_dropout_confidence(dropout_model, np.zeros((3, 5)), passes=2,
+                                  rate=rate, seed=0, task=CLASSIFICATION)
+
     def test_needs_two_passes(self, dropout_model):
         with pytest.raises(ContractError):
             mc_dropout_confidence(dropout_model, np.zeros((3, 5)), passes=1,
