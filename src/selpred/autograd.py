@@ -55,11 +55,12 @@ def no_grad():
 
 
 class Tensor:
-    """Dense float64 array participating in the gradient tape."""
+    """Dense float64 array in the gradient tape. A leaf is a constant; an
+    op's output takes gradients when a parent does (see ``Parameter``)."""
 
-    def __init__(self, data, requires_grad=False):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
+        self.requires_grad = False
         self.grad = None
         self._parents = ()
         self._backward = None
@@ -172,7 +173,7 @@ class Tensor:
     # -- backward pass --------------------------------------------------------
 
     def backward(self):
-        """Accumulate d(self)/d(leaf) into every requires_grad leaf.
+        """Accumulate d(self)/d(leaf) into every ``Parameter`` leaf.
 
         ``self`` must be scalar. A second backward from the same root without
         re-running the forward pass is rejected.
@@ -386,22 +387,23 @@ class Parameters(tuple):
 
 
 class Parameter(Tensor):
-    """A trainable leaf. Once a ``Parameters`` holds it, its ``data`` and
-    ``grad`` are views of the buffers, and an assignment to either copies
-    into the view instead of rebinding it: an array is copied (ShapeError
-    on a shape mismatch), and ``grad = None`` zeroes the view. Training
-    stores no attribute on a parameter, so the hook costs a step nothing.
-    Building a leaf and putting it into a ``Parameters`` run the hook no
-    time."""
+    """A trainable leaf: it always takes gradients, and its
+    ``requires_grad`` is read-only (AttributeError on assignment). Once a
+    ``Parameters`` holds it, its ``data`` and ``grad`` are views of the
+    buffers, and an assignment to either copies into the view instead of
+    rebinding it: an array is copied (ShapeError on a shape mismatch), and
+    ``grad = None`` zeroes the view. Training stores no attribute on a
+    parameter, so the hook costs a step nothing. Building a leaf and
+    putting it into a ``Parameters`` run the hook no time."""
 
     _held = False  # set once a Parameters holds it
+    requires_grad = property(lambda self: True)
 
-    def __init__(self, data, requires_grad=False):
-        # Tensor.__init__'s stores, in its order, past the hook: until a
-        # Parameters holds the leaf there is nothing to write through.
+    def __init__(self, data):
+        # Tensor.__init__'s other stores, in its order, past the hook: until
+        # a Parameters holds the leaf there is nothing to write through.
         store = object.__setattr__
         store(self, "data", np.asarray(data, dtype=np.float64))
-        store(self, "requires_grad", bool(requires_grad))
         store(self, "grad", None)
         store(self, "_parents", ())
         store(self, "_backward", None)
@@ -429,8 +431,8 @@ def write_through(array, value, name):
 
 def zero_grads(params):
     """Reset gradients before a backward pass: a ``Parameters`` buffer is
-    zeroed in place. Any other list has each ``grad`` set to None, which
-    zeroes a held parameter's view and drops any other tensor's array."""
+    zeroed in place. A list of parameters has each ``grad`` set to None,
+    which zeroes a held one's view and drops an unheld one's array."""
     if isinstance(params, Parameters):
         params.grad.fill(0.0)
         return

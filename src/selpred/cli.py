@@ -3,8 +3,8 @@
 Configuration lives in a YAML file (see README for the schema). Its
 ``split``, ``architecture``, ``loss`` and ``train`` sections read into the
 dataclasses that own their defaults, and ``dataset`` into its ``kind``'s
-loader arguments; a bad key or value raises ConfigurationError before any
-data is read. The resolved config, every default filled in and
+loader arguments; a bad key, value or flag raises ConfigurationError
+before any data is read. The resolved config, every default filled in and
 ``train --seed``/``--coverage`` and ``compare --seeds`` applied, is
 written next to the outputs as effective_config.yaml: it records what ran.
 All tabular outputs are CSV with a '#'-prefixed provenance header (config
@@ -28,7 +28,7 @@ import yaml
 
 from .calibrate import calibrate
 from .checks import (CLASSIFICATION, ConfigurationError, boolean, fraction,
-                     integer)
+                     integer, real)
 from .data import (SplitSpec, load_csv, standardized_splits,
                    synth_classification, unstandardize_target,
                    split, standardize)  # unused: kept for bench/spans.py SITES
@@ -146,12 +146,16 @@ def _resolve(cfg):
 
 def _seeds(seeds):
     """``seeds``, from the config or the command line, checked to be a
-    non-empty list of integers >= 0; ConfigurationError naming ``seeds``
-    otherwise."""
+    non-empty list of distinct integers >= 0; ConfigurationError naming
+    ``seeds`` (and the first repeated seed) otherwise."""
     if not isinstance(seeds, list) or not seeds:
         raise ConfigurationError(
             f"seeds must be a non-empty list of integers, got {seeds!r}")
-    return [integer(s, "seeds", least=0) for s in seeds]
+    seeds = [integer(s, "seeds", least=0) for s in seeds]
+    for i, s in enumerate(seeds):
+        if s in seeds[:i]:
+            raise ConfigurationError(f"seeds: {s} is repeated")
+    return seeds
 
 
 def _flag_list(flag, text, kind):
@@ -256,10 +260,14 @@ def cmd_train(args):
 
 def cmd_calibrate(args):
     cfg, conf = _load_config(args.config)
+    coverage = fraction(args.coverage, "--coverage")
+    if not 0.0 < real(args.delta, "--delta") < 1.0:
+        raise ConfigurationError(
+            f"--delta must lie in (0, 1), got {args.delta}")
     out = Path(args.out)
     model, _ = load_model(args.model)
     [(_, ca, _, _)] = prepare_splits(conf)
-    result = calibrate(model, ca.features, args.coverage, delta=args.delta)
+    result = calibrate(model, ca.features, coverage, delta=args.delta)
     _write_outputs(out, "calibration.csv", cfg, conf, [model.seed],
                    ["tau", "target_coverage", "n_validation", "delta",
                     "epsilon", "achieved_coverage"],

@@ -1,12 +1,12 @@
 """Stateful network layers: dense, batch normalization, dropout, softmax.
 
-Layers carry their parameters as ``Parameter`` leaves and expose a
-``parameters()`` list in declaration order; the order is relied upon by the
-optimizer and by checkpoint serialization.
+Dense and batchnorm layers carry their parameters as ``Parameter`` leaves
+and expose a ``parameters()`` list in declaration order; the order is relied
+upon by the optimizer and by checkpoint serialization.
 
 These layers build the training graph only: batchnorm normalizes by the
-batch moments and updates its running statistics, and dropout is active
-whenever its rate is above 0. Eval mode has one implementation,
+batch moments and updates its running statistics, and dropout always
+draws its mask. Eval mode has one implementation,
 ``SelectiveNet.freeze()``, which folds the running statistics into the dense
 weights. ``TRAIN`` and ``EVAL`` name the modes of ``SelectiveNet.forward``.
 
@@ -71,9 +71,8 @@ class DenseLayer:
             raise ConfigurationError(f"unknown init {init!r}")
         self.in_dim = in_dim
         self.out_dim = out_dim
-        self.weights = Parameter(
-            rng.uniform(-limit, limit, (in_dim, out_dim)), requires_grad=True)
-        self.bias = Parameter(np.zeros(out_dim), requires_grad=True)
+        self.weights = Parameter(rng.uniform(-limit, limit, (in_dim, out_dim)))
+        self.bias = Parameter(np.zeros(out_dim))
 
     def __call__(self, x):
         """x @ W + b as one node."""
@@ -102,11 +101,9 @@ class DenseLayer:
         is faster; for one unit W.T is already contiguous, and the k = 1
         product gives the same bytes as g * W[:, 0] in a fraction of its
         time. dx is handed to ``x`` without a copy."""
-        w, b = self.weights, self.bias
-        if w.requires_grad:
-            w._accum(x.data.T.dot(g))
-        if b.requires_grad:
-            b._accum(_column_sums(g))
+        w = self.weights
+        w._accum(x.data.T.dot(g))
+        self.bias._accum(_column_sums(g))
         if x.requires_grad:
             x._accum(g.dot(np.ascontiguousarray(w.data.T)), owned=True)
 
@@ -148,8 +145,8 @@ class BatchNormLayer:
 
     def __init__(self, num_features):
         self.num_features = num_features
-        self.scale = Parameter(np.ones(num_features), requires_grad=True)
-        self.shift = Parameter(np.zeros(num_features), requires_grad=True)
+        self.scale = Parameter(np.ones(num_features))
+        self.shift = Parameter(np.zeros(num_features))
         self.running_mean = np.zeros(num_features)
         self.running_var = np.ones(num_features)
 
@@ -227,10 +224,8 @@ class BatchNormLayer:
         return 1.0 / np.sqrt(var + self.eps)
 
     def _accum(self, gscale, gshift):
-        if self.scale.requires_grad:
-            self.scale._accum(gscale)
-        if self.shift.requires_grad:
-            self.shift._accum(gshift)
+        self.scale._accum(gscale)
+        self.shift._accum(gshift)
 
     def parameters(self):
         return [self.scale, self.shift]
@@ -243,9 +238,9 @@ class DropoutLayer:
     """Inverted dropout: survivors scaled by 1/(1-p), so the expected output
     is the input and eval mode (``FrozenNet``) has no dropout at all.
 
-    Active whenever the rate is above 0. MC-dropout draws the same masks,
-    ``(rng.random(shape) >= rate) / (1 - rate)``, on the frozen arrays
-    (``FrozenNet.dropout_f``)."""
+    Always active (``_Block`` builds none at rate 0). MC-dropout draws the
+    same masks, ``(rng.random(shape) >= rate) / (1 - rate)``, on the frozen
+    arrays (``FrozenNet.dropout_f``)."""
 
     def __init__(self, rate):
         if not 0.0 <= rate < 1.0:
@@ -253,15 +248,10 @@ class DropoutLayer:
         self.rate = rate
 
     def __call__(self, x, rng=None):
-        if self.rate == 0.0:
-            return x
         if rng is None:
             raise ContractError("active dropout requires an rng")
         mask = (rng.random(x.data.shape) >= self.rate) / (1.0 - self.rate)
         return x * Tensor(mask)
-
-    def parameters(self):
-        return []
 
 
 def dense_bn_relu(x, dense, bn):
@@ -285,8 +275,7 @@ def dense_bn_relu(x, dense, bn):
 
     def backward(g):
         backprop(g * (out > 0.0))
-        if dense.bias.requires_grad:
-            dense.bias._accum(np.zeros(dense.out_dim), owned=True)
+        dense.bias._accum(np.zeros(dense.out_dim), owned=True)
 
     return Tensor._op(out, (x, dense.weights, dense.bias, bn.scale, bn.shift),
                       backward)
@@ -302,9 +291,8 @@ def _output_space_block(x, dense, bn):
     def backprop(gy):
         d, r, a, gscale, gshift = bn_backprop(gy)
         w = dense.weights
-        if w.requires_grad:
-            xr = _column_sums(x.data)[:, None] * r
-            w._accum((x.data.T.dot(d) - xr) * a)
+        xr = _column_sums(x.data)[:, None] * r
+        w._accum((x.data.T.dot(d) - xr) * a)
         if x.requires_grad:
             x._accum((d - r).dot(np.ascontiguousarray((w.data * a).T)),
                      owned=True)
@@ -344,8 +332,7 @@ def _input_space_block(x, dense, bn):
         p = xc.T.dot(gy)
         gscale = _column_sums(p * w) * inv_std
         c = gscale * (inv_std * inv_m)
-        if dense.weights.requires_grad:
-            dense.weights._accum((p - xtx_w * c) * a, owned=True)
+        dense.weights._accum((p - xtx_w * c) * a, owned=True)
         if x.requires_grad:
             wa_t = np.ascontiguousarray(wa.T)
             dx = gy.dot(wa_t)

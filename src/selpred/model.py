@@ -357,7 +357,7 @@ class FrozenNet:
         """``rep @ head_w + head_b`` for the rows of the checked ``x``, with
         rep the output of the folded body blocks, each followed by inverted
         dropout at ``rate``. The masks are drawn block after block from
-        ``rng`` as ``DropoutLayer`` draws them, none at rate 0."""
+        ``rng`` as ``DropoutLayer`` draws them; rate 0 draws none."""
         for w, b in self.body:
             x = x.dot(w)
             x += b
@@ -389,7 +389,7 @@ class FrozenNet:
         z = self._pass(self._checked(x), self.f_w, self.f_b, rate, rng)
         return softmax_rows(z)[0] if self.classification else z[:, 0]
 
-    def __call__(self, x, tau=-np.inf):
+    def __call__(self, x, tau):
         """``(predictions, accepted)``: class indices (argmax of the logits)
         or regression values, and the mask g(x) >= tau (all True for the
         baseline twin)."""

@@ -85,29 +85,29 @@ class TestReductions:
 
 class TestBackward:
     def test_square_gradient(self):
-        x = Tensor(3.0, requires_grad=True)
+        x = Parameter(3.0)
         (x * x).backward()
         # backward() is called on the product above
         assert x.grad == 6.0
 
     def test_sigmoid_gradient_at_zero(self):
-        x = Tensor(0.0, requires_grad=True)
+        x = Parameter(0.0)
         sigmoid(x).backward()
         assert x.grad == pytest.approx(0.25, abs=1e-15)
 
     def test_fanout_accumulates(self):
-        x = Tensor(2.0, requires_grad=True)
+        x = Parameter(2.0)
         y = x * x + x  # dy/dx = 2x + 1
         y.backward()
         assert x.grad == pytest.approx(5.0)
 
     def test_non_scalar_root_rejected(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
+        x = Parameter([1.0, 2.0])
         with pytest.raises(ShapeError):
             (x * x).backward()
 
     def test_second_backward_rejected(self):
-        x = Tensor(1.0, requires_grad=True)
+        x = Parameter(1.0)
         y = x * x
         y.backward()
         with pytest.raises(RuntimeError):
@@ -115,7 +115,7 @@ class TestBackward:
 
     def test_three_layer_mlp_matches_finite_differences(self):
         rng = np.random.default_rng(7)
-        ws = [Tensor(rng.normal(size=s) * 0.5, requires_grad=True)
+        ws = [Parameter(rng.normal(size=s) * 0.5)
               for s in [(4, 5), (5, 5), (5, 1)]]
         x = rng.normal(size=(6, 4))
         y = rng.normal(size=(6, 1))
@@ -132,8 +132,8 @@ class TestBackward:
 
 class TestParameters:
     def test_members_are_views_of_the_buffers(self):
-        a = Parameter([[1.0, 2.0]], requires_grad=True)
-        b = Parameter(3.0, requires_grad=True)
+        a = Parameter([[1.0, 2.0]])
+        b = Parameter(3.0)
         ps = Parameters([a, b])
         np.testing.assert_array_equal(ps.data, [1.0, 2.0, 3.0])
         ps.data += 1.0
@@ -145,7 +145,7 @@ class TestParameters:
         assert not ps.grad.any() and a.grad is not None
 
     def test_assignments_write_into_the_buffers(self):
-        a = Parameter([1.0, 2.0], requires_grad=True)
+        a = Parameter([1.0, 2.0])
         ps = Parameters([a])
         a.data = np.array([5.0, 6.0])
         a.grad = None
@@ -155,7 +155,7 @@ class TestParameters:
         np.testing.assert_array_equal(ps.data, [6.0, 7.0])
 
     def test_data_assignment_writes_through(self):
-        a = Parameter([1.0, 2.0], requires_grad=True)
+        a = Parameter([1.0, 2.0])
         ps = Parameters([a])
         view, grad = a.data, a.grad
         a.data = np.array([5.0, 6.0])
@@ -177,7 +177,7 @@ class TestParameters:
     def test_members_do_not_keep_their_parameters_alive(self):
         """A dropped buffer and its members are freed at once, not left to
         the cyclic garbage collector."""
-        a = Parameter([1.0, 2.0], requires_grad=True)
+        a = Parameter([1.0, 2.0])
         ps = Parameters([a])
         member = weakref.ref(a)
         gc.disable()
@@ -188,7 +188,7 @@ class TestParameters:
             gc.enable()
 
     def test_grad_assignment_rejects_wrong_shapes(self):
-        a = Parameter([1.0, 2.0], requires_grad=True)
+        a = Parameter([1.0, 2.0])
         ps = Parameters([a])
         with pytest.raises(ShapeError):
             a.grad = np.zeros(3)
@@ -206,8 +206,8 @@ class TestParameters:
         """Only ``Parameter`` leaves are held: a plain tensor raises
         TypeError and keeps its class and attributes, and so does every
         other member."""
-        a = Parameter([1.0, 2.0], requires_grad=True)
-        t = Tensor([3.0], requires_grad=True)
+        a = Parameter([1.0, 2.0])
+        t = Tensor([3.0])
         t.grad = np.array([4.0])
         data, attrs = a.data, dict(vars(t))
         for members in ([t], [a, t]):
@@ -218,13 +218,31 @@ class TestParameters:
             assert a.data is data and a.grad is None and not a._held
         Parameters([a])
 
+    @pytest.mark.parametrize("held", [False, True], ids=["unheld", "held"])
+    def test_requires_grad_is_read_only(self, held):
+        """A parameter always takes gradients: there is no switch to turn
+        it off."""
+        p = Parameter([1.0, 2.0])
+        if held:
+            Parameters([p])
+        with pytest.raises(AttributeError):
+            p.requires_grad = False
+        assert p.requires_grad is True
+
+    @pytest.mark.parametrize("leaf", [Tensor, Parameter])
+    def test_leaf_takes_no_requires_grad_argument(self, leaf):
+        """A ``Tensor`` leaf is a constant and a ``Parameter`` always takes
+        gradients: neither constructor takes the switch."""
+        with pytest.raises(TypeError):
+            leaf([1.0], requires_grad=True)
+
 
 class TestFiniteDifferenceCheck:
     def test_quadratic_form_is_near_exact(self):
         rng = np.random.default_rng(1)
         q = rng.normal(size=(4, 4))
         q = q + q.T
-        x = Tensor(rng.normal(size=(1, 4)), requires_grad=True)
+        x = Parameter(rng.normal(size=(1, 4)))
 
         def fn():
             return matmul(matmul(x, Tensor(q)), x.reshape(4, 1)).reshape(())
@@ -232,17 +250,17 @@ class TestFiniteDifferenceCheck:
         assert finite_difference_check(fn, [x]) < 1e-9
 
     def test_constant_function_zero_grads(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
+        x = Parameter([1.0, 2.0])
         assert finite_difference_check(lambda: Tensor(5.0) * 1.0, [x]) == 0.0
 
     def test_nondeterministic_fn_rejected(self):
         rng = np.random.default_rng(0)
-        x = Tensor(1.0, requires_grad=True)
+        x = Parameter(1.0)
         with pytest.raises(GradCheckError):
             finite_difference_check(lambda: x * rng.random(), [x])
 
     def test_bad_step_rejected(self):
-        x = Tensor(1.0, requires_grad=True)
+        x = Parameter(1.0)
         with pytest.raises(ValueError):
             finite_difference_check(lambda: x * x, [x], h=0.0)
 
@@ -252,11 +270,11 @@ def test_registered_ops_gradcheck(seed):
     """Every differentiable op agrees with central differences at a random
     probe point (kept away from relu kinks by construction)."""
     rng = np.random.default_rng(seed)
-    a = Tensor(rng.normal(size=(3, 4)) + 2.0 * np.sign(rng.normal(size=(3, 4))),
-               requires_grad=True)
-    b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    c = Tensor(np.abs(rng.normal(size=(3, 4))) + 0.5, requires_grad=True)
-    w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    a = Parameter(rng.normal(size=(3, 4))
+                  + 2.0 * np.sign(rng.normal(size=(3, 4))))
+    b = Parameter(rng.normal(size=(3, 4)))
+    c = Parameter(np.abs(rng.normal(size=(3, 4))) + 0.5)
+    w = Parameter(rng.normal(size=(4, 2)))
     probe = Tensor(rng.normal(size=(3, 4)))
     probe2 = Tensor(rng.normal(size=(3, 2)))
     probe_cols = Tensor(rng.normal(size=4))

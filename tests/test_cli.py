@@ -161,9 +161,40 @@ class TestCalibrate:
                    "--delta", delta, "--out", str(tmp_path)])
         assert rc == 1
         assert capsys.readouterr().err == (
-            f"error: delta must be in (0, 1), got {float(delta)}\n")
+            f"error: --delta must lie in (0, 1), got {float(delta)}\n")
         assert not (tmp_path / "calibration.csv").exists()
         assert not (tmp_path / "model_calibrated.ckpt").exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--coverage", "1.5", "--coverage must lie in (0, 1], got 1.5"),
+        ("--coverage", "0", "--coverage must lie in (0, 1], got 0.0"),
+        ("--coverage", "nan", "--coverage: nan is not finite"),
+        ("--delta", "1.5", "--delta must lie in (0, 1), got 1.5"),
+        ("--delta", "0", "--delta must lie in (0, 1), got 0.0"),
+        ("--delta", "nan", "--delta: nan is not finite"),
+        ("--delta", "-1e-3", "--delta must lie in (0, 1), got -0.001"),
+    ], ids=["coverage-above-one", "coverage-zero", "coverage-nan",
+            "delta-above-one", "delta-zero", "delta-nan", "delta-negative"])
+    @pytest.mark.parametrize("checkpoint", ["model.ckpt", "absent.ckpt"])
+    def test_flag_is_named_before_any_read(self, workdir, tmp_path, capsys,
+                                           monkeypatch, checkpoint, flag,
+                                           value, message):
+        """A bad flag fails before the checkpoint or the data is read, so a
+        missing checkpoint does not hide it."""
+        root, cfg_path = workdir
+        calls = _count_reads(monkeypatch)
+        loads = []
+        load = cli.load_model
+        monkeypatch.setattr(cli, "load_model",
+                            lambda path: loads.append(path) or load(path))
+        flags = {"--coverage": "0.8", "--delta": "0.001", flag: value}
+        out = tmp_path / "out"
+        argv = ["calibrate", "--model", str(root / "run" / checkpoint),
+                "--config", str(cfg_path), "--out", str(out)]
+        assert main(argv + [a for kv in flags.items() for a in kv]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert calls == {"csv": 0, "synthetic": 0} and loads == []
+        assert not out.exists()
 
 
 class TestEvaluate:
@@ -828,6 +859,28 @@ class TestConfigSchema:
         assert eff["seeds"] == [2, 4]
         comments, _ = _read_csv(tmp_path / "compare.csv")
         assert "# seeds=2,4" in comments
+
+    @pytest.mark.parametrize("argv, seeds, repeated", [
+        (["train"], [0, 0], 0),
+        (["compare", "--coverages", "1.0"], [0, 0], 0),
+        (["compare", "--coverages", "1.0"], [3, 1, 1, 3], 1),
+        (["compare", "--coverages", "1.0", "--seeds", "0,1,0"], [5], 0),
+    ], ids=["train-config", "compare-config", "compare-config-first",
+            "compare-flag"])
+    def test_repeated_seed_is_named_before_any_read(
+            self, tmp_path, capsys, monkeypatch, argv, seeds, repeated):
+        """One run counted twice would give a wrong standard error."""
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text(yaml.safe_dump(
+            {"dataset": self.SYNTHETIC, "seeds": seeds}))
+        calls = _count_reads(monkeypatch)
+        out = tmp_path / "run"
+        assert main(argv + ["--config", str(cfg_path),
+                            "--out", str(out)]) == 1
+        assert (capsys.readouterr().err
+                == f"error: seeds: {repeated} is repeated\n")
+        assert calls == {"csv": 0, "synthetic": 0}
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

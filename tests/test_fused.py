@@ -29,6 +29,7 @@ from oracles import (
 )
 from selpred import optim
 from selpred.autograd import (
+    Parameter,
     Parameters,
     Tensor,
     finite_difference_check,
@@ -82,7 +83,7 @@ def assert_same(fused, reference):
 
 
 def leaves(rng, *shapes):
-    return [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    return [Parameter(rng.normal(size=s)) for s in shapes]
 
 
 def grads_of(params, scalar_fn):
@@ -330,7 +331,7 @@ def _degenerate_input(kind, rng, dense):
         dense.weights.data[2:] = 0.0
     else:  # all rows equal
         x[:] = x[0]
-    return Tensor(x, requires_grad=True)
+    return Parameter(x)
 
 
 @pytest.mark.parametrize("kind", ["constant column", "two equal columns",
@@ -506,8 +507,8 @@ def test_squared_node(m):
 @pytest.mark.parametrize("m", BATCHES)
 def test_selective_loss_node(coverage, m):
     rng = np.random.default_rng(50 + m)
-    losses = Tensor(rng.uniform(0.0, 2.0, size=m), requires_grad=True)
-    raw = Tensor(rng.normal(size=m), requires_grad=True)
+    losses = Parameter(rng.uniform(0.0, 2.0, size=m))
+    raw = Parameter(rng.normal(size=m))
     cfg = LossConfig(target_coverage=coverage, penalty_weight=32.0)
     compare([losses, raw], lambda: selective_loss(losses, sigmoid(raw), cfg),
             lambda: ref_selective(losses, sigmoid(raw), cfg))
@@ -523,7 +524,7 @@ def test_selective_loss_reports_coverage_and_risk():
 
 
 def test_total_loss_node():
-    sel, aux = Tensor(1.5, requires_grad=True), Tensor(-0.5, requires_grad=True)
+    sel, aux = Parameter(1.5), Parameter(-0.5)
     compare([sel, aux], lambda: total_loss(sel, aux, 0.3),
             lambda: ref_total(sel, aux, 0.3))
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from selpred.autograd import Tensor, finite_difference_check, sigmoid
+from selpred.autograd import (Parameter, Tensor, finite_difference_check,
+                              sigmoid)
 from selpred.checks import (
     ConfigurationError,
     ContractError,
@@ -39,7 +40,7 @@ class TestTaskLoss:
     def test_cross_entropy_confidently_wrong_softmax(self):
         # log-softmax: the loss is not capped and the gradient does not
         # vanish on a confidently wrong sample
-        logits = Tensor([[40.0, 0.0, 0.0]], requires_grad=True)
+        logits = Parameter([[40.0, 0.0, 0.0]])
         out = task_loss(CROSS_ENTROPY, softmax(logits), [1])
         assert out.data[0] == pytest.approx(40.0, abs=1e-12)
         out.sum().backward()
@@ -174,8 +175,8 @@ def test_objective_gradients_match_finite_differences():
     """The full combined objective, with soft g values from a sigmoid, agrees
     with central differences in its raw-score parameters."""
     rng = np.random.default_rng(9)
-    raw_g = Tensor(rng.normal(size=8), requires_grad=True)
-    preds = Tensor(rng.normal(size=8), requires_grad=True)
+    raw_g = Parameter(rng.normal(size=8))
+    preds = Parameter(rng.normal(size=8))
     y = rng.normal(size=8)
     cfg = LossConfig(target_coverage=0.9, penalty_weight=32.0, alpha=0.5)
 

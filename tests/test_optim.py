@@ -67,13 +67,13 @@ class TestTrainConfigValidation:
 
 class TestSGD:
     def test_first_step_is_plain_gradient(self):
-        p = Parameter([1.0], requires_grad=True)
+        p = Parameter([1.0])
         p.grad = np.array([2.0])
         SGD(Parameters([p]), lr=0.1, momentum=0.9).step()
         assert p.data[0] == pytest.approx(0.8, abs=1e-15)
 
     def test_momentum_accumulates(self):
-        p = Parameter([0.0], requires_grad=True)
+        p = Parameter([0.0])
         opt = SGD(Parameters([p]), lr=1.0, momentum=0.5)
         p.grad = np.array([1.0])
         opt.step()  # v=1, p=-1
@@ -82,7 +82,7 @@ class TestSGD:
         assert p.data[0] == pytest.approx(-2.5, abs=1e-12)
 
     def test_weight_decay_pulls_toward_zero(self):
-        p = Parameter([10.0], requires_grad=True)
+        p = Parameter([10.0])
         p.grad = np.array([0.0])
         SGD(Parameters([p]), lr=0.1, momentum=0.0, weight_decay=0.1).step()
         assert p.data[0] == pytest.approx(10.0 - 0.1 * 0.1 * 10.0, abs=1e-12)
@@ -90,8 +90,8 @@ class TestSGD:
 
     def test_one_step_closed_form(self):
         # two parameters in one flat buffer; decay outside the momentum buffer
-        a = Parameter([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)
-        b = Parameter([4.0], requires_grad=True)
+        a = Parameter([[1.0, -2.0], [0.5, 3.0]])
+        b = Parameter([4.0])
         opt = SGD(Parameters([a, b]), lr=0.1, momentum=0.9, weight_decay=0.01)
         a0, b0 = a.data.copy(), b.data.copy()
         ga, gb = np.array([[0.3, -0.1], [0.2, 0.0]]), np.array([-1.5])
@@ -104,7 +104,7 @@ class TestSGD:
 
 
     def test_takes_only_a_parameters(self):
-        p = Parameter([1.0], requires_grad=True)
+        p = Parameter([1.0])
         with pytest.raises(TypeError):
             SGD([p], lr=0.1)
         assert not p._held
@@ -113,8 +113,8 @@ class TestSGD:
 class TestAdam:
     def test_one_step_closed_form(self):
         # Adam update with bias correction, then decoupled decay (AdamW)
-        a = Parameter([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)
-        b = Parameter([4.0], requires_grad=True)
+        a = Parameter([[1.0, -2.0], [0.5, 3.0]])
+        b = Parameter([4.0])
         lr, b1, b2, eps, wd = 0.01, 0.9, 0.999, 1e-8, 0.1
         opt = Adam(Parameters([a, b]), lr, weight_decay=wd)
         a0, b0 = a.data.copy(), b.data.copy()
@@ -128,7 +128,7 @@ class TestAdam:
 
     def test_decay_is_decoupled(self):
         # with a zero gradient only the decay acts, and it never enters m, v
-        p = Parameter([2.0, -4.0], requires_grad=True)
+        p = Parameter([2.0, -4.0])
         opt = Adam(Parameters([p]), lr=0.1, weight_decay=0.5)
         p.grad = np.zeros(2)
         opt.step()
@@ -140,21 +140,21 @@ class TestAdam:
         # bias correction makes the very first step exactly lr in magnitude
         # (up to eps), regardless of gradient scale
         for g in (1e-4, 1.0, 1e4):
-            p = Parameter([0.0], requires_grad=True)
+            p = Parameter([0.0])
             opt = Adam(Parameters([p]), lr=0.01)
             p.grad = np.array([g])
             opt.step()
             assert p.data[0] == pytest.approx(-0.01, rel=1e-3)
 
     def test_zero_gradient_is_stationary_without_decay(self):
-        p = Parameter([3.0], requires_grad=True)
+        p = Parameter([3.0])
         opt = Adam(Parameters([p]), lr=0.1, weight_decay=0.0)
         p.grad = np.array([0.0])
         opt.step()
         assert p.data[0] == 3.0
 
     def test_converges_on_quadratic(self):
-        p = Parameter([5.0], requires_grad=True)
+        p = Parameter([5.0])
         opt = Adam(Parameters([p]), lr=0.1)
         for _ in range(500):
             p.grad = 2.0 * p.data
@@ -162,7 +162,7 @@ class TestAdam:
         assert abs(p.data[0]) < 1e-3
 
     def test_takes_only_a_parameters(self):
-        p = Parameter([1.0], requires_grad=True)
+        p = Parameter([1.0])
         with pytest.raises(TypeError):
             Adam([p], lr=0.1)
         assert not p._held
@@ -179,7 +179,7 @@ def test_model_buffer_survives_a_second_optimizer():
     data, grad = params.data.copy(), params.grad.copy()
     views = [(p.data, p.grad) for p in params]
     w = model.f_head.weights
-    free = Parameter([1.0, 2.0], requires_grad=True)
+    free = Parameter([1.0, 2.0])
     free_data = free.data
     for error, build in ((TypeError, lambda: SGD(list(params), lr=0.1)),
                          (ValueError,
