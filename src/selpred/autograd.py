@@ -81,14 +81,6 @@ class Tensor:
                     break
         return out
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self):
         return float(self.data)
 
@@ -209,9 +201,6 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
 def _as_tensor(x):

@@ -46,6 +46,11 @@ class CalibrationResult:
     achieved_coverage: float
 
 
+def _check_coverage(target_coverage):
+    if not 0.0 < target_coverage <= 1.0:  # NaN fails too
+        raise DomainError(f"target coverage must be in (0,1], got {target_coverage}")
+
+
 def select_threshold(scores, target_coverage):
     """Nearest-rank percentile threshold over validation selection scores.
 
@@ -60,8 +65,7 @@ def select_threshold(scores, target_coverage):
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise ContractError("threshold selection needs a nonempty score set")
-    if not 0.0 < target_coverage <= 1.0:
-        raise DomainError(f"target coverage must be in (0,1], got {target_coverage}")
+    _check_coverage(target_coverage)
     # float64, as m/n is: numpy would compare m/n with a float32 c in float32
     target_coverage = float(target_coverage)
     if not np.isfinite(scores).all():
@@ -95,10 +99,12 @@ def calibrate(model, validation_inputs, target_coverage, delta=0.001):
     Computes eval-mode selection scores, picks the nearest-rank threshold,
     and reports the coverage deviation bound for the validation size. The
     bound holds with probability >= 1 - delta, so ``delta`` must lie in
-    (0, 1); DomainError otherwise.
+    (0, 1); DomainError otherwise. Both it and ``target_coverage`` are
+    checked before the forward pass.
     """
     if not 0.0 < delta < 1.0:  # NaN fails too
         raise DomainError(f"delta must be in (0, 1), got {delta}")
+    _check_coverage(target_coverage)
     delta = float(delta)
     validation_inputs = np.asarray(validation_inputs, dtype=np.float64)
     if validation_inputs.shape[0] == 0:

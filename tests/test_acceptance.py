@@ -260,7 +260,7 @@ def test_criterion_3_concrete_regression():
 # criterion 4: synthetic selective classification vs softmax response
 # ---------------------------------------------------------------------------
 
-def test_criterion_4_synthetic_classification(synth_runs):
+def test_criterion_4_synthetic_classification(synth_runs, record_property):
     noise_fracs = []
     wins = 0
     for run in synth_runs:
@@ -283,6 +283,13 @@ def test_criterion_4_synthetic_classification(synth_runs):
                                  CLASSIFICATION)
         if rep.risk <= brep.risk:
             wins += 1
+        seed = run["seed"]
+        record_property(f"selectivenet_risk_seed{seed}", float(rep.risk))
+        record_property(f"sr_risk_seed{seed}", float(brep.risk))
+        record_property(f"noise_fraction_seed{seed}", float(noise_fracs[-1]))
+    record_property("noise_fraction_bound", 0.60)
+    record_property("wins", wins)
+    record_property("wins_bound", 2)
 
     assert all(f >= 0.60 for f in noise_fracs), (
         f"rejected-point noise fractions {noise_fracs}")
@@ -298,7 +305,7 @@ def test_criterion_4_synthetic_classification(synth_runs):
 # criterion 5: calibration guarantee
 # ---------------------------------------------------------------------------
 
-def test_criterion_5_calibration_guarantee(synth_runs):
+def test_criterion_5_calibration_guarantee(synth_runs, record_property):
     # closed-form spot checks against high-precision evaluation of
     # sqrt(ln(2/delta)/(2n))
     assert abs(hoeffding_epsilon(5000, 0.001)
@@ -321,6 +328,8 @@ def test_criterion_5_calibration_guarantee(synth_runs):
             violations += 1
     bound = 0.05 + 1.645 * math.sqrt(0.05 * 0.95 / 200)
     rate = violations / 200
+    record_property("violation_rate", rate)
+    record_property("violation_rate_bound", bound)
     assert rate <= bound, f"violation rate {rate} exceeds {bound:.4f}"
     print(f"\ncriterion 5 PASS: epsilon({500},0.05)={eps:.4f}, violation rate "
           f"{rate:.3f} <= {bound:.4f}")
@@ -330,7 +339,7 @@ def test_criterion_5_calibration_guarantee(synth_runs):
 # criterion 6: coverage-violation phenomenon and its repair
 # ---------------------------------------------------------------------------
 
-def test_criterion_6_coverage_violation_repair(synth_runs):
+def test_criterion_6_coverage_violation_repair(synth_runs, record_property):
     c = 0.7
     improved = 0
     lines = []
@@ -343,6 +352,12 @@ def test_criterion_6_coverage_violation_repair(synth_runs):
         lines.append((run["seed"], uncal_viol, cal_viol))
         if cal_viol < uncal_viol:
             improved += 1
+        record_property(f"uncalibrated_violation_seed{run['seed']}",
+                        float(uncal_viol))
+        record_property(f"calibrated_violation_seed{run['seed']}",
+                        float(cal_viol))
+    record_property("improved", improved)
+    record_property("improved_bound", 2)
     assert all(u > 0.0 for _, u, _ in lines), "uncalibrated violation is zero"
     assert improved >= 2, f"calibration improved only {improved}/3 seeds: {lines}"
     print(f"\ncriterion 6 PASS: (seed, uncal, cal) violations "
@@ -353,7 +368,7 @@ def test_criterion_6_coverage_violation_repair(synth_runs):
 # criterion 7: cross-calibration grid diagonal
 # ---------------------------------------------------------------------------
 
-def test_criterion_7_cross_calibration_grid(synth_runs):
+def test_criterion_7_cross_calibration_grid(synth_runs, record_property):
     grids = []
     for run in synth_runs:
         models = [run["models"][c] for c in SYNTH_COVERAGES]
@@ -368,6 +383,9 @@ def test_criterion_7_cross_calibration_grid(synth_runs):
         pooled = math.sqrt(float((se[:, j] ** 2).mean()))
         if mean[j, j] <= mean[:, j].min() + pooled:
             ok_cols += 1
+    record_property("ok_cols", ok_cols)
+    record_property("ok_cols_bound", 2)
+    record_property("mean_grid", mean.tolist())
     assert ok_cols >= 2, (
         f"diagonal within pooled SE of column min in only {ok_cols}/3 "
         f"columns\n{mean}")

@@ -5,7 +5,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from selpred.calibrate import (
     CalibrationResult,
@@ -14,7 +14,7 @@ from selpred.calibrate import (
     select_threshold,
 )
 from selpred.checks import CLASSIFICATION, ContractError, DomainError
-from selpred.model import ArchitectureConfig, build_model
+from selpred.model import ArchitectureConfig, FrozenNet, build_model
 from selpred.persist import save_model
 
 
@@ -52,6 +52,10 @@ class TestSelectThreshold:
     @given(scores=st.lists(st.floats(allow_nan=False, allow_infinity=False),
                            min_size=1, max_size=300, unique=True),
            c=st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    # 25 * 0.28 rounds to 7.000000000000001, so ceil gives 8 and m steps down
+    @example(scores=list(range(25)), c=0.28)
+    # 3 * c rounds to 1.0 though c > 1/3, so ceil gives 1 and m steps up
+    @example(scores=list(range(3)), c=math.nextafter(1 / 3, 1))
     def test_smallest_count_reaching_target(self, scores, c):
         scores = np.asarray(scores)
         accepted = scores >= select_threshold(scores, c)
@@ -168,6 +172,31 @@ class TestCalibrate:
         assert type(result.target_coverage) is float
         assert type(result.delta) is float
         assert result.achieved_coverage >= result.target_coverage
+
+    @pytest.mark.parametrize("target", [1.5, np.nan, 0.0])
+    def test_bad_target_rejected_before_the_forward(
+            self, toy_model, monkeypatch, target):
+        calls = []
+        heads = FrozenNet.heads
+
+        def counted(net, x):
+            calls.append(len(x))
+            return heads(net, x)
+
+        monkeypatch.setattr(FrozenNet, "heads", counted)
+        x = np.random.default_rng(3).normal(size=(500, 4))
+        with pytest.raises(DomainError, match=rf"^target coverage must be "
+                           rf"in \(0,1\], got {target}$"):
+            calibrate(toy_model, x, target)
+        assert calls == []
+        result = calibrate(toy_model, x, 0.8)
+        assert calls == [500]
+        scores = toy_model.selection_scores(x)
+        tau = select_threshold(scores, 0.8)
+        assert result == CalibrationResult(
+            tau=tau, target_coverage=0.8, n_validation=500, delta=0.001,
+            epsilon=hoeffding_epsilon(500, 0.001),
+            achieved_coverage=float((scores >= tau).mean()))
 
     def test_empty_validation_rejected(self, toy_model):
         with pytest.raises(ContractError):

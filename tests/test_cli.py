@@ -7,10 +7,11 @@ import pytest
 import yaml
 
 from selpred import cli
-from selpred.checks import ConfigurationError
+from selpred.checks import REGRESSION, ConfigurationError
 from selpred.cli import _resolve, build_parser, main, prepare_splits
 from selpred.data import (SplitSpec, load_csv, standardized_splits,
-                          synth_classification)
+                          synth_classification, unstandardize_target)
+from selpred.evaluate import selective_metrics
 from selpred.losses import LossConfig
 from selpred.model import ArchitectureConfig, FrozenNet
 from selpred.optim import TrainConfig
@@ -238,6 +239,24 @@ class TestEvaluate:
         assert main(argv + ["--tau", "inf"]) == 1
         assert capsys.readouterr().err == (
             "error: no accepted samples; selective risk undefined\n")
+
+    def test_regression_risk_in_original_units(self, tmp_path):
+        cfg_path = _regression_config(tmp_path)
+        ckpt = tmp_path / "run" / "model.ckpt"
+        assert main(["train", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run")]) == 0
+        assert main(["evaluate", "--model", str(ckpt), "--config",
+                     str(cfg_path), "--out", str(tmp_path / "eval")]) == 0
+        _, data = _read_csv(tmp_path / "eval" / "eval.csv")
+        risk = float(data[1].split(",")[data[0].split(",").index("risk")])
+        model, _ = load_model(ckpt)
+        [(_, _, te, tstats)] = prepare_splits(
+            _resolve(yaml.safe_load(cfg_path.read_text())))
+        preds, accepted = model.predict(te.features, 0.5)
+        assert risk == selective_metrics(
+            unstandardize_target(preds, tstats),
+            unstandardize_target(te.labels, tstats), accepted,
+            REGRESSION).risk
 
 
 class TestCurve:

@@ -127,6 +127,17 @@ class TestDataset:
         with pytest.raises(ConfigurationError):
             Dataset(np.zeros((3, 2)), np.zeros(2), REGRESSION)
 
+    @pytest.mark.parametrize("features, task, message", [
+        (np.zeros(3), REGRESSION,
+         r"features must be a nonempty \(m, d\) matrix, got \(3,\)"),
+        (np.zeros((0, 2)), REGRESSION,
+         r"features must be a nonempty \(m, d\) matrix, got \(0, 2\)"),
+        (np.zeros((3, 2)), "ranking", "unknown task 'ranking'"),
+    ], ids=["one-dimensional", "no-rows", "unknown-task"])
+    def test_malformed_dataset_rejected(self, features, task, message):
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            Dataset(features, np.zeros(len(features)), task)
+
 
 class TestStandardize:
     def test_train_split_moments(self):
@@ -155,6 +166,16 @@ class TestStandardize:
             out, _ = standardize(ds)
         assert out.n_features == 1
         assert out.provenance["dropped_features"] == [0]
+
+    @pytest.mark.parametrize("task, labels, message", [
+        (CLASSIFICATION, np.arange(10) % 2,
+         "target standardization applies to regression only"),
+        (REGRESSION, np.full(10, 3.5), "constant regression target"),
+    ], ids=["classification", "constant-target"])
+    def test_target_standardization_rejected(self, task, labels, message):
+        ds = Dataset(np.arange(20.0).reshape(10, 2), labels, task)
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            standardize(ds, include_target=True)
 
     def test_target_round_trip(self):
         rng = np.random.default_rng(2)
@@ -428,6 +449,13 @@ class TestSplit:
     def test_fractions_must_sum_to_one(self):
         with pytest.raises(ConfigurationError):
             SplitSpec(0.5, 0.2, 0.2).validate()
+
+    @pytest.mark.parametrize("fractions", [(0.0, 0.5, 0.5), (1.2, -0.1, -0.1)],
+                             ids=["zero", "negative"])
+    def test_non_positive_fraction_rejected(self, fractions):
+        with pytest.raises(ConfigurationError,
+                           match="^every split fraction must be positive$"):
+            SplitSpec(*fractions).validate()
 
     @pytest.mark.parametrize("bad, message", [
         ("1", "seed: '1' is not an integer"),

@@ -55,6 +55,14 @@ class TestSelectiveMetrics:
             selective_metrics(np.array([0, 1]), np.array([0, 1]),
                               np.array([True]), CLASSIFICATION)
 
+    @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+    def test_label_length_mismatch(self, task):
+        """One label against two predictions would broadcast."""
+        with pytest.raises(ContractError, match="^predictions and labels "
+                                                "must have equal length$"):
+            selective_metrics(np.array([0, 1]), np.array([0]),
+                              np.array([True, True]), task)
+
 
 class TestSRConfidence:
     def test_row_max(self):

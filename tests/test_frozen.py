@@ -16,8 +16,10 @@ import pytest
 from oracles import ref_forward, ref_softmax
 from selpred.autograd import (
     Tensor,
+    finite_difference_check,
     no_grad,
     stable_sigmoid,
+    watch_kink_margins,
 )
 from selpred.calibrate import calibrate
 from selpred.checks import (
@@ -32,8 +34,16 @@ from selpred.evaluate import (
     MC_DROPOUT_REGRESSION,
     mc_dropout_confidence,
 )
-from selpred.layers import EVAL, DropoutLayer, softmax_rows
-from selpred.losses import CROSS_ENTROPY, SQUARED, LossConfig
+from selpred.layers import EVAL, TRAIN, DropoutLayer, softmax_rows
+from selpred.losses import (
+    CROSS_ENTROPY,
+    SQUARED,
+    LossConfig,
+    auxiliary_loss,
+    selective_loss,
+    task_loss,
+    total_loss,
+)
 from selpred.model import (
     BLOCK_ROWS,
     ArchitectureConfig,
@@ -167,6 +177,50 @@ def test_trained_model_matches_tape():
     train(model, x, y, TrainConfig(epochs=5, batch_size=64, seed=0,
                                    loss=LossConfig(task_loss=CROSS_ENTROPY)))
     _check_agreement(model, _inputs(seed=5))
+
+
+@pytest.mark.parametrize("switch", ["batchnorm", "auxiliary_head"])
+@pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+def test_model_with_a_switch_off_trains(task, switch):
+    """A model without batchnorm (the plain dense -> relu block) or without
+    the auxiliary head (the selective loss alone) lowers its training loss,
+    freezes to the oracle's outputs, and has criterion 1's gradients."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(300, 8))
+    if task == CLASSIFICATION:
+        y = (x[:, 0] + x[:, 1] > 0).astype(np.int64) + 2 * (x[:, 2] > 0)
+        kind = CROSS_ENTROPY
+    else:
+        y = x[:, 0] - 2.0 * x[:, 1] + 0.1 * rng.normal(size=300)
+        kind = SQUARED
+    cfg = _config(task, body=(16,), dropout_rate=0.0)
+    setattr(cfg, switch, False)
+    model = build_model(cfg, seed=0)
+    lcfg = LossConfig(task_loss=kind)
+    history = train(model, x, y, TrainConfig(epochs=5, batch_size=64, seed=0,
+                                             loss=lcfg))
+    assert history.total_loss[-1] < history.total_loss[0]
+    _check_agreement(model, _inputs(seed=5))
+
+    def objective():
+        f, g, h = model.forward(xb, mode=TRAIN)
+        sel = selective_loss(task_loss(kind, f, yb), g, lcfg)
+        if h is None:
+            return sel
+        return total_loss(sel, auxiliary_loss(task_loss(kind, h, yb)),
+                          lcfg.alpha)
+
+    # central differences are invalid at a relu kink: take a kink-safe batch
+    for start in range(0, 300, 4):
+        xb, yb = x[start:start + 4], y[start:start + 4]
+        with watch_kink_margins() as margins:
+            objective()
+        if min(margins) > 1e-3:
+            break
+    else:
+        raise AssertionError("no kink-safe batch")
+    assert finite_difference_check(objective, model.parameters(), h=1e-5,
+                                   floor=1e-8) < 1e-5
 
 
 @pytest.mark.parametrize("baseline", [False, True], ids=["selnet", "twin"])

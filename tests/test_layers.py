@@ -9,6 +9,7 @@ from selpred.checks import (
     CLASSIFICATION,
     ConfigurationError,
     ContractError,
+    DomainError,
     ShapeError,
 )
 from selpred.layers import (
@@ -46,6 +47,10 @@ class TestDense:
     def test_bad_extent(self):
         with pytest.raises(ConfigurationError):
             DenseLayer(0, 1, np.random.default_rng(0))
+
+    def test_unknown_init_rejected(self):
+        with pytest.raises(ConfigurationError, match="^unknown init 'xavier'$"):
+            DenseLayer(2, 1, np.random.default_rng(0), init="xavier")
 
     def test_shape_mismatch(self):
         layer = DenseLayer(3, 2, np.random.default_rng(0))
@@ -98,6 +103,11 @@ class TestBatchNorm:
         bn = BatchNormLayer(2)
         with pytest.raises(ContractError):
             bn(Tensor(np.zeros((1, 2))))
+
+    def test_train_batch_of_the_wrong_width_rejected(self):
+        with pytest.raises(ShapeError, match=r"^batchnorm expects 2 features, "
+                                             r"got \(4, 3\)$"):
+            BatchNormLayer(2)(Tensor(np.zeros((4, 3))))
 
 
 class TestDropout:
@@ -164,6 +174,12 @@ class TestSoftmax:
     def test_single_class_rejected(self):
         with pytest.raises(ShapeError):
             softmax(Tensor(np.zeros((3, 1))))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logits_rejected(self, bad):
+        with pytest.raises(DomainError, match="^softmax requires finite "
+                                              "logits$"):
+            softmax(Tensor([[0.0, 1.0], [bad, 0.0]]))
 
     @pytest.mark.parametrize("rows", [1, 256])
     @pytest.mark.parametrize("k", [*range(2, 13), 100])

@@ -82,6 +82,19 @@ class TestTaskLoss:
         with pytest.raises(DataError):
             task_loss(SQUARED, Tensor([1.0, 2.0]), [1.0])
 
+    @pytest.mark.parametrize("labels, shape", [
+        ([0], r"\(1,\)"), ([[0], [1]], r"\(2, 1\)")], ids=["short", "column"])
+    def test_cross_entropy_label_shape_mismatch(self, labels, shape):
+        with pytest.raises(DataError,
+                           match=rf"^expected 2 labels, got shape {shape}$"):
+            task_loss(CROSS_ENTROPY, softmax(Tensor(np.zeros((2, 2)))),
+                      labels)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ConfigurationError,
+                           match="^unknown task loss 'hinge'$"):
+            task_loss("hinge", Tensor([1.0]), [1.0])
+
 
 class TestPenalty:
     def test_cases(self):
@@ -151,6 +164,9 @@ class TestSelectiveLoss:
             LossConfig(target_coverage=0.0).validate()
         with pytest.raises(ConfigurationError):
             LossConfig(alpha=1.5).validate()
+        with pytest.raises(ConfigurationError,
+                           match="^penalty weight must be >= 0$"):
+            LossConfig(penalty_weight=-1.0).validate()
 
 
 class TestTotalLoss:
@@ -169,6 +185,21 @@ class TestTotalLoss:
     def test_bad_alpha(self):
         with pytest.raises(ConfigurationError):
             total_loss(Tensor(1.0), Tensor(1.0), -0.1)
+
+
+@pytest.mark.parametrize("loss, args, message", [
+    (empirical_selective_risk, (Tensor([1.0, 2.0]), Tensor([1.0, 1.0, 1.0])),
+     r"losses \(2,\) and g \(3,\) must match"),
+    (selective_loss, (Tensor([1.0, 2.0]), Tensor([1.0]), LossConfig()),
+     r"losses \(2,\) and g \(1,\) must match"),
+    (selective_loss, (Tensor(np.zeros(0)), Tensor(np.zeros(0)), LossConfig()),
+     "empirical coverage of an empty batch is undefined"),
+    (auxiliary_loss, (Tensor(np.zeros(0)),),
+     "auxiliary loss of an empty batch is undefined"),
+], ids=["risk-shapes", "selective-shapes", "selective-empty", "auxiliary-empty"])
+def test_contract_violations_named(loss, args, message):
+    with pytest.raises(ContractError, match=f"^{message}$"):
+        loss(*args)
 
 
 def test_objective_gradients_match_finite_differences():

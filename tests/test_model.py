@@ -165,6 +165,9 @@ class TestForward:
         model = build_model(regression_config(), seed=0)
         with pytest.raises(ShapeError):
             model.forward(np.zeros((4, 9)))
+        with pytest.raises(ShapeError, match=r"^expected input \(batch, 8\), "
+                                             r"got \(4, 9\)$"):
+            model.forward(np.zeros((4, 9)), mode=TRAIN)
 
     def test_unknown_mode_is_refused(self):
         model = build_model(regression_config(), seed=0)

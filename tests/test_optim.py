@@ -50,7 +50,9 @@ class TestTrainConfigValidation:
         ("weight_decay", -50.0, r"weight_decay must be >= 0, got -50.0"),
         ("momentum", 1.0, r"momentum must be in \[0, 1\), got 1.0"),
         ("momentum", -0.1, r"momentum must be in \[0, 1\), got -0.1"),
-    ], ids=["weight-decay-negative", "momentum-one", "momentum-negative"])
+        ("optimizer", "rmsprop", "unknown optimizer 'rmsprop'"),
+    ], ids=["weight-decay-negative", "momentum-one", "momentum-negative",
+            "optimizer-unknown"])
     def test_out_of_range_field_is_named(self, field, bad, message):
         with pytest.raises(ConfigurationError, match=f"^{message}$"):
             TrainConfig(**{field: bad}).validate()
@@ -314,6 +316,20 @@ class TestTrainLoop:
                            epochs=10, batch_size=32, seed=0)
         with pytest.raises(TrainingDivergedError):
             train(build_model(cfg, 0), x, y, tcfg)
+
+    def test_non_finite_loss_detected_before_the_update(self):
+        """Targets of 1e200 square to inf in the first batch's loss."""
+        rng = np.random.default_rng(0)
+        model = build_model(ArchitectureConfig(
+            input_dim=3, body_widths=[8], task=REGRESSION,
+            selection_hidden=4), 0)
+        params = model.state()[0].tobytes()
+        with np.errstate(over="ignore"), pytest.raises(
+                TrainingDivergedError,
+                match="^non-finite loss at epoch 0, batch 0$"):
+            train(model, rng.normal(size=(64, 3)), np.full(64, 1e200),
+                  TrainConfig(epochs=1, batch_size=32, seed=0))
+        assert model.state()[0].tobytes() == params
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import stat
 import struct
 import tempfile
@@ -333,6 +334,26 @@ def test_malformed_header_with_valid_checksum(trained_model, tmp_path, edit,
     save_model(model, None, path)
     path.write_bytes(_reframe(path.read_bytes(), edit))
     with pytest.raises(error):
+        load_model(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda body: body[:15] + b"\xff" + body[16:], "header is not UTF-8 JSON"),
+    (lambda body: body[:15] + b"[" + body[16:], "header is not UTF-8 JSON"),
+    (lambda body: body[:-8], "payload truncated"),
+], ids=["header-not-utf8", "header-not-json", "payload-truncated"])
+def test_malformed_body_with_valid_checksum(trained_model, tmp_path, edit,
+                                            message):
+    """The body after magic and header length (bytes 0-14) is edited and
+    the 8-byte SHA-256 trailer rewritten, so the checksum passes."""
+    import hashlib
+    model, _ = trained_model
+    path = tmp_path / "ckpt.bin"
+    save_model(model, None, path)
+    body = edit(path.read_bytes()[:-8])
+    path.write_bytes(body + hashlib.sha256(body).digest()[:8])
+    with pytest.raises(IntegrityError,
+                       match=f"^{re.escape(str(path))}: {message}$"):
         load_model(path)
 
 
