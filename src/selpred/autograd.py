@@ -18,7 +18,7 @@ import contextlib
 
 import numpy as np
 
-from .checks import DomainError, ShapeError
+from .checks import DomainError, SelpredError, ShapeError
 
 __all__ = [
     "Tensor",
@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 
-class GradCheckError(RuntimeError):
+class GradCheckError(SelpredError, RuntimeError):
     """The finite-difference oracle cannot be applied (e.g. non-deterministic fn)."""
 
 

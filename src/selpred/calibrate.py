@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import ContractError, DomainError
+from .checks import ContractError, DomainError, fraction
 
 __all__ = [
     "CalibrationResult",
@@ -46,11 +46,6 @@ class CalibrationResult:
     achieved_coverage: float
 
 
-def _check_coverage(target_coverage):
-    if not 0.0 < target_coverage <= 1.0:  # NaN fails too
-        raise DomainError(f"target coverage must be in (0,1], got {target_coverage}")
-
-
 def select_threshold(scores, target_coverage):
     """Nearest-rank percentile threshold over validation selection scores.
 
@@ -65,9 +60,8 @@ def select_threshold(scores, target_coverage):
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise ContractError("threshold selection needs a nonempty score set")
-    _check_coverage(target_coverage)
     # float64, as m/n is: numpy would compare m/n with a float32 c in float32
-    target_coverage = float(target_coverage)
+    target_coverage = fraction(target_coverage, "target_coverage")
     if not np.isfinite(scores).all():
         raise DomainError("selection scores must be finite")
     n = scores.size
@@ -99,12 +93,12 @@ def calibrate(model, validation_inputs, target_coverage, delta=0.001):
     Computes eval-mode selection scores, picks the nearest-rank threshold,
     and reports the coverage deviation bound for the validation size. The
     bound holds with probability >= 1 - delta, so ``delta`` must lie in
-    (0, 1); DomainError otherwise. Both it and ``target_coverage`` are
-    checked before the forward pass.
+    (0, 1), DomainError otherwise, and ``target_coverage`` in (0, 1],
+    ConfigurationError otherwise. Both are checked before the forward pass.
     """
     if not 0.0 < delta < 1.0:  # NaN fails too
         raise DomainError(f"delta must be in (0, 1), got {delta}")
-    _check_coverage(target_coverage)
+    target_coverage = fraction(target_coverage, "target_coverage")
     delta = float(delta)
     validation_inputs = np.asarray(validation_inputs, dtype=np.float64)
     if validation_inputs.shape[0] == 0:
@@ -114,7 +108,7 @@ def calibrate(model, validation_inputs, target_coverage, delta=0.001):
     n = scores.size
     return CalibrationResult(  # plain floats, so a checkpoint saves them
         tau=tau,
-        target_coverage=float(target_coverage),
+        target_coverage=target_coverage,
         n_validation=n,
         delta=delta,
         epsilon=hoeffding_epsilon(n, delta),

@@ -3,7 +3,9 @@ the task names.
 
 Nothing here imports from ``selpred``, so every module can import it. An
 error class lives here when more than one module raises or catches it; one
-that a single module raises stays next to its raiser.
+that a single module raises stays next to its raiser. Each derives from
+``SelpredError``, the boundary ``cli.main`` catches: bad input prints one
+``error:`` line, while a bug propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -12,33 +14,38 @@ import math
 
 import numpy as np
 
-__all__ = ["CLASSIFICATION", "REGRESSION", "ConfigurationError",
-           "ContractError", "DegenerateCoverageError", "DomainError",
-           "ShapeError", "integer", "real", "boolean", "fraction"]
+__all__ = ["CLASSIFICATION", "REGRESSION", "SelpredError",
+           "ConfigurationError", "ContractError", "DegenerateCoverageError",
+           "DomainError", "ShapeError", "integer", "real", "boolean",
+           "fraction"]
 
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
 
 
-class ConfigurationError(ValueError):
+class SelpredError(Exception):
+    """The base of every error ``selpred`` raises on purpose."""
+
+
+class ConfigurationError(SelpredError, ValueError):
     """An invalid setting: a config file field, a checkpoint header field,
     a command-line flag or a library argument."""
 
 
-class ContractError(ValueError):
+class ContractError(SelpredError, ValueError):
     """A call violates a layer's usage contract."""
 
 
-class ShapeError(ValueError):
+class ShapeError(SelpredError, ValueError):
     """Operand shapes violate an operation's contract."""
 
 
-class DomainError(ValueError):
+class DomainError(SelpredError, ValueError):
     """Operand values lie outside an operation's domain."""
 
 
-class DegenerateCoverageError(ValueError):
-    """All selection values are zero: the selective risk is undefined."""
+class DegenerateCoverageError(SelpredError, ValueError):
+    """Nothing is selected: the selective risk is undefined."""
 
 
 def integer(value, field, least=None):

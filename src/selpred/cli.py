@@ -10,7 +10,9 @@ written next to the outputs as effective_config.yaml: it records what ran.
 All tabular outputs are CSV with a '#'-prefixed provenance header (config
 file hash, seeds, format version).
 
-Exit codes: 0 success, 1 runtime failure, 2 usage error.
+Exit codes: 0 success, 2 usage error, 1 a ``SelpredError`` (see ``checks``),
+an ``OSError``, a ``MemoryError`` or a YAML error, printed as one ``error:``
+line. Any other exception is a bug: it exits 1 with Python's traceback.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ import numpy as np
 import yaml
 
 from .calibrate import calibrate
-from .checks import (CLASSIFICATION, ConfigurationError, boolean, fraction,
-                     integer, real)
+from .checks import (CLASSIFICATION, REGRESSION, ConfigurationError,
+                     SelpredError, boolean, fraction, integer, real)
 from .data import (SplitSpec, load_csv, standardized_splits,
                    synth_classification, unstandardize_target,
                    split, standardize)  # unused: kept for bench/spans.py SITES
@@ -75,7 +77,7 @@ def _load_config(path, seeds=None, coverage=None):
     covers, and its ``_resolve``d form with the command-line ``seeds`` and
     ``coverage``, when given, in place of ``seeds`` and
     ``loss.target_coverage``."""
-    with open(path) as fh:
+    with open(path, "rb") as fh:  # PyYAML decodes, naming the file on error
         cfg = yaml.safe_load(fh) or {}
     if not isinstance(cfg, dict):
         raise ConfigurationError(f"{path}: config root must be a mapping")
@@ -119,11 +121,13 @@ def _resolve(cfg):
         if key != "seeds" and not isinstance(value, dict):
             raise ConfigurationError(f"config field {key} must be a mapping")
     kind = cfg.get("dataset", {}).get("kind", "csv")
-    if kind not in _DATASET_KEYS:
+    if not isinstance(kind, str) or kind not in _DATASET_KEYS:
         raise ConfigurationError(f"unknown dataset kind {kind!r}")
     dataset = _section(cfg, "dataset", {"kind": kind, **_DATASET_KEYS[kind]})
     # the task loss defaults by task; synthetic data is classification
     task = dataset.get("task", CLASSIFICATION)
+    if task not in (CLASSIFICATION, REGRESSION):
+        raise ConfigurationError(f"unknown task {task!r}")
     loss = dict(_defaults(LossConfig), task_loss=(
         CROSS_ENTROPY if task == CLASSIFICATION else SQUARED))
     conf = {
@@ -176,12 +180,8 @@ def _coverages(text):
     """The ``--coverages`` flag of ``curve``, ``grid`` and ``compare``:
     finite coverages in (0, 1], ConfigurationError naming the flag
     otherwise."""
-    coverages = _flag_list("--coverages", text, float)
-    for c in coverages:
-        if not 0.0 < c <= 1.0:  # NaN fails too
-            raise ConfigurationError(
-                f"--coverages must lie in (0, 1], got {c}")
-    return coverages
+    return [fraction(c, "--coverages")
+            for c in _flag_list("--coverages", text, float)]
 
 
 def _write_outputs(out, name, cfg, conf, seeds, colnames, rows):
@@ -473,7 +473,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
+    except (SelpredError, OSError, MemoryError, yaml.YAMLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

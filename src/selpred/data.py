@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import csv
+import os
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .checks import (CLASSIFICATION, REGRESSION, ConfigurationError,
-                     boolean, integer, real)
+                     SelpredError, boolean, integer, real)
 from .layers import _column_sums
 
 __all__ = [
@@ -24,8 +25,9 @@ __all__ = [
 ]
 
 
-class ParseError(ValueError):
-    """A CSV cell could not be parsed; the message names row and column."""
+class ParseError(SelpredError, ValueError):
+    """A CSV could not be parsed; the message names the file, and a bad
+    cell's row and column."""
 
 
 @dataclass
@@ -43,7 +45,7 @@ class Dataset:
             raise ConfigurationError(
                 f"features must be a nonempty (m, d) matrix, got {self.features.shape}")
         self.labels = np.asarray(self.labels)
-        if self.labels.shape[0] != self.features.shape[0]:
+        if self.labels.shape[:1] != self.features.shape[:1]:
             raise ConfigurationError("label count must match feature rows")
         if not np.all(np.isfinite(self.features)):
             raise ConfigurationError("features contain NaN/Inf after ingestion")
@@ -98,13 +100,16 @@ def load_csv(path, feature_columns, target_column, header=True,
     """Parse a numeric CSV into a Dataset, validating the schema.
 
     Columns are zero-based indices, each an ``int`` or numpy integer (not a
-    bool). A column that is not such an index, a negative target column, a
-    feature column that is negative, repeated or the target column, or a
-    ``header`` that is not a bool raises ConfigurationError naming the
-    field. Non-numeric and non-finite (``nan``, ``inf``) cells, and
-    classification labels that are not integers >= 0, raise ParseError
-    naming the offending row and column.
+    bool). A ``path`` that is not a ``str`` or path-like, a column that is
+    not such an index, a negative target column, a feature column that is
+    negative, repeated or the target column, or a ``header`` that is not a
+    bool raises ConfigurationError naming the field, before any read. An
+    undecodable file, non-numeric and non-finite (``nan``, ``inf``) cells,
+    and classification labels that are not integers >= 0 raise ParseError
+    naming the file and, for a cell, its row and column.
     """
+    if not isinstance(path, (str, os.PathLike)):
+        raise ConfigurationError(f"path: {path!r} is not a file path")
     target_column = integer(target_column, "target_column")
     boolean(header, "header")
     if (isinstance(feature_columns, (str, bytes, dict))
@@ -123,15 +128,14 @@ def load_csv(path, feature_columns, target_column, header=True,
                    else "is the target column")
             raise ConfigurationError(f"feature column {c} {why}")
         seen.add(c)
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for r, row in enumerate(reader):
-            if header and r == 0:
-                continue
-            if not row or all(not c.strip() for c in row):
-                continue
-            rows.append((r, row))
+    try:  # skip the header and blank rows, keeping each row's index
+        with open(path, newline="") as fh:
+            rows = [(r, row) for r, row in enumerate(csv.reader(fh))
+                    if (r or not header) and any(c.strip() for c in row)]
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not {exc.encoding} text") from None
+    except csv.Error as exc:  # a cell over the csv module's field size limit
+        raise ParseError(f"{path}: {exc}") from None
     if not rows:
         raise ParseError(f"{path}: no data rows")
     needed = list(feature_columns) + [target_column]

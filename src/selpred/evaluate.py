@@ -19,13 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibrate import select_threshold
-from .checks import CLASSIFICATION, ConfigurationError, ContractError, real
+from .checks import (CLASSIFICATION, ConfigurationError, ContractError,
+                     DegenerateCoverageError, fraction, real)
 from .data import unstandardize_target
 from .layers import softmax_rows
 
 __all__ = [
     "EvalReport",
-    "UndefinedRiskError",
     "selective_metrics",
     "sr_confidence",
     "mc_dropout_confidence",
@@ -40,10 +40,6 @@ __all__ = [
 # MC-dropout settings reported for the two task types.
 MC_DROPOUT_CLASSIFICATION = {"passes": 100, "rate": 0.5}
 MC_DROPOUT_REGRESSION = {"passes": 200, "rate": 0.05}
-
-
-class UndefinedRiskError(ValueError):
-    """No accepted samples: selective risk is undefined."""
 
 
 @dataclass
@@ -74,7 +70,8 @@ def selective_metrics(predictions, labels, accept_mask, task):
     n = losses.size
     n_cov = int(accept_mask.sum())
     if n_cov == 0:
-        raise UndefinedRiskError("no accepted samples; selective risk undefined")
+        raise DegenerateCoverageError(
+            "no accepted samples; selective risk undefined")
     risk = float(losses[accept_mask].mean())
     if task == CLASSIFICATION:
         risk *= 100.0
@@ -150,8 +147,7 @@ def risk_coverage_curve(cal_scores, test_scores, predictions, labels,
     test_scores = np.asarray(test_scores, dtype=np.float64)
     rows = []
     for c in coverage_grid:
-        if not 0.0 < c <= 1.0:
-            raise ContractError(f"coverage grid values must be in (0,1], got {c}")
+        fraction(c, "coverage")
         if c == 1.0:
             mask = np.ones(test_scores.size, dtype=bool)
         else:

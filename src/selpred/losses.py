@@ -24,7 +24,8 @@ import numpy as np
 
 from .autograd import Tensor, relu, square
 from .checks import (ConfigurationError, ContractError,
-                     DegenerateCoverageError, fraction, real)
+                     DegenerateCoverageError, DomainError, ShapeError,
+                     fraction, real)
 
 __all__ = [
     "CROSS_ENTROPY",
@@ -61,10 +62,6 @@ class LossConfig:
             raise ConfigurationError(f"unknown task loss {self.task_loss!r}")
 
 
-class DataError(ValueError):
-    """Labels inconsistent with the prediction shape."""
-
-
 def task_loss(kind, prediction, labels):
     """Per-sample loss vector for the given task loss, as one node.
 
@@ -81,7 +78,7 @@ def task_loss(kind, prediction, labels):
 
 
 def _class_indices(labels, n_classes):
-    """The 1-D ``labels`` as int64 class indices; DataError naming the first
+    """The 1-D ``labels`` as int64 class indices; DomainError naming the first
     label that is not an integer in [0, n_classes). An integral float
     passes, as ``load_csv`` reads a class column; a bool or a string never
     does."""
@@ -96,8 +93,8 @@ def _class_indices(labels, n_classes):
         ok = np.zeros(labels.shape, dtype=bool)
     if ok.all():
         return labels.astype(np.int64)
-    raise DataError(f"class label {labels[np.argmin(ok)].item()!r} is not "
-                    f"an integer in [0, {n_classes})")
+    raise DomainError(f"class label {labels[np.argmin(ok)].item()!r} is not "
+                      f"an integer in [0, {n_classes})")
 
 
 def _cross_entropy(prediction, labels):
@@ -107,7 +104,7 @@ def _cross_entropy(prediction, labels):
     labels = np.asarray(labels)
     m, k = prediction.data.shape
     if labels.shape != (m,):
-        raise DataError(f"expected {m} labels, got shape {labels.shape}")
+        raise ShapeError(f"expected {m} labels, got shape {labels.shape}")
     idx = _class_indices(labels, k)
     rows = np.arange(m)
     p = prediction.data
@@ -127,7 +124,7 @@ def _squared(prediction, labels):
     y = np.asarray(labels, dtype=np.float64).reshape(-1)
     shape = prediction.data.shape
     if prediction.data.size != y.size:
-        raise DataError(f"prediction shape {shape} != target shape {y.shape}")
+        raise ShapeError(f"prediction shape {shape} != target shape {y.shape}")
     d = prediction.data.reshape(-1) - y
 
     def backward(g):

@@ -150,7 +150,6 @@ class SelectiveNet:
             self.body.append(_Block(width, w, config.batchnorm,
                                     config.dropout_rate, rng))
             width = w
-        self.rep_dim = width
 
         out_dim = config.output_dim()
         f_init = "glorot"

@@ -19,7 +19,8 @@ import numpy as np
 
 from .autograd import Parameters, zero_grads
 from .checks import (CLASSIFICATION, ConfigurationError,
-                     DegenerateCoverageError, boolean, integer, real)
+                     DegenerateCoverageError, SelpredError, boolean, integer,
+                     real)
 from .layers import TRAIN
 from .losses import (
     CROSS_ENTROPY,
@@ -43,7 +44,7 @@ __all__ = [
 ]
 
 
-class TrainingDivergedError(RuntimeError):
+class TrainingDivergedError(SelpredError, RuntimeError):
     """The training loss became non-finite."""
 
 

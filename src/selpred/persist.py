@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibrate import CalibrationResult
-from .checks import boolean, fraction, integer, real
+from .checks import SelpredError, boolean, fraction, integer, real
 from .model import ArchitectureConfig, SelectiveNet
 
 __all__ = ["save_model", "load_model", "IntegrityError", "VersionError"]
@@ -38,11 +38,11 @@ _HEADER_KEYS = frozenset({"format_version", "architecture", "selective", "seed",
                           "trained_coverage", "calibration", "array_sizes"})
 
 
-class IntegrityError(IOError):
+class IntegrityError(SelpredError, IOError):
     """Checksum mismatch or truncated checkpoint file."""
 
 
-class VersionError(IOError):
+class VersionError(SelpredError, IOError):
     """Checkpoint format version is not supported by this reader."""
 
 

@@ -13,7 +13,8 @@ from selpred.calibrate import (
     hoeffding_epsilon,
     select_threshold,
 )
-from selpred.checks import CLASSIFICATION, ContractError, DomainError
+from selpred.checks import (CLASSIFICATION, ConfigurationError, ContractError,
+                            DomainError)
 from selpred.model import ArchitectureConfig, FrozenNet, build_model
 from selpred.persist import save_model
 
@@ -70,9 +71,9 @@ class TestSelectThreshold:
     def test_empty_and_bad_coverage(self):
         with pytest.raises(ContractError):
             select_threshold(np.array([]), 0.8)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             select_threshold(np.array([0.5]), 0.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             select_threshold(np.array([0.5]), 1.2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -185,8 +186,9 @@ class TestCalibrate:
 
         monkeypatch.setattr(FrozenNet, "heads", counted)
         x = np.random.default_rng(3).normal(size=(500, 4))
-        with pytest.raises(DomainError, match=rf"^target coverage must be "
-                           rf"in \(0,1\], got {target}$"):
+        message = ("target_coverage: nan is not finite" if np.isnan(target)
+                   else rf"target_coverage must lie in \(0, 1\], got {target}")
+        with pytest.raises(ConfigurationError, match=rf"^{message}$"):
             calibrate(toy_model, x, target)
         assert calls == []
         result = calibrate(toy_model, x, 0.8)

@@ -1,21 +1,24 @@
 """End-to-end command-line workflows on a small synthetic problem."""
 
+import re
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 import yaml
 
-from selpred import cli
-from selpred.checks import REGRESSION, ConfigurationError
+from selpred import cli, data
+from selpred.autograd import GradCheckError
+from selpred.checks import REGRESSION, ConfigurationError, DomainError
 from selpred.cli import _resolve, build_parser, main, prepare_splits
-from selpred.data import (SplitSpec, load_csv, standardized_splits,
-                          synth_classification, unstandardize_target)
+from selpred.data import (ParseError, SplitSpec, load_csv,
+                          standardized_splits, synth_classification,
+                          unstandardize_target)
 from selpred.evaluate import selective_metrics
 from selpred.losses import LossConfig
 from selpred.model import ArchitectureConfig, FrozenNet
-from selpred.optim import TrainConfig
-from selpred.persist import load_model
+from selpred.optim import TrainConfig, TrainingDivergedError
+from selpred.persist import IntegrityError, load_model
 
 
 @pytest.fixture(scope="module")
@@ -590,6 +593,44 @@ class TestDatasetConfig:
                            match="^unknown dataset kind 'parquet'$"):
             _resolve({"dataset": {"kind": "parquet"}})
 
+    def _train(self, tmp_path, dataset):
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text(yaml.safe_dump({"dataset": dataset}))
+        return main(["train", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run")])
+
+    @pytest.mark.parametrize("path", [0, True, None, [1], b"data.csv"],
+                             ids=["zero", "true", "null", "list", "bytes"])
+    def test_path_that_is_not_a_path_is_named(self, tmp_path, capsys,
+                                              monkeypatch, path):
+        """``path: 0`` would read the CSV from stdin and close it, and
+        ``path: 1`` close stdout: each is refused before ``data`` opens a
+        file."""
+        opened = []
+        monkeypatch.setattr(data, "open", lambda *a, **k: opened.append(a),
+                            raising=False)
+        assert self._train(tmp_path, dict(self.CSV, path=path)) == 1
+        assert (capsys.readouterr().err
+                == f"error: path: {path!r} is not a file path\n")
+        assert opened == []
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("task", [5, "ranking", ["x"]],
+                             ids=["int", "unknown", "list"])
+    def test_unknown_task_is_named_before_any_read(self, tmp_path, capsys,
+                                                   monkeypatch, task):
+        calls = _count_reads(monkeypatch)
+        assert self._train(tmp_path, dict(self.CSV, task=task)) == 1
+        assert capsys.readouterr().err == f"error: unknown task {task!r}\n"
+        assert calls == {"csv": 0, "synthetic": 0}
+
+    def test_csv_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_bytes(b"a,b,y\n1,2,3\n4,5,\xff\n")
+        assert self._train(tmp_path, dict(self.CSV, path=str(csv_path))) == 1
+        assert re.fullmatch(rf"error: {re.escape(str(csv_path))}: not \S+ "
+                            r"text\n", capsys.readouterr().err)
+
 
 class TestConfigSchema:
     """Each section reads into the dataclass that owns its defaults, and a
@@ -624,7 +665,9 @@ class TestConfigSchema:
     @pytest.mark.parametrize("text, message", [
         ("- dataset\n", "{path}: config root must be a mapping"),
         ("dataset: {kind: parquet}\n", "unknown dataset kind 'parquet'"),
-    ], ids=["root-not-a-mapping", "unknown-dataset-kind"])
+        ("dataset: {kind: [a]}\n", "unknown dataset kind ['a']"),
+    ], ids=["root-not-a-mapping", "unknown-dataset-kind",
+            "list-dataset-kind"])
     def test_malformed_config_is_named(self, tmp_path, capsys, text,
                                        message):
         cfg_path = tmp_path / "config.yaml"
@@ -685,11 +728,11 @@ class TestConfigSchema:
         (["compare", "--coverages", "0.9,1.5"],
          "--coverages must lie in (0, 1], got 1.5"),
         (["compare", "--coverages", "nan"],
-         "--coverages must lie in (0, 1], got nan"),
+         "--coverages: nan is not finite"),
         (["curve", "--model", "absent.ckpt", "--coverages", "0.0,0.5"],
          "--coverages must lie in (0, 1], got 0.0"),
         (["grid", "--models", "absent.ckpt", "--coverages", "1,inf"],
-         "--coverages must lie in (0, 1], got inf"),
+         "--coverages: inf is not finite"),
     ], ids=["compare-not-a-number", "compare-empty-seed", "compare-above-one",
             "compare-nan", "curve-zero", "grid-infinite"])
     def test_bad_list_flag_is_named(self, tmp_path, capsys, argv, message):
@@ -975,6 +1018,42 @@ class TestExitCodes:
         assert main(argv + ["--out", str(out / "nested")]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_config_that_is_not_utf8_is_one_line(self, tmp_path, capsys):
+        """PyYAML decodes the file itself, so a bad byte is a YAML error
+        that names the file."""
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_bytes(b"dataset: {kind: synthetic}\n# \xff\n")
+        assert main(["train", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("error:") == 1
+        assert f'in "{cfg_path}"' in err
+
+    @pytest.mark.parametrize("error", [
+        ConfigurationError("bad"), DomainError("bad"), ParseError("bad"),
+        IntegrityError("bad"), TrainingDivergedError("bad"),
+        GradCheckError("bad"), FileNotFoundError("bad"), MemoryError("bad"),
+        yaml.YAMLError("bad")], ids=lambda e: type(e).__name__)
+    def test_bad_input_is_one_line(self, monkeypatch, capsys, error):
+        def failing(args):
+            raise error
+        monkeypatch.setattr(cli, "cmd_train", failing)
+        assert main(["train", "--config", "c", "--out", "o"]) == 1
+        assert capsys.readouterr().err == "error: bad\n"
+
+    @pytest.mark.parametrize("error", [
+        AttributeError, TypeError, KeyError, IndexError, ValueError,
+        RuntimeError, ZeroDivisionError], ids=lambda e: e.__name__)
+    def test_bug_propagates(self, monkeypatch, capsys, error):
+        """An error that is not bad input is a bug: ``main`` does not turn
+        it into ``error: ...`` and exit 1."""
+        def failing(args):
+            raise error("bug")
+        monkeypatch.setattr(cli, "cmd_train", failing)
+        with pytest.raises(error, match="bug"):
+            main(["train", "--config", "c", "--out", "o"])
+        assert capsys.readouterr().err == ""
 
     def test_corrupt_checkpoint_is_one(self, workdir, tmp_path, capsys):
         _, cfg_path = workdir

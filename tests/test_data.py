@@ -1,6 +1,7 @@
 """CSV ingestion, standardization, synthetic data, and splitting."""
 
 import hashlib
+import re
 import tracemalloc
 import warnings
 
@@ -48,6 +49,22 @@ class TestLoadCsv:
     def test_bad_cell_names_row_and_column(self, tmp_path):
         p = self._write(tmp_path, "a,y\n1,2\nx,4\n")
         with pytest.raises(ParseError, match="row 2, column 0"):
+            load_csv(p, [0], 1)
+
+    def test_row_indices_count_skipped_rows(self, tmp_path):
+        """A row keeps its index in the file past the header and blank or
+        whitespace-only rows; without a header the first row is data."""
+        p = self._write(tmp_path, "a,y\n\n , \nx,4\n")
+        with pytest.raises(ParseError, match="row 3, column 0$"):
+            load_csv(p, [0], 1)
+        p = self._write(tmp_path, "1,2\n \n3,4\n")
+        np.testing.assert_array_equal(
+            load_csv(p, [0], 1, header=False).labels, [2.0, 4.0])
+
+    def test_oversized_cell_names_the_file(self, tmp_path):
+        p = self._write(tmp_path, "a,y\n1," + "9" * 200_000 + "\n")
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(p))}: field "
+                                             "larger than field limit"):
             load_csv(p, [0], 1)
 
     def test_short_row_rejected(self, tmp_path):
@@ -127,16 +144,19 @@ class TestDataset:
         with pytest.raises(ConfigurationError):
             Dataset(np.zeros((3, 2)), np.zeros(2), REGRESSION)
 
-    @pytest.mark.parametrize("features, task, message", [
-        (np.zeros(3), REGRESSION,
+    @pytest.mark.parametrize("features, labels, task, message", [
+        (np.zeros(3), np.zeros(3), REGRESSION,
          r"features must be a nonempty \(m, d\) matrix, got \(3,\)"),
-        (np.zeros((0, 2)), REGRESSION,
+        (np.zeros((0, 2)), np.zeros(0), REGRESSION,
          r"features must be a nonempty \(m, d\) matrix, got \(0, 2\)"),
-        (np.zeros((3, 2)), "ranking", "unknown task 'ranking'"),
-    ], ids=["one-dimensional", "no-rows", "unknown-task"])
-    def test_malformed_dataset_rejected(self, features, task, message):
+        (np.zeros((3, 2)), np.zeros(3), "ranking", "unknown task 'ranking'"),
+        (np.zeros((1, 2)), 5.0, REGRESSION,
+         "label count must match feature rows"),
+    ], ids=["one-dimensional", "no-rows", "unknown-task", "scalar-labels"])
+    def test_malformed_dataset_rejected(self, features, labels, task,
+                                        message):
         with pytest.raises(ConfigurationError, match=f"^{message}$"):
-            Dataset(features, np.zeros(len(features)), task)
+            Dataset(features, labels, task)
 
 
 class TestStandardize:

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from selpred.checks import (CLASSIFICATION, REGRESSION, ConfigurationError,
-                            ContractError)
+                            ContractError, DegenerateCoverageError)
 from selpred.evaluate import (
     MC_DROPOUT_CLASSIFICATION,
-    UndefinedRiskError,
     cross_calibration_grid,
     mc_dropout_confidence,
     percent_improvement,
@@ -46,7 +45,9 @@ class TestSelectiveMetrics:
         assert rep.risk == pytest.approx(50.0)
 
     def test_nothing_accepted_undefined(self):
-        with pytest.raises(UndefinedRiskError):
+        with pytest.raises(DegenerateCoverageError,
+                           match="^no accepted samples; selective risk "
+                                 "undefined$"):
             selective_metrics(np.array([0]), np.array([0]),
                               np.array([False]), CLASSIFICATION)
 
@@ -195,7 +196,8 @@ class TestRiskCoverageCurve:
 
     def test_bad_grid_value(self):
         cal, test, preds, labels = self._setup()
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigurationError,
+                           match=r"^coverage must lie in \(0, 1\], got 0.0$"):
             risk_coverage_curve(cal, test, preds, labels, [0.0], CLASSIFICATION)
 
     @pytest.mark.parametrize("task, build, kind", [

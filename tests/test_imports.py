@@ -2,8 +2,9 @@
 
 ``checks`` sits at the bottom of the import graph, every name a module
 imports from ``selpred`` is used there, loading a CSV does not import the
-network, no setting comes from the environment, and only ``data`` splits
-and standardizes a dataset.
+network, no setting comes from the environment, only ``data`` splits and
+standardizes a dataset, no handler catches every exception, and every
+error class is a ``SelpredError``.
 """
 
 import ast
@@ -110,3 +111,38 @@ def test_only_data_splits_and_standardizes(path):
               and isinstance(f.value, ast.Name) and f.value.id in imported):
             calls.append(f"{f.value.id}.{f.attr}")
     assert calls == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_broad_except(path):
+    """No bare ``except:`` and no ``except Exception``: an error that is not
+    ``selpred``'s own is a bug and must reach the caller. ``except
+    BaseException`` is allowed only as a cleanup that re-raises."""
+    broad = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        types = (node.type.elts if isinstance(node.type, ast.Tuple)
+                 else [node.type])
+        names = {"<bare>" if t is None else ast.unparse(t) for t in types}
+        reraises = (isinstance(node.body[-1], ast.Raise)
+                    and node.body[-1].exc is None)
+        if names & {"<bare>", "Exception"} or (
+                "BaseException" in names and not reraises):
+            broad.append(node.lineno)
+    assert broad == []
+
+
+def test_every_error_class_is_a_selpred_error():
+    """Every exception class a ``selpred`` module defines derives from
+    ``SelpredError``, so ``cli.main`` reports it as bad input; the walk
+    imports each module and reads its attributes."""
+    from selpred.checks import SelpredError
+    classes = {v for name in MODULES
+               for v in vars(importlib.import_module(f"selpred.{name}")).values()
+               if isinstance(v, type) and issubclass(v, BaseException)
+               and v.__module__.startswith("selpred")}
+    assert {"ParseError", "IntegrityError", "GradCheckError"} <= {
+        c.__name__ for c in classes}
+    assert {c.__name__ for c in classes
+            if not issubclass(c, SelpredError)} == set()

@@ -9,12 +9,13 @@ from selpred.checks import (
     ConfigurationError,
     ContractError,
     DegenerateCoverageError,
+    DomainError,
+    ShapeError,
 )
 from selpred.layers import softmax
 from selpred.losses import (
     CROSS_ENTROPY,
     SQUARED,
-    DataError,
     LossConfig,
     auxiliary_loss,
     empirical_coverage,
@@ -52,7 +53,7 @@ class TestTaskLoss:
             task_loss(CROSS_ENTROPY, Tensor(probs), [1, 0])
 
     def test_cross_entropy_label_out_of_range(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DomainError):
             task_loss(CROSS_ENTROPY, softmax(Tensor(np.zeros((1, 2)))), [2])
 
     @pytest.mark.parametrize("labels, first", [
@@ -63,8 +64,8 @@ class TestTaskLoss:
                                                            first):
         """A fractional label would be truncated by ``astype(int64)``, and
         a string or a bool read as its integer."""
-        with pytest.raises(DataError, match=rf"^class label {first} is not "
-                                            r"an integer in \[0, 2\)$"):
+        with pytest.raises(DomainError, match=rf"^class label {first} is not "
+                                              r"an integer in \[0, 2\)$"):
             task_loss(CROSS_ENTROPY, softmax(Tensor(np.zeros((2, 2)))),
                       labels)
 
@@ -79,13 +80,13 @@ class TestTaskLoss:
         assert out.data[0] == pytest.approx(4.0, abs=1e-15)
 
     def test_squared_shape_mismatch(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ShapeError):
             task_loss(SQUARED, Tensor([1.0, 2.0]), [1.0])
 
     @pytest.mark.parametrize("labels, shape", [
         ([0], r"\(1,\)"), ([[0], [1]], r"\(2, 1\)")], ids=["short", "column"])
     def test_cross_entropy_label_shape_mismatch(self, labels, shape):
-        with pytest.raises(DataError,
+        with pytest.raises(ShapeError,
                            match=rf"^expected 2 labels, got shape {shape}$"):
             task_loss(CROSS_ENTROPY, softmax(Tensor(np.zeros((2, 2)))),
                       labels)

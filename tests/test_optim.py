@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from selpred.autograd import Parameter, Parameters, zero_grads
-from selpred.checks import CLASSIFICATION, REGRESSION, ConfigurationError
-from selpred.losses import CROSS_ENTROPY, SQUARED, DataError, LossConfig
+from selpred.checks import (CLASSIFICATION, REGRESSION, ConfigurationError,
+                            DomainError)
+from selpred.losses import CROSS_ENTROPY, SQUARED, LossConfig
 from selpred.model import ArchitectureConfig, build_model
 from selpred.optim import (
     SGD,
@@ -353,8 +354,8 @@ class TestTrainLoop:
         y = np.append(y[:-1], bad)  # int64 but for the float labels
         model = _toy_model()
         before = [a.tobytes() for a in model.state()]
-        with pytest.raises(DataError, match=rf"^class label {first} is not "
-                                            r"an integer in \[0, 2\)$"):
+        with pytest.raises(DomainError, match=rf"^class label {first} is not "
+                                              r"an integer in \[0, 2\)$"):
             train(model, x, y, _toy_train_config(epochs=1, shuffle=False))
         assert [a.tobytes() for a in model.state()] == before
 
@@ -363,8 +364,8 @@ class TestTrainLoop:
         ids=["string", "bool"])
     def test_non_numeric_labels_rejected(self, labels):
         x, y = _toy_dataset(m=300)
-        with pytest.raises(DataError, match="^class label .* is not an "
-                                            "integer"):
+        with pytest.raises(DomainError, match="^class label .* is not an "
+                                              "integer"):
             train(_toy_model(), x, labels(y), _toy_train_config(epochs=1))
 
     def test_integral_float_labels_train_as_their_integers(self):
