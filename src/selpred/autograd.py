@@ -89,7 +89,7 @@ class Tensor:
 
         A first gradient is copied, since ``g`` may be shared with another
         tensor (the elementwise ops send one ``g`` to both operands) or be a
-        view of one (``reshape``, ``broadcast_to``). A node that allocated
+        view of one (``broadcast_to``). A node that allocated
         the float64 array ``g`` for this call alone and keeps no reference
         to it passes ``owned=True``: the array becomes ``grad`` without the
         copy, and later gradients are added into it."""
@@ -122,15 +122,6 @@ class Tensor:
         return _binary(self, other, np.divide,
                        lambda a, b, g: (g / b.data,
                                         -g * a.data / (b.data * b.data)))
-
-    def reshape(self, *shape):
-        old = self.data.shape
-        out_data = self.data.reshape(*shape)
-
-        def backward(g):
-            self._accum(g.reshape(old))
-
-        return Tensor._op(out_data, (self,), backward)
 
     # -- reductions -----------------------------------------------------------
 

@@ -16,8 +16,8 @@ import numpy as np
 
 __all__ = ["CLASSIFICATION", "REGRESSION", "SelpredError",
            "ConfigurationError", "ContractError", "DegenerateCoverageError",
-           "DomainError", "ShapeError", "integer", "real", "boolean",
-           "fraction"]
+           "DomainError", "ShapeError", "MAX_SIZE", "integer", "size",
+           "real", "boolean", "fraction"]
 
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
@@ -57,6 +57,18 @@ def integer(value, field, least=None):
         raise ConfigurationError(f"{field}: {value!r} is not an integer")
     if least is not None and value < least:
         raise ConfigurationError(f"{field} must be >= {least}, got {value}")
+    return int(value)
+
+
+# The largest array extent a setting may ask for: two multiplied, in float64
+# bytes, fit numpy's index type, so too large an array is a MemoryError.
+MAX_SIZE = math.isqrt(np.iinfo(np.intp).max // 8)
+
+
+def size(value, field, least=1):
+    """``integer(value, field, least)``, and at most ``MAX_SIZE``."""
+    if integer(value, field, least) > MAX_SIZE:
+        raise ConfigurationError(f"{field} must be <= {MAX_SIZE}, got {value}")
     return int(value)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -10,8 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checks import (CLASSIFICATION, REGRESSION, ConfigurationError,
-                     SelpredError, boolean, integer, real)
-from .layers import _column_sums
+                     SelpredError, boolean, integer, real, size)
 
 __all__ = [
     "Dataset",
@@ -215,6 +215,23 @@ def standardize(dataset, stats=None, include_target=False):
     return Dataset(feats, labels, dataset.task, prov), stats
 
 
+def _column_sums(a):
+    """``a.sum(axis=0)`` of a 2-D array as one matrix-vector product
+    (``ndarray.dot``), several times faster on a batch of narrow rows (the
+    rounding differs in the last bits). ``layers`` takes it from here, so
+    reading a dataset imports no part of the network."""
+    return _ones(a.shape[0]).dot(a)
+
+
+@functools.lru_cache(maxsize=8)
+def _ones(n):
+    """A read-only vector of ``n`` ones, shared by every call with ``n``
+    (a training run sees a few batch sizes)."""
+    ones = np.ones(n)
+    ones.flags.writeable = False
+    return ones
+
+
 def _feature_moments(x):
     """Column means and (population) standard deviations of ``x``, from
     column sums taken as matrix-vector products (``_column_sums``).
@@ -252,13 +269,13 @@ def synth_classification(seed, m, n_classes, n_features, noise_fraction):
     ``provenance["noise_mask"]`` for diagnostics only.
 
     ``seed`` must be an ``int`` or numpy integer of at least 0, ``m`` and
-    ``n_features`` each one of at least 1, and ``n_classes`` one of at least
-    2; anything else raises ConfigurationError naming the field.
+    ``n_features`` sizes of at least 1, ``n_classes`` one of at least 2
+    (``checks.size``); anything else raises ConfigurationError naming it.
     """
-    for field, value, least in (("seed", seed, 0), ("m", m, 1),
-                                ("n_classes", n_classes, 2),
+    integer(seed, "seed", least=0)
+    for field, value, least in (("m", m, 1), ("n_classes", n_classes, 2),
                                 ("n_features", n_features, 1)):
-        integer(value, field, least=least)
+        size(value, field, least)
     if not 0.0 <= real(noise_fraction, "noise_fraction") < 0.5:
         raise ConfigurationError(
             f"noise fraction must be in [0, 0.5), got {noise_fraction}")

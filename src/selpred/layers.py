@@ -10,16 +10,16 @@ draws its mask. Eval mode has one implementation,
 ``SelectiveNet.freeze()``, which folds the running statistics into the dense
 weights. ``TRAIN`` and ``EVAL`` name the modes of ``SelectiveNet.forward``.
 
-Dense, batchnorm and softmax are each one tape node with a closed-form
-backward, ``dense_bn_relu`` fuses a whole hidden block
-dense -> batchnorm -> relu into one node, and ``dense_sigmoid`` fuses g's
-one-unit output dense -> sigmoid -> flatten into one. The block takes
-batchnorm's batch moments and its gradients in the narrower of its two
-spaces: a widening block (in < width) from x's mean and covariance, any
-other from z = x @ W through ``BatchNormLayer.train_normalize``. Either way
-batchnorm's per-feature vectors fold into the (in, width) weights, saving
-passes over the batch, and the dense bias, which batchnorm cancels, gets a
-gradient of exactly 0.
+Dense, batchnorm and softmax (which training never builds: cross-entropy
+takes logits) are each one tape node with a closed-form backward,
+``dense_bn_relu`` fuses a whole hidden block dense -> batchnorm -> relu
+into one node, and ``dense_sigmoid`` fuses g's one-unit output dense ->
+sigmoid -> flatten into one. The block takes batchnorm's batch moments and
+its gradients in the narrower of its two spaces: a widening block (in <
+width) from x's mean and covariance, any other from z = x @ W through
+``BatchNormLayer.train_normalize``. Either way batchnorm's per-feature
+vectors fold into the (in, width) weights, saving passes over the batch,
+and the dense bias, which batchnorm cancels, gets a gradient of exactly 0.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .autograd import (
     write_through,
 )
 from .checks import ConfigurationError, ContractError, DomainError, ShapeError
+from .data import _column_sums
 
 __all__ = [
     "DenseLayer",
@@ -109,22 +110,6 @@ class DenseLayer:
 
     def parameters(self):
         return [self.weights, self.bias]
-
-
-def _column_sums(a):
-    """``a.sum(axis=0)`` of a 2-D array as one matrix-vector product
-    (``ndarray.dot``), several times faster on a batch of narrow rows (the
-    rounding differs in the last bits)."""
-    return _ones(a.shape[0]).dot(a)
-
-
-@functools.lru_cache(maxsize=8)
-def _ones(n):
-    """A read-only vector of ``n`` ones, shared by every call with ``n``
-    (a training run sees a few batch sizes)."""
-    ones = np.ones(n)
-    ones.flags.writeable = False
-    return ones
 
 
 class BatchNormLayer:
@@ -360,24 +345,20 @@ def dense_sigmoid(x, dense):
 def softmax(logits):
     """Row softmax with max-subtraction stabilization; rows sum to 1.
 
-    One node with the softmax Jacobian as backward. The output also keeps
-    ``log_softmax = (logits, shifted, row_sums)``, from which cross-entropy
-    takes exact log-probabilities ``shifted - log(row_sums)`` and sends its
-    gradient ``p - onehot`` straight to the logits.
+    One node with the softmax Jacobian as backward. Training does not use
+    it: cross-entropy takes the logits (``losses.task_loss``).
     """
     if logits.data.ndim != 2 or logits.data.shape[1] < 2:
         raise ShapeError(
             f"softmax expects (batch, classes>=2), got {logits.data.shape}")
     if not np.isfinite(logits.data).all():
         raise DomainError("softmax requires finite logits")
-    p, shifted, row_sums = softmax_rows(logits.data)
+    p = softmax_rows(logits.data)[0]
 
     def backward(g):
         logits._accum(p * (g - (g * p).sum(axis=1, keepdims=True)))
 
-    out = Tensor._op(p, (logits,), backward)
-    out.log_softmax = (logits, shifted, row_sums)
-    return out
+    return Tensor._op(p, (logits,), backward)
 
 
 def softmax_rows(logits):

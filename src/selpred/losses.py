@@ -26,6 +26,7 @@ from .autograd import Tensor, relu, square
 from .checks import (ConfigurationError, ContractError,
                      DegenerateCoverageError, DomainError, ShapeError,
                      fraction, real)
+from .layers import softmax_rows
 
 __all__ = [
     "CROSS_ENTROPY",
@@ -65,9 +66,9 @@ class LossConfig:
 def task_loss(kind, prediction, labels):
     """Per-sample loss vector for the given task loss, as one node.
 
-    Cross-entropy takes a ``softmax`` output (ContractError for anything
-    else) and integer class labels; it is log-softmax cross-entropy on the
-    logits, with gradient ``p - onehot``. Squared loss expects a real
+    Cross-entropy takes finite (batch, classes>=2) logits (else ShapeError,
+    DomainError) and integer class labels: log-softmax cross-entropy with
+    gradient ``softmax(logits) - onehot``. Squared loss expects a real
     prediction (any shape with one value per sample) and real targets.
     """
     if kind == CROSS_ENTROPY:
@@ -97,18 +98,20 @@ def _class_indices(labels, n_classes):
                       f"an integer in [0, {n_classes})")
 
 
-def _cross_entropy(prediction, labels):
-    log_softmax = getattr(prediction, "log_softmax", None)
-    if log_softmax is None:
-        raise ContractError("cross-entropy takes a softmax output")
+def _cross_entropy(logits, labels):
+    z = logits.data
+    if z.ndim != 2 or z.shape[1] < 2:
+        raise ShapeError(
+            f"cross-entropy expects (batch, classes>=2) logits, got {z.shape}")
+    if not np.isfinite(z).all():
+        raise DomainError("cross-entropy requires finite logits")
     labels = np.asarray(labels)
-    m, k = prediction.data.shape
+    m, k = z.shape
     if labels.shape != (m,):
         raise ShapeError(f"expected {m} labels, got shape {labels.shape}")
     idx = _class_indices(labels, k)
     rows = np.arange(m)
-    p = prediction.data
-    logits, shifted, row_sums = log_softmax
+    p, shifted, row_sums = softmax_rows(z)
 
     def backward(g):
         dz = p.copy()

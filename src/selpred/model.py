@@ -6,10 +6,11 @@ training. The baseline variant keeps the body and f only and is what the
 softmax-response and MC-dropout baselines are built on.
 
 The autograd engine serves training only: ``SelectiveNet.forward`` in
-``TRAIN`` mode builds the training graph. Every eval path (``forward`` in
-``EVAL`` mode, ``predict``, ``selection_scores``, softmax response and
-MC-dropout) runs on ``SelectiveNet.freeze()``, the same network with its
-batchnorm folded into plain arrays, ``BLOCK_ROWS`` rows at a time.
+``TRAIN`` mode builds the training graph, f and h as raw head outputs.
+Every eval path (``forward`` in ``EVAL`` mode, ``predict``,
+``selection_scores``, softmax response and MC-dropout) runs on
+``SelectiveNet.freeze()``, the same network with its batchnorm folded into
+plain arrays, ``BLOCK_ROWS`` rows at a time.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .autograd import (
     stable_sigmoid,
 )
 from .checks import (CLASSIFICATION, REGRESSION, ConfigurationError,
-                     DomainError, ShapeError, boolean, integer, real)
+                     DomainError, ShapeError, boolean, integer, real, size)
 from .layers import (
     EVAL,
     TRAIN,
@@ -37,6 +38,7 @@ from .layers import (
     DropoutLayer,
     dense_bn_relu,
     dense_sigmoid,
+    # unused: bench/spans.py SITES wraps it until a benchmark change drops both
     softmax,
     softmax_rows,
 )
@@ -74,15 +76,13 @@ class ArchitectureConfig:
     def validate(self):
         """Check every field, keeping each as the plain Python value its
         check returns, so a numpy scalar setting saves as JSON."""
-        self.input_dim = integer(self.input_dim, "input_dim", least=1)
-        if (not isinstance(self.body_widths, (list, tuple))
-                or not self.body_widths
-                or any(integer(w, "body_widths") < 1
-                       for w in self.body_widths)):
-            raise ConfigurationError(f"invalid body widths {self.body_widths}")
-        self.body_widths = [int(w) for w in self.body_widths]
-        self.selection_hidden = integer(self.selection_hidden,
-                                        "selection_hidden", least=1)
+        self.input_dim = size(self.input_dim, "input_dim")
+        widths = self.body_widths
+        if not isinstance(widths, (list, tuple)) or not widths or any(
+                size(w, "body_widths", least=None) < 1 for w in widths):
+            raise ConfigurationError(f"invalid body widths {widths}")
+        self.body_widths = [int(w) for w in widths]
+        self.selection_hidden = size(self.selection_hidden, "selection_hidden")
         if self.dropout_rate is not None:
             self.dropout_rate = real(self.dropout_rate, "dropout_rate")
             if not 0.0 <= self.dropout_rate < 1.0:
@@ -92,7 +92,7 @@ class ArchitectureConfig:
             setattr(self, name, boolean(getattr(self, name), name))
         if self.task not in (CLASSIFICATION, REGRESSION):
             raise ConfigurationError(f"unknown task {self.task!r}")
-        self.n_classes = integer(self.n_classes, "n_classes", least=(
+        self.n_classes = size(self.n_classes, "n_classes", least=(
             2 if self.task == CLASSIFICATION else 0))
 
 
@@ -186,13 +186,13 @@ class SelectiveNet:
 
         In ``TRAIN`` mode the shared body feeds all heads on the autograd
         tape, with batch-statistics batchnorm and active dropout (``rng``
-        draws the masks): f_out holds class probabilities or regression
-        outputs, g_out is a [0,1] vector of length batch and h_out shares
-        f's form. ``EVAL`` mode evaluates the frozen net once
-        (``freeze().heads``): f_out and g_out are constant tensors off the
-        tape, and h_out, used only in training, is None. Any other mode
-        raises ConfigurationError. For the baseline twin, g_out and h_out
-        are None.
+        draws the masks): f_out and h_out are (batch, classes) logits or
+        (batch, 1) outputs, as ``task_loss`` takes them, and g_out is a
+        [0,1] vector of length batch. ``EVAL`` mode evaluates the frozen
+        net once (``freeze().heads``): f_out, class probabilities or
+        (batch,) outputs, and g_out are constant tensors off the tape, and
+        h_out, used only in training, is None. Any other mode raises
+        ConfigurationError. For the baseline twin, g_out and h_out are None.
         """
         if mode != TRAIN:
             if mode != EVAL:
@@ -210,19 +210,13 @@ class SelectiveNet:
         for block in self.body:
             rep = block(rep, rng)
 
-        f_out = self._head_output(self.f_head, rep)
+        f_out = self.f_head(rep)
         if not self.selective:
             return f_out, None, None
 
         g_out = dense_sigmoid(self.g_block(rep), self.g_out)
-        h_out = self._head_output(self.h_head, rep) if self.h_head else None
+        h_out = self.h_head(rep) if self.h_head else None
         return f_out, g_out, h_out
-
-    def _head_output(self, head, rep):
-        z = head(rep)
-        if self.config.task == CLASSIFICATION:
-            return softmax(z)
-        return z.reshape(-1)
 
     # -- inference ------------------------------------------------------------
 

@@ -40,6 +40,16 @@ def matmul(a, b):
     return Tensor._op(out_data, (a, b), backward)
 
 
+def reshape(x, *shape):
+    """``x``'s values in ``shape``; the gradient takes x's shape back."""
+    old = x.data.shape
+
+    def backward(g):
+        x._accum(g.reshape(old))
+
+    return Tensor._op(x.data.reshape(*shape), (x,), backward)
+
+
 def exp(x):
     return _unary(x, np.exp, lambda d, o, g: g * o)
 
@@ -119,7 +129,7 @@ def ref_forward(model, x, mode, dropout=None):
         if layer is None:
             return None
         z = ref_dense(rep, layer.weights, layer.bias)
-        return z if model.config.task == CLASSIFICATION else z.reshape(-1)
+        return z if model.config.task == CLASSIFICATION else reshape(z, -1)
 
     rep = Tensor(x)
     for block in model.body:
@@ -129,5 +139,6 @@ def ref_forward(model, x, mode, dropout=None):
     if not model.selective:
         return head(model.f_head, rep), None, None
     g = hidden(rep, model.g_block.dense, model.g_block.bn)
-    g = sigmoid(ref_dense(g, model.g_out.weights, model.g_out.bias)).reshape(-1)
+    g = reshape(sigmoid(ref_dense(g, model.g_out.weights, model.g_out.bias)),
+                -1)
     return head(model.f_head, rep), g, head(model.h_head, rep)

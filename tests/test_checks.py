@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from selpred.checks import ConfigurationError, boolean, fraction, integer, real
+from selpred.checks import (MAX_SIZE, ConfigurationError, boolean, fraction,
+                            integer, real, size)
 
 FIELDS = st.from_regex(r"[a-z][a-z_]{0,15}", fullmatch=True)
 
@@ -53,6 +54,27 @@ def test_integer_raises_below_least_only(value, least, field):
     else:
         got = integer(value, field, least=least)
         assert type(got) is int and got == value
+
+
+@given(st.one_of(st.integers(-2, 2), st.integers(MAX_SIZE - 2, MAX_SIZE + 2),
+                 st.integers(), NUMPY_INTEGERS), st.integers(-3, 3), FIELDS)
+def test_size_is_an_integer_at_most_max_size(value, least, field):
+    if value < least:
+        assert (_message(size, value, field, least=least)
+                == f"{field} must be >= {least}, got {value}")
+    elif value > MAX_SIZE:
+        assert (_message(size, value, field, least=least)
+                == f"{field} must be <= {MAX_SIZE}, got {value}")
+    else:
+        got = size(value, field, least=least)
+        assert type(got) is int and got == value
+
+
+def test_max_size_squared_is_an_addressable_float64_count():
+    """Two sizes multiplied, in float64 bytes, fit numpy's index type;
+    one more would not."""
+    top = np.iinfo(np.intp).max
+    assert 8 * MAX_SIZE ** 2 <= top < 8 * (MAX_SIZE + 1) ** 2
 
 
 @given(st.one_of(BOOLS, st.text(max_size=4),

@@ -9,7 +9,8 @@ import yaml
 
 from selpred import cli, data
 from selpred.autograd import GradCheckError
-from selpred.checks import REGRESSION, ConfigurationError, DomainError
+from selpred.checks import (MAX_SIZE, REGRESSION, ConfigurationError,
+                            DomainError)
 from selpred.cli import _resolve, build_parser, main, prepare_splits
 from selpred.data import (ParseError, SplitSpec, load_csv,
                           standardized_splits, synth_classification,
@@ -643,6 +644,41 @@ class TestConfigSchema:
         cfg_path.write_text(yaml.safe_dump(cfg))
         return main(["train", "--config", str(cfg_path),
                      "--out", str(tmp_path / "run")])
+
+    @pytest.mark.parametrize("section, values, field, value", [
+        ("dataset", {"m": 10**30}, "m", 10**30),
+        ("dataset", {"n_classes": 10**30}, "n_classes", 10**30),
+        ("dataset", {"n_features": 10**30}, "n_features", 10**30),
+        ("architecture", {"selection_hidden": 10**30}, "selection_hidden",
+         10**30),
+        ("architecture", {"body_widths": [16, 10**30]}, "body_widths", 10**30),
+        ("dataset", {"m": 2**31, "n_features": 2**31}, "m", 2**31),
+    ], ids=["m", "n_classes", "n_features", "selection_hidden", "body_widths",
+            "product"])
+    def test_size_beyond_max_size_is_one_line(self, tmp_path, capsys, section,
+                                              values, field, value):
+        """numpy refuses an extent or an array byte count beyond its index
+        type with a ValueError, which would print a bug's traceback."""
+        cfg = {"dataset": self.SYNTHETIC, "train": {"epochs": 1}}
+        cfg[section] = dict(cfg.get(section, {}), **values)
+        assert self._train(tmp_path, cfg) == 1
+        assert (capsys.readouterr().err
+                == f"error: {field} must be <= {MAX_SIZE}, got {value}\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_sizes_within_max_size_too_large_for_memory_are_one_line(
+            self, tmp_path, capsys):
+        """Any two sizes within ``MAX_SIZE`` make an array numpy can index,
+        so one too large for memory is a MemoryError: here the (n_classes,
+        n_features) class centres, 8 EiB, the first array the data step
+        asks for."""
+        cfg = {"dataset": dict(self.SYNTHETIC, n_classes=MAX_SIZE,
+                               n_features=MAX_SIZE), "train": {"epochs": 1}}
+        assert self._train(tmp_path, cfg) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"({MAX_SIZE}, {MAX_SIZE})" in err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("section, key", [
         ("split", "seeed"), ("architecture", "body_width"),

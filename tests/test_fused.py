@@ -26,6 +26,7 @@ from oracles import (
     ref_dense,
     ref_forward,
     ref_softmax,
+    reshape,
 )
 from selpred import optim
 from selpred.autograd import (
@@ -480,7 +481,7 @@ def test_cross_entropy_node(m):
     probe = Tensor(rng.normal(size=m))
 
     def fused():
-        return (task_loss(CROSS_ENTROPY, softmax(z), labels) * probe).sum()
+        return (task_loss(CROSS_ENTROPY, z, labels) * probe).sum()
 
     compare([z], fused, lambda: (ref_cross_entropy(z, labels) * probe).sum())
     assert finite_difference_check(fused, [z]) < 1e-6
@@ -610,14 +611,54 @@ def test_criterion_4_training_step_tape_is_small():
 
 
 def test_compare_reg_training_step_tape_is_small():
-    """The benchmark's compare models: body [64], squared loss; f and h
-    each add a reshape to one value per row."""
+    """The benchmark's compare models: body [64], squared loss on the
+    (batch, 1) outputs of f and h, with no reshape node."""
     model = build_model(ArchitectureConfig(input_dim=8, body_widths=[64],
                                            dropout_rate=0.0), 0)
     rng = np.random.default_rng(0)
     x, y = rng.normal(size=(256, 8)), rng.normal(size=256)
     cfg = LossConfig(target_coverage=0.8, task_loss=SQUARED)
-    assert len(tape_tensors(fused_objective(model, x, y, cfg))) == 27
+    assert len(tape_tensors(fused_objective(model, x, y, cfg))) == 25
+
+
+def _benchmark_step(task):
+    """``(model, x, y, cfg)`` of one benchmark training step: the
+    criterion-4 step of ``train_cls`` or the step of ``compare_reg``."""
+    if task == CLASSIFICATION:
+        arch = ArchitectureConfig(input_dim=8, body_widths=[32],
+                                  task=CLASSIFICATION, n_classes=4,
+                                  selection_hidden=16, dropout_rate=0.0)
+        cfg = LossConfig(target_coverage=0.8, task_loss=CROSS_ENTROPY)
+    else:
+        arch = ArchitectureConfig(input_dim=8, body_widths=[64],
+                                  dropout_rate=0.0)
+        cfg = LossConfig(target_coverage=0.8, task_loss=SQUARED)
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(256, 8))
+    y = (rng.integers(0, 4, size=256) if task == CLASSIFICATION
+         else rng.normal(size=256))
+    return build_model(arch, 0), x, y, cfg
+
+
+@pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+def test_training_step_builds_no_dead_tensor(task, monkeypatch):
+    """Every tensor that one TRAIN forward and the training objective
+    build is reachable from the loss: the step builds no node that its
+    backward never visits."""
+    model, x, y, cfg = _benchmark_step(task)
+    built = []
+    init = Tensor.__init__
+
+    def recording_init(self, data):
+        init(self, data)
+        built.append(self)
+
+    monkeypatch.setattr(Tensor, "__init__", recording_init)
+    loss = fused_objective(model, x, y, cfg)
+    monkeypatch.undo()
+    reachable = {id(t) for t in tape_tensors(loss)}
+    assert len(built) > 1
+    assert [t.data.shape for t in built if id(t) not in reachable] == []
 
 
 @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
@@ -625,20 +666,7 @@ def test_backward_gradients_share_no_memory(task):
     """Nodes hand their own arrays to ``_accum`` without a copy; no two
     gradients of a training step may end up one array. The parameters'
     gradients are disjoint views of one buffer, so they pass too."""
-    if task == CLASSIFICATION:  # the criterion-4 step
-        arch = ArchitectureConfig(input_dim=8, body_widths=[32],
-                                  task=CLASSIFICATION, n_classes=4,
-                                  selection_hidden=16, dropout_rate=0.0)
-        cfg = LossConfig(target_coverage=0.8, task_loss=CROSS_ENTROPY)
-    else:  # the compare_reg step
-        arch = ArchitectureConfig(input_dim=8, body_widths=[64],
-                                  dropout_rate=0.0)
-        cfg = LossConfig(target_coverage=0.8, task_loss=SQUARED)
-    model = build_model(arch, 0)
-    rng = np.random.default_rng(1)
-    x = rng.normal(size=(256, 8))
-    y = (rng.integers(0, 4, size=256) if task == CLASSIFICATION
-         else rng.normal(size=256))
+    model, x, y, cfg = _benchmark_step(task)
     zero_grads(model.parameters())
     loss = fused_objective(model, x, y, cfg)
     loss.backward()
@@ -696,12 +724,12 @@ def test_dense_sigmoid_node_equals_its_three_nodes_exactly(m):
     probe = Tensor(rng.normal(size=m))
     params = [x, layer.weights, layer.bias]
     fused = dense_sigmoid(x, layer)
-    ref = sigmoid(layer(x)).reshape(-1)
+    ref = reshape(sigmoid(layer(x)), -1)
     assert fused.data.tobytes() == ref.data.tobytes()
     v_f, g_f = grads_of(
         params, lambda: (dense_sigmoid(x, layer) * probe).sum())
     v_r, g_r = grads_of(
-        params, lambda: (sigmoid(layer(x)).reshape(-1) * probe).sum())
+        params, lambda: (reshape(sigmoid(layer(x)), -1) * probe).sum())
     assert v_f.tobytes() == v_r.tobytes()
     for a, b in zip(g_f, g_r):
         assert a.tobytes() == b.tobytes()
@@ -715,11 +743,11 @@ def ref_train_forward(model, x, rng):
     rep = Tensor(x)
     for block in model.body:
         rep = block(rep, rng)
-    f = model._head_output(model.f_head, rep)
+    f = model.f_head(rep)
     if not model.selective:
         return f, None, None
-    g = sigmoid(model.g_out(model.g_block(rep))).reshape(-1)
-    return f, g, model._head_output(model.h_head, rep)
+    g = reshape(sigmoid(model.g_out(model.g_block(rep))), -1)
+    return f, g, model.h_head(rep)
 
 
 ADAM_DEFAULTS = Adam(Parameters([]), 1.0)

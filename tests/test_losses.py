@@ -1,5 +1,7 @@
 """Objective components: task losses, penalty, selective risk, combination."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from selpred.checks import (
     DomainError,
     ShapeError,
 )
-from selpred.layers import softmax
 from selpred.losses import (
     CROSS_ENTROPY,
     SQUARED,
@@ -29,32 +30,39 @@ from selpred.losses import (
 
 class TestTaskLoss:
     def test_cross_entropy_certain_correct(self):
-        pred = softmax(Tensor([[40.0, 0.0]]))
-        out = task_loss(CROSS_ENTROPY, pred, [0])
+        out = task_loss(CROSS_ENTROPY, Tensor([[40.0, 0.0]]), [0])
         assert out.data[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_cross_entropy_uniform_ten_classes(self):
-        pred = softmax(Tensor(np.zeros((1, 10))))
-        out = task_loss(CROSS_ENTROPY, pred, [3])
+        out = task_loss(CROSS_ENTROPY, Tensor(np.zeros((1, 10))), [3])
         assert out.data[0] == pytest.approx(np.log(10.0), abs=1e-12)
 
     def test_cross_entropy_confidently_wrong_softmax(self):
         # log-softmax: the loss is not capped and the gradient does not
         # vanish on a confidently wrong sample
         logits = Parameter([[40.0, 0.0, 0.0]])
-        out = task_loss(CROSS_ENTROPY, softmax(logits), [1])
+        out = task_loss(CROSS_ENTROPY, logits, [1])
         assert out.data[0] == pytest.approx(40.0, abs=1e-12)
         out.sum().backward()
         np.testing.assert_allclose(logits.grad, [[1.0, -1.0, 0.0]], atol=1e-12)
 
-    def test_cross_entropy_takes_only_a_softmax_output(self):
-        probs = np.array([[0.25, 0.75], [0.5, 0.5]])
-        with pytest.raises(ContractError, match="softmax output"):
-            task_loss(CROSS_ENTROPY, Tensor(probs), [1, 0])
+    @pytest.mark.parametrize("shape", [(2,), (2, 1), (2, 2, 2)],
+                             ids=["vector", "one-class", "three-d"])
+    def test_cross_entropy_logits_shape_rejected(self, shape):
+        with pytest.raises(ShapeError, match=(
+                r"^cross-entropy expects \(batch, classes>=2\) logits, "
+                rf"got {re.escape(str(shape))}$")):
+            task_loss(CROSS_ENTROPY, Tensor(np.zeros(shape)), [0, 1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_cross_entropy_non_finite_logits_rejected(self, bad):
+        with pytest.raises(DomainError,
+                           match="^cross-entropy requires finite logits$"):
+            task_loss(CROSS_ENTROPY, Tensor([[0.0, 1.0], [bad, 0.0]]), [0, 1])
 
     def test_cross_entropy_label_out_of_range(self):
         with pytest.raises(DomainError):
-            task_loss(CROSS_ENTROPY, softmax(Tensor(np.zeros((1, 2)))), [2])
+            task_loss(CROSS_ENTROPY, Tensor(np.zeros((1, 2))), [2])
 
     @pytest.mark.parametrize("labels, first", [
         ([0.0, 1.7], "1.7"), ([0, -1], "-1"), ([0.0, np.nan], "nan"),
@@ -66,11 +74,10 @@ class TestTaskLoss:
         a string or a bool read as its integer."""
         with pytest.raises(DomainError, match=rf"^class label {first} is not "
                                               r"an integer in \[0, 2\)$"):
-            task_loss(CROSS_ENTROPY, softmax(Tensor(np.zeros((2, 2)))),
-                      labels)
+            task_loss(CROSS_ENTROPY, Tensor(np.zeros((2, 2))), labels)
 
     def test_cross_entropy_integral_float_labels_are_indices(self):
-        pred = softmax(Tensor(np.log([[0.25, 0.75], [0.5, 0.5]])))
+        pred = Tensor(np.log([[0.25, 0.75], [0.5, 0.5]]))
         np.testing.assert_array_equal(
             task_loss(CROSS_ENTROPY, pred, [1.0, 0.0]).data,
             task_loss(CROSS_ENTROPY, pred, [1, 0]).data)
@@ -88,8 +95,7 @@ class TestTaskLoss:
     def test_cross_entropy_label_shape_mismatch(self, labels, shape):
         with pytest.raises(ShapeError,
                            match=rf"^expected 2 labels, got shape {shape}$"):
-            task_loss(CROSS_ENTROPY, softmax(Tensor(np.zeros((2, 2)))),
-                      labels)
+            task_loss(CROSS_ENTROPY, Tensor(np.zeros((2, 2))), labels)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError,

@@ -1,5 +1,7 @@
 """Update rules, schedule, and the training loop's contracts."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -318,19 +320,31 @@ class TestTrainLoop:
         with pytest.raises(TrainingDivergedError):
             train(build_model(cfg, 0), x, y, tcfg)
 
-    def test_non_finite_loss_detected_before_the_update(self):
-        """Targets of 1e200 square to inf in the first batch's loss."""
+    @staticmethod
+    def _diverges_before_the_update(target):
+        """train() on targets of ``target`` raises at the first batch, with
+        no numpy warning, and leaves the parameters as they were."""
         rng = np.random.default_rng(0)
         model = build_model(ArchitectureConfig(
             input_dim=3, body_widths=[8], task=REGRESSION,
             selection_hidden=4), 0)
         params = model.state()[0].tobytes()
-        with np.errstate(over="ignore"), pytest.raises(
+        with warnings.catch_warnings(), pytest.raises(
                 TrainingDivergedError,
                 match="^non-finite loss at epoch 0, batch 0$"):
-            train(model, rng.normal(size=(64, 3)), np.full(64, 1e200),
+            warnings.simplefilter("error")
+            train(model, rng.normal(size=(64, 3)), np.full(64, target),
                   TrainConfig(epochs=1, batch_size=32, seed=0))
         assert model.state()[0].tobytes() == params
+
+    def test_non_finite_loss_detected_before_the_update(self):
+        """Targets of 1e200 square to inf in the first batch's loss."""
+        self._diverges_before_the_update(1e200)
+
+    def test_loss_whose_batch_sum_overflows_detected_before_the_update(self):
+        """Targets of 1e154 square to finite values whose batch sum
+        overflows."""
+        self._diverges_before_the_update(1e154)
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ConfigurationError):
