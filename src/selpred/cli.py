@@ -390,7 +390,8 @@ def run_comparison(conf, coverages):
 
 def cmd_compare(args):
     coverages = _coverages(args.coverages)
-    seeds = _flag_list("--seeds", args.seeds, int) if args.seeds else None
+    seeds = (None if args.seeds is None
+             else _flag_list("--seeds", args.seeds, int))
     cfg, conf = _load_config(args.config, seeds)
     out = Path(args.out)
     colnames, rows = run_comparison(conf, coverages)

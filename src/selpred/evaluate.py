@@ -20,7 +20,7 @@ import numpy as np
 
 from .calibrate import select_threshold
 from .checks import (CLASSIFICATION, ConfigurationError, ContractError,
-                     DegenerateCoverageError, fraction, real)
+                     DegenerateCoverageError, fraction, integer, real)
 from .data import unstandardize_target
 from .layers import softmax_rows
 
@@ -101,18 +101,18 @@ def mc_dropout_confidence(model, inputs, passes, rate, seed, task):
     the consensus class (argmax of the mean prediction).
     Regression: variance of the scalar output. Deterministic given the seed;
     identical passes (e.g. rate 0) yield exactly zero variance. ``task``
-    must be the model's, and ``rate`` a real in [0, 1); ConfigurationError
-    naming them otherwise.
+    must be the model's, ``rate`` a real in [0, 1), ``passes`` an integer
+    and ``seed`` one >= 0; ConfigurationError naming them otherwise.
     """
     if task != model.config.task:
         raise ConfigurationError(f"MC-dropout for a {task} task on a "
                                  f"{model.config.task} model")
     if not 0.0 <= real(rate, "rate") < 1.0:
         raise ConfigurationError(f"rate must be in [0, 1), got {rate}")
-    if passes < 2:
+    if integer(passes, "passes") < 2:
         raise ContractError("MC-dropout needs at least 2 passes")
+    rng = np.random.default_rng(integer(seed, "seed", least=0))
     frozen = model.freeze()
-    rng = np.random.default_rng(seed)
     first = frozen.dropout_f(inputs, rate, rng)
     outs = np.empty((passes,) + first.shape)  # (passes, m, k) or (passes, m)
     outs[0] = first

@@ -18,8 +18,8 @@ sigmoid -> flatten into one. The block takes batchnorm's batch moments and
 its gradients in the narrower of its two spaces: a widening block (in <
 width) from x's mean and covariance, any other from z = x @ W through
 ``BatchNormLayer.train_normalize``. Either way batchnorm's per-feature
-vectors fold into the (in, width) weights, saving passes over the batch,
-and the dense bias, which batchnorm cancels, gets a gradient of exactly 0.
+vectors fold into the (in, width) weights, saving passes over the batch.
+The block's dense layer has no bias, which the batch mean would cancel.
 """
 
 from __future__ import annotations
@@ -57,10 +57,12 @@ EVAL = "eval"
 class DenseLayer:
     """Affine map x @ W + b with He- or Glorot-uniform initialization.
 
-    Use ``init="he"`` when a ReLU follows, ``init="glorot"`` otherwise.
+    Use ``init="he"`` when a ReLU follows, ``init="glorot"`` otherwise, and
+    ``bias=False`` (``bias`` None) when batchnorm follows: the map is then
+    x @ W, for ``affine`` and ``parameters`` only.
     """
 
-    def __init__(self, in_dim, out_dim, rng, init="he"):
+    def __init__(self, in_dim, out_dim, rng, init="he", bias=True):
         if in_dim < 1 or out_dim < 1:
             raise ConfigurationError(
                 f"dense layer extents must be positive, got {in_dim}x{out_dim}")
@@ -73,18 +75,18 @@ class DenseLayer:
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.weights = Parameter(rng.uniform(-limit, limit, (in_dim, out_dim)))
-        self.bias = Parameter(np.zeros(out_dim))
+        self.bias = Parameter(np.zeros(out_dim)) if bias else None
 
     def __call__(self, x):
         """x @ W + b as one node."""
         return Tensor._op(self.affine(x), (x, self.weights, self.bias),
                           lambda g: self.backprop(x, g))
 
-    def affine(self, x, bias=True):
-        """x @ W + b (x @ W without ``bias``) for the tensor ``x``, new."""
+    def affine(self, x):
+        """x @ W + b (x @ W without a bias) for the tensor ``x``, new."""
         self._check_input(x)
         z = x.data.dot(self.weights.data)
-        if bias:
+        if self.bias is not None:
             z += self.bias.data
         return z
 
@@ -109,7 +111,7 @@ class DenseLayer:
             x._accum(g.dot(np.ascontiguousarray(w.data.T)), owned=True)
 
     def parameters(self):
-        return [self.weights, self.bias]
+        return [p for p in (self.weights, self.bias) if p is not None]
 
 
 class BatchNormLayer:
@@ -161,18 +163,17 @@ class BatchNormLayer:
 
         return Tensor._op(y, (x, self.scale, self.shift), backward)
 
-    def train_normalize(self, z, offset=0.0):
+    def train_normalize(self, z):
         """``(y, backprop)`` of batchnorm on the array ``z``, which it
         centers in place to zc: y = zc * a + shift, a = scale / std by the
-        biased batch moments. The running mean gets the batch mean plus
-        ``offset`` (a bias in front, which y cancels). ``backprop(gy)`` gives
-        ``(d, r, a, dL/dscale, dL/dshift)``: dL/dz = a * (d - r), with
-        d = gy - zc * dL/dscale / (m std) and r = dL/dshift / m."""
+        biased batch moments. ``backprop(gy)`` gives ``(d, r, a, dL/dscale,
+        dL/dshift)``: dL/dz = a * (d - r), with d = gy - zc * dL/dscale /
+        (m std) and r = dL/dshift / m."""
         inv_m = self._inv_batch(z.shape)
         mean = _column_sums(z) * inv_m
         z -= mean
         var = _column_sums(z * z) * inv_m
-        inv_std = self._train_moments(mean + offset, var)
+        inv_std = self._train_moments(mean, var)
         a = self.scale.data * inv_std
         y = z * a
         y += self.shift.data
@@ -245,12 +246,12 @@ def dense_bn_relu(x, dense, bn):
     The forward values are those of the three layers applied in turn, and
     the relu pre-activations are reported to ``watch_kink_margins``.
 
-    Batchnorm cancels the dense bias: it only reaches the running mean, and
-    its gradient is exactly 0. The batch moments and the gradients are taken
-    in the narrower of the block's two spaces. A widening block
-    (``in_dim < out_dim``) works on x, from its centered copy xc and
-    covariance C (``_input_space_block``); any other block normalizes
-    z = x @ W with ``train_normalize`` (``_output_space_block``)."""
+    ``dense`` has no bias, which the batch mean would cancel. The batch
+    moments and the gradients are taken in the narrower of the block's two
+    spaces. A widening block (``in_dim < out_dim``) works on x, from its
+    centered copy xc and covariance C (``_input_space_block``); any other
+    block normalizes z = x @ W with ``train_normalize``
+    (``_output_space_block``)."""
     if dense.in_dim < dense.out_dim:
         out, backprop = _input_space_block(x, dense, bn)
     else:
@@ -258,20 +259,15 @@ def dense_bn_relu(x, dense, bn):
     note_kink_margin(out)
     np.maximum(out, 0.0, out=out)
 
-    def backward(g):
-        backprop(g * (out > 0.0))
-        dense.bias._accum(np.zeros(dense.out_dim), owned=True)
-
-    return Tensor._op(out, (x, dense.weights, dense.bias, bn.scale, bn.shift),
-                      backward)
+    return Tensor._op(out, (x, dense.weights, bn.scale, bn.shift),
+                      lambda g: backprop(g * (out > 0.0)))
 
 
 def _output_space_block(x, dense, bn):
     """``(pre, backprop)`` of the block by z = x @ W: ``train_normalize``'s
     a and r go to small arrays, dW = (x.T @ d - colsum(x) (x) r) * a and
     dx = (d - r) @ (W * a).T. ``backprop(gy)`` takes gy = dL/d(relu input)."""
-    pre, bn_backprop = bn.train_normalize(dense.affine(x, bias=False),
-                                          dense.bias.data)
+    pre, bn_backprop = bn.train_normalize(dense.affine(x))
 
     def backprop(gy):
         d, r, a, gscale, gshift = bn_backprop(gy)
@@ -306,7 +302,7 @@ def _input_space_block(x, dense, bn):
     # C's roundoff can take a zero variance below 0, as for two collinear
     # columns whose weights cancel
     var = np.maximum(_column_sums(xtx_w * w) * inv_m, 0.0)
-    inv_std = bn._train_moments(mu.dot(w) + dense.bias.data, var)
+    inv_std = bn._train_moments(mu.dot(w), var)
     a = bn.scale.data * inv_std
     wa = w * a
     pre = xc.dot(wa)

@@ -97,12 +97,12 @@ class ArchitectureConfig:
 
 
 class _Block:
-    """One hidden block: dense -> [batchnorm] -> relu -> [dropout]. The
-    dense, batchnorm and relu are one fused node when batchnorm is on; the
+    """One hidden block: dense -> [batchnorm] -> relu -> [dropout]. With
+    batchnorm the dense has no bias, and the three are one fused node; the
     dropout layer exists only for a rate above 0."""
 
     def __init__(self, in_dim, out_dim, batchnorm, dropout_rate, rng):
-        self.dense = DenseLayer(in_dim, out_dim, rng, init="he")
+        self.dense = DenseLayer(in_dim, out_dim, rng, bias=not batchnorm)
         self.bn = BatchNormLayer(out_dim) if batchnorm else None
         self.dropout = DropoutLayer(dropout_rate) if dropout_rate else None
 
@@ -275,15 +275,15 @@ class SelectiveNet:
 
 
 def _folded(dense, bn):
-    """``(W, b)`` of ``dense`` followed by eval-mode ``bn`` (if any) as one
-    affine map: with s = scale / sqrt(running_var + eps), W*s and
-    (b - running_mean)*s + shift (Ioffe & Szegedy 2015). New arrays, b a
-    (1, out) row."""
-    w, b = dense.weights.data, dense.bias.data
+    """``(W, b)`` of ``dense`` followed by eval-mode ``bn`` (if any; then
+    ``dense`` has no bias) as one affine map: with s = scale /
+    sqrt(running_var + eps), W*s and shift - running_mean*s (Ioffe &
+    Szegedy 2015). New arrays, b a (1, out) row."""
+    w = dense.weights.data
     if bn is None:
-        return w.copy(), b.reshape(1, -1).copy()
+        return w.copy(), dense.bias.data.reshape(1, -1).copy()
     s = bn.scale.data / np.sqrt(bn.running_var + bn.eps)
-    return w * s, ((b - bn.running_mean) * s + bn.shift.data).reshape(1, -1)
+    return w * s, (bn.shift.data - bn.running_mean * s).reshape(1, -1)
 
 
 class FrozenNet:

@@ -19,8 +19,8 @@ import numpy as np
 
 from .autograd import Parameters, zero_grads
 from .checks import (CLASSIFICATION, ConfigurationError,
-                     DegenerateCoverageError, SelpredError, boolean, integer,
-                     real)
+                     DegenerateCoverageError, DomainError, SelpredError,
+                     boolean, integer, real)
 from .layers import TRAIN
 from .losses import (
     CROSS_ENTROPY,
@@ -256,31 +256,33 @@ def train(model, features, labels, config):
             n = len(rows)
             f_out, g_out, h_out = model.forward(xs[rows.start:rows.stop],
                                                 mode=TRAIN, rng=rng)
-            with np.errstate(over="ignore"):  # an inf loss is refused below
-                losses = task_loss(kind, f_out, yb)
-                if model.selective:
-                    try:
+            try:
+                with np.errstate(over="ignore"):  # an inf loss is refused below
+                    losses = task_loss(kind, f_out, yb)
+                    if model.selective:
                         sel = selective_loss(losses, g_out, lcfg)
-                    except DegenerateCoverageError:
-                        raise TrainingDivergedError(
-                            f"selection head collapsed to zero at epoch "
-                            f"{epoch}, batch {b}")
-                    if h_out is not None:
-                        aux = auxiliary_loss(task_loss(kind, h_out, yb))
-                        loss = total_loss(sel, aux, lcfg.alpha)
+                        if h_out is not None:
+                            aux = auxiliary_loss(task_loss(kind, h_out, yb))
+                            loss = total_loss(sel, aux, lcfg.alpha)
+                        else:
+                            aux = loss = sel
+                        value = float(loss.data)
+                        sel_v, aux_v = float(sel.data), float(aux.data)
+                        soft += n * sel.coverage
+                        hard += np.count_nonzero(g_out.data >= 0.5)
+                        risk += n * sel.risk
                     else:
-                        aux = loss = sel
-                    value, sel_v, aux_v = (float(loss.data), float(sel.data),
-                                           float(aux.data))
-                    soft += n * sel.coverage
-                    hard += np.count_nonzero(g_out.data >= 0.5)
-                    risk += n * sel.risk
-                else:
-                    loss = losses.mean()
-                    value = sel_v = aux_v = float(loss.data)
-                    soft += n
-                    hard += n
-                    risk += n * value
+                        loss = losses.mean()
+                        value = sel_v = aux_v = float(loss.data)
+                        soft += n
+                        hard += n
+                        risk += n * value
+            except DegenerateCoverageError:
+                raise TrainingDivergedError(
+                    f"selection head collapsed to zero at epoch {epoch}, "
+                    f"batch {b}")
+            except DomainError:  # the task loss refuses non-finite logits
+                value = math.inf
             if not math.isfinite(value):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {b}")

@@ -5,9 +5,9 @@ Layout: magic, 8-byte little-endian header length, UTF-8 JSON header
 result), float64 little-endian payload and an 8-byte checksum trailer
 (leading bytes of SHA-256 over everything before it). The payload is the
 model's two state buffers (``SelectiveNet.state``): every parameter in
-declaration order, then every batchnorm running statistic. The binary
-payload makes round-trips bit-exact; the text header keeps files
-inspectable.
+declaration order (format version 2 has no dense bias in a batchnorm
+block), then every batchnorm running statistic. The binary payload makes
+round-trips bit-exact; the text header keeps files inspectable.
 
 A save writes a temporary file in the target's directory, fsyncs it,
 renames it over the target and fsyncs the directory, so an interrupted
@@ -33,7 +33,7 @@ from .model import ArchitectureConfig, SelectiveNet
 __all__ = ["save_model", "load_model", "IntegrityError", "VersionError"]
 
 _MAGIC = b"SPCKPT\x00"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _HEADER_KEYS = frozenset({"format_version", "architecture", "selective", "seed",
                           "trained_coverage", "calibration", "array_sizes"})
 

@@ -93,7 +93,9 @@ def abs_sigmoid(t):
 
 
 def ref_dense(x, w, b):
-    return matmul(x, w) + b
+    """x @ w + b, or x @ w for a layer without bias (``b`` None)."""
+    z = matmul(x, w)
+    return z if b is None else z + b
 
 
 def ref_batchnorm(z, bn, mode):

@@ -761,6 +761,8 @@ class TestConfigSchema:
          "--coverages: 'abc' is not a number"),
         (["compare", "--coverages", "1.0", "--seeds", "1,,2"],
          "--seeds: '' is not an integer"),
+        (["compare", "--coverages", "1.0", "--seeds", ""],
+         "--seeds: '' is not an integer"),
         (["compare", "--coverages", "0.9,1.5"],
          "--coverages must lie in (0, 1], got 1.5"),
         (["compare", "--coverages", "nan"],
@@ -769,7 +771,8 @@ class TestConfigSchema:
          "--coverages must lie in (0, 1], got 0.0"),
         (["grid", "--models", "absent.ckpt", "--coverages", "1,inf"],
          "--coverages: inf is not finite"),
-    ], ids=["compare-not-a-number", "compare-empty-seed", "compare-above-one",
+    ], ids=["compare-not-a-number", "compare-empty-seed",
+            "compare-empty-seeds", "compare-above-one",
             "compare-nan", "curve-zero", "grid-infinite"])
     def test_bad_list_flag_is_named(self, tmp_path, capsys, argv, message):
         """A list flag is checked before any config, checkpoint or data is

@@ -154,6 +154,20 @@ class TestMCDropout:
             mc_dropout_confidence(dropout_model, np.zeros((3, 5)), passes=2,
                                   rate=rate, seed=0, task=CLASSIFICATION)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("passes", 2.5, "^passes: 2.5 is not an integer$"),
+        ("passes", "3", "^passes: '3' is not an integer$"),
+        ("seed", -1, "^seed must be >= 0, got -1$"),
+        ("seed", 1.5, "^seed: 1.5 is not an integer$"),
+    ], ids=["fractional-passes", "string-passes", "negative-seed",
+            "fractional-seed"])
+    def test_passes_and_seed_are_named(self, dropout_model, field, value,
+                                       message):
+        kwargs = {"passes": 2, "seed": 0, field: value}
+        with pytest.raises(ConfigurationError, match=message):
+            mc_dropout_confidence(dropout_model, np.zeros((3, 5)), rate=0.5,
+                                  task=CLASSIFICATION, **kwargs)
+
     def test_needs_two_passes(self, dropout_model):
         with pytest.raises(ContractError):
             mc_dropout_confidence(dropout_model, np.zeros((3, 5)), passes=1,

@@ -37,10 +37,11 @@ def classification_config(**kw):
 
 class TestConstruction:
     def test_body_dense_parameter_count(self):
+        """A batchnorm block's dense layer is its weights alone."""
         model = build_model(regression_config(), seed=0)
-        body_dense = sum(l.dense.weights.data.size + l.dense.bias.data.size
-                         for l in model.body)
-        assert body_dense == 8 * 64 + 64
+        body_dense = sum(p.data.size for l in model.body
+                         for p in l.dense.parameters())
+        assert body_dense == 8 * 64
 
     def test_total_parameter_arithmetic(self):
         model = build_model(regression_config(batchnorm=False), seed=0)

@@ -308,16 +308,28 @@ class TestTrainLoop:
         h = train(model, x, y, cfg)
         assert abs(h.soft_coverage[-1] - 0.7) < 0.15
 
-    def test_divergence_detected(self):
-        # unbounded squared loss blows up under an absurd step size
+    @pytest.mark.parametrize("task", [REGRESSION, CLASSIFICATION])
+    def test_divergence_detected(self, task):
+        """An absurd step size diverges either task: the regression run's
+        selection head collapses to zero, and the classifier's logits
+        overflow, which cross-entropy refuses."""
         rng = np.random.default_rng(0)
-        x = rng.normal(size=(64, 3))
-        y = rng.normal(size=64)
-        cfg = ArchitectureConfig(input_dim=3, body_widths=[8],
-                                 task=REGRESSION, selection_hidden=4)
-        tcfg = TrainConfig(optimizer="sgd", learning_rate=1e12, momentum=0.0,
-                           epochs=10, batch_size=32, seed=0)
-        with pytest.raises(TrainingDivergedError):
+        if task == REGRESSION:
+            x, y = rng.normal(size=(64, 3)), rng.normal(size=64)
+            cfg = ArchitectureConfig(input_dim=3, body_widths=[8],
+                                     task=REGRESSION, selection_hidden=4)
+            tcfg = TrainConfig(optimizer="sgd", learning_rate=1e12,
+                               momentum=0.0, epochs=10, batch_size=32, seed=0)
+        else:
+            x, y = rng.normal(size=(600, 3)), rng.integers(0, 3, size=600)
+            cfg = ArchitectureConfig(input_dim=3, body_widths=[16],
+                                     task=CLASSIFICATION, n_classes=3,
+                                     selection_hidden=4)
+            tcfg = TrainConfig(optimizer="sgd", learning_rate=1e150,
+                               momentum=0.0, epochs=10, batch_size=32, seed=0,
+                               loss=LossConfig(task_loss=CROSS_ENTROPY))
+        with warnings.catch_warnings(), pytest.raises(TrainingDivergedError):
+            warnings.simplefilter("ignore")  # overflow in the forward
             train(build_model(cfg, 0), x, y, tcfg)
 
     @staticmethod

@@ -109,7 +109,7 @@ def test_header_is_the_expected_json(trained_model, tmp_path):
     blob = path.read_bytes()
     (hlen,) = struct.unpack_from("<Q", blob, 7)
     expected = {
-        "format_version": 1,
+        "format_version": 2,
         "architecture": {"input_dim": 4, "body_widths": [8],
                          "task": "classification", "n_classes": 2,
                          "selection_hidden": 8, "batchnorm": True,
@@ -120,8 +120,7 @@ def test_header_is_the_expected_json(trained_model, tmp_path):
         "calibration": {"tau": 0.4, "target_coverage": 0.8,
                         "n_validation": 100, "delta": 0.05, "epsilon": 0.1,
                         "achieved_coverage": 0.81},
-        "array_sizes": [32, 8, 8, 8, 16, 2, 64, 8, 8, 8, 8, 1, 16, 2, 8, 8,
-                        8, 8],
+        "array_sizes": [32, 8, 8, 16, 2, 64, 8, 8, 8, 1, 16, 2, 8, 8, 8, 8],
     }
     assert blob[15:15 + hlen] == json.dumps(expected, sort_keys=True).encode()
 
@@ -365,14 +364,17 @@ def test_unchanged_header_reframes_to_a_loadable_file(trained_model, tmp_path):
     assert _reframe(blob, lambda h: h) == blob
 
 
-def _array_by_array_checkpoint(model, calibration):
+def _array_by_array_checkpoint(model, calibration, arrays=None,
+                               version=FORMAT_VERSION):
     """The checkpoint bytes of ``model`` written one array at a time,
-    every parameter's ``data`` and then ``running_stats()``: the payload
-    that the model's two state buffers must reproduce."""
+    ``arrays`` or else every parameter's ``data`` and then
+    ``running_stats()``: the payload that the model's two state buffers
+    must reproduce."""
     import hashlib
-    arrays = [p.data for p in model.parameters()] + model.running_stats()
+    if arrays is None:
+        arrays = [p.data for p in model.parameters()] + model.running_stats()
     header = json.dumps({
-        "format_version": FORMAT_VERSION,
+        "format_version": version,
         "architecture": asdict(model.config),
         "selective": model.selective,
         "seed": model.seed,
@@ -396,10 +398,37 @@ def test_payload_is_every_array_in_order(trained_model, tmp_path,
     assert path.read_bytes() == _array_by_array_checkpoint(model, calibration)
 
 
-# sha256 of ``save_model(build(config, seed=7), None, path)``, recorded
-# before g's hidden layer became a body block. Untrained models keep the
-# digests free of BLAS rounding, so they pin the initialization draw order,
-# the parameter order and the checkpoint layout.
+def test_version_1_checkpoint_is_refused_by_its_version(tmp_path):
+    """Format version 1 held a zero dense bias after the weights of every
+    batchnorm block. Such a file, here the exact bytes version 1 wrote for
+    an untrained model, is refused as a version mismatch naming both
+    versions, before its layout is read."""
+    import hashlib
+    model = build_model(ArchitectureConfig(
+        **PINNED_ARCHITECTURES["cls-32-dropout"]), seed=7)
+    widths = {id(block.dense.weights): block.dense.out_dim
+              for block in (*model.body, model.g_block)}
+    arrays = []
+    for p in model.parameters():
+        arrays.append(p.data)
+        if id(p) in widths:
+            arrays.append(np.zeros(widths[id(p)]))
+    blob = _array_by_array_checkpoint(
+        model, None, arrays + model.running_stats(), version=1)
+    assert hashlib.sha256(blob).hexdigest() == (
+        "08491289f6a8cc92321d3aeb7f056ae4f4fe862b373104d39440d3a4c4e3bbc7")
+    path = tmp_path / "v1.bin"
+    path.write_bytes(blob)
+    with pytest.raises(VersionError, match=re.escape(
+            "format version 1 not supported (reader supports 2)")):
+        load_model(path)
+
+
+# sha256 of ``save_model(build(config, seed=7), None, path)``, recorded at
+# format version 2, when batchnorm blocks lost their dense bias; the
+# no-batchnorm files differ from version 1's only in the header's version.
+# Untrained models keep the digests free of BLAS rounding, so they pin the
+# initialization draw order, the parameter order and the checkpoint layout.
 PINNED_ARCHITECTURES = {
     "cls-32-dropout": dict(input_dim=8, body_widths=[32], task=CLASSIFICATION,
                            n_classes=4, dropout_rate=0.5),
@@ -410,17 +439,17 @@ PINNED_ARCHITECTURES = {
 }
 PINNED_DIGESTS = {
     ("cls-32-dropout", "model"):
-        "08491289f6a8cc92321d3aeb7f056ae4f4fe862b373104d39440d3a4c4e3bbc7",
+        "9a14ee99a722bf1010ef82a67c05276507534691b80b0e8ec0bbd6c40c46f0e4",
     ("cls-32-dropout", "baseline"):
-        "868e8b1d52a36dabb39515730e1081ca8ac18444bf13712a38113cd9d1793e5e",
+        "dc41c71944584ddc594a07aff417eb966b701ab78626a223c41a0c516cf54dd3",
     ("reg-64-16-plain", "model"):
-        "d0f31c29b90bb5a6341cace0a372748882b24fe3859465dfcab5f7fb7f9feaa4",
+        "3ce9d6e21f43298526836814812ea986ae4101ec42fa97accf5da4b973eb30a1",
     ("reg-64-16-plain", "baseline"):
-        "c6a8c3068185e3ada149ac0e24ca2a69c2f420f7b2622957688bced9a25819bd",
+        "d8cee3844264dec898568a32148bbee91d4dd32984bcb736ca5f27df45ad9880",
     ("defaults", "model"):
-        "8ae77c7178d34b10d8c3978f46e1654d792931d3bc0a9edc9fc0a0c2baf2d2ec",
+        "70a493c2679870fd2042e78e9ded1ac76d2bb31dfafcf17e247d4833debc63c1",
     ("defaults", "baseline"):
-        "62c868ef14132d01fb4c2fb824c4ddb1d021f5001c44ee20343a516446d6456d",
+        "db5392167b703599a5456f30672d34a7931b738767442ecaa8174ec952da99e0",
 }
 
 
