@@ -2,7 +2,9 @@
 
 A shared main body feeds a prediction head f, a selection head g (single
 sigmoid unit) and an auxiliary head h that mirrors f and is used only during
-training. The baseline variant keeps the body and f only and is what the
+training. A selective model always builds h; the loss's ``alpha`` sets its
+weight. Every hidden block, the body's and g's, is dense -> batchnorm ->
+relu. The baseline variant keeps the body and f only and is what the
 softmax-response and MC-dropout baselines are built on.
 
 The autograd engine serves training only: ``SelectiveNet.forward`` in
@@ -23,13 +25,14 @@ from .autograd import (
     Parameters,
     Tensor,
     _ZERO,
+    # unused: bench/spans.py SITES wraps them until a benchmark change drops
+    # the sites and these imports
     relu,
-    # unused: bench/spans.py SITES wraps it until a benchmark change drops both
     sigmoid,
     stable_sigmoid,
 )
 from .checks import (CLASSIFICATION, REGRESSION, ConfigurationError,
-                     DomainError, ShapeError, boolean, integer, real, size)
+                     DomainError, ShapeError, integer, real, size)
 from .layers import (
     EVAL,
     TRAIN,
@@ -53,10 +56,10 @@ BLOCK_ROWS = 8192
 
 @dataclass
 class ArchitectureConfig:
-    """Widths and switches defining the network.
+    """Widths defining the network, and its dropout rate.
 
     A ``dropout_rate`` above 0 places a dropout layer after every body
-    block's activation; ``None`` and ``0.0`` build no dropout layer at all.
+    block's activation; 0.0, the default, builds no dropout layer at all.
     The MC-dropout baseline needs none: it applies its own rate to the
     frozen body.
     """
@@ -66,9 +69,7 @@ class ArchitectureConfig:
     task: str = REGRESSION
     n_classes: int = 0
     selection_hidden: int = 16
-    batchnorm: bool = True
-    dropout_rate: float | None = None
-    auxiliary_head: bool = True
+    dropout_rate: float = 0.0
 
     def output_dim(self):
         return self.n_classes if self.task == CLASSIFICATION else 1
@@ -83,13 +84,10 @@ class ArchitectureConfig:
             raise ConfigurationError(f"invalid body widths {widths}")
         self.body_widths = [int(w) for w in widths]
         self.selection_hidden = size(self.selection_hidden, "selection_hidden")
-        if self.dropout_rate is not None:
-            self.dropout_rate = real(self.dropout_rate, "dropout_rate")
-            if not 0.0 <= self.dropout_rate < 1.0:
-                raise ConfigurationError(
-                    f"dropout rate must be in [0,1), got {self.dropout_rate}")
-        for name in ("batchnorm", "auxiliary_head"):
-            setattr(self, name, boolean(getattr(self, name), name))
+        self.dropout_rate = real(self.dropout_rate, "dropout_rate")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ConfigurationError(
+                f"dropout rate must be in [0,1), got {self.dropout_rate}")
         if self.task not in (CLASSIFICATION, REGRESSION):
             raise ConfigurationError(f"unknown task {self.task!r}")
         self.n_classes = size(self.n_classes, "n_classes", least=(
@@ -97,29 +95,23 @@ class ArchitectureConfig:
 
 
 class _Block:
-    """One hidden block: dense -> [batchnorm] -> relu -> [dropout]. With
-    batchnorm the dense has no bias, and the three are one fused node; the
-    dropout layer exists only for a rate above 0."""
+    """One hidden block: dense -> batchnorm -> relu -> [dropout], the first
+    three one fused node, the dense without bias (batchnorm's shift is the
+    block's offset); the dropout layer exists only for a rate above 0."""
 
-    def __init__(self, in_dim, out_dim, batchnorm, dropout_rate, rng):
-        self.dense = DenseLayer(in_dim, out_dim, rng, bias=not batchnorm)
-        self.bn = BatchNormLayer(out_dim) if batchnorm else None
+    def __init__(self, in_dim, out_dim, dropout_rate, rng):
+        self.dense = DenseLayer(in_dim, out_dim, rng, bias=False)
+        self.bn = BatchNormLayer(out_dim)
         self.dropout = DropoutLayer(dropout_rate) if dropout_rate else None
 
     def __call__(self, x, rng=None):
-        if self.bn is None:
-            x = relu(self.dense(x))
-        else:
-            x = dense_bn_relu(x, self.dense, self.bn)
+        x = dense_bn_relu(x, self.dense, self.bn)
         if self.dropout is not None:
             x = self.dropout(x, rng)
         return x
 
     def parameters(self):
-        ps = self.dense.parameters()
-        if self.bn is not None:
-            ps += self.bn.parameters()
-        return ps
+        return self.dense.parameters() + self.bn.parameters()
 
 
 class SelectiveNet:
@@ -147,8 +139,7 @@ class SelectiveNet:
         self.body = []
         width = config.input_dim
         for w in config.body_widths:
-            self.body.append(_Block(width, w, config.batchnorm,
-                                    config.dropout_rate, rng))
+            self.body.append(_Block(width, w, config.dropout_rate, rng))
             width = w
 
         out_dim = config.output_dim()
@@ -156,21 +147,18 @@ class SelectiveNet:
         self.f_head = DenseLayer(width, out_dim, rng, init=f_init)
 
         if selective:
-            self.g_block = _Block(width, config.selection_hidden,
-                                  config.batchnorm, None, rng)
+            self.g_block = _Block(width, config.selection_hidden, 0.0, rng)
             self.g_out = DenseLayer(config.selection_hidden, 1, rng, init="glorot")
-            self.h_head = (DenseLayer(width, out_dim, rng, init=f_init)
-                           if config.auxiliary_head else None)
+            self.h_head = DenseLayer(width, out_dim, rng, init=f_init)
         else:
             self.g_block = self.g_out = self.h_head = None
-        # every layer in declaration order, absent heads skipped
+        # every layer in declaration order, the twin's absent heads skipped
         layers = [layer for layer in (*self.body, self.f_head, self.g_block,
                                       self.g_out, self.h_head)
                   if layer is not None]
         self._params = Parameters(
             [p for layer in layers for p in layer.parameters()])
-        self._bns = [layer.bn for layer in layers
-                     if isinstance(layer, _Block) and layer.bn is not None]
+        self._bns = [layer.bn for layer in layers if isinstance(layer, _Block)]
         self.stats = np.empty(2 * sum(bn.num_features for bn in self._bns))
         offset = 0
         for bn in self._bns:
@@ -215,8 +203,7 @@ class SelectiveNet:
             return f_out, None, None
 
         g_out = dense_sigmoid(self.g_block(rep), self.g_out)
-        h_out = self.h_head(rep) if self.h_head else None
-        return f_out, g_out, h_out
+        return f_out, g_out, self.h_head(rep)
 
     # -- inference ------------------------------------------------------------
 

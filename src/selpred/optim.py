@@ -5,9 +5,9 @@ correction. Neither adds weight decay to the gradient: SGD subtracts
 ``lr * wd * theta`` beside the momentum buffer, and Adam applies decoupled
 decay (AdamW, Loshchilov & Hutter 2019) after its update. Both keep their
 state in flat arrays over the model's ``Parameters`` buffer, so a step is
-one vectorized update. The training loop is deterministic given (seed,
-config, dataset): shuffling and dropout masks are drawn from a generator
-seeded by the config seed.
+one vectorized update. The training loop reshuffles the rows every epoch
+and is deterministic given (seed, config, dataset): the shuffles and
+dropout masks are drawn from a generator seeded by the config seed.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .autograd import Parameters, zero_grads
 from .checks import (CLASSIFICATION, ConfigurationError,
                      DegenerateCoverageError, DomainError, SelpredError,
-                     boolean, integer, real)
+                     integer, real)
 from .layers import TRAIN
 from .losses import (
     CROSS_ENTROPY,
@@ -58,7 +58,6 @@ class TrainConfig:
     momentum: float = 0.9            # sgd only
     lr_halving_period: int = 25      # sgd only; 0 disables
     seed: int = 0
-    shuffle: bool = True
     loss: LossConfig = field(default_factory=LossConfig)
 
     def validate(self):
@@ -70,7 +69,6 @@ class TrainConfig:
         if not 0 <= real(self.momentum, "momentum") < 1:
             raise ConfigurationError(
                 f"momentum must be in [0, 1), got {self.momentum}")
-        boolean(self.shuffle, "shuffle")
         integer(self.epochs, "epochs", least=1)
         integer(self.batch_size, "batch_size", least=1)
         integer(self.lr_halving_period, "lr_halving_period", least=0)
@@ -188,12 +186,12 @@ def lr_schedule(epoch, config):
     return config.learning_rate
 
 
-def _batches(indices, batch_size, need_min2):
+def _batches(indices, batch_size):
     """Contiguous slices of ``indices`` (an array or a ``range``); a trailing
-    slice of one sample is merged into the previous batch when batchnorm
+    slice of one sample is merged into the previous batch, since batchnorm
     needs batch >= 2."""
     starts = list(range(0, len(indices), batch_size))
-    if need_min2 and len(starts) > 1 and len(indices) - starts[-1] < 2:
+    if len(starts) > 1 and len(indices) - starts[-1] < 2:
         starts.pop()
     return [indices[a:b] for a, b in zip(starts, starts[1:] + [len(indices)])]
 
@@ -207,7 +205,9 @@ def train(model, features, labels, config):
     ``trained_coverage`` is stamped from the loss config. Before the first
     update, class labels are checked to be integers in [0, n_classes)
     (integral floats pass) and the task loss to fit the task: cross-entropy
-    for classification, squared loss for regression.
+    for classification, squared loss for regression. A non-finite loss, a
+    collapsed selection head or non-finite parameters after the last update
+    raise ``TrainingDivergedError``, and a diverging run warns nothing.
     """
     config.validate()
     features = np.asarray(features, dtype=np.float64)
@@ -226,8 +226,7 @@ def train(model, features, labels, config):
             f"task_loss {kind!r} does not apply to a {arch.task} model")
     if arch.task == CLASSIFICATION:
         labels = _class_indices(labels, arch.n_classes)
-    has_bn = arch.batchnorm
-    if has_bn and config.batch_size < 2 and m > 1:
+    if config.batch_size < 2 and m > 1:
         raise ConfigurationError("batch size must be >= 2 with batchnorm")
 
     params = model.parameters()
@@ -242,30 +241,28 @@ def train(model, features, labels, config):
     lcfg = config.loss
     history = TrainHistory()
 
-    batches = _batches(range(m), config.batch_size, has_bn)
-    for epoch in range(config.epochs):
-        opt.lr = lr_schedule(epoch, config)
-        order = rng.permutation(m) if config.shuffle else np.arange(m)
-        # the epoch's rows in batch order, so each batch is a slice of them
-        xs, ys = np.take(features, order, axis=0), labels[order]
-        # batch-size weighted sums of total, selective and auxiliary loss,
-        # soft coverage, accepted count and selective risk
-        tot = sel_sum = aux_sum = soft = hard = risk = 0.0
-        for b, rows in enumerate(batches):
-            yb = ys[rows.start:rows.stop]
-            n = len(rows)
-            f_out, g_out, h_out = model.forward(xs[rows.start:rows.stop],
-                                                mode=TRAIN, rng=rng)
-            try:
-                with np.errstate(over="ignore"):  # an inf loss is refused below
+    batches = _batches(range(m), config.batch_size)
+    # overflow and invalid values are refused as a diverged run, not warned
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            opt.lr = lr_schedule(epoch, config)
+            order = rng.permutation(m)
+            # the epoch's rows in batch order, so each batch is a slice of them
+            xs, ys = np.take(features, order, axis=0), labels[order]
+            # batch-size weighted sums of total, selective and auxiliary loss,
+            # soft coverage, accepted count and selective risk
+            tot = sel_sum = aux_sum = soft = hard = risk = 0.0
+            for b, rows in enumerate(batches):
+                yb = ys[rows.start:rows.stop]
+                n = len(rows)
+                f_out, g_out, h_out = model.forward(xs[rows.start:rows.stop],
+                                                    mode=TRAIN, rng=rng)
+                try:
                     losses = task_loss(kind, f_out, yb)
                     if model.selective:
                         sel = selective_loss(losses, g_out, lcfg)
-                        if h_out is not None:
-                            aux = auxiliary_loss(task_loss(kind, h_out, yb))
-                            loss = total_loss(sel, aux, lcfg.alpha)
-                        else:
-                            aux = loss = sel
+                        aux = auxiliary_loss(task_loss(kind, h_out, yb))
+                        loss = total_loss(sel, aux, lcfg.alpha)
                         value = float(loss.data)
                         sel_v, aux_v = float(sel.data), float(aux.data)
                         soft += n * sel.coverage
@@ -277,27 +274,30 @@ def train(model, features, labels, config):
                         soft += n
                         hard += n
                         risk += n * value
-            except DegenerateCoverageError:
-                raise TrainingDivergedError(
-                    f"selection head collapsed to zero at epoch {epoch}, "
-                    f"batch {b}")
-            except DomainError:  # the task loss refuses non-finite logits
-                value = math.inf
-            if not math.isfinite(value):
-                raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch}, batch {b}")
-            zero_grads(params)
-            loss.backward()
-            opt.step()
-            tot += n * value
-            sel_sum += n * sel_v
-            aux_sum += n * aux_v
-        history.total_loss.append(tot / m)
-        history.selective_loss.append(sel_sum / m)
-        history.auxiliary_loss.append(aux_sum / m)
-        history.soft_coverage.append(soft / m)
-        history.hard_coverage.append(hard / m)
-        history.selective_risk.append(risk / m)
+                except DegenerateCoverageError:
+                    raise TrainingDivergedError(
+                        f"selection head collapsed to zero at epoch {epoch}, "
+                        f"batch {b}")
+                except DomainError:  # the task loss refuses non-finite logits
+                    value = math.inf
+                if not math.isfinite(value):
+                    raise TrainingDivergedError(
+                        f"non-finite loss at epoch {epoch}, batch {b}")
+                zero_grads(params)
+                loss.backward()
+                opt.step()
+                tot += n * value
+                sel_sum += n * sel_v
+                aux_sum += n * aux_v
+            history.total_loss.append(tot / m)
+            history.selective_loss.append(sel_sum / m)
+            history.auxiliary_loss.append(aux_sum / m)
+            history.soft_coverage.append(soft / m)
+            history.hard_coverage.append(hard / m)
+            history.selective_risk.append(risk / m)
 
+    if not np.isfinite(params.data).all():
+        raise TrainingDivergedError(
+            "non-finite parameters after the last update")
     model.trained_coverage = lcfg.target_coverage if model.selective else 1.0
     return history

@@ -120,16 +120,14 @@ def ref_softmax(z):
 def ref_forward(model, x, mode, dropout=None):
     """``(f, g, h)`` of ``model`` on the rows of ``x``, from unfused
     operations on its parameters: f and h as class logits or regression
-    outputs, g as selection scores in [0, 1]. g and h are None where the
-    model has no such head (the baseline twin, a model without h).
-    ``dropout``, if given, maps the output of each body block."""
+    outputs, g as selection scores in [0, 1]. g and h are None for the
+    baseline twin. ``dropout``, if given, maps the output of each body
+    block."""
     def hidden(rep, dense, bn):
         z = ref_dense(rep, dense.weights, dense.bias)
-        return relu(ref_batchnorm(z, bn, mode) if bn is not None else z)
+        return relu(ref_batchnorm(z, bn, mode))
 
     def head(layer, rep):
-        if layer is None:
-            return None
         z = ref_dense(rep, layer.weights, layer.bias)
         return z if model.config.task == CLASSIFICATION else reshape(z, -1)
 

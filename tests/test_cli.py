@@ -2,6 +2,7 @@
 
 import re
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -787,7 +788,31 @@ class TestConfigSchema:
 
     @pytest.mark.parametrize("section, key", [
         ("architecture", "batchnorm"), ("architecture", "auxiliary_head"),
-        ("train", "shuffle"), ("split", "stratified"), ("dataset", "header"),
+        ("train", "shuffle"),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ["train"], ["evaluate", "--model", "absent.ckpt"],
+    ], ids=lambda argv: argv[0])
+    def test_removed_switch_is_an_unknown_key(self, tmp_path, capsys,
+                                              monkeypatch, argv, section,
+                                              key):
+        """Every hidden block has batchnorm, a selective model always has h
+        (``loss.alpha`` sets its weight) and every epoch shuffles, so these
+        switches are gone: each fails as an unknown key before any data or
+        checkpoint (here one that does not exist) is read."""
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text(yaml.safe_dump(
+            {"dataset": self.SYNTHETIC, section: {key: True}}))
+        calls = _count_reads(monkeypatch)
+        assert main(argv + ["--config", str(cfg_path),
+                            "--out", str(tmp_path / "run")]) == 1
+        assert (capsys.readouterr().err
+                == f"error: unknown config key {section}.{key}\n")
+        assert calls == {"csv": 0, "synthetic": 0}
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("section, key", [
+        ("split", "stratified"), ("dataset", "header"),
         ("dataset", "standardize_target"),
     ])
     def test_non_boolean_switch_is_named(self, tmp_path, capsys, section,
@@ -808,6 +833,7 @@ class TestConfigSchema:
         ("loss", "alpha", True), ("split", "train", "0.6"),
         ("split", "calibration", "0.2"), ("split", "test", "0.2"),
         ("architecture", "dropout_rate", "0.1"),
+        ("architecture", "dropout_rate", None),
         ("dataset", "noise_fraction", "0.1"),
     ])
     def test_non_real_number_is_named(self, tmp_path, capsys, section, key,
@@ -899,6 +925,15 @@ class TestConfigSchema:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert calls == {"csv": 0, "synthetic": 0}
         assert not out.exists()
+
+    def test_readme_config_block_is_resolved(self):
+        """The README's config schema block takes only keys the code takes,
+        and shows each default as the code has it: it resolves to itself."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        [block] = re.findall(r"^```yaml\n(.*?)^```$", readme,
+                             re.MULTILINE | re.DOTALL)
+        block = yaml.safe_load(block)
+        assert _resolve(block) == block
 
     def test_effective_config_holds_the_resolved_defaults(self, tmp_path):
         cfg = {"dataset": self.SYNTHETIC, "train": {"epochs": 1}}

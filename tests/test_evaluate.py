@@ -116,15 +116,18 @@ class TestMCDropout:
     @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
     def test_needs_no_dropout_layers(self, task):
         """The passes run on the frozen body at the call's rate, so a model
-        built without dropout layers scores as its rate-0 twin does."""
+        built without dropout layers (rate 0.0) scores as its twin with
+        dropout layers at another rate does."""
         x = np.random.default_rng(3).normal(size=(40, 5))
         scores = []
-        for rate in (None, 0.0):
+        for rate in (0.0, 0.25):
             cfg = ArchitectureConfig(
                 input_dim=5, body_widths=[8, 6], task=task,
                 n_classes=3 if task == CLASSIFICATION else 0,
                 dropout_rate=rate)
             model = build_model(cfg, 4)
+            assert all((b.dropout is None) == (rate == 0.0)
+                       for b in model.body)
             scores.append(mc_dropout_confidence(model, x, passes=6, rate=0.5,
                                                 seed=2, task=task))
         assert scores[0].tobytes() == scores[1].tobytes()

@@ -14,13 +14,7 @@ import numpy as np
 import pytest
 
 from oracles import ref_forward, ref_softmax
-from selpred.autograd import (
-    Tensor,
-    finite_difference_check,
-    no_grad,
-    stable_sigmoid,
-    watch_kink_margins,
-)
+from selpred.autograd import Tensor, no_grad, stable_sigmoid
 from selpred.calibrate import calibrate
 from selpred.checks import (
     CLASSIFICATION,
@@ -34,16 +28,8 @@ from selpred.evaluate import (
     MC_DROPOUT_REGRESSION,
     mc_dropout_confidence,
 )
-from selpred.layers import EVAL, TRAIN, DropoutLayer, softmax_rows
-from selpred.losses import (
-    CROSS_ENTROPY,
-    SQUARED,
-    LossConfig,
-    auxiliary_loss,
-    selective_loss,
-    task_loss,
-    total_loss,
-)
+from selpred.layers import EVAL, DropoutLayer, softmax_rows
+from selpred.losses import CROSS_ENTROPY, SQUARED, LossConfig
 from selpred.model import (
     BLOCK_ROWS,
     ArchitectureConfig,
@@ -56,11 +42,11 @@ from selpred.optim import TrainConfig, train
 RTOL = 1e-12
 
 
-def _config(task, batchnorm=True, body=(32,), dropout_rate=None):
+def _config(task, body=(32,), dropout_rate=0.0):
     return ArchitectureConfig(
         input_dim=8, body_widths=list(body), task=task,
         n_classes=4 if task == CLASSIFICATION else 0, selection_hidden=16,
-        batchnorm=batchnorm, dropout_rate=dropout_rate)
+        dropout_rate=dropout_rate)
 
 
 def _perturbed(model, seed=0):
@@ -122,18 +108,17 @@ def _check_agreement(model, x):
         assert _rel_err(preds, expected) <= RTOL
 
 
-@pytest.mark.parametrize("dropout_rate", [None, 0.0, 0.25])
+@pytest.mark.parametrize("dropout_rate", [0.0, 0.25])
 @pytest.mark.parametrize("body", [(32,), (16, 8)])
-@pytest.mark.parametrize("batchnorm", [True, False])
 @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
-def test_frozen_matches_tape(task, batchnorm, body, dropout_rate):
-    cfg = _config(task, batchnorm, body, dropout_rate)
+def test_frozen_matches_tape(task, body, dropout_rate):
+    cfg = _config(task, body, dropout_rate)
     _check_agreement(_perturbed(build_model(cfg, seed=3)), _inputs())
 
 
 @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
 def test_baseline_twin_matches_tape(task):
-    base = _perturbed(build_baseline(_config(task, dropout_rate=0.0), seed=3))
+    base = _perturbed(build_baseline(_config(task), seed=3))
     _check_agreement(base, _inputs())
 
 
@@ -150,15 +135,6 @@ def test_biases_are_rows_and_g_bias_is_0d(body):
     assert net.g_b.dtype == np.float64
 
 
-@pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
-def test_model_without_auxiliary_head_matches_oracle(task):
-    cfg = _config(task)
-    cfg.auxiliary_head = False
-    model = _perturbed(build_model(cfg, seed=4))
-    assert model.h_head is None
-    _check_agreement(model, _inputs())
-
-
 @pytest.mark.parametrize("g_bias", [-720.0, 720.0])
 def test_saturated_selection_matches_tape(g_bias):
     """Selection logits far beyond exp's range: the stable sigmoid gives
@@ -173,54 +149,10 @@ def test_trained_model_matches_tape():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(300, 8))
     y = (x[:, 0] + x[:, 1] > 0).astype(np.int64) + 2 * (x[:, 2] > 0)
-    model = build_model(_config(CLASSIFICATION, dropout_rate=0.0), seed=0)
+    model = build_model(_config(CLASSIFICATION), seed=0)
     train(model, x, y, TrainConfig(epochs=5, batch_size=64, seed=0,
                                    loss=LossConfig(task_loss=CROSS_ENTROPY)))
     _check_agreement(model, _inputs(seed=5))
-
-
-@pytest.mark.parametrize("switch", ["batchnorm", "auxiliary_head"])
-@pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
-def test_model_with_a_switch_off_trains(task, switch):
-    """A model without batchnorm (the plain dense -> relu block) or without
-    the auxiliary head (the selective loss alone) lowers its training loss,
-    freezes to the oracle's outputs, and has criterion 1's gradients."""
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(300, 8))
-    if task == CLASSIFICATION:
-        y = (x[:, 0] + x[:, 1] > 0).astype(np.int64) + 2 * (x[:, 2] > 0)
-        kind = CROSS_ENTROPY
-    else:
-        y = x[:, 0] - 2.0 * x[:, 1] + 0.1 * rng.normal(size=300)
-        kind = SQUARED
-    cfg = _config(task, body=(16,), dropout_rate=0.0)
-    setattr(cfg, switch, False)
-    model = build_model(cfg, seed=0)
-    lcfg = LossConfig(task_loss=kind)
-    history = train(model, x, y, TrainConfig(epochs=5, batch_size=64, seed=0,
-                                             loss=lcfg))
-    assert history.total_loss[-1] < history.total_loss[0]
-    _check_agreement(model, _inputs(seed=5))
-
-    def objective():
-        f, g, h = model.forward(xb, mode=TRAIN)
-        sel = selective_loss(task_loss(kind, f, yb), g, lcfg)
-        if h is None:
-            return sel
-        return total_loss(sel, auxiliary_loss(task_loss(kind, h, yb)),
-                          lcfg.alpha)
-
-    # central differences are invalid at a relu kink: take a kink-safe batch
-    for start in range(0, 300, 4):
-        xb, yb = x[start:start + 4], y[start:start + 4]
-        with watch_kink_margins() as margins:
-            objective()
-        if min(margins) > 1e-3:
-            break
-    else:
-        raise AssertionError("no kink-safe batch")
-    assert finite_difference_check(objective, model.parameters(), h=1e-5,
-                                   floor=1e-8) < 1e-5
 
 
 @pytest.mark.parametrize("baseline", [False, True], ids=["selnet", "twin"])
@@ -403,7 +335,7 @@ class TestRowBlocks:
     @staticmethod
     def _model(task, baseline=False):
         build = build_baseline if baseline else build_model
-        return _perturbed(build(_config(task, dropout_rate=0.0), seed=9))
+        return _perturbed(build(_config(task), seed=9))
 
     @pytest.mark.parametrize("n", SIZES)
     @pytest.mark.parametrize("baseline", [False, True], ids=["selnet", "twin"])
@@ -592,20 +524,20 @@ class TestMCDropoutOnFrozen:
         assert [b.dropout.rate for b in model.body] == [0.25, 0.25]
 
     def test_zero_rate_draws_no_mask(self):
-        model = build_baseline(_config(REGRESSION, dropout_rate=0.0), seed=0)
+        model = build_baseline(_config(REGRESSION), seed=0)
         rng = np.random.default_rng(3)
         model.freeze().dropout_f(_inputs(20), 0.0, rng)
         assert rng.random() == np.random.default_rng(3).random()
 
     def test_non_finite_regression_outputs(self):
-        model = build_baseline(_config(REGRESSION, dropout_rate=0.0), seed=0)
+        model = build_baseline(_config(REGRESSION), seed=0)
         x = _inputs(5)
         x[3, 0] = np.nan
         with pytest.raises(DomainError):
             mc_dropout_confidence(model, x, 2, 0.5, 0, REGRESSION)
 
     def test_non_finite_logits(self):
-        model = build_baseline(_config(CLASSIFICATION, dropout_rate=0.0),
+        model = build_baseline(_config(CLASSIFICATION),
                                seed=0)
         x = _inputs(5)
         x[3, 0] = np.inf

@@ -774,8 +774,7 @@ def ref_train(model, features, labels, config):
     history = TrainHistory()
     for _ in range(config.epochs):
         sums = np.zeros(6)  # total, selective, auxiliary, soft, hard, risk
-        for idx in _batches(rng.permutation(m), config.batch_size,
-                            model.config.batchnorm):
+        for idx in _batches(rng.permutation(m), config.batch_size):
             yb, n = labels[idx], len(idx)
             f, g, h = ref_train_forward(model, features[idx], rng)
             losses = task_loss(kind, f, yb)

@@ -20,8 +20,9 @@ DEMOS = ROOT / "demos"
 
 # The imports kept only so that the benchmark's span recorder can wrap them.
 BENCH_ONLY = {("cli", "mc_dropout_confidence"), ("cli", "sr_confidence"),
-              ("cli", "threshold_for_coverage"), ("model", "sigmoid"),
-              ("model", "softmax"), ("cli", "split"), ("cli", "standardize")}
+              ("cli", "threshold_for_coverage"), ("model", "relu"),
+              ("model", "sigmoid"), ("model", "softmax"), ("cli", "split"),
+              ("cli", "standardize")}
 
 
 def _tree(name):

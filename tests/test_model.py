@@ -44,9 +44,11 @@ class TestConstruction:
         assert body_dense == 8 * 64
 
     def test_total_parameter_arithmetic(self):
-        model = build_model(regression_config(batchnorm=False), seed=0)
-        # body 8*64+64, f 64+1, g hidden 64*16+16, g out 16+1, h 64+1
-        expected = (8 * 64 + 64) + (64 + 1) + (64 * 16 + 16) + (16 + 1) + (64 + 1)
+        model = build_model(regression_config(), seed=0)
+        # body 8*64 + bn 2*64, f 64+1, g hidden 64*16 + bn 2*16, g out 16+1,
+        # h 64+1
+        expected = ((8 * 64 + 2 * 64) + (64 + 1) + (64 * 16 + 2 * 16)
+                    + (16 + 1) + (64 + 1))
         assert model.num_parameters() == expected
 
     def test_seed_determinism(self):
@@ -105,20 +107,26 @@ class TestConstruction:
                                  rf"got {rate}$"):
             build_model(regression_config(dropout_rate=rate), seed=0)
 
+    def test_null_dropout_rate_rejected(self):
+        """No dropout is 0.0; ``None`` is no second spelling of it."""
+        with pytest.raises(ConfigurationError,
+                           match="^dropout_rate: None is not a real number$"):
+            build_model(regression_config(dropout_rate=None), seed=0)
+
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
     @pytest.mark.parametrize("config", [classification_config,
                                         regression_config])
     def test_zero_dropout_rate_builds_no_dropout_layer(self, config,
                                                        optimizer):
-        """``dropout_rate`` 0.0 and None build the same layers, so they
-        train to the same state, byte for byte."""
+        """``dropout_rate`` 0.0 is the default and builds no dropout layer,
+        so it trains to the default model's state, byte for byte."""
         rng = np.random.default_rng(4)
         x = rng.normal(size=(40, 8))
         y = (rng.integers(0, 4, size=40) if config is classification_config
              else rng.normal(size=40))
         states = []
-        for rate in (None, 0.0):
-            model = build_model(config(dropout_rate=rate), seed=2)
+        for rate in ({}, {"dropout_rate": 0.0}):
+            model = build_model(config(**rate), seed=2)
             assert all(block.dropout is None
                        for block in (*model.body, model.g_block))
             train(model, x, y, TrainConfig(
@@ -223,6 +231,6 @@ class TestPredict:
 
 class TestConfigRoundTrip:
     def test_to_from_dict(self):
-        cfg = classification_config(dropout_rate=0.25, batchnorm=False)
+        cfg = classification_config(dropout_rate=0.25)
         again = ArchitectureConfig(**asdict(cfg))
         assert again == cfg

@@ -230,29 +230,24 @@ class TestSchedule:
 
 class TestBatching:
     def test_trailing_singleton_merged(self):
-        out = _batches(np.arange(9), 4, need_min2=True)
+        out = _batches(np.arange(9), 4)
         assert [len(b) for b in out] == [4, 5]
 
-    def test_no_merge_without_batchnorm(self):
-        out = _batches(np.arange(9), 4, need_min2=False)
-        assert [len(b) for b in out] == [4, 4, 1]
-
     def test_partition_is_exact(self):
-        out = _batches(np.arange(23), 5, need_min2=True)
+        out = _batches(np.arange(23), 5)
         np.testing.assert_array_equal(np.concatenate(out), np.arange(23))
 
     @settings(max_examples=200)
     @given(batch_size=st.integers(1, 64), full=st.integers(0, 5),
-           rest=st.integers(0, 63), need_min2=st.booleans(),
-           seed=st.integers(0, 2**32 - 1))
-    @example(batch_size=4, full=1, rest=1, need_min2=True, seed=0)
+           rest=st.integers(0, 63), seed=st.integers(0, 2**32 - 1))
+    @example(batch_size=4, full=1, rest=1, seed=0)
     def test_every_index_once_and_no_singleton_under_batchnorm(
-            self, batch_size, full, rest, need_min2, seed):
+            self, batch_size, full, rest, seed):
         m = max(1, full * batch_size + rest % batch_size)
         indices = np.random.default_rng(seed).permutation(m)
-        out = _batches(indices, batch_size, need_min2)
+        out = _batches(indices, batch_size)
         np.testing.assert_array_equal(np.concatenate(out), indices)
-        if need_min2 and m >= 2 and batch_size >= 2:  # as train() enforces
+        if m >= 2 and batch_size >= 2:  # as train() enforces
             assert min(len(b) for b in out) >= 2
 
 
@@ -329,8 +324,30 @@ class TestTrainLoop:
                                momentum=0.0, epochs=10, batch_size=32, seed=0,
                                loss=LossConfig(task_loss=CROSS_ENTROPY))
         with warnings.catch_warnings(), pytest.raises(TrainingDivergedError):
-            warnings.simplefilter("ignore")  # overflow in the forward
+            warnings.simplefilter("error")
             train(build_model(cfg, 0), x, y, tcfg)
+
+    @pytest.mark.parametrize("task", [REGRESSION, CLASSIFICATION])
+    def test_non_finite_parameters_after_the_last_update_detected(self, task):
+        """One full batch under Adam at an absurd step size: the loss was
+        finite, but the one update leaves non-finite parameters, which
+        train() refuses rather than returns, with no numpy warning."""
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(64, 3))
+        if task == REGRESSION:
+            y, n_classes, loss = rng.normal(size=64), 0, LossConfig()
+        else:
+            y, n_classes = rng.integers(0, 3, size=64), 3
+            loss = LossConfig(task_loss=CROSS_ENTROPY)
+        model = build_model(ArchitectureConfig(
+            input_dim=3, body_widths=[8], task=task, n_classes=n_classes,
+            selection_hidden=4), 0)
+        with warnings.catch_warnings(), pytest.raises(
+                TrainingDivergedError,
+                match="^non-finite parameters after the last update$"):
+            warnings.simplefilter("error")
+            train(model, x, y, TrainConfig(learning_rate=1e300, epochs=1,
+                                           batch_size=64, seed=0, loss=loss))
 
     @staticmethod
     def _diverges_before_the_update(target):
@@ -373,16 +390,17 @@ class TestTrainLoop:
         ids=["out-of-range", "fraction", "negative", "nan"])
     def test_bad_label_in_last_batch_rejected_before_any_update(self, bad,
                                                                 first):
-        """The last batch's label would otherwise fail only after every
-        earlier batch had changed the parameters (or, for 1.7, train as
-        class 1)."""
+        """A bad label would otherwise fail only once its batch came, after
+        earlier batches had changed the parameters (or, for 1.7, train as
+        class 1). Every label is checked before the first update, so the
+        test holds in any batch order."""
         x, y = _toy_dataset(m=300)
         y = np.append(y[:-1], bad)  # int64 but for the float labels
         model = _toy_model()
         before = [a.tobytes() for a in model.state()]
         with pytest.raises(DomainError, match=rf"^class label {first} is not "
                                               r"an integer in \[0, 2\)$"):
-            train(model, x, y, _toy_train_config(epochs=1, shuffle=False))
+            train(model, x, y, _toy_train_config(epochs=1))
         assert [a.tobytes() for a in model.state()] == before
 
     @pytest.mark.parametrize("labels", [

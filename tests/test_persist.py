@@ -68,19 +68,17 @@ def test_round_trip_is_bit_exact(trained_model, tmp_path):
 @settings(max_examples=40)
 @given(task=st.sampled_from([CLASSIFICATION, REGRESSION]),
        body=st.lists(st.integers(1, 12), min_size=1, max_size=3),
-       selection_hidden=st.integers(1, 8), batchnorm=st.booleans(),
-       dropout_rate=st.sampled_from([None, 0.0, 0.3]),
-       auxiliary_head=st.booleans(), selective=st.booleans(),
+       selection_hidden=st.integers(1, 8),
+       dropout_rate=st.sampled_from([0.0, 0.3]), selective=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
-def test_round_trip_property(task, body, selection_hidden, batchnorm,
-                             dropout_rate, auxiliary_head, selective, seed):
+def test_round_trip_property(task, body, selection_hidden, dropout_rate,
+                             selective, seed):
     """Any architecture with any parameter and running-statistic values
     loads back bit for bit, and so do its frozen outputs."""
     cfg = ArchitectureConfig(
         input_dim=3, body_widths=body, task=task,
         n_classes=3 if task == CLASSIFICATION else 0,
-        selection_hidden=selection_hidden, batchnorm=batchnorm,
-        dropout_rate=dropout_rate, auxiliary_head=auxiliary_head)
+        selection_hidden=selection_hidden, dropout_rate=dropout_rate)
     model = SelectiveNet(cfg, seed % 1000, selective=selective)
     rng = np.random.default_rng(seed)
     model.parameters().data[...] = rng.normal(size=model.num_parameters())
@@ -109,11 +107,10 @@ def test_header_is_the_expected_json(trained_model, tmp_path):
     blob = path.read_bytes()
     (hlen,) = struct.unpack_from("<Q", blob, 7)
     expected = {
-        "format_version": 2,
+        "format_version": 3,
         "architecture": {"input_dim": 4, "body_widths": [8],
                          "task": "classification", "n_classes": 2,
-                         "selection_hidden": 8, "batchnorm": True,
-                         "dropout_rate": None, "auxiliary_head": True},
+                         "selection_hidden": 8, "dropout_rate": 0.0},
         "selective": True,
         "seed": 0,
         "trained_coverage": 0.8,
@@ -365,17 +362,18 @@ def test_unchanged_header_reframes_to_a_loadable_file(trained_model, tmp_path):
 
 
 def _array_by_array_checkpoint(model, calibration, arrays=None,
-                               version=FORMAT_VERSION):
+                               version=FORMAT_VERSION, **architecture):
     """The checkpoint bytes of ``model`` written one array at a time,
     ``arrays`` or else every parameter's ``data`` and then
     ``running_stats()``: the payload that the model's two state buffers
-    must reproduce."""
+    must reproduce. ``architecture`` adds header architecture fields, as
+    an older format version wrote them."""
     import hashlib
     if arrays is None:
         arrays = [p.data for p in model.parameters()] + model.running_stats()
     header = json.dumps({
         "format_version": version,
-        "architecture": asdict(model.config),
+        "architecture": {**asdict(model.config), **architecture},
         "selective": model.selective,
         "seed": model.seed,
         "trained_coverage": model.trained_coverage,
@@ -398,6 +396,18 @@ def test_payload_is_every_array_in_order(trained_model, tmp_path,
     assert path.read_bytes() == _array_by_array_checkpoint(model, calibration)
 
 
+# The architecture switches format versions 1 and 2 wrote into the header.
+OLD_SWITCHES = {"batchnorm": True, "auxiliary_head": True}
+
+
+def _refused_by_its_version(blob, version, tmp_path):
+    path = tmp_path / f"v{version}.bin"
+    path.write_bytes(blob)
+    with pytest.raises(VersionError, match=re.escape(
+            f"format version {version} not supported (reader supports 3)")):
+        load_model(path)
+
+
 def test_version_1_checkpoint_is_refused_by_its_version(tmp_path):
     """Format version 1 held a zero dense bias after the weights of every
     batchnorm block. Such a file, here the exact bytes version 1 wrote for
@@ -414,48 +424,51 @@ def test_version_1_checkpoint_is_refused_by_its_version(tmp_path):
         if id(p) in widths:
             arrays.append(np.zeros(widths[id(p)]))
     blob = _array_by_array_checkpoint(
-        model, None, arrays + model.running_stats(), version=1)
+        model, None, arrays + model.running_stats(), version=1,
+        **OLD_SWITCHES)
     assert hashlib.sha256(blob).hexdigest() == (
         "08491289f6a8cc92321d3aeb7f056ae4f4fe862b373104d39440d3a4c4e3bbc7")
-    path = tmp_path / "v1.bin"
-    path.write_bytes(blob)
-    with pytest.raises(VersionError, match=re.escape(
-            "format version 1 not supported (reader supports 2)")):
-        load_model(path)
+    _refused_by_its_version(blob, 1, tmp_path)
+
+
+def test_version_2_checkpoint_is_refused_by_its_version(tmp_path):
+    """Format version 2 had the payload of version 3 under a header with
+    the ``batchnorm`` and ``auxiliary_head`` switches. Such a file, here
+    the exact bytes version 2 wrote for an untrained model (its pinned
+    digest), is refused as a version mismatch naming both versions."""
+    import hashlib
+    model = build_model(ArchitectureConfig(
+        **PINNED_ARCHITECTURES["cls-32-dropout"]), seed=7)
+    blob = _array_by_array_checkpoint(model, None, version=2, **OLD_SWITCHES)
+    assert hashlib.sha256(blob).hexdigest() == (
+        "9a14ee99a722bf1010ef82a67c05276507534691b80b0e8ec0bbd6c40c46f0e4")
+    _refused_by_its_version(blob, 2, tmp_path)
 
 
 # sha256 of ``save_model(build(config, seed=7), None, path)``, recorded at
-# format version 2, when batchnorm blocks lost their dense bias; the
-# no-batchnorm files differ from version 1's only in the header's version.
+# format version 3, when the architecture lost its ``batchnorm`` and
+# ``auxiliary_head`` switches; the payloads are those of version 2.
 # Untrained models keep the digests free of BLAS rounding, so they pin the
 # initialization draw order, the parameter order and the checkpoint layout.
 PINNED_ARCHITECTURES = {
     "cls-32-dropout": dict(input_dim=8, body_widths=[32], task=CLASSIFICATION,
                            n_classes=4, dropout_rate=0.5),
-    "reg-64-16-plain": dict(input_dim=8, body_widths=[64, 16],
-                            task=REGRESSION, batchnorm=False,
-                            auxiliary_head=False),
     "defaults": dict(input_dim=5, task=CLASSIFICATION, n_classes=3),
 }
 PINNED_DIGESTS = {
     ("cls-32-dropout", "model"):
-        "9a14ee99a722bf1010ef82a67c05276507534691b80b0e8ec0bbd6c40c46f0e4",
+        "2def25cc989917d9b8d6ad644db564e5b0da01edf21dc46441d37e3a88c37e37",
     ("cls-32-dropout", "baseline"):
-        "dc41c71944584ddc594a07aff417eb966b701ab78626a223c41a0c516cf54dd3",
-    ("reg-64-16-plain", "model"):
-        "3ce9d6e21f43298526836814812ea986ae4101ec42fa97accf5da4b973eb30a1",
-    ("reg-64-16-plain", "baseline"):
-        "d8cee3844264dec898568a32148bbee91d4dd32984bcb736ca5f27df45ad9880",
+        "4bc4ae32cd6f99d89a2b25ff3cd3b5d61eff021f7238c7ca8eb140e4757c53fc",
     ("defaults", "model"):
-        "70a493c2679870fd2042e78e9ded1ac76d2bb31dfafcf17e247d4833debc63c1",
+        "4bf3e6b300e35bd4518c6e03361bd02a9c23828d87b9a05d2a5bf00924163525",
     ("defaults", "baseline"):
-        "db5392167b703599a5456f30672d34a7931b738767442ecaa8174ec952da99e0",
+        "4b13bafb377409713cfbf20ae2bec7cadaf1c8030edb8868ff2c5b9a2237ae95",
 }
 
 
 PLAIN_ARCHITECTURE = dict(input_dim=4, body_widths=[8], task=CLASSIFICATION,
-                          n_classes=3, selection_hidden=8, dropout_rate=0.25,
-                          batchnorm=True)
+                          n_classes=3, selection_hidden=8, dropout_rate=0.25)
 
 
 NUMPY_SETTINGS = {
@@ -466,8 +479,6 @@ NUMPY_SETTINGS = {
     "n_classes": {"n_classes": np.int64(3)},
     "regression-n_classes": {"task": REGRESSION, "n_classes": np.int64(0)},
     "dropout_rate": {"dropout_rate": np.float32(0.25)},
-    "batchnorm": {"batchnorm": np.bool_(True)},
-    "auxiliary_head": {"auxiliary_head": np.bool_(True)},
     "target_coverage": {"target_coverage": np.float32(0.5)},
 }
 
