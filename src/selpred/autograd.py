@@ -9,7 +9,9 @@ The elementwise operations here are the general-purpose building blocks.
 The training path uses a few fused nodes instead (``layers`` and
 ``losses``), each with a closed-form backward, and keeps a model's
 parameters in one ``Parameters`` buffer so an optimizer step is a single
-vectorized update.
+vectorized update. The ops that only the tests use as unfused oracles
+(``exp``, ``log``, ``sqrt``, ``matmul``, ``reshape``, a max reduction) live
+in ``tests/oracles.py``, with ``ref_forward``, a whole model built of them.
 """
 
 from __future__ import annotations
@@ -295,9 +297,10 @@ _MINUS_ONE, _ZERO, _ONE = np.array(-1.0), np.array(0.0), np.array(1.0)
 
 
 def stable_sigmoid(t):
-    """Logistic function of the float64 array ``t`` without overflow: with
-    e = exp(-|t|), 1/(1+e) where t >= 0 and e/(1+e) elsewhere, which are
-    1/(1+e^-t) and e^t/(1+e^t).
+    """Logistic function of the float64 array ``t`` without overflow, for
+    the tape's ``sigmoid`` and ``FrozenNet`` alike: with e = exp(-|t|),
+    1/(1+e) where t >= 0 and e/(1+e) elsewhere, which are 1/(1+e^-t) and
+    e^t/(1+e^t).
 
     The numerator is max(e, t >= 0): 1 where t >= 0, since e <= 1, and e
     elsewhere, since e >= 0; NaN stays NaN. It is the same array as

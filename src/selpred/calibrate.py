@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import ContractError, DomainError, fraction
+from .checks import (ConfigurationError, ContractError, DomainError,
+                     fraction, open_fraction)
 
 __all__ = [
     "CalibrationResult",
@@ -81,9 +82,9 @@ def hoeffding_epsilon(n, delta):
     CDF of n scores is within this of the population CDF at every threshold.
     """
     if n < 1:
-        raise DomainError(f"validation size must be >= 1, got {n}")
+        raise ConfigurationError(f"validation size must be >= 1, got {n}")
     if not 0.0 < delta < 2.0:
-        raise DomainError(f"delta must be in (0, 2), got {delta}")
+        raise ConfigurationError(f"delta must lie in (0, 2), got {delta}")
     return math.sqrt(math.log(2.0 / delta) / (2.0 * n))
 
 
@@ -93,13 +94,11 @@ def calibrate(model, validation_inputs, target_coverage, delta=0.001):
     Computes eval-mode selection scores, picks the nearest-rank threshold,
     and reports the coverage deviation bound for the validation size. The
     bound holds with probability >= 1 - delta, so ``delta`` must lie in
-    (0, 1), DomainError otherwise, and ``target_coverage`` in (0, 1],
-    ConfigurationError otherwise. Both are checked before the forward pass.
+    (0, 1) and ``target_coverage`` in (0, 1], ConfigurationError otherwise.
+    Both are checked before the forward pass.
     """
-    if not 0.0 < delta < 1.0:  # NaN fails too
-        raise DomainError(f"delta must be in (0, 1), got {delta}")
+    delta = open_fraction(delta, "delta")
     target_coverage = fraction(target_coverage, "target_coverage")
-    delta = float(delta)
     validation_inputs = np.asarray(validation_inputs, dtype=np.float64)
     if validation_inputs.shape[0] == 0:
         raise ContractError("calibration needs a nonempty validation set")

@@ -3,9 +3,16 @@ the task names.
 
 Nothing here imports from ``selpred``, so every module can import it. An
 error class lives here when more than one module raises or catches it; one
-that a single module raises stays next to its raiser. Each derives from
-``SelpredError``, the boundary ``cli.main`` catches: bad input prints one
-``error:`` line, while a bug propagates with its traceback.
+that a single module raises stays next to its raiser (``ParseError`` in
+``data``, ``IntegrityError`` and ``VersionError`` in ``persist``, ...).
+Each derives from ``SelpredError`` and keeps its builtin base
+(``ValueError``, ``IOError`` or ``RuntimeError``). ``SelpredError`` is the
+boundary ``cli.main`` catches: bad input prints one ``error:`` line, while
+a bug propagates with its traceback.
+
+Config sections, checkpoint headers, CLI flags and library arguments go
+through the field checks below; each returns the value or raises a
+``ConfigurationError`` naming the field.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import numpy as np
 __all__ = ["CLASSIFICATION", "REGRESSION", "SelpredError",
            "ConfigurationError", "ContractError", "DegenerateCoverageError",
            "DomainError", "ShapeError", "MAX_SIZE", "integer", "size",
-           "real", "boolean", "fraction"]
+           "real", "boolean", "fraction", "open_fraction", "drop_rate"]
 
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
@@ -103,4 +110,22 @@ def fraction(value, field):
     x = real(value, field)
     if not 0 < x <= 1:
         raise ConfigurationError(f"{field} must lie in (0, 1], got {value}")
+    return x
+
+
+def open_fraction(value, field):
+    """``value`` as a ``float``; ConfigurationError naming ``field`` unless
+    it is a real in (0, 1)."""
+    x = real(value, field)
+    if not 0 < x < 1:
+        raise ConfigurationError(f"{field} must lie in (0, 1), got {value}")
+    return x
+
+
+def drop_rate(value, field):
+    """``value`` as a ``float``; ConfigurationError naming ``field`` unless
+    it is a real in [0, 1), a dropout rate (at 1 every unit drops)."""
+    x = real(value, field)
+    if not 0 <= x < 1:
+        raise ConfigurationError(f"{field} must lie in [0, 1), got {value}")
     return x

@@ -30,7 +30,7 @@ import yaml
 
 from .calibrate import calibrate
 from .checks import (CLASSIFICATION, REGRESSION, ConfigurationError,
-                     SelpredError, boolean, fraction, integer, real)
+                     SelpredError, boolean, fraction, integer, open_fraction)
 from .data import (SplitSpec, load_csv, standardized_splits,
                    synth_classification, unstandardize_target,
                    split, standardize)  # unused: kept for bench/spans.py SITES
@@ -45,7 +45,7 @@ from .evaluate import (
     sr_confidence,
     threshold_for_coverage,
 )
-from .losses import CROSS_ENTROPY, SQUARED, LossConfig
+from .losses import LossConfig, task_loss_for
 from .model import ArchitectureConfig, build_baseline, build_model
 from .optim import TrainConfig, TrainHistory, train
 from .persist import load_model, save_model
@@ -128,8 +128,7 @@ def _resolve(cfg):
     task = dataset.get("task", CLASSIFICATION)
     if task not in (CLASSIFICATION, REGRESSION):
         raise ConfigurationError(f"unknown task {task!r}")
-    loss = dict(_defaults(LossConfig), task_loss=(
-        CROSS_ENTROPY if task == CLASSIFICATION else SQUARED))
+    loss = dict(_defaults(LossConfig), task_loss=task_loss_for(task))
     conf = {
         "dataset": dataset,
         "split": _section(cfg, "split", _defaults(SplitSpec)),
@@ -151,7 +150,8 @@ def _resolve(cfg):
 def _seeds(seeds):
     """``seeds``, from the config or the command line, checked to be a
     non-empty list of distinct integers >= 0; ConfigurationError naming
-    ``seeds`` (and the first repeated seed) otherwise."""
+    ``seeds`` (and the first repeated seed) otherwise: one run counted twice
+    would make a wrong standard error."""
     if not isinstance(seeds, list) or not seeds:
         raise ConfigurationError(
             f"seeds must be a non-empty list of integers, got {seeds!r}")
@@ -261,9 +261,7 @@ def cmd_train(args):
 def cmd_calibrate(args):
     cfg, conf = _load_config(args.config)
     coverage = fraction(args.coverage, "--coverage")
-    if not 0.0 < real(args.delta, "--delta") < 1.0:
-        raise ConfigurationError(
-            f"--delta must lie in (0, 1), got {args.delta}")
+    open_fraction(args.delta, "--delta")
     out = Path(args.out)
     model, _ = load_model(args.model)
     [(_, ca, _, _)] = prepare_splits(conf)

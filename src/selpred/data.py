@@ -1,4 +1,15 @@
-"""Dataset ingestion, synthetic generation, splitting, and standardization."""
+"""Dataset ingestion, synthetic generation, splitting, and standardization.
+
+``standardized_splits`` is the one step that standardizes, for the CLI and
+the demos alike: it splits, fits ``standardize`` on the train part alone
+and applies those statistics to the other parts. The fitted moments agree
+with ``np.mean`` and ``np.std`` to rounding only (``_feature_moments``), so
+a model trained on standardized data drifts from one trained on numpy's
+moments at the rounding level. ``standardize`` makes no copy beyond its
+output, and ``synth_classification`` fills one preallocated feature array
+in place, so its peak is set by the permuted copy it returns. Row gathers
+use ``np.take``.
+"""
 
 from __future__ import annotations
 
@@ -104,9 +115,10 @@ def load_csv(path, feature_columns, target_column, header=True,
     not such an index, a negative target column, a feature column that is
     negative, repeated or the target column, or a ``header`` that is not a
     bool raises ConfigurationError naming the field, before any read. An
-    undecodable file, non-numeric and non-finite (``nan``, ``inf``) cells,
-    and classification labels that are not integers >= 0 raise ParseError
-    naming the file and, for a cell, its row and column.
+    undecodable file, a cell over the ``csv`` module's field size limit,
+    non-numeric and non-finite (``nan``, ``inf``) cells, and classification
+    labels that are not integers >= 0 raise ParseError naming the file and,
+    for a cell, its row and column.
     """
     if not isinstance(path, (str, os.PathLike)):
         raise ConfigurationError(f"path: {path!r} is not a file path")

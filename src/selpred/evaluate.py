@@ -20,7 +20,7 @@ import numpy as np
 
 from .calibrate import select_threshold
 from .checks import (CLASSIFICATION, ConfigurationError, ContractError,
-                     DegenerateCoverageError, fraction, integer, real)
+                     DegenerateCoverageError, drop_rate, fraction, integer)
 from .data import unstandardize_target
 from .layers import softmax_rows
 
@@ -96,19 +96,21 @@ def mc_dropout_confidence(model, inputs, passes, rate, seed, task):
 
     Each pass runs the frozen (batchnorm-folded) body with inverted dropout
     at ``rate`` after every hidden block and computes f only, one pass at a
-    time; the model needs no dropout layers, and its rates are not touched.
+    time, so the working set is one pass's; the model needs no dropout
+    layers, and its rates are not touched. The masks (``dropout_mask``) are
+    drawn pass after pass, block after block, and none at rate 0.
     Classification: variance across passes of the probability assigned to
     the consensus class (argmax of the mean prediction).
     Regression: variance of the scalar output. Deterministic given the seed;
     identical passes (e.g. rate 0) yield exactly zero variance. ``task``
     must be the model's, ``rate`` a real in [0, 1), ``passes`` an integer
-    and ``seed`` one >= 0; ConfigurationError naming them otherwise.
+    and ``seed`` one >= 0; ConfigurationError naming them otherwise, and
+    ContractError for fewer than 2 passes.
     """
     if task != model.config.task:
         raise ConfigurationError(f"MC-dropout for a {task} task on a "
                                  f"{model.config.task} model")
-    if not 0.0 <= real(rate, "rate") < 1.0:
-        raise ConfigurationError(f"rate must be in [0, 1), got {rate}")
+    drop_rate(rate, "rate")
     if integer(passes, "passes") < 2:
         raise ContractError("MC-dropout needs at least 2 passes")
     rng = np.random.default_rng(integer(seed, "seed", least=0))
@@ -166,7 +168,9 @@ def risk_coverage_curves(model, cal_inputs, test_inputs, test_labels, kinds,
     original units by ``target_stats`` (see ``unstandardize_target``). One
     frozen forward per split serves the predictions and the g and SR scores;
     MC-dropout makes its own passes, seeded ``mc_seeds`` = (calibration,
-    test), so it alone runs no forward on ``cal_inputs``."""
+    test), so it alone runs no forward on ``cal_inputs``. A kind that does
+    not fit the model (``sr`` on a regression, ``g`` on the twin) is a
+    ConfigurationError."""
     task = model.config.task
     for kind in kinds:
         if (kind == "sr" and task != CLASSIFICATION

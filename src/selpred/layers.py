@@ -13,13 +13,20 @@ weights. ``TRAIN`` and ``EVAL`` name the modes of ``SelectiveNet.forward``.
 Dense, batchnorm and softmax (which training never builds: cross-entropy
 takes logits) are each one tape node with a closed-form backward,
 ``dense_bn_relu`` fuses a whole hidden block dense -> batchnorm -> relu
-into one node, and ``dense_sigmoid`` fuses g's one-unit output dense ->
-sigmoid -> flatten into one. The block takes batchnorm's batch moments and
-its gradients in the narrower of its two spaces: a widening block (in <
-width) from x's mean and covariance, any other from z = x @ W through
-``BatchNormLayer.train_normalize``. Either way batchnorm's per-feature
-vectors fold into the (in, width) weights, saving passes over the batch.
-The block's dense layer has no bias, which the batch mean would cancel.
+into one node with batchnorm's closed-form backward (Ioffe & Szegedy
+2015), and ``dense_sigmoid`` fuses g's one-unit output dense -> sigmoid ->
+flatten into one. The block takes batchnorm's batch moments and its
+gradients in the narrower of its two spaces, chosen by width alone: a
+widening block (in < width, as on both benchmark bodies) from x's mean and
+covariance, any other from z = x @ W through
+``BatchNormLayer.train_normalize``; the input-space form measured slower on
+a narrowing block. Either way batchnorm's per-feature vectors fold into
+the (in, width) weights, saving passes over the batch. The block's dense
+layer has no bias, which the batch mean would cancel.
+
+Every product here and in ``FrozenNet`` is an ``ndarray.dot`` call, the
+same BLAS call as ``@`` at less fixed cost, and a node hands a gradient
+array it allocated to ``Tensor._accum`` without a defensive copy.
 """
 
 from __future__ import annotations
@@ -35,13 +42,15 @@ from .autograd import (
     stable_sigmoid,
     write_through,
 )
-from .checks import ConfigurationError, ContractError, DomainError, ShapeError
+from .checks import (ConfigurationError, ContractError, DomainError,
+                     ShapeError, drop_rate)
 from .data import _column_sums
 
 __all__ = [
     "DenseLayer",
     "BatchNormLayer",
     "DropoutLayer",
+    "dropout_mask",
     "dense_bn_relu",
     "dense_sigmoid",
     "softmax",
@@ -99,11 +108,10 @@ class DenseLayer:
         """Accumulate dW = x.T @ g, db = sum_rows(g) and dx = g @ W.T, given
         g = dL/d(x @ W + b).
 
-        Each product is an ``ndarray.dot`` call, the same BLAS call as ``@``
-        at less fixed cost. dx multiplies by a contiguous copy of W.T, which
-        is faster; for one unit W.T is already contiguous, and the k = 1
-        product gives the same bytes as g * W[:, 0] in a fraction of its
-        time. dx is handed to ``x`` without a copy."""
+        dx multiplies by a contiguous copy of W.T, which is faster; for one
+        unit W.T is already contiguous, and the k = 1 product gives the same
+        bytes as g * W[:, 0] in a fraction of its time. dx is handed to
+        ``x`` without a copy."""
         w = self.weights
         w._accum(x.data.T.dot(g))
         self.bias._accum(_column_sums(g))
@@ -220,24 +228,26 @@ class BatchNormLayer:
         return [self.running_mean, self.running_var]
 
 
-class DropoutLayer:
-    """Inverted dropout: survivors scaled by 1/(1-p), so the expected output
-    is the input and eval mode (``FrozenNet``) has no dropout at all.
+def dropout_mask(rng, shape, rate):
+    """Inverted dropout's mask of ``shape``: a unit survives where
+    ``rng.random`` draws at least ``rate`` and is scaled by 1/(1-rate), so
+    the expected output is the input. ``DropoutLayer`` and MC-dropout
+    (``FrozenNet.dropout_f``) both draw it."""
+    return (rng.random(shape) >= rate) / (1.0 - rate)
 
-    Always active (``_Block`` builds none at rate 0). MC-dropout draws the
-    same masks, ``(rng.random(shape) >= rate) / (1 - rate)``, on the frozen
-    arrays (``FrozenNet.dropout_f``)."""
+
+class DropoutLayer:
+    """Inverted dropout (``dropout_mask``), so eval mode (``FrozenNet``) has
+    no dropout at all. Always active (``_Block`` builds none at rate 0)."""
 
     def __init__(self, rate):
-        if not 0.0 <= rate < 1.0:
-            raise ConfigurationError(f"dropout rate must be in [0,1), got {rate}")
+        drop_rate(rate, "rate")
         self.rate = rate
 
     def __call__(self, x, rng=None):
         if rng is None:
             raise ContractError("active dropout requires an rng")
-        mask = (rng.random(x.data.shape) >= self.rate) / (1.0 - self.rate)
-        return x * Tensor(mask)
+        return x * Tensor(dropout_mask(rng, x.data.shape, self.rate))
 
 
 def dense_bn_relu(x, dense, bn):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import Tensor, relu, square
-from .checks import (ConfigurationError, ContractError,
+from .checks import (CLASSIFICATION, ConfigurationError, ContractError,
                      DegenerateCoverageError, DomainError, ShapeError,
                      fraction, real)
 from .layers import softmax_rows
@@ -33,6 +33,7 @@ __all__ = [
     "SQUARED",
     "LossConfig",
     "task_loss",
+    "task_loss_for",
     "psi",
     "empirical_coverage",
     "empirical_selective_risk",
@@ -61,6 +62,12 @@ class LossConfig:
             raise ConfigurationError(f"alpha must be in [0,1], got {self.alpha}")
         if self.task_loss not in (CROSS_ENTROPY, SQUARED):
             raise ConfigurationError(f"unknown task loss {self.task_loss!r}")
+
+
+def task_loss_for(task):
+    """The task loss that fits ``task``: cross-entropy for classification,
+    squared loss for regression."""
+    return CROSS_ENTROPY if task == CLASSIFICATION else SQUARED
 
 
 def task_loss(kind, prediction, labels):

@@ -3,9 +3,10 @@
 A shared main body feeds a prediction head f, a selection head g (single
 sigmoid unit) and an auxiliary head h that mirrors f and is used only during
 training. A selective model always builds h; the loss's ``alpha`` sets its
-weight. Every hidden block, the body's and g's, is dense -> batchnorm ->
-relu. The baseline variant keeps the body and f only and is what the
-softmax-response and MC-dropout baselines are built on.
+weight, and ``alpha: 1.0`` trains f and g on the selective loss alone.
+Every hidden block, the body's and g's (which never has dropout), is
+dense -> batchnorm -> relu. The baseline variant keeps the body and f only
+and is what the softmax-response and MC-dropout baselines are built on.
 
 The autograd engine serves training only: ``SelectiveNet.forward`` in
 ``TRAIN`` mode builds the training graph, f and h as raw head outputs.
@@ -32,7 +33,7 @@ from .autograd import (
     stable_sigmoid,
 )
 from .checks import (CLASSIFICATION, REGRESSION, ConfigurationError,
-                     DomainError, ShapeError, integer, real, size)
+                     DomainError, ShapeError, drop_rate, integer, size)
 from .layers import (
     EVAL,
     TRAIN,
@@ -41,6 +42,7 @@ from .layers import (
     DropoutLayer,
     dense_bn_relu,
     dense_sigmoid,
+    dropout_mask,
     # unused: bench/spans.py SITES wraps it until a benchmark change drops both
     softmax,
     softmax_rows,
@@ -84,10 +86,7 @@ class ArchitectureConfig:
             raise ConfigurationError(f"invalid body widths {widths}")
         self.body_widths = [int(w) for w in widths]
         self.selection_hidden = size(self.selection_hidden, "selection_hidden")
-        self.dropout_rate = real(self.dropout_rate, "dropout_rate")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigurationError(
-                f"dropout rate must be in [0,1), got {self.dropout_rate}")
+        self.dropout_rate = drop_rate(self.dropout_rate, "dropout_rate")
         if self.task not in (CLASSIFICATION, REGRESSION):
             raise ConfigurationError(f"unknown task {self.task!r}")
         self.n_classes = size(self.n_classes, "n_classes", least=(
@@ -287,6 +286,13 @@ class FrozenNet:
     query: each folded bias as a (1, width) row, so ``(1, k) += (1, k)``
     takes the same-shape path rather than broadcasting, and g's output bias
     as a 0-d float64 array rather than a Python float, as is the relu's 0.
+    These forms change no output bit at any batch size.
+
+    It keeps the tape's checks: ShapeError for an input that is not
+    (batch, input_dim), DomainError for non-finite head outputs, f's and
+    g's hidden layer alike. Its outputs agree to 1e-12 relative with the
+    unfused eval-mode oracle ``ref_forward`` (``tests/oracles.py``; folding
+    changes the rounding), and its predictions and accept masks are equal.
     """
 
     def __init__(self, model):
@@ -318,7 +324,9 @@ class FrozenNet:
         """``(f, g)`` for the rows of ``x``: class logits (batch, classes) or
         regression outputs (batch,), and g(x) in [0, 1] (None for the
         baseline twin). More than ``BLOCK_ROWS`` rows are evaluated block by
-        block, each block with the same checks."""
+        block, each block with the same checks, and equal the per-block
+        calls' concatenation bit for bit; fewer take the plain path with no
+        extra call, copy or allocation."""
         x = self._checked(x)
         if x.shape[0] > BLOCK_ROWS:
             return self._blocked_heads(x)
@@ -336,14 +344,15 @@ class FrozenNet:
     def _pass(self, x, head_w, head_b, rate=0.0, rng=None):
         """``rep @ head_w + head_b`` for the rows of the checked ``x``, with
         rep the output of the folded body blocks, each followed by inverted
-        dropout at ``rate``. The masks are drawn block after block from
-        ``rng`` as ``DropoutLayer`` draws them; rate 0 draws none."""
+        dropout at ``rate``. The masks (``dropout_mask``) are drawn block
+        after block from ``rng`` as ``DropoutLayer`` draws them; rate 0 draws
+        none."""
         for w, b in self.body:
             x = x.dot(w)
             x += b
             np.maximum(x, _ZERO, out=x)
             if rate != 0.0:
-                x *= (rng.random(x.shape) >= rate) / (1.0 - rate)
+                x *= dropout_mask(rng, x.shape, rate)
         z = x.dot(head_w)
         z += head_b
         if not np.isfinite(z).all():

@@ -20,16 +20,15 @@ import numpy as np
 from .autograd import Parameters, zero_grads
 from .checks import (CLASSIFICATION, ConfigurationError,
                      DegenerateCoverageError, DomainError, SelpredError,
-                     integer, real)
+                     integer, real, size)
 from .layers import TRAIN
 from .losses import (
-    CROSS_ENTROPY,
-    SQUARED,
     LossConfig,
     _class_indices,
     auxiliary_loss,
     selective_loss,
     task_loss,
+    task_loss_for,
     total_loss,
 )
 
@@ -69,8 +68,8 @@ class TrainConfig:
         if not 0 <= real(self.momentum, "momentum") < 1:
             raise ConfigurationError(
                 f"momentum must be in [0, 1), got {self.momentum}")
-        integer(self.epochs, "epochs", least=1)
-        integer(self.batch_size, "batch_size", least=1)
+        size(self.epochs, "epochs")
+        size(self.batch_size, "batch_size")
         integer(self.lr_halving_period, "lr_halving_period", least=0)
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
@@ -203,11 +202,15 @@ def train(model, features, labels, config):
     baseline twin is trained on the plain mean task loss. Returns a
     ``TrainHistory``; the model is updated in place and its
     ``trained_coverage`` is stamped from the loss config. Before the first
-    update, class labels are checked to be integers in [0, n_classes)
-    (integral floats pass) and the task loss to fit the task: cross-entropy
-    for classification, squared loss for regression. A non-finite loss, a
-    collapsed selection head or non-finite parameters after the last update
-    raise ``TrainingDivergedError``, and a diverging run warns nothing.
+    update, labels are checked to be of shape (rows,) (ConfigurationError),
+    class labels to be integers in [0, n_classes) (DomainError; integral
+    floats pass) and the task loss to fit the task (``task_loss_for``).
+    A batch whose loss is not finite, logits that overflowed included,
+    raises ``TrainingDivergedError`` before its update, as do a collapsed
+    selection head and non-finite parameters after the last update, so
+    ``train()`` never returns non-finite parameters; a diverging run warns
+    nothing. SGD at an absurd step size can still return finite parameters
+    whose forward overflows: ``predict`` then raises DomainError.
     """
     config.validate()
     features = np.asarray(features, dtype=np.float64)
@@ -221,7 +224,7 @@ def train(model, features, labels, config):
             f"got shape {labels.shape}")
     arch = model.config
     kind = config.loss.task_loss
-    if kind != (CROSS_ENTROPY if arch.task == CLASSIFICATION else SQUARED):
+    if kind != task_loss_for(arch.task):
         raise ConfigurationError(
             f"task_loss {kind!r} does not apply to a {arch.task} model")
     if arch.task == CLASSIFICATION:

@@ -5,9 +5,9 @@ Layout: magic, 8-byte little-endian header length, UTF-8 JSON header
 result), float64 little-endian payload and an 8-byte checksum trailer
 (leading bytes of SHA-256 over everything before it). The payload is the
 model's two state buffers (``SelectiveNet.state``): every parameter in
-declaration order, then every batchnorm running statistic. Format version 3
-dropped version 2's ``batchnorm`` and ``auxiliary_head`` header fields; an
-older file is refused by its version. The binary payload makes
+declaration order, then every batchnorm running statistic, written and
+read whole. A file of any other format version is refused with a
+``VersionError`` naming both versions. The binary payload makes
 round-trips bit-exact; the text header keeps files inspectable.
 
 A save writes a temporary file in the target's directory, fsyncs it,
@@ -125,10 +125,11 @@ def _calibration(fields):
 def load_model(path):
     """Read a checkpoint; returns ``(model, calibration_or_None)``.
 
-    Fails loudly: wrong magic or version, any corrupted byte, or a header
-    field of the wrong type or range (a seed that is not an int >= 0, a
-    coverage outside (0, 1], a non-finite calibration value) raises before
-    any model state is read.
+    Fails loudly, before any model state is read: a wrong version raises
+    VersionError; wrong magic, any corrupted byte, missing or unknown
+    header keys, or a header field of the wrong type or range (a seed that
+    is not an int >= 0, a ``selective`` that is not a bool, a coverage
+    outside (0, 1], a non-finite calibration value) raise IntegrityError.
     """
     with open(path, "rb") as fh:
         blob = fh.read()

@@ -101,11 +101,15 @@ class TestHoeffdingEpsilon:
         assert hoeffding_epsilon(500, 0.01) > hoeffding_epsilon(500, 0.1)
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
+        """A bad argument is a ConfigurationError, as for ``calibrate``."""
+        with pytest.raises(ConfigurationError,
+                           match=r"^validation size must be >= 1, got 0$"):
             hoeffding_epsilon(0, 0.05)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError,
+                           match=r"^delta must lie in \(0, 2\), got 0.0$"):
             hoeffding_epsilon(100, 0.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError,
+                           match=r"^delta must lie in \(0, 2\), got 2.0$"):
             hoeffding_epsilon(100, 2.0)
 
     def test_vacuous_limit(self):
@@ -140,14 +144,18 @@ class TestCalibrate:
         scores = toy_model.selection_scores(test)
         np.testing.assert_array_equal(accepted, scores >= result.tau)
 
-    @pytest.mark.parametrize("delta", [1.0, 1.5, 0.0, np.nan])
-    def test_delta_outside_zero_one_rejected(self, toy_model, delta):
+    @pytest.mark.parametrize("delta, message", [
+        (1.0, r"^delta must lie in \(0, 1\), got 1.0$"),
+        (1.5, r"^delta must lie in \(0, 1\), got 1.5$"),
+        (0.0, r"^delta must lie in \(0, 1\), got 0.0$"),
+        (np.nan, r"^delta: nan is not finite$"),
+    ], ids=["1.0", "1.5", "0.0", "nan"])
+    def test_delta_outside_zero_one_rejected(self, toy_model, delta, message):
         """A bound that holds with probability >= 1 - delta promises
         nothing at delta >= 1 (``hoeffding_epsilon`` itself takes delta
-        up to 2)."""
+        up to 2). The check is ``--delta``'s, naming the field."""
         x = np.random.default_rng(3).normal(size=(400, 4))
-        with pytest.raises(DomainError,
-                           match=rf"^delta must be in \(0, 1\), got {delta}$"):
+        with pytest.raises(ConfigurationError, match=message):
             calibrate(toy_model, x, 0.8, delta=delta)
 
     @pytest.mark.parametrize("target, delta", [

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from selpred.checks import (MAX_SIZE, ConfigurationError, boolean, fraction,
-                            integer, real, size)
+from selpred.checks import (MAX_SIZE, ConfigurationError, boolean, drop_rate,
+                            fraction, integer, open_fraction, real, size)
 
 FIELDS = st.from_regex(r"[a-z][a-z_]{0,15}", fullmatch=True)
 
@@ -107,6 +107,25 @@ def test_fraction_accepts_exactly_zero_to_one(value, field):
     else:
         assert _message(fraction, value, field) in (
             f"{field} must lie in (0, 1], got {value}",
+            f"{field}: {value!r} is not finite")
+
+
+@pytest.mark.parametrize("check, inside, interval", [
+    (open_fraction, lambda x: 0 < x < 1, "(0, 1)"),
+    (drop_rate, lambda x: 0 <= x < 1, "[0, 1)"),
+], ids=["open_fraction", "drop_rate"])
+@given(st.one_of(st.floats(), st.integers(-2, 3), NUMPY_FLOATS,
+                 st.sampled_from([0.0, -0.0, 1.0, 5e-324,
+                                  0.9999999999999999])),
+       FIELDS)
+def test_unit_interval_checks_accept_exactly_their_interval(
+        check, inside, interval, value, field):
+    if inside(value):
+        got = check(value, field)
+        assert type(got) is float and got == float(value)
+    else:
+        assert _message(check, value, field) in (
+            f"{field} must lie in {interval}, got {value}",
             f"{field}: {value!r} is not finite")
 
 

@@ -654,8 +654,10 @@ class TestConfigSchema:
          10**30),
         ("architecture", {"body_widths": [16, 10**30]}, "body_widths", 10**30),
         ("dataset", {"m": 2**31, "n_features": 2**31}, "m", 2**31),
+        ("train", {"epochs": 2**63}, "epochs", 2**63),
+        ("train", {"batch_size": 2**63}, "batch_size", 2**63),
     ], ids=["m", "n_classes", "n_features", "selection_hidden", "body_widths",
-            "product"])
+            "product", "epochs", "batch_size"])
     def test_size_beyond_max_size_is_one_line(self, tmp_path, capsys, section,
                                               values, field, value):
         """numpy refuses an extent or an array byte count beyond its index
@@ -878,7 +880,7 @@ class TestConfigSchema:
         ("loss", "task_loss", "hinge", "unknown task loss 'hinge'"),
         ("architecture", "body_widths", [], "invalid body widths []"),
         ("architecture", "dropout_rate", 1.5,
-         "dropout rate must be in [0,1), got 1.5"),
+         "dropout_rate must lie in [0, 1), got 1.5"),
         ("split", "train", 0.9,
          "split fractions must sum to 1, got (0.9, 0.2, 0.2)"),
     ], ids=["epochs", "learning-rate", "alpha", "task-loss", "body-widths",
@@ -934,6 +936,23 @@ class TestConfigSchema:
                              re.MULTILINE | re.DOTALL)
         block = yaml.safe_load(block)
         assert _resolve(block) == block
+
+    def test_readme_command_line_names_every_subcommand_and_flag(self):
+        """The README's "Command line" section names each subcommand and
+        each ``--flag`` that ``build_parser`` defines, as a whole word:
+        ``--seed`` is not found inside ``--seeds``."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        [section] = re.findall(r"^## Command line\n(.*?)(?=^## |\Z)", readme,
+                               re.MULTILINE | re.DOTALL)
+        [subparsers] = [a for a in build_parser()._actions
+                        if a.dest == "command"]
+        names = set(subparsers.choices)
+        for sub in subparsers.choices.values():
+            names.update(flag for a in sub._actions if a.dest != "help"
+                         for flag in a.option_strings)
+        missing = sorted(n for n in names if not re.search(
+            rf"(?<![\w-]){re.escape(n)}(?![\w-])", section))
+        assert missing == []
 
     def test_effective_config_holds_the_resolved_defaults(self, tmp_path):
         cfg = {"dataset": self.SYNTHETIC, "train": {"epochs": 1}}

@@ -143,9 +143,9 @@ class TestMCDropout:
                                   rate=0.5, seed=0, task=REGRESSION)
 
     @pytest.mark.parametrize("rate, message", [
-        (-0.5, r"^rate must be in \[0, 1\), got -0.5$"),
-        (1.5, r"^rate must be in \[0, 1\), got 1.5$"),
-        (1.0, r"^rate must be in \[0, 1\), got 1.0$"),
+        (-0.5, r"^rate must lie in \[0, 1\), got -0.5$"),
+        (1.5, r"^rate must lie in \[0, 1\), got 1.5$"),
+        (1.0, r"^rate must lie in \[0, 1\), got 1.0$"),
         (np.nan, "^rate: nan is not finite$"),
         ("0.5", "^rate: '0.5' is not a real number$"),
     ], ids=["negative", "above-one", "one", "nan", "string"])

@@ -103,7 +103,7 @@ class TestConstruction:
     @pytest.mark.parametrize("rate", [-0.1, 1.0, 1.5])
     def test_dropout_rate_out_of_range_rejected(self, rate):
         with pytest.raises(ConfigurationError,
-                           match=rf"^dropout rate must be in \[0,1\), "
+                           match=rf"^dropout_rate must lie in \[0, 1\), "
                                  rf"got {rate}$"):
             build_model(regression_config(dropout_rate=rate), seed=0)
 
