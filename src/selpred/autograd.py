@@ -291,8 +291,9 @@ def relu(x):
                   lambda d, o, g: g * (d > 0.0))
 
 
-# 0-d float64 constants of ``stable_sigmoid`` and the frozen net's relu:
-# numpy dispatches them faster than Python floats.
+# 0-d float64 constants of ``stable_sigmoid``, the relu and sigmoid of the
+# training blocks and the frozen net's relu: numpy dispatches them faster
+# than Python floats.
 _MINUS_ONE, _ZERO, _ONE = np.array(-1.0), np.array(0.0), np.array(1.0)
 
 

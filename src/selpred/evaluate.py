@@ -110,7 +110,7 @@ def mc_dropout_confidence(model, inputs, passes, rate, seed, task):
     if task != model.config.task:
         raise ConfigurationError(f"MC-dropout for a {task} task on a "
                                  f"{model.config.task} model")
-    drop_rate(rate, "rate")
+    rate = drop_rate(rate, "rate")  # a plain float, as numpy scalars act
     if integer(passes, "passes") < 2:
         raise ContractError("MC-dropout needs at least 2 passes")
     rng = np.random.default_rng(integer(seed, "seed", least=0))

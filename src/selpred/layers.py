@@ -10,15 +10,23 @@ draws its mask. Eval mode has one implementation,
 ``SelectiveNet.freeze()``, which folds the running statistics into the dense
 weights. ``TRAIN`` and ``EVAL`` name the modes of ``SelectiveNet.forward``.
 
-Dense, batchnorm and softmax (which training never builds: cross-entropy
-takes logits) are each one tape node with a closed-form backward,
-``dense_bn_relu`` fuses a whole hidden block dense -> batchnorm -> relu
-into one node with batchnorm's closed-form backward (Ioffe & Szegedy
-2015), and ``dense_sigmoid`` fuses g's one-unit output dense -> sigmoid ->
-flatten into one. The block takes batchnorm's batch moments and its
-gradients in the narrower of its two spaces, chosen by width alone: a
-widening block (in < width, as on both benchmark bodies) from x's mean and
-covariance, any other from z = x @ W through
+Each block's math is written once, on arrays: ``DenseLayer.affine`` and
+``DenseLayer.backprop``, ``dense_bn_relu_arrays`` (a whole hidden block
+dense -> batchnorm -> relu with batchnorm's closed-form backward, Ioffe &
+Szegedy 2015) and ``dense_sigmoid_arrays`` (g's one-unit output dense ->
+sigmoid -> flatten). Training runs them inside one network node
+(``SelectiveNet.forward`` in ``TRAIN`` mode), which with the five loss
+nodes makes the whole training graph. The per-layer nodes are thin tape
+wrappers over the same forms: ``DenseLayer.__call__``, ``dense_bn_relu``
+and ``dense_sigmoid``, with batchnorm, dropout and softmax (which
+training never builds: cross-entropy takes logits) each one node too.
+The tests compose them as the network node's reference, and the
+benchmark's spans wrap some of them.
+
+A hidden block takes batchnorm's batch moments and its gradients in the
+narrower of its two spaces, chosen by width alone: a widening block (in <
+width, as on both benchmark bodies) from x's mean and covariance, any
+other from z = x @ W through
 ``BatchNormLayer.train_normalize``; the input-space form measured slower on
 a narrowing block. Either way batchnorm's per-feature vectors fold into
 the (in, width) weights, saving passes over the batch. The block's dense
@@ -38,6 +46,8 @@ import numpy as np
 from .autograd import (
     Parameter,
     Tensor,
+    _ONE,
+    _ZERO,
     note_kink_margin,
     stable_sigmoid,
     write_through,
@@ -52,7 +62,9 @@ __all__ = [
     "DropoutLayer",
     "dropout_mask",
     "dense_bn_relu",
+    "dense_bn_relu_arrays",
     "dense_sigmoid",
+    "dense_sigmoid_arrays",
     "softmax",
     "softmax_rows",
     "TRAIN",
@@ -87,36 +99,37 @@ class DenseLayer:
         self.bias = Parameter(np.zeros(out_dim)) if bias else None
 
     def __call__(self, x):
-        """x @ W + b as one node."""
-        return Tensor._op(self.affine(x), (x, self.weights, self.bias),
-                          lambda g: self.backprop(x, g))
+        """x @ W + b as one node over ``affine`` and ``backprop``."""
+        return _node(x, self.affine(x.data), (self.weights, self.bias),
+                     lambda g: self.backprop(x.data, g, x.requires_grad))
 
     def affine(self, x):
-        """x @ W + b (x @ W without a bias) for the tensor ``x``, new."""
+        """x @ W + b (x @ W without a bias) for the array ``x``, new."""
         self._check_input(x)
-        z = x.data.dot(self.weights.data)
+        z = x.dot(self.weights.data)
         if self.bias is not None:
             z += self.bias.data
         return z
 
     def _check_input(self, x):
-        if x.data.ndim != 2 or x.data.shape[1] != self.in_dim:
+        if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ShapeError(
-                f"dense layer expects (batch, {self.in_dim}), got {x.data.shape}")
+                f"dense layer expects (batch, {self.in_dim}), got {x.shape}")
 
-    def backprop(self, x, g):
-        """Accumulate dW = x.T @ g, db = sum_rows(g) and dx = g @ W.T, given
-        g = dL/d(x @ W + b).
+    def backprop(self, x, g, need_dx=True):
+        """Accumulate dW = x.T @ g and db = sum_rows(g), given the input
+        array x and g = dL/d(x @ W + b); return dx = g @ W.T, a new array,
+        or None unless ``need_dx``.
 
         dx multiplies by a contiguous copy of W.T, which is faster; for one
         unit W.T is already contiguous, and the k = 1 product gives the same
-        bytes as g * W[:, 0] in a fraction of its time. dx is handed to
-        ``x`` without a copy."""
+        bytes as g * W[:, 0] in a fraction of its time."""
         w = self.weights
-        w._accum(x.data.T.dot(g))
+        w._accum(x.T.dot(g))
         self.bias._accum(_column_sums(g))
-        if x.requires_grad:
-            x._accum(g.dot(np.ascontiguousarray(w.data.T)), owned=True)
+        if need_dx:
+            return g.dot(np.ascontiguousarray(w.data.T))
+        return None
 
     def parameters(self):
         return [p for p in (self.weights, self.bias) if p is not None]
@@ -137,6 +150,9 @@ class BatchNormLayer:
 
     momentum = 0.9
     eps = 1e-5
+    # the same values as 0-d float64 arrays, which numpy applies to an
+    # array faster than Python floats
+    _m, _1m, _eps = np.array(momentum), np.array(1.0 - momentum), np.array(eps)
 
     def __init__(self, num_features):
         self.num_features = num_features
@@ -196,26 +212,28 @@ class BatchNormLayer:
         return y, backprop
 
     def _inv_batch(self, shape):
-        """1 / m for a train-mode batch of ``shape`` (m, num_features)."""
+        """1 / m for a train-mode batch of ``shape`` (m, num_features), as
+        a 0-d float64 array."""
         if len(shape) != 2 or shape[1] != self.num_features:
             raise ShapeError(f"batchnorm expects {self.num_features} "
                              f"features, got {shape}")
         if shape[0] < 2:
             raise ContractError("batchnorm requires batch >= 2")
-        return 1.0 / shape[0]
+        return np.array(1.0 / shape[0])
 
     def _train_moments(self, mean, var):
         """Fold a batch's mean and biased variance into the running
         statistics, in place: stat * momentum + (1 - momentum) * batch, the
         same products and sum as a new array would take. Returns
         1 / std = 1 / sqrt(var + eps)."""
-        m, running_mean, running_var = (self.momentum, self.running_mean,
-                                        self.running_var)
+        m, m1, running_mean, running_var = (self._m, self._1m,
+                                            self.running_mean,
+                                            self.running_var)
         running_mean *= m
-        running_mean += (1.0 - m) * mean
+        running_mean += m1 * mean
         running_var *= m
-        running_var += (1.0 - m) * var
-        return 1.0 / np.sqrt(var + self.eps)
+        running_var += m1 * var
+        return _ONE / np.sqrt(var + self._eps)
 
     def _accum(self, gscale, gshift):
         self.scale._accum(gscale)
@@ -245,13 +263,39 @@ class DropoutLayer:
         self.rate = rate
 
     def __call__(self, x, rng=None):
+        return x * Tensor(self.mask(rng, x.data.shape))
+
+    def mask(self, rng, shape):
+        """This layer's ``dropout_mask`` of ``shape``, drawn from ``rng``;
+        ContractError without one."""
         if rng is None:
             raise ContractError("active dropout requires an rng")
-        return x * Tensor(dropout_mask(rng, x.data.shape, self.rate))
+        return dropout_mask(rng, shape, self.rate)
+
+
+def _node(x, out, params, backprop):
+    """``out`` as one node over the input ``x`` and ``params``. Its
+    backward runs ``backprop(g)``, an array form built with need_dx =
+    ``x.requires_grad``, and hands the dx it returns to ``x``."""
+    def backward(g):
+        dx = backprop(g)
+        if dx is not None:
+            x._accum(dx, owned=True)
+
+    return Tensor._op(out, (x, *params), backward)
 
 
 def dense_bn_relu(x, dense, bn):
-    """relu(bn(dense(x))) as one node with closed-form backward.
+    """relu(bn(dense(x))) as one node over ``dense_bn_relu_arrays``."""
+    out, backprop = dense_bn_relu_arrays(x.data, dense, bn, x.requires_grad)
+    return _node(x, out, (dense.weights, bn.scale, bn.shift), backprop)
+
+
+def dense_bn_relu_arrays(x, dense, bn, need_dx=True):
+    """``(out, backprop)`` of relu(bn(dense(x))) on the array ``x``, with a
+    closed-form backward: ``backprop(g)``, given g = dL/dout, accumulates
+    the block's parameter gradients and returns dL/dx (None unless
+    ``need_dx``).
 
     The forward values are those of the three layers applied in turn, and
     the relu pre-activations are reported to ``watch_kink_margins``.
@@ -263,36 +307,35 @@ def dense_bn_relu(x, dense, bn):
     block normalizes z = x @ W with ``train_normalize``
     (``_output_space_block``)."""
     if dense.in_dim < dense.out_dim:
-        out, backprop = _input_space_block(x, dense, bn)
+        out, backprop = _input_space_block(x, dense, bn, need_dx)
     else:
-        out, backprop = _output_space_block(x, dense, bn)
+        out, backprop = _output_space_block(x, dense, bn, need_dx)
     note_kink_margin(out)
-    np.maximum(out, 0.0, out=out)
-
-    return Tensor._op(out, (x, dense.weights, bn.scale, bn.shift),
-                      lambda g: backprop(g * (out > 0.0)))
+    np.maximum(out, _ZERO, out=out)
+    return out, lambda g: backprop(g * (out > _ZERO))
 
 
-def _output_space_block(x, dense, bn):
+def _output_space_block(x, dense, bn, need_dx):
     """``(pre, backprop)`` of the block by z = x @ W: ``train_normalize``'s
     a and r go to small arrays, dW = (x.T @ d - colsum(x) (x) r) * a and
-    dx = (d - r) @ (W * a).T. ``backprop(gy)`` takes gy = dL/d(relu input)."""
+    dx = (d - r) @ (W * a).T. ``backprop(gy)`` takes gy = dL/d(relu input)
+    and returns dx, or None unless ``need_dx``."""
     pre, bn_backprop = bn.train_normalize(dense.affine(x))
 
     def backprop(gy):
         d, r, a, gscale, gshift = bn_backprop(gy)
         w = dense.weights
-        xr = _column_sums(x.data)[:, None] * r
-        w._accum((x.data.T.dot(d) - xr) * a)
-        if x.requires_grad:
-            x._accum((d - r).dot(np.ascontiguousarray((w.data * a).T)),
-                     owned=True)
+        xr = _column_sums(x)[:, None] * r
+        w._accum((x.T.dot(d) - xr) * a)
         bn._accum(gscale, gshift)
+        if need_dx:
+            return (d - r).dot(np.ascontiguousarray((w.data * a).T))
+        return None
 
     return pre, backprop
 
 
-def _input_space_block(x, dense, bn):
+def _input_space_block(x, dense, bn, need_dx):
     """``(pre, backprop)`` of the block from x's batch moments, for a block
     wider than its input; m rows, mu = colsum(x) / m, xc = x - mu and
     C = xc.T @ xc / m.
@@ -302,16 +345,17 @@ def _input_space_block(x, dense, bn):
     P = xc.T @ gy, the one batch-wide product of the backward,
     dL/dscale = colsum(P * W) / std, c = dL/dscale / (m std) and
     r = dL/dshift / m: dW = (P - m C W * c) * a and
-    dx = gy @ (W a).T - xc @ ((W c) (W a).T) - r @ (W a).T."""
+    dx = gy @ (W a).T - xc @ ((W c) (W a).T) - r @ (W a).T, returned
+    unless ``need_dx`` is false (then None)."""
     dense._check_input(x)
-    w, xd = dense.weights.data, x.data
-    inv_m = bn._inv_batch((xd.shape[0], dense.out_dim))
-    mu = _column_sums(xd) * inv_m
-    xc = xd - mu
+    w = dense.weights.data
+    inv_m = bn._inv_batch((x.shape[0], dense.out_dim))
+    mu = _column_sums(x) * inv_m
+    xc = x - mu
     xtx_w = xc.T.dot(xc).dot(w)  # m C W
     # C's roundoff can take a zero variance below 0, as for two collinear
     # columns whose weights cancel
-    var = np.maximum(_column_sums(xtx_w * w) * inv_m, 0.0)
+    var = np.maximum(_column_sums(xtx_w * w) * inv_m, _ZERO)
     inv_std = bn._train_moments(mu.dot(w), var)
     a = bn.scale.data * inv_std
     wa = w * a
@@ -324,28 +368,34 @@ def _input_space_block(x, dense, bn):
         gscale = _column_sums(p * w) * inv_std
         c = gscale * (inv_std * inv_m)
         dense.weights._accum((p - xtx_w * c) * a, owned=True)
-        if x.requires_grad:
+        bn._accum(gscale, gshift)
+        if need_dx:
             wa_t = np.ascontiguousarray(wa.T)
             dx = gy.dot(wa_t)
             dx -= xc.dot((w * c).dot(wa_t)) + (gshift * inv_m).dot(wa_t)
-            x._accum(dx, owned=True)
-        bn._accum(gscale, gshift)
+            return dx
+        return None
 
     return pre, backprop
 
 
 def dense_sigmoid(x, dense):
-    """sigmoid(dense(x)).reshape(-1) for a one-unit ``dense``, as one node.
+    """sigmoid(dense(x)).reshape(-1) for a one-unit ``dense``, as one node
+    over ``dense_sigmoid_arrays``."""
+    s, backprop = dense_sigmoid_arrays(x.data, dense, x.requires_grad)
+    return _node(x, s, (dense.weights, dense.bias), backprop)
 
-    The forward values and the gradients are those of the three nodes in
-    turn: dL/dz = g * s * (1 - s) on the (batch, 1) sigmoid output s.
-    """
+
+def dense_sigmoid_arrays(x, dense, need_dx=True):
+    """``(s, backprop)`` of sigmoid(dense(x)).reshape(-1) for a one-unit
+    ``dense`` on the array ``x``: s has one value per row, and
+    ``backprop(g)``, given g = dL/ds, accumulates the layer's gradients
+    with dL/dz = g * s * (1 - s) and returns dL/dx (None unless
+    ``need_dx``). The values and gradients are those of the three nodes
+    dense, sigmoid and reshape in turn."""
     s = stable_sigmoid(dense.affine(x))
-
-    def backward(g):
-        dense.backprop(x, g[:, None] * s * (1.0 - s))
-
-    return Tensor._op(s.reshape(-1), (x, dense.weights, dense.bias), backward)
+    return s.reshape(-1), lambda g: dense.backprop(
+        x, g[:, None] * s * (_ONE - s), need_dx)
 
 
 def softmax(logits):

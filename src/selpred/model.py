@@ -9,7 +9,11 @@ dense -> batchnorm -> relu. The baseline variant keeps the body and f only
 and is what the softmax-response and MC-dropout baselines are built on.
 
 The autograd engine serves training only: ``SelectiveNet.forward`` in
-``TRAIN`` mode builds the training graph, f and h as raw head outputs.
+``TRAIN`` mode builds the network as one tape node over the layers' array
+forms, with f, g and h (f and h as raw head outputs) as its thin outputs;
+with the five loss nodes that is the whole training graph. The per-layer
+nodes of ``layers`` compose the same network node by node, as the tests'
+reference.
 Every eval path (``forward`` in ``EVAL`` mode, ``predict``,
 ``selection_scores``, softmax response and MC-dropout) runs on
 ``SelectiveNet.freeze()``, the same network with its batchnorm folded into
@@ -18,6 +22,7 @@ plain arrays, ``BLOCK_ROWS`` rows at a time.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,8 +45,8 @@ from .layers import (
     BatchNormLayer,
     DenseLayer,
     DropoutLayer,
-    dense_bn_relu,
-    dense_sigmoid,
+    dense_bn_relu_arrays,
+    dense_sigmoid_arrays,
     dropout_mask,
     # unused: bench/spans.py SITES wraps it until a benchmark change drops both
     softmax,
@@ -94,20 +99,14 @@ class ArchitectureConfig:
 
 
 class _Block:
-    """One hidden block: dense -> batchnorm -> relu -> [dropout], the first
-    three one fused node, the dense without bias (batchnorm's shift is the
-    block's offset); the dropout layer exists only for a rate above 0."""
+    """One hidden block: dense -> batchnorm -> relu -> [dropout], the dense
+    without bias (batchnorm's shift is the block's offset); the dropout
+    layer exists only for a rate above 0."""
 
     def __init__(self, in_dim, out_dim, dropout_rate, rng):
         self.dense = DenseLayer(in_dim, out_dim, rng, bias=False)
         self.bn = BatchNormLayer(out_dim)
         self.dropout = DropoutLayer(dropout_rate) if dropout_rate else None
-
-    def __call__(self, x, rng=None):
-        x = dense_bn_relu(x, self.dense, self.bn)
-        if self.dropout is not None:
-            x = self.dropout(x, rng)
-        return x
 
     def parameters(self):
         return self.dense.parameters() + self.bn.parameters()
@@ -171,9 +170,9 @@ class SelectiveNet:
     def forward(self, x, mode=EVAL, rng=None):
         """``(f_out, g_out, h_out)`` for the rows of ``x``.
 
-        In ``TRAIN`` mode the shared body feeds all heads on the autograd
-        tape, with batch-statistics batchnorm and active dropout (``rng``
-        draws the masks): f_out and h_out are (batch, classes) logits or
+        In ``TRAIN`` mode the shared body feeds all heads inside one tape
+        node (``_network_node``), with batch-statistics batchnorm and
+        active dropout (``rng`` draws the masks): f_out and h_out are (batch, classes) logits or
         (batch, 1) outputs, as ``task_loss`` takes them, and g_out is a
         [0,1] vector of length batch. ``EVAL`` mode evaluates the frozen
         net once (``freeze().heads``): f_out, class probabilities or
@@ -193,16 +192,59 @@ class SelectiveNet:
         if x.data.ndim != 2 or x.data.shape[1] != self.config.input_dim:
             raise ShapeError(
                 f"expected input (batch, {self.config.input_dim}), got {x.data.shape}")
-        rep = x
+        return self._network_node(x, rng)
+
+    def _network_node(self, x, rng):
+        """``(f_out, g_out, h_out)`` of ``forward(x, TRAIN)``: thin outputs
+        of one tape node over ``x`` and every parameter.
+
+        The node runs the body blocks, f, g's block and sigmoid and h on
+        arrays, through the layers' array forms, and its backward is theirs
+        in reverse. Each output's backward only hands its gradient to the
+        node, so the node's backward runs once, after the losses; a head
+        that no loss reached counts as a zero gradient. The gradients of
+        the shared representation are added in the order f, g, h, the
+        order in which the tape ran the per-layer nodes (``dense_bn_relu``,
+        ``DropoutLayer``, ``DenseLayer`` and ``dense_sigmoid``, which the
+        tests compose as the reference), so every value is theirs bit for
+        bit. Nothing the node's backward holds refers back to a tensor, so
+        a step's graph is freed as soon as its loss is dropped."""
+        body = []  # (backprop, dropout mask or None) of each body block
+        rep, need_dx = x.data, x.requires_grad
         for block in self.body:
-            rep = block(rep, rng)
+            rep, backprop = dense_bn_relu_arrays(rep, block.dense, block.bn,
+                                                 need_dx)
+            mask = None
+            if block.dropout is not None:
+                mask = block.dropout.mask(rng, rep.shape)
+                rep = rep * mask
+            body.append((backprop, mask))
+            need_dx = True
+        heads = [self.f_head.affine(rep)]
+        if self.selective:
+            hidden, g_backprop = dense_bn_relu_arrays(
+                rep, self.g_block.dense, self.g_block.bn)
+            g, s_backprop = dense_sigmoid_arrays(hidden, self.g_out)
+            heads += [g, self.h_head.affine(rep)]
+        grads = [None] * len(heads)  # set by each output's backward
 
-        f_out = self.f_head(rep)
-        if not self.selective:
-            return f_out, None, None
+        def backward(_):
+            d = [np.zeros_like(o) if g is None else g
+                 for o, g in zip(heads, grads)]
+            drep = self.f_head.backprop(rep, d[0])
+            if self.selective:
+                drep += g_backprop(s_backprop(d[1]))
+                drep += self.h_head.backprop(rep, d[2])
+            for backprop, mask in reversed(body):
+                drep = backprop(drep if mask is None else drep * mask)
+            if x.requires_grad:
+                x._accum(drep, owned=True)
 
-        g_out = dense_sigmoid(self.g_block(rep), self.g_out)
-        return f_out, g_out, self.h_head(rep)
+        net = Tensor._op(rep, (x, *self._params), backward)
+        outs = tuple(Tensor._op(o, (net,),
+                                functools.partial(grads.__setitem__, i))
+                     for i, o in enumerate(heads))
+        return outs if self.selective else (outs[0], None, None)
 
     # -- inference ------------------------------------------------------------
 
@@ -290,7 +332,10 @@ class FrozenNet:
 
     It keeps the tape's checks: ShapeError for an input that is not
     (batch, input_dim), DomainError for non-finite head outputs, f's and
-    g's hidden layer alike. Its outputs agree to 1e-12 relative with the
+    g's hidden layer alike. A model whose weights do not fold to finite
+    arrays (finite parameters so large that the fold overflows, or a
+    non-finite state) raises DomainError when frozen, with no numpy
+    warning. Its outputs agree to 1e-12 relative with the
     unfused eval-mode oracle ``ref_forward`` (``tests/oracles.py``; folding
     changes the rounding), and its predictions and accept masks are equal.
     """
@@ -299,17 +344,25 @@ class FrozenNet:
         cfg = model.config
         self.input_dim = cfg.input_dim
         self.classification = cfg.task == CLASSIFICATION
-        self.body = [_folded(block.dense, block.bn) for block in model.body]
-        w, b = _folded(model.f_head, None)
-        self.n_f = w.shape[1]
-        self.g_w = self.g_b = None
-        if model.selective:
-            gw, gb = _folded(model.g_block.dense, model.g_block.bn)
-            w, b = np.hstack([w, gw]), np.hstack([b, gb])
-            self.g_w = model.g_out.weights.data[:, 0].copy()
-            self.g_b = np.array(model.g_out.bias.data[0])  # 0-d float64
+        # a fold that overflows is refused below, not warned
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            self.body = [_folded(block.dense, block.bn)
+                         for block in model.body]
+            w, b = _folded(model.f_head, None)
+            self.n_f = w.shape[1]
+            self.g_w = self.g_b = None
+            if model.selective:
+                gw, gb = _folded(model.g_block.dense, model.g_block.bn)
+                w, b = np.hstack([w, gw]), np.hstack([b, gb])
+                self.g_w = model.g_out.weights.data[:, 0].copy()
+                self.g_b = np.array(model.g_out.bias.data[0])  # 0-d float64
         self.head_w, self.head_b = w, b
         self.f_w, self.f_b = w[:, :self.n_f], b[:, :self.n_f]  # views
+        folded = [a for pair in self.body for a in pair] + [w, b]
+        if model.selective:
+            folded += [self.g_w, self.g_b]
+        if not all(np.isfinite(a).all() for a in folded):
+            raise DomainError("folded weights are not finite")
 
     def _checked(self, x):
         """``x`` as a float64 array of shape (batch, input_dim);

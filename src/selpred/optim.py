@@ -207,10 +207,10 @@ def train(model, features, labels, config):
     floats pass) and the task loss to fit the task (``task_loss_for``).
     A batch whose loss is not finite, logits that overflowed included,
     raises ``TrainingDivergedError`` before its update, as do a collapsed
-    selection head and non-finite parameters after the last update, so
-    ``train()`` never returns non-finite parameters; a diverging run warns
-    nothing. SGD at an absurd step size can still return finite parameters
-    whose forward overflows: ``predict`` then raises DomainError.
+    selection head, non-finite parameters after the last update and
+    finite parameters whose eval-mode fold (``freeze()``, run once here)
+    overflows, so every model ``train()`` returns can serve; a diverging
+    run warns nothing.
     """
     config.validate()
     features = np.asarray(features, dtype=np.float64)
@@ -289,6 +289,8 @@ def train(model, features, labels, config):
                 zero_grads(params)
                 loss.backward()
                 opt.step()
+                # free the step's graph before the next forward allocates
+                loss = losses = sel = aux = f_out = g_out = h_out = None
                 tot += n * value
                 sel_sum += n * sel_v
                 aux_sum += n * aux_v
@@ -302,5 +304,10 @@ def train(model, features, labels, config):
     if not np.isfinite(params.data).all():
         raise TrainingDivergedError(
             "non-finite parameters after the last update")
+    try:  # cached for the first eval call after training
+        model.freeze()
+    except DomainError:
+        raise TrainingDivergedError(
+            "the trained weights do not fold to finite arrays")
     model.trained_coverage = lcfg.target_coverage if model.selective else 1.0
     return history

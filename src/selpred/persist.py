@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibrate import CalibrationResult
-from .checks import SelpredError, boolean, fraction, integer, real
+from .checks import DomainError, SelpredError, boolean, fraction, integer, real
 from .model import ArchitectureConfig, SelectiveNet
 
 __all__ = ["save_model", "load_model", "IntegrityError", "VersionError"]
@@ -57,8 +57,12 @@ def _state(model):
 
 def save_model(model, calibration, path):
     """Write a checkpoint of ``model`` and its calibration (or None),
-    durably: the file and then its directory entry are fsynced."""
+    durably: the file and then its directory entry are fsynced. A model
+    whose state is not finite, which no load could serve, raises
+    DomainError before anything is written."""
     buffers, sizes = _state(model)
+    if not all(np.isfinite(b).all() for b in buffers):
+        raise DomainError(f"{path}: the model's state is not finite")
     header = {
         "format_version": FORMAT_VERSION,
         "architecture": asdict(model.config),
@@ -129,7 +133,8 @@ def load_model(path):
     VersionError; wrong magic, any corrupted byte, missing or unknown
     header keys, or a header field of the wrong type or range (a seed that
     is not an int >= 0, a ``selective`` that is not a bool, a coverage
-    outside (0, 1], a non-finite calibration value) raise IntegrityError.
+    outside (0, 1], a non-finite calibration value) or a non-finite value
+    in the payload raise IntegrityError.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -160,8 +165,11 @@ def load_model(path):
         raise IntegrityError(f"{path}: payload layout does not match architecture")
     if len(body) - off != 8 * sum(sizes):
         raise IntegrityError(f"{path}: payload truncated")
+    payload = np.frombuffer(body, dtype="<f8", offset=off)
+    if not np.isfinite(payload).all():
+        raise IntegrityError(f"{path}: payload holds non-finite values")
+    off = 0
     for b in buffers:
-        n = b.size * 8
-        b[...] = np.frombuffer(body[off:off + n], dtype="<f8")
-        off += n
+        b[...] = payload[off:off + b.size]
+        off += b.size
     return model, calib

@@ -103,8 +103,12 @@ class TestHoeffdingEpsilon:
     def test_domain_errors(self):
         """A bad argument is a ConfigurationError, as for ``calibrate``."""
         with pytest.raises(ConfigurationError,
-                           match=r"^validation size must be >= 1, got 0$"):
+                           match=r"^n must be >= 1, got 0$"):
             hoeffding_epsilon(0, 0.05)
+        for n in (math.nan, True, 1.5):
+            with pytest.raises(ConfigurationError,
+                               match=rf"^n: {n!r} is not an integer$"):
+                hoeffding_epsilon(n, 0.05)
         with pytest.raises(ConfigurationError,
                            match=r"^delta must lie in \(0, 2\), got 0.0$"):
             hoeffding_epsilon(100, 0.0)

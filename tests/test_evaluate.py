@@ -103,6 +103,15 @@ class TestMCDropout:
         np.testing.assert_array_equal(a, b)
         assert np.any(a < 0.0)
 
+    def test_numpy_rate_scores_as_its_float(self, dropout_model):
+        """A float32 rate scores as its value as a Python float: under
+        numpy's promotion rules a float32 1 - rate would stay float32."""
+        x = np.random.default_rng(5).normal(size=(15, 5))
+        a, b = (mc_dropout_confidence(dropout_model, x, passes=5, rate=rate,
+                                      seed=3, task=CLASSIFICATION)
+                for rate in (np.float32(0.05), float(np.float32(0.05))))
+        assert a.tobytes() == b.tobytes()
+
     def test_rate_restored_after_call(self):
         cfg = ArchitectureConfig(input_dim=5, body_widths=[12],
                                  task=CLASSIFICATION, n_classes=3,

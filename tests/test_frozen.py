@@ -9,6 +9,7 @@ block by block, and MC-dropout runs its passes on the same frozen arrays.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -320,6 +321,27 @@ class TestErrors:
                     serve(x)
             bias[j] = kept
             model.predict(x[:1])  # the column alone made it fail
+
+    @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+    def test_weights_that_do_not_fold_raise_when_frozen(self, task):
+        """Finite weights and batchnorm scale of 1e300 fold to an infinite
+        weight, and a NaN running statistic to a NaN one: freezing refuses
+        either, from every serve path, with no numpy warning."""
+        def huge(block):
+            block.dense.weights.data.fill(1e300)
+            block.bn.scale.data.fill(1e300)
+
+        for edit in (huge, lambda block: block.bn.running_var.fill(np.nan)):
+            model = build_model(_config(task), seed=0)
+            edit(model.body[0])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for serve in (model.freeze, lambda: model.predict(_inputs(2)),
+                              lambda: model.selection_scores(_inputs(2))):
+                    with pytest.raises(
+                            DomainError,
+                            match="^folded weights are not finite$"):
+                        serve()
 
     def test_baseline_has_no_selection_scores(self):
         base = build_baseline(_config(REGRESSION), seed=0)

@@ -66,6 +66,7 @@ from selpred.losses import (
 )
 from selpred.model import (
     ArchitectureConfig,
+    SelectiveNet,
     build_baseline,
     build_model,
 )
@@ -148,6 +149,35 @@ def test_dense_node(m):
             lambda: (ref_dense(x, layer.weights, layer.bias) * probe).sum())
     assert finite_difference_check(
         lambda: (layer(x) * probe).sum(), params) < 1e-7
+
+
+@pytest.mark.parametrize("node", ["dense", "dense_bn_relu widening",
+                                  "dense_bn_relu narrowing", "dense_sigmoid"])
+def test_constant_input_gets_no_gradient(node):
+    """On a constant input a node skips dx and gives its parameters the
+    bytes that it gives them on an input that takes gradients."""
+    rng = np.random.default_rng(8)
+    if node == "dense_sigmoid":
+        layer = DenseLayer(4, 1, rng, init="glorot")
+        params, fn = layer.parameters(), lambda x: dense_sigmoid(x, layer)
+    elif node == "dense":
+        layer = DenseLayer(4, 3, rng)
+        params, fn = layer.parameters(), layer
+    else:
+        dense = DenseLayer(4, 6 if node.endswith("widening") else 3, rng,
+                           bias=False)
+        bn = _bn(rng, dense.out_dim)
+        params = [dense.weights, bn.scale, bn.shift]
+        def fn(x):
+            return _frozen_stats([bn], lambda: dense_bn_relu(x, dense, bn))()
+    data = rng.normal(size=(7, 4))
+    probe = rng.normal(size=fn(Tensor(data)).data.shape)
+    grads = []
+    for x in (Tensor(data), Parameter(data)):
+        grads.append(grads_of(params, lambda: (fn(x) * Tensor(probe)).sum()))
+    assert x.grad is not None
+    assert [a.tobytes() for a in grads[0][1]] == [
+        a.tobytes() for a in grads[1][1]]
 
 
 # -- batchnorm and the fused block ---------------------------------------------
@@ -375,9 +405,7 @@ def test_dense_backprop_dx_equals_matmul_with_transpose(out_dim):
     layer = DenseLayer(16, out_dim, rng)
     (x,) = leaves(rng, (256, 16))
     g = rng.normal(size=(256, out_dim))
-    zero_grads([x])
-    layer.backprop(x, g)
-    assert_same(x.grad, g @ layer.weights.data.T)
+    assert_same(layer.backprop(x.data, g), g @ layer.weights.data.T)
 
 
 # (rows, in, out) of every dense product in the benchmark's training steps:
@@ -400,12 +428,12 @@ def test_dense_products_give_the_bytes_of_matmul(rows, n_in, n_out):
     (x,) = leaves(rng, (rows, n_in))
     g = rng.normal(size=(rows, n_out))
     w, b = layer.weights.data, layer.bias.data
-    assert layer.affine(x).tobytes() == (x.data @ w + b).tobytes()
-    zero_grads([x, layer.weights, layer.bias])
-    layer.backprop(x, g)
+    assert layer.affine(x.data).tobytes() == (x.data @ w + b).tobytes()
+    zero_grads([layer.weights, layer.bias])
+    dx = layer.backprop(x.data, g)
     assert layer.weights.grad.tobytes() == (x.data.T @ g).tobytes()
     assert layer.bias.grad.tobytes() == (np.ones(rows) @ g).tobytes()
-    assert x.grad.tobytes() == (g @ np.ascontiguousarray(w.T)).tobytes()
+    assert dx.tobytes() == (g @ np.ascontiguousarray(w.T)).tobytes()
 
 
 @pytest.mark.parametrize("in_dim", [1, 16, 64])
@@ -416,9 +444,8 @@ def test_one_unit_dx_gives_the_bytes_of_the_broadcast_product(in_dim):
     layer = DenseLayer(in_dim, 1, rng, init="glorot")
     (x,) = leaves(rng, (256, in_dim))
     g = rng.normal(size=(256, 1))
-    zero_grads([x])
-    layer.backprop(x, g)
-    assert x.grad.tobytes() == (g * layer.weights.data[:, 0]).tobytes()
+    dx = layer.backprop(x.data, g)
+    assert dx.tobytes() == (g * layer.weights.data[:, 0]).tobytes()
 
 
 def test_dense_bn_relu_reports_kink_margin():
@@ -427,7 +454,8 @@ def test_dense_bn_relu_reports_kink_margin():
     block's from ``train_normalize`` on x @ W. The relu of those same
     pre-activations is the block's output."""
     for in_dim, width, pre_of in (
-            (3, 4, lambda x, dense, bn: _input_space_block(x, dense, bn)[0]),
+            (3, 4, lambda x, dense, bn: _input_space_block(
+                x.data, dense, bn, False)[0]),
             (4, 3, lambda x, dense, bn: bn.train_normalize(
                 x.data @ dense.weights.data)[0])):
         rng = np.random.default_rng(4)
@@ -571,6 +599,135 @@ def test_eval_forward_matches_unfused_tape(task):
     assert h is None
 
 
+# -- the network node against the per-layer nodes, to the byte ----------------
+
+
+def layered_forward(model, x, rng=None, g_output=dense_sigmoid):
+    """``forward(x, TRAIN)`` as the per-layer nodes: a ``dense_bn_relu``
+    node per hidden block, then a ``DropoutLayer`` node where the block has
+    one, a ``DenseLayer`` node per head and ``g_output(hidden, model.g_out)``
+    for g's output."""
+    rep = x if isinstance(x, Tensor) else Tensor(x)
+    for block in model.body:
+        rep = dense_bn_relu(rep, block.dense, block.bn)
+        if block.dropout is not None:
+            rep = block.dropout(rep, rng)
+    f = model.f_head(rep)
+    if not model.selective:
+        return f, None, None
+    hidden = dense_bn_relu(rep, model.g_block.dense, model.g_block.bn)
+    return f, g_output(hidden, model.g_out), model.h_head(rep)
+
+
+def _objective(forward, model, x, y, cfg, rng):
+    """The training objective of ``train()`` on ``forward``'s outputs."""
+    f, g, h = forward(model, x, rng)
+    losses = task_loss(cfg.task_loss, f, y)
+    if g is None:
+        return losses.mean()
+    sel = selective_loss(losses, g, cfg)
+    return total_loss(sel, auxiliary_loss(task_loss(cfg.task_loss, h, y)),
+                      cfg.alpha)
+
+
+def _network_forward(model, x, rng):
+    return model.forward(x, mode=TRAIN, rng=rng)
+
+
+# name -> (architecture, selective, rows); regression unless n_classes is set
+LAYERED_CASES = {
+    "criterion 4": (dict(input_dim=8, body_widths=[32], task=CLASSIFICATION,
+                         n_classes=4, selection_hidden=16), True, 256),
+    "compare_reg shape": (dict(input_dim=8, body_widths=[64]), True, 256),
+    "body [16, 8]": (dict(input_dim=8, body_widths=[16, 8]), True, 100),
+    "[32, 64] at dropout 0.2": (dict(input_dim=8, body_widths=[32, 64],
+                                     task=CLASSIFICATION, n_classes=3,
+                                     dropout_rate=0.2), True, 150),
+    "twin": (dict(input_dim=8, body_widths=[32], task=CLASSIFICATION,
+                  n_classes=4), False, 256),
+}
+
+
+def _layered_case(name, seed=0):
+    """``(build, x, y, LossConfig)`` of one ``LAYERED_CASES`` entry."""
+    arch, selective, rows = LAYERED_CASES[name]
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(rows, 8))
+    if arch.get("task") == CLASSIFICATION:
+        y, kind = rng.integers(0, arch["n_classes"], size=rows), CROSS_ENTROPY
+    else:
+        y, kind = x @ rng.normal(size=8) + rng.normal(size=rows), SQUARED
+    cfg = LossConfig(target_coverage=0.8 if selective else 1.0,
+                     task_loss=kind)
+    return (lambda: SelectiveNet(ArchitectureConfig(**arch), seed,
+                                 selective=selective), x, y, cfg)
+
+
+def _step_bytes(forward, build, x, y, cfg):
+    """The loss, every gradient and the model's state after one forward and
+    backward of the objective, as bytes."""
+    model = build()
+    params = model.parameters()
+    zero_grads(params)
+    loss = _objective(forward, model, x, y, cfg, np.random.default_rng(5))
+    loss.backward()
+    return [loss.data.tobytes(), params.grad.tobytes(),
+            *(a.tobytes() for a in model.state())]
+
+
+@pytest.mark.parametrize("name", sorted(LAYERED_CASES))
+def test_network_node_step_equals_per_layer_nodes_bytes(name):
+    build, x, y, cfg = _layered_case(name)
+    assert (_step_bytes(_network_forward, build, x, y, cfg)
+            == _step_bytes(layered_forward, build, x, y, cfg))
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize("name", sorted(LAYERED_CASES))
+def test_train_state_equals_per_layer_nodes_bytes(name, optimizer,
+                                                  monkeypatch):
+    """``model.state()`` and the history after ``train()`` are those of the
+    same ``train()`` with ``forward(x, TRAIN)`` as the per-layer nodes."""
+    build, x, y, loss = _layered_case(name)
+    cfg = TrainConfig(optimizer=optimizer, epochs=2, batch_size=64,
+                      learning_rate=2e-3, seed=3, loss=loss)
+    model, ref = build(), build()
+    history = train(model, x, y, cfg)
+    monkeypatch.setattr(SelectiveNet, "forward",
+                        lambda self, x, mode, rng: layered_forward(self, x, rng))
+    ref_history = train(ref, x, y, cfg)
+    assert ([a.tobytes() for a in model.state()]
+            == [a.tobytes() for a in ref.state()])
+    assert history == ref_history
+
+
+def test_network_node_input_gradient_equals_per_layer_nodes_bytes():
+    """An input that takes gradients gets the first block's dx."""
+    build, x, y, cfg = _layered_case("body [16, 8]")
+    dx = []
+    for forward in (_network_forward, layered_forward):
+        xp = Parameter(x)
+        _objective(forward, build(), xp, y, cfg, None).backward()
+        dx.append(xp.grad.tobytes())
+    assert dx[0] == dx[1]
+
+
+def test_head_no_loss_reaches_gets_zero_gradients():
+    """A loss on f alone: g's and h's parameters get zero gradients, and
+    every gradient equals that of the per-layer nodes."""
+    build, x, y, cfg = _layered_case("compare_reg shape")
+    grads = []
+    for forward in (_network_forward, layered_forward):
+        model = build()
+        zero_grads(model.parameters())
+        task_loss(SQUARED, forward(model, x, None)[0], y).mean().backward()
+        grads.append(model.parameters().grad.copy())
+    heads = [p for layer in (model.g_block, model.g_out, model.h_head)
+             for p in layer.parameters()]
+    assert not any(p.grad.any() for p in heads)
+    assert np.array_equal(grads[0], grads[1])
+
+
 def tape_tensors(root):
     """Distinct tensors reachable from ``root``, leaves included."""
     seen, stack = {}, [root]
@@ -583,6 +740,8 @@ def tape_tensors(root):
 
 
 def test_criterion_4_training_step_tape_is_small():
+    """12 parameters, the input, the network node with its three outputs
+    and five loss nodes."""
     arch = ArchitectureConfig(input_dim=8, body_widths=[32],
                               task=CLASSIFICATION, n_classes=4,
                               selection_hidden=16, dropout_rate=0.0)
@@ -590,7 +749,7 @@ def test_criterion_4_training_step_tape_is_small():
     rng = np.random.default_rng(0)
     x, y = rng.normal(size=(256, 8)), rng.integers(0, 4, size=256)
     cfg = LossConfig(target_coverage=0.8, task_loss=CROSS_ENTROPY)
-    assert len(tape_tensors(fused_objective(model, x, y, cfg))) == 23
+    assert len(tape_tensors(fused_objective(model, x, y, cfg))) == 22
 
 
 def test_compare_reg_training_step_tape_is_small():
@@ -601,7 +760,7 @@ def test_compare_reg_training_step_tape_is_small():
     rng = np.random.default_rng(0)
     x, y = rng.normal(size=(256, 8)), rng.normal(size=256)
     cfg = LossConfig(target_coverage=0.8, task_loss=SQUARED)
-    assert len(tape_tensors(fused_objective(model, x, y, cfg))) == 23
+    assert len(tape_tensors(fused_objective(model, x, y, cfg))) == 22
 
 
 def _benchmark_step(task):
@@ -734,14 +893,8 @@ def test_dense_sigmoid_node_equals_its_three_nodes_exactly(m):
 
 def ref_train_forward(model, x, rng):
     """``forward(x, TRAIN)`` with g's output as three nodes."""
-    rep = Tensor(x)
-    for block in model.body:
-        rep = block(rep, rng)
-    f = model.f_head(rep)
-    if not model.selective:
-        return f, None, None
-    g = reshape(sigmoid(model.g_out(model.g_block(rep))), -1)
-    return f, g, model.h_head(rep)
+    return layered_forward(model, x, rng, lambda hidden, layer: reshape(
+        sigmoid(layer(hidden)), -1))
 
 
 ADAM_DEFAULTS = Adam(Parameters([]), 1.0)

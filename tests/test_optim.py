@@ -1,5 +1,6 @@
 """Update rules, schedule, and the training loop's contracts."""
 
+import gc
 import warnings
 
 import numpy as np
@@ -281,6 +282,32 @@ class TestTrainLoop:
         assert h1.total_loss == h2.total_loss
         assert h1.soft_coverage == h2.soft_coverage
 
+    @pytest.mark.parametrize("task, dropout_rate", [
+        (REGRESSION, 0.0), (CLASSIFICATION, 0.2)])
+    def test_steps_leave_no_reference_cycle(self, task, dropout_rate):
+        """Each step's graph is freed by reference counting alone: with the
+        cycle collector off, a few epochs leave no unreachable object. A
+        cycle through the tape would keep every step's arrays alive until
+        a collection."""
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(200, 3))
+        if task == REGRESSION:
+            y, n_classes, loss = rng.normal(size=200), 0, LossConfig()
+        else:
+            y, n_classes = rng.integers(0, 3, size=200), 3
+            loss = LossConfig(task_loss=CROSS_ENTROPY)
+        model = build_model(ArchitectureConfig(
+            input_dim=3, body_widths=[8], task=task, n_classes=n_classes,
+            selection_hidden=4, dropout_rate=dropout_rate), 0)
+        gc.collect()
+        gc.disable()
+        try:
+            train(model, x, y, TrainConfig(epochs=3, batch_size=64, seed=0,
+                                           loss=loss))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_loss_decreases(self):
         x, y = _toy_dataset()
         cfg = _toy_train_config(epochs=40, learning_rate=2e-3)
@@ -348,6 +375,31 @@ class TestTrainLoop:
             warnings.simplefilter("error")
             train(model, x, y, TrainConfig(learning_rate=1e300, epochs=1,
                                            batch_size=64, seed=0, loss=loss))
+
+    @pytest.mark.parametrize("task", [REGRESSION, CLASSIFICATION])
+    def test_finite_parameters_that_do_not_fold_detected(self, task):
+        """One full batch under SGD at an absurd step size leaves finite
+        parameters near 1e300, whose batchnorm fold overflows: train()
+        refuses them rather than return a model that cannot serve, with no
+        numpy warning."""
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(64, 3))
+        if task == REGRESSION:
+            y, n_classes, loss = rng.normal(size=64), 0, LossConfig()
+        else:
+            y, n_classes = rng.integers(0, 3, size=64), 3
+            loss = LossConfig(task_loss=CROSS_ENTROPY)
+        model = build_model(ArchitectureConfig(
+            input_dim=3, body_widths=[8], task=task, n_classes=n_classes,
+            selection_hidden=4), 0)
+        with warnings.catch_warnings(), pytest.raises(
+                TrainingDivergedError,
+                match="^the trained weights do not fold to finite arrays$"):
+            warnings.simplefilter("error")
+            train(model, x, y, TrainConfig(
+                optimizer="sgd", learning_rate=1e300, epochs=1,
+                batch_size=64, seed=0, loss=loss))
+        assert np.isfinite(model.state()[0]).all()
 
     @staticmethod
     def _diverges_before_the_update(target):

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from selpred.autograd import Parameter
 from selpred.calibrate import CalibrationResult
-from selpred.checks import CLASSIFICATION, REGRESSION
+from selpred.checks import CLASSIFICATION, REGRESSION, DomainError
 from selpred.model import (
     ArchitectureConfig,
     SelectiveNet,
@@ -351,6 +351,32 @@ def test_malformed_body_with_valid_checksum(trained_model, tmp_path, edit,
     with pytest.raises(IntegrityError,
                        match=f"^{re.escape(str(path))}: {message}$"):
         load_model(path)
+
+
+def test_non_finite_payload_with_valid_checksum(trained_model, tmp_path):
+    """A NaN in the payload, under a rewritten checksum, is refused by the
+    file's name before any model is returned."""
+    import hashlib
+    model, _ = trained_model
+    path = tmp_path / "ckpt.bin"
+    save_model(model, None, path)
+    body = path.read_bytes()[:-8]
+    body = body[:-8] + struct.pack("<d", float("nan"))
+    path.write_bytes(body + hashlib.sha256(body).digest()[:8])
+    with pytest.raises(IntegrityError, match=(
+            f"^{re.escape(str(path))}: payload holds non-finite values$")):
+        load_model(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_state_is_not_saved(value, tmp_path):
+    model = build_model(ArchitectureConfig(input_dim=3, body_widths=[4]), 0)
+    model.stats[-1] = value
+    path = tmp_path / "ckpt.bin"
+    with pytest.raises(DomainError, match=(
+            f"^{re.escape(str(path))}: the model's state is not finite$")):
+        save_model(model, None, path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unchanged_header_reframes_to_a_loadable_file(trained_model, tmp_path):
