@@ -20,7 +20,8 @@ import contextlib
 
 import numpy as np
 
-from .checks import DomainError, SelpredError, ShapeError
+from .checks import (ConfigurationError, DomainError, SelpredError,
+                     ShapeError, real)
 
 __all__ = [
     "Tensor",
@@ -31,7 +32,6 @@ __all__ = [
     "relu",
     "sigmoid",
     "stable_sigmoid",
-    "square",
     "zero_grads",
     "finite_difference_check",
 ]
@@ -321,10 +321,6 @@ def sigmoid(x):
     return _unary(x, stable_sigmoid, lambda d, o, g: g * o * (1.0 - o))
 
 
-def square(x):
-    return _unary(x, np.square, lambda d, o, g: g * 2.0 * d)
-
-
 class Parameters(tuple):
     """``Parameter`` leaves whose ``data`` and ``grad`` are views of two
     contiguous float64 buffers, ``self.data`` and ``self.grad``, in member
@@ -432,10 +428,12 @@ def finite_difference_check(scalar_fn, params, h=1e-5, floor=1e-8):
     |analytic - numeric| / max(|analytic|, |numeric|) over every parameter
     coordinate, with an absolute floor: differences below ``floor`` count as
     exact agreement (they are indistinguishable from central-difference
-    roundoff noise).
+    roundoff noise); a non-finite one gives inf. ``h`` must be a real > 0
+    and ``floor`` a real.
     """
+    h, floor = real(h, "h"), real(floor, "floor")
     if h <= 0:
-        raise ValueError("step h must be positive")
+        raise ConfigurationError(f"step h must be positive, got {h}")
     v1 = float(scalar_fn().data)
     v2 = float(scalar_fn().data)
     if v1 != v2:
@@ -461,7 +459,8 @@ def finite_difference_check(scalar_fn, params, h=1e-5, floor=1e-8):
             flat[i] = orig
             numeric = (fp - fm) / (2.0 * h)
             diff = abs(numeric - gflat[i])
-            if diff <= floor:
-                continue
-            worst = max(worst, diff / max(abs(numeric), abs(gflat[i])))
+            if not np.isfinite(diff):  # max() would drop a NaN
+                return np.inf
+            if diff > floor:
+                worst = max(worst, diff / max(abs(numeric), abs(gflat[i])))
     return worst

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import (ConfigurationError, ContractError, DomainError,
-                     fraction, integer, open_fraction)
+                     fraction, integer, open_fraction, real)
 
 __all__ = [
     "CalibrationResult",
@@ -80,10 +80,11 @@ def hoeffding_epsilon(n, delta):
 
     DKW with Massart's constant: with probability >= 1-delta the empirical
     CDF of n scores is within this of the population CDF at every threshold.
-    ``n`` must be an integer >= 1 (a bool is not) and ``delta`` lie in
+    ``n`` must be an integer >= 1 (a bool is not) and ``delta`` a real in
     (0, 2); ConfigurationError otherwise.
     """
     n = integer(n, "n", least=1)
+    delta = real(delta, "delta")
     if not 0.0 < delta < 2.0:
         raise ConfigurationError(f"delta must lie in (0, 2), got {delta}")
     return math.sqrt(math.log(2.0 / delta) / (2.0 * n))

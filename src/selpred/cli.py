@@ -22,7 +22,7 @@ import hashlib
 import inspect
 import re
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,10 +47,10 @@ from .evaluate import (
 )
 from .losses import LossConfig, task_loss_for
 from .model import ArchitectureConfig, build_baseline, build_model
-from .optim import TrainConfig, TrainHistory, train
+from .optim import TrainConfig, train
 from .persist import load_model, save_model
 
-FORMAT_VERSION = 1
+CSV_FORMAT_VERSION = 1
 
 _TOP_LEVEL = ("dataset", "split", "architecture", "loss", "train", "seeds")
 
@@ -196,7 +196,7 @@ def _write_outputs(out, name, cfg, conf, seeds, colnames, rows):
         yaml.safe_dump(cfg, sort_keys=True).encode()).hexdigest()[:12]
     write_csv(out / name, [f"config_hash={config_hash}",
                            f"seeds={','.join(str(s) for s in seeds)}",
-                           f"format_version={FORMAT_VERSION}"],
+                           f"format_version={CSV_FORMAT_VERSION}"],
               colnames, rows)
     with open(out / "effective_config.yaml", "w") as fh:
         yaml.safe_dump(conf, fh, sort_keys=True)
@@ -248,10 +248,9 @@ def cmd_train(args):
     tcfg = _train_config(conf, seed)
     model = build_model(arch, seed)
     history = train(model, tr.features, tr.labels, tcfg)
-    names = [f.name for f in fields(TrainHistory)]
-    columns = [getattr(history, name) for name in names]
-    _write_outputs(out, "history.csv", cfg, conf, [seed], ["epoch"] + names,
-                   [(e, *row) for e, row in enumerate(zip(*columns))])
+    _write_outputs(out, "history.csv", cfg, conf, [seed],
+                   ["epoch"] + [f.name for f in fields(history)],
+                   [(e, *row) for e, row in enumerate(zip(*astuple(history)))])
     save_model(model, None, out / "model.ckpt")
     print(f"trained {tcfg.epochs} epochs; final loss "
           f"{history.total_loss[-1]:.6f}; checkpoint at {out/'model.ckpt'}")
@@ -267,10 +266,7 @@ def cmd_calibrate(args):
     [(_, ca, _, _)] = prepare_splits(conf)
     result = calibrate(model, ca.features, coverage, delta=args.delta)
     _write_outputs(out, "calibration.csv", cfg, conf, [model.seed],
-                   ["tau", "target_coverage", "n_validation", "delta",
-                    "epsilon", "achieved_coverage"],
-                   [(result.tau, result.target_coverage, result.n_validation,
-                     result.delta, result.epsilon, result.achieved_coverage)])
+                   [f.name for f in fields(result)], [astuple(result)])
     save_model(model, result, out / "model_calibrated.ckpt")
     print(f"tau={result.tau:.6f} achieved validation coverage "
           f"{result.achieved_coverage:.4f} (epsilon={result.epsilon:.6f})")
@@ -294,9 +290,8 @@ def cmd_evaluate(args):
           f"covered={rep.n_covered} rejected={rep.n_rejected}")
     if args.out:
         _write_outputs(Path(args.out), "eval.csv", cfg, conf, [model.seed],
-                       ["tau", "coverage", "risk", "n_covered", "n_rejected"],
-                       [(tau, rep.coverage, rep.risk, rep.n_covered,
-                         rep.n_rejected)])
+                       ["tau"] + [f.name for f in fields(rep)],
+                       [(tau, *astuple(rep))])
     return 0
 
 

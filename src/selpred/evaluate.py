@@ -20,7 +20,8 @@ import numpy as np
 
 from .calibrate import select_threshold
 from .checks import (CLASSIFICATION, ConfigurationError, ContractError,
-                     DegenerateCoverageError, drop_rate, fraction, integer)
+                     DegenerateCoverageError, drop_rate, fraction, integer,
+                     size)
 from .data import unstandardize_target
 from .layers import softmax_rows
 
@@ -103,15 +104,15 @@ def mc_dropout_confidence(model, inputs, passes, rate, seed, task):
     the consensus class (argmax of the mean prediction).
     Regression: variance of the scalar output. Deterministic given the seed;
     identical passes (e.g. rate 0) yield exactly zero variance. ``task``
-    must be the model's, ``rate`` a real in [0, 1), ``passes`` an integer
-    and ``seed`` one >= 0; ConfigurationError naming them otherwise, and
-    ContractError for fewer than 2 passes.
+    must be the model's, ``rate`` a real in [0, 1), ``passes`` a size
+    (``checks.size``) and ``seed`` an integer >= 0; ConfigurationError naming
+    them otherwise, and ContractError for fewer than 2 passes.
     """
     if task != model.config.task:
         raise ConfigurationError(f"MC-dropout for a {task} task on a "
                                  f"{model.config.task} model")
     rate = drop_rate(rate, "rate")  # a plain float, as numpy scalars act
-    if integer(passes, "passes") < 2:
+    if size(passes, "passes", least=None) < 2:
         raise ContractError("MC-dropout needs at least 2 passes")
     rng = np.random.default_rng(integer(seed, "seed", least=0))
     frozen = model.freeze()

@@ -11,9 +11,9 @@ with the plain (full-coverage) mean loss, and the two are mixed by a convex
 combination with weight alpha.
 
 The per-sample task losses, the selective loss and the combination are each
-one tape node with a closed-form backward; ``empirical_coverage``,
-``empirical_selective_risk`` and ``psi`` are the same quantities built from
-elementwise tape operations.
+one tape node with a closed-form backward. ``selective_loss`` takes its value
+from ``empirical_coverage``, ``empirical_selective_risk`` and ``psi``, which
+compute phi_hat, r_hat and psi off the tape as float64 scalars.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tensor, relu, square
+from .autograd import Tensor
 from .checks import (CLASSIFICATION, ConfigurationError, ContractError,
                      DegenerateCoverageError, DomainError, ShapeError,
                      fraction, real)
@@ -144,29 +144,35 @@ def _squared(prediction, labels):
 
 
 def psi(a):
-    """Quadratic penalty max(0, a)^2; derivative 2*max(0, a)."""
-    if not isinstance(a, Tensor):
-        a = Tensor(a)
-    return square(relu(a))
+    """The coverage penalty max(0, a)^2 of a real ``a``."""
+    a = max(a, 0.0)
+    return np.float64(a * a)
 
 
 def empirical_coverage(g_values):
-    """Mean of the (soft) selection values."""
-    if g_values.data.size == 0:
+    """phi_hat, the mean of the (soft) selection values."""
+    g = g_values.data
+    if g.size == 0:
         raise ContractError("empirical coverage of an empty batch is undefined")
-    return g_values.mean()
+    return g.sum() * (1.0 / g.size)
 
 
 def empirical_selective_risk(losses, g_values):
-    """Coverage-normalized weighted mean loss, differentiable in both inputs."""
-    if losses.data.shape != g_values.data.shape:
-        raise ContractError(
-            f"losses {losses.data.shape} and g {g_values.data.shape} must match")
-    phi = empirical_coverage(g_values)
-    if phi.data == 0.0:
+    """r_hat, the coverage-normalized weighted mean loss."""
+    return np.float64(_coverage_and_risk(losses, g_values)[1])
+
+
+def _coverage_and_risk(losses, g_values):
+    """``(phi_hat, r_hat)`` as floats. ContractError unless the losses and g
+    values have one shape; DegenerateCoverageError if every g value is 0."""
+    l, g = losses.data, g_values.data
+    if l.shape != g.shape:
+        raise ContractError(f"losses {l.shape} and g {g.shape} must match")
+    phi = float(empirical_coverage(g_values))
+    if phi == 0.0:
         raise DegenerateCoverageError(
             "all selection values are zero; selective risk is undefined")
-    return (losses * g_values).mean() / phi
+    return phi, float((l * g).sum() * (1.0 / g.size) / phi)
 
 
 def selective_loss(losses, g_values, config):
@@ -179,18 +185,9 @@ def selective_loss(losses, g_values, config):
     dL/dg_i = (l_i - r_hat) / (m phi_hat) - 2 lambda a / m.
     """
     l, g = losses.data, g_values.data
-    if l.shape != g.shape:
-        raise ContractError(
-            f"losses {l.shape} and g {g.shape} must match")
-    if g.size == 0:
-        raise ContractError("empirical coverage of an empty batch is undefined")
+    phi, risk = _coverage_and_risk(losses, g_values)
     inv_m = 1.0 / g.size
-    phi = float(g.sum() * inv_m)
-    if phi == 0.0:
-        raise DegenerateCoverageError(
-            "all selection values are zero; selective risk is undefined")
-    risk = float((l * g).sum() * inv_m / phi)
-    shortfall = max(config.target_coverage - phi, 0.0)
+    shortfall = config.target_coverage - phi
     weight = config.penalty_weight
 
     def backward(grad):
@@ -199,12 +196,11 @@ def selective_loss(losses, g_values, config):
         if losses.requires_grad:
             losses._accum(per_sample * g, owned=True)
         if g_values.requires_grad:
-            g_values._accum(per_sample * (l - risk)
-                            - 2.0 * weight * shortfall * inv_m * grad,
-                            owned=True)
+            g_values._accum(per_sample * (l - risk) - 2.0 * weight
+                            * max(shortfall, 0.0) * inv_m * grad, owned=True)
 
-    out = Tensor._op(risk + weight * (shortfall * shortfall),
-                     (losses, g_values), backward)
+    out = Tensor._op(risk + weight * psi(shortfall), (losses, g_values),
+                     backward)
     out.risk, out.coverage = risk, phi
     return out
 
@@ -219,6 +215,7 @@ def auxiliary_loss(h_losses):
 def total_loss(selective, auxiliary, alpha):
     """Convex combination alpha * selective + (1 - alpha) * auxiliary, as
     one node."""
+    alpha = real(alpha, "alpha")
     if not 0.0 <= alpha <= 1.0:
         raise ConfigurationError(f"alpha must be in [0,1], got {alpha}")
 

@@ -202,9 +202,10 @@ def train(model, features, labels, config):
     baseline twin is trained on the plain mean task loss. Returns a
     ``TrainHistory``; the model is updated in place and its
     ``trained_coverage`` is stamped from the loss config. Before the first
-    update, labels are checked to be of shape (rows,) (ConfigurationError),
-    class labels to be integers in [0, n_classes) (DomainError; integral
-    floats pass) and the task loss to fit the task (``task_loss_for``).
+    update, features and regression targets are checked to be finite,
+    labels to be (rows,) (ConfigurationError), class labels to be integers
+    in [0, n_classes) (DomainError; integral floats pass) and the task loss
+    to fit the task (``task_loss_for``).
     A batch whose loss is not finite, logits that overflowed included,
     raises ``TrainingDivergedError`` before its update, as do a collapsed
     selection head, non-finite parameters after the last update and
@@ -217,6 +218,8 @@ def train(model, features, labels, config):
     m = features.shape[0]
     if m == 0:
         raise ConfigurationError("training set is empty")
+    if not np.isfinite(features).all():
+        raise ConfigurationError("features must be finite")
     labels = np.asarray(labels)
     if labels.shape != (m,):
         raise ConfigurationError(
@@ -229,6 +232,8 @@ def train(model, features, labels, config):
             f"task_loss {kind!r} does not apply to a {arch.task} model")
     if arch.task == CLASSIFICATION:
         labels = _class_indices(labels, arch.n_classes)
+    elif not np.isfinite(labels.astype(np.float64)).all():
+        raise ConfigurationError("labels must be finite")
     if config.batch_size < 2 and m > 1:
         raise ConfigurationError("batch size must be >= 2 with batchnorm")
 

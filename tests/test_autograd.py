@@ -1,6 +1,7 @@
 """Tensor engine: forward values, backward rules, finite-difference oracle."""
 
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -14,10 +15,9 @@ from selpred.autograd import (
     finite_difference_check,
     relu,
     sigmoid,
-    square,
     zero_grads,
 )
-from selpred.checks import DomainError, ShapeError
+from selpred.checks import ConfigurationError, DomainError, ShapeError
 from oracles import log, matmul, reshape, tensor_max
 
 
@@ -52,10 +52,6 @@ class TestElementwise:
     def test_relu_definition(self):
         assert relu(Tensor(-3.0)).item() == 0.0
         assert relu(Tensor(3.0)).item() == 3.0
-
-    def test_penalty_kernel_cases(self):
-        assert square(relu(Tensor(-0.2))).item() == 0.0
-        assert square(relu(Tensor(0.1))).item() == pytest.approx(0.01, abs=1e-15)
 
     def test_log_domain_error(self):
         with pytest.raises(DomainError):
@@ -264,6 +260,30 @@ class TestFiniteDifferenceCheck:
         with pytest.raises(ValueError):
             finite_difference_check(lambda: x * x, [x], h=0.0)
 
+    @pytest.mark.parametrize("arg", ["h", "floor"])
+    def test_nan_step_or_floor_rejected(self, arg):
+        """A NaN step makes every numeric derivative NaN, and no difference
+        exceeds a NaN floor: either read as perfect agreement."""
+        x = Parameter(1.0)
+        with pytest.raises(ConfigurationError,
+                           match=f"^{arg}: nan is not finite$"):
+            finite_difference_check(lambda: x * x, [x], **{arg: math.nan})
+
+    @pytest.mark.parametrize("analytic, value", [
+        (math.nan, lambda x: x), (math.inf, lambda x: x),
+        (0.0, lambda x: 0.0 if x <= 1.0 else math.inf),
+    ], ids=["nan-gradient", "inf-gradient", "inf-numeric"])
+    def test_non_finite_derivative_is_infinite_error(self, analytic, value):
+        """A one-parameter node whose backward reports ``analytic`` and
+        whose value is ``value(x)``, checked at x = 1."""
+        x = Parameter(1.0)
+
+        def fn():
+            return Tensor._op(value(float(x.data)), (x,),
+                              lambda g: x._accum(np.array(analytic)))
+
+        assert finite_difference_check(fn, [x]) == math.inf
+
 
 @pytest.mark.parametrize("seed", range(25))
 def test_registered_ops_gradcheck(seed):
@@ -288,7 +308,6 @@ def test_registered_ops_gradcheck(seed):
         (lambda: (matmul(a, w) * probe2).sum(), [a, w]),
         (lambda: (relu(a) * probe).sum(), [a]),
         (lambda: (sigmoid(a) * probe).sum(), [a]),
-        (lambda: (square(a) * probe).sum(), [a]),
         (lambda: (log(c) * probe).sum(), [c]),
         (lambda: (a * probe).mean(), [a]),
         (lambda: ((a * probe).sum(axis=0) * probe_cols).sum(), [a]),

@@ -115,6 +115,11 @@ class TestHoeffdingEpsilon:
         with pytest.raises(ConfigurationError,
                            match=r"^delta must lie in \(0, 2\), got 2.0$"):
             hoeffding_epsilon(100, 2.0)
+        for delta in ("0.5", None, True):
+            with pytest.raises(ConfigurationError,
+                               match=rf"^delta: {delta!r} is not a real "
+                                     r"number$"):
+                hoeffding_epsilon(100, delta)
 
     def test_vacuous_limit(self):
         # as delta -> 2 the bound collapses to zero width

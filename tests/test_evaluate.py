@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from selpred.checks import (CLASSIFICATION, REGRESSION, ConfigurationError,
-                            ContractError, DegenerateCoverageError)
+from selpred.checks import (CLASSIFICATION, MAX_SIZE, REGRESSION,
+                            ConfigurationError, ContractError,
+                            DegenerateCoverageError)
 from selpred.evaluate import (
     MC_DROPOUT_CLASSIFICATION,
     cross_calibration_grid,
@@ -169,10 +170,11 @@ class TestMCDropout:
     @pytest.mark.parametrize("field, value, message", [
         ("passes", 2.5, "^passes: 2.5 is not an integer$"),
         ("passes", "3", "^passes: '3' is not an integer$"),
+        ("passes", 2**62, rf"^passes must be <= {MAX_SIZE}, got {2**62}$"),
         ("seed", -1, "^seed must be >= 0, got -1$"),
         ("seed", 1.5, "^seed: 1.5 is not an integer$"),
-    ], ids=["fractional-passes", "string-passes", "negative-seed",
-            "fractional-seed"])
+    ], ids=["fractional-passes", "string-passes", "too-many-passes",
+            "negative-seed", "fractional-seed"])
     def test_passes_and_seed_are_named(self, dropout_model, field, value,
                                        message):
         kwargs = {"passes": 2, "seed": 0, field: value}
@@ -181,9 +183,12 @@ class TestMCDropout:
                                   task=CLASSIFICATION, **kwargs)
 
     def test_needs_two_passes(self, dropout_model):
-        with pytest.raises(ContractError):
-            mc_dropout_confidence(dropout_model, np.zeros((3, 5)), passes=1,
-                                  rate=0.5, seed=0, task=CLASSIFICATION)
+        for passes in (1, 0, -1):
+            with pytest.raises(ContractError,
+                               match="^MC-dropout needs at least 2 passes$"):
+                mc_dropout_confidence(dropout_model, np.zeros((3, 5)),
+                                      passes=passes, rate=0.5, seed=0,
+                                      task=CLASSIFICATION)
 
     def test_reference_settings(self):
         assert MC_DROPOUT_CLASSIFICATION == {"passes": 100, "rate": 0.5}

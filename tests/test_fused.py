@@ -59,7 +59,6 @@ from selpred.losses import (
     auxiliary_loss,
     empirical_coverage,
     empirical_selective_risk,
-    psi,
     selective_loss,
     task_loss,
     total_loss,
@@ -125,9 +124,11 @@ def ref_squared(pred, y):
 
 
 def ref_selective(losses, g, cfg):
-    risk = empirical_selective_risk(losses, g)
-    shortfall = cfg.target_coverage - empirical_coverage(g)
-    return risk + cfg.penalty_weight * psi(shortfall)
+    """r_hat + lambda * max(0, c - phi_hat)^2 from elementwise operations."""
+    phi = g.mean()
+    shortfall = relu(cfg.target_coverage - phi)
+    return ((losses * g).mean() / phi
+            + cfg.penalty_weight * (shortfall * shortfall))
 
 
 def ref_total(sel, aux, alpha):

@@ -192,6 +192,12 @@ class TestTotalLoss:
     def test_bad_alpha(self):
         with pytest.raises(ConfigurationError):
             total_loss(Tensor(1.0), Tensor(1.0), -0.1)
+        # True would train as alpha = 1; a string or None is no real
+        for alpha in (True, "0.5", None):
+            with pytest.raises(ConfigurationError,
+                               match=rf"^alpha: {alpha!r} is not a real "
+                                     r"number$"):
+                total_loss(Tensor(1.0), Tensor(1.0), alpha)
 
 
 @pytest.mark.parametrize("loss, args, message", [

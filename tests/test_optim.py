@@ -427,6 +427,29 @@ class TestTrainLoop:
         overflows."""
         self._diverges_before_the_update(1e154)
 
+    @pytest.mark.parametrize("task, field", [
+        (CLASSIFICATION, "features"), (REGRESSION, "features"),
+        (REGRESSION, "labels")])
+    def test_non_finite_input_named_before_the_first_step(self, task,
+                                                          field):
+        """A NaN feature or regression target would only show as a
+        non-finite loss at the first batch, blamed on training."""
+        x, y = _toy_dataset(m=64)
+        model = _toy_model()
+        cfg = _toy_train_config(epochs=1)
+        if task == REGRESSION:
+            model = build_model(ArchitectureConfig(
+                input_dim=4, body_widths=[8], task=REGRESSION,
+                selection_hidden=4), 0)
+            y = y.astype(np.float64)
+            cfg = TrainConfig(epochs=1, batch_size=32, seed=0)
+        (x if field == "features" else y)[5] = np.nan
+        before = model.state()[0].tobytes()
+        with pytest.raises(ConfigurationError,
+                           match=f"^{field} must be finite$"):
+            train(model, x, y, cfg)
+        assert model.state()[0].tobytes() == before
+
     def test_empty_training_set_rejected(self):
         with pytest.raises(ConfigurationError):
             train(_toy_model(), np.zeros((0, 4)), np.zeros(0), _toy_train_config())
