@@ -97,8 +97,9 @@ def mc_dropout_confidence(model, inputs, passes, rate, seed, task):
 
     Each pass runs the frozen (batchnorm-folded) body with inverted dropout
     at ``rate`` after every hidden block and computes f only, one pass at a
-    time, so the working set is one pass's; the model needs no dropout
-    layers, and its rates are not touched. The masks (``dropout_mask``) are
+    time after a first block computed once for all (``FrozenNet.dropout_f``),
+    so the working set is one pass's; the model needs no dropout layers,
+    and its rates are not touched. The masks (``dropout_mask``) are
     drawn pass after pass, block after block, and none at rate 0.
     Classification: variance across passes of the probability assigned to
     the consensus class (argmax of the mean prediction).
@@ -115,12 +116,8 @@ def mc_dropout_confidence(model, inputs, passes, rate, seed, task):
     if size(passes, "passes", least=None) < 2:
         raise ContractError("MC-dropout needs at least 2 passes")
     rng = np.random.default_rng(integer(seed, "seed", least=0))
-    frozen = model.freeze()
-    first = frozen.dropout_f(inputs, rate, rng)
-    outs = np.empty((passes,) + first.shape)  # (passes, m, k) or (passes, m)
-    outs[0] = first
-    for p in range(1, passes):
-        outs[p] = frozen.dropout_f(inputs, rate, rng)
+    # (passes, m, k) or (passes, m)
+    outs = model.freeze().dropout_f(inputs, rate, rng, passes)
     identical = np.all(outs == outs[0], axis=0)
     if task == CLASSIFICATION:
         consensus = outs.mean(axis=0).argmax(axis=1)
@@ -187,7 +184,7 @@ def risk_coverage_curves(model, cal_inputs, test_inputs, test_labels, kinds,
             return mc_dropout_confidence(model, inputs, mc["passes"],
                                          mc["rate"], mc_seed, task)
         f, g = heads
-        return g if kind == "g" else sr_confidence(softmax_rows(f)[0])
+        return g if kind == "g" else sr_confidence(softmax_rows(f)[0].T)
 
     cal = frozen.heads(cal_inputs) if set(kinds) - {"mcdropout"} else None
     test = frozen.heads(test_inputs)

@@ -35,11 +35,17 @@ layer has no bias, which the batch mean would cancel.
 Every product here and in ``FrozenNet`` is an ``ndarray.dot`` call, the
 same BLAS call as ``@`` at less fixed cost, and a node hands a gradient
 array it allocated to ``Tensor._accum`` without a defensive copy.
+
+``softmax_rows`` is the one softmax: the cross-entropy node
+(``losses.task_loss``), the ``softmax`` node and every eval caller
+(``forward`` in ``EVAL`` mode, MC-dropout, softmax response) take their
+probabilities from it, the eval callers as the (rows, classes) transposed
+view of its class-major (classes, rows) result. The head products that
+feed it stay row-major, since a transposed product changes BLAS's result
+bits.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -409,7 +415,7 @@ def softmax(logits):
             f"softmax expects (batch, classes>=2), got {logits.data.shape}")
     if not np.isfinite(logits.data).all():
         raise DomainError("softmax requires finite logits")
-    p = softmax_rows(logits.data)[0]
+    p = softmax_rows(logits.data)[0].T
 
     def backward(g):
         logits._accum(p * (g - (g * p).sum(axis=1, keepdims=True)))
@@ -417,35 +423,32 @@ def softmax(logits):
     return Tensor._op(p, (logits,), backward)
 
 
-def softmax_rows(logits):
-    """Row softmax of the 2-D array ``logits``; returns ``(p, shifted,
-    row_sums)`` with ``shifted`` the logits minus each row's max and
-    ``p = exp(shifted) / row_sums``.
+# numpy sums a row of at least this many values pairwise, in blocks of 8
+_PAIRWISE_CLASSES = 8
 
-    The row max and the row sums are those of ``max(axis=1)`` and
-    ``sum(axis=1)``, bit for bit (see ``_row_reduce``).
+
+def softmax_rows(logits):
+    """Row softmax of the (m, k) array ``logits``, computed class-major:
+    returns ``(p, shifted, row_sums)`` with ``p`` and ``shifted`` new
+    contiguous (k, m) arrays and ``row_sums`` of length m. ``shifted`` is
+    the logits minus each row's max and ``p = exp(shifted) / row_sums``, so
+    ``p.T`` is the (m, k) softmax.
+
+    The logits are copied once, transposed, so the max, the shift, ``exp``,
+    the sums and the normalization run over length-m rows (one class
+    each) rather than broadcasting (m, 1) columns. The values are those of
+    the row-major ``max(axis=1)`` and ``sum(axis=1)``, bit for bit: a max
+    is exact in any order, and numpy adds a row of fewer than
+    ``_PAIRWISE_CLASSES`` values left to right, as the class-major
+    reduction does. From that many classes on numpy sums a row in pairwise
+    blocks, so those rows are summed from a row-major copy of exp(shifted).
     """
-    shifted = logits - _row_reduce(np.maximum, logits)
+    shifted = logits.T.copy()
+    shifted -= np.maximum.reduce(shifted, axis=0)
     p = np.exp(shifted)
-    row_sums = _row_reduce(np.add, p)
+    if len(p) < _PAIRWISE_CLASSES:
+        row_sums = np.add.reduce(p, axis=0)
+    else:
+        row_sums = np.add.reduce(p.T.copy(), axis=1)
     p /= row_sums
     return p, shifted, row_sums
-
-
-# Rows narrower than this are reduced by a column fold. numpy adds a row of
-# fewer than 8 values left to right, as the fold does; from 8 values on it
-# sums in blocks, and one call per column would cost more than it saves.
-_FOLD_COLUMNS = 8
-
-
-def _row_reduce(ufunc, a):
-    """``ufunc.reduce(a, axis=1, keepdims=True)`` of the 2-D array ``a``.
-
-    Below ``_FOLD_COLUMNS`` columns it is an elementwise fold over the
-    columns, ((a0 op a1) op a2) ..., with the same bits as the reduction
-    for ``np.maximum`` and ``np.add`` and several times faster on the few
-    columns of a class-logit matrix.
-    """
-    if a.shape[1] < _FOLD_COLUMNS:
-        return functools.reduce(ufunc, a.T)[:, None]
-    return ufunc.reduce(a, axis=1, keepdims=True)

@@ -11,7 +11,12 @@ with the plain (full-coverage) mean loss, and the two are mixed by a convex
 combination with weight alpha.
 
 The per-sample task losses, the selective loss and the combination are each
-one tape node with a closed-form backward. ``selective_loss`` takes its value
+one tape node with a closed-form backward. Cross-entropy works on
+``softmax_rows``' class-major (classes, rows) arrays: its value is each
+row's log row sum minus the label's shifted logit, and its gradient
+(p - onehot) * g is formed there, with g a length-m row, and handed back
+to the (rows, classes) head as one transposed copy; the values are the
+row-major formula's bit for bit. ``selective_loss`` takes its value
 from ``empirical_coverage``, ``empirical_selective_risk`` and ``psi``, which
 compute phi_hat, r_hat and psi off the tape as float64 scalars.
 """
@@ -53,13 +58,18 @@ class LossConfig:
     task_loss: str = SQUARED
 
     def validate(self):
-        # stored plain: training stamps it on the model, which saves it
+        # each kept as the Python float its check returns: training stamps
+        # the coverage on the model, which saves it, and a numpy float32
+        # weight would keep selective_loss's backward in float32
         self.target_coverage = fraction(self.target_coverage,
                                         "target_coverage")
-        if real(self.penalty_weight, "penalty_weight") < 0.0:
+        self.penalty_weight = real(self.penalty_weight, "penalty_weight")
+        if self.penalty_weight < 0.0:
             raise ConfigurationError("penalty weight must be >= 0")
-        if not 0.0 <= real(self.alpha, "alpha") <= 1.0:
+        alpha = real(self.alpha, "alpha")
+        if not 0.0 <= alpha <= 1.0:
             raise ConfigurationError(f"alpha must be in [0,1], got {self.alpha}")
+        self.alpha = alpha
         if self.task_loss not in (CROSS_ENTROPY, SQUARED):
             raise ConfigurationError(f"unknown task loss {self.task_loss!r}")
 
@@ -116,18 +126,18 @@ def _cross_entropy(logits, labels):
     m, k = z.shape
     if labels.shape != (m,):
         raise ShapeError(f"expected {m} labels, got shape {labels.shape}")
-    idx = _class_indices(labels, k)
-    rows = np.arange(m)
+    # each row's label in the flat class-major (k, m) arrays
+    at = _class_indices(labels, k) * m + np.arange(m)
     p, shifted, row_sums = softmax_rows(z)
 
     def backward(g):
-        dz = p.copy()
-        dz.ravel()[rows * k + idx] -= 1.0
-        dz *= g[:, None]
-        logits._accum(dz, owned=True)
+        dz = p  # a node's backward runs once, so p is free to overwrite
+        dz.ravel()[at] -= 1.0
+        dz *= g
+        logits._accum(dz.T.copy(), owned=True)
 
-    return Tensor._op(np.log(row_sums[:, 0]) - shifted[rows, idx],
-                      (logits,), backward)
+    return Tensor._op(np.log(row_sums) - shifted.take(at), (logits,),
+                      backward)
 
 
 def _squared(prediction, labels):

@@ -185,7 +185,7 @@ class SelectiveNet:
                 raise ConfigurationError(f"unknown forward mode {mode!r}")
             f, g = self.freeze().heads(x)
             if self.config.task == CLASSIFICATION:
-                f = softmax_rows(f)[0]
+                f = softmax_rows(f)[0].T
             return Tensor(f), None if g is None else Tensor(g), None
         if not isinstance(x, Tensor):
             x = Tensor(x)
@@ -383,7 +383,7 @@ class FrozenNet:
         x = self._checked(x)
         if x.shape[0] > BLOCK_ROWS:
             return self._blocked_heads(x)
-        z = self._pass(x, self.head_w, self.head_b)
+        z = self._pass(x, self.body, self.head_w, self.head_b)
         if self.classification:
             f = z[:, :self.n_f]
         else:
@@ -394,13 +394,13 @@ class FrozenNet:
         t += self.g_b
         return f, stable_sigmoid(t)
 
-    def _pass(self, x, head_w, head_b, rate=0.0, rng=None):
+    def _pass(self, x, blocks, head_w, head_b, rate=0.0, rng=None):
         """``rep @ head_w + head_b`` for the rows of the checked ``x``, with
-        rep the output of the folded body blocks, each followed by inverted
-        dropout at ``rate``. The masks (``dropout_mask``) are drawn block
-        after block from ``rng`` as ``DropoutLayer`` draws them; rate 0 draws
-        none."""
-        for w, b in self.body:
+        rep the output of the folded body ``blocks``, each followed by
+        inverted dropout at ``rate``. The masks (``dropout_mask``) are drawn
+        block after block from ``rng`` as ``DropoutLayer`` draws them; rate
+        0 draws none."""
+        for w, b in blocks:
             x = x.dot(w)
             x += b
             np.maximum(x, _ZERO, out=x)
@@ -424,12 +424,27 @@ class FrozenNet:
                 g[rows] = g_rows
         return f, g
 
-    def dropout_f(self, x, rate, rng):
-        """f for the rows of ``x`` with inverted dropout at ``rate`` after
-        every body block: class probabilities (softmax) or regression
-        outputs, from f's head columns only."""
-        z = self._pass(self._checked(x), self.f_w, self.f_b, rate, rng)
-        return softmax_rows(z)[0] if self.classification else z[:, 0]
+    def dropout_f(self, x, rate, rng, passes):
+        """f for the rows of ``x`` in each of ``passes`` passes with
+        inverted dropout at ``rate`` after every body block, from f's head
+        columns only, stacked: (passes, rows, classes) class probabilities
+        (softmax) or (passes, rows) regression outputs. The input is checked
+        and the first block computed once; each pass then draws its masks
+        from ``rng`` block after block, so it equals one ``_pass`` over all
+        the blocks bit for bit."""
+        (w, b), *rest = self.body
+        first = self._checked(x).dot(w)
+        first += b
+        np.maximum(first, _ZERO, out=first)
+        n = first.shape[0]
+        outs = np.empty((passes, n, self.n_f) if self.classification
+                        else (passes, n))
+        for i in range(passes):
+            rep = (first if rate == 0.0
+                   else first * dropout_mask(rng, first.shape, rate))
+            z = self._pass(rep, rest, self.f_w, self.f_b, rate, rng)
+            outs[i] = softmax_rows(z)[0].T if self.classification else z[:, 0]
+        return outs
 
     def __call__(self, x, tau):
         """``(predictions, accepted)``: class indices (argmax of the logits)

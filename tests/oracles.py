@@ -117,6 +117,30 @@ def ref_softmax(z):
     return e / e.sum(axis=1, keepdims=True)
 
 
+def row_major_softmax(logits):
+    """``(p, shifted, row_sums)`` of the (m, k) array ``logits`` by numpy's
+    row reductions, each (m, k) or (m, 1): the row-major formula whose
+    values ``layers.softmax_rows`` keeps bit for bit."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    p = np.exp(shifted)
+    row_sums = p.sum(axis=1, keepdims=True)
+    p /= row_sums
+    return p, shifted, row_sums
+
+
+def row_major_cross_entropy(logits, labels, g):
+    """``(losses, dL/dlogits)`` of per-row cross-entropy on the (m, k)
+    array ``logits``, written row-major from ``row_major_softmax``: each
+    row's log row sum minus its label's shifted logit, and
+    (p - onehot) * g[:, None] for the upstream gradient ``g``."""
+    p, shifted, row_sums = row_major_softmax(logits)
+    rows = np.arange(len(logits))
+    grad = p.copy()
+    grad[rows, labels] -= 1.0
+    grad *= g[:, None]
+    return np.log(row_sums[:, 0]) - shifted[rows, labels], grad
+
+
 def ref_forward(model, x, mode, dropout=None):
     """``(f, g, h)`` of ``model`` on the rows of ``x``, from unfused
     operations on its parameters: f and h as class logits or regression

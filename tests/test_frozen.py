@@ -86,7 +86,7 @@ def _check_agreement(model, x):
     frozen = model.freeze()
     f, g = frozen.heads(x)
     if model.config.task == CLASSIFICATION:
-        assert _rel_err(softmax_rows(f)[0], f_ref) <= RTOL
+        assert _rel_err(softmax_rows(f)[0].T, f_ref) <= RTOL
         expected = np.argmax(f_ref, axis=1)
     else:
         assert _rel_err(f, f_ref) <= RTOL
@@ -168,7 +168,7 @@ def test_eval_forward_is_the_frozen_net(task, baseline):
     stats = [a.copy() for a in model.running_stats()]
     f, g, h = model.forward(x)
     frozen = model.freeze()
-    want_f = (softmax_rows(frozen.heads(x)[0])[0] if task == CLASSIFICATION
+    want_f = (softmax_rows(frozen.heads(x)[0])[0].T if task == CLASSIFICATION
               else frozen.heads(x)[0])
     assert f.data.tobytes() == want_f.tobytes()
     if baseline:
@@ -457,7 +457,7 @@ def _matmul_dropout_f(net, x, rate, rng):
         x = np.maximum(x @ w + b, 0.0)
         x = x * ((rng.random(x.shape) >= rate) / (1.0 - rate))
     z = x @ net.head_w[:, :net.n_f] + net.f_b
-    return softmax_rows(z)[0] if net.classification else z[:, 0]
+    return softmax_rows(z)[0].T if net.classification else z[:, 0]
 
 
 # The benchmark's serving shapes: n=1 and n=64 predict and the 1199-row
@@ -475,8 +475,9 @@ def _assert_matmul_bytes(model, n):
         assert got[1].tobytes() == want[1].tobytes()
     else:
         assert got[1] is None and want[1] is None
-    got = net.dropout_f(x, 0.5, np.random.default_rng(5))
-    want = _matmul_dropout_f(net, x, 0.5, np.random.default_rng(5))
+    got = net.dropout_f(x, 0.5, np.random.default_rng(5), 3)
+    rng = np.random.default_rng(5)  # three passes, one after the other
+    want = np.stack([_matmul_dropout_f(net, x, 0.5, rng) for _ in range(3)])
     assert got.tobytes() == want.tobytes()
 
 
@@ -548,7 +549,7 @@ class TestMCDropoutOnFrozen:
     def test_zero_rate_draws_no_mask(self):
         model = build_baseline(_config(REGRESSION), seed=0)
         rng = np.random.default_rng(3)
-        model.freeze().dropout_f(_inputs(20), 0.0, rng)
+        model.freeze().dropout_f(_inputs(20), 0.0, rng, 2)
         assert rng.random() == np.random.default_rng(3).random()
 
     def test_non_finite_regression_outputs(self):

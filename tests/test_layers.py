@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from selpred import layers
+from oracles import row_major_softmax
+from selpred import layers, losses
 from selpred.autograd import Tensor
 from selpred.checks import (
     CLASSIFICATION,
@@ -140,13 +141,10 @@ class TestDropout:
         np.testing.assert_allclose(np.unique(out), [0.0, 1.0 / 0.7], atol=1e-12)
 
 
-def max_shift_softmax_rows(logits):
-    """``softmax_rows`` by numpy's row reductions."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    p = np.exp(shifted)
-    row_sums = p.sum(axis=1, keepdims=True)
-    p /= row_sums
-    return p, shifted, row_sums
+def row_major_softmax_rows(logits):
+    """``softmax_rows``' class-major layout over ``row_major_softmax``."""
+    p, shifted, row_sums = row_major_softmax(logits)
+    return p.T.copy(), shifted.T.copy(), row_sums[:, 0]
 
 
 class TestSoftmax:
@@ -184,15 +182,19 @@ class TestSoftmax:
     @pytest.mark.parametrize("rows", [1, 256])
     @pytest.mark.parametrize("k", [*range(2, 13), 100])
     def test_rows_equal_max_and_sum_bytes(self, k, rows):
-        """The column folds below 8 columns and the reductions from 8 up
-        give the bytes of ``max(axis=1)`` and ``sum(axis=1)``."""
+        """The class-major reductions below 8 classes and the row-major
+        sums from 8 up give the bytes of ``max(axis=1)`` and
+        ``sum(axis=1)``."""
         logits = np.random.default_rng(k).normal(size=(rows, k)) * 4.0
         for got, want in zip(layers.softmax_rows(logits),
-                             max_shift_softmax_rows(logits)):
+                             row_major_softmax_rows(logits)):
             assert got.shape == want.shape
+            assert got.flags.c_contiguous
             assert got.tobytes() == want.tobytes()
 
     def test_row_max_fold_trains_bit_identically(self, monkeypatch):
+        """Training with cross-entropy's softmax replaced by the row-major
+        oracle gives the same parameters and history, bit for bit."""
         rng = np.random.default_rng(7)
         x = rng.normal(size=(300, 6))
         y = rng.integers(0, 4, size=300)
@@ -204,8 +206,8 @@ class TestSoftmax:
         runs = []
         for reference in (False, True):
             if reference:
-                monkeypatch.setattr(layers, "softmax_rows",
-                                    max_shift_softmax_rows)
+                monkeypatch.setattr(losses, "softmax_rows",
+                                    row_major_softmax_rows)
             model = build_model(arch, seed=0)
             runs.append((train(model, x, y, cfg), model.parameters().data))
         (history, params), (ref_history, ref_params) = runs

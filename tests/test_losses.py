@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from oracles import row_major_cross_entropy, row_major_softmax
 from selpred.autograd import (Parameter, Tensor, finite_difference_check,
                               sigmoid)
 from selpred.checks import (
@@ -26,6 +27,7 @@ from selpred.losses import (
     task_loss,
     total_loss,
 )
+from selpred.layers import softmax_rows
 
 
 class TestTaskLoss:
@@ -81,6 +83,30 @@ class TestTaskLoss:
         np.testing.assert_array_equal(
             task_loss(CROSS_ENTROPY, pred, [1.0, 0.0]).data,
             task_loss(CROSS_ENTROPY, pred, [1, 0]).data)
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 106, 256])
+    @pytest.mark.parametrize("k", [2, 3, 4, 7, 8, 9, 12, 20])
+    def test_cross_entropy_equals_row_major_bytes(self, k, m):
+        """``softmax_rows``' probabilities and the cross-entropy node's
+        value and gradient are the row-major formula's bytes, below 8
+        classes and from 8 up. Rows are scaled by up to 700, and the first
+        row's smallest exponential underflows to 0."""
+        rng = np.random.default_rng(100 * k + m)
+        scale = np.array([700.0, 1.0, 30.0])[np.arange(m) % 3, None]
+        z = rng.normal(size=(m, k)) * scale
+        z[0, :2] = 700.0, -700.0
+        labels = rng.integers(0, k, size=m)
+        g = rng.normal(size=m)
+        want_p = row_major_softmax(z)[0]
+        assert want_p[0, 1] == 0.0
+        assert softmax_rows(z)[0].T.tobytes() == want_p.tobytes()
+        want_loss, want_grad = row_major_cross_entropy(z, labels, g)
+        logits = Parameter(z)
+        out = task_loss(CROSS_ENTROPY, logits, labels)
+        out._backward(g)
+        assert out.data.tobytes() == want_loss.tobytes()
+        assert logits.grad.flags.c_contiguous
+        assert logits.grad.tobytes() == want_grad.tobytes()
 
     def test_squared_hand(self):
         out = task_loss(SQUARED, Tensor([3.0]), [1.0])
@@ -165,6 +191,23 @@ class TestSelectiveLoss:
         lo = selective_loss(losses, Tensor([0.6, 0.6]), cfg).item()
         hi = selective_loss(losses, Tensor([0.3, 0.3]), cfg).item()
         assert hi > lo
+
+    def test_numpy_float32_settings_are_kept_as_floats(self):
+        """A float32 weight or alpha is stored as the float ``real``
+        returns, so the backward runs in float64 as for a Python float."""
+        weight, alpha = np.float32(32.1), np.float32(0.3)
+        grads = []
+        for cfg in (LossConfig(0.9, weight, alpha),
+                    LossConfig(0.9, float(weight), float(alpha))):
+            cfg.validate()
+            assert type(cfg.penalty_weight) is float
+            assert type(cfg.alpha) is float
+            g = Parameter(np.linspace(0.05, 0.6, 8))
+            selective_loss(Tensor(np.linspace(0.1, 2.0, 8)), g,
+                           cfg).backward()
+            grads.append(g.grad)
+        assert grads[0].dtype == np.float64
+        assert grads[0].tobytes() == grads[1].tobytes()
 
     def test_invalid_config(self):
         with pytest.raises(ConfigurationError):
