@@ -20,8 +20,7 @@ import contextlib
 
 import numpy as np
 
-from .checks import (ConfigurationError, DomainError, SelpredError,
-                     ShapeError, real)
+from .checks import DomainError, SelpredError, ShapeError, real, within
 
 __all__ = [
     "Tensor",
@@ -431,9 +430,7 @@ def finite_difference_check(scalar_fn, params, h=1e-5, floor=1e-8):
     roundoff noise); a non-finite one gives inf. ``h`` must be a real > 0
     and ``floor`` a real.
     """
-    h, floor = real(h, "h"), real(floor, "floor")
-    if h <= 0:
-        raise ConfigurationError(f"step h must be positive, got {h}")
+    h, floor = within(h, "h", 0, np.inf, "()"), real(floor, "floor")
     v1 = float(scalar_fn().data)
     v2 = float(scalar_fn().data)
     if v1 != v2:

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import (ConfigurationError, ContractError, DomainError,
-                     fraction, integer, open_fraction, real)
+from .checks import (ContractError, DomainError, fraction, integer,
+                     open_fraction, real, within)
 
 __all__ = [
     "CalibrationResult",
@@ -45,6 +45,18 @@ class CalibrationResult:
     delta: float
     epsilon: float
     achieved_coverage: float
+
+    def __post_init__(self):
+        """Check every field by ``calibrate``'s rules, keeping the plain
+        values the checks return; ``load_model`` reads records through it."""
+        self.tau = real(self.tau, "tau")
+        self.target_coverage = fraction(self.target_coverage,
+                                        "target_coverage")
+        self.n_validation = integer(self.n_validation, "n_validation", least=1)
+        self.delta = open_fraction(self.delta, "delta")
+        self.epsilon = within(self.epsilon, "epsilon", 0, np.inf, "()")
+        self.achieved_coverage = within(self.achieved_coverage,
+                                        "achieved_coverage", 0, 1, "[]")
 
 
 def select_threshold(scores, target_coverage):
@@ -81,13 +93,14 @@ def hoeffding_epsilon(n, delta):
     DKW with Massart's constant: with probability >= 1-delta the empirical
     CDF of n scores is within this of the population CDF at every threshold.
     ``n`` must be an integer >= 1 (a bool is not) and ``delta`` a real in
-    (0, 2); ConfigurationError otherwise.
+    (0, 1), as for ``calibrate``: at delta >= 1 the bound promises nothing.
+    ConfigurationError otherwise.
     """
     n = integer(n, "n", least=1)
-    delta = real(delta, "delta")
-    if not 0.0 < delta < 2.0:
-        raise ConfigurationError(f"delta must lie in (0, 2), got {delta}")
-    return math.sqrt(math.log(2.0 / delta) / (2.0 * n))
+    delta = open_fraction(delta, "delta")
+    ratio = 2.0 / delta  # inf for a subnormal delta, whose log is finite
+    ln = math.log(ratio) if ratio < math.inf else math.log(2) - math.log(delta)
+    return math.sqrt(ln / (2.0 * n))
 
 
 def calibrate(model, validation_inputs, target_coverage, delta=0.001):
@@ -107,7 +120,7 @@ def calibrate(model, validation_inputs, target_coverage, delta=0.001):
     scores = model.selection_scores(validation_inputs)
     tau = select_threshold(scores, target_coverage)
     n = scores.size
-    return CalibrationResult(  # plain floats, so a checkpoint saves them
+    return CalibrationResult(
         tau=tau,
         target_coverage=target_coverage,
         n_validation=n,

@@ -11,8 +11,14 @@ boundary ``cli.main`` catches: bad input prints one ``error:`` line, while
 a bug propagates with its traceback.
 
 Config sections, checkpoint headers, CLI flags and library arguments go
-through the field checks below; each returns the value or raises a
-``ConfigurationError`` naming the field.
+through the field checks below, the one home of a setting's bounds:
+``integer`` (with a ``least`` and a ``most``), ``size`` (an integer up to
+``MAX_SIZE``), ``real`` (finite), ``within`` (a real in an interval; its
+named ones are ``fraction`` (0, 1], ``open_fraction`` (0, 1) and
+``drop_rate`` [0, 1)) and ``boolean``. Each returns the plain Python value,
+so a numpy scalar computes and saves as its Python number does, or raises
+a ``ConfigurationError`` that starts with the field's name, as "{field}
+must be >= {least}, got {value}" or "{field} must lie in (0, 1], got {value}".
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ import numpy as np
 __all__ = ["CLASSIFICATION", "REGRESSION", "SelpredError",
            "ConfigurationError", "ContractError", "DegenerateCoverageError",
            "DomainError", "ShapeError", "MAX_SIZE", "integer", "size",
-           "real", "boolean", "fraction", "open_fraction", "drop_rate"]
+           "real", "within", "boolean", "fraction", "open_fraction",
+           "drop_rate"]
 
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
@@ -55,15 +62,17 @@ class DegenerateCoverageError(SelpredError, ValueError):
     """Nothing is selected: the selective risk is undefined."""
 
 
-def integer(value, field, least=None):
+def integer(value, field, least=None, most=None):
     """``value`` as an ``int``; ConfigurationError naming ``field`` unless
-    it is an ``int`` or numpy integer of at least ``least`` (when given).
-    A bool is rejected, though Python counts it as an int, since ``true``
-    would read as 1."""
+    it is an ``int`` or numpy integer of at least ``least`` and at most
+    ``most`` (each when given). A bool is rejected, though Python counts it
+    as an int, since ``true`` would read as 1."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigurationError(f"{field}: {value!r} is not an integer")
     if least is not None and value < least:
         raise ConfigurationError(f"{field} must be >= {least}, got {value}")
+    if most is not None and value > most:
+        raise ConfigurationError(f"{field} must be <= {most}, got {value}")
     return int(value)
 
 
@@ -73,10 +82,8 @@ MAX_SIZE = math.isqrt(np.iinfo(np.intp).max // 8)
 
 
 def size(value, field, least=1):
-    """``integer(value, field, least)``, and at most ``MAX_SIZE``."""
-    if integer(value, field, least) > MAX_SIZE:
-        raise ConfigurationError(f"{field} must be <= {MAX_SIZE}, got {value}")
-    return int(value)
+    """``integer(value, field, least, MAX_SIZE)``: an array extent."""
+    return integer(value, field, least, MAX_SIZE)
 
 
 def real(value, field):
@@ -104,28 +111,29 @@ def boolean(value, field):
     return bool(value)
 
 
-def fraction(value, field):
+def within(value, field, low, high, ends):
     """``value`` as a ``float``; ConfigurationError naming ``field`` unless
-    it is a real in (0, 1]."""
+    it is a real from ``low`` to ``high``, each end closed (``[``, ``]``)
+    or open (``(``, ``)``) as ``ends`` writes it: ``within(x, "h", 0,
+    np.inf, "()")`` is (0, inf)."""
     x = real(value, field)
-    if not 0 < x <= 1:
-        raise ConfigurationError(f"{field} must lie in (0, 1], got {value}")
+    if not ((x >= low if ends[0] == "[" else x > low)
+            and (x <= high if ends[1] == "]" else x < high)):
+        raise ConfigurationError(f"{field} must lie in {ends[0]}{low}, "
+                                 f"{high}{ends[1]}, got {value}")
     return x
+
+
+def fraction(value, field):
+    """A real in (0, 1]: a coverage or a split share."""
+    return within(value, field, 0, 1, "(]")
 
 
 def open_fraction(value, field):
-    """``value`` as a ``float``; ConfigurationError naming ``field`` unless
-    it is a real in (0, 1)."""
-    x = real(value, field)
-    if not 0 < x < 1:
-        raise ConfigurationError(f"{field} must lie in (0, 1), got {value}")
-    return x
+    """A real in (0, 1): a failure probability delta."""
+    return within(value, field, 0, 1, "()")
 
 
 def drop_rate(value, field):
-    """``value`` as a ``float``; ConfigurationError naming ``field`` unless
-    it is a real in [0, 1), a dropout rate (at 1 every unit drops)."""
-    x = real(value, field)
-    if not 0 <= x < 1:
-        raise ConfigurationError(f"{field} must lie in [0, 1), got {value}")
-    return x
+    """A real in [0, 1): a dropout rate (at 1 every unit drops)."""
+    return within(value, field, 0, 1, "[)")

@@ -64,9 +64,10 @@ def _signature_defaults(fn):
             for name, p in inspect.signature(fn).parameters.items()}
 
 
-# The keys of each dataset kind, with their defaults: its loader's arguments.
+# The keys of each dataset kind, with their defaults: its loader's arguments
+# (csv's standardize_target too, whose default ``_resolve`` sets by task).
 _DATASET_KEYS = {
-    "csv": {**_signature_defaults(load_csv), "standardize_target": True},
+    "csv": {**_signature_defaults(load_csv), "standardize_target": False},
     "synthetic": {**_signature_defaults(synth_classification), "seed": 0,
                   "noise_fraction": 0.0},
 }
@@ -74,16 +75,16 @@ _DATASET_KEYS = {
 
 def _load_config(path, seeds=None, coverage=None):
     """``(cfg, conf)``: the file's mapping, which the provenance hash
-    covers, and its ``_resolve``d form with the command-line ``seeds`` and
-    ``coverage``, when given, in place of ``seeds`` and
-    ``loss.target_coverage``."""
+    covers, and its ``_resolve``d form with the command-line ``seeds``
+    (checked by ``_seeds``) and ``coverage``, when given, in place of
+    ``seeds`` and ``loss.target_coverage``."""
     with open(path, "rb") as fh:  # PyYAML decodes, naming the file on error
         cfg = yaml.safe_load(fh) or {}
     if not isinstance(cfg, dict):
         raise ConfigurationError(f"{path}: config root must be a mapping")
     conf = _resolve(cfg)
     if seeds is not None:
-        conf["seeds"] = _seeds(seeds)
+        conf["seeds"] = seeds
     if coverage is not None:
         conf["loss"]["target_coverage"] = fraction(coverage, "--coverage")
     return cfg, conf
@@ -124,7 +125,8 @@ def _resolve(cfg):
     if not isinstance(kind, str) or kind not in _DATASET_KEYS:
         raise ConfigurationError(f"unknown dataset kind {kind!r}")
     dataset = _section(cfg, "dataset", {"kind": kind, **_DATASET_KEYS[kind]})
-    # the task loss defaults by task; synthetic data is classification
+    # the task loss and standardize_target default by task; synthetic data
+    # is classification
     task = dataset.get("task", CLASSIFICATION)
     if task not in (CLASSIFICATION, REGRESSION):
         raise ConfigurationError(f"unknown task {task!r}")
@@ -139,7 +141,11 @@ def _resolve(cfg):
         "seeds": _seeds(cfg.get("seeds", [0])),
     }
     if kind == "csv":
-        boolean(dataset["standardize_target"], "standardize_target")
+        dataset["standardize_target"] = boolean(cfg["dataset"].get(
+            "standardize_target", task == REGRESSION), "standardize_target")
+        if dataset["standardize_target"] and task != REGRESSION:
+            raise ConfigurationError("standardize_target must be false for "
+                                     "a classification dataset")
     SplitSpec(**conf["split"]).validate()
     _train_config(conf, 0).validate()
     # input_dim, task and n_classes come from the data: stand-ins until read
@@ -147,18 +153,18 @@ def _resolve(cfg):
     return conf
 
 
-def _seeds(seeds):
-    """``seeds``, from the config or the command line, checked to be a
-    non-empty list of distinct integers >= 0; ConfigurationError naming
-    ``seeds`` (and the first repeated seed) otherwise: one run counted twice
-    would make a wrong standard error."""
+def _seeds(seeds, field="seeds"):
+    """``seeds``, from the config or the command-line flag ``field``,
+    checked to be a non-empty list of distinct integers >= 0;
+    ConfigurationError naming ``field`` (and the first repeated seed)
+    otherwise: one run counted twice would make a wrong standard error."""
     if not isinstance(seeds, list) or not seeds:
         raise ConfigurationError(
-            f"seeds must be a non-empty list of integers, got {seeds!r}")
-    seeds = [integer(s, "seeds", least=0) for s in seeds]
+            f"{field} must be a non-empty list of integers, got {seeds!r}")
+    seeds = [integer(s, field, least=0) for s in seeds]
     for i, s in enumerate(seeds):
         if s in seeds[:i]:
-            raise ConfigurationError(f"seeds: {s} is repeated")
+            raise ConfigurationError(f"{field}: {s} is repeated")
     return seeds
 
 
@@ -216,7 +222,7 @@ def prepare_splits(conf, split_seeds=None):
     ds = (load_csv if kind == "csv" else synth_classification)(**args)
     return [standardized_splits(
                 ds, SplitSpec(**{**conf["split"], "seed": seed}),
-                standardize_target and ds.task != CLASSIFICATION)
+                standardize_target)
             for seed in split_seeds or [conf["split"]["seed"]]]
 
 
@@ -239,7 +245,7 @@ def _train_config(conf, seed, **loss):
 
 
 def cmd_train(args):
-    seeds = None if args.seed is None else [args.seed]
+    seeds = None if args.seed is None else _seeds([args.seed], "--seed")
     cfg, conf = _load_config(args.config, seeds, args.coverage)
     seed = conf["seeds"][0]
     out = Path(args.out)
@@ -383,8 +389,8 @@ def run_comparison(conf, coverages):
 
 def cmd_compare(args):
     coverages = _coverages(args.coverages)
-    seeds = (None if args.seeds is None
-             else _flag_list("--seeds", args.seeds, int))
+    seeds = (None if args.seeds is None else
+             _seeds(_flag_list("--seeds", args.seeds, int), "--seeds"))
     cfg, conf = _load_config(args.config, seeds)
     out = Path(args.out)
     colnames, rows = run_comparison(conf, coverages)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checks import (CLASSIFICATION, REGRESSION, ConfigurationError,
-                     SelpredError, boolean, integer, real, size)
+                     SelpredError, boolean, fraction, integer, size, within)
 
 __all__ = [
     "Dataset",
@@ -96,12 +96,12 @@ class SplitSpec:
     stratified: bool = False
 
     def validate(self):
-        fracs = tuple(real(getattr(self, name), name)
-                      for name in ("train", "calibration", "test"))
-        boolean(self.stratified, "stratified")
-        integer(self.seed, "seed", least=0)
-        if any(f <= 0.0 for f in fracs):
-            raise ConfigurationError("every split fraction must be positive")
+        """Check every field, keeping the plain values its checks return."""
+        self.train, self.calibration, self.test = fracs = tuple(
+            fraction(getattr(self, name), name)
+            for name in ("train", "calibration", "test"))
+        self.stratified = boolean(self.stratified, "stratified")
+        self.seed = integer(self.seed, "seed", least=0)
         if abs(sum(fracs) - 1.0) > 1e-9:
             raise ConfigurationError(f"split fractions must sum to 1, got {fracs}")
 
@@ -122,22 +122,19 @@ def load_csv(path, feature_columns, target_column, header=True,
     """
     if not isinstance(path, (str, os.PathLike)):
         raise ConfigurationError(f"path: {path!r} is not a file path")
-    target_column = integer(target_column, "target_column")
+    target_column = integer(target_column, "target_column", least=0)
     boolean(header, "header")
     if (isinstance(feature_columns, (str, bytes, dict))
             or not np.iterable(feature_columns)):
         raise ConfigurationError(
             f"feature_columns must be a list of column indices, "
             f"got {feature_columns!r}")
-    feature_columns = [integer(c, "feature_columns")
+    feature_columns = [integer(c, "feature_columns", least=0)
                        for c in feature_columns]
-    if target_column < 0:
-        raise ConfigurationError(f"target column {target_column} is negative")
     seen = set()
     for c in feature_columns:
-        if c < 0 or c in seen or c == target_column:
-            why = ("is negative" if c < 0 else "is repeated" if c in seen
-                   else "is the target column")
+        if c in seen or c == target_column:
+            why = "is repeated" if c in seen else "is the target column"
             raise ConfigurationError(f"feature column {c} {why}")
         seen.add(c)
     try:  # skip the header and blank rows, keeping each row's index
@@ -282,15 +279,14 @@ def synth_classification(seed, m, n_classes, n_features, noise_fraction):
 
     ``seed`` must be an ``int`` or numpy integer of at least 0, ``m`` and
     ``n_features`` sizes of at least 1, ``n_classes`` one of at least 2
-    (``checks.size``); anything else raises ConfigurationError naming it.
+    (``checks.size``) and ``noise_fraction`` a real in [0, 0.5); anything
+    else raises ConfigurationError naming it.
     """
     integer(seed, "seed", least=0)
     for field, value, least in (("m", m, 1), ("n_classes", n_classes, 2),
                                 ("n_features", n_features, 1)):
         size(value, field, least)
-    if not 0.0 <= real(noise_fraction, "noise_fraction") < 0.5:
-        raise ConfigurationError(
-            f"noise fraction must be in [0, 0.5), got {noise_fraction}")
+    noise_fraction = within(noise_fraction, "noise_fraction", 0, 0.5, "[)")
     rng = np.random.default_rng(seed)
     centers = rng.normal(size=(n_classes, n_features))
     centers *= 4.0 / np.linalg.norm(centers, axis=1, keepdims=True)

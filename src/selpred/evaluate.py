@@ -38,6 +38,9 @@ __all__ = [
     "write_csv",
 ]
 
+# One threshold rule for calibration and every risk-coverage curve.
+threshold_for_coverage = select_threshold
+
 # MC-dropout settings reported for the two task types.
 MC_DROPOUT_CLASSIFICATION = {"passes": 100, "rate": 0.5}
 MC_DROPOUT_REGRESSION = {"passes": 200, "rate": 0.05}
@@ -130,11 +133,6 @@ def mc_dropout_confidence(model, inputs, passes, rate, seed, task):
     return -var
 
 
-def threshold_for_coverage(scores, target_coverage):
-    """Nearest-rank threshold; same rule as selection-score calibration."""
-    return select_threshold(scores, target_coverage)
-
-
 def risk_coverage_curve(cal_scores, test_scores, predictions, labels,
                         coverage_grid, task):
     """Trace selective risk against target coverage for one confidence score.
@@ -151,7 +149,7 @@ def risk_coverage_curve(cal_scores, test_scores, predictions, labels,
         if c == 1.0:
             mask = np.ones(test_scores.size, dtype=bool)
         else:
-            tau = threshold_for_coverage(cal_scores, c)
+            tau = select_threshold(cal_scores, c)
             mask = test_scores >= tau
         rep = selective_metrics(predictions, labels, mask, task)
         rows.append((c, rep.coverage, rep.risk))

@@ -59,7 +59,7 @@ from .autograd import (
     write_through,
 )
 from .checks import (ConfigurationError, ContractError, DomainError,
-                     ShapeError, drop_rate)
+                     ShapeError, drop_rate, size)
 from .data import _column_sums
 
 __all__ = [
@@ -90,9 +90,7 @@ class DenseLayer:
     """
 
     def __init__(self, in_dim, out_dim, rng, init="he", bias=True):
-        if in_dim < 1 or out_dim < 1:
-            raise ConfigurationError(
-                f"dense layer extents must be positive, got {in_dim}x{out_dim}")
+        in_dim, out_dim = size(in_dim, "in_dim"), size(out_dim, "out_dim")
         if init == "he":
             limit = np.sqrt(6.0 / in_dim)
         elif init == "glorot":
@@ -265,8 +263,7 @@ class DropoutLayer:
     no dropout at all. Always active (``_Block`` builds none at rate 0)."""
 
     def __init__(self, rate):
-        drop_rate(rate, "rate")
-        self.rate = rate
+        self.rate = drop_rate(rate, "rate")
 
     def __call__(self, x, rng=None):
         return x * Tensor(self.mask(rng, x.data.shape))

@@ -30,7 +30,7 @@ import numpy as np
 from .autograd import Tensor
 from .checks import (CLASSIFICATION, ConfigurationError, ContractError,
                      DegenerateCoverageError, DomainError, ShapeError,
-                     fraction, real)
+                     fraction, within)
 from .layers import softmax_rows
 
 __all__ = [
@@ -63,13 +63,9 @@ class LossConfig:
         # weight would keep selective_loss's backward in float32
         self.target_coverage = fraction(self.target_coverage,
                                         "target_coverage")
-        self.penalty_weight = real(self.penalty_weight, "penalty_weight")
-        if self.penalty_weight < 0.0:
-            raise ConfigurationError("penalty weight must be >= 0")
-        alpha = real(self.alpha, "alpha")
-        if not 0.0 <= alpha <= 1.0:
-            raise ConfigurationError(f"alpha must be in [0,1], got {self.alpha}")
-        self.alpha = alpha
+        self.penalty_weight = within(self.penalty_weight, "penalty_weight",
+                                     0, np.inf, "[)")
+        self.alpha = within(self.alpha, "alpha", 0, 1, "[]")
         if self.task_loss not in (CROSS_ENTROPY, SQUARED):
             raise ConfigurationError(f"unknown task loss {self.task_loss!r}")
 
@@ -225,9 +221,7 @@ def auxiliary_loss(h_losses):
 def total_loss(selective, auxiliary, alpha):
     """Convex combination alpha * selective + (1 - alpha) * auxiliary, as
     one node."""
-    alpha = real(alpha, "alpha")
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigurationError(f"alpha must be in [0,1], got {alpha}")
+    alpha = within(alpha, "alpha", 0, 1, "[]")
 
     def backward(g):
         if selective.requires_grad:

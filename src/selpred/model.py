@@ -37,8 +37,9 @@ from .autograd import (
     sigmoid,
     stable_sigmoid,
 )
-from .checks import (CLASSIFICATION, REGRESSION, ConfigurationError,
-                     DomainError, ShapeError, drop_rate, integer, size)
+from .checks import (CLASSIFICATION, MAX_SIZE, REGRESSION,
+                     ConfigurationError, DomainError, ShapeError, drop_rate,
+                     integer, size)
 from .layers import (
     EVAL,
     TRAIN,
@@ -86,16 +87,16 @@ class ArchitectureConfig:
         check returns, so a numpy scalar setting saves as JSON."""
         self.input_dim = size(self.input_dim, "input_dim")
         widths = self.body_widths
-        if not isinstance(widths, (list, tuple)) or not widths or any(
-                size(w, "body_widths", least=None) < 1 for w in widths):
+        if not isinstance(widths, (list, tuple)) or not widths:
             raise ConfigurationError(f"invalid body widths {widths}")
-        self.body_widths = [int(w) for w in widths]
+        self.body_widths = [size(w, "body_widths") for w in widths]
         self.selection_hidden = size(self.selection_hidden, "selection_hidden")
         self.dropout_rate = drop_rate(self.dropout_rate, "dropout_rate")
         if self.task not in (CLASSIFICATION, REGRESSION):
             raise ConfigurationError(f"unknown task {self.task!r}")
-        self.n_classes = size(self.n_classes, "n_classes", least=(
-            2 if self.task == CLASSIFICATION else 0))
+        # a regression model has one output, so its class count is 0
+        least, most = (2, MAX_SIZE) if self.task == CLASSIFICATION else (0, 0)
+        self.n_classes = integer(self.n_classes, "n_classes", least, most)
 
 
 class _Block:

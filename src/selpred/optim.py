@@ -20,7 +20,7 @@ import numpy as np
 from .autograd import Parameters, zero_grads
 from .checks import (CLASSIFICATION, ConfigurationError,
                      DegenerateCoverageError, DomainError, SelpredError,
-                     integer, real, size)
+                     integer, size, within)
 from .layers import TRAIN
 from .losses import (
     LossConfig,
@@ -60,17 +60,19 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
 
     def validate(self):
-        if real(self.learning_rate, "learning_rate") <= 0:
-            raise ConfigurationError("learning rate must be positive")
-        if real(self.weight_decay, "weight_decay") < 0:
-            raise ConfigurationError(
-                f"weight_decay must be >= 0, got {self.weight_decay}")
-        if not 0 <= real(self.momentum, "momentum") < 1:
-            raise ConfigurationError(
-                f"momentum must be in [0, 1), got {self.momentum}")
-        size(self.epochs, "epochs")
-        size(self.batch_size, "batch_size")
-        integer(self.lr_halving_period, "lr_halving_period", least=0)
+        """Check every field, keeping the plain Python value each check
+        returns: a float32 rate or decay would make Adam's lr * wd float32."""
+        self.learning_rate = within(self.learning_rate, "learning_rate", 0,
+                                    np.inf, "()")
+        self.weight_decay = within(self.weight_decay, "weight_decay", 0,
+                                   np.inf, "[)")
+        self.momentum = within(self.momentum, "momentum", 0, 1, "[)")
+        self.epochs = size(self.epochs, "epochs")
+        # batchnorm normalizes over a batch, so it needs two rows
+        self.batch_size = size(self.batch_size, "batch_size", least=2)
+        self.lr_halving_period = integer(self.lr_halving_period,
+                                         "lr_halving_period", least=0)
+        self.seed = integer(self.seed, "seed", least=0)
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
         self.loss.validate()
@@ -178,8 +180,7 @@ class Adam:
 
 def lr_schedule(epoch, config):
     """Halving schedule for SGD; Adam runs at a constant rate."""
-    if epoch < 0:
-        raise ConfigurationError("epoch must be >= 0")
+    integer(epoch, "epoch", least=0)
     if config.optimizer == "sgd" and config.lr_halving_period:
         return config.learning_rate * 0.5 ** (epoch // config.lr_halving_period)
     return config.learning_rate
@@ -202,10 +203,11 @@ def train(model, features, labels, config):
     baseline twin is trained on the plain mean task loss. Returns a
     ``TrainHistory``; the model is updated in place and its
     ``trained_coverage`` is stamped from the loss config. Before the first
-    update, features and regression targets are checked to be finite,
-    labels to be (rows,) (ConfigurationError), class labels to be integers
-    in [0, n_classes) (DomainError; integral floats pass) and the task loss
-    to fit the task (``task_loss_for``).
+    update, the config is validated, the rows checked to number at least 2,
+    features and regression targets to be finite, labels to be (rows,)
+    (ConfigurationError), class labels to be integers in [0, n_classes)
+    (DomainError; integral floats pass) and the task loss to fit the task
+    (``task_loss_for``).
     A batch whose loss is not finite, logits that overflowed included,
     raises ``TrainingDivergedError`` before its update, as do a collapsed
     selection head, non-finite parameters after the last update and
@@ -216,8 +218,9 @@ def train(model, features, labels, config):
     config.validate()
     features = np.asarray(features, dtype=np.float64)
     m = features.shape[0]
-    if m == 0:
-        raise ConfigurationError("training set is empty")
+    if m < 2:
+        raise ConfigurationError(
+            f"training rows must be >= 2 for batchnorm, got {m}")
     if not np.isfinite(features).all():
         raise ConfigurationError("features must be finite")
     labels = np.asarray(labels)
@@ -234,8 +237,6 @@ def train(model, features, labels, config):
         labels = _class_indices(labels, arch.n_classes)
     elif not np.isfinite(labels.astype(np.float64)).all():
         raise ConfigurationError("labels must be finite")
-    if config.batch_size < 2 and m > 1:
-        raise ConfigurationError("batch size must be >= 2 with batchnorm")
 
     params = model.parameters()
     if config.optimizer == "adam":

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibrate import CalibrationResult
-from .checks import DomainError, SelpredError, boolean, fraction, integer, real
+from .checks import DomainError, SelpredError, boolean, fraction
 from .model import ArchitectureConfig, SelectiveNet
 
 __all__ = ["save_model", "load_model", "IntegrityError", "VersionError"]
@@ -114,18 +114,6 @@ def _read_header(path, raw):
     return header
 
 
-def _calibration(fields):
-    """``CalibrationResult(**fields)``; ConfigurationError unless
-    ``n_validation`` is an int >= 1, ``target_coverage`` lies in (0, 1]
-    and every other field is a finite real."""
-    calib = CalibrationResult(**fields)
-    fraction(calib.target_coverage, "target_coverage")
-    integer(calib.n_validation, "n_validation", least=1)
-    for name in ("tau", "delta", "epsilon", "achieved_coverage"):
-        real(getattr(calib, name), name)
-    return calib
-
-
 def load_model(path):
     """Read a checkpoint; returns ``(model, calibration_or_None)``.
 
@@ -133,8 +121,8 @@ def load_model(path):
     VersionError; wrong magic, any corrupted byte, missing or unknown
     header keys, or a header field of the wrong type or range (a seed that
     is not an int >= 0, a ``selective`` that is not a bool, a coverage
-    outside (0, 1], a non-finite calibration value) or a non-finite value
-    in the payload raise IntegrityError.
+    outside (0, 1], a calibration value outside ``calibrate``'s range) or a
+    non-finite value in the payload raise IntegrityError.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -155,7 +143,7 @@ def load_model(path):
         coverage = header["trained_coverage"]
         if coverage is not None:
             fraction(coverage, "trained_coverage")
-        calib = (_calibration(header["calibration"])
+        calib = (CalibrationResult(**header["calibration"])
                  if header["calibration"] else None)
     except (TypeError, ValueError, KeyError) as exc:
         raise IntegrityError(f"{path}: invalid header: {exc!r}") from exc

@@ -92,7 +92,7 @@ class TestSelectThreshold:
 
 class TestHoeffdingEpsilon:
     def test_closed_form(self):
-        for n, delta in [(5000, 0.001), (200, 0.05), (1, 1.9), (10**6, 0.5)]:
+        for n, delta in [(5000, 0.001), (200, 0.05), (1, 0.9), (10**6, 0.5)]:
             expected = math.sqrt(math.log(2.0 / delta) / (2.0 * n))
             assert hoeffding_epsilon(n, delta) == pytest.approx(expected, abs=1e-15)
 
@@ -109,21 +109,31 @@ class TestHoeffdingEpsilon:
             with pytest.raises(ConfigurationError,
                                match=rf"^n: {n!r} is not an integer$"):
                 hoeffding_epsilon(n, 0.05)
-        with pytest.raises(ConfigurationError,
-                           match=r"^delta must lie in \(0, 2\), got 0.0$"):
-            hoeffding_epsilon(100, 0.0)
-        with pytest.raises(ConfigurationError,
-                           match=r"^delta must lie in \(0, 2\), got 2.0$"):
-            hoeffding_epsilon(100, 2.0)
+        for delta in (0.0, 1.0, 1.5):
+            with pytest.raises(ConfigurationError,
+                               match=rf"^delta must lie in \(0, 1\), "
+                                     rf"got {delta}$"):
+                hoeffding_epsilon(100, delta)
         for delta in ("0.5", None, True):
             with pytest.raises(ConfigurationError,
                                match=rf"^delta: {delta!r} is not a real "
                                      r"number$"):
                 hoeffding_epsilon(100, delta)
 
+    @pytest.mark.parametrize("delta", [5e-324, 1e-309])
+    def test_subnormal_delta_gives_a_finite_bound(self, delta):
+        """2/delta overflows for a subnormal delta; the bound, with
+        ln(2/delta) = ln 2 - ln delta, stays finite."""
+        assert hoeffding_epsilon(100, delta) == pytest.approx(
+            math.sqrt((math.log(2.0) - math.log(delta)) / 200.0))
+
     def test_vacuous_limit(self):
-        # as delta -> 2 the bound collapses to zero width
-        assert hoeffding_epsilon(100, 2.0 - 1e-12) < 1e-6
+        """As delta -> 1 the bound holds "with probability >= 1 - delta"
+        -> 0, so it promises nothing: the argument stops short of 1, as
+        ``calibrate``'s, where the width is sqrt(ln 2 / (2n)), never 0."""
+        below_one = math.nextafter(1.0, 0.0)
+        assert hoeffding_epsilon(100, below_one) == pytest.approx(
+            math.sqrt(math.log(2.0) / 200.0))
 
 
 @pytest.fixture(scope="module")

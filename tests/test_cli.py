@@ -10,8 +10,8 @@ import yaml
 
 from selpred import cli, data
 from selpred.autograd import GradCheckError
-from selpred.checks import (MAX_SIZE, REGRESSION, ConfigurationError,
-                            DomainError)
+from selpred.checks import (CLASSIFICATION, MAX_SIZE, REGRESSION,
+                            ConfigurationError, DomainError)
 from selpred.cli import _resolve, build_parser, main, prepare_splits
 from selpred.data import (ParseError, SplitSpec, load_csv,
                           standardized_splits, synth_classification,
@@ -626,6 +626,23 @@ class TestDatasetConfig:
         assert capsys.readouterr().err == f"error: unknown task {task!r}\n"
         assert calls == {"csv": 0, "synthetic": 0}
 
+    @pytest.mark.parametrize("task, default", [(REGRESSION, True),
+                                               (CLASSIFICATION, False)])
+    def test_standardize_target_defaults_by_task(self, task, default):
+        """Like the task loss: standardized targets for a regression CSV,
+        none for a classification one, whose labels are class indices."""
+        conf = _resolve({"dataset": dict(self.CSV, task=task)})
+        assert conf["dataset"]["standardize_target"] is default
+
+    def test_standardized_class_labels_fail_before_any_read(
+            self, tmp_path, capsys, monkeypatch):
+        calls = _count_reads(monkeypatch)
+        assert self._train(tmp_path, dict(
+            self.CSV, task=CLASSIFICATION, standardize_target=True)) == 1
+        assert (capsys.readouterr().err == "error: standardize_target must be "
+                "false for a classification dataset\n")
+        assert calls == {"csv": 0, "synthetic": 0}
+
     def test_csv_that_is_not_utf8_is_named(self, tmp_path, capsys):
         csv_path = tmp_path / "data.csv"
         csv_path.write_bytes(b"a,b,y\n1,2,3\n4,5,\xff\n")
@@ -744,9 +761,9 @@ class TestConfigSchema:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("argv, message", [
-        (["train", "--seed", "-1"], "seeds must be >= 0, got -1"),
+        (["train", "--seed", "-1"], "--seed must be >= 0, got -1"),
         (["compare", "--coverages", "1.0", "--seeds=0,-2"],
-         "seeds must be >= 0, got -2"),
+         "--seeds must be >= 0, got -2"),
     ], ids=["train-seed", "compare-seeds"])
     def test_negative_seed_flag_is_named(self, tmp_path, capsys, argv,
                                          message):
@@ -852,8 +869,8 @@ class TestConfigSchema:
         ("train", "learning_rate", float("nan"),
          "learning_rate: nan is not finite"),
         ("train", "weight_decay", -50.0,
-         "weight_decay must be >= 0, got -50.0"),
-        ("train", "momentum", 1.0, "momentum must be in [0, 1), got 1.0"),
+         "weight_decay must lie in [0, inf), got -50.0"),
+        ("train", "momentum", 1.0, "momentum must lie in [0, 1), got 1.0"),
         ("loss", "penalty_weight", float("inf"),
          "penalty_weight: inf is not finite"),
         ("split", "seed", "1", "seed: '1' is not an integer"),
@@ -875,8 +892,9 @@ class TestConfigSchema:
 
     @pytest.mark.parametrize("section, key, value, message", [
         ("train", "epochs", 0, "epochs must be >= 1, got 0"),
-        ("train", "learning_rate", -1, "learning rate must be positive"),
-        ("loss", "alpha", 7, "alpha must be in [0,1], got 7"),
+        ("train", "learning_rate", -1,
+         "learning_rate must lie in (0, inf), got -1"),
+        ("loss", "alpha", 7, "alpha must lie in [0, 1], got 7"),
         ("loss", "task_loss", "hinge", "unknown task loss 'hinge'"),
         ("architecture", "body_widths", [], "invalid body widths []"),
         ("architecture", "dropout_rate", 1.5,
@@ -1016,10 +1034,11 @@ class TestConfigSchema:
         assert "# seeds=2,4" in comments
 
     @pytest.mark.parametrize("argv, seeds, repeated", [
-        (["train"], [0, 0], 0),
-        (["compare", "--coverages", "1.0"], [0, 0], 0),
-        (["compare", "--coverages", "1.0"], [3, 1, 1, 3], 1),
-        (["compare", "--coverages", "1.0", "--seeds", "0,1,0"], [5], 0),
+        (["train"], [0, 0], "seeds: 0"),
+        (["compare", "--coverages", "1.0"], [0, 0], "seeds: 0"),
+        (["compare", "--coverages", "1.0"], [3, 1, 1, 3], "seeds: 1"),
+        (["compare", "--coverages", "1.0", "--seeds", "0,1,0"], [5],
+         "--seeds: 0"),
     ], ids=["train-config", "compare-config", "compare-config-first",
             "compare-flag"])
     def test_repeated_seed_is_named_before_any_read(
@@ -1033,7 +1052,7 @@ class TestConfigSchema:
         assert main(argv + ["--config", str(cfg_path),
                             "--out", str(out)]) == 1
         assert (capsys.readouterr().err
-                == f"error: seeds: {repeated} is repeated\n")
+                == f"error: {repeated} is repeated\n")
         assert calls == {"csv": 0, "synthetic": 0}
         assert not out.exists()
 

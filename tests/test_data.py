@@ -91,10 +91,10 @@ class TestLoadCsv:
             load_csv(p, [0], 1)
 
     @pytest.mark.parametrize("features, target, message", [
-        ([0, -1], 2, "feature column -1 is negative"),
+        ([0, -1], 2, "feature_columns must be >= 0, got -1"),
         ([0, 0], 2, "feature column 0 is repeated"),
         ([0, 2], 2, "feature column 2 is the target column"),
-        ([0, 1], -1, "target column -1 is negative"),
+        ([0, 1], -1, "target_column must be >= 0, got -1"),
     ], ids=["negative", "repeated", "target", "negative_target"])
     def test_bad_column_choice_rejected(self, tmp_path, features, target,
                                         message):
@@ -470,11 +470,12 @@ class TestSplit:
         with pytest.raises(ConfigurationError):
             SplitSpec(0.5, 0.2, 0.2).validate()
 
-    @pytest.mark.parametrize("fractions", [(0.0, 0.5, 0.5), (1.2, -0.1, -0.1)],
-                             ids=["zero", "negative"])
-    def test_non_positive_fraction_rejected(self, fractions):
-        with pytest.raises(ConfigurationError,
-                           match="^every split fraction must be positive$"):
+    @pytest.mark.parametrize("fractions, message", [
+        ((0.0, 0.5, 0.5), r"train must lie in \(0, 1\], got 0.0"),
+        ((0.6, -0.1, 0.5), r"calibration must lie in \(0, 1\], got -0.1"),
+    ], ids=["zero", "negative"])
+    def test_non_positive_fraction_rejected(self, fractions, message):
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
             SplitSpec(*fractions).validate()
 
     @pytest.mark.parametrize("bad, message", [

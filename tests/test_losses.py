@@ -215,7 +215,8 @@ class TestSelectiveLoss:
         with pytest.raises(ConfigurationError):
             LossConfig(alpha=1.5).validate()
         with pytest.raises(ConfigurationError,
-                           match="^penalty weight must be >= 0$"):
+                           match=r"^penalty_weight must lie in \[0, inf\), "
+                                 r"got -1.0$"):
             LossConfig(penalty_weight=-1.0).validate()
 
 

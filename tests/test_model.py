@@ -96,6 +96,16 @@ class TestConstruction:
                            match=f"^{field}: {bad!r} is not an integer$"):
             build_model(config(bad), seed=0)
 
+    @pytest.mark.parametrize("n_classes, message", [
+        (5, "n_classes must be <= 0, got 5"),
+        (-1, "n_classes must be >= 0, got -1"),
+    ], ids=["five", "negative"])
+    def test_regression_takes_no_class_count(self, n_classes, message):
+        """A regression model has one output, whatever ``n_classes`` says,
+        so a class count there would only be saved: 0 is the one value."""
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            regression_config(n_classes=n_classes).validate()
+
     def test_body_widths_must_be_a_list(self):
         with pytest.raises(ConfigurationError, match="invalid body widths"):
             build_model(regression_config(body_widths=8), seed=0)

@@ -51,9 +51,10 @@ class TestTrainConfigValidation:
             TrainConfig(**{field: bad}).validate()
 
     @pytest.mark.parametrize("field, bad, message", [
-        ("weight_decay", -50.0, r"weight_decay must be >= 0, got -50.0"),
-        ("momentum", 1.0, r"momentum must be in \[0, 1\), got 1.0"),
-        ("momentum", -0.1, r"momentum must be in \[0, 1\), got -0.1"),
+        ("weight_decay", -50.0,
+         r"weight_decay must lie in \[0, inf\), got -50.0"),
+        ("momentum", 1.0, r"momentum must lie in \[0, 1\), got 1.0"),
+        ("momentum", -0.1, r"momentum must lie in \[0, 1\), got -0.1"),
         ("optimizer", "rmsprop", "unknown optimizer 'rmsprop'"),
     ], ids=["weight-decay-negative", "momentum-one", "momentum-negative",
             "optimizer-unknown"])
@@ -307,6 +308,37 @@ class TestTrainLoop:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("batch_size", [1, 256])
+    def test_one_row_fails_before_any_update(self, batch_size):
+        """Batchnorm needs two rows in a batch: one row fails up front,
+        naming the row count (or the batch size, which must be >= 2 too),
+        not inside the first forward."""
+        x, y = _toy_dataset(m=1)
+        model = _toy_model()
+        before = model.state()[0].copy()
+        message = ("training rows must be >= 2 for batchnorm, got 1"
+                   if batch_size > 1 else "batch_size must be >= 2, got 1")
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            train(model, x, y, _toy_train_config(batch_size=batch_size))
+        assert model.state()[0].tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_numpy_float32_rates_train_as_their_python_floats(self,
+                                                              optimizer):
+        """``validate`` keeps the plain floats it checked: a float32
+        learning rate and weight decay train to the same bytes as the same
+        values written as Python floats (``lr * wd`` stays float64)."""
+        x, y = _toy_dataset(m=360)
+        lr, wd = np.float32(2e-3), np.float32(1e-2)
+        states = []
+        for rate, decay in ((lr, wd), (float(lr), float(wd))):
+            model = _toy_model()
+            history = train(model, x, y, _toy_train_config(
+                epochs=3, optimizer=optimizer, learning_rate=rate,
+                weight_decay=decay))
+            states.append((model.state()[0].tobytes(), history))
+        assert states[0] == states[1]
 
     def test_loss_decreases(self):
         x, y = _toy_dataset()

@@ -316,13 +316,24 @@ def test_build_and_load_run_no_parameter_hook(tmp_path, monkeypatch):
     (lambda h: {**h, "calibration": {**asdict(CALIBRATION),
                                      "epsilon": float("nan")}},
      IntegrityError),
+    (lambda h: {**h, "calibration": {**asdict(CALIBRATION), "delta": 1.0}},
+     IntegrityError),
+    (lambda h: {**h, "calibration": {**asdict(CALIBRATION),
+                                     "achieved_coverage": 1.5}},
+     IntegrityError),
+    (lambda h: {**h, "calibration": {**asdict(CALIBRATION), "epsilon": 0.0}},
+     IntegrityError),
+    (lambda h: {**h, "architecture": {**h["architecture"],
+                                      "task": REGRESSION, "n_classes": 3}},
+     IntegrityError),
 ], ids=["no-seed", "no-sizes", "unknown-key", "unknown-arch-key",
         "short-arch", "short-calibration", "unknown-calibration-key",
         "bad-seed", "not-an-object",
         "no-version", "bool-seed", "negative-seed", "string-selective",
         "string-coverage", "coverage-above-one", "zero-coverage",
         "string-tau", "calibration-coverage-above-one", "no-validation-rows",
-        "nan-epsilon"])
+        "nan-epsilon", "delta-one", "achieved-coverage-above-one",
+        "zero-epsilon", "regression-with-classes"])
 def test_malformed_header_with_valid_checksum(trained_model, tmp_path, edit,
                                               error):
     model, _ = trained_model
